@@ -130,34 +130,52 @@ def wall_gaps(delta, face: FaceType) -> np.ndarray:
     return delta[idx - 1] - delta[idx]
 
 
+def row_norms(x) -> np.ndarray:
+    """Euclidean norms along the last axis, equal bit for bit to np.linalg.norm.
+
+    ``norm(axis=-1)`` sums the squares in another order; a 1 x 1 matmul
+    takes the same dot product as the norm of a single vector.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
 def pav_nonincreasing(values, weights=None) -> np.ndarray:
     """Weighted least-squares projection onto non-increasing vectors.
 
-    Pool-adjacent-violators; exact up to floating point.
+    Pool-adjacent-violators along the last axis, for every row of a
+    stack at once; each row makes the same merges in the same order as a
+    sequential pass over it, so results do not depend on the batch.
     """
     y = np.asarray(values, dtype=float)
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    # Blocks are (mean, weight, count); merge while an ascent remains.
-    means: list[float] = []
-    wts: list[float] = []
-    counts: list[int] = []
-    for yi, wi in zip(y, w):
-        means.append(float(yi))
-        wts.append(float(wi))
-        counts.append(1)
-        while len(means) > 1 and means[-2] < means[-1]:
-            m2, w2, c2 = means.pop(), wts.pop(), counts.pop()
-            m1, w1, c1 = means.pop(), wts.pop(), counts.pop()
-            wt = w1 + w2
-            means.append((m1 * w1 + m2 * w2) / wt)
-            wts.append(wt)
-            counts.append(c1 + c2)
-    out = np.empty_like(y)
-    pos = 0
-    for m, c in zip(means, counts):
-        out[pos:pos + c] = m
-        pos += c
-    return out
+    n = y.shape[-1]
+    ys = y.reshape(-1, n)
+    ws = np.broadcast_to(w, y.shape).reshape(-1, n)
+    rows = np.arange(ys.shape[0])
+    # Per row a stack of blocks (mean, weight, count); top is its height.
+    means = np.zeros_like(ys)
+    wts = np.zeros_like(ys)
+    counts = np.zeros(ys.shape, dtype=int)
+    top = np.zeros(ys.shape[0], dtype=int)
+    for i in range(n):
+        means[rows, top] = ys[:, i]
+        wts[rows, top] = ws[:, i]
+        counts[rows, top] = 1
+        top += 1
+        while True:
+            r = rows[(top > 1) & (means[rows, top - 2] < means[rows, top - 1])]
+            if not r.size:
+                break
+            lo, hi = top[r] - 2, top[r] - 1
+            wt = wts[r, lo] + wts[r, hi]
+            means[r, lo] = (means[r, lo] * wts[r, lo] + means[r, hi] * wts[r, hi]) / wt
+            wts[r, lo] = wt
+            counts[r, lo] += counts[r, hi]
+            top[r] -= 1
+    ends = np.cumsum(counts, axis=1)
+    block_of = (ends[:, :, None] <= np.arange(n)).sum(axis=1)
+    return np.take_along_axis(means, block_of, axis=1).reshape(y.shape)
 
 
 def project_to_face_sector(delta, face: FaceType) -> np.ndarray:
@@ -211,11 +229,11 @@ def theta_membership(delta, theta: ThetaSpec, zero_tol: float = 1e-12) -> tuple[
 
 
 def block_sort(v, face: FaceType) -> np.ndarray:
-    """Sort descending within each block of the face type."""
+    """Sort descending within each block of the face type (last axis)."""
     v = np.asarray(v, dtype=float)
     out = v.copy()
     for lo, hi in face.blocks:
-        out[lo:hi] = np.sort(v[lo:hi])[::-1]
+        out[..., lo:hi] = np.sort(v[..., lo:hi], axis=-1)[..., ::-1]
     return out
 
 
@@ -234,16 +252,16 @@ def flat_cone_member(v, face: FaceType, slack: float = 0.0) -> bool:
     return flat_cone_margin(v, face) >= -slack
 
 
-def flat_cone_deficit(v, face: FaceType) -> float:
+def flat_cone_deficit(v, face: FaceType):
     """Distance-like deficit from the block-symmetrized chamber cone.
 
     Zero iff member; otherwise the distance from the block-sorted vector
     to the monotone cone (an upper bound for the distance to the union
     of chambers, exact within the flat spanned by the sorted form).
+    Leading axes are batch axes.
     """
     w = block_sort(v, face)
-    fit = pav_nonincreasing(w)
-    return float(np.linalg.norm(w - fit))
+    return row_norms(w - pav_nonincreasing(w))
 
 
 def flat_finsler_margin(vectors, face: FaceType) -> float:

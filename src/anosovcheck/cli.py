@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -37,6 +37,8 @@ from .subgroup import (
 CHECKER_ORDER = ("uru", "morse", "limit", "anosov")
 RANDOMIZED_CHECKERS = {"limit", "anosov"}
 PLOT_KINDS = ("limit-set-rp2", "expansion-growth", "margin-histogram", "delta-projection")
+OPTION_KEYS = {"c_floor", "ratio_floor", "power_depth", "morse_depth", "rho_cap", "theta_floor",
+               "antipodal_floor", "conical_rho", "uniform_dev", "expansion_floor"}
 
 
 class ConfigError(ValueError):
@@ -51,7 +53,6 @@ class ExperimentConfig:
     n: int
     generators: list  # row-major n x n matrices
     face: list[int]
-    theta_gap: float
     depth: int            # word enumeration depth L
     ray_count: int
     ray_depth: int        # prefix depth N for boundary rays
@@ -68,10 +69,9 @@ class ExperimentConfig:
                 n=int(raw["n"]),
                 generators=raw["generators"],
                 face=[int(i) for i in raw["face"]],
-                theta_gap=float(raw.get("theta_gap", 0.05)),
                 depth=int(raw["depth"]),
                 ray_count=int(raw.get("ray_count", 20)),
-                ray_depth=int(raw.get("ray_depth", raw.get("N", 10))),
+                ray_depth=int(raw.get("ray_depth", 10)),
                 seed=None if raw.get("seed") is None else int(raw["seed"]),
                 checkers=list(raw.get("checkers", list(CHECKER_ORDER))),
                 out_dir=str(raw.get("out_dir", "reports")),
@@ -79,6 +79,11 @@ class ExperimentConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        # a misspelt key would otherwise run silently on its default
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)}) + sorted(
+            f"options.{k}" for k in set(cfg.options) - OPTION_KEYS)
+        if unknown:
+            raise ConfigError(f"{path}: unknown keys {unknown}")
         cfg.validate(path)
         return cfg
 
@@ -131,8 +136,7 @@ def _dump_json(payload: dict, path: Path):
     path.write_text(json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n")
 
 
-def run_config(path, seed: int | None = None, threads: int = 1,
-               out_dir: str | None = None) -> int:
+def run_config(path, seed: int | None = None, out_dir: str | None = None) -> int:
     """Execute the pipeline of a config; returns the process exit code."""
     try:
         cfg = load_config(path)
@@ -161,8 +165,7 @@ def run_config(path, seed: int | None = None, threads: int = 1,
                 rep = morse_check(
                     pres, face, int(opts.get("morse_depth", min(cfg.depth, 8))),
                     rho_cap=float(opts.get("rho_cap", 1.0)),
-                    theta_floor=float(opts.get("theta_floor", cfg.theta_gap)),
-                    threads=threads,
+                    theta_floor=float(opts.get("theta_floor", 0.05)),
                 )
             elif checker == "limit":
                 rep, _ = limit_report(
@@ -175,7 +178,6 @@ def run_config(path, seed: int | None = None, threads: int = 1,
                     pres, face, cfg.ray_count, cfg.ray_depth, cfg.seed,
                     uniform_dev=float(opts.get("uniform_dev", 0.2)),
                     expansion_floor=float(opts.get("expansion_floor", 0.05)),
-                    threads=threads,
                 )
             payload = rep.as_dict()
             payload["config"] = {"name": cfg.name, "n": cfg.n, "face": cfg.face,
@@ -365,7 +367,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a config pipeline")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--out-dir", default=None)
     p_plot = sub.add_parser("plot", help="emit a plot from a report")
     p_plot.add_argument("report")
@@ -373,8 +374,7 @@ def main(argv=None) -> int:
     p_plot.add_argument("--out-dir", default=None)
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run_config(args.config, seed=args.seed, threads=args.threads,
-                          out_dir=args.out_dir)
+        return run_config(args.config, seed=args.seed, out_dir=args.out_dir)
     try:
         paths = emit_plot(args.report, args.kind, args.out_dir)
     except (ValueError, OSError) as exc:

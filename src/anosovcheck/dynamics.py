@@ -28,7 +28,7 @@ from .flags import (
     attractive_flag,
     flag_distance,
     random_flag,
-    stable_product_flag,
+    suffix_flags,
     transversality_margin,
 )
 from .reports import PropertyReport, SequenceReport
@@ -272,20 +272,20 @@ def flag_limit(gs, face: FaceType, tol: float = 1e-6,
 
 
 def _segment_point_deficit(m: np.ndarray, minv: np.ndarray, p: np.ndarray,
-                           pinv: np.ndarray, face: FaceType) -> float:
+                           pinv: np.ndarray, face: FaceType) -> np.ndarray:
     """Deficit of the point p.o inside the diamond spanned by (o, m.o).
 
     All four factors must be exactly accumulated products; the deficit
     combines the off-parallel-set distance with the flat chamber
-    deficits toward both tips.
+    deficits toward both tips.  Leading axes are batch axes.
     """
     u, _, _ = np.linalg.svd(m)
-    ut = u.T
+    ut = np.swapaxes(u, -1, -2)
     a_plus, _ = factored_coords_pair(ut @ m, minv @ u, face)
     v, off = factored_coords_pair(ut @ p, pinv @ u, face)
     fwd = flat_cone_deficit(v, face)
     bwd = flat_cone_deficit(a_plus - v, face)
-    return max(off, fwd, bwd)
+    return np.maximum(np.maximum(off, fwd), bwd)
 
 
 def conical_check(gs, tau: Flag, x, rho: float = 2.0, margin_floor: float = 0.05,
@@ -309,7 +309,6 @@ def conical_check(gs, tau: Flag, x, rho: float = 2.0, margin_floor: float = 0.05
     xm = _mat(x)
     inv_mats = ([_mat(g) for g in gs_inv] if gs_inv is not None
                 else [np.linalg.inv(g) for g in mats])
-    scores = []
     if letters is not None and pres is not None:
         # Sliding-window test: each prefix point is measured inside the
         # diamond spanned by the orbit a fixed number of letters behind
@@ -318,6 +317,7 @@ def conical_check(gs, tau: Flag, x, rho: float = 2.0, margin_floor: float = 0.05
         # well-conditioned at any depth; bounded window deficits together
         # with the flag Cauchy residuals are the conicality surrogate.
         total = len(mats)
+        firsts, firsts_inv, windows, windows_inv = [], [], [], []
         for n in range(1, total + 1):
             lo = max(0, n - lookahead)
             hi = min(total, n + lookahead)
@@ -333,19 +333,27 @@ def conical_check(gs, tau: Flag, x, rho: float = 2.0, margin_floor: float = 0.05
             for lt in letters[n:hi]:
                 window = window @ pres.letter_matrix(lt)
                 window_inv = pres.letter_matrix(-lt) @ window_inv
-            direct = _segment_point_deficit(window, window_inv, first, first_inv, face)
-            mirror = _segment_point_deficit(window_inv, window,
-                                            window_inv @ first, first_inv @ window, face)
-            scores.append(min(direct, mirror))
+            firsts.append(first)
+            firsts_inv.append(first_inv)
+            windows.append(window)
+            windows_inv.append(window_inv)
+        scores = np.zeros(1)
+        if windows:
+            # Each point seen from both tips: the window and its mirror.
+            w, wi = np.stack(windows), np.stack(windows_inv)
+            f, fi = np.stack(firsts), np.stack(firsts_inv)
+            both = _segment_point_deficit(np.concatenate([w, wi]), np.concatenate([wi, w]),
+                                          np.concatenate([f, wi @ f]),
+                                          np.concatenate([fi, fi @ w]), face)
+            scores = np.minimum(both[:len(w)], both[len(w):])
     else:
         basis, _ = adapted_coordinates(xm, tau)
         binv = np.linalg.inv(basis)
         xroot = spd_sqrt(xm)
         xroot_inv = np.linalg.inv(xroot)
-        for g, gi in zip(mats, inv_mats):
-            v, off = factored_coords_pair(binv @ g @ xroot, xroot_inv @ gi @ basis, face)
-            scores.append(max(off, flat_cone_deficit(v, face)))
-    scores = np.array(scores) if scores else np.zeros(1)
+        v, off = factored_coords_pair(binv @ np.stack(mats) @ xroot,
+                                      xroot_inv @ np.stack(inv_mats) @ basis, face)
+        scores = np.maximum(off, flat_cone_deficit(v, face))
     geometric_sup = float(scores.max())
     geometric_ok = bool(geometric_sup <= rho)
     dyn_ok = None
@@ -359,12 +367,8 @@ def conical_check(gs, tau: Flag, x, rho: float = 2.0, margin_floor: float = 0.05
                 # letters because the flag is a repelling fixed point of
                 # the inverse flow and cannot be iterated forward.  The
                 # deepest tails are too short to resolve and are skipped.
-                total = len(letters)
-                pulled = [
-                    stable_product_flag(
-                        [pres.letter_matrix(lt) for lt in letters[k:]], face)
-                    for k in range(1, max(2, total - lookahead + 1))
-                ]
+                tails = suffix_flags([pres.letter_matrix(lt) for lt in letters], face)
+                pulled = tails[1:max(2, len(letters) - lookahead + 1)]
             else:
                 pulled = [act_on_flag(gi, tau) for gi in inv_mats]
             margins = [transversality_margin(f, back.flag) for f in pulled]

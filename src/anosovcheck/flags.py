@@ -70,10 +70,6 @@ def flag_distance(f1: Flag, f2: Flag) -> float:
     return best
 
 
-def flags_equal(f1: Flag, f2: Flag, tol: float = 1e-8) -> bool:
-    return flag_distance(f1, f2) <= tol
-
-
 def act_on_flag(g: np.ndarray, f: Flag) -> Flag:
     """Apply a group element: orthonormalize the image of the nested spans."""
     g = np.asarray(g, dtype=float)
@@ -104,12 +100,7 @@ def antipodality_margin(f1: Flag, f2: Flag) -> float:
         raise ValueError("antipodality needs an iota-invariant face type")
     if f1.face != f2.face:
         raise ValueError("flags have different face types")
-    n = f1.face.n
-    best = np.inf
-    for d in f1.dims:
-        m = np.hstack([f1.basis(d), f2.basis(n - d)])
-        best = min(best, float(np.linalg.svd(m, compute_uv=False)[-1]))
-    return float(best)
+    return transversality_margin(f1, f2)
 
 
 def attractive_flag(g: np.ndarray, face: FaceType, tol: float = GAP_TOL):
@@ -138,20 +129,28 @@ def random_flag(face: FaceType, rng: np.random.Generator) -> Flag:
     return Flag(face, q)
 
 
-def stable_product_flag(matrices, face: FaceType) -> Flag:
-    """Image of a generic flag under an ordered product, accumulated stably.
+def suffix_flags(matrices, face: FaceType) -> list[Flag]:
+    """Flags of every suffix product matrices[k:], from one backward sweep.
 
     Pushes a fixed generic frame through the factors from the right; the
-    nested spans equal those of the full product applied to the frame,
+    nested spans equal those of each suffix product applied to the frame,
     without ever forming the ill-conditioned product.  For contracting
     products this converges to the attracting flag at the intrinsic rate.
+    Entry k is the flag of matrices[k:], for k = 0, ..., len(matrices).
     """
     n = face.n
     rng = np.random.default_rng(321)
     q, _ = qr_pos(rng.standard_normal((n, n)))
+    out = [Flag(face, q)]
     for m in reversed(list(matrices)):
         q, _ = qr_pos(np.asarray(m, dtype=float) @ q)
-    return Flag(face, q)
+        out.append(Flag(face, q))
+    return out[::-1]
+
+
+def stable_product_flag(matrices, face: FaceType) -> Flag:
+    """Image of a generic flag under an ordered product, accumulated stably."""
+    return suffix_flags(matrices, face)[0]
 
 
 def _coord_blocks(face: FaceType) -> list[tuple[int, int]]:
@@ -183,13 +182,6 @@ def _coord_entries(face: FaceType) -> list[tuple[int, int]]:
 
 def pack_lower(mat: np.ndarray, face: FaceType) -> np.ndarray:
     return np.array([mat[r, c] for r, c in _coord_entries(face)])
-
-
-def unpack_lower(vec: np.ndarray, face: FaceType) -> np.ndarray:
-    out = np.zeros((face.n, face.n))
-    for x, (r, c) in zip(vec, _coord_entries(face)):
-        out[r, c] = x
-    return out
 
 
 def action_differential(g: np.ndarray, f: Flag) -> np.ndarray:

@@ -9,20 +9,27 @@ prefix schemes whose flag values carry recorded Cauchy residuals.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .chamber import (
     FaceType,
     face_boundary_distance,
     flat_cone_deficit,
     flat_cone_margin,
+    row_norms,
 )
 from .dynamics import conical_check
-from .errors import BudgetExceeded, PingPongFailed, TransversalityTooSmall, VanishingGap
+from .errors import (
+    BudgetExceeded,
+    IllConditioned,
+    PingPongFailed,
+    TransversalityTooSmall,
+    VanishingGap,
+)
 from .flags import (
     Flag,
     act_on_flag,
@@ -33,6 +40,7 @@ from .flags import (
     flag_distance,
     qr_pos,
     stable_product_flag,
+    suffix_flags,
     tangent_dim,
 )
 from .reports import PropertyReport
@@ -74,6 +82,7 @@ class FreeGroupPresentation:
 
     generators: tuple[np.ndarray, ...]
     assumed_free: bool = True
+    inverses: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
@@ -86,6 +95,7 @@ class FreeGroupPresentation:
             if abs(np.linalg.det(g) - 1.0) > 1e-8:
                 raise ValueError(f"generator determinant {np.linalg.det(g):.8f} is not 1")
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "inverses", tuple(np.linalg.inv(g) for g in gens))
 
     @property
     def rank(self) -> int:
@@ -96,8 +106,8 @@ class FreeGroupPresentation:
         return self.generators[0].shape[0]
 
     def letter_matrix(self, letter: int) -> np.ndarray:
-        g = self.generators[abs(letter) - 1]
-        return g if letter > 0 else np.linalg.inv(g)
+        i = abs(letter) - 1
+        return self.generators[i] if letter > 0 else self.inverses[i]
 
     def word_matrix(self, word: ReducedWord) -> np.ndarray:
         m = np.eye(self.n)
@@ -125,80 +135,92 @@ def word_count(rank: int, length: int) -> int:
     return total
 
 
+class WordLevel(NamedTuple):
+    """The reduced words of one length that start with one letter."""
+
+    letters: np.ndarray  # (N, L) signed letters
+    mats: np.ndarray     # (N, n, n) word products
+    invs: np.ndarray     # (N, n, n) their exactly accumulated inverses
+    parent: np.ndarray   # (N,) row of each word's prefix in the previous level
+    dfs: np.ndarray      # (N,) rank of each word among all words in depth-first order
+
+
+def word_levels(pres: FreeGroupPresentation, length: int, max_words: int = 2_000_000):
+    """All reduced words of length 1..length, one branch and length at a time.
+
+    Branches follow the first letter in letter order (1, -1, 2, -2, ...);
+    within a branch the lengths increase, and each level lists its words
+    in depth-first letter order.  A word's product is its prefix's
+    product times the last letter, and its inverse the last letter's
+    inverse times the prefix's, so both are exact products of letters
+    (equal to ``pres.word_matrix``).  Only one branch's levels are held.
+    """
+    total = word_count(pres.rank, length)
+    if total > max_words:
+        raise BudgetExceeded(f"{total} words exceed budget {max_words}")
+    order = np.array(_letter_order(pres.rank), dtype=np.int8)
+    gens = np.stack([pres.letter_matrix(lt) for lt in order])
+    inv_gens = np.stack([pres.letter_matrix(-lt) for lt in order])
+    kids = 2 * pres.rank - 1
+    # subtree[el]: words in the subtree of a word of length el, itself included
+    subtree = [0] * (length + 2)
+    for el in range(length, 0, -1):
+        subtree[el] = 1 + kids * subtree[el + 1]
+    for first in range(len(order)):
+        digit = np.array([first])  # index in letter order of each word's last letter
+        level = WordLevel(order[digit][:, None], gens[digit], inv_gens[digit],
+                          np.zeros(1, dtype=np.intp), digit * subtree[1])
+        yield level
+        for el in range(2, length + 1):
+            allowed = np.arange(len(order)) != (digit[:, None] ^ 1)  # no cancellation
+            parent, digit = np.nonzero(allowed)
+            child = np.arange(len(parent)) % kids  # rank among its siblings
+            level = WordLevel(
+                np.concatenate([level.letters[parent], order[digit][:, None]], axis=1),
+                level.mats[parent] @ gens[digit],
+                inv_gens[digit] @ level.invs[parent],
+                parent,
+                level.dfs[parent] + 1 + child * subtree[el],
+            )
+            yield level
+
+
+def _branches(levels):
+    """Group word levels by first letter: one group of levels per branch."""
+    return (list(group) for _, group in groupby(levels, key=lambda lv: int(lv.letters[0, 0])))
+
+
+def _dfs_words(pres: FreeGroupPresentation, length: int, max_words: int = 2_000_000):
+    """(letters, product) of every reduced word of length 1..length, depth first."""
+    for branch in _branches(word_levels(pres, length, max_words)):
+        letters = [tuple(w) for lv in branch for w in lv.letters.tolist()]
+        mats = np.concatenate([lv.mats for lv in branch])
+        for k in np.argsort(np.concatenate([lv.dfs for lv in branch])):
+            yield letters[k], mats[k]
+
+
 def enumerate_geodesics(pres: FreeGroupPresentation, length: int,
                         max_words: int = 2_000_000):
     """All reduced words of length 1..length, in depth-first letter order."""
     if length < 1:
         raise ValueError("need length >= 1")
-    if word_count(pres.rank, length) > max_words:
-        raise BudgetExceeded(
-            f"{word_count(pres.rank, length)} words exceed budget {max_words}")
-    order = _letter_order(pres.rank)
-    letters: list[int] = []
-
-    def recurse():
-        if letters:
-            yield ReducedWord(tuple(letters))
-        if len(letters) == length:
-            return
-        for lt in order:
-            if letters and lt == -letters[-1]:
-                continue
-            letters.append(lt)
-            yield from recurse()
-            letters.pop()
-
-    yield from recurse()
-
-
-def _iter_prefix_paths(pres: FreeGroupPresentation, length: int):
-    """DFS over reduced words carrying the full prefix-matrix stack."""
-    order = _letter_order(pres.rank)
-    mats = {lt: pres.letter_matrix(lt) for lt in order}
-    letters: list[int] = []
-    stack = [np.eye(pres.n)]
-
-    def recurse():
-        if letters:
-            yield tuple(letters), stack
-        if len(letters) == length:
-            return
-        for lt in order:
-            if letters and lt == -letters[-1]:
-                continue
-            letters.append(lt)
-            stack.append(stack[-1] @ mats[lt])
-            yield from recurse()
-            stack.pop()
-            letters.pop()
-
-    yield from recurse()
-
-
-def _centered_log_svals(m: np.ndarray) -> np.ndarray:
-    s = np.linalg.svd(m, compute_uv=False)
-    logs = np.log(np.maximum(s, 1e-300))
-    return logs - logs.mean()
+    for letters, _ in _dfs_words(pres, length, max_words):
+        yield ReducedWord(letters)
 
 
 def _resolved_logs(s: np.ndarray, si: np.ndarray) -> np.ndarray:
-    """Centered logs from the singular values of m and of its inverse."""
-    n = len(s)
-    logs = np.empty(n)
-    for i in range(n):
-        logs[i] = np.log(s[i]) if s[i] >= 1.0 else -np.log(si[n - 1 - i])
-    return logs - logs.mean()
-
-
-def _two_sided_log_svals(m: np.ndarray, minv: np.ndarray) -> np.ndarray:
-    """Centered log singular values, each read from the resolving side.
+    """Centered logs from the singular values of m and of its inverse.
 
     A direct SVD loses values below eps times the top one; for a
     unit-determinant matrix with an exactly accumulated inverse, the
-    small values are the reciprocals of the inverse's large ones.
+    small values are the reciprocals of the inverse's large ones.  Each
+    log is read from the resolving side.  Leading axes are batch axes.
     """
-    return _resolved_logs(np.linalg.svd(m, compute_uv=False),
-                          np.linalg.svd(minv, compute_uv=False))
+    big = s >= 1.0
+    # np.where evaluates both sides: keep the unused logs' arguments at 1
+    logs = np.where(big, np.log(np.where(big, s, 1.0)),
+                    -np.log(np.where(big, 1.0, si[..., ::-1])))
+    return logs - logs.mean(axis=-1, keepdims=True)
 
 
 def _two_sided_svd(m: np.ndarray, minv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,24 +234,24 @@ def _two_sided_svd(m: np.ndarray, minv: np.ndarray) -> tuple[np.ndarray, np.ndar
     Each column is taken from the side whose ratio is larger, and the
     frame is orthonormalized by QR (Gram-Schmidt) in order of decreasing
     ratio, so the noise a column carries along better-resolved columns
-    is projected out and never spread into them.
+    is projected out and never spread into them.  Leading axes are batch
+    axes.
     """
     u, s, _ = np.linalg.svd(m)
     _, si, vti = np.linalg.svd(minv)
-    direct = s / s[0]
-    inverse = si[::-1] / si[0]
-    order = np.argsort(-np.maximum(direct, inverse), kind="stable")
-    picked = np.where(direct < inverse, vti[::-1].T, u)
-    # LAPACK directly: on frames this small np.linalg.qr costs about
-    # eight times as much, and morse orthonormalizes one frame per word
-    qr, tau, _, _ = lapack.dgeqrf(picked[:, order])
+    direct = s / s[..., :1]
+    inverse = si[..., ::-1] / si[..., :1]
+    order = np.argsort(-np.maximum(direct, inverse), axis=-1, kind="stable")
+    picked = np.where((direct < inverse)[..., None, :],
+                      np.swapaxes(vti[..., ::-1, :], -1, -2), u)
+    cols = np.broadcast_to(order[..., None, :], u.shape)
     frame = np.empty_like(u)
-    frame[:, order] = lapack.dorgqr(qr, tau)[0]
+    np.put_along_axis(frame, cols, np.linalg.qr(np.take_along_axis(picked, cols, axis=-1))[0],
+                      axis=-1)
     return frame, s, _resolved_logs(s, si)
 
 
-def power_probe(pres: FreeGroupPresentation, face: FaceType,
-                max_power: int = 256, norm_cap: float = 1e6):
+def power_probe(pres: FreeGroupPresentation, max_power: int = 256, norm_cap: float = 1e6):
     """Orbit growth along generator powers, stopped before precision loss.
 
     Yields (generator index, power, chamber vector).  Distorted cyclic
@@ -262,10 +284,6 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     """
     if length < 4:
         raise ValueError("need length >= 4")
-    if word_count(pres.rank, length) > max_words:
-        raise BudgetExceeded("word budget exceeded")
-    order = _letter_order(pres.rank)
-    mats = {lt: pres.letter_matrix(lt) for lt in order}
     dims = np.array(face.dims, dtype=int)
     sqrt2 = math.sqrt(2.0)
     per_len_min = np.full(length + 1, np.inf)
@@ -273,37 +291,28 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     tail_start = max(2, length // 2 + 1)
     ratio_min = np.inf
     ratio_witness: tuple[int, ...] = ()
+    ratio_dfs = -1
 
-    letters: list[int] = []
-
-    def recurse(m: np.ndarray, minv: np.ndarray):
-        nonlocal ratio_min, ratio_witness
-        el = len(letters)
-        if el:
-            delta = _two_sided_log_svals(m, minv)
-            dist = float(np.linalg.norm(delta))
-            if dist < per_len_min[el]:
-                per_len_min[el] = dist
-                per_len_argmin[el] = tuple(letters)
-            if el >= tail_start and dist > 0:
-                margin = float((delta[dims - 1] - delta[dims]).min()) / sqrt2
-                ratio = margin / dist
-                if ratio < ratio_min:
-                    ratio_min = ratio
-                    ratio_witness = tuple(letters)
-        if el == length:
-            return
-        for lt in order:
-            if letters and lt == -letters[-1]:
-                continue
-            letters.append(lt)
-            recurse(m @ mats[lt], mats[-lt] @ minv)
-            letters.pop()
-
-    recurse(np.eye(pres.n), np.eye(pres.n))
+    for level in word_levels(pres, length, max_words):
+        el = level.letters.shape[1]
+        delta = _resolved_logs(np.linalg.svd(level.mats, compute_uv=False),
+                               np.linalg.svd(level.invs, compute_uv=False))
+        dist = row_norms(delta)
+        i = int(np.argmin(dist))
+        if dist[i] < per_len_min[el]:
+            per_len_min[el] = dist[i]
+            per_len_argmin[el] = tuple(level.letters[i].tolist())
+        if el >= tail_start:
+            margin = (delta[:, dims - 1] - delta[:, dims]).min(axis=1) / sqrt2
+            ratio = np.divide(margin, dist, out=np.full_like(dist, np.inf), where=dist > 0)
+            i = int(np.argmin(ratio))
+            # a tie goes to the word that comes first depth first
+            if ratio[i] < ratio_min or (ratio[i] == ratio_min and level.dfs[i] < ratio_dfs):
+                ratio_min, ratio_dfs = ratio[i], level.dfs[i]
+                ratio_witness = tuple(level.letters[i].tolist())
 
     probe_pts = []
-    for i, k, delta in power_probe(pres, face, max_power=power_depth):
+    for i, k, delta in power_probe(pres, max_power=power_depth):
         dist = float(np.linalg.norm(delta))
         ratio = face_boundary_distance(np.sort(delta)[::-1], face) / max(dist, 1e-300)
         probe_pts.append((i, k, dist, ratio))
@@ -350,10 +359,44 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     )
 
 
+def _interior_deficits(branch: list[WordLevel], rows: np.ndarray, u: np.ndarray,
+                       face: FaceType) -> np.ndarray:
+    """Deficits of the interior points of the last level's words ``rows``.
+
+    Word w of length L spans the diamond from o to w.o, read in the
+    coordinates of its left singular frame u; its interior points are
+    the orbit points of its prefixes of length t = 1, ..., L-1.  Returns
+    an array (len(rows), L-1) with column t-1 for prefix length t.
+    """
+    level = branch[-1]
+    ut = np.swapaxes(u, -1, -2)
+    a_plus, _ = factored_coords_pair(ut @ level.mats[rows], level.invs[rows] @ u, face)
+    out = np.empty((len(rows), len(branch) - 1))
+    prefix = rows
+    for t in range(len(branch) - 1, 0, -1):
+        prefix = branch[t].parent[prefix]  # row of each word's prefix of length t
+        v, off = factored_coords_pair(ut @ branch[t - 1].mats[prefix],
+                                      branch[t - 1].invs[prefix] @ u, face)
+        fwd = flat_cone_deficit(v, face)
+        bwd = flat_cone_deficit(a_plus - v, face)
+        out[:, t - 1] = np.maximum(np.maximum(off, fwd), bwd)
+    return out
+
+
+def _level_index(letters: np.ndarray, rank: int) -> np.ndarray:
+    """Row of each word among all reduced words of its length, depth first."""
+    digits = 2 * (np.abs(letters).astype(np.int64) - 1) + (letters < 0)
+    idx = digits[:, 0]
+    for j in range(1, digits.shape[1]):
+        # the child's rank among the 2 * rank - 1 letters that do not cancel
+        idx = idx * (2 * rank - 1) + digits[:, j] - (digits[:, j] > (digits[:, j - 1] ^ 1))
+    return idx
+
+
 def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
                 rho_cap: float = 1.0, theta_floor: float = 0.02,
                 gap_tol: float = GAP_TOL, query_stride: int = 29,
-                max_words: int = 2_000_000, threads: int = 1) -> PropertyReport:
+                max_words: int = 2_000_000) -> PropertyReport:
     """Closeness of orbit segments to diamonds, quantified by a deficit.
 
     Every reduced word is the canonical representative of all its
@@ -366,115 +409,85 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     fitted rho is the worst deficit, the fitted type gap the worst
     normalized wall gap.  Irregular words are Morse failures.
     """
-    if word_count(pres.rank, length) > max_words:
-        raise BudgetExceeded("word budget exceeded")
     dims = np.array(face.dims, dtype=int)
-
-    def scan_branch(first: int) -> dict:
-        out = {
-            "raw": {},
-            "theta_gap": np.inf,
-            "vanishing": [],
-            "query_checked": 0,
-            "query_failed": 0,
-        }
-        counter = 0
-        order = _letter_order(pres.rank)
-        mats = {lt: pres.letter_matrix(lt) for lt in order}
-        letters = [first]
-        stack = [np.eye(pres.n), mats[first]]
-        inv_stack = [np.eye(pres.n), mats[-first]]
-
-        def handle_word():
-            nonlocal counter
-            m = stack[-1]
-            minv = inv_stack[-1]
-            el = len(letters)
-            u, s, logs = _two_sided_svd(m, minv)
-            gaps = logs[dims - 1] - logs[dims]
-            if gaps.min() < gap_tol:
-                out["vanishing"].append(list(letters))
-                return
-            norm = float(np.linalg.norm(logs))
-            out["theta_gap"] = min(out["theta_gap"], float(gaps.min()) / norm)
-            ut = u.T
-            a_plus, _ = factored_coords_pair(ut @ m, minv @ u, face)
-            word = tuple(letters)
-            deficits = np.empty(el - 1) if el > 1 else np.empty(0)
-            for t in range(1, el):
-                v, off = factored_coords_pair(ut @ stack[t], inv_stack[t] @ u, face)
-                fwd = flat_cone_deficit(v, face)
-                bwd = flat_cone_deficit(a_plus - v, face)
-                deficits[t - 1] = max(off, fwd, bwd)
+    theta_gap = np.inf
+    vanishing: list[tuple[int, list[int]]] = []
+    checked = failed = 0
+    # per length and branch: letters, depth-first ranks, regular mask, deficits
+    scanned: dict[int, list[tuple[np.ndarray, ...]]] = {}
+    for branch in _branches(word_levels(pres, length, max_words)):
+        regular, deficits, top = [], [], []
+        for el, level in enumerate(branch, start=1):
+            u, s, logs = _two_sided_svd(level.mats, level.invs)
+            gaps = (logs[:, dims - 1] - logs[:, dims]).min(axis=1)
+            ok = ~(gaps < gap_tol)
+            vanishing += zip(level.dfs[~ok].tolist(), level.letters[~ok].tolist())
+            rows = np.flatnonzero(ok)
+            if rows.size:
+                theta_gap = min(theta_gap, float((gaps[rows] / row_norms(logs[rows])).min()))
+            d = np.full((len(ok), el - 1), np.nan)
+            if rows.size and el > 1:
+                d[rows] = _interior_deficits(branch[:el], rows, u[rows], face)
+            regular.append(ok)
+            deficits.append(d)
+            top.append(s[:, 0])
             if el > 1:
-                out["raw"][word] = deficits
-            counter += 1
-            # Sampled consistency of the query route against the deficit:
-            # strict members must have near-zero deficit and vice versa.
-            if el >= 2 and counter % query_stride == 0 and s[0] < 1e6:
+                scanned.setdefault(el, []).append((level.letters, level.dfs, ok, d))
+
+        # Sampled consistency of the query route against the deficit:
+        # strict members must have near-zero deficit and vice versa.  The
+        # sample is every query_stride-th regular word of the branch,
+        # counted depth first.
+        dfs = np.concatenate([lv.dfs for lv in branch])
+        seen = np.concatenate(regular)
+        order = np.argsort(dfs)
+        count = np.empty(len(dfs), dtype=int)
+        count[order] = np.cumsum(seen[order])
+        start = 0
+        for el, (level, ok, d, s0) in enumerate(zip(branch, regular, deficits, top), start=1):
+            stop = start + len(ok)
+            sample = ok & (count[start:stop] % query_stride == 0) & (s0 < 1e6)
+            start = stop
+            if el < 2:
+                continue
+            for i in np.flatnonzero(sample):
+                j = i
+                for t in range(el, el // 2, -1):
+                    j = branch[t - 1].parent[j]
+                m = level.mats[i]
+                mid = branch[el // 2 - 1].mats[j]
                 try:
                     dia = make_diamond(np.eye(pres.n), m @ m.T, face, tol=gap_tol)
-                    mid = stack[el // 2]
                     member, _ = diamond_query(mid @ mid.T, dia, tol=0.25)
-                    deficit_mid = deficits[el // 2 - 1]
-                    out["query_checked"] += 1
-                    if (member and deficit_mid > 0.25) or (not member and deficit_mid < 1e-8):
-                        out["query_failed"] += 1
-                except Exception:
-                    pass
-
-        def recurse():
-            handle_word()
-            if len(letters) == length:
-                return
-            for lt in order:
-                if lt == -letters[-1]:
+                except (IllConditioned, VanishingGap):
                     continue
-                letters.append(lt)
-                stack.append(stack[-1] @ mats[lt])
-                inv_stack.append(mats[-lt] @ inv_stack[-1])
-                recurse()
-                stack.pop()
-                inv_stack.pop()
-                letters.pop()
-
-        recurse()
-        return out
-
-    firsts = _letter_order(pres.rank)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            branch_results = list(ex.map(scan_branch, firsts))
-    else:
-        branch_results = [scan_branch(f) for f in firsts]
-
-    raw: dict[tuple[int, ...], np.ndarray] = {}
-    theta_gap = np.inf
-    vanishing: list[list[int]] = []
-    checked = failed = 0
-    for res in branch_results:
-        raw.update(res["raw"])
-        theta_gap = min(theta_gap, res["theta_gap"])
-        vanishing.extend(res["vanishing"])
-        checked += res["query_checked"]
-        failed += res["query_failed"]
+                deficit_mid = d[i, el // 2 - 1]
+                checked += 1
+                if (member and deficit_mid > 0.25) or (not member and deficit_mid < 1e-8):
+                    failed += 1
 
     # Aggregate each configuration with its mirror: word w at interior
-    # index t is the same segment as w^{-1} at index len(w) - t.
+    # index t is the same segment as w^{-1} at index len(w) - t.  A level
+    # gathered over all branches lists every word of its length depth
+    # first, so a word's mirror sits at the mirror's level index.
     rho_per_len = np.zeros(length + 1)
     worst = (None, None, -1.0)
-    for word, deficits in raw.items():
-        el = len(word)
-        mirror = tuple(-x for x in reversed(word))
-        mirror_deficits = raw.get(mirror)
-        for t in range(1, el):
-            val = deficits[t - 1]
-            if mirror_deficits is not None:
-                val = min(val, mirror_deficits[el - t - 1])
-            if val > rho_per_len[el]:
-                rho_per_len[el] = val
-            if val > worst[2]:
-                worst = (list(word), t, float(val))
+    worst_dfs = -1
+    for el, parts in scanned.items():
+        letters, dfs, ok, d = (np.concatenate(col) for col in zip(*parts))
+        mirror = _level_index(-letters[:, ::-1], pres.rank)
+        md = d[mirror][:, ::-1]
+        val = np.where(ok[mirror][:, None] & (md < d), md, d)[ok]
+        if not val.size:
+            continue
+        rho_per_len[el] = max(rho_per_len[el], val.max())
+        # the first maximum, depth first, then by interior index
+        w, t = np.unravel_index(np.argmax(val), val.shape)
+        w_dfs = dfs[ok][w]
+        if val[w, t] > worst[2] or (val[w, t] == worst[2] and w_dfs < worst_dfs):
+            worst = (letters[ok][w].tolist(), int(t) + 1, float(val[w, t]))
+            worst_dfs = w_dfs
+    vanishing = [w for _, w in sorted(vanishing)]
 
     rho_cumulative = np.maximum.accumulate(rho_per_len)
     rho_star = float(rho_cumulative[length])
@@ -588,7 +601,8 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
             failures.append({"letters": list(ray.letters), "reason": str(exc)})
             continue
         residuals = [flag_distance(a, b) for a, b in zip(flags, flags[1:])]
-        deltas = [_two_sided_log_svals(m, mi) for m, mi in zip(mats, invs)]
+        deltas = list(_resolved_logs(np.linalg.svd(np.stack(mats), compute_uv=False),
+                                     np.linalg.svd(np.stack(invs), compute_uv=False)))
         conic = conical_check(mats, flags[-1], identity_point(pres.n),
                               rho=conical_rho, gs_inv=invs,
                               letters=list(ray.letters), pres=pres)
@@ -652,13 +666,8 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
             exts.append(tail)
         if len(exts) < 2:
             continue
-        fl = []
         try:
-            for tail in exts:
-                m = np.eye(pres.n)
-                for lt in tail:
-                    m = m @ pres.letter_matrix(lt)
-                fl.append(attractive_flag(m, face)[0])
+            fl = [attractive_flag(pres.word_matrix(ReducedWord(tail)), face)[0] for tail in exts]
         except VanishingGap:
             continue
         probe.append((k, flag_distance(fl[0], fl[1])))
@@ -709,7 +718,7 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
                  depth: int, seed: int, uniform_dev: float = 0.2,
                  divergence_logeps: float = float(np.log(100.0)),
                  expansion_floor: float = 0.05, cea_depth: int = 2,
-                 beta_pad: int = 8, threads: int = 1) -> PropertyReport:
+                 beta_pad: int = 8) -> PropertyReport:
     """Expansion growth along boundary rays.
 
     For each sampled ray the inverse prefixes must expand at the ray's
@@ -722,22 +731,20 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
     scale of the deepest prefix.
     """
     ray_list = sample_rays(pres, rays, depth + beta_pad, seed)
-
-    def eval_ray(ray: BoundaryRaySample) -> dict | None:
+    ray_data = []
+    for ray in ray_list:
         try:
             attractive_flag(ray_prefix_matrices(pres, ray)[depth - 1], face)
         except VanishingGap:
-            return None
-        beta = stable_ray_flag(pres, ray.letters, face)
+            continue
         # Chain rule: the differential of the inverse prefix at the flag
         # is the ordered product of single-letter differentials along the
         # pulled-back flag orbit.  The orbit flags are the boundary flags
         # of the shifted rays; iterating them forward would be dynamically
         # unstable (the flag is repelling for the inverse flow), so each
-        # is recomputed from its own tail letters.
-        tail_flags = [beta] + [
-            stable_ray_flag(pres, ray.letters[k:], face) for k in range(1, depth)
-        ]
+        # is taken from its own tail letters, all in one backward sweep.
+        tail_flags = suffix_flags([pres.letter_matrix(lt) for lt in ray.letters], face)
+        beta = tail_flags[0]
         dtotal = np.eye(tangent_dim(face))
         log_eps = []
         for n, lt in enumerate(ray.letters[:depth]):
@@ -747,7 +754,7 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
         ns = np.arange(1, depth + 1, dtype=float)
         lo = max(1, depth // 3)
         slope, intercept = np.polyfit(ns[lo:], np.array(log_eps)[lo:], 1)
-        return {
+        ray_data.append({
             "letters": list(ray.letters),
             "scheme": ray.scheme,
             "log_eps": log_eps,
@@ -755,17 +762,11 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
             "intercept": float(intercept),
             "max_log_eps": float(max(log_eps)),
             "beta_frame": beta.frame,
-        }
+        })
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            evaluated = list(ex.map(eval_ray, ray_list))
-    else:
-        evaluated = [eval_ray(r) for r in ray_list]
-    ray_data = [r for r in evaluated if r is not None]
     if not ray_data:
         raise VanishingGap("no sampled ray has a regular prefix")
-    irregular = len(evaluated) - len(ray_data)
+    irregular = len(ray_list) - len(ray_data)
     slopes = np.array([r["slope"] for r in ray_data])
     mean_slope = float(slopes.mean()) if len(slopes) else 0.0
     max_dev = (float(np.max(np.abs(slopes - mean_slope)) / abs(mean_slope))
@@ -783,15 +784,16 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
     # Stratum expansion: some short word expands at every sampled limit flag.
     cea_ok = True
     cea_records = []
+    words = list(_dfs_words(pres, cea_depth))
     for r in ray_data:
         beta = Flag(face, np.asarray(r["beta_frame"]))
         best = -np.inf
         best_word = None
-        for word in enumerate_geodesics(pres, cea_depth):
-            eps = expansion_factor(pres.word_matrix(word), beta)
+        for letters, m in words:
+            eps = expansion_factor(m, beta)
             if eps > best:
                 best = eps
-                best_word = list(word.letters)
+                best_word = list(letters)
         cea_records.append({"letters": r["letters"], "best_eps": float(best),
                             "best_word": best_word})
         if best < 1.0 + expansion_floor:

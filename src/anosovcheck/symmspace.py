@@ -22,6 +22,7 @@ from .chamber import (
     flat_cone_deficit,
     iota_face,
     project_to_face_sector,
+    row_norms,
     theta_membership,
 )
 from .errors import IllConditioned, VanishingGap
@@ -402,74 +403,46 @@ def factored_block_coords(w: np.ndarray, face: FaceType) -> tuple[np.ndarray, fl
     return v, off
 
 
-def factored_off_inverse(winv: np.ndarray, face: FaceType) -> float:
-    """Off-parallel-set distance computed from the inverse factor.
-
-    Column-blockwise orthonormalization of the inverse factor inverts the
-    whitened matrix of the direct factor, so the centered log spectrum
-    has the same norm; reliable exactly where the direct factor loses its
-    small singular values.
-    """
-    cols = []
-    for lo, hi in face.blocks:
-        block = winv[:, lo:hi]
-        if hi - lo == 1:
-            s1 = float(np.linalg.norm(block))
-            if s1 <= 0.0:
-                raise IllConditioned("singular inverse-factor block")
-            cols.append(block / s1)
-            continue
-        u, s, vt = np.linalg.svd(block, full_matrices=False)
-        if s[-1] <= 0.0:
-            raise IllConditioned("singular inverse-factor block")
-        cols.append(u @ vt)
-    chat = np.hstack(cols)
-    sig = np.linalg.svd(chat, compute_uv=False)
-    logs = np.log(np.maximum(sig, 1e-300))
-    logs -= logs.mean()
-    return float(np.linalg.norm(logs))
-
-
-def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType) -> tuple[np.ndarray, float]:
+def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided flat coordinates and off-set distance.
 
     Per block the log singular values are taken from whichever factor
     resolves them (the direct factor loses values below its noise floor,
     the inverse factor the reciprocal ones); the off distance is the
-    smaller of the two complete estimates.
+    smaller of the two complete estimates.  Leading axes are batch axes.
     """
-    n = w.shape[0]
-    v = np.empty(n)
-    norm_w = max(float(np.abs(w).max()), 1e-300)
-    norm_wi = max(float(np.abs(winv).max()), 1e-300)
+    v = np.empty(w.shape[:-1])
+    norm_w = np.maximum(np.abs(w).max(axis=(-2, -1)), 1e-300)
+    norm_wi = np.maximum(np.abs(winv).max(axis=(-2, -1)), 1e-300)
     rows = []
     cols = []
     for lo, hi in face.blocks:
         if hi - lo == 1:
-            s1 = max(float(np.linalg.norm(w[lo])), 1e-300)
-            s1i = max(float(np.linalg.norm(winv[:, lo])), 1e-300)
-            v[lo] = np.log(s1) if s1 / norm_w >= s1i / norm_wi else -np.log(s1i)
-            rows.append(w[lo:lo + 1] / s1)
-            cols.append(winv[:, lo:lo + 1] / s1i)
+            row = w[..., lo:lo + 1, :]
+            col = winv[..., :, lo:lo + 1]
+            s1 = np.maximum(row_norms(row[..., 0, :]), 1e-300)
+            # a contiguous copy, as np.linalg.norm takes of a column
+            s1i = np.maximum(row_norms(np.ascontiguousarray(col[..., 0])), 1e-300)
+            v[..., lo] = np.where(s1 / norm_w >= s1i / norm_wi, np.log(s1), -np.log(s1i))
+            rows.append(row / s1[..., None, None])
+            cols.append(col / s1i[..., None, None])
             continue
-        ud, sd, vtd = np.linalg.svd(w[lo:hi, :], full_matrices=False)
-        ui, si, vti = np.linalg.svd(winv[:, lo:hi], full_matrices=False)
+        ud, sd, vtd = np.linalg.svd(w[..., lo:hi, :], full_matrices=False)
+        ui, si, vti = np.linalg.svd(winv[..., :, lo:hi], full_matrices=False)
         sd = np.maximum(sd, 1e-300)
         si = np.maximum(si, 1e-300)
-        if sd[-1] / norm_w >= si[-1] / norm_wi:
-            v[lo:hi] = np.log(sd)
-        else:
-            v[lo:hi] = -np.log(si)[::-1]
+        direct = sd[..., -1] / norm_w >= si[..., -1] / norm_wi
+        v[..., lo:hi] = np.where(direct[..., None], np.log(sd), -np.log(si)[..., ::-1])
         rows.append(ud @ vtd)
         cols.append(ui @ vti)
-    v -= v.mean()
+    v -= v.mean(axis=-1, keepdims=True)
     offs = []
-    for mat in (np.vstack(rows), np.hstack(cols)):
+    for mat in (np.concatenate(rows, axis=-2), np.concatenate(cols, axis=-1)):
         sig = np.linalg.svd(mat, compute_uv=False)
         logs = np.log(np.maximum(sig, 1e-300))
-        logs -= logs.mean()
-        offs.append(float(np.linalg.norm(logs)))
-    return v, min(offs)
+        logs -= logs.mean(axis=-1, keepdims=True)
+        offs.append(row_norms(logs))
+    return v, np.minimum(*offs)
 
 
 def parallel_set_distance(p, pset: ParallelSetRef, descent: bool = True) -> tuple[float, float]:

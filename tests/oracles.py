@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 from scipy.linalg import expm
 
-from anosovcheck.chamber import FaceType, pav_nonincreasing
+from anosovcheck.chamber import FaceType
 from anosovcheck.flags import Flag, _coord_entries, act_on_flag, pack_lower
 
 
@@ -28,6 +28,20 @@ def iota_bruteforce(v: np.ndarray) -> np.ndarray:
             if best is None or tuple(cand) > tuple(best):
                 best = cand
     return best
+
+
+def pav_sequential(values, weights=None) -> np.ndarray:
+    """Pool-adjacent-violators on one vector, one block stack in Python."""
+    y = np.asarray(values, dtype=float)
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+    blocks: list[list] = []  # [mean, weight, count]
+    for yi, wi in zip(y, w):
+        blocks.append([float(yi), float(wi), 1])
+        while len(blocks) > 1 and blocks[-2][0] < blocks[-1][0]:
+            m2, w2, c2 = blocks.pop()
+            m1, w1, c1 = blocks.pop()
+            blocks.append([(m1 * w1 + m2 * w2) / (w1 + w2), w1 + w2, c1 + c2])
+    return np.concatenate([np.full(c, m) for m, _, c in blocks])
 
 
 def wall_distance_bruteforce(delta: np.ndarray, face: FaceType) -> float:
@@ -51,7 +65,7 @@ def wall_distance_bruteforce(delta: np.ndarray, face: FaceType) -> float:
             else:
                 vals.append(delta[k])
                 wts.append(1.0)
-        fit = pav_nonincreasing(np.array(vals), np.array(wts))
+        fit = pav_sequential(np.array(vals), np.array(wts))
         proj = []
         src = 0
         for k in range(len(delta)):

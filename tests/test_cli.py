@@ -21,7 +21,6 @@ def minimal_config(**overrides):
         "generators": [[[4.0, 0.0], [0.0, 0.25]],
                        [[2.125, 1.875], [1.875, 2.125]]],
         "face": [1],
-        "theta_gap": 0.1,
         "depth": 5,
         "ray_count": 6,
         "ray_depth": 8,
@@ -63,6 +62,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(minimal_config(face=[5]))
 
+    @pytest.mark.parametrize("extra", [{"thetagap": 0.1}, {"theta_gap": 0.1}, {"N": 12}])
+    def test_unknown_key_rejected(self, tmp_path, capsys, extra):
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps(minimal_config(**extra)))
+        assert run_config(p) == 2
+        assert repr(next(iter(extra))) in capsys.readouterr().err
+
+    def test_unknown_option_rejected(self, tmp_path, capsys):
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps(minimal_config(options={"rho-cap": 2.0, "rho_cap": 2.0})))
+        assert run_config(p) == 2
+        assert "'options.rho-cap'" in capsys.readouterr().err
+
 
 class TestRun:
     def test_exit_codes_and_reports(self, tmp_path):
@@ -92,8 +104,7 @@ class TestRun:
     def test_cli_main(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(minimal_config()))
-        code = main(["run", str(p), "--out-dir", str(tmp_path / "o"), "--seed", "3",
-                     "--threads", "2"])
+        code = main(["run", str(p), "--out-dir", str(tmp_path / "o"), "--seed", "3"])
         assert code == 0
 
 
@@ -110,19 +121,6 @@ class TestDeterminism:
         for rp in sorted(outs[0].glob("*.json")):
             other = outs[1] / rp.name
             assert rp.read_bytes() == other.read_bytes(), rp.name
-
-    def test_threads_do_not_change_reports(self, tmp_path):
-        raw = minimal_config(checkers=["morse", "anosov"], depth=5,
-                             options={"morse_depth": 5})
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(raw))
-        outs = []
-        for k, threads in enumerate((1, 3)):
-            out = tmp_path / f"out{k}"
-            assert run_config(p, out_dir=str(out), threads=threads) == 0
-            outs.append(out)
-        for rp in sorted(outs[0].glob("*.json")):
-            assert rp.read_bytes() == (outs[1] / rp.name).read_bytes(), rp.name
 
 
 class TestPlots:

@@ -18,6 +18,7 @@ from anosovcheck.subgroup import (
     synthesize_finsler_ray,
     uru_check,
     word_count,
+    word_levels,
 )
 from conftest import SL2_G, SL2_H
 from oracles import random_sl
@@ -58,6 +59,38 @@ class TestWords:
         expected = SL2_G @ np.linalg.inv(SL2_H)
         assert np.allclose(sl2_pres.word_matrix(w), expected)
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_word_levels(self, rank, rng):
+        pres = FreeGroupPresentation(tuple(random_sl(rng, 3) for _ in range(rank)))
+        length = 4
+
+        def depth_first(prefix):
+            # reference order: a word, then the subtrees of its extensions
+            if prefix:
+                yield tuple(prefix)
+            if len(prefix) < length:
+                for lt in [x for i in range(1, rank + 1) for x in (i, -i)]:
+                    if not prefix or lt != -prefix[-1]:
+                        yield from depth_first(prefix + [lt])
+
+        reference = list(depth_first([]))
+        levels = list(word_levels(pres, length))
+        for el in range(1, length + 1):
+            count = sum(len(lv.letters) for lv in levels if lv.letters.shape[1] == el)
+            assert count == word_count(rank, el) - word_count(rank, el - 1)
+        words = [tuple(w) for lv in levels for w in lv.letters.tolist()]
+        dfs = np.concatenate([lv.dfs for lv in levels])
+        assert sorted(dfs.tolist()) == list(range(len(reference)))
+        assert [words[k] for k in np.argsort(dfs)] == reference
+        assert [w.letters for w in enumerate_geodesics(pres, length)] == reference
+        for lv in levels:
+            for letters, m, mi in zip(lv.letters.tolist(), lv.mats, lv.invs):
+                assert np.array_equal(m, pres.word_matrix(ReducedWord(letters)))
+                inv = np.eye(3)
+                for lt in letters:
+                    inv = pres.letter_matrix(-lt) @ inv
+                assert np.array_equal(mi, inv)
+
 
 class TestUru:
     def test_sl2_schottky_passes(self, sl2_pres):
@@ -95,6 +128,17 @@ class TestMorse:
         assert rep.verdict
         curve = np.asarray(rep.constants["rho_by_length"])
         assert abs(curve[7] - curve[5]) <= 0.25
+
+    def test_query_errors_propagate(self, sl2_pres, monkeypatch):
+        # only a failed diamond construction skips a sampled query
+        import anosovcheck.subgroup as subgroup
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("query bug")
+
+        monkeypatch.setattr(subgroup, "diamond_query", broken)
+        with pytest.raises(RuntimeError, match="query bug"):
+            morse_check(sl2_pres, FACE2, 6)
 
     def test_shared_axis_fails(self):
         u = np.array([[1.0, 1.0], [0.0, 1.0]])
