@@ -98,10 +98,6 @@ class FaceType:
         return tuple((b[k], b[k + 1]) for k in range(len(b) - 1))
 
     @property
-    def is_full(self) -> bool:
-        return len(self.kept) == self.n - 1
-
-    @property
     def is_iota_invariant(self) -> bool:
         return self.kept == frozenset(self.n - i for i in self.kept)
 
@@ -262,16 +258,6 @@ def flat_cone_deficit(v, face: FaceType):
     """
     w = block_sort(v, face)
     return row_norms(w - pav_nonincreasing(w))
-
-
-def flat_finsler_margin(vectors, face: FaceType) -> float:
-    """Worst pairwise cone margin along a discrete path in the model flat."""
-    vs = [np.asarray(v, dtype=float) for v in vectors]
-    worst = math.inf
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            worst = min(worst, flat_cone_margin(vs[j] - vs[i], face))
-    return worst
 
 
 def _chamber_circle_basis(n: int = 3) -> tuple[np.ndarray, np.ndarray]:

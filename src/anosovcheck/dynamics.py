@@ -23,6 +23,7 @@ from .chamber import (
 )
 from .errors import VanishingGap
 from .flags import (
+    GAP_TOL,
     Flag,
     act_on_flag,
     attractive_flag,
@@ -242,31 +243,28 @@ def flag_limit(gs, face: FaceType, tol: float = 1e-6,
     cluster flags.  Raises VanishingGap if the terminal element is not
     regular for the face type.
     """
-    mats = [_mat(g) for g in gs]
+    mats = np.stack([_mat(g) for g in gs])
     try:
         attractive_flag(mats[-1], face)
     except VanishingGap as exc:
         raise VanishingGap(f"terminal element irregular: {exc}") from exc
-    flags = []
-    for g in mats:
-        try:
-            plus, _, _ = attractive_flag(g, face)
-            flags.append(plus)
-        except VanishingGap:
-            continue
-    residuals = np.array([
-        flag_distance(flags[k], flags[k + 1]) for k in range(len(flags) - 1)
-    ]) if len(flags) > 1 else np.zeros(0)
+    plus, _, gaps = attractive_flag(mats, face, tol=-np.inf)
+    flags = plus[~(gaps.min(axis=-1) < GAP_TOL)]  # the regular elements
+    residuals = flag_distance(flags[:-1], flags[1:])
     tail = residuals[-max(1, len(residuals) // 4):] if len(residuals) else residuals
     converged = bool(len(residuals) == 0 or tail.max() < tol)
     if converged:
         return FlagLimitResult(flags[-1], residuals, True)
-    # cluster the tail flags
-    tail_flags = flags[len(flags) // 2:]
+    # Cluster the tail flags greedily in sequence order: the next cluster is
+    # the first flag apart from every cluster so far.
+    tail_flags = flags[len(flags.frame) // 2:]
+    apart = np.ones(len(tail_flags.frame), dtype=bool)
     clusters: list[Flag] = []
-    for f in tail_flags:
-        if all(flag_distance(f, c) > cluster_radius for c in clusters):
-            clusters.append(f)
+    while apart.any():
+        k = int(np.argmax(apart))
+        clusters.append(tail_flags[k])
+        apart &= flag_distance(tail_flags, clusters[-1]) > cluster_radius
+        apart[k] = False
     return FlagLimitResult(None if len(clusters) > 1 else flags[-1],
                            residuals, False, clusters)
 
@@ -370,10 +368,10 @@ def conical_check(gs, tau: Flag, x, rho: float = 2.0, margin_floor: float = 0.05
                 tails = suffix_flags([pres.letter_matrix(lt) for lt in letters], face)
                 pulled = tails[1:max(2, len(letters) - lookahead + 1)]
             else:
-                pulled = [act_on_flag(gi, tau) for gi in inv_mats]
-            margins = [transversality_margin(f, back.flag) for f in pulled]
+                pulled = act_on_flag(np.stack(inv_mats), tau)
+            margins = transversality_margin(pulled, back.flag)
             tail = margins[len(margins) // 2:]
-            dyn_margin = float(min(tail))
+            dyn_margin = float(tail.min())
             dyn_ok = bool(dyn_margin >= margin_floor)
     except VanishingGap:
         dyn_ok = False

@@ -7,10 +7,16 @@ norm difference of the orthogonal projectors over the nested subspaces;
 it is O(n)-invariant and bilipschitz to any background Riemannian
 metric.  Expansion factors are computed from the exact differential of
 the group action in adapted block coordinates.
+
+A frame of shape (..., n, n) holds a stack of flags of one type.  Every
+primitive here takes stacks: leading axes are batch axes, stacks
+broadcast against each other, and each row comes out bit for bit as the
+primitive gives it for a single flag, where it returns a float.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +29,29 @@ GAP_TOL = 1e-9
 FRAME_TOL = 1e-9
 
 
+def _scalar(x):
+    # A single flag's value as a float; a stack's values as an array.
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def qr_pos(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR with positive diagonal of R, so nested column spans are preserved."""
+    """QR with positive diagonal of R, so nested column spans are preserved.
+
+    Leading axes are batch axes.
+    """
     q, r = np.linalg.qr(a)
-    s = np.sign(np.diag(r))
+    s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     s[s == 0.0] = 1.0
-    return q * s, r * s[:, None]
+    return q * s[..., None, :], r * s[..., :, None]
 
 
 @dataclass(frozen=True)
 class Flag:
-    """A partial flag, as a face type plus an adapted orthonormal frame."""
+    """A partial flag, as a face type plus an adapted orthonormal frame.
+
+    A frame of shape (..., n, n) is a stack of flags; indexing a flag
+    selects along the leading axes.
+    """
 
     face: FaceType
     frame: np.ndarray
@@ -41,33 +59,37 @@ class Flag:
     def __post_init__(self):
         q = np.asarray(self.frame, dtype=float)
         n = self.face.n
-        if q.shape != (n, n):
+        if q.shape[-2:] != (n, n):
             raise ValueError(f"frame must be {n}x{n}, got {q.shape}")
-        if np.linalg.norm(q.T @ q - np.eye(n)) > FRAME_TOL * n:
+        gram = np.swapaxes(q, -1, -2) @ q - np.eye(n)
+        if np.any(np.linalg.norm(gram, axis=(-2, -1)) > FRAME_TOL * n):
             raise ValueError("frame is not orthonormal")
         object.__setattr__(self, "frame", q)
+
+    def __getitem__(self, index) -> "Flag":
+        return Flag(self.face, self.frame[index])
 
     @property
     def dims(self) -> tuple[int, ...]:
         return self.face.dims
 
     def basis(self, d: int) -> np.ndarray:
-        return self.frame[:, :d]
+        return self.frame[..., :d]
 
     def projector(self, d: int) -> np.ndarray:
-        b = self.frame[:, :d]
-        return b @ b.T
+        b = self.frame[..., :d]
+        return b @ np.swapaxes(b, -1, -2)
 
 
-def flag_distance(f1: Flag, f2: Flag) -> float:
+def flag_distance(f1: Flag, f2: Flag):
     """Max operator-norm difference of subspace projectors over the type."""
     if f1.face != f2.face:
         raise ValueError("flags have different face types")
     best = 0.0
     for d in f1.dims:
         diff = f1.projector(d) - f2.projector(d)
-        best = max(best, float(np.linalg.norm(diff, 2)))
-    return best
+        best = np.maximum(best, np.linalg.norm(diff, 2, axis=(-2, -1)))
+    return _scalar(best)
 
 
 def act_on_flag(g: np.ndarray, f: Flag) -> Flag:
@@ -77,7 +99,7 @@ def act_on_flag(g: np.ndarray, f: Flag) -> Flag:
     return Flag(f.face, q)
 
 
-def transversality_margin(f: Flag, fop: Flag) -> float:
+def transversality_margin(f: Flag, fop: Flag):
     """Smallest singular value over complementary subspace pairs.
 
     ``f`` has face type I and ``fop`` the opposite type; the margin is
@@ -87,14 +109,16 @@ def transversality_margin(f: Flag, fop: Flag) -> float:
     if fop.face != iota_face(f.face):
         raise ValueError("second flag must have the opposite face type")
     n = f.face.n
+    batch = np.broadcast_shapes(f.frame.shape[:-2], fop.frame.shape[:-2])
     best = np.inf
     for d in f.dims:
-        m = np.hstack([f.basis(d), fop.basis(n - d)])
-        best = min(best, float(np.linalg.svd(m, compute_uv=False)[-1]))
-    return float(best)
+        m = np.concatenate([np.broadcast_to(f.basis(d), batch + (n, d)),
+                            np.broadcast_to(fop.basis(n - d), batch + (n, n - d))], axis=-1)
+        best = np.minimum(best, np.linalg.svd(m, compute_uv=False)[..., -1])
+    return _scalar(best)
 
 
-def antipodality_margin(f1: Flag, f2: Flag) -> float:
+def antipodality_margin(f1: Flag, f2: Flag):
     """Transversality of two flags of the same iota-invariant type."""
     if not f1.face.is_iota_invariant:
         raise ValueError("antipodality needs an iota-invariant face type")
@@ -109,17 +133,21 @@ def attractive_flag(g: np.ndarray, face: FaceType, tol: float = GAP_TOL):
     Returns (flag_plus, flag_minus, gaps): flag_plus of the given type is
     spanned by leading left singular vectors, flag_minus of the opposite
     type by trailing right singular vectors; gaps are the log
-    singular-value gaps at the kept walls.
+    singular-value gaps at the kept walls.  On a stack, the message of
+    VanishingGap names the first row (in C order) with a gap below tol;
+    ``tol=-inf`` takes every row and leaves the filtering to the caller.
     """
     g = np.asarray(g, dtype=float)
     u, s, vt = np.linalg.svd(g)
     logs = np.log(np.maximum(s, 1e-300))
     idx = np.array(face.dims, dtype=int)
-    gaps = logs[idx - 1] - logs[idx]
-    if gaps.min() < tol:
-        raise VanishingGap(f"log singular-value gap {gaps.min():.3e} below {tol:.1e}")
+    gaps = logs[..., idx - 1] - logs[..., idx]
+    least = np.ravel(gaps.min(axis=-1))
+    low = least < tol
+    if low.any():
+        raise VanishingGap(f"log singular-value gap {least[np.argmax(low)]:.3e} below {tol:.1e}")
     plus = Flag(face, u)
-    minus = Flag(iota_face(face), vt.T[:, ::-1])
+    minus = Flag(iota_face(face), np.swapaxes(vt, -1, -2)[..., ::-1])
     return plus, minus, gaps
 
 
@@ -129,23 +157,24 @@ def random_flag(face: FaceType, rng: np.random.Generator) -> Flag:
     return Flag(face, q)
 
 
-def suffix_flags(matrices, face: FaceType) -> list[Flag]:
+def suffix_flags(matrices, face: FaceType) -> Flag:
     """Flags of every suffix product matrices[k:], from one backward sweep.
 
     Pushes a fixed generic frame through the factors from the right; the
     nested spans equal those of each suffix product applied to the frame,
     without ever forming the ill-conditioned product.  For contracting
     products this converges to the attracting flag at the intrinsic rate.
-    Entry k is the flag of matrices[k:], for k = 0, ..., len(matrices).
+    Row k of the returned stack is the flag of matrices[k:], for
+    k = 0, ..., len(matrices).
     """
     n = face.n
     rng = np.random.default_rng(321)
     q, _ = qr_pos(rng.standard_normal((n, n)))
-    out = [Flag(face, q)]
+    out = [q]
     for m in reversed(list(matrices)):
         q, _ = qr_pos(np.asarray(m, dtype=float) @ q)
-        out.append(Flag(face, q))
-    return out[::-1]
+        out.append(q)
+    return Flag(face, np.stack(out[::-1]))
 
 
 def stable_product_flag(matrices, face: FaceType) -> Flag:
@@ -180,8 +209,30 @@ def _coord_entries(face: FaceType) -> list[tuple[int, int]]:
     return entries
 
 
-def pack_lower(mat: np.ndarray, face: FaceType) -> np.ndarray:
-    return np.array([mat[r, c] for r, c in _coord_entries(face)])
+@functools.cache
+def _differential_gather(face: FaceType) -> tuple[np.ndarray, ...]:
+    """Gather tables of ``action_differential`` for one face type.
+
+    Entry (i, j) of the differential is r[R, rr] * inv(r[:L, :L])[cc, c2]
+    for the tangent coordinates (R, c2) = entries[i] and (rr, cc) =
+    entries[j], where L is the boundary closing the block of column c2;
+    it is zero unless cc < L <= rr.  Returns the row and column indices
+    into r, the level, row and column indices into the stacked level
+    inverses, and the mask of nonzero entries, each of shape (m, m).
+    """
+    bounds = face.boundaries
+    level_of_col = np.empty(face.n, dtype=int)  # index of L in face.dims
+    for k in range(len(bounds) - 1):
+        level_of_col[bounds[k]:bounds[k + 1]] = k
+    entries = np.array(_coord_entries(face))
+    big_r, c2 = entries[:, :1], entries[:, 1:]  # vary along the output rows
+    rr, cc = entries[:, 0], entries[:, 1]  # vary along the output columns
+    lev = level_of_col[c2]
+    level = np.array(face.dims)[lev]
+    tables = np.broadcast_arrays(big_r, rr, lev, cc, c2, (cc < level) & (level <= rr))
+    for t in tables:
+        t.flags.writeable = False
+    return tuple(tables)
 
 
 def action_differential(g: np.ndarray, f: Flag) -> np.ndarray:
@@ -192,42 +243,23 @@ def action_differential(g: np.ndarray, f: Flag) -> np.ndarray:
     O(n)-invariant metric.  Per subspace level d the Grassmannian
     differential is X -> R22 X R11^{-1} with R the triangular factor of
     the image frame; block entries are extracted at the finest level
-    containing them.
+    containing them, so every entry is one product of an entry of R and
+    one of a level inverse, gathered by ``_differential_gather``.
     """
     g = np.asarray(g, dtype=float)
     face = f.face
-    n = face.n
     _, r = qr_pos(g @ f.frame)
-    levels = face.dims
-    r11_inv = {d: solve_triangular(r[:d, :d], np.eye(d)) for d in levels}
-    r22 = {d: r[d:, d:] for d in levels}
-    boundaries = face.boundaries
-    # Each output column is read off at one canonical level: the boundary
-    # closing the block that contains it.
-    level_of_col = np.empty(n, dtype=int)
-    for k in range(len(boundaries) - 1):
-        level_of_col[boundaries[k]:boundaries[k + 1]] = boundaries[k + 1]
-    entries = _coord_entries(face)
-    m = len(entries)
-    mat = np.zeros((m, m))
-    for col_idx, (rr, cc) in enumerate(entries):
-        out = np.zeros((n, n))
-        for d in levels:
-            if cc < d <= rr:
-                # X at this level has a single entry at (rr - d, cc), so
-                # the image block is an outer product.
-                y = np.outer(r22[d][:, rr - d], r11_inv[d][cc, :])
-                for c2 in range(d):
-                    if level_of_col[c2] == d:
-                        out[d:, c2] = y[:, c2]
-        mat[:, col_idx] = pack_lower(out, face)
-    return mat
+    r_rows, r_cols, lev, inv_rows, inv_cols, mask = _differential_gather(face)
+    r11_inv = np.zeros(r.shape[:-2] + (len(face.dims),) + r.shape[-2:])
+    for k, d in enumerate(face.dims):
+        r11_inv[..., k, :d, :d] = solve_triangular(r[..., :d, :d], np.eye(d))
+    return np.where(mask, r[..., r_rows, r_cols] * r11_inv[..., lev, inv_rows, inv_cols], 0.0)
 
 
-def expansion_factor(g: np.ndarray, f: Flag) -> float:
+def expansion_factor(g: np.ndarray, f: Flag):
     """Reciprocal operator norm of the inverse differential at the flag."""
     d = action_differential(g, f)
-    return float(np.linalg.svd(d, compute_uv=False)[-1])
+    return _scalar(np.linalg.svd(d, compute_uv=False)[..., -1])
 
 
 def expansion_cone_correlate(samples, face: FaceType, radius: float | None = None) -> dict:

@@ -596,52 +596,56 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     for ray in rays:
         mats, invs = ray_prefix_matrices(pres, ray, with_inverses=True)
         try:
-            flags = [attractive_flag(m, face)[0] for m in mats]
+            flags = attractive_flag(np.stack(mats), face)[0]
         except VanishingGap as exc:
             failures.append({"letters": list(ray.letters), "reason": str(exc)})
             continue
-        residuals = [flag_distance(a, b) for a, b in zip(flags, flags[1:])]
+        residuals = flag_distance(flags[:-1], flags[1:]).tolist()
         deltas = list(_resolved_logs(np.linalg.svd(np.stack(mats), compute_uv=False),
                                      np.linalg.svd(np.stack(invs), compute_uv=False)))
-        conic = conical_check(mats, flags[-1], identity_point(pres.n),
+        limit = flags[-1]
+        conic = conical_check(mats, limit, identity_point(pres.n),
                               rho=conical_rho, gs_inv=invs,
                               letters=list(ray.letters), pres=pres)
         samples.append({
             "letters": list(ray.letters),
             "scheme": ray.scheme,
-            "limit_flag_frame": flags[-1].frame,
+            "limit_flag_frame": limit.frame.copy(),  # not a view that keeps the prefix stack
             "residuals": residuals,
             "converged": bool(residuals and max(residuals[-max(1, len(residuals) // 4):]) < residual_tol),
             "deltas": deltas,
             "conical": conic.verdict,
             "conical_geometric_sup": conic.constants["geometric_sup"],
         })
+    if not samples:
+        raise VanishingGap("no sampled ray has a regular prefix")
 
     # Rays are pairwise distinct reduced words, hence distinct boundary
     # points; their transversality margin shrinks with the depth at which
     # the words diverge, so the antipodality verdict is taken over pairs
     # diverging within half the sampled depth (deeper pairs cannot be
     # resolved from depth-limited flags and are recorded separately).
+    # Each sample is compared with all earlier ones in one stacked call.
     min_margin = math.inf
     all_pairs_min = math.inf
     closest_pair = None
-    flag_objs = [Flag(face, np.asarray(s["limit_flag_frame"])) for s in samples]
-    for i in range(len(samples)):
-        for j in range(i):
-            m = antipodality_margin(flag_objs[i], flag_objs[j])
-            all_pairs_min = min(all_pairs_min, m)
-            # The verdict margin is taken over rays with disjoint first
-            # letters; pairs sharing prefixes have margins shrinking with
-            # the divergence depth and are tracked by the continuity probe.
-            if samples[i]["letters"][0] == samples[j]["letters"][0]:
-                continue
-            if m < min_margin:
-                min_margin = m
-                closest_pair = (samples[i]["letters"], samples[j]["letters"])
-    reps: list[Flag] = []
-    for f in flag_objs:
-        if all(flag_distance(f, r) > separation for r in reps):
-            reps.append(f)
+    limits = Flag(face, np.stack([s["limit_flag_frame"] for s in samples]))
+    firsts = np.array([s["letters"][0] for s in samples])
+    reps = [0]  # greedy separated representatives, in sample order
+    for i in range(1, len(samples)):
+        here, earlier = limits[i], limits[:i]
+        margins = antipodality_margin(here, earlier)
+        all_pairs_min = min(all_pairs_min, float(margins.min()))
+        # The verdict margin is taken over rays with disjoint first
+        # letters; pairs sharing prefixes have margins shrinking with
+        # the divergence depth and are tracked by the continuity probe.
+        cross = np.where(firsts[:i] != firsts[i], margins, math.inf)
+        j = int(np.argmin(cross))  # the first of equal minima, as in pair order
+        if cross[j] < min_margin:
+            min_margin = float(cross[j])
+            closest_pair = (samples[i]["letters"], samples[j]["letters"])
+        if np.all(flag_distance(here, earlier)[reps] > separation):
+            reps.append(i)
     sep_count = len(reps)
 
     # Continuity probe: pairs of rays sharing prefixes of increasing depth.
@@ -672,8 +676,6 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
             continue
         probe.append((k, flag_distance(fl[0], fl[1])))
 
-    if not samples:
-        raise VanishingGap("no sampled ray has a regular prefix")
     all_conical = all(s["conical"] for s in samples)
     antipodal = bool(not math.isinf(min_margin) and min_margin >= antipodal_floor)
     verdict = bool(not failures and antipodal and all_conical)
@@ -744,13 +746,14 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
         # unstable (the flag is repelling for the inverse flow), so each
         # is taken from its own tail letters, all in one backward sweep.
         tail_flags = suffix_flags([pres.letter_matrix(lt) for lt in ray.letters], face)
-        beta = tail_flags[0]
+        inverse_letters = np.stack([pres.letter_matrix(-lt) for lt in ray.letters[:depth]])
+        steps = action_differential(inverse_letters, tail_flags[:depth])
         dtotal = np.eye(tangent_dim(face))
-        log_eps = []
-        for n, lt in enumerate(ray.letters[:depth]):
-            li = pres.letter_matrix(-lt)
-            dtotal = action_differential(li, tail_flags[n]) @ dtotal
-            log_eps.append(float(np.log(np.linalg.svd(dtotal, compute_uv=False)[-1])))
+        chain = []
+        for step in steps:
+            dtotal = step @ dtotal
+            chain.append(dtotal)
+        log_eps = np.log(np.linalg.svd(np.stack(chain), compute_uv=False)[:, -1]).tolist()
         ns = np.arange(1, depth + 1, dtype=float)
         lo = max(1, depth // 3)
         slope, intercept = np.polyfit(ns[lo:], np.array(log_eps)[lo:], 1)
@@ -761,7 +764,7 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
             "slope": float(slope),
             "intercept": float(intercept),
             "max_log_eps": float(max(log_eps)),
-            "beta_frame": beta.frame,
+            "beta_frame": tail_flags.frame[0].copy(),
         })
 
     if not ray_data:
@@ -784,19 +787,14 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
     # Stratum expansion: some short word expands at every sampled limit flag.
     cea_ok = True
     cea_records = []
-    words = list(_dfs_words(pres, cea_depth))
+    words, mats = zip(*_dfs_words(pres, cea_depth))
+    mats = np.stack(mats)
     for r in ray_data:
-        beta = Flag(face, np.asarray(r["beta_frame"]))
-        best = -np.inf
-        best_word = None
-        for letters, m in words:
-            eps = expansion_factor(m, beta)
-            if eps > best:
-                best = eps
-                best_word = list(letters)
-        cea_records.append({"letters": r["letters"], "best_eps": float(best),
-                            "best_word": best_word})
-        if best < 1.0 + expansion_floor:
+        eps = expansion_factor(mats, Flag(face, r["beta_frame"]))
+        k = int(np.argmax(eps))  # the first maximum, in depth-first word order
+        cea_records.append({"letters": r["letters"], "best_eps": float(eps[k]),
+                            "best_word": list(words[k])})
+        if eps[k] < 1.0 + expansion_floor:
             cea_ok = False
     return PropertyReport(
         name="anosov",

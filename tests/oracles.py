@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from anosovcheck.chamber import FaceType
-from anosovcheck.flags import Flag, _coord_entries, act_on_flag, pack_lower
+from anosovcheck.flags import Flag, _coord_entries, act_on_flag
 
 
 def iota_bruteforce(v: np.ndarray) -> np.ndarray:
@@ -121,8 +121,9 @@ def expansion_factor_fd(g: np.ndarray, f: Flag, h: float = 1e-5) -> float:
     level_of_col = np.empty(n, dtype=int)
     for k in range(len(bounds) - 1):
         level_of_col[bounds[k]:bounds[k + 1]] = bounds[k + 1]
+    entries = _coord_entries(face)
     cols = []
-    for (r, c) in _coord_entries(face):
+    for (r, c) in entries:
         e = np.zeros((n, n))
         e[r, c] = 1.0
         a = e - e.T
@@ -137,7 +138,7 @@ def expansion_factor_fd(g: np.ndarray, f: Flag, h: float = 1e-5) -> float:
             for c2 in range(d):
                 if level_of_col[c2] == d:
                     lower[d:, c2] = x[:, c2]
-        cols.append(pack_lower(lower, face))
+        cols.append(np.array([lower[rc] for rc in entries]))
     mat = np.stack(cols, axis=1)
     return float(np.linalg.svd(mat, compute_uv=False)[-1])
 

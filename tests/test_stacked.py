@@ -8,8 +8,21 @@ from anosovcheck.chamber import (
     FaceType,
     block_sort,
     flat_cone_deficit,
+    iota_face,
     pav_nonincreasing,
     row_norms,
+)
+from anosovcheck.errors import VanishingGap
+from anosovcheck.flags import (
+    Flag,
+    act_on_flag,
+    action_differential,
+    antipodality_margin,
+    attractive_flag,
+    expansion_factor,
+    flag_distance,
+    qr_pos,
+    transversality_margin,
 )
 from anosovcheck.subgroup import _resolved_logs, _two_sided_svd
 from anosovcheck.symmspace import factored_coords_pair
@@ -78,3 +91,60 @@ def test_flat_cone_deficit_and_pav(rng, n):
     for face in FACES[n]:
         assert_rows_equal(block_sort(vs, face), [block_sort(v, face) for v in vs])
         assert_rows_equal(flat_cone_deficit(vs, face), [flat_cone_deficit(v, face) for v in vs])
+
+
+def frames(rng, n, count=40):
+    return qr_pos(rng.standard_normal((count, n, n)))[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_flag_primitives(rng, n):
+    mats, _ = products(rng, n)
+    a, b = frames(rng, n), frames(rng, n)
+    rows = range(len(a))
+    for face in FACES[n]:
+        f, g = Flag(face, a), Flag(face, b)
+        fop = Flag(iota_face(face), b)
+        assert_rows_equal(flag_distance(f, g), [flag_distance(f[k], g[k]) for k in rows])
+        # one flag against a stack, as limit's pair scan takes them
+        assert_rows_equal(flag_distance(f[0], g), [flag_distance(f[0], g[k]) for k in rows])
+        assert_rows_equal(transversality_margin(f, fop),
+                          [transversality_margin(f[k], fop[k]) for k in rows])
+        if face.is_iota_invariant:
+            assert_rows_equal(antipodality_margin(f[0], g),
+                              [antipodality_margin(f[0], g[k]) for k in rows])
+        assert_rows_equal(act_on_flag(mats, f).frame,
+                          [act_on_flag(mats[k], f[k]).frame for k in rows])
+        assert_rows_equal(action_differential(mats, f),
+                          [action_differential(mats[k], f[k]) for k in rows])
+        assert_rows_equal(expansion_factor(mats, f),
+                          [expansion_factor(mats[k], f[k]) for k in rows])
+        # a stack of words against one flag, as anosov's stratum scan takes them
+        assert_rows_equal(expansion_factor(mats, f[0]), [expansion_factor(m, f[0]) for m in mats])
+        plus, minus, gaps = attractive_flag(mats, face)
+        single = [attractive_flag(m, face) for m in mats]
+        assert_rows_equal(plus.frame, [p.frame for p, _, _ in single])
+        assert_rows_equal(minus.frame, [m.frame for _, m, _ in single])
+        assert_rows_equal(gaps, [x for _, _, x in single])
+
+
+def test_attractive_flag_names_first_irregular_row(rng):
+    face = FaceType.full(3)
+    mats, _ = products(rng, 3)
+    mats[7] = np.diag([4.0, 0.5 + 5e-11, 0.5])  # gap 1e-10 at wall 2
+    mats[11] = np.diag([2.0, 2.0, 0.25])  # no gap at wall 1, a different message
+    with pytest.raises(VanishingGap) as single:
+        attractive_flag(mats[7], face)
+    # rows are taken in C order over all batch axes
+    for stack in (mats, mats.reshape(4, -1, 3, 3)):
+        with pytest.raises(VanishingGap) as stacked:
+            attractive_flag(stack, face)
+        assert str(stacked.value) == str(single.value)
+
+
+def test_flag_checks_every_frame_of_a_stack(rng):
+    q = frames(rng, 3)
+    Flag(FaceType.full(3), q)
+    q[13] *= 1.001
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Flag(FaceType.full(3), q)
