@@ -20,7 +20,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .chamber import FaceType, iota_face
 from .errors import VanishingGap
@@ -209,6 +208,34 @@ def _coord_entries(face: FaceType) -> list[tuple[int, int]]:
     return entries
 
 
+def triu_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of upper-triangular matrices.
+
+    Back-substitution on the identity with a reciprocal multiply, in
+    OpenBLAS ``dtrsm``'s order: for k = d-1, ..., 0, row k is scaled by
+    1/r[k, k] and then subtracted, times r[:k, k], from the rows above.
+    At width d <= 2 this is LAPACK's (``scipy.linalg.solve_triangular``)
+    inverse bit for bit; wider, LAPACK fuses the updates into FMAs and
+    the two differ by rounding.  Like LAPACK, raises ValueError on a
+    non-finite entry and LinAlgError on a zero diagonal.
+    """
+    r = np.asarray(r, dtype=float)
+    if not np.isfinite(r).all():
+        raise ValueError("array must not contain infs or NaNs")
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    zero = diag == 0.0
+    if zero.any():
+        at = np.nonzero(zero)[-1][0]
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {at}")
+    recip = 1.0 / diag
+    d = r.shape[-1]
+    b = np.broadcast_to(np.eye(d), r.shape).copy()
+    for k in reversed(range(d)):
+        b[..., k, :] *= recip[..., k, None]
+        b[..., :k, :] -= b[..., k, None, :] * r[..., :k, k, None]
+    return b
+
+
 @functools.cache
 def _differential_gather(face: FaceType) -> tuple[np.ndarray, ...]:
     """Gather tables of ``action_differential`` for one face type.
@@ -216,20 +243,21 @@ def _differential_gather(face: FaceType) -> tuple[np.ndarray, ...]:
     Entry (i, j) of the differential is r[R, rr] * inv(r[:L, :L])[cc, c2]
     for the tangent coordinates (R, c2) = entries[i] and (rr, cc) =
     entries[j], where L is the boundary closing the block of column c2;
-    it is zero unless cc < L <= rr.  Returns the row and column indices
-    into r, the level, row and column indices into the stacked level
-    inverses, and the mask of nonzero entries, each of shape (m, m).
+    it is zero unless cc < L <= rr.  The leading block of an
+    upper-triangular inverse is the inverse of the leading block, so
+    every level reads the inverse of r's leading max(dims) block.
+    Returns the row and column indices into r and into that inverse, and
+    the mask of nonzero entries, each of shape (m, m).
     """
     bounds = face.boundaries
-    level_of_col = np.empty(face.n, dtype=int)  # index of L in face.dims
+    closing = np.empty(face.n, dtype=int)  # L for each column
     for k in range(len(bounds) - 1):
-        level_of_col[bounds[k]:bounds[k + 1]] = k
+        closing[bounds[k]:bounds[k + 1]] = bounds[k + 1]
     entries = np.array(_coord_entries(face))
     big_r, c2 = entries[:, :1], entries[:, 1:]  # vary along the output rows
     rr, cc = entries[:, 0], entries[:, 1]  # vary along the output columns
-    lev = level_of_col[c2]
-    level = np.array(face.dims)[lev]
-    tables = np.broadcast_arrays(big_r, rr, lev, cc, c2, (cc < level) & (level <= rr))
+    level = closing[c2]
+    tables = np.broadcast_arrays(big_r, rr, cc, c2, (cc < level) & (level <= rr))
     for t in tables:
         t.flags.writeable = False
     return tuple(tables)
@@ -244,16 +272,16 @@ def action_differential(g: np.ndarray, f: Flag) -> np.ndarray:
     differential is X -> R22 X R11^{-1} with R the triangular factor of
     the image frame; block entries are extracted at the finest level
     containing them, so every entry is one product of an entry of R and
-    one of a level inverse, gathered by ``_differential_gather``.
+    one of the inverse of its leading block, gathered by
+    ``_differential_gather``.
     """
     g = np.asarray(g, dtype=float)
     face = f.face
     _, r = qr_pos(g @ f.frame)
-    r_rows, r_cols, lev, inv_rows, inv_cols, mask = _differential_gather(face)
-    r11_inv = np.zeros(r.shape[:-2] + (len(face.dims),) + r.shape[-2:])
-    for k, d in enumerate(face.dims):
-        r11_inv[..., k, :d, :d] = solve_triangular(r[..., :d, :d], np.eye(d))
-    return np.where(mask, r[..., r_rows, r_cols] * r11_inv[..., lev, inv_rows, inv_cols], 0.0)
+    r_rows, r_cols, inv_rows, inv_cols, mask = _differential_gather(face)
+    top = face.dims[-1]
+    r11_inv = triu_inverse(r[..., :top, :top])
+    return np.where(mask, r[..., r_rows, r_cols] * r11_inv[..., inv_rows, inv_cols], 0.0)
 
 
 def expansion_factor(g: np.ndarray, f: Flag):

@@ -7,16 +7,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# Exact types that JSON takes as they are; a subclass such as np.float64 is not one.
+_ATOMS = frozenset({float, int, str, bool, type(None)})
+
+
 def jsonable(obj):
     """Recursively convert numpy/tuple/set payloads into JSON-safe values."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= _ATOMS:
+            return list(obj)
         return [jsonable(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted(jsonable(v) for v in obj)
     if isinstance(obj, np.ndarray):
-        return jsonable(obj.tolist())
+        # tolist() gives plain Python scalars unless the elements are objects.
+        return jsonable(obj.tolist()) if obj.dtype == object else obj.tolist()
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):

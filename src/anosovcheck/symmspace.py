@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .chamber import (
     FaceType,
@@ -460,6 +459,8 @@ def parallel_set_distance(p, pset: ParallelSetRef, descent: bool = True) -> tupl
     coords, upper = factored_block_coords(w, face)
     if not descent:
         return upper, upper
+    from scipy.optimize import minimize
+
     # Parameterize candidates by symmetric log-blocks (det-normalized).
     blocks = face.blocks
     z = w @ w.T

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anosovcheck
 from anosovcheck.cli import (
     ConfigError,
     ExperimentConfig,
@@ -121,6 +125,31 @@ class TestDeterminism:
         for rp in sorted(outs[0].glob("*.json")):
             other = outs[1] / rp.name
             assert rp.read_bytes() == other.read_bytes(), rp.name
+
+
+# Imports the package and runs a config in a fresh interpreter; prints the
+# scipy modules loaded after each step.
+SCIPY_PROBE = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import anosovcheck
+from anosovcheck.cli import run_config
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
+after_import = loaded()
+code = run_config(sys.argv[2], out_dir=sys.argv[3])
+print(json.dumps([code, after_import, loaded()]))
+"""
+
+
+def test_checkers_load_no_scipy(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(minimal_config(checkers=["uru", "morse", "limit", "anosov"])))
+    src = Path(anosovcheck.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(src), str(p), str(tmp_path / "o")],
+                         check=True, capture_output=True, text=True).stdout
+    code, after_import, after_run = json.loads(out.splitlines()[-1])
+    assert code == 0
+    assert after_import == [] and after_run == []
 
 
 class TestPlots:

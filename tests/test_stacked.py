@@ -3,6 +3,7 @@ stack comes out bit for bit as the same primitive gives it alone."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from anosovcheck.chamber import (
     FaceType,
@@ -23,6 +24,7 @@ from anosovcheck.flags import (
     flag_distance,
     qr_pos,
     transversality_margin,
+    triu_inverse,
 )
 from anosovcheck.subgroup import _resolved_logs, _two_sided_svd
 from anosovcheck.symmspace import factored_coords_pair
@@ -148,3 +150,36 @@ def test_flag_checks_every_frame_of_a_stack(rng):
     q[13] *= 1.001
     with pytest.raises(ValueError, match="not orthonormal"):
         Flag(FaceType.full(3), q)
+
+
+def triangular(rng, d, count=20000):
+    """Upper-triangular stacks with diagonals of either sign, 0.5 to 2 in size."""
+    r = np.triu(rng.standard_normal((count, d, d)))
+    diag = rng.uniform(0.5, 2.0, (count, d)) * rng.choice([-1.0, 1.0], (count, d))
+    r[..., np.arange(d), np.arange(d)] = diag
+    return r
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_triu_inverse_matches_lapack(rng, d):
+    r = triangular(rng, d)
+    ours, lapack = triu_inverse(r), solve_triangular(r, np.eye(d))
+    if d <= 2:
+        # bit patterns, so the signs of the zeros below the diagonal count too
+        assert np.array_equal(ours.view(np.uint64), lapack.view(np.uint64))
+    else:
+        # LAPACK fuses its updates into FMAs from width 3 on
+        scale = np.abs(lapack).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(ours - lapack) <= 1e-14 * scale)
+
+
+def test_triu_inverse_rejects_what_lapack_rejects(rng):
+    singular = triangular(rng, 3, count=8)
+    singular[5, 1, 1] = 0.0
+    nan = triangular(rng, 3, count=8)
+    nan[2, 0, 2] = np.nan
+    for solve in (triu_inverse, lambda r: solve_triangular(r, np.eye(3))):
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
+            solve(singular)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(nan)
