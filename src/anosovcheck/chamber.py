@@ -233,21 +233,6 @@ def block_sort(v, face: FaceType) -> np.ndarray:
     return out
 
 
-def flat_cone_margin(v, face: FaceType) -> float:
-    """Signed membership margin for the block-symmetrized chamber cone.
-
-    A vector belongs to the union of chambers around the face sector iff
-    its block-sorted form is globally non-increasing; the margin is the
-    worst consecutive difference (nonnegative iff member).
-    """
-    w = block_sort(v, face)
-    return float(-np.max(np.diff(w))) if w.size > 1 else 0.0
-
-
-def flat_cone_member(v, face: FaceType, slack: float = 0.0) -> bool:
-    return flat_cone_margin(v, face) >= -slack
-
-
 def flat_cone_deficit(v, face: FaceType):
     """Distance-like deficit from the block-symmetrized chamber cone.
 
@@ -258,58 +243,3 @@ def flat_cone_deficit(v, face: FaceType):
     """
     w = block_sort(v, face)
     return row_norms(w - pav_nonincreasing(w))
-
-
-def _chamber_circle_basis(n: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    # Orthonormal basis of the trace-zero plane for n = 3.
-    b1 = np.array([1.0, -1.0, 0.0]) / SQRT2
-    b2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
-    return b1, b2
-
-
-def theta_boundary_angle(theta: ThetaSpec, samples: int = 200_000, seed: int = 0) -> float:
-    """Angular distance from the type set to the forbidden chamber boundary.
-
-    For n = 3 the boundary rays are isolated unit vectors and the type
-    set is an arc, so a dense 1-d scan with local refinement is exact to
-    grid resolution; for larger n the minimum is sampled.  The sine of
-    this angle lower-bounds the per-unit-length drift of the projected
-    distance for segments of the given type.
-    """
-    face = theta.face
-    n = face.n
-    if n == 3:
-        b1, b2 = _chamber_circle_basis()
-        phis = np.linspace(0.0, 2.0 * math.pi, 1 << 20, endpoint=False)
-        pts = np.outer(np.cos(phis), b1) + np.outer(np.sin(phis), b2)
-        sorted_ok = np.all(np.diff(pts, axis=1) <= 1e-15, axis=1)
-        gaps = np.stack([pts[:, i - 1] - pts[:, i] for i in face.dims], axis=1)
-        in_theta = sorted_ok & np.all(gaps >= theta.gap, axis=1)
-        if not in_theta.any():
-            raise ValueError("type set is empty at this gap")
-        # Boundary rays of the chamber: wall 1 collapses a_1 = a_2,
-        # wall 2 collapses a_2 = a_3.
-        wall_rays = {1: np.array([1.0, 1.0, -2.0]), 2: np.array([2.0, -1.0, -1.0])}
-        best = math.pi
-        for i in face.dims:
-            w = wall_rays[i] / np.linalg.norm(wall_rays[i])
-            cosangles = pts[in_theta] @ w
-            best = min(best, float(np.arccos(np.clip(cosangles.max(), -1.0, 1.0))))
-        return best
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((samples, n))
-    raw -= raw.mean(axis=1, keepdims=True)
-    raw = np.sort(raw, axis=1)[:, ::-1]
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    gaps = np.stack([raw[:, i - 1] - raw[:, i] for i in face.dims], axis=1)
-    theta_pts = raw[np.all(gaps >= theta.gap, axis=1)]
-    best = math.pi
-    for i in face.dims:
-        wall_pts = raw.copy()
-        mid = wall_pts[:, i - 1:i + 1].mean(axis=1)
-        wall_pts[:, i - 1] = mid
-        wall_pts[:, i] = mid
-        wall_pts /= np.maximum(np.linalg.norm(wall_pts, axis=1, keepdims=True), 1e-300)
-        cos = theta_pts @ wall_pts.T
-        best = min(best, float(np.arccos(np.clip(cos.max(), -1.0, 1.0))))
-    return best

@@ -108,6 +108,21 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: a seed is mandatory for randomized checkers")
         if self.depth < 4:
             raise ConfigError(f"{path}: depth must be >= 4")
+        # ranges a checker would fail on with a traceback, or certify on no data
+        checks = (
+            ("morse" in self.checkers and self.options.get("morse_depth", 2) < 2,
+             "'options.morse_depth' must be >= 2 for morse"),
+            ("limit" in self.checkers and self.ray_count < 2, "'ray_count' must be >= 2 for limit"),
+            ("anosov" in self.checkers and self.ray_count < 1,
+             "'ray_count' must be >= 1 for anosov"),
+            (RANDOMIZED_CHECKERS.intersection(self.checkers) and self.ray_depth < 2,
+             "'ray_depth' must be >= 2 for limit and anosov"),
+            ("limit" in self.checkers and not self.face_type().is_iota_invariant,
+             f"'face' {self.face} must be invariant under the opposition involution for limit"),
+        )
+        for failed, message in checks:
+            if failed:
+                raise ConfigError(f"{path}: {message}")
 
     def presentation(self) -> FreeGroupPresentation:
         return FreeGroupPresentation(tuple(np.asarray(g, dtype=float) for g in self.generators))

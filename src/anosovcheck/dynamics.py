@@ -37,6 +37,7 @@ from .symmspace import (
     _mat,
     adapted_coordinates,
     factored_coords_pair,
+    segment_deficits,
     spd_sqrt,
 )
 
@@ -203,25 +204,6 @@ def detect_contraction(gs, face: FaceType, samples: int = 100, seed: int = 0,
     )
 
 
-def extract_contracting_subsequence(gs, face: FaceType, tol: float = 1e-9,
-                                    cluster_radius: float = 0.2) -> list[int]:
-    """Indices of a flag-Cauchy subsequence by attracting-flag clustering."""
-    mats = [_mat(g) for g in gs]
-    flags = []
-    for i, g in enumerate(mats):
-        try:
-            plus, _, _ = attractive_flag(g, face, tol=tol)
-        except VanishingGap:
-            continue
-        flags.append((i, plus))
-    if not flags:
-        return []
-    # Greedy: anchor at the last usable flag, keep earlier terms near it.
-    anchor = flags[-1][1]
-    kept = [i for i, f in flags if flag_distance(f, anchor) <= cluster_radius]
-    return kept
-
-
 @dataclass
 class FlagLimitResult:
     flag: Flag | None
@@ -267,23 +249,6 @@ def flag_limit(gs, face: FaceType, tol: float = 1e-6,
         apart[k] = False
     return FlagLimitResult(None if len(clusters) > 1 else flags[-1],
                            residuals, False, clusters)
-
-
-def _segment_point_deficit(m: np.ndarray, minv: np.ndarray, p: np.ndarray,
-                           pinv: np.ndarray, face: FaceType) -> np.ndarray:
-    """Deficit of the point p.o inside the diamond spanned by (o, m.o).
-
-    All four factors must be exactly accumulated products; the deficit
-    combines the off-parallel-set distance with the flat chamber
-    deficits toward both tips.  Leading axes are batch axes.
-    """
-    u, _, _ = np.linalg.svd(m)
-    ut = np.swapaxes(u, -1, -2)
-    a_plus, _ = factored_coords_pair(ut @ m, minv @ u, face)
-    v, off = factored_coords_pair(ut @ p, pinv @ u, face)
-    fwd = flat_cone_deficit(v, face)
-    bwd = flat_cone_deficit(a_plus - v, face)
-    return np.maximum(np.maximum(off, fwd), bwd)
 
 
 def conical_check(gs, tau: Flag, x, rho: float = 2.0, margin_floor: float = 0.05,
@@ -340,9 +305,9 @@ def conical_check(gs, tau: Flag, x, rho: float = 2.0, margin_floor: float = 0.05
             # Each point seen from both tips: the window and its mirror.
             w, wi = np.stack(windows), np.stack(windows_inv)
             f, fi = np.stack(firsts), np.stack(firsts_inv)
-            both = _segment_point_deficit(np.concatenate([w, wi]), np.concatenate([wi, w]),
-                                          np.concatenate([f, wi @ f]),
-                                          np.concatenate([fi, fi @ w]), face)
+            m, minv = np.concatenate([w, wi]), np.concatenate([wi, w])
+            points = [(np.concatenate([f, wi @ f]), np.concatenate([fi, fi @ w]))]
+            both = segment_deficits(np.linalg.svd(m)[0], m, minv, points, face)[:, 0]
             scores = np.minimum(both[:len(w)], both[len(w):])
     else:
         basis, _ = adapted_coordinates(xm, tau)

@@ -18,14 +18,11 @@ import numpy as np
 from .chamber import (
     FaceType,
     face_boundary_distance,
-    flat_cone_deficit,
-    flat_cone_margin,
     row_norms,
 )
 from .dynamics import conical_check
 from .errors import (
     BudgetExceeded,
-    IllConditioned,
     PingPongFailed,
     TransversalityTooSmall,
     VanishingGap,
@@ -39,18 +36,11 @@ from .flags import (
     expansion_factor,
     flag_distance,
     qr_pos,
-    stable_product_flag,
     suffix_flags,
     tangent_dim,
 )
 from .reports import PropertyReport
-from .symmspace import (
-    diamond_query,
-    factored_coords_pair,
-    identity_point,
-    make_diamond,
-    normalize_det,
-)
+from .symmspace import identity_point, normalize_det, segment_deficits
 
 GAP_TOL = 1e-9
 
@@ -359,28 +349,16 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     )
 
 
-def _interior_deficits(branch: list[WordLevel], rows: np.ndarray, u: np.ndarray,
-                       face: FaceType) -> np.ndarray:
-    """Deficits of the interior points of the last level's words ``rows``.
+def _prefix_points(branch: list[WordLevel], rows: np.ndarray):
+    """(products, inverses) of the prefixes of the last level's words ``rows``.
 
-    Word w of length L spans the diamond from o to w.o, read in the
-    coordinates of its left singular frame u; its interior points are
-    the orbit points of its prefixes of length t = 1, ..., L-1.  Returns
-    an array (len(rows), L-1) with column t-1 for prefix length t.
+    Word w of length L spans the diamond from o to w.o; its interior
+    points are the orbit points of its prefixes, yielded for prefix
+    lengths t = L-1, ..., 1.
     """
-    level = branch[-1]
-    ut = np.swapaxes(u, -1, -2)
-    a_plus, _ = factored_coords_pair(ut @ level.mats[rows], level.invs[rows] @ u, face)
-    out = np.empty((len(rows), len(branch) - 1))
-    prefix = rows
     for t in range(len(branch) - 1, 0, -1):
-        prefix = branch[t].parent[prefix]  # row of each word's prefix of length t
-        v, off = factored_coords_pair(ut @ branch[t - 1].mats[prefix],
-                                      branch[t - 1].invs[prefix] @ u, face)
-        fwd = flat_cone_deficit(v, face)
-        bwd = flat_cone_deficit(a_plus - v, face)
-        out[:, t - 1] = np.maximum(np.maximum(off, fwd), bwd)
-    return out
+        rows = branch[t].parent[rows]  # row of each word's prefix of length t
+        yield branch[t - 1].mats[rows], branch[t - 1].invs[rows]
 
 
 def _level_index(letters: np.ndarray, rank: int) -> np.ndarray:
@@ -395,76 +373,47 @@ def _level_index(letters: np.ndarray, rank: int) -> np.ndarray:
 
 def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
                 rho_cap: float = 1.0, theta_floor: float = 0.02,
-                gap_tol: float = GAP_TOL, query_stride: int = 29,
-                max_words: int = 2_000_000) -> PropertyReport:
+                gap_tol: float = GAP_TOL, max_words: int = 2_000_000) -> PropertyReport:
     """Closeness of orbit segments to diamonds, quantified by a deficit.
 
     Every reduced word is the canonical representative of all its
     translates, so scanning each word once with the base point and its
     endpoint as tips covers every sub-segment of every longer geodesic.
-    The deficit of an interior orbit point combines its off-parallel-set
+    The deficit of an interior orbit point (``segment_deficits``, read in
+    the word's two-sided singular frame) combines its off-parallel-set
     distance with the in-flat chamber deficits toward both tips; a word
     and its inverse describe one segment seen from either tip, so each
     configuration takes the better-resolved of the two evaluations.  The
     fitted rho is the worst deficit, the fitted type gap the worst
-    normalized wall gap.  Irregular words are Morse failures.
+    normalized wall gap.  Irregular words are Morse failures.  Words need
+    length >= 2 to have interior points.  The test suite cross-checks the
+    deficit against diamond membership by ``make_diamond`` and
+    ``diamond_query`` on a sample of the bundled configs' words.
     """
+    if length < 2:
+        raise ValueError("need length >= 2")
     dims = np.array(face.dims, dtype=int)
     theta_gap = np.inf
     vanishing: list[tuple[int, list[int]]] = []
-    checked = failed = 0
     # per length and branch: letters, depth-first ranks, regular mask, deficits
     scanned: dict[int, list[tuple[np.ndarray, ...]]] = {}
     for branch in _branches(word_levels(pres, length, max_words)):
-        regular, deficits, top = [], [], []
         for el, level in enumerate(branch, start=1):
-            u, s, logs = _two_sided_svd(level.mats, level.invs)
+            u, _, logs = _two_sided_svd(level.mats, level.invs)
             gaps = (logs[:, dims - 1] - logs[:, dims]).min(axis=1)
             ok = ~(gaps < gap_tol)
             vanishing += zip(level.dfs[~ok].tolist(), level.letters[~ok].tolist())
             rows = np.flatnonzero(ok)
             if rows.size:
                 theta_gap = min(theta_gap, float((gaps[rows] / row_norms(logs[rows])).min()))
-            d = np.full((len(ok), el - 1), np.nan)
-            if rows.size and el > 1:
-                d[rows] = _interior_deficits(branch[:el], rows, u[rows], face)
-            regular.append(ok)
-            deficits.append(d)
-            top.append(s[:, 0])
-            if el > 1:
-                scanned.setdefault(el, []).append((level.letters, level.dfs, ok, d))
-
-        # Sampled consistency of the query route against the deficit:
-        # strict members must have near-zero deficit and vice versa.  The
-        # sample is every query_stride-th regular word of the branch,
-        # counted depth first.
-        dfs = np.concatenate([lv.dfs for lv in branch])
-        seen = np.concatenate(regular)
-        order = np.argsort(dfs)
-        count = np.empty(len(dfs), dtype=int)
-        count[order] = np.cumsum(seen[order])
-        start = 0
-        for el, (level, ok, d, s0) in enumerate(zip(branch, regular, deficits, top), start=1):
-            stop = start + len(ok)
-            sample = ok & (count[start:stop] % query_stride == 0) & (s0 < 1e6)
-            start = stop
             if el < 2:
                 continue
-            for i in np.flatnonzero(sample):
-                j = i
-                for t in range(el, el // 2, -1):
-                    j = branch[t - 1].parent[j]
-                m = level.mats[i]
-                mid = branch[el // 2 - 1].mats[j]
-                try:
-                    dia = make_diamond(np.eye(pres.n), m @ m.T, face, tol=gap_tol)
-                    member, _ = diamond_query(mid @ mid.T, dia, tol=0.25)
-                except (IllConditioned, VanishingGap):
-                    continue
-                deficit_mid = d[i, el // 2 - 1]
-                checked += 1
-                if (member and deficit_mid > 0.25) or (not member and deficit_mid < 1e-8):
-                    failed += 1
+            d = np.full((len(ok), el - 1), np.nan)
+            if rows.size:
+                # columns come longest prefix first; column t-1 is prefix length t
+                d[rows] = segment_deficits(u[rows], level.mats[rows], level.invs[rows],
+                                           _prefix_points(branch[:el], rows), face)[:, ::-1]
+            scanned.setdefault(el, []).append((level.letters, level.dfs, ok, d))
 
     # Aggregate each configuration with its mirror: word w at interior
     # index t is the same segment as w^{-1} at index len(w) - t.  A level
@@ -513,8 +462,6 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
             "vanishing_gap_words": vanishing[:8],
         },
         details={
-            "diamond_queries_checked": checked,
-            "diamond_queries_failed": failed,
             "vanishing_gap_count": len(vanishing),
         },
     )
@@ -711,11 +658,6 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     return report, samples
 
 
-def stable_ray_flag(pres: FreeGroupPresentation, letters, face: FaceType) -> Flag:
-    """Boundary flag of a word ray by backward QR accumulation."""
-    return stable_product_flag([pres.letter_matrix(lt) for lt in letters], face)
-
-
 def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
                  depth: int, seed: int, uniform_dev: float = 0.2,
                  divergence_logeps: float = float(np.log(100.0)),
@@ -860,6 +802,8 @@ def schottky_build(elements, face: FaceType, margin_floor: float = 0.05,
     CS decomposition) plus sampling.  Raises TransversalityTooSmall for
     non-transverse axes and PingPongFailed past the power budget.
     """
+    from scipy.linalg import expm
+
     if not face.is_iota_invariant:
         raise ValueError("ping-pong on a single flag manifold needs an iota-invariant type")
     mats = []
@@ -953,7 +897,7 @@ def schottky_build(elements, face: FaceType, margin_floor: float = 0.05,
                 for _ in range(ball_samples):
                     skew = rng.standard_normal((face.n, face.n))
                     skew = (skew - skew.T) * (rad / (2.0 * face.n))
-                    pert, _ = qr_pos(center.frame @ _expm_skew(skew))
+                    pert, _ = qr_pos(center.frame @ expm(skew))
                     sample = Flag(face, pert)
                     if flag_distance(sample, center) > rad:
                         continue
@@ -984,58 +928,6 @@ def schottky_build(elements, face: FaceType, margin_floor: float = 0.05,
             return pres, report
         power *= 2
     raise PingPongFailed(f"no admissible power up to {max_power}; history: {history}")
-
-
-def _expm_skew(a: np.ndarray) -> np.ndarray:
-    from scipy.linalg import expm
-
-    return expm(a)
-
-
-def synthesize_finsler_ray(pres: FreeGroupPresentation, letters, tau: Flag,
-                           margin: float = 0.0):
-    """Greedy cone-respecting polygonal approximation of an orbit ray.
-
-    Projects the prefix orbit into the block-diagonal model of the
-    parallel set through the base point toward the flag, then keeps a
-    subsequence whose consecutive differences lie in the symmetrized
-    chamber cone; the polygonal chain through the projections is a flat
-    geodesic of the model.  Returns (indices, chain coordinates,
-    hausdorff): the orbit-to-chain distance estimate (off-set distance
-    plus in-flat distance to the chain).  The chain-to-orbit direction
-    is bounded by half the step size by construction.
-    """
-    face = tau.face
-    binv = tau.frame.T
-    coords = [np.zeros(face.n)]
-    offs = [0.0]
-    m = np.eye(face.n)
-    mi = np.eye(face.n)
-    for lt in letters:
-        m = m @ pres.letter_matrix(lt)
-        mi = pres.letter_matrix(-lt) @ mi
-        v, off = factored_coords_pair(binv @ m, mi @ tau.frame, face)
-        coords.append(v)
-        offs.append(off)
-    chosen = [0]
-    for t in range(1, len(coords)):
-        if flat_cone_margin(coords[t] - coords[chosen[-1]], face) >= margin:
-            chosen.append(t)
-    chain = [coords[t] for t in chosen]
-
-    def dist_to_chain(v):
-        if len(chain) == 1:
-            return float(np.linalg.norm(v - chain[0]))
-        best = np.inf
-        for a, b in zip(chain, chain[1:]):
-            ab = b - a
-            denom = float(ab @ ab)
-            s = 0.0 if denom == 0 else float(np.clip((v - a) @ ab / denom, 0.0, 1.0))
-            best = min(best, float(np.linalg.norm(v - (a + s * ab))))
-        return best
-
-    orbit_to_chain = max(offs[t] + dist_to_chain(coords[t]) for t in range(len(coords)))
-    return chosen, np.array(chain), float(orbit_to_chain)
 
 
 def symmetric_square(m: np.ndarray) -> np.ndarray:

@@ -164,15 +164,6 @@ def relative_flag(x, y, face: FaceType, tol: float = GAP_TOL) -> tuple[Flag, np.
     return Flag(face, frame), gaps
 
 
-def x_opposite_flag(x, flag: Flag) -> Flag:
-    """The unique flag opposite to the given one through the point x."""
-    gx = spd_sqrt(x)
-    gxi = spd_inv_sqrt(x)
-    q0, _ = qr_pos(gxi @ flag.frame)
-    frame, _ = qr_pos(gx @ q0[:, ::-1])
-    return Flag(iota_face(flag.face), frame)
-
-
 @dataclass(frozen=True)
 class WeylConeRef:
     """A Weyl cone: a tip point and the flag of directions it opens toward."""
@@ -444,6 +435,30 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType) -> tup
     return v, np.minimum(*offs)
 
 
+def segment_deficits(u: np.ndarray, tip: np.ndarray, tip_inv: np.ndarray, points,
+                     face: FaceType) -> np.ndarray:
+    """Deficits of orbit points p.o inside the diamond spanned by (o, tip.o).
+
+    The diamond is read in the orthonormal frame u of the tip's left
+    singular vectors, where o is the origin of the block-diagonal model
+    and tip.o sits at the tip's flat coordinates.  A point's deficit is
+    the largest of its off-parallel-set distance and its flat chamber
+    deficits toward both tips; all three vanish for members.  Factors and
+    inverses must be exactly accumulated products.  ``points`` yields
+    (p, pinv) stacks whose batch axes broadcast against those of the tip;
+    the tip's coordinates are read once and each stack takes one
+    ``factored_coords_pair`` call.  Returns one trailing column per stack.
+    """
+    ut = np.swapaxes(u, -1, -2)
+    a_plus, _ = factored_coords_pair(ut @ tip, tip_inv @ u, face)
+    cols = []
+    for p, pinv in points:
+        v, off = factored_coords_pair(ut @ p, pinv @ u, face)
+        cols.append(np.maximum(np.maximum(off, flat_cone_deficit(v, face)),
+                               flat_cone_deficit(a_plus - v, face)))
+    return np.stack(cols, axis=-1)
+
+
 def parallel_set_distance(p, pset: ParallelSetRef, descent: bool = True) -> tuple[float, float]:
     """Distance from a point to a parallel set: certified upper bound + descent.
 
@@ -519,36 +534,6 @@ def adapted_coordinates(x, flag_plus: Flag):
     basis = gx @ q0
     opp = Flag(iota_face(flag_plus.face), np.asarray(qr_pos(gx @ q0[:, ::-1])[0]))
     return basis, opp
-
-
-def cone_deficit(p, cone: WeylConeRef) -> float:
-    """Distance-like deficit of a point from a Weyl cone.
-
-    Combines the off-parallel-set upper bound with the in-flat chamber
-    deficit of the block coordinates; zero for cone members.
-    """
-    face = cone.flag.face
-    basis, _ = adapted_coordinates(cone.tip, cone.flag)
-    w = np.linalg.inv(basis) @ spd_sqrt(p)
-    v, off = factored_block_coords(w, face)
-    return max(off, flat_cone_deficit(v, face))
-
-
-def diamond_deficit(p, diamond: DiamondRef) -> dict:
-    """Deficit of a point from a diamond, in adapted coordinates.
-
-    Returns the off-parallel-set bound, the two flat cone deficits
-    relative to the tips, and their max; all vanish for members.
-    """
-    face = diamond.flag_plus.face
-    basis, _ = adapted_coordinates(diamond.tip_minus, diamond.flag_plus)
-    binv = np.linalg.inv(basis)
-    v, off = factored_block_coords(binv @ spd_sqrt(p), face)
-    a_plus, _ = factored_block_coords(binv @ spd_sqrt(diamond.tip_plus), face)
-    fwd = flat_cone_deficit(v, face)
-    bwd = flat_cone_deficit(a_plus - v, face)
-    total = max(off, fwd, bwd)
-    return {"off_parallel": off, "forward": fwd, "backward": bwd, "deficit": total}
 
 
 def finsler_verify(path, face: FaceType, theta: ThetaSpec | None = None,

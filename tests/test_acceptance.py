@@ -13,9 +13,7 @@ from anosovcheck.chamber import (
     FaceType,
     ThetaSpec,
     face_boundary_distance,
-    flat_cone_member,
     iota_vector,
-    theta_boundary_angle,
 )
 from anosovcheck.cli import bundled_config_path, run_config
 from anosovcheck.flags import Flag, expansion_factor, random_flag
@@ -31,9 +29,11 @@ from anosovcheck.symmspace import (
 )
 from oracles import (
     expansion_factor_fd,
+    flat_cone_member,
     random_regular_cone_vector,
     random_sl,
     random_spd_unit_det,
+    theta_boundary_angle,
 )
 
 FACE_FULL = FaceType.full(3)

@@ -11,21 +11,21 @@ from anosovcheck.chamber import (
     block_sort,
     face_boundary_distance,
     flat_cone_deficit,
-    flat_cone_member,
     iota_face,
     iota_vector,
     pav_nonincreasing,
     project_to_face_sector,
     sort_to_chamber,
-    theta_boundary_angle,
     theta_membership,
     wall_gaps,
 )
 from oracles import (
+    flat_cone_member,
     iota_bruteforce,
     random_chamber_vector,
     random_regular_cone_vector,
     sector_projection_kkt_gap,
+    theta_boundary_angle,
     wall_distance_bruteforce,
 )
 

@@ -73,6 +73,19 @@ class TestConfigValidation:
         assert run_config(p) == 2
         assert repr(next(iter(extra))) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"checkers": ["morse"], "options": {"morse_depth": 1}}, "'options.morse_depth'"),
+        ({"checkers": ["limit"], "ray_count": 1}, "'ray_count'"),
+        ({"checkers": ["limit"], "ray_depth": 0}, "'ray_depth'"),
+        ({"checkers": ["limit"], "n": 3, "face": [1],
+          "generators": [np.diag([16.0, 1.0, 0.0625]).tolist(), np.eye(3).tolist()]}, "'face'"),
+    ], ids=["morse_depth", "ray_count", "ray_depth", "face"])
+    def test_out_of_range_rejected(self, tmp_path, capsys, overrides, key):
+        p = tmp_path / "range.json"
+        p.write_text(json.dumps(minimal_config(**overrides)))
+        assert run_config(p) == 2
+        assert key in capsys.readouterr().err
+
     def test_unknown_option_rejected(self, tmp_path, capsys):
         p = tmp_path / "typo.json"
         p.write_text(json.dumps(minimal_config(options={"rho-cap": 2.0, "rho_cap": 2.0})))

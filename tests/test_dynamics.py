@@ -8,7 +8,6 @@ from anosovcheck.dynamics import (
     classify_sequence,
     conical_check,
     detect_contraction,
-    extract_contracting_subsequence,
     flag_limit,
 )
 from anosovcheck.errors import VanishingGap
@@ -119,19 +118,6 @@ class TestDetectContraction:
             plus_i, minus_i, _ = attractive_flag(inv[-1], iota_face(FACE1))
             assert flag_distance(plus_i, minus) <= 1e-10
             assert flag_distance(minus_i, plus) <= 1e-10
-
-    def test_regular_sequence_has_contracting_subsequence(self, rng):
-        # mix a regular family with noise; the flag-Cauchy extraction
-        # yields a contracting subsequence
-        g = np.diag([np.e**1.5, 1.0, np.e**-1.5])
-        gs = []
-        for n in range(1, 16):
-            b = random_sl(rng, 3, scale=0.05)
-            gs.append(np.linalg.matrix_power(g, n) @ b)
-        idx = extract_contracting_subsequence(gs, FACE1)
-        assert len(idx) >= 5
-        rep = detect_contraction([gs[i] for i in idx], FACE1, samples=40, seed=1)
-        assert rep.verdict
 
 
 class TestFlagLimit:

@@ -28,10 +28,11 @@ from anosovcheck.symmspace import (
     WeylConeRef,
     cartan_vector,
     cone_query,
-    diamond_deficit,
+    diamond_query,
     make_diamond,
     relative_flag,
     riemannian_distance,
+    segment_deficits,
 )
 from oracles import (
     exact_left_singular_frame,
@@ -105,8 +106,11 @@ def test_cone_and_diamond_mid_face(rng):
     assert verdict.kind == "interior"
     assert verdict.margin == pytest.approx(1.0 / np.sqrt(2.0))
     dia = make_diamond(o4, y, FACE_SPLIT)
-    mid = np.diag(np.exp([1.0, 0.5, -0.5, -1.0]))
-    assert diamond_deficit(mid, dia)["deficit"] <= 1e-9
+    mid = np.diag(np.exp([0.5, 0.25, -0.25, -0.5]))  # a factor: mid @ mid.T is the point
+    assert diamond_query(mid @ mid.T, dia)[0]
+    tip = np.diag(np.exp([1.0, 0.5, -0.5, -1.0]))
+    pts = [(mid, np.linalg.inv(mid))]
+    assert segment_deficits(o4, tip, np.linalg.inv(tip), pts, FACE_SPLIT)[0] <= 1e-9
 
 
 def test_small_pipeline_in_sl4(rng):

@@ -27,7 +27,7 @@ from anosovcheck.flags import (
     triu_inverse,
 )
 from anosovcheck.subgroup import _resolved_logs, _two_sided_svd
-from anosovcheck.symmspace import factored_coords_pair
+from anosovcheck.symmspace import factored_coords_pair, segment_deficits
 from oracles import pav_sequential, random_sl
 
 FACES = {
@@ -78,6 +78,25 @@ def test_factored_coords_pair(rng, n):
         for idx in np.ndindex(w.shape[:2]):
             v1, off1 = factored_coords_pair(w[idx], wi[idx], face)
             assert np.array_equal(v[idx], v1) and off[idx] == off1, (face, idx)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_segment_deficits(rng, n):
+    tips, tip_invs = products(rng, n)
+    pts, pt_invs = (x.reshape(len(tips), 3, n, n) for x in products(rng, n, count=3 * len(tips)))
+    # conical's direct window frame and morse's two-sided word frame
+    for u in (np.linalg.svd(tips)[0], _two_sided_svd(tips, tip_invs)[0]):
+        for face in FACES[n]:
+            single = [[segment_deficits(u[i], tips[i], tip_invs[i], [(pts[i, k], pt_invs[i, k])],
+                                        face)[0] for k in range(3)] for i in range(len(tips))]
+            # one stack per point column, as morse passes one per prefix length
+            cols = segment_deficits(u, tips, tip_invs,
+                                    [(pts[:, k], pt_invs[:, k]) for k in range(3)], face)
+            assert_rows_equal(cols, single)
+            # each tip broadcast over all of its points in one stack
+            flat = segment_deficits(u[:, None], tips[:, None], tip_invs[:, None],
+                                    [(pts, pt_invs)], face)
+            assert_rows_equal(flat[..., 0], single)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

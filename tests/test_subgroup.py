@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from anosovcheck.chamber import FaceType, flat_cone_deficit
-from anosovcheck.errors import BudgetExceeded, TransversalityTooSmall
+from anosovcheck.cli import bundled_config_path, load_config
+from anosovcheck.errors import (
+    BudgetExceeded,
+    IllConditioned,
+    TransversalityTooSmall,
+    VanishingGap,
+)
 from anosovcheck.flags import Flag
 from anosovcheck.subgroup import (
+    GAP_TOL,
     FreeGroupPresentation,
     ReducedWord,
     anosov_check,
@@ -14,12 +21,13 @@ from anosovcheck.subgroup import (
     ray_prefix_matrices,
     sample_rays,
     schottky_build,
-    stable_ray_flag,
-    synthesize_finsler_ray,
     uru_check,
     word_count,
     word_levels,
+    _branches,
+    _two_sided_svd,
 )
+from anosovcheck.symmspace import diamond_query, make_diamond, segment_deficits
 from conftest import SL2_G, SL2_H
 from oracles import random_sl
 
@@ -129,16 +137,9 @@ class TestMorse:
         curve = np.asarray(rep.constants["rho_by_length"])
         assert abs(curve[7] - curve[5]) <= 0.25
 
-    def test_query_errors_propagate(self, sl2_pres, monkeypatch):
-        # only a failed diamond construction skips a sampled query
-        import anosovcheck.subgroup as subgroup
-
-        def broken(*args, **kwargs):
-            raise RuntimeError("query bug")
-
-        monkeypatch.setattr(subgroup, "diamond_query", broken)
-        with pytest.raises(RuntimeError, match="query bug"):
-            morse_check(sl2_pres, FACE2, 6)
+    def test_length_below_two_rejected(self, sl2_pres):
+        with pytest.raises(ValueError, match="length >= 2"):
+            morse_check(sl2_pres, FACE2, 1)
 
     def test_shared_axis_fails(self):
         u = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -185,6 +186,49 @@ class TestMorse:
                     bwd = flat_cone_deficit(deltas[j] - deltas[t], FACE2)
                     worst = max(worst, fwd, bwd)
         assert worst <= rho + 0.5
+
+
+# Diamond queries checked per bundled config by the cross-check below.
+CROSS_CHECKED = {"sl2-schottky": 394, "sl3-symsq-schottky": 9, "sanov-unipotent": 452}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECKED))
+def test_deficit_agrees_with_diamond_queries(name):
+    # The deficit and the diamond query are independent routes to
+    # membership.  Sample every 29th regular word of a branch, counted
+    # depth first, whose top singular value is below 1e6, and query its
+    # midpoint (prefix length L // 2) in the word's diamond: a member must
+    # have deficit at most 0.25, a non-member a deficit of at least 1e-8.
+    cfg = load_config(bundled_config_path(name))
+    pres, face = cfg.presentation(), cfg.face_type()
+    dims = np.array(face.dims)
+    checked = failed = 0
+    for branch in _branches(word_levels(pres, cfg.options["morse_depth"])):
+        svds = [_two_sided_svd(lv.mats, lv.invs) for lv in branch]
+        regular = np.concatenate([~((logs[:, dims - 1] - logs[:, dims]).min(axis=1) < GAP_TOL)
+                                  for _, _, logs in svds])
+        dfs = np.concatenate([lv.dfs for lv in branch])
+        order = np.argsort(dfs)
+        count = np.empty(len(dfs), dtype=int)
+        count[order] = np.cumsum(regular[order])
+        sampled = np.split(regular & (count % 29 == 0),
+                           np.cumsum([len(lv.dfs) for lv in branch])[:-1])
+        for el in range(2, len(branch) + 1):
+            level, (u, s, _) = branch[el - 1], svds[el - 1]
+            for i in np.flatnonzero(sampled[el - 1] & (s[:, 0] < 1e6)):
+                j = i
+                for t in range(el, el // 2, -1):
+                    j = branch[t - 1].parent[j]
+                m, mid, mid_inv = level.mats[i], branch[el // 2 - 1].mats[j], branch[el // 2 - 1].invs[j]
+                try:
+                    dia = make_diamond(np.eye(pres.n), m @ m.T, face, tol=GAP_TOL)
+                    member, _ = diamond_query(mid @ mid.T, dia, tol=0.25)
+                except (IllConditioned, VanishingGap):
+                    continue
+                deficit = segment_deficits(u[i], m, level.invs[i], [(mid, mid_inv)], face)[0]
+                checked += 1
+                failed += bool(deficit > 0.25 if member else deficit < 1e-8)
+    assert (checked, failed) == (CROSS_CHECKED[name], 0)
 
 
 class TestLimitReport:
@@ -258,18 +302,6 @@ class TestSchottky:
         pres, rep = schottky_build([(fp, fm, 2.0), (fp2, fm2, 2.0)], FACE2, seed=3)
         assert rep.verdict
         assert abs(np.linalg.det(pres.generators[0]) - 1.0) < 1e-8
-
-
-class TestSynthesizedFinslerRay:
-    def test_ray_close_to_synthesized_geodesic(self, sl2_pres):
-        morse = morse_check(sl2_pres, FACE2, 8, rho_cap=1.0, theta_floor=0.1)
-        rho = morse.constants["rho"]
-        for ray in sample_rays(sl2_pres, 6, 12, seed=11):
-            tau = stable_ray_flag(sl2_pres, ray.letters, FACE2)
-            chosen, chain, hausdorff = synthesize_finsler_ray(
-                sl2_pres, ray.letters, tau)
-            assert len(chosen) >= (len(ray.letters) + 1) // 2
-            assert hausdorff <= rho + 0.5
 
 
 class TestEquivalenceCrossChecks:

@@ -6,10 +6,8 @@ from anosovcheck.chamber import (
     FaceType,
     ThetaSpec,
     face_boundary_distance,
-    flat_cone_member,
     iota_face,
     iota_vector,
-    theta_boundary_angle,
 )
 from anosovcheck.errors import IllConditioned, VanishingGap
 from anosovcheck.flags import Flag, flag_distance, random_flag
@@ -19,10 +17,10 @@ from anosovcheck.symmspace import (
     Point,
     WeylConeRef,
     act_point,
+    adapted_coordinates,
     cartan_vector,
     cone_query,
     delta_projection,
-    diamond_deficit,
     diamond_query,
     finsler_verify,
     make_diamond,
@@ -31,9 +29,16 @@ from anosovcheck.symmspace import (
     parallel_set_distance,
     relative_flag,
     riemannian_distance,
+    segment_deficits,
     taumod_distance,
 )
-from oracles import random_regular_cone_vector, random_sl, random_spd_unit_det
+from oracles import (
+    flat_cone_member,
+    random_regular_cone_vector,
+    random_sl,
+    random_spd_unit_det,
+    theta_boundary_angle,
+)
 
 FACE1 = FaceType.make(3, [1])
 FACE_FULL = FaceType.full(3)
@@ -42,6 +47,13 @@ O3 = np.eye(3)
 
 def diag_point(*logs):
     return np.diag(np.exp(np.array(logs, dtype=float)))
+
+
+def factor_deficit(tip, point, face):
+    """Deficit of point.o in the diamond spanned by (o, tip.o), from the factors."""
+    u = np.linalg.svd(tip)[0]
+    pts = [(point, np.linalg.inv(point))]
+    return float(segment_deficits(u, tip, np.linalg.inv(tip), pts, face)[0])
 
 
 class TestPointTypes:
@@ -242,13 +254,16 @@ class TestDiamonds:
             count += 1
 
     def test_deficit_zero_iff_member(self, rng):
-        y = diag_point(2.5, 0, -2.5)
-        dia = make_diamond(O3, y, FACE1)
-        inside = diag_point(1.2, 0, -1.2)
-        assert diamond_deficit(inside, dia)["deficit"] <= 1e-9
+        # points as g g^T with g the factor the deficit kernel reads
+        tip = diag_point(1.25, 0, -1.25)
+        dia = make_diamond(O3, tip @ tip.T, FACE1)
+        inside = diag_point(0.6, 0, -0.6)
+        assert diamond_query(inside @ inside.T, dia)[0]
+        assert factor_deficit(tip, inside, FACE1) <= 1e-9
         mover = expm(np.array([[0, 0, 0.8], [0, 0, 0], [0.8, 0, 0]]))
-        outside = normalize_det(act_point(mover, inside))
-        assert diamond_deficit(outside, dia)["deficit"] > 0.1
+        outside = mover @ inside
+        assert not diamond_query(outside @ outside.T, dia)[0]
+        assert factor_deficit(tip, outside, FACE1) > 0.1
 
 
 class TestParallelSet:
@@ -292,19 +307,15 @@ class TestParallelSet:
 
     def test_opposite_flag_through_point(self, rng):
         from anosovcheck.flags import transversality_margin
-        from anosovcheck.symmspace import cone_deficit, x_opposite_flag
-
         std = Flag(FACE1, np.eye(3))
-        opp = x_opposite_flag(O3, std)
+        _, opp = adapted_coordinates(O3, std)
         assert np.allclose(opp.projector(2), np.diag([0.0, 1.0, 1.0]), atol=1e-12)
         for _ in range(10):
             x = random_spd_unit_det(rng, 3)
             flag = random_flag(FACE1, rng)
-            opp = x_opposite_flag(x, flag)
+            _, opp = adapted_coordinates(x, flag)
             assert transversality_margin(flag, opp) > 0.0
-            # the point lies on the parallel set of the resulting pair,
-            # hence at zero deficit from the cone it tips
-            assert cone_deficit(x, WeylConeRef(x, flag)) <= 1e-9
+            # the point lies on the parallel set of the resulting pair
             pset = make_parallel_set(opp, flag)
             _, refined = parallel_set_distance(x, pset)
             assert refined <= 1e-8
