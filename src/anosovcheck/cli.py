@@ -27,6 +27,7 @@ from .chamber import FaceType
 from .errors import BudgetExceeded, IllConditioned, PingPongFailed, VanishingGap
 from .reports import jsonable
 from .subgroup import (
+    BETA_PAD,
     FreeGroupPresentation,
     anosov_check,
     limit_report,
@@ -108,6 +109,10 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: a seed is mandatory for randomized checkers")
         if self.depth < 4:
             raise ConfigError(f"{path}: depth must be >= 4")
+        # distinct rays: the reduced words of length ray_depth, BETA_PAD longer for anosov
+        rank = len(self.generators)
+        limit_rays = 2 * rank * (2 * rank - 1) ** (self.ray_depth - 1)
+        anosov_rays = limit_rays * (2 * rank - 1) ** BETA_PAD
         # ranges a checker would fail on with a traceback, or certify on no data
         checks = (
             ("morse" in self.checkers and self.options.get("morse_depth", 2) < 2,
@@ -117,6 +122,13 @@ class ExperimentConfig:
              "'ray_count' must be >= 1 for anosov"),
             (RANDOMIZED_CHECKERS.intersection(self.checkers) and self.ray_depth < 2,
              "'ray_depth' must be >= 2 for limit and anosov"),
+            ("anosov" in self.checkers and self.ray_depth < 3,
+             "'ray_depth' must be >= 3 for anosov, which fits slopes on prefixes"),
+            ("limit" in self.checkers and self.ray_count > limit_rays,
+             f"'ray_count' exceeds the {limit_rays} distinct rays of length 'ray_depth'"),
+            ("anosov" in self.checkers and self.ray_count > anosov_rays,
+             f"'ray_count' exceeds the {anosov_rays} distinct rays of length "
+             f"'ray_depth' + {BETA_PAD}"),
             ("limit" in self.checkers and not self.face_type().is_iota_invariant,
              f"'face' {self.face} must be invariant under the opposition involution for limit"),
         )
@@ -183,7 +195,7 @@ def run_config(path, seed: int | None = None, out_dir: str | None = None) -> int
                     theta_floor=float(opts.get("theta_floor", 0.05)),
                 )
             elif checker == "limit":
-                rep, _ = limit_report(
+                rep = limit_report(
                     pres, face, cfg.ray_depth, cfg.ray_count, cfg.seed,
                     antipodal_floor=float(opts.get("antipodal_floor", 0.01)),
                     conical_rho=float(opts.get("conical_rho", 2.0)),

@@ -29,7 +29,6 @@ from .flags import (
     attractive_flag,
     flag_distance,
     random_flag,
-    suffix_flags,
     transversality_margin,
 )
 from .reports import PropertyReport, SequenceReport
@@ -37,9 +36,11 @@ from .symmspace import (
     _mat,
     adapted_coordinates,
     factored_coords_pair,
-    segment_deficits,
     spd_sqrt,
 )
+
+# Every conical test's floor on pulled-back flags' transversality to the backward limit.
+CONICAL_MARGIN_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -251,72 +252,26 @@ def flag_limit(gs, face: FaceType, tol: float = 1e-6,
                            residuals, False, clusters)
 
 
-def conical_check(gs, tau: Flag, x, rho: float = 2.0, margin_floor: float = 0.05,
-                  gs_inv=None, letters=None, pres=None,
-                  lookahead: int = 4) -> PropertyReport:
+def conical_check(gs, tau: Flag, x, rho: float = 2.0) -> PropertyReport:
     """Test conical approach of an orbit sequence toward a limit flag.
 
     Geometric side: each orbit point must stay within rho of the nested
-    cones toward the flag.  When the sequence is a word-prefix orbit
-    (``letters`` and ``pres`` given, x the base point), the test is
-    stepwise: every prefix point is measured inside the diamond a fixed
-    lookahead further along, evaluated from whichever tip resolves it;
-    this keeps the verdict well-conditioned at any depth.  Otherwise the
-    deficit is measured against the cone at the limit flag directly,
-    which is reliable only at moderate orbit scales.  Dynamical side:
-    the pulled-back flags g_n^{-1} tau must keep a transversality floor
-    from the backward limit flag.
+    cones toward the flag, measured against the cone at the limit flag
+    directly, which is reliable only at moderate orbit scales.  Dynamical
+    side: the pulled-back flags g_n^{-1} tau must keep a transversality
+    floor from the backward limit flag.
     """
     mats = [_mat(g) for g in gs]
     face = tau.face
     xm = _mat(x)
-    inv_mats = ([_mat(g) for g in gs_inv] if gs_inv is not None
-                else [np.linalg.inv(g) for g in mats])
-    if letters is not None and pres is not None:
-        # Sliding-window test: each prefix point is measured inside the
-        # diamond spanned by the orbit a fixed number of letters behind
-        # and ahead.  Translating the window start to the base point, the
-        # whole evaluation involves only short exact products, so it is
-        # well-conditioned at any depth; bounded window deficits together
-        # with the flag Cauchy residuals are the conicality surrogate.
-        total = len(mats)
-        firsts, firsts_inv, windows, windows_inv = [], [], [], []
-        for n in range(1, total + 1):
-            lo = max(0, n - lookahead)
-            hi = min(total, n + lookahead)
-            if hi <= lo + 1 or n == hi:
-                continue
-            first = np.eye(face.n)
-            first_inv = np.eye(face.n)
-            for lt in letters[lo:n]:
-                first = first @ pres.letter_matrix(lt)
-                first_inv = pres.letter_matrix(-lt) @ first_inv
-            window = first.copy()
-            window_inv = first_inv.copy()
-            for lt in letters[n:hi]:
-                window = window @ pres.letter_matrix(lt)
-                window_inv = pres.letter_matrix(-lt) @ window_inv
-            firsts.append(first)
-            firsts_inv.append(first_inv)
-            windows.append(window)
-            windows_inv.append(window_inv)
-        scores = np.zeros(1)
-        if windows:
-            # Each point seen from both tips: the window and its mirror.
-            w, wi = np.stack(windows), np.stack(windows_inv)
-            f, fi = np.stack(firsts), np.stack(firsts_inv)
-            m, minv = np.concatenate([w, wi]), np.concatenate([wi, w])
-            points = [(np.concatenate([f, wi @ f]), np.concatenate([fi, fi @ w]))]
-            both = segment_deficits(np.linalg.svd(m)[0], m, minv, points, face)[:, 0]
-            scores = np.minimum(both[:len(w)], both[len(w):])
-    else:
-        basis, _ = adapted_coordinates(xm, tau)
-        binv = np.linalg.inv(basis)
-        xroot = spd_sqrt(xm)
-        xroot_inv = np.linalg.inv(xroot)
-        v, off = factored_coords_pair(binv @ np.stack(mats) @ xroot,
-                                      xroot_inv @ np.stack(inv_mats) @ basis, face)
-        scores = np.maximum(off, flat_cone_deficit(v, face))
+    inv_mats = [np.linalg.inv(g) for g in mats]
+    basis, _ = adapted_coordinates(xm, tau)
+    binv = np.linalg.inv(basis)
+    xroot = spd_sqrt(xm)
+    xroot_inv = np.linalg.inv(xroot)
+    v, off = factored_coords_pair(binv @ np.stack(mats) @ xroot,
+                                  xroot_inv @ np.stack(inv_mats) @ basis, face)
+    scores = np.maximum(off, flat_cone_deficit(v, face))
     geometric_sup = float(scores.max())
     geometric_ok = bool(geometric_sup <= rho)
     dyn_ok = None
@@ -324,20 +279,10 @@ def conical_check(gs, tau: Flag, x, rho: float = 2.0, margin_floor: float = 0.05
     try:
         back = flag_limit(inv_mats, iota_face(face))
         if back.flag is not None:
-            if letters is not None and pres is not None:
-                # The pulled-back flag of the limit is the boundary flag
-                # of the shifted ray; it is recomputed from the tail
-                # letters because the flag is a repelling fixed point of
-                # the inverse flow and cannot be iterated forward.  The
-                # deepest tails are too short to resolve and are skipped.
-                tails = suffix_flags([pres.letter_matrix(lt) for lt in letters], face)
-                pulled = tails[1:max(2, len(letters) - lookahead + 1)]
-            else:
-                pulled = act_on_flag(np.stack(inv_mats), tau)
-            margins = transversality_margin(pulled, back.flag)
+            margins = transversality_margin(act_on_flag(np.stack(inv_mats), tau), back.flag)
             tail = margins[len(margins) // 2:]
             dyn_margin = float(tail.min())
-            dyn_ok = bool(dyn_margin >= margin_floor)
+            dyn_ok = bool(dyn_margin >= CONICAL_MARGIN_FLOOR)
     except VanishingGap:
         dyn_ok = False
     verdict = bool(geometric_ok and (dyn_ok is not False))
@@ -345,7 +290,7 @@ def conical_check(gs, tau: Flag, x, rho: float = 2.0, margin_floor: float = 0.05
         name="conical-convergence",
         verdict=verdict,
         constants={"geometric_sup": geometric_sup, "dynamical_min_margin": dyn_margin},
-        thresholds={"rho": rho, "margin_floor": margin_floor},
+        thresholds={"rho": rho, "margin_floor": CONICAL_MARGIN_FLOOR},
         details={
             "scores": scores,
             "geometric_ok": geometric_ok,

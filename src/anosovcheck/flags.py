@@ -157,23 +157,24 @@ def random_flag(face: FaceType, rng: np.random.Generator) -> Flag:
 
 
 def suffix_flags(matrices, face: FaceType) -> Flag:
-    """Flags of every suffix product matrices[k:], from one backward sweep.
+    """Flags of every suffix product matrices[..., k:, :, :], from one backward sweep.
 
     Pushes a fixed generic frame through the factors from the right; the
     nested spans equal those of each suffix product applied to the frame,
     without ever forming the ill-conditioned product.  For contracting
     products this converges to the attracting flag at the intrinsic rate.
-    Row k of the returned stack is the flag of matrices[k:], for
-    k = 0, ..., len(matrices).
+    ``matrices`` has shape (..., N, n, n), leading axes being batch axes,
+    and each letter position takes one stacked QR.  Row k along the
+    returned stack's last batch axis is the flag of matrices[..., k:, :, :],
+    for k = 0, ..., N.
     """
-    n = face.n
+    matrices = np.asarray(matrices, dtype=float)
     rng = np.random.default_rng(321)
-    q, _ = qr_pos(rng.standard_normal((n, n)))
-    out = [q]
-    for m in reversed(list(matrices)):
-        q, _ = qr_pos(np.asarray(m, dtype=float) @ q)
-        out.append(q)
-    return Flag(face, np.stack(out[::-1]))
+    q, _ = qr_pos(rng.standard_normal((face.n, face.n)))
+    out = [np.broadcast_to(q, matrices.shape[:-3] + q.shape)]
+    for k in reversed(range(matrices.shape[-3])):
+        out.append(qr_pos(matrices[..., k, :, :] @ out[-1])[0])
+    return Flag(face, np.stack(out[::-1], axis=-3))
 
 
 def stable_product_flag(matrices, face: FaceType) -> Flag:

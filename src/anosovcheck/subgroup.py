@@ -18,9 +18,10 @@ import numpy as np
 from .chamber import (
     FaceType,
     face_boundary_distance,
+    iota_face,
     row_norms,
 )
-from .dynamics import conical_check
+from .dynamics import CONICAL_MARGIN_FLOOR, flag_limit
 from .errors import (
     BudgetExceeded,
     PingPongFailed,
@@ -38,11 +39,18 @@ from .flags import (
     qr_pos,
     suffix_flags,
     tangent_dim,
+    transversality_margin,
 )
 from .reports import PropertyReport
-from .symmspace import identity_point, normalize_det, segment_deficits
+from .symmspace import normalize_det, segment_deficits
 
 GAP_TOL = 1e-9
+RESIDUAL_TOL = 1e-3   # limit: Cauchy residual tail below which a ray's flags converge
+SEPARATION = 1e-3     # limit: flag distance between separated limit-set representatives
+CONICAL_LOOKAHEAD = 4  # limit: letters behind and ahead of a point in its conical window
+BETA_PAD = 8          # anosov: letters sampled past the tested prefixes for the limit flag
+DIVERGENCE_LOGEPS = float(np.log(100.0))  # anosov: log expansion counted as divergent
+CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansion
 
 
 @dataclass(frozen=True)
@@ -467,64 +475,112 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     )
 
 
-@dataclass(frozen=True)
-class BoundaryRaySample:
-    """A boundary point sampled as a nested reduced-word prefix scheme."""
+class RaySample(NamedTuple):
+    """Boundary rays of one length, held as stacks over the whole sample."""
 
-    letters: tuple[int, ...]
-    scheme: str  # "power" | "random"
+    letters: np.ndarray   # (R, N) signed letters, each row a reduced word
+    schemes: np.ndarray   # (R,) "power" | "random"
+    prefixes: np.ndarray  # (R, N, n, n) products of the first k + 1 letters
+    inverses: np.ndarray  # (R, N, n, n) their exactly accumulated inverses
+    tails: Flag           # (R, N + 1) flags of the suffixes letters[:, k:]
 
-    def __post_init__(self):
-        ReducedWord(self.letters)  # validates reducedness
+
+def _random_word(rng: np.random.Generator, rank: int, length: int, start=()) -> list[int]:
+    """Extend ``start`` to a random reduced word, one draw per added letter."""
+    order = _letter_order(rank)
+    letters = list(start)
+    while len(letters) < length:
+        choices = [lt for lt in order if not letters or lt != -letters[-1]]
+        letters.append(int(choices[rng.integers(len(choices))]))
+    return letters
 
 
-def sample_rays(pres: FreeGroupPresentation, count: int, depth: int,
-                seed: int) -> list[BoundaryRaySample]:
-    """Deterministic ray sample: all generator-power rays, then random ones."""
-    rays: list[BoundaryRaySample] = []
-    for lt in _letter_order(pres.rank):
-        if len(rays) >= count:
-            break
-        rays.append(BoundaryRaySample(tuple([lt] * depth), "power"))
+def _letter_stacks(pres: FreeGroupPresentation, letters: np.ndarray):
+    """Matrices of the letters and of their inverses, as stacks (..., n, n)."""
+    table = np.stack([pres.letter_matrix(lt) if lt else np.eye(pres.n)
+                      for lt in range(-pres.rank, pres.rank + 1)])
+    return table[letters + pres.rank], table[pres.rank - letters]
+
+
+def sample_rays(pres: FreeGroupPresentation, count: int, depth: int, seed: int,
+                face: FaceType) -> RaySample:
+    """Deterministic ray sample: all generator-power rays, then random ones.
+
+    For all rays at once, prefix products are accumulated from the
+    identity one letter at a time on the right, as ``pres.word_matrix``
+    does, and their inverses one inverse letter at a time on the left.
+    """
+    schemes = {(lt,) * depth: "power" for lt in _letter_order(pres.rank)[:count]}
     rng = np.random.default_rng(seed)
-    order = _letter_order(pres.rank)
-    seen = {r.letters for r in rays}
     tries = 0
-    while len(rays) < count and tries < 100 * count:
+    while len(schemes) < count and tries < 100 * count:
         tries += 1
-        letters: list[int] = []
-        while len(letters) < depth:
-            choices = [lt for lt in order if not letters or lt != -letters[-1]]
-            letters.append(int(choices[rng.integers(len(choices))]))
-        key = tuple(letters)
-        if key in seen:
-            continue
-        seen.add(key)
-        rays.append(BoundaryRaySample(key, "random"))
-    if len(rays) < count:
+        schemes.setdefault(tuple(_random_word(rng, pres.rank, depth)), "random")
+    if len(schemes) < count:
         raise ValueError("not enough distinct rays at this depth")
-    return rays
+    letters = np.array(list(schemes), dtype=int).reshape(count, depth)
+    steps, inv_steps = _letter_stacks(pres, letters)
+    prefixes, inverses = np.empty_like(steps), np.empty_like(steps)
+    m = mi = np.eye(pres.n)
+    for k in range(depth):
+        prefixes[:, k] = m = m @ steps[:, k]
+        inverses[:, k] = mi = inv_steps[:, k] @ mi
+    return RaySample(letters, np.array(list(schemes.values())), prefixes, inverses,
+                     suffix_flags(steps, face))
 
 
-def ray_prefix_matrices(pres: FreeGroupPresentation, ray: BoundaryRaySample,
-                        with_inverses: bool = False):
-    out = []
-    inv = []
-    m = np.eye(pres.n)
-    mi = np.eye(pres.n)
-    for lt in ray.letters:
-        m = m @ pres.letter_matrix(lt)
-        out.append(m)
-        if with_inverses:
-            mi = pres.letter_matrix(-lt) @ mi
-            inv.append(mi)
-    return (out, inv) if with_inverses else out
+def _conical_rays(pres: FreeGroupPresentation, sample: RaySample,
+                  rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Conical approach along every ray of a sample: (verdicts, geometric sups).
+
+    Geometric side: each prefix point is measured inside the diamond
+    spanned by the orbit CONICAL_LOOKAHEAD letters behind and ahead, seen
+    from both tips.  Translating the window start to the base point, the
+    evaluation involves only short exact products, so it is
+    well-conditioned at any depth; bounded window deficits together with
+    the flag Cauchy residuals are the conicality surrogate.  Dynamical
+    side: the pulled-back limit flags must keep a transversality floor
+    from the backward limit flag of the inverse prefixes.  The pulled-back
+    flag is the boundary flag of the shifted ray, read from the sample's
+    tails because it is a repelling fixed point of the inverse flow and
+    cannot be iterated forward; the deepest tails are too short to
+    resolve and are skipped.
+    """
+    face = sample.tails.face
+    count, total = sample.letters.shape
+    steps, inv_steps = _letter_stacks(pres, sample.letters)
+    stacks = []  # per window: its start to the point, and the whole window, with inverses
+    for n in range(1, total):  # every window spans lo < n < hi
+        lo, hi = max(0, n - CONICAL_LOOKAHEAD), min(total, n + CONICAL_LOOKAHEAD)
+        window = window_inv = np.eye(pres.n)
+        for k in range(lo, hi):
+            window, window_inv = window @ steps[:, k], inv_steps[:, k] @ window_inv
+            if k == n - 1:
+                first, first_inv = window, window_inv
+        stacks.append((first, first_inv, window, window_inv))
+    f, fi, w, wi = (np.stack(x, axis=1) for x in zip(*stacks))
+    m, minv = np.concatenate([w, wi], axis=1), np.concatenate([wi, w], axis=1)
+    points = [(np.concatenate([f, wi @ f], axis=1), np.concatenate([fi, fi @ w], axis=1))]
+    both = segment_deficits(np.linalg.svd(m)[0], m, minv, points, face)[..., 0]
+    sups = np.minimum(both[:, :len(stacks)], both[:, len(stacks):]).max(axis=1)
+
+    verdicts = sups <= rho
+    pulled = sample.tails[:, 1:max(2, total - CONICAL_LOOKAHEAD + 1)]
+    for r in range(count):
+        try:
+            back = flag_limit(sample.inverses[r], iota_face(face)).flag
+        except VanishingGap:
+            verdicts[r] = False
+            continue
+        if back is not None:
+            margins = transversality_margin(pulled[r], back)
+            verdicts[r] &= margins[len(margins) // 2:].min() >= CONICAL_MARGIN_FLOOR
+    return verdicts, sups
 
 
 def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
                  ray_count: int, seed: int, antipodal_floor: float = 0.01,
-                 conical_rho: float = 2.0, residual_tol: float = 1e-3,
-                 separation: float = 1e-3) -> tuple[PropertyReport, list[dict]]:
+                 conical_rho: float = 2.0) -> PropertyReport:
     """Sampled boundary map: antipodality, conicality, continuity probes.
 
     Boundary points are prefix schemes; their flag values are prefix
@@ -535,37 +591,37 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     """
     if ray_count < 2:
         raise ValueError("need ray_count >= 2")
+    if depth < 2:
+        raise ValueError("need depth >= 2")
     if not face.is_iota_invariant:
         raise ValueError("antipodality needs an iota-invariant face type")
-    rays = sample_rays(pres, ray_count, depth, seed)
-    samples: list[dict] = []
+    sample = sample_rays(pres, ray_count, depth, seed, face)
+    plus, _, gaps = attractive_flag(sample.prefixes, face, tol=-np.inf)
+    regular = ~(gaps.min(axis=-1) < GAP_TOL).any(axis=-1)
     failures: list[dict] = []
-    for ray in rays:
-        mats, invs = ray_prefix_matrices(pres, ray, with_inverses=True)
-        try:
-            flags = attractive_flag(np.stack(mats), face)[0]
+    for r in np.flatnonzero(~regular):
+        try:  # raises: the single-ray call names the ray's first irregular prefix
+            attractive_flag(sample.prefixes[r], face)
         except VanishingGap as exc:
-            failures.append({"letters": list(ray.letters), "reason": str(exc)})
-            continue
-        residuals = flag_distance(flags[:-1], flags[1:]).tolist()
-        deltas = list(_resolved_logs(np.linalg.svd(np.stack(mats), compute_uv=False),
-                                     np.linalg.svd(np.stack(invs), compute_uv=False)))
-        limit = flags[-1]
-        conic = conical_check(mats, limit, identity_point(pres.n),
-                              rho=conical_rho, gs_inv=invs,
-                              letters=list(ray.letters), pres=pres)
-        samples.append({
-            "letters": list(ray.letters),
-            "scheme": ray.scheme,
-            "limit_flag_frame": limit.frame.copy(),  # not a view that keeps the prefix stack
-            "residuals": residuals,
-            "converged": bool(residuals and max(residuals[-max(1, len(residuals) // 4):]) < residual_tol),
-            "deltas": deltas,
-            "conical": conic.verdict,
-            "conical_geometric_sup": conic.constants["geometric_sup"],
-        })
-    if not samples:
+            failures.append({"letters": sample.letters[r].tolist(), "reason": str(exc)})
+    if not regular.any():
         raise VanishingGap("no sampled ray has a regular prefix")
+    sample = RaySample(*(field[regular] for field in sample))
+    flags = plus[regular]
+    residuals = flag_distance(flags[:, :-1], flags[:, 1:]).tolist()
+    deltas = _resolved_logs(np.linalg.svd(sample.prefixes, compute_uv=False),
+                            np.linalg.svd(sample.inverses, compute_uv=False))
+    conical, sups = _conical_rays(pres, sample, conical_rho)
+    samples = [{
+        "letters": sample.letters[i].tolist(),
+        "scheme": str(sample.schemes[i]),
+        "limit_flag_frame": flags.frame[i, -1].copy(),  # not a view that keeps the prefix stack
+        "residuals": res,
+        "converged": bool(res and max(res[-max(1, len(res) // 4):]) < RESIDUAL_TOL),
+        "deltas": list(deltas[i]),
+        "conical": bool(conical[i]),
+        "conical_geometric_sup": float(sups[i]),
+    } for i, res in enumerate(residuals)]
 
     # Rays are pairwise distinct reduced words, hence distinct boundary
     # points; their transversality margin shrinks with the depth at which
@@ -576,8 +632,8 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     min_margin = math.inf
     all_pairs_min = math.inf
     closest_pair = None
-    limits = Flag(face, np.stack([s["limit_flag_frame"] for s in samples]))
-    firsts = np.array([s["letters"][0] for s in samples])
+    limits = flags[:, -1]
+    firsts = sample.letters[:, 0]
     reps = [0]  # greedy separated representatives, in sample order
     for i in range(1, len(samples)):
         here, earlier = limits[i], limits[:i]
@@ -591,27 +647,20 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
         if cross[j] < min_margin:
             min_margin = float(cross[j])
             closest_pair = (samples[i]["letters"], samples[j]["letters"])
-        if np.all(flag_distance(here, earlier)[reps] > separation):
+        if np.all(flag_distance(here, earlier)[reps] > SEPARATION):
             reps.append(i)
     sep_count = len(reps)
 
     # Continuity probe: pairs of rays sharing prefixes of increasing depth.
     rng = np.random.default_rng(seed + 1)
-    order = _letter_order(pres.rank)
     probe = []
     for k in range(1, max(2, depth - 1)):
-        letters: list[int] = []
-        while len(letters) < k:
-            choices = [lt for lt in order if not letters or lt != -letters[-1]]
-            letters.append(int(choices[rng.integers(len(choices))]))
+        letters = _random_word(rng, pres.rank, k)
         exts = []
         tries = 0
         while len(exts) < 2 and tries < 100:
             tries += 1
-            tail: list[int] = list(letters)
-            while len(tail) < depth:
-                choices = [lt for lt in order if lt != -tail[-1]]
-                tail.append(int(choices[rng.integers(len(choices))]))
+            tail = _random_word(rng, pres.rank, depth, letters)
             if len(exts) == 1 and tail[k] == exts[0][k]:
                 continue
             exts.append(tail)
@@ -626,7 +675,7 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     all_conical = all(s["conical"] for s in samples)
     antipodal = bool(not math.isinf(min_margin) and min_margin >= antipodal_floor)
     verdict = bool(not failures and antipodal and all_conical)
-    report = PropertyReport(
+    return PropertyReport(
         name="limit-set",
         verdict=verdict,
         constants={
@@ -638,8 +687,8 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
         thresholds={
             "antipodal_floor": antipodal_floor,
             "conical_rho": conical_rho,
-            "residual_tol": residual_tol,
-            "separation": separation,
+            "residual_tol": RESIDUAL_TOL,
+            "separation": SEPARATION,
             "depth": depth,
             "ray_count": ray_count,
         },
@@ -655,14 +704,11 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
         },
         seed=seed,
     )
-    return report, samples
 
 
 def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
                  depth: int, seed: int, uniform_dev: float = 0.2,
-                 divergence_logeps: float = float(np.log(100.0)),
-                 expansion_floor: float = 0.05, cea_depth: int = 2,
-                 beta_pad: int = 8) -> PropertyReport:
+                 expansion_floor: float = 0.05) -> PropertyReport:
     """Expansion growth along boundary rays.
 
     For each sampled ray the inverse prefixes must expand at the ray's
@@ -670,48 +716,48 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
     agree across rays within the stated deviation, the non-uniform
     verdict only divergence beyond a threshold, and the stratum-expansion
     verdict asks for a short word expanding at every sampled limit flag.
-    The limit flag is evaluated a padding deeper than the tested
+    The limit flag is evaluated BETA_PAD letters deeper than the tested
     prefixes, since the expansion factor at the flag resolves it to the
     scale of the deepest prefix.
     """
-    ray_list = sample_rays(pres, rays, depth + beta_pad, seed)
+    if depth < 3:
+        raise ValueError("need depth >= 3: slopes are fitted on prefixes depth // 3 .. depth")
+    sample = sample_rays(pres, rays, depth + BETA_PAD, seed, face)
+    _, _, gaps = attractive_flag(sample.prefixes[:, depth - 1], face, tol=-np.inf)
+    regular = ~(gaps.min(axis=-1) < GAP_TOL)
+    if not regular.any():
+        raise VanishingGap("no sampled ray has a regular prefix")
+    sample = RaySample(*(field[regular] for field in sample))
+    # Chain rule: the differential of the inverse prefix at the flag is
+    # the ordered product of single-letter differentials along the
+    # pulled-back flag orbit.  The orbit flags are the boundary flags of
+    # the shifted rays; iterating them forward would be dynamically
+    # unstable (the flag is repelling for the inverse flow), so each is
+    # the sample's tail flag of its own tail letters.
+    _, inverse_letters = _letter_stacks(pres, sample.letters[:, :depth])
+    steps = action_differential(inverse_letters, sample.tails[:, :depth])
+    dtotal = np.eye(tangent_dim(face))
+    chain = []
+    for k in range(depth):
+        dtotal = steps[:, k] @ dtotal
+        chain.append(dtotal)
+    log_eps = np.log(np.linalg.svd(np.stack(chain, axis=1), compute_uv=False)[..., -1]).tolist()
+    ns = np.arange(1, depth + 1, dtype=float)
+    lo = max(1, depth // 3)
     ray_data = []
-    for ray in ray_list:
-        try:
-            attractive_flag(ray_prefix_matrices(pres, ray)[depth - 1], face)
-        except VanishingGap:
-            continue
-        # Chain rule: the differential of the inverse prefix at the flag
-        # is the ordered product of single-letter differentials along the
-        # pulled-back flag orbit.  The orbit flags are the boundary flags
-        # of the shifted rays; iterating them forward would be dynamically
-        # unstable (the flag is repelling for the inverse flow), so each
-        # is taken from its own tail letters, all in one backward sweep.
-        tail_flags = suffix_flags([pres.letter_matrix(lt) for lt in ray.letters], face)
-        inverse_letters = np.stack([pres.letter_matrix(-lt) for lt in ray.letters[:depth]])
-        steps = action_differential(inverse_letters, tail_flags[:depth])
-        dtotal = np.eye(tangent_dim(face))
-        chain = []
-        for step in steps:
-            dtotal = step @ dtotal
-            chain.append(dtotal)
-        log_eps = np.log(np.linalg.svd(np.stack(chain), compute_uv=False)[:, -1]).tolist()
-        ns = np.arange(1, depth + 1, dtype=float)
-        lo = max(1, depth // 3)
-        slope, intercept = np.polyfit(ns[lo:], np.array(log_eps)[lo:], 1)
+    for i, le in enumerate(log_eps):
+        slope, intercept = np.polyfit(ns[lo:], np.array(le)[lo:], 1)
         ray_data.append({
-            "letters": list(ray.letters),
-            "scheme": ray.scheme,
-            "log_eps": log_eps,
+            "letters": sample.letters[i].tolist(),
+            "scheme": str(sample.schemes[i]),
+            "log_eps": le,
             "slope": float(slope),
             "intercept": float(intercept),
-            "max_log_eps": float(max(log_eps)),
-            "beta_frame": tail_flags.frame[0].copy(),
+            "max_log_eps": float(max(le)),
+            "beta_frame": sample.tails.frame[i, 0].copy(),
         })
 
-    if not ray_data:
-        raise VanishingGap("no sampled ray has a regular prefix")
-    irregular = len(ray_list) - len(ray_data)
+    irregular = rays - len(ray_data)
     slopes = np.array([r["slope"] for r in ray_data])
     mean_slope = float(slopes.mean()) if len(slopes) else 0.0
     max_dev = (float(np.max(np.abs(slopes - mean_slope)) / abs(mean_slope))
@@ -724,19 +770,18 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
         default=0.0,
     ))
     nonuniform = bool(len(ray_data) > 0 and irregular == 0 and
-                      all(r["max_log_eps"] >= divergence_logeps for r in ray_data))
+                      all(r["max_log_eps"] >= DIVERGENCE_LOGEPS for r in ray_data))
 
     # Stratum expansion: some short word expands at every sampled limit flag.
     cea_ok = True
     cea_records = []
-    words, mats = zip(*_dfs_words(pres, cea_depth))
-    mats = np.stack(mats)
-    for r in ray_data:
-        eps = expansion_factor(mats, Flag(face, r["beta_frame"]))
-        k = int(np.argmax(eps))  # the first maximum, in depth-first word order
-        cea_records.append({"letters": r["letters"], "best_eps": float(eps[k]),
+    words, mats = zip(*_dfs_words(pres, CEA_DEPTH))
+    eps = expansion_factor(np.stack(mats), sample.tails[:, 0, None])
+    for r, row in zip(ray_data, eps):
+        k = int(np.argmax(row))  # the first maximum, in depth-first word order
+        cea_records.append({"letters": r["letters"], "best_eps": float(row[k]),
                             "best_word": list(words[k])})
-        if eps[k] < 1.0 + expansion_floor:
+        if row[k] < 1.0 + expansion_floor:
             cea_ok = False
     return PropertyReport(
         name="anosov",
@@ -750,9 +795,9 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
         },
         thresholds={
             "uniform_dev": uniform_dev,
-            "divergence_logeps": divergence_logeps,
+            "divergence_logeps": DIVERGENCE_LOGEPS,
             "expansion_floor": expansion_floor,
-            "cea_depth": cea_depth,
+            "cea_depth": CEA_DEPTH,
             "rays": rays,
             "depth": depth,
         },

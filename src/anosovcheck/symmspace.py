@@ -73,10 +73,6 @@ class Point:
         object.__setattr__(self, "spd", m)
 
 
-def identity_point(n: int) -> np.ndarray:
-    return np.eye(n)
-
-
 def act_point(g, x) -> np.ndarray:
     """Isometric action of a group element on a point: g x g^T."""
     g = _mat(g)

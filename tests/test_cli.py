@@ -79,12 +79,25 @@ class TestConfigValidation:
         ({"checkers": ["limit"], "ray_depth": 0}, "'ray_depth'"),
         ({"checkers": ["limit"], "n": 3, "face": [1],
           "generators": [np.diag([16.0, 1.0, 0.0625]).tolist(), np.eye(3).tolist()]}, "'face'"),
-    ], ids=["morse_depth", "ray_count", "ray_depth", "face"])
+        # rank 2: 4 * 3**(N - 1) reduced words of length N
+        ({"checkers": ["limit"], "ray_depth": 2, "ray_count": 13}, "'ray_count'"),
+        ({"checkers": ["anosov"], "ray_depth": 3, "ray_count": 4 * 3**10 + 1}, "'ray_count'"),
+        ({"checkers": ["anosov"], "ray_depth": 2}, "'ray_depth'"),
+    ], ids=["morse_depth", "ray_count", "ray_depth", "face", "limit_distinct_rays",
+            "anosov_distinct_rays", "anosov_ray_depth"])
     def test_out_of_range_rejected(self, tmp_path, capsys, overrides, key):
         p = tmp_path / "range.json"
         p.write_text(json.dumps(minimal_config(**overrides)))
         assert run_config(p) == 2
         assert key in capsys.readouterr().err
+
+    def test_every_distinct_ray_sampled(self, tmp_path):
+        # 12 rays of length 2 are all the reduced words of that length
+        p = tmp_path / "all.json"
+        p.write_text(json.dumps(minimal_config(checkers=["limit"], ray_depth=2, ray_count=12)))
+        assert run_config(p, out_dir=str(tmp_path / "out")) == 0
+        rays = json.loads((tmp_path / "out" / "limit.json").read_text())["details"]["rays"]
+        assert len({tuple(r["letters"]) for r in rays}) == 12
 
     def test_unknown_option_rejected(self, tmp_path, capsys):
         p = tmp_path / "typo.json"

@@ -23,10 +23,17 @@ from anosovcheck.flags import (
     expansion_factor,
     flag_distance,
     qr_pos,
+    suffix_flags,
     transversality_margin,
     triu_inverse,
 )
-from anosovcheck.subgroup import _resolved_logs, _two_sided_svd
+from anosovcheck.subgroup import (
+    FreeGroupPresentation,
+    ReducedWord,
+    _resolved_logs,
+    _two_sided_svd,
+    sample_rays,
+)
 from anosovcheck.symmspace import factored_coords_pair, segment_deficits
 from oracles import pav_sequential, random_sl
 
@@ -147,6 +154,48 @@ def test_flag_primitives(rng, n):
         assert_rows_equal(plus.frame, [p.frame for p, _, _ in single])
         assert_rows_equal(minus.frame, [m.frame for _, m, _ in single])
         assert_rows_equal(gaps, [x for _, _, x in single])
+
+
+def same_bits(a, b):
+    # array_equal treats -0.0 and 0.0 as equal; bit patterns do not
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_suffix_flags(rng, n):
+    # an (R, N) stack of letters sweeps each ray as one letter-at-a-time loop does
+    letters = np.stack([random_sl(rng, n, scale=1.2) for _ in range(4)])
+    mats = letters[rng.integers(len(letters), size=(5, 9))]
+    stacked = suffix_flags(mats, FACES[n][0]).frame
+    assert stacked.shape == (5, 10, n, n)
+    start, _ = qr_pos(np.random.default_rng(321).standard_normal((n, n)))
+    for r, ray in enumerate(mats):
+        q, sweep = start, [start]
+        for m in ray[::-1]:
+            q, _ = qr_pos(m @ q)
+            sweep.append(q)
+        assert same_bits(stacked[r], np.stack(sweep[::-1])), r
+        assert same_bits(stacked[r], suffix_flags(ray, FACES[n][0]).frame), r
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ray_sample_products(rng, n):
+    pres = FreeGroupPresentation(tuple(random_sl(rng, n) for _ in range(2)))
+    face = FACES[n][0]
+    sample = sample_rays(pres, 10, 9, seed=1, face=face)
+    assert sample.schemes.tolist() == ["power"] * 4 + ["random"] * 6
+    for r, word in enumerate(sample.letters.tolist()):
+        inv = np.eye(n)
+        for k, lt in enumerate(word):
+            prefix = ReducedWord(word[:k + 1])
+            assert same_bits(sample.prefixes[r, k], pres.word_matrix(prefix)), (r, k)
+            # word_matrix multiplies left to right; the exact inverse
+            # accumulates right to left, so the bits match that order
+            inv = pres.letter_matrix(-lt) @ inv
+            assert same_bits(sample.inverses[r, k], inv), (r, k)
+            assert np.allclose(inv, pres.word_matrix(prefix.inverse()))
+        steps = np.stack([pres.letter_matrix(lt) for lt in word])
+        assert same_bits(sample.tails.frame[r], suffix_flags(steps, face).frame), r
 
 
 def test_attractive_flag_names_first_irregular_row(rng):

@@ -18,7 +18,6 @@ from anosovcheck.subgroup import (
     enumerate_geodesics,
     limit_report,
     morse_check,
-    ray_prefix_matrices,
     sample_rays,
     schottky_build,
     uru_check,
@@ -171,8 +170,7 @@ class TestMorse:
         # of the diamond test with comparable constants
         rep = morse_check(sl2_pres, FACE2, 8, rho_cap=1.0, theta_floor=0.1)
         rho = rep.constants["rho"]
-        ray = sample_rays(sl2_pres, 1, 10, seed=3)[0]
-        mats, invs = ray_prefix_matrices(sl2_pres, ray, with_inverses=True)
+        mats = sample_rays(sl2_pres, 1, 10, seed=3, face=FACE2).prefixes[0]
         deltas = []
         for m in mats:
             s = np.linalg.svd(m, compute_uv=False)
@@ -231,9 +229,28 @@ def test_deficit_agrees_with_diamond_queries(name):
     assert (checked, failed) == (CROSS_CHECKED[name], 0)
 
 
+# The rays of the rotation pair (depth 8, 12 rays, seed 3) that have an
+# irregular prefix, in sample order.
+IRREGULAR_LIMIT_RAYS = [
+    [2, 2, 2, 2, 2, 2, 2, 2],
+    [-2, -2, -2, -2, -2, -2, -2, -2],
+    [-2, 1, 1, 1, 1, -2, -2, -1],
+    [2, 2, 1, 1, 2, -1, -2, -1],
+    [-2, 1, 1, 2, -1, -2, -2, 1],
+    [-2, 1, 1, -2, -2, 1, 1, 1],
+]
+
+
+@pytest.fixture(scope="module")
+def rotation_pres():
+    """A hyperbolic element and a rotation by 1 rad: some rays are irregular."""
+    rot = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+    return FreeGroupPresentation((np.diag([2.0, 0.5]), rot))
+
+
 class TestLimitReport:
     def test_sl2(self, sl2_pres):
-        rep, samples = limit_report(sl2_pres, FACE2, 12, 50, seed=7)
+        rep = limit_report(sl2_pres, FACE2, 12, 50, seed=7)
         assert rep.verdict
         assert rep.constants["antipodality_margin"] > 0.01
         assert rep.details["all_conical"]
@@ -244,7 +261,7 @@ class TestLimitReport:
         assert deep and max(deep) < 1e-3 < shallow_margin
 
     def test_sl3(self, sl3_pres):
-        rep, _ = limit_report(sl3_pres, FACE3, 12, 50, seed=7)
+        rep = limit_report(sl3_pres, FACE3, 12, 50, seed=7)
         assert rep.verdict
         assert rep.constants["antipodality_margin"] > 0.01
         assert rep.details["all_conical"]
@@ -252,6 +269,16 @@ class TestLimitReport:
     def test_needs_iota_invariant_face(self, sl3_pres):
         with pytest.raises(ValueError):
             limit_report(sl3_pres, FaceType.make(3, [1]), 8, 10, seed=0)
+
+    def test_irregular_rays_fail(self, rotation_pres):
+        # every ray with a prefix of singular-value gap 0 is a failure,
+        # named in sample order: the rotation's two power rays first
+        rep = limit_report(rotation_pres, FACE2, 8, 12, seed=3)
+        assert not rep.verdict
+        assert [f["letters"] for f in rep.witnesses["failures"]] == IRREGULAR_LIMIT_RAYS
+        assert {f["reason"] for f in rep.witnesses["failures"]} == {
+            "log singular-value gap 0.000e+00 below 1.0e-09"}
+        assert len(rep.details["rays"]) == 12 - len(IRREGULAR_LIMIT_RAYS)
 
 
 class TestAnosov:
@@ -268,6 +295,18 @@ class TestAnosov:
         assert not rep.verdict
         power = [r for r in rep.details["rays"] if r["scheme"] == "power"][0]
         assert power["slope"] < 0.5  # sublinear growth flattens the fit
+
+    def test_needs_depth_three(self, sl2_pres):
+        # at depth 2 the slope would be fitted on a single prefix
+        with pytest.raises(ValueError, match="depth >= 3"):
+            anosov_check(sl2_pres, FACE2, 4, 2, seed=0)
+
+    def test_irregular_rays_skipped(self, rotation_pres):
+        # rays irregular at the deepest tested prefix are counted, not fitted
+        rep = anosov_check(rotation_pres, FACE2, 12, 8, seed=3)
+        assert rep.constants["irregular_rays"] == 2
+        assert len(rep.details["rays"]) == 10
+        assert not rep.verdict
 
     def test_cea_expansion(self, sl2_pres):
         rep = anosov_check(sl2_pres, FACE2, 20, 10, seed=3)
