@@ -115,6 +115,7 @@ class ExperimentConfig:
         anosov_rays = limit_rays * (2 * rank - 1) ** BETA_PAD
         # ranges a checker would fail on with a traceback, or certify on no data
         checks = (
+            (not self.generators, "'generators' must hold at least one matrix"),
             ("morse" in self.checkers and self.options.get("morse_depth", 2) < 2,
              "'options.morse_depth' must be >= 2 for morse"),
             ("limit" in self.checkers and self.ray_count < 2, "'ray_count' must be >= 2 for limit"),

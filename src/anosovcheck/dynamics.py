@@ -217,6 +217,20 @@ class FlagLimitResult:
         return not self.converged and len(self.clusters) >= 2
 
 
+def _limit_verdicts(flags: Flag, tol: float, cluster_radius: float):
+    """(residuals, converged, has a limit) of regular flag sequences along the last batch axis.
+
+    Greedy clustering of the tail flags makes a second cluster iff some tail flag lies
+    beyond cluster_radius from the first; a sequence has a limit, its last flag, iff it
+    converged or makes one cluster.
+    """
+    residuals = flag_distance(flags[..., :-1, :, :], flags[..., 1:, :, :])
+    converged = (residuals[..., -max(1, residuals.shape[-1] // 4):] < tol).all(axis=-1)
+    tail = flags[..., flags.frame.shape[-3] // 2:, :, :]
+    spread = flag_distance(tail, tail[..., :1, :, :])
+    return residuals, converged, converged | ~(spread > cluster_radius).any(axis=-1)
+
+
 def flag_limit(gs, face: FaceType, tol: float = 1e-6,
                cluster_radius: float = 0.1) -> FlagLimitResult:
     """Limit of the attracting flags along a sequence, with Cauchy residuals.
@@ -233,9 +247,7 @@ def flag_limit(gs, face: FaceType, tol: float = 1e-6,
         raise VanishingGap(f"terminal element irregular: {exc}") from exc
     plus, _, gaps = attractive_flag(mats, face, tol=-np.inf)
     flags = plus[~(gaps.min(axis=-1) < GAP_TOL)]  # the regular elements
-    residuals = flag_distance(flags[:-1], flags[1:])
-    tail = residuals[-max(1, len(residuals) // 4):] if len(residuals) else residuals
-    converged = bool(len(residuals) == 0 or tail.max() < tol)
+    residuals, converged, has_limit = _limit_verdicts(flags, tol, cluster_radius)
     if converged:
         return FlagLimitResult(flags[-1], residuals, True)
     # Cluster the tail flags greedily in sequence order: the next cluster is
@@ -248,8 +260,22 @@ def flag_limit(gs, face: FaceType, tol: float = 1e-6,
         clusters.append(tail_flags[k])
         apart &= flag_distance(tail_flags, clusters[-1]) > cluster_radius
         apart[k] = False
-    return FlagLimitResult(None if len(clusters) > 1 else flags[-1],
-                           residuals, False, clusters)
+    return FlagLimitResult(flags[-1] if has_limit else None, residuals, False, clusters)
+
+
+def flag_limits(mats, face: FaceType, tol: float = 1e-6, cluster_radius: float = 0.1):
+    """flag_limit of every sequence in a stack (R, N, n, n): (flags, has_limit, irregular).
+
+    The terminal flags are the limits where has_limit holds; irregular marks an
+    irregular terminal element, where flag_limit raises.  A row with an irregular
+    earlier element has a ragged regular subsequence and goes through flag_limit.
+    """
+    plus, _, gaps = attractive_flag(mats, face, tol=-np.inf)
+    regular = ~(gaps.min(axis=-1) < GAP_TOL)
+    has_limit = _limit_verdicts(plus, tol, cluster_radius)[2] & regular.all(axis=-1)
+    for r in np.flatnonzero(regular[:, -1] & ~regular.all(axis=-1)):
+        has_limit[r] = flag_limit(mats[r], face, tol, cluster_radius).flag is not None
+    return plus[:, -1], has_limit, ~regular[:, -1]
 
 
 def conical_check(gs, tau: Flag, x, rho: float = 2.0) -> PropertyReport:

@@ -21,7 +21,7 @@ from .chamber import (
     iota_face,
     row_norms,
 )
-from .dynamics import CONICAL_MARGIN_FLOOR, flag_limit
+from .dynamics import CONICAL_MARGIN_FLOOR, flag_limits
 from .errors import (
     BudgetExceeded,
     PingPongFailed,
@@ -547,7 +547,7 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample,
     resolve and are skipped.
     """
     face = sample.tails.face
-    count, total = sample.letters.shape
+    total = sample.letters.shape[1]
     steps, inv_steps = _letter_stacks(pres, sample.letters)
     stacks = []  # per window: its start to the point, and the whole window, with inverses
     for n in range(1, total):  # every window spans lo < n < hi
@@ -564,18 +564,32 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample,
     both = segment_deficits(np.linalg.svd(m)[0], m, minv, points, face)[..., 0]
     sups = np.minimum(both[:, :len(stacks)], both[:, len(stacks):]).max(axis=1)
 
-    verdicts = sups <= rho
-    pulled = sample.tails[:, 1:max(2, total - CONICAL_LOOKAHEAD + 1)]
-    for r in range(count):
-        try:
-            back = flag_limit(sample.inverses[r], iota_face(face)).flag
-        except VanishingGap:
-            verdicts[r] = False
-            continue
-        if back is not None:
-            margins = transversality_margin(pulled[r], back)
-            verdicts[r] &= margins[len(margins) // 2:].min() >= CONICAL_MARGIN_FLOOR
-    return verdicts, sups
+    back, has_limit, irregular = flag_limits(sample.inverses, iota_face(face))
+    margins = transversality_margin(sample.tails[:, 1:max(2, total - CONICAL_LOOKAHEAD + 1)],
+                                    back[:, None])
+    transverse = margins[:, margins.shape[1] // 2:].min(axis=1) >= CONICAL_MARGIN_FLOOR
+    return (sups <= rho) & ~irregular & (transverse | ~has_limit), sups
+
+
+def _pair_scan(limits: Flag, letters: np.ndarray):
+    """(cross margin, all-pairs margin, closest cross pair, separated count) of limit flags.
+
+    All pairs (i, j < i) take one stacked call, i ascending, then j.  Cross
+    pairs are rays with different first letters, i.e. disjoint boundary cylinders.
+    """
+    i, j = np.tril_indices(len(letters), -1)
+    margins = antipodality_margin(limits[i], limits[j])
+    cross = np.where(letters[i, 0] != letters[j, 0], margins, math.inf)
+    min_margin = float(cross.min(initial=math.inf))
+    closest = None
+    if not math.isinf(min_margin):
+        k = int(np.argmin(cross))  # the first of equal minima, in pair order
+        closest = (letters[i[k]].tolist(), letters[j[k]].tolist())
+    reps = [0]  # greedy separated representatives, in sample order
+    for r in range(1, len(letters)):
+        if np.all(flag_distance(limits[r], limits[reps]) > SEPARATION):
+            reps.append(r)
+    return min_margin, float(margins.min(initial=math.inf)), closest, len(reps)
 
 
 def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
@@ -624,32 +638,10 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     } for i, res in enumerate(residuals)]
 
     # Rays are pairwise distinct reduced words, hence distinct boundary
-    # points; their transversality margin shrinks with the depth at which
-    # the words diverge, so the antipodality verdict is taken over pairs
-    # diverging within half the sampled depth (deeper pairs cannot be
-    # resolved from depth-limited flags and are recorded separately).
-    # Each sample is compared with all earlier ones in one stacked call.
-    min_margin = math.inf
-    all_pairs_min = math.inf
-    closest_pair = None
-    limits = flags[:, -1]
-    firsts = sample.letters[:, 0]
-    reps = [0]  # greedy separated representatives, in sample order
-    for i in range(1, len(samples)):
-        here, earlier = limits[i], limits[:i]
-        margins = antipodality_margin(here, earlier)
-        all_pairs_min = min(all_pairs_min, float(margins.min()))
-        # The verdict margin is taken over rays with disjoint first
-        # letters; pairs sharing prefixes have margins shrinking with
-        # the divergence depth and are tracked by the continuity probe.
-        cross = np.where(firsts[:i] != firsts[i], margins, math.inf)
-        j = int(np.argmin(cross))  # the first of equal minima, as in pair order
-        if cross[j] < min_margin:
-            min_margin = float(cross[j])
-            closest_pair = (samples[i]["letters"], samples[j]["letters"])
-        if np.all(flag_distance(here, earlier)[reps] > SEPARATION):
-            reps.append(i)
-    sep_count = len(reps)
+    # points; their transversality margin shrinks with the depth at which the
+    # words diverge, so the verdict takes pairs that differ in the first letter,
+    # and all_pairs_margin_min records the rest.
+    min_margin, all_pairs_min, closest_pair, sep_count = _pair_scan(flags[:, -1], sample.letters)
 
     # Continuity probe: pairs of rays sharing prefixes of increasing depth.
     rng = np.random.default_rng(seed + 1)

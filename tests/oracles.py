@@ -3,8 +3,9 @@
 Each oracle recomputes a library quantity along a different route:
 finite differences for expansion factors, tied-pair projections for wall
 distances, permutation search for the opposition involution, KKT
-certificates for sector projections, and extended-precision mpmath
-arithmetic for singular frames of deep products.  The flat-cone
+certificates for sector projections, extended-precision mpmath
+arithmetic for singular frames of deep products, and a per-ray loop for
+limit's antipodality pair scan.  The flat-cone
 membership test and the type-set boundary angle are tools of the
 acceptance checks.
 """
@@ -19,7 +20,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from anosovcheck.chamber import FaceType, ThetaSpec, block_sort
-from anosovcheck.flags import Flag, _coord_entries, act_on_flag
+from anosovcheck.flags import (
+    Flag,
+    _coord_entries,
+    act_on_flag,
+    antipodality_margin,
+    flag_distance,
+)
+from anosovcheck.subgroup import SEPARATION
 
 
 def iota_bruteforce(v: np.ndarray) -> np.ndarray:
@@ -195,6 +203,33 @@ def exact_left_singular_frame(letters, digits: int = 90) -> np.ndarray:
         u, s, _ = mpmath.svd_r(m)
         order = sorted(range(n), key=lambda i: s[i], reverse=True)
         return np.array([[float(u[r, c]) for c in order] for r in range(n)])
+
+
+def pair_scan_loop(limits: Flag, letters: np.ndarray) -> tuple:
+    """limit's pair scan as a loop comparing each ray with all earlier ones.
+
+    Returns (cross margin, all-pairs margin, closest cross pair, separated
+    count).  The closest pair is the first strict minimum in the order i
+    ascending, then j < i; the separated count is greedy in sample order.
+    """
+    words = letters.tolist()
+    min_margin = math.inf
+    all_pairs_min = math.inf
+    closest_pair = None
+    firsts = letters[:, 0]
+    reps = [0]  # greedy separated representatives, in sample order
+    for i in range(1, len(words)):
+        here, earlier = limits[i], limits[:i]
+        margins = antipodality_margin(here, earlier)
+        all_pairs_min = min(all_pairs_min, float(margins.min()))
+        cross = np.where(firsts[:i] != firsts[i], margins, math.inf)
+        j = int(np.argmin(cross))  # the first of equal minima, as in pair order
+        if cross[j] < min_margin:
+            min_margin = float(cross[j])
+            closest_pair = (words[i], words[j])
+        if np.all(flag_distance(here, earlier)[reps] > SEPARATION):
+            reps.append(i)
+    return min_margin, all_pairs_min, closest_pair, len(reps)
 
 
 def flat_cone_margin(v, face: FaceType) -> float:

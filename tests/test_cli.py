@@ -83,8 +83,9 @@ class TestConfigValidation:
         ({"checkers": ["limit"], "ray_depth": 2, "ray_count": 13}, "'ray_count'"),
         ({"checkers": ["anosov"], "ray_depth": 3, "ray_count": 4 * 3**10 + 1}, "'ray_count'"),
         ({"checkers": ["anosov"], "ray_depth": 2}, "'ray_depth'"),
+        ({"checkers": ["uru"], "generators": []}, "'generators'"),
     ], ids=["morse_depth", "ray_count", "ray_depth", "face", "limit_distinct_rays",
-            "anosov_distinct_rays", "anosov_ray_depth"])
+            "anosov_distinct_rays", "anosov_ray_depth", "generators"])
     def test_out_of_range_rejected(self, tmp_path, capsys, overrides, key):
         p = tmp_path / "range.json"
         p.write_text(json.dumps(minimal_config(**overrides)))

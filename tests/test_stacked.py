@@ -13,6 +13,7 @@ from anosovcheck.chamber import (
     pav_nonincreasing,
     row_norms,
 )
+from anosovcheck.dynamics import flag_limit, flag_limits
 from anosovcheck.errors import VanishingGap
 from anosovcheck.flags import (
     Flag,
@@ -30,12 +31,14 @@ from anosovcheck.flags import (
 from anosovcheck.subgroup import (
     FreeGroupPresentation,
     ReducedWord,
+    _pair_scan,
     _resolved_logs,
     _two_sided_svd,
+    limit_report,
     sample_rays,
 )
 from anosovcheck.symmspace import factored_coords_pair, segment_deficits
-from oracles import pav_sequential, random_sl
+from oracles import pair_scan_loop, pav_sequential, random_sl
 
 FACES = {
     2: [FaceType.full(2)],
@@ -251,3 +254,84 @@ def test_triu_inverse_rejects_what_lapack_rejects(rng):
             solve(singular)
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve(nan)
+
+
+ROT = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+
+
+def backward_limit_stack(case, sl3_pres):
+    """A stack (R, N, n, n) of sequences for flag_limits, and its face type."""
+    if case == "sl3":  # inverse prefixes of a ray sample, as limit's conical test takes them
+        return sample_rays(sl3_pres, 50, 12, seed=7, face=FaceType.full(3)).inverses, \
+            FaceType.full(3)
+    if case == "irregular":  # the diag/rotation rays of TestLimitReport::test_irregular_rays_fail
+        pres = FreeGroupPresentation((np.diag([2.0, 0.5]), ROT))
+        return sample_rays(pres, 12, 8, seed=3, face=FaceType.full(2)).inverses, FaceType.full(2)
+    # a convergent row beside the alternating row of test_alternating_is_inconclusive
+    g, rot = np.diag([np.e**2, np.e, np.e**-3]), np.eye(3)
+    rot[:2, :2] = ROT
+    powers = [np.linalg.matrix_power(g, k) for k in range(1, 9)]
+    alternating = [m if k % 2 == 0 else rot @ m @ rot.T for k, m in enumerate(powers, 1)]
+    return np.stack([powers, alternating]), FaceType.make(3, [1])
+
+
+@pytest.mark.parametrize("case, kinds", [
+    ("sl3", {"no convergence, one cluster"}),
+    ("irregular", {"irregular terminal", "ragged"}),
+    ("mixed", {"converged", "no convergence, two clusters"}),
+])
+def test_flag_limits_rows_match_flag_limit(sl3_pres, case, kinds):
+    stack, face = backward_limit_stack(case, sl3_pres)
+    flags, has_limit, irregular = flag_limits(stack, face)
+    gaps = attractive_flag(stack, face, tol=-np.inf)[2]
+    seen = set()
+    for r, row in enumerate(stack):
+        try:
+            single = flag_limit(row, face)
+        except VanishingGap:
+            assert irregular[r] and not has_limit[r], r
+            seen.add("irregular terminal")
+            continue
+        assert not irregular[r], r
+        assert has_limit[r] == (single.flag is not None), r
+        # greedy clustering is the reference for the one-cluster criterion
+        assert has_limit[r] == (single.converged or len(single.clusters) < 2), r
+        if single.flag is not None:
+            assert same_bits(flags.frame[r], single.flag.frame), r
+        if (gaps[r].min(axis=-1) < 1e-9).any():
+            seen.add("ragged")
+        elif single.converged:
+            seen.add("converged")
+        else:
+            seen.add(f"no convergence, {'one cluster' if has_limit[r] else 'two clusters'}")
+    assert kinds <= seen
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+@pytest.mark.parametrize("group", ["sl2", "sl3"])
+def test_pair_scan_matches_loop(request, group, seed):
+    pres = request.getfixturevalue(f"{group}_pres")
+    face = FaceType.full(pres.n)
+    rep = limit_report(pres, face, 12, 60, seed=seed)
+    rays = rep.details["rays"]
+    limits = Flag(face, np.stack([r["limit_flag_frame"] for r in rays]))
+    letters = np.array([r["letters"] for r in rays])
+    margin, all_pairs, closest, count = pair_scan_loop(limits, letters)
+    assert same_bits(rep.constants["antipodality_margin"], margin)
+    assert same_bits(rep.constants["all_pairs_margin_min"], all_pairs)
+    assert rep.witnesses["closest_pair"] == closest
+    assert rep.constants["limit_set_cardinality_lower_bound"] == count
+    assert _pair_scan(limits, letters) == (margin, all_pairs, closest, count)
+
+
+def test_pair_scan_ties_go_to_the_first_pair_in_order():
+    # lines e1, e2, e2, e1: pairs (2, 1) and (3, 0) both have margin 0.0 and
+    # different first letters; pair order (i, then j) takes (2, 1), while
+    # the last tie or a j-first order would take (3, 0)
+    face = FaceType.full(2)
+    e1, e2 = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
+    limits = Flag(face, np.stack([e1, e2, e2, e1]))
+    letters = np.array([[1, 2], [1, -2], [2, 1], [2, -1]])
+    expected = (0.0, 0.0, ([2, 1], [1, -2]), 2)
+    assert pair_scan_loop(limits, letters) == expected
+    assert _pair_scan(limits, letters) == expected
