@@ -41,6 +41,8 @@ from .symmspace import (
 
 # Every conical test's floor on pulled-back flags' transversality to the backward limit.
 CONICAL_MARGIN_FLOOR = 0.05
+LIMIT_TOL = 1e-6       # flag limits: Cauchy residual tail below which a sequence converges
+CLUSTER_RADIUS = 0.1   # flag limits: distance at which a tail flag starts a new cluster
 
 
 @dataclass(frozen=True)
@@ -218,21 +220,18 @@ class FlagLimitResult:
 
 
 def _limit_verdicts(flags: Flag, tol: float, cluster_radius: float):
-    """(residuals, converged, has a limit) of regular flag sequences along the last batch axis.
-
-    Greedy clustering of the tail flags makes a second cluster iff some tail flag lies
-    beyond cluster_radius from the first; a sequence has a limit, its last flag, iff it
-    converged or makes one cluster.
-    """
+    """(residuals, converged, has a limit) of regular flag sequences along the last batch axis."""
     residuals = flag_distance(flags[..., :-1, :, :], flags[..., 1:, :, :])
     converged = (residuals[..., -max(1, residuals.shape[-1] // 4):] < tol).all(axis=-1)
+    # A limit, the last flag, exists iff converged or the greedy clustering of the tail
+    # makes one cluster, i.e. no tail flag lies beyond cluster_radius from the first.
     tail = flags[..., flags.frame.shape[-3] // 2:, :, :]
     spread = flag_distance(tail, tail[..., :1, :, :])
     return residuals, converged, converged | ~(spread > cluster_radius).any(axis=-1)
 
 
-def flag_limit(gs, face: FaceType, tol: float = 1e-6,
-               cluster_radius: float = 0.1) -> FlagLimitResult:
+def flag_limit(gs, face: FaceType, tol: float = LIMIT_TOL,
+               cluster_radius: float = CLUSTER_RADIUS) -> FlagLimitResult:
     """Limit of the attracting flags along a sequence, with Cauchy residuals.
 
     Convergence is declared when the residual tail sits below tolerance;
@@ -263,19 +262,14 @@ def flag_limit(gs, face: FaceType, tol: float = 1e-6,
     return FlagLimitResult(flags[-1] if has_limit else None, residuals, False, clusters)
 
 
-def flag_limits(mats, face: FaceType, tol: float = 1e-6, cluster_radius: float = 0.1):
-    """flag_limit of every sequence in a stack (R, N, n, n): (flags, has_limit, irregular).
-
-    The terminal flags are the limits where has_limit holds; irregular marks an
-    irregular terminal element, where flag_limit raises.  A row with an irregular
-    earlier element has a ragged regular subsequence and goes through flag_limit.
-    """
+def flag_limits(mats, face: FaceType):
+    """flag_limit of every sequence in a stack (R, N, n, n): (last flags, has_limit, irregular)."""
     plus, _, gaps = attractive_flag(mats, face, tol=-np.inf)
     regular = ~(gaps.min(axis=-1) < GAP_TOL)
-    has_limit = _limit_verdicts(plus, tol, cluster_radius)[2] & regular.all(axis=-1)
-    for r in np.flatnonzero(regular[:, -1] & ~regular.all(axis=-1)):
-        has_limit[r] = flag_limit(mats[r], face, tol, cluster_radius).flag is not None
-    return plus[:, -1], has_limit, ~regular[:, -1]
+    has_limit = _limit_verdicts(plus, LIMIT_TOL, CLUSTER_RADIUS)[2] & regular.all(axis=-1)
+    for r in np.flatnonzero(regular[:, -1] & ~regular.all(axis=-1)):  # ragged regular rows
+        has_limit[r] = flag_limit(mats[r], face).flag is not None
+    return plus[:, -1], has_limit, ~regular[:, -1]  # irregular: where flag_limit raises
 
 
 def conical_check(gs, tau: Flag, x, rho: float = 2.0) -> PropertyReport:

@@ -48,6 +48,7 @@ GAP_TOL = 1e-9
 RESIDUAL_TOL = 1e-3   # limit: Cauchy residual tail below which a ray's flags converge
 SEPARATION = 1e-3     # limit: flag distance between separated limit-set representatives
 CONICAL_LOOKAHEAD = 4  # limit: letters behind and ahead of a point in its conical window
+PAIR_BLOCK = 1 << 16  # limit: pairs of limit flags per stacked antipodality call
 BETA_PAD = 8          # anosov: letters sampled past the tested prefixes for the limit flag
 DIVERGENCE_LOGEPS = float(np.log(100.0))  # anosov: log expansion counted as divergent
 CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansion
@@ -574,22 +575,26 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample,
 def _pair_scan(limits: Flag, letters: np.ndarray):
     """(cross margin, all-pairs margin, closest cross pair, separated count) of limit flags.
 
-    All pairs (i, j < i) take one stacked call, i ascending, then j.  Cross
-    pairs are rays with different first letters, i.e. disjoint boundary cylinders.
+    Pairs (i, j < i) go i ascending, then j, one stacked call per block of `step` rows i, at
+    most PAIR_BLOCK pairs.  Cross pairs have different first letters (disjoint cylinders).
     """
-    i, j = np.tril_indices(len(letters), -1)
-    margins = antipodality_margin(limits[i], limits[j])
-    cross = np.where(letters[i, 0] != letters[j, 0], margins, math.inf)
-    min_margin = float(cross.min(initial=math.inf))
-    closest = None
-    if not math.isinf(min_margin):
+    min_margin, all_pairs_min, closest = math.inf, math.inf, None
+    step = max(1, PAIR_BLOCK // len(letters))
+    for lo in range(1, len(letters), step):  # row r of the np.tri block is i = lo + r, j < i
+        i, j = np.nonzero(np.tri(min(step, len(letters) - lo), len(letters), lo - 1, dtype=bool))
+        i += lo
+        margins = antipodality_margin(limits[i], limits[j])
+        all_pairs_min = min(all_pairs_min, float(margins.min()))
+        cross = np.where(letters[i, 0] != letters[j, 0], margins, math.inf)
         k = int(np.argmin(cross))  # the first of equal minima, in pair order
-        closest = (letters[i[k]].tolist(), letters[j[k]].tolist())
+        if cross[k] < min_margin:
+            min_margin = float(cross[k])
+            closest = (letters[i[k]].tolist(), letters[j[k]].tolist())
     reps = [0]  # greedy separated representatives, in sample order
     for r in range(1, len(letters)):
         if np.all(flag_distance(limits[r], limits[reps]) > SEPARATION):
             reps.append(r)
-    return min_margin, float(margins.min(initial=math.inf)), closest, len(reps)
+    return min_margin, all_pairs_min, closest, len(reps)
 
 
 def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,

@@ -28,6 +28,7 @@ from anosovcheck.flags import (
     transversality_margin,
     triu_inverse,
 )
+from anosovcheck import subgroup
 from anosovcheck.subgroup import (
     FreeGroupPresentation,
     ReducedWord,
@@ -324,7 +325,18 @@ def test_pair_scan_matches_loop(request, group, seed):
     assert _pair_scan(limits, letters) == (margin, all_pairs, closest, count)
 
 
-def test_pair_scan_ties_go_to_the_first_pair_in_order():
+@pytest.mark.parametrize("block", [1, 200, 1000, 1 << 16])
+@pytest.mark.parametrize("group", ["sl2", "sl3"])
+def test_blocked_pair_scan_matches_loop(request, monkeypatch, group, block):
+    # 60 rays in blocks of one row, of 3 and 16 rows, and in a single block
+    pres = request.getfixturevalue(f"{group}_pres")
+    sample = sample_rays(pres, 60, 12, seed=5, face=FaceType.full(pres.n))
+    limits = attractive_flag(sample.prefixes[:, -1], FaceType.full(pres.n))[0]
+    monkeypatch.setattr(subgroup, "PAIR_BLOCK", block)
+    assert _pair_scan(limits, sample.letters) == pair_scan_loop(limits, sample.letters)
+
+
+def test_pair_scan_ties_go_to_the_first_pair_in_order(monkeypatch):
     # lines e1, e2, e2, e1: pairs (2, 1) and (3, 0) both have margin 0.0 and
     # different first letters; pair order (i, then j) takes (2, 1), while
     # the last tie or a j-first order would take (3, 0)
@@ -334,4 +346,6 @@ def test_pair_scan_ties_go_to_the_first_pair_in_order():
     letters = np.array([[1, 2], [1, -2], [2, 1], [2, -1]])
     expected = (0.0, 0.0, ([2, 1], [1, -2]), 2)
     assert pair_scan_loop(limits, letters) == expected
+    assert _pair_scan(limits, letters) == expected
+    monkeypatch.setattr(subgroup, "PAIR_BLOCK", 4)  # (2, 1) and (3, 0) in separate blocks
     assert _pair_scan(limits, letters) == expected
