@@ -308,9 +308,11 @@ def test_flag_limits_rows_match_flag_limit(sl3_pres, case, kinds):
     assert kinds <= seen
 
 
+@pytest.mark.parametrize("block", [1, 200, 1 << 16])  # 60 rays: blocks of 1 and 3 rows, one block
 @pytest.mark.parametrize("seed", [1, 5])
 @pytest.mark.parametrize("group", ["sl2", "sl3"])
-def test_pair_scan_matches_loop(request, group, seed):
+def test_pair_scan_matches_loop(request, monkeypatch, group, seed, block):
+    monkeypatch.setattr(subgroup, "PAIR_BLOCK", block)
     pres = request.getfixturevalue(f"{group}_pres")
     face = FaceType.full(pres.n)
     rep = limit_report(pres, face, 12, 60, seed=seed)
@@ -323,17 +325,6 @@ def test_pair_scan_matches_loop(request, group, seed):
     assert rep.witnesses["closest_pair"] == closest
     assert rep.constants["limit_set_cardinality_lower_bound"] == count
     assert _pair_scan(limits, letters) == (margin, all_pairs, closest, count)
-
-
-@pytest.mark.parametrize("block", [1, 200, 1000, 1 << 16])
-@pytest.mark.parametrize("group", ["sl2", "sl3"])
-def test_blocked_pair_scan_matches_loop(request, monkeypatch, group, block):
-    # 60 rays in blocks of one row, of 3 and 16 rows, and in a single block
-    pres = request.getfixturevalue(f"{group}_pres")
-    sample = sample_rays(pres, 60, 12, seed=5, face=FaceType.full(pres.n))
-    limits = attractive_flag(sample.prefixes[:, -1], FaceType.full(pres.n))[0]
-    monkeypatch.setattr(subgroup, "PAIR_BLOCK", block)
-    assert _pair_scan(limits, sample.letters) == pair_scan_loop(limits, sample.letters)
 
 
 def test_pair_scan_ties_go_to_the_first_pair_in_order(monkeypatch):
