@@ -96,6 +96,8 @@ class ExperimentConfig:
             m = np.asarray(rows, dtype=float)
             if m.shape != (self.n, self.n):
                 raise ConfigError(f"{path}: generator {k} is not {self.n}x{self.n}")
+            if not np.isfinite(m).all():
+                raise ConfigError(f"{path}: generator {k} has a non-finite entry")
             det = float(np.linalg.det(m))
             if abs(det - 1.0) > 1e-6:
                 raise ConfigError(f"{path}: generator {k} determinant {det:.8f} is not 1")

@@ -381,12 +381,68 @@ def factored_block_coords(w: np.ndarray, face: FaceType) -> tuple[np.ndarray, fl
         v[lo:hi] = np.log(s)
         rows.append(u @ vt)
     v -= v.mean()
-    whitened = np.vstack(rows)
-    sig = np.linalg.svd(whitened, compute_uv=False)
-    logs = np.log(np.maximum(sig, 1e-300))
-    logs -= logs.mean()
-    off = float(np.linalg.norm(logs))
-    return v, off
+    return v, float(_whitened_off(np.vstack(rows)))
+
+
+def _whitened_off(mat: np.ndarray) -> np.ndarray:
+    """Spread of the centered log singular values of whitened n x n factors.
+
+    For n <= 3 the partial sums log s_1...s_k are read as log|^k mat|_2,
+    after Bochi-Potrie-Sambarino: the top singular values of mat and of its
+    cofactor matrix (the second exterior power up to signs and order) in
+    closed form, and |det mat|.  A top singular value keeps its relative
+    accuracy however small the later ones are, so no eigenvalue below the
+    top of a Gram matrix is taken.  Where the closed form loses digits, at
+    a doubled top value, the spread is flat to first order.  Larger n take
+    LAPACK's values.  Leading axes are batch axes.
+    """
+    n = mat.shape[-1]
+    if n > 3:
+        logs = np.log(np.maximum(np.linalg.svd(mat, compute_uv=False), 1e-300))
+        logs -= logs.mean(axis=-1, keepdims=True)
+        return row_norms(logs)
+    if n == 2:
+        a, b, c, d = mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 0], mat[..., 1, 1]
+        tops = [0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)), a * d - b * c]
+    else:
+
+        def dot(x, y):
+            return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+        def top(g00, g11, g22, g01, g02, g12):
+            # square root of the largest eigenvalue, trigonometric form
+            q = (g00 + g11 + g22) / 3.0
+            d0, d1, d2 = g00 - q, g11 - q, g22 - q
+            p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+            # s**3 stays normal; a p below the floor is negligible against q
+            s = np.maximum(p, 1e-90 * q + 1e-100)
+            r = (d0 * d1 * d2 + 2.0 * g01 * g02 * g12
+                 - d0 * g12 * g12 - d1 * g02 * g02 - d2 * g01 * g01) / (2.0 * s * s * s)
+            return np.sqrt(q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0))
+
+        # mat = L Q by modified Gram-Schmidt, which is backward stable for L;
+        # the cofactor matrix of mat is that of L times an orthogonal matrix
+        l, basis = {}, []
+        for i in range(3):
+            x = [mat[..., i, k] for k in range(3)]
+            for j, e in enumerate(basis):
+                l[i, j] = dot(e, x)
+                x = [xk - l[i, j] * ek for xk, ek in zip(x, e)]
+            l[i, i] = np.maximum(np.sqrt(dot(x, x)), 1e-300)
+            basis.append([xk / l[i, i] for xk in x])
+        l00, l10, l11, l20, l21, l22 = l[0, 0], l[1, 0], l[1, 1], l[2, 0], l[2, 1], l[2, 2]
+        c00, c01, c02 = l11 * l22, -l10 * l22, l10 * l21 - l11 * l20
+        c11, c12, c22 = l00 * l22, -l00 * l21, l00 * l11
+        tops = [top(l00 * l00, l10 * l10 + l11 * l11, l20 * l20 + l21 * l21 + l22 * l22,
+                    l00 * l10, l00 * l20, l10 * l20 + l11 * l21),
+                top(c00 * c00 + c01 * c01 + c02 * c02, c11 * c11 + c12 * c12, c22 * c22,
+                    c01 * c11 + c02 * c12, c02 * c22, c12 * c22),
+                c22 * l22]
+    # partial sums log s_1...s_k, then the log singular values about their mean
+    sums = [np.log(np.maximum(np.abs(t), 1e-300)) for t in tops]
+    mean = sums[-1] / n
+    devs = [b - a - mean for a, b in zip([0.0, *sums], sums)]
+    return np.sqrt(sum(x * x for x in devs))  # x * x: a scalar's x ** 2 calls pow
 
 
 def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType) -> tuple[np.ndarray, np.ndarray]:
@@ -422,13 +478,8 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType) -> tup
         rows.append(ud @ vtd)
         cols.append(ui @ vti)
     v -= v.mean(axis=-1, keepdims=True)
-    offs = []
-    for mat in (np.concatenate(rows, axis=-2), np.concatenate(cols, axis=-1)):
-        sig = np.linalg.svd(mat, compute_uv=False)
-        logs = np.log(np.maximum(sig, 1e-300))
-        logs -= logs.mean(axis=-1, keepdims=True)
-        offs.append(row_norms(logs))
-    return v, np.minimum(*offs)
+    return v, np.minimum(_whitened_off(np.concatenate(rows, axis=-2)),
+                         _whitened_off(np.concatenate(cols, axis=-1)))
 
 
 def segment_deficits(u: np.ndarray, tip: np.ndarray, tip_inv: np.ndarray, points,

@@ -4,10 +4,10 @@ Each oracle recomputes a library quantity along a different route:
 finite differences for expansion factors, tied-pair projections for wall
 distances, permutation search for the opposition involution, KKT
 certificates for sector projections, extended-precision mpmath
-arithmetic for singular frames of deep products, and a per-ray loop for
-limit's antipodality pair scan.  The flat-cone
-membership test and the type-set boundary angle are tools of the
-acceptance checks.
+arithmetic for singular frames of deep products and for the spread of
+log singular values, and a per-ray loop for limit's antipodality pair
+scan.  The flat-cone membership test and the type-set boundary angle are
+tools of the acceptance checks.
 """
 
 from __future__ import annotations
@@ -203,6 +203,20 @@ def exact_left_singular_frame(letters, digits: int = 90) -> np.ndarray:
         u, s, _ = mpmath.svd_r(m)
         order = sorted(range(n), key=lambda i: s[i], reverse=True)
         return np.array([[float(u[r, c]) for c in order] for r in range(n)])
+
+
+def off_mp(mat, digits: int = 50) -> float:
+    """Spread of the centered log singular values of one matrix.
+
+    The float entries are converted exactly and decomposed in
+    ``digits``-digit mpmath arithmetic, so the spread is that of the given
+    matrix however small its singular values are.
+    """
+    with mpmath.workdps(digits):
+        s = mpmath.svd_r(mpmath.matrix(np.asarray(mat).tolist()), compute_uv=False)
+        logs = [mpmath.log(x) for x in s]
+        mean = mpmath.fsum(logs) / len(logs)
+        return float(mpmath.sqrt(mpmath.fsum((x - mean) ** 2 for x in logs)))
 
 
 def pair_scan_loop(limits: Flag, letters: np.ndarray) -> tuple:

@@ -84,8 +84,10 @@ class TestConfigValidation:
         ({"checkers": ["anosov"], "ray_depth": 3, "ray_count": 4 * 3**10 + 1}, "'ray_count'"),
         ({"checkers": ["anosov"], "ray_depth": 2}, "'ray_depth'"),
         ({"checkers": ["uru"], "generators": []}, "'generators'"),
+        # a NaN determinant passes a tolerance test on |det - 1|
+        ({"generators": [[[float("nan"), 0.0], [0.0, 1.0]], np.eye(2).tolist()]}, "generator 0"),
     ], ids=["morse_depth", "ray_count", "ray_depth", "face", "limit_distinct_rays",
-            "anosov_distinct_rays", "anosov_ray_depth", "generators"])
+            "anosov_distinct_rays", "anosov_ray_depth", "generators", "nan_generator"])
     def test_out_of_range_rejected(self, tmp_path, capsys, overrides, key):
         p = tmp_path / "range.json"
         p.write_text(json.dumps(minimal_config(**overrides)))

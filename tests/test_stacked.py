@@ -28,7 +28,7 @@ from anosovcheck.flags import (
     transversality_margin,
     triu_inverse,
 )
-from anosovcheck import subgroup
+from anosovcheck import subgroup, symmspace
 from anosovcheck.subgroup import (
     FreeGroupPresentation,
     ReducedWord,
@@ -39,7 +39,7 @@ from anosovcheck.subgroup import (
     sample_rays,
 )
 from anosovcheck.symmspace import factored_coords_pair, segment_deficits
-from oracles import pair_scan_loop, pav_sequential, random_sl
+from oracles import off_mp, pair_scan_loop, pav_sequential, random_sl
 
 FACES = {
     2: [FaceType.full(2)],
@@ -89,6 +89,50 @@ def test_factored_coords_pair(rng, n):
         for idx in np.ndindex(w.shape[:2]):
             v1, off1 = factored_coords_pair(w[idx], wi[idx], face)
             assert np.array_equal(v[idx], v1) and off[idx] == off1, (face, idx)
+
+
+def assert_off_matches_oracle(off, exact, cond):
+    """The off distance against 50-digit values, at condition numbers cond.
+
+    Below off = 3 the bound is absolute.  Above it no float route does
+    better than eps * s_1 / s_n, the rounding of one entry carried to the
+    smallest singular value; LAPACK's values reach that bound on these
+    products, so it is taken where it exceeds 1e-12.
+    """
+    for k, ex in enumerate(exact):
+        bound = max(2e-14 if ex < 3 else 1e-12, np.finfo(float).eps * cond[k])
+        assert abs(off[k] - ex) <= bound, (k, off[k], ex)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_whitened_off_matches_oracle(rng, n, monkeypatch):
+    def cond(mats):
+        sig = np.linalg.svd(mats, compute_uv=False)
+        return sig[:, 0] / sig[:, -1]
+
+    mats, invs = products(rng, n)
+    whitened = []
+    kernel = symmspace._whitened_off
+    monkeypatch.setattr(symmspace, "_whitened_off", lambda m: whitened.append(m) or kernel(m))
+    for face in FACES[n]:
+        off = factored_coords_pair(mats, invs, face)[1]
+        rows, cols = whitened[-2:]
+        exact = [[off_mp(m) for m in side] for side in (rows, cols)]
+        for side, ex in zip((rows, cols), exact):
+            assert_off_matches_oracle(kernel(side), ex, cond(side))
+        if face == FaceType.make(3, [1]):
+            # the 2-block face end to end: the better-resolved side
+            assert_off_matches_oracle(off, np.minimum(*exact), np.maximum(cond(rows), cond(cols)))
+    # the identity, points on the parallel set, and doubled singular values,
+    # where the trigonometric form meets r = -1 or r = +1
+    q1, q2 = (qr_pos(rng.standard_normal((n, n)))[0] for _ in range(2))
+    spectra = [np.ones(n)] + [np.exp(1e-9 * rng.standard_normal(n)) for _ in range(3)]
+    if n == 3:
+        spectra += [np.array([2.0, 2.0, 0.25]), np.array([4.0, 0.5, 0.5])]
+    special = np.stack([np.diag(s) for s in spectra] + [q1 @ np.diag(s) @ q2 for s in spectra])
+    off = kernel(special)
+    assert off[0] == 0.0 and (off[1:4] < 1e-8).all()
+    assert_off_matches_oracle(off, [off_mp(m) for m in special], cond(special))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
