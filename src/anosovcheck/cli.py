@@ -25,7 +25,6 @@ import numpy as np
 
 from .chamber import FaceType
 from .errors import BudgetExceeded, IllConditioned, PingPongFailed, VanishingGap
-from .reports import jsonable
 from .subgroup import (
     BETA_PAD,
     FreeGroupPresentation,
@@ -35,15 +34,36 @@ from .subgroup import (
     uru_check,
 )
 
-CHECKER_ORDER = ("uru", "morse", "limit", "anosov")
+# Each checker's keyword options, in pipeline order; their defaults live in
+# the checker's signature.  morse_depth is morse's word length.
+CHECKER_OPTIONS = {
+    "uru": ("c_floor", "ratio_floor", "power_depth"),
+    "morse": ("rho_cap", "theta_floor"),
+    "limit": ("antipodal_floor", "conical_rho"),
+    "anosov": ("uniform_dev", "expansion_floor"),
+}
+CHECKER_ORDER = tuple(CHECKER_OPTIONS)
 RANDOMIZED_CHECKERS = {"limit", "anosov"}
 PLOT_KINDS = ("limit-set-rp2", "expansion-growth", "margin-histogram", "delta-projection")
-OPTION_KEYS = {"c_floor", "ratio_floor", "power_depth", "morse_depth", "rho_cap", "theta_floor",
-               "antipodal_floor", "conical_rho", "uniform_dev", "expansion_floor"}
+INT_OPTIONS = {"power_depth", "morse_depth"}
+OPTION_KEYS = INT_OPTIONS.union(*CHECKER_OPTIONS.values())
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _has_kind(value, kind) -> bool:
+    """Whether a JSON value has a kind: a type, a tuple of types, or [kind] for a list."""
+    if isinstance(kind, list):
+        return type(value) is list and all(_has_kind(v, kind[0]) for v in value)
+    return type(value) in (kind if isinstance(kind, tuple) else (kind,))
+
+
+NUMBER = (int, float)  # a JSON number; bool is not one
+FIELD_KINDS = {"name": str, "n": int, "generators": [[[NUMBER]]], "face": [int], "depth": int,
+               "ray_count": int, "ray_depth": int, "seed": (int, type(None)), "checkers": [str],
+               "out_dir": str, "options": dict}
 
 
 @dataclass
@@ -55,43 +75,46 @@ class ExperimentConfig:
     generators: list  # row-major n x n matrices
     face: list[int]
     depth: int            # word enumeration depth L
-    ray_count: int
-    ray_depth: int        # prefix depth N for boundary rays
-    seed: int | None
-    checkers: list[str]
-    out_dir: str
+    ray_count: int = 20
+    ray_depth: int = 10   # prefix depth N for boundary rays
+    seed: int | None = None
+    checkers: list[str] = field(default_factory=lambda: list(CHECKER_ORDER))
+    out_dir: str = "reports"
     options: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, raw: dict, path: str = "<config>") -> "ExperimentConfig":
-        try:
-            cfg = cls(
-                name=str(raw["name"]),
-                n=int(raw["n"]),
-                generators=raw["generators"],
-                face=[int(i) for i in raw["face"]],
-                depth=int(raw["depth"]),
-                ray_count=int(raw.get("ray_count", 20)),
-                ray_depth=int(raw.get("ray_depth", 10)),
-                seed=None if raw.get("seed") is None else int(raw["seed"]),
-                checkers=list(raw.get("checkers", list(CHECKER_ORDER))),
-                out_dir=str(raw.get("out_dir", "reports")),
-                options=dict(raw.get("options", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: a config is a JSON object")
         # a misspelt key would otherwise run silently on its default
+        opts = raw["options"] if isinstance(raw.get("options"), dict) else {}
         unknown = sorted(set(raw) - {f.name for f in fields(cls)}) + sorted(
-            f"options.{k}" for k in set(cfg.options) - OPTION_KEYS)
+            f"options.{k}" for k in set(opts) - OPTION_KEYS)
         if unknown:
             raise ConfigError(f"{path}: unknown keys {unknown}")
+        try:
+            cfg = cls(**raw)
+        except TypeError as exc:  # a required field is missing
+            raise ConfigError(f"{path}: {exc}") from exc
         cfg.validate(path)
+        cfg.options = {k: v if k in INT_OPTIONS else float(v) for k, v in cfg.options.items()}
         return cfg
 
+    @property
+    def morse_depth(self) -> int:
+        return self.options.get("morse_depth", min(self.depth, 8))
+
     def validate(self, path: str = "<config>"):
+        # integer fields, morse_depth and power_depth take JSON integers, other knobs numbers
+        typed = {k: _has_kind(getattr(self, k), kind) for k, kind in FIELD_KINDS.items()}
+        opts = self.options if typed["options"] else {}
+        typed.update((f"options.{k}", _has_kind(v, int if k in INT_OPTIONS else NUMBER))
+                     for k, v in opts.items())
+        mistyped = sorted(k for k, ok in typed.items() if not ok)
+        if mistyped:
+            raise ConfigError(f"{path}: values of the wrong type for keys {mistyped}")
         if self.n < 2:
             raise ConfigError(f"{path}: n must be >= 2")
-        mats = []
         for k, rows in enumerate(self.generators):
             m = np.asarray(rows, dtype=float)
             if m.shape != (self.n, self.n):
@@ -101,7 +124,6 @@ class ExperimentConfig:
             det = float(np.linalg.det(m))
             if abs(det - 1.0) > 1e-6:
                 raise ConfigError(f"{path}: generator {k} determinant {det:.8f} is not 1")
-            mats.append(m)
         if not self.face or not all(1 <= i <= self.n - 1 for i in self.face):
             raise ConfigError(f"{path}: face indices must lie in 1..{self.n - 1}")
         unknown = [c for c in self.checkers if c not in CHECKER_ORDER]
@@ -118,7 +140,7 @@ class ExperimentConfig:
         # ranges a checker would fail on with a traceback, or certify on no data
         checks = (
             (not self.generators, "'generators' must hold at least one matrix"),
-            ("morse" in self.checkers and self.options.get("morse_depth", 2) < 2,
+            ("morse" in self.checkers and self.morse_depth < 2,
              "'options.morse_depth' must be >= 2 for morse"),
             ("limit" in self.checkers and self.ray_count < 2, "'ray_count' must be >= 2 for limit"),
             ("anosov" in self.checkers and self.ray_count < 1,
@@ -163,7 +185,7 @@ def bundled_config_path(name: str) -> Path:
 
 def _dump_json(payload: dict, path: Path):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def run_config(path, seed: int | None = None, out_dir: str | None = None) -> int:
@@ -179,36 +201,20 @@ def run_config(path, seed: int | None = None, out_dir: str | None = None) -> int
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     pres = cfg.presentation()
     face = cfg.face_type()
-    opts = cfg.options
     reports: dict[str, dict] = {}
     ordered = [c for c in CHECKER_ORDER if c in cfg.checkers]
     try:
         for checker in ordered:
+            # only the options the config sets; the rest take the checker's defaults
+            opts = {k: cfg.options[k] for k in CHECKER_OPTIONS[checker] if k in cfg.options}
             if checker == "uru":
-                rep = uru_check(
-                    pres, face, cfg.depth,
-                    c_floor=float(opts.get("c_floor", 0.05)),
-                    ratio_floor=float(opts.get("ratio_floor", 0.02)),
-                    power_depth=int(opts.get("power_depth", 256)),
-                )
+                rep = uru_check(pres, face, cfg.depth, **opts)
             elif checker == "morse":
-                rep = morse_check(
-                    pres, face, int(opts.get("morse_depth", min(cfg.depth, 8))),
-                    rho_cap=float(opts.get("rho_cap", 1.0)),
-                    theta_floor=float(opts.get("theta_floor", 0.05)),
-                )
+                rep = morse_check(pres, face, cfg.morse_depth, **opts)
             elif checker == "limit":
-                rep = limit_report(
-                    pres, face, cfg.ray_depth, cfg.ray_count, cfg.seed,
-                    antipodal_floor=float(opts.get("antipodal_floor", 0.01)),
-                    conical_rho=float(opts.get("conical_rho", 2.0)),
-                )
+                rep = limit_report(pres, face, cfg.ray_depth, cfg.ray_count, cfg.seed, **opts)
             else:
-                rep = anosov_check(
-                    pres, face, cfg.ray_count, cfg.ray_depth, cfg.seed,
-                    uniform_dev=float(opts.get("uniform_dev", 0.2)),
-                    expansion_floor=float(opts.get("expansion_floor", 0.05)),
-                )
+                rep = anosov_check(pres, face, cfg.ray_count, cfg.ray_depth, cfg.seed, **opts)
             payload = rep.as_dict()
             payload["config"] = {"name": cfg.name, "n": cfg.n, "face": cfg.face,
                                  "seed": cfg.seed, "depth": cfg.depth,
@@ -244,6 +250,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
+def _write_svg(path: Path, w: int, h: int, pad: int, title: str, body: list[str]):
+    head = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        f'<text x="{pad}" y="24" font-family="monospace" font-size="14">{title}</text>',
+    ]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(head + body + ["</svg>"]) + "\n")
+
+
 def _svg_scatter(path: Path, pts: list[tuple[float, float]], title: str,
                  polylines: list[list[tuple[float, float]]] | None = None):
     w, h, pad = 640, 640, 48
@@ -262,29 +278,19 @@ def _svg_scatter(path: Path, pts: list[tuple[float, float]], title: str,
     def ty(y):
         return h - pad - (y - y0) * sy
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<text x="{pad}" y="24" font-family="monospace" font-size="14">{title}</text>',
-    ]
+    parts = []
     for line in polylines or []:
         d = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in line)
         parts.append(f'<polyline points="{d}" fill="none" stroke="#888" stroke-width="1"/>')
     for x, y in pts:
         parts.append(f'<circle cx="{_fmt(tx(x))}" cy="{_fmt(ty(y))}" r="2.5" fill="#1a66cc"/>')
-    parts.append("</svg>")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n")
+    _write_svg(path, w, h, pad, title, parts)
 
 
-def _svg_bars(path: Path, edges: list[float], counts: list[int], title: str):
+def _svg_bars(path: Path, counts: list[int], title: str):
     w, h, pad = 640, 480, 48
     top = max(counts) if counts else 1
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<text x="{pad}" y="24" font-family="monospace" font-size="14">{title}</text>',
-    ]
+    parts = []
     nb = len(counts)
     for k, c in enumerate(counts):
         bw = (w - 2 * pad) / max(nb, 1)
@@ -293,9 +299,7 @@ def _svg_bars(path: Path, edges: list[float], counts: list[int], title: str):
             f'<rect x="{_fmt(pad + k * bw)}" y="{_fmt(h - pad - bh)}" '
             f'width="{_fmt(bw * 0.9)}" height="{_fmt(bh)}" fill="#1a66cc"/>'
         )
-    parts.append("</svg>")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n")
+    _write_svg(path, w, h, pad, title, parts)
 
 
 def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
@@ -352,20 +356,17 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
             for ray in det.get("rays", []):
                 if "conical_geometric_sup" in ray:
                     vals.append(float(ray["conical_geometric_sup"]))
-        rows = []
+        rows, counts, title = [], [], "margin histogram (empty)"
         if vals:
             arr = np.array(vals)
             span = (float(arr.min()), float(arr.max()))
             if span[1] - span[0] <= 1e-9 * max(1.0, abs(span[1])):
                 span = (span[0] - 0.5, span[1] + 0.5)
             counts, edges = np.histogram(arr, bins=16, range=span)
-            for k in range(len(counts)):
-                rows.append([float(edges[k]), float(edges[k + 1]), int(counts[k])])
-            _write_csv(csv_path, ["lo", "hi", "count"], rows)
-            _svg_bars(svg_path, list(edges), list(counts), "margin histogram")
-        else:
-            _write_csv(csv_path, ["lo", "hi", "count"], [])
-            _svg_bars(svg_path, [], [], "margin histogram (empty)")
+            rows = [[float(lo), float(hi), int(c)] for lo, hi, c in zip(edges, edges[1:], counts)]
+            title = "margin histogram"
+        _write_csv(csv_path, ["lo", "hi", "count"], rows)
+        _svg_bars(svg_path, list(counts), title)
     else:  # delta-projection
         rows = []
         lines = []

@@ -29,6 +29,7 @@ from .errors import (
     VanishingGap,
 )
 from .flags import (
+    GAP_TOL,
     Flag,
     act_on_flag,
     action_differential,
@@ -44,7 +45,6 @@ from .flags import (
 from .reports import PropertyReport
 from .symmspace import normalize_det, segment_deficits
 
-GAP_TOL = 1e-9
 RESIDUAL_TOL = 1e-3   # limit: Cauchy residual tail below which a ray's flags converge
 SEPARATION = 1e-3     # limit: flag distance between separated limit-set representatives
 CONICAL_LOOKAHEAD = 4  # limit: letters behind and ahead of a point in its conical window
@@ -273,7 +273,7 @@ def power_probe(pres: FreeGroupPresentation, max_power: int = 256, norm_cap: flo
 
 def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
               c_floor: float = 0.05, ratio_floor: float = 0.02,
-              power_depth: int = 256, max_words: int = 2_000_000) -> PropertyReport:
+              power_depth: int = 256) -> PropertyReport:
     """Undistortion and uniform regularity over all geodesic words.
 
     Fits the best linear lower bound on orbit distance versus word
@@ -292,7 +292,7 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     ratio_witness: tuple[int, ...] = ()
     ratio_dfs = -1
 
-    for level in word_levels(pres, length, max_words):
+    for level in word_levels(pres, length):
         el = level.letters.shape[1]
         delta = _resolved_logs(np.linalg.svd(level.mats, compute_uv=False),
                                np.linalg.svd(level.invs, compute_uv=False))
@@ -381,8 +381,7 @@ def _level_index(letters: np.ndarray, rank: int) -> np.ndarray:
 
 
 def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
-                rho_cap: float = 1.0, theta_floor: float = 0.02,
-                gap_tol: float = GAP_TOL, max_words: int = 2_000_000) -> PropertyReport:
+                rho_cap: float = 1.0, theta_floor: float = 0.05) -> PropertyReport:
     """Closeness of orbit segments to diamonds, quantified by a deficit.
 
     Every reduced word is the canonical representative of all its
@@ -406,11 +405,11 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     vanishing: list[tuple[int, list[int]]] = []
     # per length and branch: letters, depth-first ranks, regular mask, deficits
     scanned: dict[int, list[tuple[np.ndarray, ...]]] = {}
-    for branch in _branches(word_levels(pres, length, max_words)):
+    for branch in _branches(word_levels(pres, length)):
         for el, level in enumerate(branch, start=1):
             u, _, logs = _two_sided_svd(level.mats, level.invs)
             gaps = (logs[:, dims - 1] - logs[:, dims]).min(axis=1)
-            ok = ~(gaps < gap_tol)
+            ok = ~(gaps < GAP_TOL)
             vanishing += zip(level.dfs[~ok].tolist(), level.letters[~ok].tolist())
             rows = np.flatnonzero(ok)
             if rows.size:
@@ -462,7 +461,7 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
             "rho_cap": rho_cap,
             "theta_floor": theta_floor,
             "length": length,
-            "gap_tol": gap_tol,
+            "gap_tol": GAP_TOL,
         },
         witnesses={
             "worst_word": worst[0],

@@ -29,7 +29,6 @@ from .flags import Flag, GAP_TOL, flag_distance, qr_pos
 from .reports import PropertyReport
 
 DET_TOL = 1e-8
-EIG_CLUSTER_TOL = 1e-12
 
 
 def _mat(x) -> np.ndarray:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import pytest
 
 import anosovcheck
 from anosovcheck.cli import (
+    CHECKER_OPTIONS,
+    CHECKER_ORDER,
     ConfigError,
     ExperimentConfig,
     bundled_config_path,
@@ -16,6 +19,7 @@ from anosovcheck.cli import (
     main,
     run_config,
 )
+from anosovcheck.subgroup import anosov_check, limit_report, morse_check, uru_check
 
 
 def minimal_config(**overrides):
@@ -86,8 +90,27 @@ class TestConfigValidation:
         ({"checkers": ["uru"], "generators": []}, "'generators'"),
         # a NaN determinant passes a tolerance test on |det - 1|
         ({"generators": [[[float("nan"), 0.0], [0.0, 1.0]], np.eye(2).tolist()]}, "generator 0"),
+        # integer fields, morse_depth and power_depth take JSON integers, other knobs numbers
+        ({"depth": 5.9}, "'depth'"),
+        ({"depth": "5"}, "'depth'"),
+        ({"seed": "7"}, "'seed'"),
+        ({"name": ["a"]}, "'name'"),
+        ({"face": [True]}, "'face'"),
+        ({"options": [["rho_cap", 1.0]]}, "'options'"),
+        ({"options": None}, "'options'"),
+        ({"options": {"rho_cap": "big"}}, "'options.rho_cap'"),
+        ({"options": {"rho_cap": None}}, "'options.rho_cap'"),
+        ({"options": {"c_floor": True}}, "'options.c_floor'"),
+        ({"checkers": ["morse"], "options": {"morse_depth": "4"}}, "'options.morse_depth'"),
+        ({"options": {"power_depth": 256.0}}, "'options.power_depth'"),
+        ({"generators": 5}, "'generators'"),
+        ({"generators": [[["1", 0.0], [0.0, 1.0]]]}, "'generators'"),
     ], ids=["morse_depth", "ray_count", "ray_depth", "face", "limit_distinct_rays",
-            "anosov_distinct_rays", "anosov_ray_depth", "generators", "nan_generator"])
+            "anosov_distinct_rays", "anosov_ray_depth", "generators", "nan_generator",
+            "float_depth", "string_depth", "string_seed", "list_name", "bool_face",
+            "list_options", "null_options", "string_knob", "null_knob", "bool_knob",
+            "string_morse_depth", "float_power_depth", "number_generators",
+            "string_generator_entry"])
     def test_out_of_range_rejected(self, tmp_path, capsys, overrides, key):
         p = tmp_path / "range.json"
         p.write_text(json.dumps(minimal_config(**overrides)))
@@ -119,6 +142,27 @@ class TestRun:
         assert summary["verdicts"]["uru"] is True
         uru = json.loads((out / "uru.json").read_text())
         assert "thresholds" in uru and uru["thresholds"]["c_floor"] == 0.05
+
+    def test_defaults_are_the_checkers_own(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(checkers=list(CHECKER_ORDER))))
+        out = tmp_path / "out"
+        assert run_config(p, out_dir=str(out)) == 0
+        checkers = zip(CHECKER_ORDER, (uru_check, morse_check, limit_report, anosov_check))
+        for name, checker in checkers:
+            defaults = {k: par.default for k, par in inspect.signature(checker).parameters.items()
+                        if par.default is not inspect.Parameter.empty}
+            # a checker's keyword parameters are exactly its config options
+            assert set(defaults) == set(CHECKER_OPTIONS[name])
+            thresholds = json.loads((out / f"{name}.json").read_text())["thresholds"]
+            assert {k: thresholds[k] for k in defaults} == defaults, name
+
+    def test_integer_knob_value_reported_as_float(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(checkers=["morse"], options={"rho_cap": 2})))
+        out = tmp_path / "out"
+        assert run_config(p, out_dir=str(out)) == 0
+        assert '"rho_cap": 2.0,' in (out / "morse.json").read_text()
 
     def test_hard_failure_exit_one(self, tmp_path):
         # rotation generators are never regular: the limit checker cannot
