@@ -27,6 +27,7 @@ from .chamber import FaceType
 from .errors import BudgetExceeded, IllConditioned, PingPongFailed, VanishingGap
 from .subgroup import (
     BETA_PAD,
+    DET_TOL,
     FreeGroupPresentation,
     anosov_check,
     limit_report,
@@ -105,14 +106,15 @@ class ExperimentConfig:
         return self.options.get("morse_depth", min(self.depth, 8))
 
     def validate(self, path: str = "<config>"):
-        # integer fields, morse_depth and power_depth take JSON integers, other knobs numbers
+        # integer fields, morse_depth and power_depth take JSON integers, other knobs numbers;
+        # knobs are finite and positive, as a floor or cap at or below 0 decides on no data
         typed = {k: _has_kind(getattr(self, k), kind) for k, kind in FIELD_KINDS.items()}
         opts = self.options if typed["options"] else {}
-        typed.update((f"options.{k}", _has_kind(v, int if k in INT_OPTIONS else NUMBER))
-                     for k, v in opts.items())
+        typed.update((f"options.{k}", _has_kind(v, int if k in INT_OPTIONS else NUMBER)
+                      and 0 < v < math.inf) for k, v in opts.items())
         mistyped = sorted(k for k, ok in typed.items() if not ok)
         if mistyped:
-            raise ConfigError(f"{path}: values of the wrong type for keys {mistyped}")
+            raise ConfigError(f"{path}: values of the wrong type or range for keys {mistyped}")
         if self.n < 2:
             raise ConfigError(f"{path}: n must be >= 2")
         for k, rows in enumerate(self.generators):
@@ -122,7 +124,7 @@ class ExperimentConfig:
             if not np.isfinite(m).all():
                 raise ConfigError(f"{path}: generator {k} has a non-finite entry")
             det = float(np.linalg.det(m))
-            if abs(det - 1.0) > 1e-6:
+            if abs(det - 1.0) > DET_TOL:
                 raise ConfigError(f"{path}: generator {k} determinant {det:.8f} is not 1")
         if not self.face or not all(1 <= i <= self.n - 1 for i in self.face):
             raise ConfigError(f"{path}: face indices must lie in 1..{self.n - 1}")

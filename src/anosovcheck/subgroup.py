@@ -43,7 +43,7 @@ from .flags import (
     transversality_margin,
 )
 from .reports import PropertyReport
-from .symmspace import normalize_det, segment_deficits
+from .symmspace import DET_TOL, log_top_singular, normalize_det, segment_deficits
 
 RESIDUAL_TOL = 1e-3   # limit: Cauchy residual tail below which a ray's flags converge
 SEPARATION = 1e-3     # limit: flag distance between separated limit-set representatives
@@ -52,6 +52,7 @@ PAIR_BLOCK = 1 << 16  # limit: pairs of limit flags per stacked antipodality cal
 BETA_PAD = 8          # anosov: letters sampled past the tested prefixes for the limit flag
 DIVERGENCE_LOGEPS = float(np.log(100.0))  # anosov: log expansion counted as divergent
 CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansion
+TIE_RTOL = 1e-12      # uru: relative distance within which witnesses tie
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class FreeGroupPresentation:
         for g in gens:
             if g.shape != (n, n):
                 raise ValueError("generators must share a common size")
-            if abs(np.linalg.det(g) - 1.0) > 1e-8:
+            if abs(np.linalg.det(g) - 1.0) > DET_TOL:
                 raise ValueError(f"generator determinant {np.linalg.det(g):.8f} is not 1")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "inverses", tuple(np.linalg.inv(g) for g in gens))
@@ -140,6 +141,7 @@ class WordLevel(NamedTuple):
     letters: np.ndarray  # (N, L) signed letters
     mats: np.ndarray     # (N, n, n) word products
     invs: np.ndarray     # (N, n, n) their exactly accumulated inverses
+    logdets: np.ndarray  # (N,) log|det| of the products, summed letter by letter
     parent: np.ndarray   # (N,) row of each word's prefix in the previous level
     dfs: np.ndarray      # (N,) rank of each word among all words in depth-first order
 
@@ -160,6 +162,7 @@ def word_levels(pres: FreeGroupPresentation, length: int, max_words: int = 2_000
     order = np.array(_letter_order(pres.rank), dtype=np.int8)
     gens = np.stack([pres.letter_matrix(lt) for lt in order])
     inv_gens = np.stack([pres.letter_matrix(-lt) for lt in order])
+    logdets = np.linalg.slogdet(gens)[1]
     kids = 2 * pres.rank - 1
     # subtree[el]: words in the subtree of a word of length el, itself included
     subtree = [0] * (length + 2)
@@ -167,7 +170,7 @@ def word_levels(pres: FreeGroupPresentation, length: int, max_words: int = 2_000
         subtree[el] = 1 + kids * subtree[el + 1]
     for first in range(len(order)):
         digit = np.array([first])  # index in letter order of each word's last letter
-        level = WordLevel(order[digit][:, None], gens[digit], inv_gens[digit],
+        level = WordLevel(order[digit][:, None], gens[digit], inv_gens[digit], logdets[digit],
                           np.zeros(1, dtype=np.intp), digit * subtree[1])
         yield level
         for el in range(2, length + 1):
@@ -178,6 +181,7 @@ def word_levels(pres: FreeGroupPresentation, length: int, max_words: int = 2_000
                 np.concatenate([level.letters[parent], order[digit][:, None]], axis=1),
                 level.mats[parent] @ gens[digit],
                 inv_gens[digit] @ level.invs[parent],
+                level.logdets[parent] + logdets[digit],
                 parent,
                 level.dfs[parent] + 1 + child * subtree[el],
             )
@@ -210,20 +214,38 @@ def enumerate_geodesics(pres: FreeGroupPresentation, length: int,
 def _resolved_logs(s: np.ndarray, si: np.ndarray) -> np.ndarray:
     """Centered logs from the singular values of m and of its inverse.
 
-    A direct SVD loses values below eps times the top one; for a
-    unit-determinant matrix with an exactly accumulated inverse, the
-    small values are the reciprocals of the inverse's large ones.  Each
-    log is read from the resolving side.  Leading axes are batch axes.
+    A direct SVD loses values below eps times the top one; with an exactly accumulated
+    inverse, the small values are the reciprocals of the inverse's large ones.  Each log
+    comes from the side with the larger resolution ratio, as ``_two_sided_svd`` picks
+    columns.  Leading axes are batch axes.
     """
-    big = s >= 1.0
+    direct = s / s[..., :1] >= si[..., ::-1] / si[..., :1]
     # np.where evaluates both sides: keep the unused logs' arguments at 1
-    logs = np.where(big, np.log(np.where(big, s, 1.0)),
-                    -np.log(np.where(big, 1.0, si[..., ::-1])))
+    logs = np.where(direct, np.log(np.where(direct, s, 1.0)),
+                    -np.log(np.where(direct, 1.0, si[..., ::-1])))
     return logs - logs.mean(axis=-1, keepdims=True)
 
 
-def _two_sided_svd(m: np.ndarray, minv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left singular frame, singular values and centered logs of m.
+def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray) -> np.ndarray:
+    """Centered log singular values of m, from m and its exactly accumulated inverse.
+
+    After Bochi-Potrie-Sambarino: top singular values stay resolved, so at n <= 3 the logs
+    come in closed form from s_1(m), s_1(minv) = 1 / s_n(m) and D = ``logdet`` = log|det m|;
+    the middle one at n = 3 is -d_1 - d_3.  Larger n take ``_resolved_logs`` of LAPACK's
+    values.  Leading axes are batch axes.
+    """
+    n = m.shape[-1]
+    if n > 3:
+        return _resolved_logs(*np.linalg.svd(np.stack([m, minv]), compute_uv=False))
+    top, bottom = log_top_singular(m), -log_top_singular(minv)
+    if n == 2:
+        return np.stack([0.5 * (top - bottom), 0.5 * (bottom - top)], axis=-1)
+    top, bottom = top - logdet / 3.0, bottom - logdet / 3.0
+    return np.stack([top, -top - bottom, bottom], axis=-1)
+
+
+def _two_sided_svd(m: np.ndarray, minv: np.ndarray) -> np.ndarray:
+    """Left singular frame of m.
 
     A direct SVD resolves left singular vector j only while sigma_j is
     not lost below eps * sigma_1; past that its trailing columns are
@@ -247,28 +269,38 @@ def _two_sided_svd(m: np.ndarray, minv: np.ndarray) -> tuple[np.ndarray, np.ndar
     frame = np.empty_like(u)
     np.put_along_axis(frame, cols, np.linalg.qr(np.take_along_axis(picked, cols, axis=-1))[0],
                       axis=-1)
-    return frame, s, _resolved_logs(s, si)
+    return frame
 
 
 def power_probe(pres: FreeGroupPresentation, max_power: int = 256, norm_cap: float = 1e6):
-    """Orbit growth along generator powers, stopped before precision loss.
+    """Orbit growth along generator powers, stopped once s_1 passes norm_cap.
 
     Yields (generator index, power, chamber vector).  Distorted cyclic
     subgroups keep the norms small and are probed deep; strongly
     proximal generators hit the cap after a few steps, where the
     enumerated words already witness linear growth.
     """
-    for i, g in enumerate(pres.generators, start=1):
-        m = np.eye(pres.n)
+    for i, (g, gi) in enumerate(zip(pres.generators, pres.inverses), start=1):
+        m, minv, logdet = np.eye(pres.n), np.eye(pres.n), np.linalg.slogdet(g)[1]
         for k in range(1, max_power + 1):
-            m = m @ g
-            if k % 16 == 0:
-                m = normalize_det(m)
-            s = np.linalg.svd(m, compute_uv=False)
-            if s[0] > norm_cap:
+            m, minv = m @ g, gi @ minv
+            delta = _two_sided_logs(m, minv, k * logdet)
+            if delta[0] + k * logdet / pres.n > math.log(norm_cap):  # log s_1(m)
                 break
-            logs = np.log(s)
-            yield i, k, logs - logs.mean()
+            yield i, k, delta
+
+
+def _records(values: np.ndarray, level: WordLevel) -> list[tuple]:
+    """(value, depth-first rank, letters) of a level's words below all earlier ones."""
+    # a level lists its words depth first, so no other word can be a _first_tied witness
+    record = np.concatenate(([True], values[1:] < np.minimum.accumulate(values)[:-1]))
+    return [(values[i], level.dfs[i], level.letters[i].tolist()) for i in np.flatnonzero(record)]
+
+
+def _first_tied(candidates: list[tuple]) -> tuple:
+    """The first candidate depth first within TIE_RTOL of the least value, which uru publishes."""
+    lo = min(c[0] for c in candidates)
+    return min((c for c in candidates if c[0] <= lo + TIE_RTOL * abs(lo)), key=lambda c: c[1])
 
 
 def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
@@ -285,30 +317,22 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
         raise ValueError("need length >= 4")
     dims = np.array(face.dims, dtype=int)
     sqrt2 = math.sqrt(2.0)
-    per_len_min = np.full(length + 1, np.inf)
-    per_len_argmin: dict[int, tuple[int, ...]] = {}
     tail_start = max(2, length // 2 + 1)
-    ratio_min = np.inf
-    ratio_witness: tuple[int, ...] = ()
-    ratio_dfs = -1
+    # witness candidates per length by distance, and on the tail by ratio
+    by_length: dict[int, list[tuple]] = {}
+    flattest: list[tuple] = []
 
     for level in word_levels(pres, length):
         el = level.letters.shape[1]
-        delta = _resolved_logs(np.linalg.svd(level.mats, compute_uv=False),
-                               np.linalg.svd(level.invs, compute_uv=False))
+        delta = _two_sided_logs(level.mats, level.invs, level.logdets)
         dist = row_norms(delta)
-        i = int(np.argmin(dist))
-        if dist[i] < per_len_min[el]:
-            per_len_min[el] = dist[i]
-            per_len_argmin[el] = tuple(level.letters[i].tolist())
+        by_length.setdefault(el, []).extend(_records(dist, level))
         if el >= tail_start:
             margin = (delta[:, dims - 1] - delta[:, dims]).min(axis=1) / sqrt2
             ratio = np.divide(margin, dist, out=np.full_like(dist, np.inf), where=dist > 0)
-            i = int(np.argmin(ratio))
-            # a tie goes to the word that comes first depth first
-            if ratio[i] < ratio_min or (ratio[i] == ratio_min and level.dfs[i] < ratio_dfs):
-                ratio_min, ratio_dfs = ratio[i], level.dfs[i]
-                ratio_witness = tuple(level.letters[i].tolist())
+            flattest.extend(_records(ratio, level))
+    slowest = {el: _first_tied(candidates) for el, candidates in by_length.items()}
+    ratio_min, _, ratio_witness = _first_tied(flattest)
 
     probe_pts = []
     for i, k, delta in power_probe(pres, max_power=power_depth):
@@ -317,10 +341,10 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
         probe_pts.append((i, k, dist, ratio))
 
     lengths = np.arange(1, length + 1, dtype=float)
-    mins = per_len_min[1:]
+    mins = np.array([slowest[el][0] for el in range(1, length + 1)])
     c_fit, intercept = np.polyfit(lengths, mins, 1)
     c_prime = float(max(0.0, np.max(c_fit * lengths - mins)))
-    cert_pts = [(el, per_len_min[el]) for el in range(tail_start, length + 1)]
+    cert_pts = [(el, mins[el - 1]) for el in range(tail_start, length + 1)]
     cert_pts += [(k, d) for _, k, d, _ in probe_pts if k >= tail_start]
     c_certificate = min(d / el for el, d in cert_pts)
     probe_ratio_min = min((r for _, k, _, r in probe_pts if k >= tail_start), default=np.inf)
@@ -336,7 +360,7 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
             "c_prime": c_prime,
             "c_certificate": float(c_certificate),
             "uniform_ratio_min": ratio_all,
-            "per_length_min": per_len_min[1:],
+            "per_length_min": mins,
         },
         thresholds={
             "c_floor": c_floor,
@@ -346,8 +370,8 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
             "power_depth": power_depth,
         },
         witnesses={
-            "ratio_word": list(ratio_witness),
-            "slowest_words": {str(el): list(w) for el, w in sorted(per_len_argmin.items())},
+            "ratio_word": ratio_witness,
+            "slowest_words": {str(el): w for el, (_, _, w) in sorted(slowest.items())},
             "probe_tail": [list(p) for p in probe_pts[-4:]],
         },
         details={
@@ -407,7 +431,8 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     scanned: dict[int, list[tuple[np.ndarray, ...]]] = {}
     for branch in _branches(word_levels(pres, length)):
         for el, level in enumerate(branch, start=1):
-            u, _, logs = _two_sided_svd(level.mats, level.invs)
+            u = _two_sided_svd(level.mats, level.invs)
+            logs = _two_sided_logs(level.mats, level.invs, level.logdets)
             gaps = (logs[:, dims - 1] - logs[:, dims]).min(axis=1)
             ok = ~(gaps < GAP_TOL)
             vanishing += zip(level.dfs[~ok].tolist(), level.letters[~ok].tolist())
@@ -482,6 +507,7 @@ class RaySample(NamedTuple):
     schemes: np.ndarray   # (R,) "power" | "random"
     prefixes: np.ndarray  # (R, N, n, n) products of the first k + 1 letters
     inverses: np.ndarray  # (R, N, n, n) their exactly accumulated inverses
+    logdets: np.ndarray   # (R, N) log|det| of the prefixes, summed letter by letter
     tails: Flag           # (R, N + 1) flags of the suffixes letters[:, k:]
 
 
@@ -526,7 +552,7 @@ def sample_rays(pres: FreeGroupPresentation, count: int, depth: int, seed: int,
         prefixes[:, k] = m = m @ steps[:, k]
         inverses[:, k] = mi = inv_steps[:, k] @ mi
     return RaySample(letters, np.array(list(schemes.values())), prefixes, inverses,
-                     suffix_flags(steps, face))
+                     np.cumsum(np.linalg.slogdet(steps)[1], axis=1), suffix_flags(steps, face))
 
 
 def _conical_rays(pres: FreeGroupPresentation, sample: RaySample,
@@ -627,8 +653,7 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     sample = RaySample(*(field[regular] for field in sample))
     flags = plus[regular]
     residuals = flag_distance(flags[:, :-1], flags[:, 1:]).tolist()
-    deltas = _resolved_logs(np.linalg.svd(sample.prefixes, compute_uv=False),
-                            np.linalg.svd(sample.inverses, compute_uv=False))
+    deltas = _two_sided_logs(sample.prefixes, sample.inverses, sample.logdets)
     conical, sups = _conical_rays(pres, sample, conical_rho)
     samples = [{
         "letters": sample.letters[i].tolist(),

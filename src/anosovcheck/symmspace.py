@@ -383,6 +383,34 @@ def factored_block_coords(w: np.ndarray, face: FaceType) -> tuple[np.ndarray, fl
     return v, float(_whitened_off(np.vstack(rows)))
 
 
+def _dot(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _gram_top(g00, g11, g22, g01, g02, g12):
+    """Square root of the top eigenvalue of symmetric 3 x 3 matrices, by entries (trigonometric)."""
+    q = (g00 + g11 + g22) / 3.0
+    d0, d1, d2 = g00 - q, g11 - q, g22 - q
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+    # s**3 stays normal; a p below the floor is negligible against q
+    s = np.maximum(p, 1e-90 * q + 1e-100)
+    r = (d0 * d1 * d2 + 2.0 * g01 * g02 * g12
+         - d0 * g12 * g12 - d1 * g02 * g02 - d2 * g01 * g01) / (2.0 * s * s * s)
+    return np.sqrt(q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0))
+
+
+def log_top_singular(mat: np.ndarray) -> np.ndarray:
+    """Log of the top singular value of stacked 2 x 2 or 3 x 3 matrices, in closed form."""
+    if mat.shape[-1] == 2:
+        a, b, c, d = mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 0], mat[..., 1, 1]
+        return np.log(np.maximum(0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)), 1e-300))
+    # scaled by the largest entry, so no cube in _gram_top overflows
+    scale = np.maximum(np.abs(mat).max(axis=(-2, -1)), 1e-300)
+    r0, r1, r2 = ([mat[..., i, k] / scale for k in range(3)] for i in range(3))
+    return np.log(scale) + np.log(_gram_top(_dot(r0, r0), _dot(r1, r1), _dot(r2, r2),
+                                            _dot(r0, r1), _dot(r0, r2), _dot(r1, r2)))
+
+
 def _whitened_off(mat: np.ndarray) -> np.ndarray:
     """Spread of the centered log singular values of whitened n x n factors.
 
@@ -404,38 +432,23 @@ def _whitened_off(mat: np.ndarray) -> np.ndarray:
         a, b, c, d = mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 0], mat[..., 1, 1]
         tops = [0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)), a * d - b * c]
     else:
-
-        def dot(x, y):
-            return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
-        def top(g00, g11, g22, g01, g02, g12):
-            # square root of the largest eigenvalue, trigonometric form
-            q = (g00 + g11 + g22) / 3.0
-            d0, d1, d2 = g00 - q, g11 - q, g22 - q
-            p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
-            # s**3 stays normal; a p below the floor is negligible against q
-            s = np.maximum(p, 1e-90 * q + 1e-100)
-            r = (d0 * d1 * d2 + 2.0 * g01 * g02 * g12
-                 - d0 * g12 * g12 - d1 * g02 * g02 - d2 * g01 * g01) / (2.0 * s * s * s)
-            return np.sqrt(q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0))
-
         # mat = L Q by modified Gram-Schmidt, which is backward stable for L;
         # the cofactor matrix of mat is that of L times an orthogonal matrix
         l, basis = {}, []
         for i in range(3):
             x = [mat[..., i, k] for k in range(3)]
             for j, e in enumerate(basis):
-                l[i, j] = dot(e, x)
+                l[i, j] = _dot(e, x)
                 x = [xk - l[i, j] * ek for xk, ek in zip(x, e)]
-            l[i, i] = np.maximum(np.sqrt(dot(x, x)), 1e-300)
+            l[i, i] = np.maximum(np.sqrt(_dot(x, x)), 1e-300)
             basis.append([xk / l[i, i] for xk in x])
         l00, l10, l11, l20, l21, l22 = l[0, 0], l[1, 0], l[1, 1], l[2, 0], l[2, 1], l[2, 2]
         c00, c01, c02 = l11 * l22, -l10 * l22, l10 * l21 - l11 * l20
         c11, c12, c22 = l00 * l22, -l00 * l21, l00 * l11
-        tops = [top(l00 * l00, l10 * l10 + l11 * l11, l20 * l20 + l21 * l21 + l22 * l22,
-                    l00 * l10, l00 * l20, l10 * l20 + l11 * l21),
-                top(c00 * c00 + c01 * c01 + c02 * c02, c11 * c11 + c12 * c12, c22 * c22,
-                    c01 * c11 + c02 * c12, c02 * c22, c12 * c22),
+        tops = [_gram_top(l00 * l00, l10 * l10 + l11 * l11, l20 * l20 + l21 * l21 + l22 * l22,
+                          l00 * l10, l00 * l20, l10 * l20 + l11 * l21),
+                _gram_top(c00 * c00 + c01 * c01 + c02 * c02, c11 * c11 + c12 * c12, c22 * c22,
+                          c01 * c11 + c02 * c12, c02 * c22, c12 * c22),
                 c22 * l22]
     # partial sums log s_1...s_k, then the log singular values about their mean
     sums = [np.log(np.maximum(np.abs(t), 1e-300)) for t in tops]

@@ -4,10 +4,10 @@ Each oracle recomputes a library quantity along a different route:
 finite differences for expansion factors, tied-pair projections for wall
 distances, permutation search for the opposition involution, KKT
 certificates for sector projections, extended-precision mpmath
-arithmetic for singular frames of deep products and for the spread of
-log singular values, and a per-ray loop for limit's antipodality pair
-scan.  The flat-cone membership test and the type-set boundary angle are
-tools of the acceptance checks.
+arithmetic for singular frames and centered log singular values of deep
+products and for the spread of log singular values, and a per-ray loop
+for limit's antipodality pair scan.  The flat-cone membership test and
+the type-set boundary angle are tools of the acceptance checks.
 """
 
 from __future__ import annotations
@@ -203,6 +203,23 @@ def exact_left_singular_frame(letters, digits: int = 90) -> np.ndarray:
         u, s, _ = mpmath.svd_r(m)
         order = sorted(range(n), key=lambda i: s[i], reverse=True)
         return np.array([[float(u[r, c]) for c in order] for r in range(n)])
+
+
+def exact_centered_logs(letters, digits: int = 200) -> np.ndarray:
+    """Centered log singular values of a product, descending.
+
+    The float letter matrices are converted exactly and multiplied and
+    decomposed in ``digits``-digit mpmath arithmetic, so every value is
+    resolved however far the singular values spread.
+    """
+    n = letters[0].shape[0]
+    with mpmath.workdps(digits):
+        m = mpmath.eye(n)
+        for g in letters:
+            m = m * mpmath.matrix(g.tolist())
+        logs = sorted((mpmath.log(x) for x in mpmath.svd_r(m, compute_uv=False)), reverse=True)
+        mean = mpmath.fsum(logs) / n
+        return np.array([float(x - mean) for x in logs])
 
 
 def off_mp(mat, digits: int = 50) -> float:

@@ -105,12 +105,19 @@ class TestConfigValidation:
         ({"options": {"power_depth": 256.0}}, "'options.power_depth'"),
         ({"generators": 5}, "'generators'"),
         ({"generators": [[["1", 0.0], [0.0, 1.0]]]}, "'generators'"),
+        # knobs are finite and positive; the determinant tolerance is the library's
+        ({"options": {"c_floor": float("nan")}}, "'options.c_floor'"),
+        ({"checkers": ["morse"], "options": {"rho_cap": float("inf")}}, "'options.rho_cap'"),
+        ({"options": {"power_depth": 0}}, "'options.power_depth'"),
+        ({"checkers": ["limit"], "options": {"conical_rho": -1.0}}, "'options.conical_rho'"),
+        ({"generators": [[[1.0 + 1e-7, 0.0], [0.0, 1.0]], np.eye(2).tolist()]}, "generator 0"),
     ], ids=["morse_depth", "ray_count", "ray_depth", "face", "limit_distinct_rays",
             "anosov_distinct_rays", "anosov_ray_depth", "generators", "nan_generator",
             "float_depth", "string_depth", "string_seed", "list_name", "bool_face",
             "list_options", "null_options", "string_knob", "null_knob", "bool_knob",
             "string_morse_depth", "float_power_depth", "number_generators",
-            "string_generator_entry"])
+            "string_generator_entry", "nan_knob", "infinite_knob", "zero_power_depth",
+            "negative_knob", "loose_determinant"])
     def test_out_of_range_rejected(self, tmp_path, capsys, overrides, key):
         p = tmp_path / "range.json"
         p.write_text(json.dumps(minimal_config(**overrides)))

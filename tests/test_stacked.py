@@ -34,12 +34,13 @@ from anosovcheck.subgroup import (
     ReducedWord,
     _pair_scan,
     _resolved_logs,
+    _two_sided_logs,
     _two_sided_svd,
     limit_report,
     sample_rays,
 )
 from anosovcheck.symmspace import factored_coords_pair, segment_deficits
-from oracles import off_mp, pair_scan_loop, pav_sequential, random_sl
+from oracles import exact_centered_logs, off_mp, pair_scan_loop, pav_sequential, random_sl
 
 FACES = {
     2: [FaceType.full(2)],
@@ -70,13 +71,46 @@ def assert_rows_equal(stacked, single):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_two_sided_svd_and_logs(rng, n):
     mats, invs = products(rng, n)
-    frame, s, logs = _two_sided_svd(mats, invs)
-    single = [_two_sided_svd(m, mi) for m, mi in zip(mats, invs)]
-    for k, out in enumerate((frame, s, logs)):
-        assert_rows_equal(out, [x[k] for x in single])
+    assert_rows_equal(_two_sided_svd(mats, invs),
+                      [_two_sided_svd(m, mi) for m, mi in zip(mats, invs)])
+    logdets = np.linalg.slogdet(mats)[1]
+    assert_rows_equal(_two_sided_logs(mats, invs, logdets),
+                      [_two_sided_logs(m, mi, d) for m, mi, d in zip(mats, invs, logdets)])
     sv = np.linalg.svd(mats, compute_uv=False)
     svi = np.linalg.svd(invs, compute_uv=False)
     assert_rows_equal(_resolved_logs(sv, svi), [_resolved_logs(a, b) for a, b in zip(sv, svi)])
+
+
+ORACLE_DEPTHS = (1, 2, 4, 8, 12, 16, 24, 32, 48, 64)
+
+
+def assert_ray_logs_match_oracle(pres, sample, logs, depths, read):
+    """``read`` of each ray's computed logs at the given prefix depths, against mpmath."""
+    for r, word in enumerate(sample.letters.tolist()):
+        for depth in depths:
+            exact = exact_centered_logs([pres.letter_matrix(lt) for lt in word[:depth]])
+            assert abs(read(logs[r, depth - 1]) - read(exact)).max() <= 1e-12, (r, depth)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_two_sided_logs_match_oracle(request, n):
+    # power rays and random words; at depth 64 the sl3 power rays' top
+    # singular value is 16**64, and an unscaled Gram matrix overflows its cube
+    pres = request.getfixturevalue(f"sl{n}_pres")
+    sample = sample_rays(pres, 8, ORACLE_DEPTHS[-1], seed=1, face=FACES[n][0])
+    logs = _two_sided_logs(sample.prefixes, sample.inverses, sample.logdets)
+    assert_ray_logs_match_oracle(pres, sample, logs, ORACLE_DEPTHS, lambda x: x)
+
+
+def test_resolved_outer_spread_matches_oracle(rng):
+    # once s_1 passes 1/eps the direct SVD's bottom value is noise above 1;
+    # the outer spread d_1 - d_n must still come from the resolving sides
+    pres = FreeGroupPresentation(tuple(random_sl(rng, 4, scale=1.2) for _ in range(2)))
+    sample = sample_rays(pres, 6, 24, seed=1, face=FACES[4][0])
+    s = np.linalg.svd(sample.prefixes, compute_uv=False)
+    assert s[:, -1, 0].max() > 1e18
+    logs = _resolved_logs(s, np.linalg.svd(sample.inverses, compute_uv=False))
+    assert_ray_logs_match_oracle(pres, sample, logs, (4, 8, 12, 16, 24), lambda x: x[0] - x[-1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -140,7 +174,7 @@ def test_segment_deficits(rng, n):
     tips, tip_invs = products(rng, n)
     pts, pt_invs = (x.reshape(len(tips), 3, n, n) for x in products(rng, n, count=3 * len(tips)))
     # conical's direct window frame and morse's two-sided word frame
-    for u in (np.linalg.svd(tips)[0], _two_sided_svd(tips, tip_invs)[0]):
+    for u in (np.linalg.svd(tips)[0], _two_sided_svd(tips, tip_invs)):
         for face in FACES[n]:
             single = [[segment_deficits(u[i], tips[i], tip_invs[i], [(pts[i, k], pt_invs[i, k])],
                                         face)[0] for k in range(3)] for i in range(len(tips))]

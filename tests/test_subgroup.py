@@ -24,11 +24,12 @@ from anosovcheck.subgroup import (
     word_count,
     word_levels,
     _branches,
+    _two_sided_logs,
     _two_sided_svd,
 )
 from anosovcheck.symmspace import diamond_query, make_diamond, segment_deficits
 from conftest import SL2_G, SL2_H
-from oracles import random_sl
+from oracles import exact_centered_logs, random_sl
 
 FACE2 = FaceType.make(2, [1])
 FACE3 = FaceType.full(3)
@@ -106,6 +107,25 @@ class TestUru:
         assert rep.constants["c_certificate"] > 1.0
         # rank one: the wall margin ratio is identically one
         assert rep.constants["uniform_ratio_min"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("pres_name, length", [("sl2_pres", 5), ("sl3_pres", 4)])
+    def test_witnesses_tie_to_the_first_word(self, request, pres_name, length):
+        # the generators are conjugate, so words tie in pairs: each witness is
+        # the first word depth first within TIE_RTOL of the least value, and
+        # per_length_min publishes that word's own distance
+        pres = request.getfixturevalue(pres_name)
+        rep = uru_check(pres, FaceType.full(pres.n), length)
+        words = [w.letters for w in enumerate_geodesics(pres, length)]
+        dist = {w: np.linalg.norm(exact_centered_logs([pres.letter_matrix(lt) for lt in w], 40))
+                for w in words}
+        for el, witness in rep.witnesses["slowest_words"].items():
+            same = [w for w in words if len(w) == int(el)]
+            lo = min(dist[w] for w in same)
+            assert witness == list(next(w for w in same if dist[w] <= lo * (1 + 1e-12))), el
+            published = rep.constants["per_length_min"][int(el) - 1]
+            assert published == pytest.approx(dist[tuple(witness)], rel=1e-13)
+        if pres.n == 2:  # rank one: every ratio is one, so the first tail word is the witness
+            assert rep.witnesses["ratio_word"] == [1] * rep.thresholds["tail_start"]
 
     def test_sanov_fails_undistortion(self, sanov_pres):
         rep = uru_check(sanov_pres, FACE2, 10)
@@ -202,9 +222,9 @@ def test_deficit_agrees_with_diamond_queries(name):
     dims = np.array(face.dims)
     checked = failed = 0
     for branch in _branches(word_levels(pres, cfg.options["morse_depth"])):
-        svds = [_two_sided_svd(lv.mats, lv.invs) for lv in branch]
-        regular = np.concatenate([~((logs[:, dims - 1] - logs[:, dims]).min(axis=1) < GAP_TOL)
-                                  for _, _, logs in svds])
+        logs = [_two_sided_logs(lv.mats, lv.invs, lv.logdets) for lv in branch]
+        regular = np.concatenate([~((x[:, dims - 1] - x[:, dims]).min(axis=1) < GAP_TOL)
+                                  for x in logs])
         dfs = np.concatenate([lv.dfs for lv in branch])
         order = np.argsort(dfs)
         count = np.empty(len(dfs), dtype=int)
@@ -212,8 +232,10 @@ def test_deficit_agrees_with_diamond_queries(name):
         sampled = np.split(regular & (count % 29 == 0),
                            np.cumsum([len(lv.dfs) for lv in branch])[:-1])
         for el in range(2, len(branch) + 1):
-            level, (u, s, _) = branch[el - 1], svds[el - 1]
-            for i in np.flatnonzero(sampled[el - 1] & (s[:, 0] < 1e6)):
+            level = branch[el - 1]
+            u = _two_sided_svd(level.mats, level.invs)
+            top = np.linalg.svd(level.mats, compute_uv=False)[:, 0]
+            for i in np.flatnonzero(sampled[el - 1] & (top < 1e6)):
                 j = i
                 for t in range(el, el // 2, -1):
                     j = branch[t - 1].parent[j]
