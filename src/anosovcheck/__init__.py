@@ -1,9 +1,10 @@
 """Numerical certification of Anosov-type properties in SL(n,R).
 
-The toolkit realizes the chamber/flag geometry of the symmetric space of
-SL(n,R) and uses it to classify matrix-generated free subgroups at desk
-scale: regularity, contraction, conicality, expansion, Morse behavior
-and uniform/non-uniform Anosov verdicts, all as margin-carrying reports.
+The package realizes the chamber/flag geometry of the symmetric space of
+SL(n,R) and uses it to certify matrix-generated free subgroups at desk
+scale: uniform regularity (uru), Morse behavior, the boundary map's
+antipodality and conicality (limit), and expansion at the flag limit
+set (anosov), all as margin-carrying reports.
 """
 
 from .chamber import (
@@ -13,10 +14,9 @@ from .chamber import (
     iota_face,
     iota_vector,
     project_to_face_sector,
-    sort_to_chamber,
     theta_membership,
 )
-from .dynamics import classify_sequence, conical_check, detect_contraction, flag_limit
+from .dynamics import conical_check, flag_limit
 from .errors import (
     BudgetExceeded,
     IllConditioned,
@@ -29,12 +29,11 @@ from .flags import (
     act_on_flag,
     antipodality_margin,
     attractive_flag,
-    expansion_cone_correlate,
     expansion_factor,
     flag_distance,
     transversality_margin,
 )
-from .reports import PropertyReport, SequenceReport
+from .reports import PropertyReport
 from .subgroup import (
     FreeGroupPresentation,
     ReducedWord,
@@ -48,18 +47,13 @@ from .subgroup import (
 )
 from .symmspace import (
     DiamondRef,
-    GroupElement,
-    ParallelSetRef,
-    Point,
     WeylConeRef,
     cartan_vector,
     cone_query,
     delta_projection,
     diamond_query,
-    finsler_verify,
     make_diamond,
     make_parallel_set,
-    parallel_set_distance,
     relative_flag,
     riemannian_distance,
     taumod_distance,

@@ -38,17 +38,6 @@ def check_cartan_vector(v, tol: float = CHAMBER_TOL) -> np.ndarray:
     return v
 
 
-def sort_to_chamber(v) -> tuple[np.ndarray, np.ndarray]:
-    """Sort a model vector into the chamber.
-
-    Returns the sorted vector and a witness permutation ``perm`` such
-    that ``sorted == v[perm]``.  Idempotent on chamber vectors.
-    """
-    v = check_model_vector(v)
-    perm = np.argsort(-v, kind="stable")
-    return v[perm], perm
-
-
 def iota_vector(v) -> np.ndarray:
     """Opposition involution on the model flat: a -> (-a_n, ..., -a_1)."""
     v = np.asarray(v, dtype=float)

@@ -290,40 +290,3 @@ def expansion_factor(g: np.ndarray, f: Flag):
     d = action_differential(g, f)
     return _scalar(np.linalg.svd(d, compute_uv=False)[..., -1])
 
-
-def expansion_cone_correlate(samples, face: FaceType, radius: float | None = None) -> dict:
-    """Correlate infinitesimal expansion with cone-boundary penetration.
-
-    Each sample is (g, flag, x); emitted pairs are
-    (log expansion of g^{-1} at the flag, chamber-wall margin of g.x seen
-    from x).  Fits an affine envelope; for configurations whose image
-    point lies in the cone at the flag the margin equals the boundary
-    distance, and for diagonal transvections the slope is exactly
-    sqrt(2).
-    """
-    from .symmspace import cartan_vector, act_point
-
-    from .chamber import face_boundary_distance
-
-    pairs = []
-    for g, flag, x in samples:
-        g = np.asarray(g, dtype=float)
-        gx = act_point(g, x)
-        delta = cartan_vector(x, gx)
-        margin = face_boundary_distance(delta, face)
-        if radius is not None and margin > radius:
-            continue
-        log_eps = float(np.log(expansion_factor(np.linalg.inv(g), flag)))
-        pairs.append((log_eps, margin))
-    arr = np.array(pairs) if pairs else np.zeros((0, 2))
-    out = {"pairs": arr, "count": len(pairs)}
-    if len(pairs) >= 2 and float(np.ptp(arr[:, 1])) > 1e-12:
-        slope, intercept = np.polyfit(arr[:, 1], arr[:, 0], 1)
-        resid = arr[:, 0] - (slope * arr[:, 1] + intercept)
-        out.update(
-            slope=float(slope),
-            intercept=float(intercept),
-            envelope_upper=float(resid.max()),
-            envelope_lower=float(resid.min()),
-        )
-    return out

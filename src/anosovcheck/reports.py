@@ -63,39 +63,3 @@ class PropertyReport:
             }
         )
 
-
-@dataclass
-class SequenceReport:
-    """Windowed finite-data classification of a chamber-vector sequence."""
-
-    face_margins: np.ndarray
-    norms: np.ndarray
-    regular: bool
-    uniform: bool
-    regular_margin_slope: float
-    uniform_ratio_min: float
-    detected_pure_face: object  # FaceType | None
-    thresholds: dict
-    window: int
-    inconclusive: bool = False
-
-    def as_dict(self) -> dict:
-        pure = None
-        if self.detected_pure_face is not None:
-            pure = sorted(self.detected_pure_face.kept)
-        return jsonable(
-            {
-                "face_margins": self.face_margins,
-                "norms": self.norms,
-                "verdicts": {
-                    "regular": self.regular,
-                    "uniform": self.uniform,
-                    "regular_margin_slope": self.regular_margin_slope,
-                    "uniform_ratio_min": self.uniform_ratio_min,
-                    "detected_pure_face": pure,
-                },
-                "thresholds": self.thresholds,
-                "window": self.window,
-                "inconclusive": self.inconclusive,
-            }
-        )

@@ -43,7 +43,7 @@ from .flags import (
     transversality_margin,
 )
 from .reports import PropertyReport
-from .symmspace import DET_TOL, log_top_singular, normalize_det, segment_deficits
+from .symmspace import DET_TOL, log_top_singular, make_parallel_set, normalize_det, segment_deficits
 
 RESIDUAL_TOL = 1e-3   # limit: Cauchy residual tail below which a ray's flags converge
 SEPARATION = 1e-3     # limit: flag distance between separated limit-set representatives
@@ -876,15 +876,13 @@ def schottky_build(elements, face: FaceType, margin_floor: float = 0.05,
     for el in elements:
         if isinstance(el, (tuple, list)) and len(el) == 3 and isinstance(el[0], Flag):
             plus, minus, strength = el
-            from .symmspace import make_parallel_set
-
-            pset = make_parallel_set(minus, plus)
+            basis = make_parallel_set(minus, plus)
             n = face.n
             direction = np.arange(n, 0, -1, dtype=float)
             direction -= direction.mean()
             direction /= np.linalg.norm(direction)
             diag = np.diag(np.exp(float(strength) * direction))
-            mats.append(pset.basis @ diag @ np.linalg.inv(pset.basis))
+            mats.append(basis @ diag @ np.linalg.inv(basis))
         else:
             mats.append(np.asarray(el, dtype=float))
 

@@ -9,7 +9,6 @@ model chamber; a group element g acts on points by g x g^T.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,57 +24,15 @@ from .chamber import (
     theta_membership,
 )
 from .errors import IllConditioned, VanishingGap
-from .flags import Flag, GAP_TOL, flag_distance, qr_pos
-from .reports import PropertyReport
+from .flags import Flag, GAP_TOL, flag_distance, qr_pos, transversality_margin
 
 DET_TOL = 1e-8
 
 
-def _mat(x) -> np.ndarray:
-    if isinstance(x, (Point, GroupElement)):
-        return x.matrix if isinstance(x, GroupElement) else x.spd
-    return np.asarray(x, dtype=float)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An element of SL(n,R)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if abs(np.linalg.det(m) - 1.0) > DET_TOL:
-            raise ValueError(f"determinant {np.linalg.det(m):.6f} is not 1")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point of the symmetric space: unit-determinant SPD matrix."""
-
-    spd: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.spd, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if np.linalg.norm(m - m.T) > 1e-8 * max(1.0, np.linalg.norm(m)):
-            raise ValueError("matrix is not symmetric")
-        evals = np.linalg.eigvalsh(m)
-        if evals[0] <= 0.0:
-            raise ValueError("matrix is not positive definite")
-        if abs(np.linalg.det(m) - 1.0) > DET_TOL * max(1.0, abs(np.linalg.det(m))):
-            raise ValueError(f"determinant {np.linalg.det(m):.6f} is not 1")
-        object.__setattr__(self, "spd", m)
-
-
 def act_point(g, x) -> np.ndarray:
     """Isometric action of a group element on a point: g x g^T."""
-    g = _mat(g)
-    return g @ _mat(x) @ g.T
+    g = np.asarray(g, dtype=float)
+    return g @ np.asarray(x, dtype=float) @ g.T
 
 
 def normalize_det(m: np.ndarray) -> np.ndarray:
@@ -93,7 +50,7 @@ def spd_eigh(x) -> tuple[np.ndarray, np.ndarray]:
     Rejects loss of positivity; gap degeneracy is policed separately by
     the vanishing-gap gates of the flag computations.
     """
-    x = _mat(x)
+    x = np.asarray(x, dtype=float)
     evals, evecs = np.linalg.eigh(0.5 * (x + x.T))
     if evals[0] <= 0.0:
         raise IllConditioned(f"eigenvalue {evals[0]:.3e} is not positive")
@@ -121,7 +78,7 @@ def cartan_vector(x, y) -> np.ndarray:
     involution, and the euclidean norm is the Riemannian distance.
     """
     xi = spd_inv_sqrt(x)
-    z = xi @ _mat(y) @ xi
+    z = xi @ np.asarray(y, dtype=float) @ xi
     evals, _ = spd_eigh(z)
     delta = 0.5 * np.log(evals[::-1])
     delta -= delta.mean()  # remove unit-determinant drift
@@ -167,7 +124,7 @@ class WeylConeRef:
     flag: Flag
 
     def __post_init__(self):
-        object.__setattr__(self, "tip", _mat(self.tip))
+        object.__setattr__(self, "tip", np.asarray(self.tip, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -220,7 +177,7 @@ def cone_query(y, cone: WeylConeRef, tol: float = 1e-6) -> ConeVerdict:
         # Possibly on the cone boundary: decide by invariance of the
         # flag subspaces under the transported point.
         gxi = spd_inv_sqrt(x)
-        z = gxi @ _mat(y) @ gxi
+        z = gxi @ np.asarray(y, dtype=float) @ gxi
         subspaces = []
         for d in face.dims:
             w, _ = qr_pos(gxi @ cone.flag.basis(d))
@@ -251,10 +208,8 @@ class DiamondRef:
     theta: ThetaSpec | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "tip_minus", _mat(self.tip_minus))
-        object.__setattr__(self, "tip_plus", _mat(self.tip_plus))
-        from .flags import transversality_margin
-
+        object.__setattr__(self, "tip_minus", np.asarray(self.tip_minus, dtype=float))
+        object.__setattr__(self, "tip_plus", np.asarray(self.tip_plus, dtype=float))
         if transversality_margin(self.flag_plus, self.flag_minus) <= 0.0:
             raise IllConditioned("diamond flags are not antipodal")
 
@@ -263,7 +218,7 @@ def make_diamond(x, y, face: FaceType, theta: ThetaSpec | None = None, tol: floa
     """Diamond spanned by a regular segment, flags from the endpoints."""
     plus, _ = relative_flag(x, y, face, tol=tol)
     minus, _ = relative_flag(y, x, iota_face(face), tol=tol)
-    return DiamondRef(_mat(x), _mat(y), minus, plus, theta)
+    return DiamondRef(x, y, minus, plus, theta)
 
 
 def diamond_query(p, diamond: DiamondRef, tol: float = 1e-6) -> tuple[bool, dict]:
@@ -295,20 +250,6 @@ def diamond_query(p, diamond: DiamondRef, tol: float = 1e-6) -> tuple[bool, dict
     return member, margins
 
 
-@dataclass(frozen=True)
-class ParallelSetRef:
-    """A parallel set, via a basis adapting it to block-diagonal form.
-
-    The columns of ``basis`` send the standard coordinate flags to the
-    pair of antipodal flags; conjugating a point by the inverse basis
-    turns membership into block-diagonality.
-    """
-
-    flag_minus: Flag
-    flag_plus: Flag
-    basis: np.ndarray
-
-
 def subspace_intersection(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormal basis of the intersection of two column spans."""
     pa = a @ a.T
@@ -318,10 +259,13 @@ def subspace_intersection(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     return evecs[:, -dim:][:, ::-1]
 
 
-def make_parallel_set(flag_minus: Flag, flag_plus: Flag, margin_floor: float = 1e-6) -> ParallelSetRef:
-    """Assemble the adapted basis from an antipodal flag pair."""
-    from .flags import transversality_margin
+def make_parallel_set(flag_minus: Flag, flag_plus: Flag, margin_floor: float = 1e-6) -> np.ndarray:
+    """Unit-determinant basis adapting the parallel set of an antipodal flag pair.
 
+    Its columns send the standard coordinate flags to the pair, so
+    conjugating a point by the inverse basis turns membership of the
+    parallel set into block-diagonality.
+    """
     if transversality_margin(flag_plus, flag_minus) < margin_floor:
         raise IllConditioned("transversality margin below floor")
     face = flag_plus.face
@@ -342,53 +286,27 @@ def make_parallel_set(flag_minus: Flag, flag_plus: Flag, margin_floor: float = 1
         basis = basis.copy()
         basis[:, 0] = -basis[:, 0]
         det = -det
-    basis = basis / det ** (1.0 / n)
-    return ParallelSetRef(flag_minus, flag_plus, basis)
-
-
-def _block_diag_part(z: np.ndarray, face: FaceType) -> np.ndarray:
-    out = np.zeros_like(z)
-    for lo, hi in face.blocks:
-        out[lo:hi, lo:hi] = z[lo:hi, lo:hi]
-    return out
-
-
-def factored_block_coords(w: np.ndarray, face: FaceType) -> tuple[np.ndarray, float]:
-    """Flat coordinates and off-set distance of a factored point.
-
-    The point is w w^T in coordinates where the parallel set is the
-    block-diagonal model.  Returns (coords, off): coords are the centered
-    block log singular values of the factor (the flat coordinates of the
-    block-diagonal part), off is the distance from the point to that
-    part.  Working with the factor instead of w w^T avoids squaring the
-    condition number on long segments.
-    """
-    n = w.shape[0]
-    v = np.empty(n)
-    rows = []
-    for lo, hi in face.blocks:
-        if hi - lo == 1:
-            s1 = float(np.linalg.norm(w[lo]))
-            if s1 <= 0.0:
-                raise IllConditioned("singular factor block")
-            v[lo] = np.log(s1)
-            rows.append(w[lo:lo + 1] / s1)
-            continue
-        u, s, vt = np.linalg.svd(w[lo:hi, :], full_matrices=False)
-        if s[-1] <= 0.0:
-            raise IllConditioned("singular factor block")
-        v[lo:hi] = np.log(s)
-        rows.append(u @ vt)
-    v -= v.mean()
-    return v, float(_whitened_off(np.vstack(rows)))
+    return basis / det ** (1.0 / n)
 
 
 def _dot(x, y):
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
+def _cross(x, y):
+    return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+
+
 def _gram_top(g00, g11, g22, g01, g02, g12):
-    """Square root of the top eigenvalue of symmetric 3 x 3 matrices, by entries (trigonometric)."""
+    """Square root of the top eigenvalue of symmetric 3 x 3 matrices, by entries.
+
+    Trigonometric, except near a doubled top eigenvalue (r < -0.99), where the error of
+    that form grows as 1/sqrt(1 + r), up to half the digits.  There the bottom eigenvalue
+    mu stays isolated, and so does its eigenvector v, the largest column of the adjugate
+    of A - mu I.  With t the mean of the top two, the compression Y of A - t I to the
+    complement of v has eigenvalues +-h, so the top one is t + h = t + |Y|_F / sqrt(2),
+    every term of which is small where h is.
+    """
     q = (g00 + g11 + g22) / 3.0
     d0, d1, d2 = g00 - q, g11 - q, g22 - q
     p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
@@ -396,7 +314,30 @@ def _gram_top(g00, g11, g22, g01, g02, g12):
     s = np.maximum(p, 1e-90 * q + 1e-100)
     r = (d0 * d1 * d2 + 2.0 * g01 * g02 * g12
          - d0 * g12 * g12 - d1 * g02 * g02 - d2 * g01 * g01) / (2.0 * s * s * s)
-    return np.sqrt(q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0))
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    top = np.asarray(q + 2.0 * p * np.cos(phi))
+    near = r < -0.99
+    if not near.any():
+        return np.sqrt(top)
+    g00, g11, g22, g01, g02, g12, q, p, phi = (
+        np.asarray(e)[near] for e in (g00, g11, g22, g01, g02, g12, q, p, phi))
+    mu = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    a = [[g00 - mu, g01, g02], [g01, g11 - mu, g12], [g02, g12, g22 - mu]]
+    cols = [_cross(a[1], a[2]), _cross(a[2], a[0]), _cross(a[0], a[1])]  # the adjugate's columns
+    v, big = cols[0], cols[0][0]
+    for k in (1, 2):  # the column with the largest diagonal entry
+        take = cols[k][k] > big
+        v, big = [np.where(take, c, e) for c, e in zip(cols[k], v)], np.where(take, cols[k][k], big)
+    norm = np.maximum(np.sqrt(_dot(v, v)), 1e-300)
+    v = [e / norm for e in v]
+    t = 1.5 * q - 0.5 * mu
+    x = [[g00 - t, g01, g02], [g01, g11 - t, g12], [g02, g12, g22 - t]]
+    w = [_dot(row, v) for row in x]
+    vxv = _dot(v, w)
+    y = [[x[i][j] - v[i] * w[j] - w[i] * v[j] + vxv * v[i] * v[j] for j in range(3)]
+         for i in range(3)]
+    top[near] = t + np.sqrt(0.5 * sum(y[i][j] * y[i][j] for i in range(3) for j in range(3)))
+    return np.sqrt(top)
 
 
 def log_top_singular(mat: np.ndarray) -> np.ndarray:
@@ -419,9 +360,8 @@ def _whitened_off(mat: np.ndarray) -> np.ndarray:
     cofactor matrix (the second exterior power up to signs and order) in
     closed form, and |det mat|.  A top singular value keeps its relative
     accuracy however small the later ones are, so no eigenvalue below the
-    top of a Gram matrix is taken.  Where the closed form loses digits, at
-    a doubled top value, the spread is flat to first order.  Larger n take
-    LAPACK's values.  Leading axes are batch axes.
+    top of a Gram matrix is taken.  Larger n take LAPACK's values.  Leading
+    axes are batch axes.
     """
     n = mat.shape[-1]
     if n > 3:
@@ -518,67 +458,6 @@ def segment_deficits(u: np.ndarray, tip: np.ndarray, tip_inv: np.ndarray, points
     return np.stack(cols, axis=-1)
 
 
-def parallel_set_distance(p, pset: ParallelSetRef, descent: bool = True) -> tuple[float, float]:
-    """Distance from a point to a parallel set: certified upper bound + descent.
-
-    The upper bound is the distance to the normalized block-diagonal part
-    of the conjugated point; the refinement runs a local minimization over
-    block-diagonal SPD matrices started there.  Near-zero refined values
-    certify membership; there is no closed form for the exact projection.
-    """
-    face = pset.flag_plus.face
-    n = face.n
-    binv = np.linalg.inv(pset.basis)
-    w = binv @ spd_sqrt(p)
-    coords, upper = factored_block_coords(w, face)
-    if not descent:
-        return upper, upper
-    from scipy.optimize import minimize
-
-    # Parameterize candidates by symmetric log-blocks (det-normalized).
-    blocks = face.blocks
-    z = w @ w.T
-    dnorm = normalize_det(_block_diag_part(z, face))
-    packs = []
-    for lo, hi in blocks:
-        b = hi - lo
-        evals, evecs = np.linalg.eigh(dnorm[lo:hi, lo:hi])
-        logm = (evecs * np.log(np.maximum(evals, 1e-300))) @ evecs.T
-        packs.append(logm[np.triu_indices(b)])
-    x0 = np.concatenate(packs)
-
-    def inv_sqrt_blocks(params):
-        mats = []
-        pos = 0
-        logdet = 0.0
-        for lo, hi in blocks:
-            b = hi - lo
-            k = b * (b + 1) // 2
-            sym = np.zeros((b, b))
-            sym[np.triu_indices(b)] = params[pos:pos + k]
-            sym = sym + sym.T - np.diag(np.diag(sym))
-            pos += k
-            mats.append(sym)
-            logdet += np.trace(sym)
-        shift = logdet / n
-        out = np.zeros((n, n))
-        for (lo, hi), sym in zip(blocks, mats):
-            evals, evecs = np.linalg.eigh(sym - shift * np.eye(hi - lo))
-            out[lo:hi, lo:hi] = (evecs * np.exp(-0.5 * evals)) @ evecs.T
-        return out
-
-    def objective(params):
-        c = inv_sqrt_blocks(params) @ w
-        logs = np.log(np.maximum(np.linalg.svd(c, compute_uv=False), 1e-300))
-        logs -= logs.mean()
-        return float(logs @ logs)
-
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-14, "maxiter": 4000})
-    refined = min(upper, math.sqrt(max(res.fun, 0.0)))
-    return upper, refined
-
-
 def adapted_coordinates(x, flag_plus: Flag):
     """Orthogonal adapted frame at a point for the parallel set through it.
 
@@ -595,56 +474,9 @@ def adapted_coordinates(x, flag_plus: Flag):
     return basis, opp
 
 
-def finsler_verify(path, face: FaceType, theta: ThetaSpec | None = None,
-                   tol: float = 1e-6) -> PropertyReport:
-    """Check the cone-nesting property of a discrete path.
-
-    The governing flags are estimated from the endpoints; every ordered
-    pair must lie in the forward cone (and be of the required type when a
-    type set is given).  Reports the worst margins.
-    """
-    pts = [_mat(p) for p in path]
-    if len(pts) < 2:
-        raise ValueError("need a path of length >= 2")
-    plus, _ = relative_flag(pts[0], pts[-1], face)
-    minus, _ = relative_flag(pts[-1], pts[0], iota_face(face))
-    worst_face = math.inf
-    worst_flag = 0.0
-    worst_theta = math.inf
-    ok = True
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            verdict = cone_query(pts[j], WeylConeRef(pts[i], plus), tol)
-            if not verdict.inside:
-                ok = False
-                worst_flag = max(worst_flag, verdict.diagnostics.get("flag_mismatch", math.inf))
-                continue
-            if verdict.margin is not None:
-                worst_face = min(worst_face, verdict.margin)
-            worst_flag = max(worst_flag, verdict.diagnostics.get("flag_mismatch", 0.0))
-            if theta is not None:
-                delta = cartan_vector(pts[i], pts[j])
-                _, tmargin = theta_membership(delta, theta)
-                worst_theta = min(worst_theta, tmargin)
-                if tmargin < 0.0:
-                    ok = False
-    report = PropertyReport(
-        name="finsler-geodesic",
-        verdict=ok,
-        constants={
-            "worst_face_margin": None if worst_face is math.inf else worst_face,
-            "worst_flag_mismatch": worst_flag,
-            "worst_theta_margin": None if worst_theta is math.inf else worst_theta,
-        },
-        thresholds={"tol": tol, "theta_gap": None if theta is None else theta.gap},
-        details={"length": len(pts)},
-    )
-    return report
-
-
 def delta_projection(path, face: FaceType) -> tuple[np.ndarray, np.ndarray]:
     """Chamber-valued and face-projected paths seen from the first point."""
-    pts = [_mat(p) for p in path]
+    pts = [np.asarray(p, dtype=float) for p in path]
     if not pts:
         raise ValueError("need a path of length >= 1")
     deltas = np.stack([cartan_vector(pts[0], p) for p in pts])

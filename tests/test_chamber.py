@@ -15,7 +15,6 @@ from anosovcheck.chamber import (
     iota_vector,
     pav_nonincreasing,
     project_to_face_sector,
-    sort_to_chamber,
     theta_membership,
     wall_gaps,
 )
@@ -40,27 +39,6 @@ def centered(draw_vals):
 coords = st.lists(st.floats(-50, 50), min_size=3, max_size=6).map(centered)
 
 
-class TestSortToChamber:
-    def test_swap_example(self):
-        out, perm = sort_to_chamber([0.0, -1.0, 1.0])
-        assert np.allclose(out, [1.0, 0.0, -1.0])
-        assert np.allclose(np.array([0.0, -1.0, 1.0])[perm], out)
-
-    def test_zero_fixed_point(self):
-        out, perm = sort_to_chamber([0.0, 0.0, 0.0])
-        assert np.allclose(out, 0.0)
-        assert list(perm) == [0, 1, 2]
-
-    @given(coords)
-    @settings(max_examples=60, deadline=None)
-    def test_idempotent_and_witness(self, v):
-        out, perm = sort_to_chamber(v)
-        again, perm2 = sort_to_chamber(out)
-        assert np.array_equal(out, again)
-        assert list(perm2) == list(range(len(v)))
-        assert np.array_equal(v[perm], out)
-
-
 class TestIota:
     def test_palindromic(self):
         assert np.allclose(iota_vector([1.0, 0.0, -1.0]), [1.0, 0.0, -1.0])
@@ -76,7 +54,7 @@ class TestIota:
     @given(coords)
     @settings(max_examples=60, deadline=None)
     def test_involution_preserves_chamber(self, v):
-        delta, _ = sort_to_chamber(v)
+        delta = np.sort(v)[::-1]
         image = iota_vector(delta)
         assert np.all(np.diff(image) <= 1e-12)  # iota preserves the chamber
         assert np.allclose(iota_vector(image), delta)

@@ -9,7 +9,6 @@ from anosovcheck.flags import (
     action_differential,
     antipodality_margin,
     attractive_flag,
-    expansion_cone_correlate,
     expansion_factor,
     flag_distance,
     qr_pos,
@@ -173,21 +172,6 @@ class TestExpansionFactor:
             svals_inv = np.linalg.svd(d_inv, compute_uv=False)
             assert svals[-1] * svals_inv[-1] <= 1.0 + 1e-9
             assert svals[0] * svals_inv[0] >= 1.0 - 1e-9
-
-
-class TestExpansionConeCorrelate:
-    def test_diagonal_ratio(self):
-        face = FACE1
-        flag = Flag(face, np.eye(3))
-        samples = []
-        for t in (0.5, 1.0, 1.5, 2.0, 2.5):
-            g = np.diag([np.exp(2 * t), np.exp(t), np.exp(-3 * t)])
-            samples.append((g, flag, np.eye(3)))
-        out = expansion_cone_correlate(samples, face)
-        assert out["count"] == 5
-        assert out["slope"] == pytest.approx(np.sqrt(2.0), rel=1e-9)
-        for log_eps, margin in out["pairs"]:
-            assert log_eps == pytest.approx(np.sqrt(2.0) * margin, abs=1e-7)
 
     def test_drift_out_kills_expansion(self):
         face = FACE1

@@ -102,6 +102,18 @@ def test_two_sided_logs_match_oracle(request, n):
     assert_ray_logs_match_oracle(pres, sample, logs, ORACLE_DEPTHS, lambda x: x)
 
 
+def test_two_sided_logs_at_a_doubled_top_value():
+    # rotated diag(2, 2, 1/4): the trigonometric top eigenvalue alone reads the vanishing
+    # gap d_1 - d_2 as up to 8e-9, which GAP_TOL = 1e-9 would take for a regular wall
+    rng = np.random.default_rng(0)
+    q1, q2 = (np.stack([qr_pos(rng.standard_normal((3, 3)))[0] for _ in range(200)])
+              for _ in range(2))
+    mats = q1 @ np.diag([2.0, 2.0, 0.25]) @ q2
+    invs = np.swapaxes(q2, -1, -2) @ np.diag([0.5, 0.5, 4.0]) @ np.swapaxes(q1, -1, -2)
+    logs = _two_sided_logs(mats, invs, np.zeros(len(mats)))
+    assert np.abs(logs[:, 0] - logs[:, 1]).max() <= 1e-12
+
+
 def test_resolved_outer_spread_matches_oracle(rng):
     # once s_1 passes 1/eps the direct SVD's bottom value is noise above 1;
     # the outer spread d_1 - d_n must still come from the resolving sides
@@ -371,15 +383,17 @@ def test_flag_limits_rows_match_flag_limit(sl3_pres, case, kinds):
             assert irregular[r] and not has_limit[r], r
             seen.add("irregular terminal")
             continue
+        if (gaps[r].min(axis=-1) < 1e-9).any():  # ragged: one irregular element makes the row so
+            assert irregular[r] and not has_limit[r], r
+            seen.add("ragged")
+            continue
         assert not irregular[r], r
         assert has_limit[r] == (single.flag is not None), r
         # greedy clustering is the reference for the one-cluster criterion
         assert has_limit[r] == (single.converged or len(single.clusters) < 2), r
         if single.flag is not None:
             assert same_bits(flags.frame[r], single.flag.frame), r
-        if (gaps[r].min(axis=-1) < 1e-9).any():
-            seen.add("ragged")
-        elif single.converged:
+        if single.converged:
             seen.add("converged")
         else:
             seen.add(f"no convergence, {'one cluster' if has_limit[r] else 'two clusters'}")
