@@ -8,6 +8,12 @@ it is O(n)-invariant and bilipschitz to any background Riemannian
 metric.  Expansion factors are computed from the exact differential of
 the group action in adapted block coordinates.
 
+A subspace of dimension 1 or n-1 is determined by one unit vector: frame
+column 0 spans the line, and column n-1 is the normal of the hyperplane.
+``flag_distance`` and ``transversality_margin`` read those dimensions in
+closed form from that vector, which covers every dimension at n <= 3;
+only the middle dimensions at n >= 4 take an SVD.
+
 A frame of shape (..., n, n) holds a stack of flags of one type.  Every
 primitive here takes stacks: leading axes are batch axes, stacks
 broadcast against each other, and each row comes out bit for bit as the
@@ -80,14 +86,43 @@ class Flag:
         return b @ np.swapaxes(b, -1, -2)
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Sum over the last axis in a fixed order, so that a pair's value does
+    # not depend on the batch shape it is broadcast in.
+    acc = x[..., 0] * y[..., 0]
+    for k in range(1, x.shape[-1]):
+        acc = acc + x[..., k] * y[..., k]
+    return acc
+
+
+def _sine(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sine of the angle between the lines of unit vectors x and y (last axis).
+
+    |x - y| |x + y| / 2 = 2 sin(a/2) cos(a/2).  The product is even in y,
+    so the sign of y needs no alignment; unlike sqrt(1 - (x.y)^2) it keeps
+    full relative precision at small angles.
+    """
+    minus, plus = x - y, x + y
+    return 0.5 * np.sqrt(_dot(minus, minus) * _dot(plus, plus))
+
+
 def flag_distance(f1: Flag, f2: Flag):
-    """Max operator-norm difference of subspace projectors over the type."""
+    """Max operator-norm difference of subspace projectors over the type.
+
+    For a line, and for a hyperplane through its normal, the projector
+    difference has norm the sine of the angle between the two unit vectors.
+    """
     if f1.face != f2.face:
         raise ValueError("flags have different face types")
+    n = f1.face.n
     best = 0.0
     for d in f1.dims:
-        diff = f1.projector(d) - f2.projector(d)
-        best = np.maximum(best, np.linalg.norm(diff, 2, axis=(-2, -1)))
+        if d in (1, n - 1):
+            c = 0 if d == 1 else n - 1  # the line, or the hyperplane's normal
+            dist = _sine(f1.frame[..., :, c], f2.frame[..., :, c])
+        else:
+            dist = np.linalg.norm(f1.projector(d) - f2.projector(d), 2, axis=(-2, -1))
+        best = np.maximum(best, dist)
     return _scalar(best)
 
 
@@ -108,13 +143,29 @@ def transversality_margin(f: Flag, fop: Flag):
     if fop.face != iota_face(f.face):
         raise ValueError("second flag must have the opposite face type")
     n = f.face.n
-    batch = np.broadcast_shapes(f.frame.shape[:-2], fop.frame.shape[:-2])
     best = np.inf
     for d in f.dims:
-        m = np.concatenate([np.broadcast_to(f.basis(d), batch + (n, d)),
-                            np.broadcast_to(fop.basis(n - d), batch + (n, n - d))], axis=-1)
-        best = np.minimum(best, np.linalg.svd(m, compute_uv=False)[..., -1])
+        if d == 1:  # f's line against fop's hyperplane; at n = 2 that is fop's line, by its normal
+            margin = _line_hyperplane_margin(f.frame[..., :, 0], fop.frame[..., :, n - 1])
+        elif d == n - 1:  # f's hyperplane, by its normal, against fop's line
+            margin = _line_hyperplane_margin(fop.frame[..., :, 0], f.frame[..., :, n - 1])
+        else:
+            batch = np.broadcast_shapes(f.frame.shape[:-2], fop.frame.shape[:-2])
+            m = np.concatenate([np.broadcast_to(f.basis(d), batch + (n, d)),
+                                np.broadcast_to(fop.basis(n - d), batch + (n, n - d))], axis=-1)
+            margin = np.linalg.svd(m, compute_uv=False)[..., -1]
+        best = np.minimum(best, margin)
     return _scalar(best)
+
+
+def _line_hyperplane_margin(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Least singular value of [u | basis of the hyperplane normal to v].
+
+    With c = |u.v| and s = sqrt(1 - c^2), the Gram matrix has eigenvalues
+    1 - s, 1 + s and 1, so the value is sqrt(1 - s) = c / sqrt(1 + s).  s
+    is read by ``_sine``, which stays exact where c rounds to 1.
+    """
+    return np.abs(_dot(u, v)) / np.sqrt(1.0 + _sine(u, v))
 
 
 def antipodality_margin(f1: Flag, f2: Flag):

@@ -48,7 +48,7 @@ from .symmspace import DET_TOL, log_top_singular, make_parallel_set, normalize_d
 RESIDUAL_TOL = 1e-3   # limit: Cauchy residual tail below which a ray's flags converge
 SEPARATION = 1e-3     # limit: flag distance between separated limit-set representatives
 CONICAL_LOOKAHEAD = 4  # limit: letters behind and ahead of a point in its conical window
-PAIR_BLOCK = 1 << 16  # limit: pairs of limit flags per stacked antipodality call
+PAIR_BLOCK = 1 << 16  # limit: pairs of limit flags per broadcast call of the pair scan
 BETA_PAD = 8          # anosov: letters sampled past the tested prefixes for the limit flag
 DIVERGENCE_LOGEPS = float(np.log(100.0))  # anosov: log expansion counted as divergent
 CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansion
@@ -600,26 +600,34 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample,
 def _pair_scan(limits: Flag, letters: np.ndarray):
     """(cross margin, all-pairs margin, closest cross pair, separated count) of limit flags.
 
-    Pairs (i, j < i) go i ascending, then j, one stacked call per block of `step` rows i, at
-    most PAIR_BLOCK pairs.  Cross pairs have different first letters (disjoint cylinders).
+    Pairs (i, j < i) go i ascending, then j.  Each block of `step` rows i is one broadcast
+    call of each primitive, rows against all earlier flags, at most PAIR_BLOCK pairs; it gives
+    the margins and the separation mask that the greedy count reads in sample order.  Cross
+    pairs have different first letters (disjoint cylinders).
     """
+    count = len(letters)
     min_margin, all_pairs_min, closest = math.inf, math.inf, None
-    step = max(1, PAIR_BLOCK // len(letters))
-    for lo in range(1, len(letters), step):  # row r of the np.tri block is i = lo + r, j < i
-        i, j = np.nonzero(np.tri(min(step, len(letters) - lo), len(letters), lo - 1, dtype=bool))
-        i += lo
-        margins = antipodality_margin(limits[i], limits[j])
-        all_pairs_min = min(all_pairs_min, float(margins.min()))
-        cross = np.where(letters[i, 0] != letters[j, 0], margins, math.inf)
+    firsts = letters[:, 0]
+    reps = np.zeros(count, dtype=bool)  # greedy separated representatives
+    reps[0] = True
+    step = max(1, PAIR_BLOCK // count)
+    for lo in range(1, count, step):  # row r of the block is i = lo + r, column j < hi - 1
+        hi = min(lo + step, count)
+        rows, cols = limits[lo:hi, None], limits[None, :hi - 1]
+        earlier = np.tri(hi - lo, hi - 1, lo - 1, dtype=bool)
+        margins = antipodality_margin(rows, cols)
+        all_pairs_min = min(all_pairs_min, float(margins[earlier].min()))
+        cross = np.where(earlier & (firsts[lo:hi, None] != firsts[None, :hi - 1]),
+                         margins, math.inf)
         k = int(np.argmin(cross))  # the first of equal minima, in pair order
-        if cross[k] < min_margin:
-            min_margin = float(cross[k])
-            closest = (letters[i[k]].tolist(), letters[j[k]].tolist())
-    reps = [0]  # greedy separated representatives, in sample order
-    for r in range(1, len(letters)):
-        if np.all(flag_distance(limits[r], limits[reps]) > SEPARATION):
-            reps.append(r)
-    return min_margin, all_pairs_min, closest, len(reps)
+        if cross.flat[k] < min_margin:
+            min_margin = float(cross.flat[k])
+            r, j = divmod(k, hi - 1)
+            closest = (letters[lo + r].tolist(), letters[j].tolist())
+        apart = flag_distance(rows, cols) > SEPARATION
+        for i in range(lo, hi):
+            reps[i] = apart[i - lo, :i][reps[:i]].all()
+    return min_margin, all_pairs_min, closest, int(reps.sum())
 
 
 def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,

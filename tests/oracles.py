@@ -5,8 +5,9 @@ finite differences for expansion factors, tied-pair projections for wall
 distances, permutation search for the opposition involution, KKT
 certificates for sector projections, extended-precision mpmath
 arithmetic for singular frames and centered log singular values of deep
-products and for the spread of log singular values, and a per-ray loop
-for limit's antipodality pair scan.  The flat-cone membership test and
+products, for the spread of log singular values and for flag distances
+and transversality margins, and a per-ray loop for limit's antipodality
+pair scan.  The flat-cone membership test and
 the type-set boundary angle are tools of the acceptance checks.
 """
 
@@ -234,6 +235,49 @@ def off_mp(mat, digits: int = 50) -> float:
         logs = [mpmath.log(x) for x in s]
         mean = mpmath.fsum(logs) / len(logs)
         return float(mpmath.sqrt(mpmath.fsum((x - mean) ** 2 for x in logs)))
+
+
+def _span_mp(frame: np.ndarray, d: int):
+    # Orthonormal basis of the span of the leading d columns, in mpmath.
+    return mpmath.qr(mpmath.matrix(frame[:, :d].tolist()), mode="skinny")[0]
+
+
+def flag_distance_mp(f1: Flag, f2: Flag, digits: int = 50) -> float:
+    """``flag_distance`` of two single flags, in ``digits``-digit arithmetic.
+
+    Each subspace is the span of the float frame's leading columns, with
+    the entries converted exactly; the distance is the largest singular
+    value of the difference of the projectors, maximized over the type.
+    """
+    with mpmath.workdps(digits):
+        best = mpmath.mpf(0)
+        for d in f1.dims:
+            b1, b2 = _span_mp(f1.frame, d), _span_mp(f2.frame, d)
+            diff = b1 * b1.T - b2 * b2.T
+            best = max(best, max(mpmath.svd_r(diff, compute_uv=False)))
+        return float(best)
+
+
+def transversality_margin_mp(f: Flag, fop: Flag, digits: int = 50) -> float:
+    """``transversality_margin`` of two single flags, in ``digits``-digit arithmetic.
+
+    The least singular value of [basis of f's d-span | basis of fop's
+    (n-d)-span], spans read as in ``flag_distance_mp``, minimized over the
+    dimensions d of f's type.
+    """
+    n = f.face.n
+    with mpmath.workdps(digits):
+        best = mpmath.inf
+        for d in f.dims:
+            b1, b2 = _span_mp(f.frame, d), _span_mp(fop.frame, n - d)
+            m = mpmath.matrix(n, n)
+            for r in range(n):
+                for c in range(d):
+                    m[r, c] = b1[r, c]
+                for c in range(n - d):
+                    m[r, d + c] = b2[r, c]
+            best = min(best, min(mpmath.svd_r(m, compute_uv=False)))
+        return float(best)
 
 
 def pair_scan_loop(limits: Flag, letters: np.ndarray) -> tuple:

@@ -16,7 +16,12 @@ from anosovcheck.flags import (
     stable_product_flag,
     transversality_margin,
 )
-from oracles import expansion_factor_fd, random_sl
+from oracles import (
+    expansion_factor_fd,
+    flag_distance_mp,
+    random_sl,
+    transversality_margin_mp,
+)
 
 FACE1 = FaceType.make(3, [1])
 FACE_FULL = FaceType.full(3)
@@ -227,3 +232,46 @@ class TestAntipodalityMargin:
         f = Flag(FACE_FULL, np.eye(3))
         g = Flag(FACE_FULL, np.eye(3)[:, ::-1])
         assert antipodality_margin(f, g) == pytest.approx(1.0)
+
+
+ORACLE_FACES = {
+    2: [FaceType.full(2)],
+    3: [FaceType.full(3), FaceType.make(3, [1]), FaceType.make(3, [2])],
+    4: [FaceType.full(4), FaceType.make(4, [1]), FaceType.make(4, [3]), FaceType.make(4, [2])],
+}
+ORACLE_ANGLES = [1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0]
+
+
+def turned(q, axis, angle, rng):
+    """q with column `axis` turned by `angle` in a random plane through it."""
+    a = q[:, axis]
+    b = rng.standard_normal(len(a))
+    b -= (a @ b) * a
+    b /= np.linalg.norm(b)
+    turn = (np.cos(angle) - 1.0) * (np.outer(a, a) + np.outer(b, b)) + np.sin(angle) * (
+        np.outer(b, a) - np.outer(a, b))
+    return q + turn @ q
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_flag_metrics_match_oracle(rng, n):
+    # The line (column 0) or the hyperplane's normal (column n-1) is turned
+    # by angles from 1e-15 to 1: against the same flag for the distance,
+    # and against the reversed frame for margins near 1, where the sine
+    # must not come from sqrt(1 - cos^2); same-frame margins are near 0.
+    for face in ORACLE_FACES[n]:
+        op = iota_face(face)
+        for axis in (0, n - 1):
+            for angle in ORACLE_ANGLES:
+                q = qr_pos(rng.standard_normal((n, n)))[0]
+                f = Flag(face, q)
+                pairs = [
+                    (flag_distance, flag_distance_mp, f, Flag(face, turned(q, axis, angle, rng))),
+                    (transversality_margin, transversality_margin_mp, f,
+                     Flag(op, turned(q, axis, angle, rng)[:, ::-1])),
+                    (transversality_margin, transversality_margin_mp, f,
+                     Flag(op, turned(q, axis, angle, rng))),
+                ]
+                for fast, exact, f1, f2 in pairs:
+                    err = abs(fast(f1, f2) - exact(f1, f2))
+                    assert err <= 1e-14, (face.dims, axis, angle, fast.__name__, err)

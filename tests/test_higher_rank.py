@@ -9,15 +9,12 @@ from anosovcheck.chamber import FaceType, iota_face, iota_vector
 from anosovcheck.errors import TransversalityTooSmall
 from anosovcheck.flags import (
     Flag,
-    action_differential,
-    attractive_flag,
     expansion_factor,
     flag_distance,
     random_flag,
     tangent_dim,
 )
 from anosovcheck.subgroup import (
-    FreeGroupPresentation,
     _two_sided_svd,
     enumerate_geodesics,
     morse_check,
@@ -31,7 +28,6 @@ from anosovcheck.symmspace import (
     diamond_query,
     make_diamond,
     relative_flag,
-    riemannian_distance,
     segment_deficits,
 )
 from oracles import (
