@@ -12,7 +12,9 @@ A subspace of dimension 1 or n-1 is determined by one unit vector: frame
 column 0 spans the line, and column n-1 is the normal of the hyperplane.
 ``flag_distance`` and ``transversality_margin`` read those dimensions in
 closed form from that vector, which covers every dimension at n <= 3;
-only the middle dimensions at n >= 4 take an SVD.
+only the middle dimensions at n >= 4 take an SVD.  The hyperplane normal
+to column n-1 and the span of the leading n-1 columns agree to the
+frame's orthonormality, about 1e-15 for frames from QR or SVD.
 
 A frame of shape (..., n, n) holds a stack of flags of one type.  Every
 primitive here takes stacks: leading axes are batch axes, stacks

@@ -270,12 +270,7 @@ def transversality_margin_mp(f: Flag, fop: Flag, digits: int = 50) -> float:
         best = mpmath.inf
         for d in f.dims:
             b1, b2 = _span_mp(f.frame, d), _span_mp(fop.frame, n - d)
-            m = mpmath.matrix(n, n)
-            for r in range(n):
-                for c in range(d):
-                    m[r, c] = b1[r, c]
-                for c in range(n - d):
-                    m[r, d + c] = b2[r, c]
+            m = mpmath.matrix([r1 + r2 for r1, r2 in zip(b1.tolist(), b2.tolist())])
             best = min(best, min(mpmath.svd_r(m, compute_uv=False)))
         return float(best)
 

@@ -236,14 +236,14 @@ def test_flag_primitives(rng, n):
             assert_rows_equal(antipodality_margin(f[0], g),
                               [antipodality_margin(f[0], g[k]) for k in rows])
         # rows against columns, (R, 1) x (1, R), as limit's pair scan broadcasts them
-        cols = range(12)
+        sub = range(12)
         pairs = [(flag_distance, g), (transversality_margin, fop)]
         if face.is_iota_invariant:
             pairs.append((antipodality_margin, g))
         for primitive, other in pairs:
             grid = primitive(f[:12, None], other[None, :12])
             assert grid.shape == (12, 12)
-            assert_rows_equal(grid, [[primitive(f[i], other[j]) for j in cols] for i in cols])
+            assert_rows_equal(grid, [[primitive(f[i], other[j]) for j in sub] for i in sub])
         assert_rows_equal(act_on_flag(mats, f).frame,
                           [act_on_flag(mats[k], f[k]).frame for k in rows])
         assert_rows_equal(action_differential(mats, f),
