@@ -62,13 +62,12 @@ def flag_limit(gs, face: FaceType, tol: float = LIMIT_TOL,
     cluster flags.  Raises VanishingGap if the terminal element is not
     regular for the face type.
     """
-    mats = np.asarray(gs, dtype=float)
-    try:
-        attractive_flag(mats[-1], face)
-    except VanishingGap as exc:
-        raise VanishingGap(f"terminal element irregular: {exc}") from exc
-    plus, _, gaps = attractive_flag(mats, face, tol=-np.inf)
-    flags = plus[~(gaps.min(axis=-1) < GAP_TOL)]  # the regular elements
+    plus, _, gaps = attractive_flag(np.asarray(gs, dtype=float), face, tol=-np.inf)
+    least = gaps.min(axis=-1)
+    if least[-1] < GAP_TOL:
+        raise VanishingGap(f"terminal element irregular: log singular-value gap "
+                           f"{least[-1]:.3e} below {GAP_TOL:.1e}")
+    flags = plus[~(least < GAP_TOL)]  # the regular elements
     residuals, converged, has_limit = _limit_verdicts(flags, tol, cluster_radius)
     if converged:
         return FlagLimitResult(flags[-1], residuals, True)
@@ -85,15 +84,9 @@ def flag_limit(gs, face: FaceType, tol: float = LIMIT_TOL,
     return FlagLimitResult(flags[-1] if has_limit else None, residuals, False, clusters)
 
 
-def flag_limits(mats, face: FaceType):
-    """flag_limit of every sequence in a stack (R, N, n, n): (last flags, has_limit, irregular).
-
-    A row is irregular when any of its elements is, and an irregular row has no limit.
-    """
-    plus, _, gaps = attractive_flag(mats, face, tol=-np.inf)
-    irregular = (gaps.min(axis=-1) < GAP_TOL).any(axis=-1)
-    has_limit = _limit_verdicts(plus, LIMIT_TOL, CLUSTER_RADIUS)[2] & ~irregular
-    return plus[:, -1], has_limit, irregular
+def flag_limits(flags: Flag) -> np.ndarray:
+    """Whether each regular flag sequence of a stack (R, N) has a limit, as flag_limit decides."""
+    return _limit_verdicts(flags, LIMIT_TOL, CLUSTER_RADIUS)[2]
 
 
 def conical_check(gs, tau: Flag, x, rho: float = 2.0) -> PropertyReport:

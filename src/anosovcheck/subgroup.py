@@ -244,8 +244,13 @@ def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray) -> np.n
     return np.stack([top, -top - bottom, bottom], axis=-1)
 
 
-def _two_sided_svd(m: np.ndarray, minv: np.ndarray) -> np.ndarray:
-    """Left singular frame of m.
+def _least_gaps(logs: np.ndarray, face: FaceType) -> np.ndarray:
+    """Least gap of descending logs at the face type's walls; leading axes are batch axes."""
+    return np.min([logs[..., d - 1] - logs[..., d] for d in face.dims], axis=0)
+
+
+def _two_sided_svd(svd: tuple, svd_inv: tuple) -> np.ndarray:
+    """Left singular frame of m, from the SVDs (u, s, vt) of m and of minv.
 
     A direct SVD resolves left singular vector j only while sigma_j is
     not lost below eps * sigma_1; past that its trailing columns are
@@ -255,11 +260,10 @@ def _two_sided_svd(m: np.ndarray, minv: np.ndarray) -> np.ndarray:
     Each column is taken from the side whose ratio is larger, and the
     frame is orthonormalized by QR (Gram-Schmidt) in order of decreasing
     ratio, so the noise a column carries along better-resolved columns
-    is projected out and never spread into them.  Leading axes are batch
-    axes.
+    is projected out and never spread into them.  Swapping the arguments
+    gives the left singular frame of minv.  Leading axes are batch axes.
     """
-    u, s, _ = np.linalg.svd(m)
-    _, si, vti = np.linalg.svd(minv)
+    (u, s, _), (_, si, vti) = svd, svd_inv
     direct = s / s[..., :1]
     inverse = si[..., ::-1] / si[..., :1]
     order = np.argsort(-np.maximum(direct, inverse), axis=-1, kind="stable")
@@ -315,8 +319,6 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     """
     if length < 4:
         raise ValueError("need length >= 4")
-    dims = np.array(face.dims, dtype=int)
-    sqrt2 = math.sqrt(2.0)
     tail_start = max(2, length // 2 + 1)
     # witness candidates per length by distance, and on the tail by ratio
     by_length: dict[int, list[tuple]] = {}
@@ -328,7 +330,7 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
         dist = row_norms(delta)
         by_length.setdefault(el, []).extend(_records(dist, level))
         if el >= tail_start:
-            margin = (delta[:, dims - 1] - delta[:, dims]).min(axis=1) / sqrt2
+            margin = _least_gaps(delta, face) / math.sqrt(2.0)
             ratio = np.divide(margin, dist, out=np.full_like(dist, np.inf), where=dist > 0)
             flattest.extend(_records(ratio, level))
     slowest = {el: _first_tied(candidates) for el, candidates in by_length.items()}
@@ -424,16 +426,15 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     """
     if length < 2:
         raise ValueError("need length >= 2")
-    dims = np.array(face.dims, dtype=int)
     theta_gap = np.inf
     vanishing: list[tuple[int, list[int]]] = []
     # per length and branch: letters, depth-first ranks, regular mask, deficits
     scanned: dict[int, list[tuple[np.ndarray, ...]]] = {}
     for branch in _branches(word_levels(pres, length)):
         for el, level in enumerate(branch, start=1):
-            u = _two_sided_svd(level.mats, level.invs)
+            u = _two_sided_svd(np.linalg.svd(level.mats), np.linalg.svd(level.invs))
             logs = _two_sided_logs(level.mats, level.invs, level.logdets)
-            gaps = (logs[:, dims - 1] - logs[:, dims]).min(axis=1)
+            gaps = _least_gaps(logs, face)
             ok = ~(gaps < GAP_TOL)
             vanishing += zip(level.dfs[~ok].tolist(), level.letters[~ok].tolist())
             rows = np.flatnonzero(ok)
@@ -511,14 +512,21 @@ class RaySample(NamedTuple):
     tails: Flag           # (R, N + 1) flags of the suffixes letters[:, k:]
 
 
-def _random_word(rng: np.random.Generator, rank: int, length: int, start=()) -> list[int]:
-    """Extend ``start`` to a random reduced word, one draw per added letter."""
-    order = _letter_order(rank)
-    letters = list(start)
-    while len(letters) < length:
-        choices = [lt for lt in order if not letters or lt != -letters[-1]]
-        letters.append(int(choices[rng.integers(len(choices))]))
-    return letters
+def _random_words(rng: np.random.Generator, rank: int, count: int, length: int,
+                  start=()) -> np.ndarray:
+    """``count`` random reduced words (count, length) that extend ``start``.
+
+    Each added letter is uniform among those that do not cancel its predecessor; one
+    vectorized call draws them all, word by word, as one draw per letter would.
+    """
+    order = np.array(_letter_order(rank))
+    highs = [2 * rank - bool(j or start) for j in range(length - len(start))]
+    cols = [np.full(count, lt) for lt in start]
+    digit = _letter_order(rank).index(start[-1]) if start else None  # letter order index
+    for draw in rng.integers(highs, size=(count, len(highs))).T:
+        digit = draw if digit is None else draw + (draw >= (digit ^ 1))  # skip the cancelling one
+        cols.append(order[digit])
+    return np.stack(cols, axis=1)
 
 
 def _letter_stacks(pres: FreeGroupPresentation, letters: np.ndarray):
@@ -528,34 +536,42 @@ def _letter_stacks(pres: FreeGroupPresentation, letters: np.ndarray):
     return table[letters + pres.rank], table[pres.rank - letters]
 
 
-def sample_rays(pres: FreeGroupPresentation, count: int, depth: int, seed: int,
-                face: FaceType) -> RaySample:
-    """Deterministic ray sample: all generator-power rays, then random ones.
+def _prefix_products(pres: FreeGroupPresentation, letters: np.ndarray):
+    """(letter matrices, prefix products, their inverses, log|det|s) of words (..., N).
 
-    For all rays at once, prefix products are accumulated from the
+    For all words at once, prefix products are accumulated from the
     identity one letter at a time on the right, as ``pres.word_matrix``
     does, and their inverses one inverse letter at a time on the left.
     """
+    steps, inv_steps = _letter_stacks(pres, letters)
+    prefixes, inverses = np.empty_like(steps), np.empty_like(steps)
+    m = mi = np.eye(pres.n)
+    for k in range(letters.shape[-1]):
+        prefixes[..., k, :, :] = m = m @ steps[..., k, :, :]
+        inverses[..., k, :, :] = mi = inv_steps[..., k, :, :] @ mi
+    return steps, prefixes, inverses, np.cumsum(np.linalg.slogdet(steps)[1], axis=-1)
+
+
+def sample_rays(pres: FreeGroupPresentation, count: int, depth: int, seed: int,
+                face: FaceType) -> RaySample:
+    """Deterministic ray sample: all generator-power rays, then random ones."""
     schemes = {(lt,) * depth: "power" for lt in _letter_order(pres.rank)[:count]}
     rng = np.random.default_rng(seed)
     tries = 0
     while len(schemes) < count and tries < 100 * count:
-        tries += 1
-        schemes.setdefault(tuple(_random_word(rng, pres.rank, depth)), "random")
+        batch = min(count - len(schemes), 100 * count - tries)  # draws as one word at a time
+        tries += batch
+        for word in _random_words(rng, pres.rank, batch, depth).tolist():
+            schemes.setdefault(tuple(word), "random")
     if len(schemes) < count:
         raise ValueError("not enough distinct rays at this depth")
     letters = np.array(list(schemes), dtype=int).reshape(count, depth)
-    steps, inv_steps = _letter_stacks(pres, letters)
-    prefixes, inverses = np.empty_like(steps), np.empty_like(steps)
-    m = mi = np.eye(pres.n)
-    for k in range(depth):
-        prefixes[:, k] = m = m @ steps[:, k]
-        inverses[:, k] = mi = inv_steps[:, k] @ mi
-    return RaySample(letters, np.array(list(schemes.values())), prefixes, inverses,
-                     np.cumsum(np.linalg.slogdet(steps)[1], axis=1), suffix_flags(steps, face))
+    steps, *products = _prefix_products(pres, letters)
+    return RaySample(letters, np.array(list(schemes.values())), *products,
+                     suffix_flags(steps, face))
 
 
-def _conical_rays(pres: FreeGroupPresentation, sample: RaySample,
+def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
                   rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Conical approach along every ray of a sample: (verdicts, geometric sups).
 
@@ -566,11 +582,11 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample,
     well-conditioned at any depth; bounded window deficits together with
     the flag Cauchy residuals are the conicality surrogate.  Dynamical
     side: the pulled-back limit flags must keep a transversality floor
-    from the backward limit flag of the inverse prefixes.  The pulled-back
-    flag is the boundary flag of the shifted ray, read from the sample's
-    tails because it is a repelling fixed point of the inverse flow and
-    cannot be iterated forward; the deepest tails are too short to
-    resolve and are skipped.
+    from the last of the inverse prefixes' flags ``back`` (R, N), where
+    those have a limit.  The pulled-back flag is the boundary flag of the
+    shifted ray, read from the sample's tails because it is a repelling
+    fixed point of the inverse flow and cannot be iterated forward; the
+    deepest tails are too short to resolve and are skipped.
     """
     face = sample.tails.face
     total = sample.letters.shape[1]
@@ -590,11 +606,10 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample,
     both = segment_deficits(np.linalg.svd(m)[0], m, minv, points, face)[..., 0]
     sups = np.minimum(both[:, :len(stacks)], both[:, len(stacks):]).max(axis=1)
 
-    back, has_limit, irregular = flag_limits(sample.inverses, iota_face(face))
     margins = transversality_margin(sample.tails[:, 1:max(2, total - CONICAL_LOOKAHEAD + 1)],
-                                    back[:, None])
+                                    back[:, -1, None])
     transverse = margins[:, margins.shape[1] // 2:].min(axis=1) >= CONICAL_MARGIN_FLOOR
-    return (sups <= rho) & ~irregular & (transverse | ~has_limit), sups
+    return (sups <= rho) & (transverse | ~flag_limits(back)), sups
 
 
 def _pair_scan(limits: Flag, letters: np.ndarray):
@@ -648,28 +663,27 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     if not face.is_iota_invariant:
         raise ValueError("antipodality needs an iota-invariant face type")
     sample = sample_rays(pres, ray_count, depth, seed, face)
-    plus, _, gaps = attractive_flag(sample.prefixes, face, tol=-np.inf)
-    regular = ~(gaps.min(axis=-1) < GAP_TOL).any(axis=-1)
-    failures: list[dict] = []
-    for r in np.flatnonzero(~regular):
-        try:  # raises: the single-ray call names the ray's first irregular prefix
-            attractive_flag(sample.prefixes[r], face)
-        except VanishingGap as exc:
-            failures.append({"letters": sample.letters[r].tolist(), "reason": str(exc)})
+    deltas = _two_sided_logs(sample.prefixes, sample.inverses, sample.logdets)
+    gaps = _least_gaps(deltas, face)
+    regular = ~(gaps < GAP_TOL).any(axis=-1)
+    failures = [{"letters": sample.letters[r].tolist(),  # named by the ray's first irregular prefix
+                 "reason": f"log singular-value gap {gaps[r][gaps[r] < GAP_TOL][0]:.3e} "
+                           f"below {GAP_TOL:.1e}"} for r in np.flatnonzero(~regular)]
     if not regular.any():
         raise VanishingGap("no sampled ray has a regular prefix")
-    sample = RaySample(*(field[regular] for field in sample))
-    flags = plus[regular]
+    sample, deltas = RaySample(*(field[regular] for field in sample)), deltas[regular]
+    # the inverse prefixes' logs are the prefixes', negated and reversed: regular rows stay so
+    svd, svd_inv = np.linalg.svd(sample.prefixes), np.linalg.svd(sample.inverses)
+    flags = Flag(face, _two_sided_svd(svd, svd_inv))
+    back = Flag(iota_face(face), _two_sided_svd(svd_inv, svd))
     residuals = flag_distance(flags[:, :-1], flags[:, 1:]).tolist()
-    deltas = _two_sided_logs(sample.prefixes, sample.inverses, sample.logdets)
-    conical, sups = _conical_rays(pres, sample, conical_rho)
+    conical, sups = _conical_rays(pres, sample, back, conical_rho)
     samples = [{
         "letters": sample.letters[i].tolist(),
         "scheme": str(sample.schemes[i]),
         "limit_flag_frame": flags.frame[i, -1].copy(),  # not a view that keeps the prefix stack
         "residuals": res,
         "converged": bool(res and max(res[-max(1, len(res) // 4):]) < RESIDUAL_TOL),
-        "deltas": list(deltas[i]),
         "conical": bool(conical[i]),
         "conical_geometric_sup": float(sups[i]),
     } for i, res in enumerate(residuals)]
@@ -682,24 +696,19 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
 
     # Continuity probe: pairs of rays sharing prefixes of increasing depth.
     rng = np.random.default_rng(seed + 1)
-    probe = []
+    pairs = {}  # k -> two rays that share exactly their first k letters
     for k in range(1, max(2, depth - 1)):
-        letters = _random_word(rng, pres.rank, k)
-        exts = []
-        tries = 0
-        while len(exts) < 2 and tries < 100:
-            tries += 1
-            tail = _random_word(rng, pres.rank, depth, letters)
-            if len(exts) == 1 and tail[k] == exts[0][k]:
-                continue
-            exts.append(tail)
-        if len(exts) < 2:
-            continue
-        try:
-            fl = [attractive_flag(pres.word_matrix(ReducedWord(tail)), face)[0] for tail in exts]
-        except VanishingGap:
-            continue
-        probe.append((k, flag_distance(fl[0], fl[1])))
+        first = _random_words(rng, pres.rank, 1, depth)[0]
+        draws = (_random_words(rng, pres.rank, 1, depth, first[:k].tolist())[0] for _ in range(99))
+        second = next((w for w in draws if w[k] != first[k]), None)
+        if second is not None:
+            pairs[k] = (first, second)
+    # all probe words read two-sided at once; a pair with an irregular word is left out
+    words = np.array(list(pairs.values()), dtype=int).reshape(-1, 2, depth)
+    _, m, minv, logdet = (x[:, :, -1] for x in _prefix_products(pres, words))
+    keep = ~(_least_gaps(_two_sided_logs(m, minv, logdet), face) < GAP_TOL).any(axis=-1)
+    ends = Flag(face, _two_sided_svd(np.linalg.svd(m[keep]), np.linalg.svd(minv[keep])))
+    probe = zip(np.array(list(pairs))[keep].tolist(), flag_distance(ends[:, 0], ends[:, 1]))
 
     all_conical = all(s["conical"] for s in samples)
     antipodal = bool(not math.isinf(min_margin) and min_margin >= antipodal_floor)
@@ -726,10 +735,8 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
             "all_conical": all_conical,
             "antipodal": antipodal,
             "continuity_probe": [[k, float(d)] for k, d in probe],
-            "rays": [
-                {k: v for k, v in s.items() if k != "deltas"} for s in samples
-            ],
-            "deltas": {str(i): s["deltas"] for i, s in enumerate(samples)},
+            "rays": samples,
+            "deltas": {str(i): list(d) for i, d in enumerate(deltas)},
         },
         seed=seed,
     )
@@ -752,8 +759,8 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
     if depth < 3:
         raise ValueError("need depth >= 3: slopes are fitted on prefixes depth // 3 .. depth")
     sample = sample_rays(pres, rays, depth + BETA_PAD, seed, face)
-    _, _, gaps = attractive_flag(sample.prefixes[:, depth - 1], face, tol=-np.inf)
-    regular = ~(gaps.min(axis=-1) < GAP_TOL)
+    tested = (x[:, depth - 1] for x in (sample.prefixes, sample.inverses, sample.logdets))
+    regular = ~(_least_gaps(_two_sided_logs(*tested), face) < GAP_TOL)
     if not regular.any():
         raise VanishingGap("no sampled ray has a regular prefix")
     sample = RaySample(*(field[regular] for field in sample))

@@ -6,8 +6,9 @@ distances, permutation search for the opposition involution, KKT
 certificates for sector projections, extended-precision mpmath
 arithmetic for singular frames and centered log singular values of deep
 products, for the spread of log singular values and for flag distances
-and transversality margins, and a per-ray loop for limit's antipodality
-pair scan.  The flat-cone membership test and
+and transversality margins, a per-ray loop for limit's antipodality
+pair scan, and one draw per letter for the ray sample's random words.
+The flat-cone membership test and
 the type-set boundary angle are tools of the acceptance checks.
 """
 
@@ -273,6 +274,36 @@ def transversality_margin_mp(f: Flag, fop: Flag, digits: int = 50) -> float:
             m = mpmath.matrix([r1 + r2 for r1, r2 in zip(b1.tolist(), b2.tolist())])
             best = min(best, min(mpmath.svd_r(m, compute_uv=False)))
         return float(best)
+
+
+def random_word(rng: np.random.Generator, rank: int, length: int, start=()) -> list[int]:
+    """Extend ``start`` to a random reduced word, one draw per added letter.
+
+    Each letter is drawn from the letters 1, -1, 2, -2, ... that do not
+    cancel its predecessor, in that order.
+    """
+    order = [x for i in range(1, rank + 1) for x in (i, -i)]
+    letters = list(start)
+    while len(letters) < length:
+        choices = [lt for lt in order if not letters or lt != -letters[-1]]
+        letters.append(int(choices[rng.integers(len(choices))]))
+    return letters
+
+
+def ray_letters_loop(rank: int, count: int, depth: int, seed: int) -> list[list[int]]:
+    """``sample_rays``' letters, drawing one random word at a time by ``random_word``.
+
+    The generator-power rays come first, then distinct random words, with
+    at most 100 * count draws.
+    """
+    order = [x for i in range(1, rank + 1) for x in (i, -i)]
+    words = {(lt,) * depth: None for lt in order[:count]}
+    rng = np.random.default_rng(seed)
+    tries = 0
+    while len(words) < count and tries < 100 * count:
+        tries += 1
+        words.setdefault(tuple(random_word(rng, rank, depth)), None)
+    return [list(w) for w in words]
 
 
 def pair_scan_loop(limits: Flag, letters: np.ndarray) -> tuple:

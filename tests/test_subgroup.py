@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anosovcheck import dynamics, subgroup
 from anosovcheck.chamber import FaceType, flat_cone_deficit
 from anosovcheck.cli import bundled_config_path, load_config
 from anosovcheck.errors import (
@@ -233,7 +234,7 @@ def test_deficit_agrees_with_diamond_queries(name):
                            np.cumsum([len(lv.dfs) for lv in branch])[:-1])
         for el in range(2, len(branch) + 1):
             level = branch[el - 1]
-            u = _two_sided_svd(level.mats, level.invs)
+            u = _two_sided_svd(np.linalg.svd(level.mats), np.linalg.svd(level.invs))
             top = np.linalg.svd(level.mats, compute_uv=False)[:, 0]
             for i in np.flatnonzero(sampled[el - 1] & (top < 1e6)):
                 j = i
@@ -287,6 +288,9 @@ class TestLimitReport:
         assert rep.verdict
         assert rep.constants["antipodality_margin"] > 0.01
         assert rep.details["all_conical"]
+        # two-sided reads of the extension words: deep probes close to rounding
+        deep = [d for k, d in rep.details["continuity_probe"] if k >= 9]
+        assert deep and max(deep) < 1e-8
 
     def test_needs_iota_invariant_face(self, sl3_pres):
         with pytest.raises(ValueError):
@@ -301,6 +305,20 @@ class TestLimitReport:
         assert {f["reason"] for f in rep.witnesses["failures"]} == {
             "log singular-value gap 0.000e+00 below 1.0e-09"}
         assert len(rep.details["rays"]) == 12 - len(IRREGULAR_LIMIT_RAYS)
+
+
+def test_deep_products_read_no_one_sided_flag(monkeypatch):
+    # limit and anosov read every deep product two-sided; attractive_flag is
+    # left to single shallow matrices
+    def one_sided(*args, **kwargs):
+        raise AssertionError("a deep product read through attractive_flag")
+
+    for module in (subgroup, dynamics):
+        monkeypatch.setattr(module, "attractive_flag", one_sided)
+    cfg = load_config(bundled_config_path("sl3-symsq-schottky"))
+    pres, face = cfg.presentation(), cfg.face_type()
+    assert limit_report(pres, face, cfg.ray_depth, cfg.ray_count, cfg.seed).verdict
+    assert anosov_check(pres, face, cfg.ray_count, cfg.ray_depth, cfg.seed).verdict
 
 
 class TestAnosov:
