@@ -37,10 +37,6 @@ class FlagLimitResult:
     converged: bool
     clusters: list[Flag] = field(default_factory=list)
 
-    @property
-    def inconclusive(self) -> bool:
-        return not self.converged and len(self.clusters) >= 2
-
 
 def _limit_verdicts(flags: Flag, tol: float, cluster_radius: float):
     """(residuals, converged, has a limit) of regular flag sequences along the last batch axis."""

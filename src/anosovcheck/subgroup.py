@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +52,7 @@ BETA_PAD = 8          # anosov: letters sampled past the tested prefixes for the
 DIVERGENCE_LOGEPS = float(np.log(100.0))  # anosov: log expansion counted as divergent
 CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansion
 TIE_RTOL = 1e-12      # uru: relative distance within which witnesses tie
+WORD_BLOCK = 1458     # uru, morse: words per block of the depth-first word walk
 
 
 @dataclass(frozen=True)
@@ -136,25 +136,28 @@ def word_count(rank: int, length: int) -> int:
 
 
 class WordLevel(NamedTuple):
-    """The reduced words of one length that start with one letter."""
+    """A block of reduced words of one length, listed depth first."""
 
     letters: np.ndarray  # (N, L) signed letters
     mats: np.ndarray     # (N, n, n) word products
     invs: np.ndarray     # (N, n, n) their exactly accumulated inverses
     logdets: np.ndarray  # (N,) log|det| of the products, summed letter by letter
-    parent: np.ndarray   # (N,) row of each word's prefix in the previous level
+    parent: np.ndarray   # (N,) row of each word's prefix in the previous block of its chain
     dfs: np.ndarray      # (N,) rank of each word among all words in depth-first order
 
 
 def word_levels(pres: FreeGroupPresentation, length: int, max_words: int = 2_000_000):
-    """All reduced words of length 1..length, one branch and length at a time.
+    """All reduced words of length 1..length, as chains of blocks of at most WORD_BLOCK words.
 
-    Branches follow the first letter in letter order (1, -1, 2, -2, ...);
-    within a branch the lengths increase, and each level lists its words
-    in depth-first letter order.  A word's product is its prefix's
-    product times the last letter, and its inverse the last letter's
-    inverse times the prefix's, so both are exact products of letters
-    (equal to ``pres.word_matrix``).  Only one branch's levels are held.
+    A depth-first walk: each chain it yields is a list whose block k holds
+    words of length k + 1, its ``parent`` rows indexing block k - 1, and the
+    caller reads its last block.  A block's children, the one-letter
+    extensions of its rows in letter order (1, -1, 2, -2, ...), are cut into
+    blocks of WORD_BLOCK words, so the blocks of one length come depth first,
+    a short length is one block, and one block per length is held.  A word's
+    product is its prefix's product times the last letter, and its inverse
+    the last letter's inverse times the prefix's, so both are exact products
+    of letters (equal to ``pres.word_matrix``).
     """
     total = word_count(pres.rank, length)
     if total > max_words:
@@ -168,38 +171,36 @@ def word_levels(pres: FreeGroupPresentation, length: int, max_words: int = 2_000
     subtree = [0] * (length + 2)
     for el in range(length, 0, -1):
         subtree[el] = 1 + kids * subtree[el + 1]
-    for first in range(len(order)):
-        digit = np.array([first])  # index in letter order of each word's last letter
-        level = WordLevel(order[digit][:, None], gens[digit], inv_gens[digit], logdets[digit],
-                          np.zeros(1, dtype=np.intp), digit * subtree[1])
-        yield level
-        for el in range(2, length + 1):
-            allowed = np.arange(len(order)) != (digit[:, None] ^ 1)  # no cancellation
-            parent, digit = np.nonzero(allowed)
-            child = np.arange(len(parent)) % kids  # rank among its siblings
-            level = WordLevel(
-                np.concatenate([level.letters[parent], order[digit][:, None]], axis=1),
-                level.mats[parent] @ gens[digit],
-                inv_gens[digit] @ level.invs[parent],
-                level.logdets[parent] + logdets[digit],
-                parent,
-                level.dfs[parent] + 1 + child * subtree[el],
-            )
-            yield level
 
+    def walk(chain, digit):
+        # digit: index in letter order of the last letter of each word of chain[-1]
+        yield chain
+        if len(chain) == length:
+            return
+        level = chain[-1]
+        parent, digit = np.nonzero(np.arange(len(order)) != (digit[:, None] ^ 1))  # no cancellation
+        child = np.arange(len(parent)) % kids  # rank among its siblings
+        dfs = level.dfs[parent] + 1 + child * subtree[len(chain) + 1]
+        for cut in range(0, len(parent), WORD_BLOCK):
+            p, d = parent[cut:cut + WORD_BLOCK], digit[cut:cut + WORD_BLOCK]
+            yield from walk(chain + [WordLevel(
+                np.concatenate([level.letters[p], order[d][:, None]], axis=1),
+                level.mats[p] @ gens[d], inv_gens[d] @ level.invs[p],
+                level.logdets[p] + logdets[d], p, dfs[cut:cut + WORD_BLOCK])], d)
 
-def _branches(levels):
-    """Group word levels by first letter: one group of levels per branch."""
-    return (list(group) for _, group in groupby(levels, key=lambda lv: int(lv.letters[0, 0])))
+    for cut in range(0, len(order), WORD_BLOCK):
+        d = np.arange(len(order))[cut:cut + WORD_BLOCK]
+        yield from walk([WordLevel(order[d][:, None], gens[d], inv_gens[d], logdets[d],
+                                   np.zeros(len(d), dtype=np.intp), d * subtree[1])], d)
 
 
 def _dfs_words(pres: FreeGroupPresentation, length: int, max_words: int = 2_000_000):
     """(letters, product) of every reduced word of length 1..length, depth first."""
-    for branch in _branches(word_levels(pres, length, max_words)):
-        letters = [tuple(w) for lv in branch for w in lv.letters.tolist()]
-        mats = np.concatenate([lv.mats for lv in branch])
-        for k in np.argsort(np.concatenate([lv.dfs for lv in branch])):
-            yield letters[k], mats[k]
+    blocks = [chain[-1] for chain in word_levels(pres, length, max_words)]
+    letters = [tuple(w) for lv in blocks for w in lv.letters.tolist()]
+    mats = np.concatenate([lv.mats for lv in blocks])
+    for k in np.argsort(np.concatenate([lv.dfs for lv in blocks])):
+        yield letters[k], mats[k]
 
 
 def enumerate_geodesics(pres: FreeGroupPresentation, length: int,
@@ -295,8 +296,8 @@ def power_probe(pres: FreeGroupPresentation, max_power: int = 256, norm_cap: flo
 
 
 def _records(values: np.ndarray, level: WordLevel) -> list[tuple]:
-    """(value, depth-first rank, letters) of a level's words below all earlier ones."""
-    # a level lists its words depth first, so no other word can be a _first_tied witness
+    """(value, depth-first rank, letters) of a block's words below all earlier ones in it."""
+    # a block lists its words depth first, so no other word can be a _first_tied witness
     record = np.concatenate(([True], values[1:] < np.minimum.accumulate(values)[:-1]))
     return [(values[i], level.dfs[i], level.letters[i].tolist()) for i in np.flatnonzero(record)]
 
@@ -324,8 +325,8 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     by_length: dict[int, list[tuple]] = {}
     flattest: list[tuple] = []
 
-    for level in word_levels(pres, length):
-        el = level.letters.shape[1]
+    for chain in word_levels(pres, length):
+        level, el = chain[-1], len(chain)
         delta = _two_sided_logs(level.mats, level.invs, level.logdets)
         dist = row_norms(delta)
         by_length.setdefault(el, []).extend(_records(dist, level))
@@ -384,16 +385,16 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     )
 
 
-def _prefix_points(branch: list[WordLevel], rows: np.ndarray):
-    """(products, inverses) of the prefixes of the last level's words ``rows``.
+def _prefix_points(chain: list[WordLevel], rows: np.ndarray):
+    """(products, inverses) of the prefixes of the words ``rows`` of a chain's last block.
 
     Word w of length L spans the diamond from o to w.o; its interior
-    points are the orbit points of its prefixes, yielded for prefix
-    lengths t = L-1, ..., 1.
+    points are the orbit points of its prefixes, read through the chain's
+    ``parent`` rows and yielded for prefix lengths t = L-1, ..., 1.
     """
-    for t in range(len(branch) - 1, 0, -1):
-        rows = branch[t].parent[rows]  # row of each word's prefix of length t
-        yield branch[t - 1].mats[rows], branch[t - 1].invs[rows]
+    for t in range(len(chain) - 1, 0, -1):
+        rows = chain[t].parent[rows]  # row of each word's prefix of length t
+        yield chain[t - 1].mats[rows], chain[t - 1].invs[rows]
 
 
 def _level_index(letters: np.ndarray, rank: int) -> np.ndarray:
@@ -420,7 +421,9 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     configuration takes the better-resolved of the two evaluations.  The
     fitted rho is the worst deficit, the fitted type gap the worst
     normalized wall gap.  Irregular words are Morse failures.  Words need
-    length >= 2 to have interior points.  The test suite cross-checks the
+    length >= 2 to have interior points.  The words come one block of
+    ``word_levels`` at a time, and their interior points through the block's
+    chain (``_prefix_points``).  The test suite cross-checks the
     deficit against diamond membership by ``make_diamond`` and
     ``diamond_query`` on a sample of the bundled configs' words.
     """
@@ -428,31 +431,31 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
         raise ValueError("need length >= 2")
     theta_gap = np.inf
     vanishing: list[tuple[int, list[int]]] = []
-    # per length and branch: letters, depth-first ranks, regular mask, deficits
+    # per length and block: letters, depth-first ranks, regular mask, deficits
     scanned: dict[int, list[tuple[np.ndarray, ...]]] = {}
-    for branch in _branches(word_levels(pres, length)):
-        for el, level in enumerate(branch, start=1):
-            u = _two_sided_svd(np.linalg.svd(level.mats), np.linalg.svd(level.invs))
-            logs = _two_sided_logs(level.mats, level.invs, level.logdets)
-            gaps = _least_gaps(logs, face)
-            ok = ~(gaps < GAP_TOL)
-            vanishing += zip(level.dfs[~ok].tolist(), level.letters[~ok].tolist())
-            rows = np.flatnonzero(ok)
-            if rows.size:
-                theta_gap = min(theta_gap, float((gaps[rows] / row_norms(logs[rows])).min()))
-            if el < 2:
-                continue
-            d = np.full((len(ok), el - 1), np.nan)
-            if rows.size:
-                # columns come longest prefix first; column t-1 is prefix length t
-                d[rows] = segment_deficits(u[rows], level.mats[rows], level.invs[rows],
-                                           _prefix_points(branch[:el], rows), face)[:, ::-1]
-            scanned.setdefault(el, []).append((level.letters, level.dfs, ok, d))
+    for chain in word_levels(pres, length):
+        level, el = chain[-1], len(chain)
+        u = _two_sided_svd(np.linalg.svd(level.mats), np.linalg.svd(level.invs))
+        logs = _two_sided_logs(level.mats, level.invs, level.logdets)
+        gaps = _least_gaps(logs, face)
+        ok = ~(gaps < GAP_TOL)
+        vanishing += zip(level.dfs[~ok].tolist(), level.letters[~ok].tolist())
+        rows = np.flatnonzero(ok)
+        if rows.size:
+            theta_gap = min(theta_gap, float((gaps[rows] / row_norms(logs[rows])).min()))
+        if el < 2:
+            continue
+        d = np.full((len(ok), el - 1), np.nan)
+        if rows.size:
+            # columns come longest prefix first; column t-1 is prefix length t
+            d[rows] = segment_deficits(u[rows], level.mats[rows], level.invs[rows],
+                                       _prefix_points(chain, rows), face)[:, ::-1]
+        scanned.setdefault(el, []).append((level.letters, level.dfs, ok, d))
 
     # Aggregate each configuration with its mirror: word w at interior
-    # index t is the same segment as w^{-1} at index len(w) - t.  A level
-    # gathered over all branches lists every word of its length depth
-    # first, so a word's mirror sits at the mirror's level index.
+    # index t is the same segment as w^{-1} at index len(w) - t.  The
+    # blocks of one length, in walk order, list every word of that length
+    # depth first, so a word's mirror sits at the mirror's level index.
     rho_per_len = np.zeros(length + 1)
     worst = (None, None, -1.0)
     worst_dfs = -1

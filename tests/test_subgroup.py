@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,6 @@ from anosovcheck.subgroup import (
     uru_check,
     word_count,
     word_levels,
-    _branches,
     _two_sided_logs,
     _two_sided_svd,
 )
@@ -68,8 +69,10 @@ class TestWords:
         expected = SL2_G @ np.linalg.inv(SL2_H)
         assert np.allclose(sl2_pres.word_matrix(w), expected)
 
+    @pytest.mark.parametrize("block", [subgroup.WORD_BLOCK, 7])
     @pytest.mark.parametrize("rank", [1, 2, 3])
-    def test_word_levels(self, rank, rng):
+    def test_word_levels(self, rank, block, rng, monkeypatch):
+        monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
         pres = FreeGroupPresentation(tuple(random_sl(rng, 3) for _ in range(rank)))
         length = 4
 
@@ -83,10 +86,19 @@ class TestWords:
                         yield from depth_first(prefix + [lt])
 
         reference = list(depth_first([]))
-        levels = list(word_levels(pres, length))
+        chains = list(word_levels(pres, length))
+        levels = [chain[-1] for chain in chains]
+        for chain in chains:
+            assert len(chain[-1].letters) <= block
+            for el, (prev, lv) in enumerate(zip(chain, chain[1:]), start=2):
+                assert lv.letters.shape[1] == el
+                assert np.array_equal(prev.letters[lv.parent], lv.letters[:, :-1])
         for el in range(1, length + 1):
-            count = sum(len(lv.letters) for lv in levels if lv.letters.shape[1] == el)
-            assert count == word_count(rank, el) - word_count(rank, el - 1)
+            same = [lv for lv in levels if lv.letters.shape[1] == el]
+            assert sum(len(lv.letters) for lv in same) == (word_count(rank, el)
+                                                          - word_count(rank, el - 1))
+            # the blocks of one length come depth first
+            assert (np.diff(np.concatenate([lv.dfs for lv in same])) > 0).all()
         words = [tuple(w) for lv in levels for w in lv.letters.tolist()]
         dfs = np.concatenate([lv.dfs for lv in levels])
         assert sorted(dfs.tolist()) == list(range(len(reference)))
@@ -214,42 +226,67 @@ CROSS_CHECKED = {"sl2-schottky": 394, "sl3-symsq-schottky": 9, "sanov-unipotent"
 @pytest.mark.parametrize("name", sorted(CROSS_CHECKED))
 def test_deficit_agrees_with_diamond_queries(name):
     # The deficit and the diamond query are independent routes to
-    # membership.  Sample every 29th regular word of a branch, counted
-    # depth first, whose top singular value is below 1e6, and query its
-    # midpoint (prefix length L // 2) in the word's diamond: a member must
-    # have deficit at most 0.25, a non-member a deficit of at least 1e-8.
+    # membership.  Sample every 29th regular word of a first-letter branch,
+    # counted depth first, whose top singular value is below 1e6, and query
+    # its midpoint (prefix length L // 2) in the word's diamond: a member
+    # must have deficit at most 0.25, a non-member a deficit of at least 1e-8.
     cfg = load_config(bundled_config_path(name))
     pres, face = cfg.presentation(), cfg.face_type()
+    depth = cfg.options["morse_depth"]
     dims = np.array(face.dims)
+    parts = []  # per block: depth-first ranks, first letters, regular mask
+    for chain in word_levels(pres, depth):
+        lv = chain[-1]
+        x = _two_sided_logs(lv.mats, lv.invs, lv.logdets)
+        parts.append((lv.dfs, lv.letters[:, 0],
+                      ~((x[:, dims - 1] - x[:, dims]).min(axis=1) < GAP_TOL)))
+    dfs, first, regular = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(dfs)
+    count = np.empty(len(dfs), dtype=int)
+    for lt in np.unique(first):
+        branch = order[first[order] == lt]
+        count[branch] = np.cumsum(regular[branch])
+    sampled = dfs[regular & (count % 29 == 0)]
+
     checked = failed = 0
-    for branch in _branches(word_levels(pres, cfg.options["morse_depth"])):
-        logs = [_two_sided_logs(lv.mats, lv.invs, lv.logdets) for lv in branch]
-        regular = np.concatenate([~((x[:, dims - 1] - x[:, dims]).min(axis=1) < GAP_TOL)
-                                  for x in logs])
-        dfs = np.concatenate([lv.dfs for lv in branch])
-        order = np.argsort(dfs)
-        count = np.empty(len(dfs), dtype=int)
-        count[order] = np.cumsum(regular[order])
-        sampled = np.split(regular & (count % 29 == 0),
-                           np.cumsum([len(lv.dfs) for lv in branch])[:-1])
-        for el in range(2, len(branch) + 1):
-            level = branch[el - 1]
-            u = _two_sided_svd(np.linalg.svd(level.mats), np.linalg.svd(level.invs))
-            top = np.linalg.svd(level.mats, compute_uv=False)[:, 0]
-            for i in np.flatnonzero(sampled[el - 1] & (top < 1e6)):
-                j = i
-                for t in range(el, el // 2, -1):
-                    j = branch[t - 1].parent[j]
-                m, mid, mid_inv = level.mats[i], branch[el // 2 - 1].mats[j], branch[el // 2 - 1].invs[j]
-                try:
-                    dia = make_diamond(np.eye(pres.n), m @ m.T, face, tol=GAP_TOL)
-                    member, _ = diamond_query(mid @ mid.T, dia, tol=0.25)
-                except (IllConditioned, VanishingGap):
-                    continue
-                deficit = segment_deficits(u[i], m, level.invs[i], [(mid, mid_inv)], face)[0]
-                checked += 1
-                failed += bool(deficit > 0.25 if member else deficit < 1e-8)
+    for chain in word_levels(pres, depth):
+        level, el = chain[-1], len(chain)
+        if el < 2:
+            continue
+        u = _two_sided_svd(np.linalg.svd(level.mats), np.linalg.svd(level.invs))
+        top = np.linalg.svd(level.mats, compute_uv=False)[:, 0]
+        for i in np.flatnonzero(np.isin(level.dfs, sampled) & (top < 1e6)):
+            j = i
+            for t in range(el, el // 2, -1):
+                j = chain[t - 1].parent[j]
+            m, mid, mid_inv = level.mats[i], chain[el // 2 - 1].mats[j], chain[el // 2 - 1].invs[j]
+            try:
+                dia = make_diamond(np.eye(pres.n), m @ m.T, face, tol=GAP_TOL)
+                member, _ = diamond_query(mid @ mid.T, dia, tol=0.25)
+            except (IllConditioned, VanishingGap):
+                continue
+            deficit = segment_deficits(u[i], m, level.invs[i], [(mid, mid_inv)], face)[0]
+            checked += 1
+            failed += bool(deficit > 0.25 if member else deficit < 1e-8)
     assert (checked, failed) == (CROSS_CHECKED[name], 0)
+
+
+@pytest.mark.parametrize("name", ["sl2-schottky", "sl3-symsq-schottky"])
+def test_reports_do_not_depend_on_the_word_block(name, monkeypatch):
+    # uru and morse give every word the same arithmetic in any block, so
+    # a cap of a few words, one that cuts siblings apart, and one above
+    # the whole tree all publish the default cap's reports byte for byte
+    cfg = load_config(bundled_config_path(name))
+    pres, face = cfg.presentation(), cfg.face_type()
+
+    def reports():
+        return [json.dumps(rep.as_dict(), sort_keys=True)
+                for rep in (uru_check(pres, face, 6), morse_check(pres, face, 5))]
+
+    expected = reports()
+    for block in (3, 5, word_count(pres.rank, 6) + 1):
+        monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
+        assert reports() == expected, block
 
 
 # The rays of the rotation pair (depth 8, 12 rays, seed 3) that have an
