@@ -69,10 +69,18 @@ class TestWords:
         expected = SL2_G @ np.linalg.inv(SL2_H)
         assert np.allclose(sl2_pres.word_matrix(w), expected)
 
-    @pytest.mark.parametrize("block", [subgroup.WORD_BLOCK, 7])
     @pytest.mark.parametrize("rank", [1, 2, 3])
-    def test_word_levels(self, rank, block, rng, monkeypatch):
-        monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
+    def test_word_levels(self, rank, rng):
+        self._check_word_levels(rank, subgroup.WORD_BLOCK, rng)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_word_levels_small_block(self, rank, rng, monkeypatch):
+        # a block far below a level's size splits every level into many blocks
+        monkeypatch.setattr(subgroup, "WORD_BLOCK", 7)
+        self._check_word_levels(rank, 7, rng)
+
+    @staticmethod
+    def _check_word_levels(rank, block, rng):
         pres = FreeGroupPresentation(tuple(random_sl(rng, 3) for _ in range(rank)))
         length = 4
 
