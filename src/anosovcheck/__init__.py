@@ -16,7 +16,7 @@ from .chamber import (
     project_to_face_sector,
     theta_membership,
 )
-from .dynamics import conical_check, flag_limit
+from .dynamics import conical_check
 from .errors import (
     BudgetExceeded,
     IllConditioned,
@@ -36,9 +36,7 @@ from .flags import (
 from .reports import PropertyReport
 from .subgroup import (
     FreeGroupPresentation,
-    ReducedWord,
     anosov_check,
-    enumerate_geodesics,
     limit_report,
     morse_check,
     schottky_build,

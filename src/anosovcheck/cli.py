@@ -205,6 +205,8 @@ def run_config(path, seed: int | None = None, out_dir: str | None = None) -> int
     face = cfg.face_type()
     reports: dict[str, dict] = {}
     ordered = [c for c in CHECKER_ORDER if c in cfg.checkers]
+    for name in (*CHECKER_ORDER, "summary", "error"):  # no report of an earlier run outlives it
+        (out / f"{name}.json").unlink(missing_ok=True)
     try:
         for checker in ordered:
             # only the options the config sets; the rest take the checker's defaults

@@ -7,12 +7,9 @@ convergence by a cone-distance bound and a transversality floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .chamber import FaceType, flat_cone_deficit, iota_face
-from .errors import VanishingGap
+from .chamber import flat_cone_deficit, iota_face
 from .flags import (
     GAP_TOL,
     Flag,
@@ -30,59 +27,17 @@ LIMIT_TOL = 1e-6       # flag limits: Cauchy residual tail below which a sequenc
 CLUSTER_RADIUS = 0.1   # flag limits: distance at which a tail flag starts a new cluster
 
 
-@dataclass
-class FlagLimitResult:
-    flag: Flag | None
-    residuals: np.ndarray
-    converged: bool
-    clusters: list[Flag] = field(default_factory=list)
-
-
-def _limit_verdicts(flags: Flag, tol: float, cluster_radius: float):
-    """(residuals, converged, has a limit) of regular flag sequences along the last batch axis."""
-    residuals = flag_distance(flags[..., :-1, :, :], flags[..., 1:, :, :])
-    converged = (residuals[..., -max(1, residuals.shape[-1] // 4):] < tol).all(axis=-1)
-    # A limit, the last flag, exists iff converged or the greedy clustering of the tail
-    # makes one cluster, i.e. no tail flag lies beyond cluster_radius from the first.
-    tail = flags[..., flags.frame.shape[-3] // 2:, :, :]
-    spread = flag_distance(tail, tail[..., :1, :, :])
-    return residuals, converged, converged | ~(spread > cluster_radius).any(axis=-1)
-
-
-def flag_limit(gs, face: FaceType, tol: float = LIMIT_TOL,
-               cluster_radius: float = CLUSTER_RADIUS) -> FlagLimitResult:
-    """Limit of the attracting flags along a sequence, with Cauchy residuals.
-
-    Convergence is declared when the residual tail sits below tolerance;
-    oscillating residuals yield an inconclusive result carrying the
-    cluster flags.  Raises VanishingGap if the terminal element is not
-    regular for the face type.
-    """
-    plus, _, gaps = attractive_flag(np.asarray(gs, dtype=float), face, tol=-np.inf)
-    least = gaps.min(axis=-1)
-    if least[-1] < GAP_TOL:
-        raise VanishingGap(f"terminal element irregular: log singular-value gap "
-                           f"{least[-1]:.3e} below {GAP_TOL:.1e}")
-    flags = plus[~(least < GAP_TOL)]  # the regular elements
-    residuals, converged, has_limit = _limit_verdicts(flags, tol, cluster_radius)
-    if converged:
-        return FlagLimitResult(flags[-1], residuals, True)
-    # Cluster the tail flags greedily in sequence order: the next cluster is
-    # the first flag apart from every cluster so far.
-    tail_flags = flags[len(flags.frame) // 2:]
-    apart = np.ones(len(tail_flags.frame), dtype=bool)
-    clusters: list[Flag] = []
-    while apart.any():
-        k = int(np.argmax(apart))
-        clusters.append(tail_flags[k])
-        apart &= flag_distance(tail_flags, clusters[-1]) > cluster_radius
-        apart[k] = False
-    return FlagLimitResult(flags[-1] if has_limit else None, residuals, False, clusters)
-
-
 def flag_limits(flags: Flag) -> np.ndarray:
-    """Whether each regular flag sequence of a stack (R, N) has a limit, as flag_limit decides."""
-    return _limit_verdicts(flags, LIMIT_TOL, CLUSTER_RADIUS)[2]
+    """Whether each regular flag sequence of a stack (..., N) has a limit, its last flag.
+
+    A sequence has one when its Cauchy residual tail sits below LIMIT_TOL, or
+    when greedy clustering of its tail (the second half) in sequence order
+    makes one cluster: no tail flag lies beyond CLUSTER_RADIUS from the first.
+    """
+    residuals = flag_distance(flags[..., :-1, :, :], flags[..., 1:, :, :])
+    converged = (residuals[..., -max(1, residuals.shape[-1] // 4):] < LIMIT_TOL).all(axis=-1)
+    tail = flags[..., flags.frame.shape[-3] // 2:, :, :]
+    return converged | ~(flag_distance(tail, tail[..., :1, :, :]) > CLUSTER_RADIUS).any(axis=-1)
 
 
 def conical_check(gs, tau: Flag, x, rho: float = 2.0) -> PropertyReport:
@@ -92,7 +47,8 @@ def conical_check(gs, tau: Flag, x, rho: float = 2.0) -> PropertyReport:
     cones toward the flag, measured against the cone at the limit flag
     directly, which is reliable only at moderate orbit scales.  Dynamical
     side: the pulled-back flags g_n^{-1} tau must keep a transversality
-    floor from the backward limit flag.
+    floor from the backward limit flag, and fail if the last element is
+    irregular.
     """
     mats = np.asarray(gs, dtype=float)
     face = tau.face
@@ -108,15 +64,16 @@ def conical_check(gs, tau: Flag, x, rho: float = 2.0) -> PropertyReport:
     geometric_ok = bool(geometric_sup <= rho)
     dyn_ok = None
     dyn_margin = None
-    try:
-        back = flag_limit(inv_mats, iota_face(face))
-        if back.flag is not None:
-            margins = transversality_margin(act_on_flag(inv_mats, tau), back.flag)
-            tail = margins[len(margins) // 2:]
-            dyn_margin = float(tail.min())
-            dyn_ok = bool(dyn_margin >= CONICAL_MARGIN_FLOOR)
-    except VanishingGap:
+    # the backward limit is the last of the inverses' flags, taken over their regular ones
+    back, _, gaps = attractive_flag(inv_mats, iota_face(face), tol=-np.inf)
+    regular = ~(gaps.min(axis=-1) < GAP_TOL)
+    if not regular[-1]:
         dyn_ok = False
+    elif flag_limits(back[regular]):
+        margins = transversality_margin(act_on_flag(inv_mats, tau), back[-1])
+        tail = margins[len(margins) // 2:]
+        dyn_margin = float(tail.min())
+        dyn_ok = bool(dyn_margin >= CONICAL_MARGIN_FLOOR)
     verdict = bool(geometric_ok and (dyn_ok is not False))
     return PropertyReport(
         name="conical-convergence",

@@ -53,27 +53,7 @@ DIVERGENCE_LOGEPS = float(np.log(100.0))  # anosov: log expansion counted as div
 CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansion
 TIE_RTOL = 1e-12      # uru: relative distance within which witnesses tie
 WORD_BLOCK = 1458     # uru, morse: words per block of the depth-first word walk
-
-
-@dataclass(frozen=True)
-class ReducedWord:
-    """A reduced word: signed 1-based generator indices, no cancellation."""
-
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        ls = tuple(int(x) for x in self.letters)
-        if any(x == 0 for x in ls):
-            raise ValueError("letters are nonzero signed indices")
-        if any(a == -b for a, b in zip(ls, ls[1:])):
-            raise ValueError("word is not reduced")
-        object.__setattr__(self, "letters", ls)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def inverse(self) -> "ReducedWord":
-        return ReducedWord(tuple(-x for x in reversed(self.letters)))
+MAX_WORDS = 2_000_000  # word walk: most words of lengths 1..length it may visit
 
 
 @dataclass(frozen=True)
@@ -81,7 +61,6 @@ class FreeGroupPresentation:
     """Matrix generators assumed (or certified) to generate freely."""
 
     generators: tuple[np.ndarray, ...]
-    assumed_free: bool = True
     inverses: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -108,12 +87,6 @@ class FreeGroupPresentation:
     def letter_matrix(self, letter: int) -> np.ndarray:
         i = abs(letter) - 1
         return self.generators[i] if letter > 0 else self.inverses[i]
-
-    def word_matrix(self, word: ReducedWord) -> np.ndarray:
-        m = np.eye(self.n)
-        for lt in word.letters:
-            m = m @ self.letter_matrix(lt)
-        return m
 
 
 def _letter_order(rank: int) -> list[int]:
@@ -146,7 +119,7 @@ class WordLevel(NamedTuple):
     dfs: np.ndarray      # (N,) rank of each word among all words in depth-first order
 
 
-def word_levels(pres: FreeGroupPresentation, length: int, max_words: int = 2_000_000):
+def word_levels(pres: FreeGroupPresentation, length: int):
     """All reduced words of length 1..length, as chains of blocks of at most WORD_BLOCK words.
 
     A depth-first walk: each chain it yields is a list whose block k holds
@@ -157,11 +130,13 @@ def word_levels(pres: FreeGroupPresentation, length: int, max_words: int = 2_000
     a short length is one block, and one block per length is held.  A word's
     product is its prefix's product times the last letter, and its inverse
     the last letter's inverse times the prefix's, so both are exact products
-    of letters (equal to ``pres.word_matrix``).
+    of letters.
     """
+    if length < 1:
+        raise ValueError("need length >= 1")
     total = word_count(pres.rank, length)
-    if total > max_words:
-        raise BudgetExceeded(f"{total} words exceed budget {max_words}")
+    if total > MAX_WORDS:
+        raise BudgetExceeded(f"{total} words exceed budget {MAX_WORDS}")
     order = np.array(_letter_order(pres.rank), dtype=np.int8)
     gens = np.stack([pres.letter_matrix(lt) for lt in order])
     inv_gens = np.stack([pres.letter_matrix(-lt) for lt in order])
@@ -192,24 +167,6 @@ def word_levels(pres: FreeGroupPresentation, length: int, max_words: int = 2_000
         d = np.arange(len(order))[cut:cut + WORD_BLOCK]
         yield from walk([WordLevel(order[d][:, None], gens[d], inv_gens[d], logdets[d],
                                    np.zeros(len(d), dtype=np.intp), d * subtree[1])], d)
-
-
-def _dfs_words(pres: FreeGroupPresentation, length: int, max_words: int = 2_000_000):
-    """(letters, product) of every reduced word of length 1..length, depth first."""
-    blocks = [chain[-1] for chain in word_levels(pres, length, max_words)]
-    letters = [tuple(w) for lv in blocks for w in lv.letters.tolist()]
-    mats = np.concatenate([lv.mats for lv in blocks])
-    for k in np.argsort(np.concatenate([lv.dfs for lv in blocks])):
-        yield letters[k], mats[k]
-
-
-def enumerate_geodesics(pres: FreeGroupPresentation, length: int,
-                        max_words: int = 2_000_000):
-    """All reduced words of length 1..length, in depth-first letter order."""
-    if length < 1:
-        raise ValueError("need length >= 1")
-    for letters, _ in _dfs_words(pres, length, max_words):
-        yield ReducedWord(letters)
 
 
 def _resolved_logs(s: np.ndarray, si: np.ndarray) -> np.ndarray:
@@ -543,8 +500,8 @@ def _prefix_products(pres: FreeGroupPresentation, letters: np.ndarray):
     """(letter matrices, prefix products, their inverses, log|det|s) of words (..., N).
 
     For all words at once, prefix products are accumulated from the
-    identity one letter at a time on the right, as ``pres.word_matrix``
-    does, and their inverses one inverse letter at a time on the left.
+    identity one letter at a time on the right, and their inverses one
+    inverse letter at a time on the left.
     """
     steps, inv_steps = _letter_stacks(pres, letters)
     prefixes, inverses = np.empty_like(steps), np.empty_like(steps)
@@ -814,12 +771,15 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
     # Stratum expansion: some short word expands at every sampled limit flag.
     cea_ok = True
     cea_records = []
-    words, mats = zip(*_dfs_words(pres, CEA_DEPTH))
-    eps = expansion_factor(np.stack(mats), sample.tails[:, 0, None])
+    blocks = [chain[-1] for chain in word_levels(pres, CEA_DEPTH)]
+    dfs = np.argsort(np.concatenate([lv.dfs for lv in blocks]))  # walk order, depth first
+    words = [w for lv in blocks for w in lv.letters.tolist()]
+    eps = expansion_factor(np.concatenate([lv.mats for lv in blocks])[dfs],
+                           sample.tails[:, 0, None])
     for r, row in zip(ray_data, eps):
         k = int(np.argmax(row))  # the first maximum, in depth-first word order
         cea_records.append({"letters": r["letters"], "best_eps": float(row[k]),
-                            "best_word": list(words[k])})
+                            "best_word": words[dfs[k]]})
         if row[k] < 1.0 + expansion_floor:
             cea_ok = False
     return PropertyReport(
@@ -995,7 +955,7 @@ def schottky_build(elements, face: FaceType, margin_floor: float = 0.05,
         history.append({"power": power, "radius": rad, "ok": ok,
                         "worst_bound": worst_bound, "worst_sample": worst_sample})
         if ok:
-            pres = FreeGroupPresentation(tuple(gens), assumed_free=True)
+            pres = FreeGroupPresentation(tuple(gens))
             report = PropertyReport(
                 name="schottky-ping-pong",
                 verdict=True,

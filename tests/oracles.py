@@ -7,7 +7,9 @@ certificates for sector projections, extended-precision mpmath
 arithmetic for singular frames and centered log singular values of deep
 products, for the spread of log singular values and for flag distances
 and transversality margins, a per-ray loop for limit's antipodality
-pair scan, and one draw per letter for the ray sample's random words.
+pair scan, one draw per letter for the ray sample's random words, a
+recursive depth-first list of reduced words with their left-to-right
+products, and greedy clustering of one sequence's flags for flag limits.
 The flat-cone membership test and
 the type-set boundary angle are tools of the acceptance checks.
 """
@@ -22,11 +24,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from anosovcheck.chamber import FaceType, ThetaSpec, block_sort
+from anosovcheck.dynamics import CLUSTER_RADIUS, LIMIT_TOL
+from anosovcheck.errors import VanishingGap
 from anosovcheck.flags import (
     Flag,
     _coord_entries,
     act_on_flag,
     antipodality_margin,
+    attractive_flag,
     flag_distance,
 )
 from anosovcheck.subgroup import SEPARATION
@@ -304,6 +309,57 @@ def ray_letters_loop(rank: int, count: int, depth: int, seed: int) -> list[list[
         tries += 1
         words.setdefault(tuple(random_word(rng, rank, depth)), None)
     return [list(w) for w in words]
+
+
+def reduced_words(rank: int, length: int) -> list[tuple[int, ...]]:
+    """Every reduced word of length 1..length, depth first.
+
+    Recursively: a word, then the subtrees of its extensions by the letters
+    1, -1, 2, -2, ... that do not cancel its last letter, in that order.
+    """
+    order = [x for i in range(1, rank + 1) for x in (i, -i)]
+
+    def subtree(prefix):
+        if prefix:
+            yield prefix
+        if len(prefix) < length:
+            for lt in order:
+                if not prefix or lt != -prefix[-1]:
+                    yield from subtree(prefix + (lt,))
+
+    return list(subtree(()))
+
+
+def word_product(pres, letters) -> np.ndarray:
+    """The product of a word's letter matrices, multiplied left to right from the identity."""
+    m = np.eye(pres.n)
+    for lt in letters:
+        m = m @ pres.letter_matrix(lt)
+    return m
+
+
+def flag_limit_loop(gs, face: FaceType) -> tuple:
+    """(limit flag or None, converged, cluster count) of one sequence, one flag at a time.
+
+    Over the sequence's regular elements: it converged when the last quarter
+    of its Cauchy residuals sits below LIMIT_TOL.  Its tail flags (the second
+    half) are clustered greedily in order, a flag starting a new cluster when
+    it lies beyond CLUSTER_RADIUS from every cluster so far.  The last flag is
+    the limit when the sequence converged or the tail makes one cluster.
+    """
+    flags = []
+    for g in gs:
+        try:
+            flags.append(attractive_flag(g, face)[0])
+        except VanishingGap:
+            continue
+    residuals = [flag_distance(a, b) for a, b in zip(flags, flags[1:])]
+    converged = all(r < LIMIT_TOL for r in residuals[-max(1, len(residuals) // 4):])
+    clusters: list[Flag] = []
+    for f in flags[len(flags) // 2:]:
+        if all(flag_distance(f, c) > CLUSTER_RADIUS for c in clusters):
+            clusters.append(f)
+    return (flags[-1] if converged or len(clusters) == 1 else None), converged, len(clusters)
 
 
 def pair_scan_loop(limits: Flag, letters: np.ndarray) -> tuple:

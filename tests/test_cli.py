@@ -22,6 +22,9 @@ from anosovcheck.cli import (
 from anosovcheck.subgroup import anosov_check, limit_report, morse_check, uru_check
 
 
+ROTATIONS = [[[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]] for th in (0.5, 1.1)]
+
+
 def minimal_config(**overrides):
     raw = {
         "name": "tiny",
@@ -174,16 +177,35 @@ class TestRun:
     def test_hard_failure_exit_one(self, tmp_path):
         # rotation generators are never regular: the limit checker cannot
         # even estimate terminal flags
-        th = 0.5
-        rot = [[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]
-        rot2 = [[np.cos(1.1), -np.sin(1.1)], [np.sin(1.1), np.cos(1.1)]]
-        raw = minimal_config(generators=[rot, rot2], checkers=["morse", "limit"])
+        raw = minimal_config(generators=ROTATIONS, checkers=["morse", "limit"])
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(raw))
         out = tmp_path / "out"
         code = run_config(p, out_dir=str(out))
         assert code == 1
         assert (out / "error.json").exists()
+
+    def test_no_report_of_an_earlier_run_outlives_it(self, tmp_path):
+        # good, failing (morse false, then limit raises), good again, all into one directory
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(minimal_config(checkers=["morse", "limit"])))
+        bad.write_text(json.dumps(minimal_config(generators=ROTATIONS, checkers=["morse", "limit"])))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "uru.json").write_text("{}")  # a checker this config does not run
+        (out / "notes.txt").write_text("kept")
+        listing = lambda: sorted(p.name for p in out.iterdir())
+        kept = ["limit.json", "morse.json", "notes.txt", "summary.json"]
+        assert run_config(good, out_dir=str(out)) == 0
+        assert listing() == kept
+        assert run_config(bad, out_dir=str(out)) == 1
+        assert listing() == ["error.json", "morse.json", "notes.txt"]
+        assert json.loads((out / "morse.json").read_text())["verdict"] is False
+        assert run_config(good, out_dir=str(out)) == 0
+        assert listing() == kept
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["verdicts"] == {"morse": True, "limit": True}
+        assert (out / "notes.txt").read_text() == "kept"
 
     def test_cli_main(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -3,9 +3,9 @@ import pytest
 from scipy.linalg import expm
 
 from anosovcheck.chamber import FaceType
-from anosovcheck.dynamics import conical_check, flag_limit
+from anosovcheck.dynamics import conical_check, flag_limits
 from anosovcheck.errors import VanishingGap
-from anosovcheck.flags import Flag, flag_distance
+from anosovcheck.flags import Flag, attractive_flag, flag_distance
 from anosovcheck.symmspace import normalize_det
 from oracles import random_sl
 
@@ -17,12 +17,16 @@ def diag_powers(logs, count):
     return [np.linalg.matrix_power(g, n) for n in range(1, count + 1)]
 
 
+def limit_of(gs):
+    """The limit flag of a regular sequence by flag_limits, or None."""
+    flags = attractive_flag(np.asarray(gs), FACE1)[0]
+    return flags[-1] if flag_limits(flags) else None
+
+
 class TestFlagLimit:
     def test_powers_of_symmetric_element(self):
         gs = diag_powers([2, 1, -3], 8)
-        res = flag_limit(gs, FACE1)
-        assert res.converged
-        assert flag_distance(res.flag, Flag(FACE1, np.eye(3))) <= 1e-10
+        assert flag_distance(limit_of(gs), Flag(FACE1, np.eye(3))) <= 1e-10
 
     def test_alternating_is_inconclusive(self):
         g = np.diag([np.e**2, np.e, np.e**-3])
@@ -34,20 +38,13 @@ class TestFlagLimit:
         for n in range(1, 9):
             gn = np.linalg.matrix_power(g, n)
             gs.append(gn if n % 2 == 0 else rot @ gn @ rot.T)
-        res = flag_limit(gs, FACE1)
-        assert not res.converged and len(res.clusters) == 2
+        assert limit_of(gs) is None
 
     def test_bounded_perturbation_same_limit(self, rng):
         g = np.diag([np.e**2, np.e, np.e**-3])
         gs = [np.linalg.matrix_power(g, n) for n in range(1, 12)]
         perturbed = [m @ random_sl(rng, 3, scale=0.03) for m in gs]
-        base = flag_limit(gs, FACE1)
-        pert = flag_limit(perturbed, FACE1)
-        assert flag_distance(base.flag, pert.flag) <= 1e-6
-
-    def test_irregular_terminal_raises(self):
-        with pytest.raises(VanishingGap):
-            flag_limit([np.diag([np.e, 1.0, np.e**-1]), np.eye(3)], FACE1)
+        assert flag_distance(limit_of(gs), limit_of(perturbed)) <= 1e-6
 
 
 class TestConicalCheck:
@@ -57,6 +54,17 @@ class TestConicalCheck:
         rep = conical_check(gs, tau, np.eye(3))
         assert rep.verdict
         assert rep.constants["geometric_sup"] <= 1e-9
+
+    def test_irregular_terminal_fails_dynamical(self):
+        tau = Flag(FACE1, np.eye(3))
+        rep = conical_check([np.diag([np.e, 1.0, np.e**-1]), np.eye(3)], tau, np.eye(3))
+        assert rep.details["dynamical_ok"] is False and not rep.verdict
+        # an irregular element before a regular end is left out of the backward limit
+        gs = diag_powers([2, 1, -3], 8)
+        gs[5] = np.eye(3)
+        rep = conical_check(gs, tau, np.eye(3))
+        assert rep.details["dynamical_ok"] is True
+        assert rep.constants["dynamical_min_margin"] == pytest.approx(1.0, abs=1e-12)
 
     def test_transversal_drift_fails(self):
         gs = diag_powers([2, 1, -3], 6)
@@ -83,12 +91,12 @@ class TestConicalCheck:
                 gs = [normalize_det(expm(0.35 * n * k) @ gs[n - 1] @ expm(0.35 * n * k).T)
                       for n in range(1, 8)]
             try:
-                limit = flag_limit(gs, FACE1)
+                limit = limit_of(gs)
             except VanishingGap:
                 continue
-            if limit.flag is None:
+            if limit is None:
                 continue
-            rep = conical_check(gs, limit.flag, np.eye(3), rho=1.0)
+            rep = conical_check(gs, limit, np.eye(3), rho=1.0)
             geo = rep.details["geometric_ok"]
             dyn = rep.details["dynamical_ok"]
             if dyn is None:

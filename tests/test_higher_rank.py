@@ -16,7 +16,6 @@ from anosovcheck.flags import (
 )
 from anosovcheck.subgroup import (
     _two_sided_svd,
-    enumerate_geodesics,
     morse_check,
     schottky_build,
     uru_check,
@@ -35,6 +34,7 @@ from oracles import (
     expansion_factor_fd,
     random_sl,
     random_spd_unit_det,
+    reduced_words,
 )
 
 FACE_MID = FaceType.make(4, [2])          # blocks (2, 2)
@@ -149,13 +149,13 @@ def test_morse_endpoint_frame_matches_exact_flag():
     pres, _ = schottky_build(list(_sl4_pair(((0, 3, 0.9), (1, 2, 0.7)))),
                              FACE_SPLIT, seed=5, max_power=16)
     worst = 0.0
-    for word in enumerate_geodesics(pres, 5):
-        if word.letters[0] != 1:
+    for word in reduced_words(pres.rank, 5):
+        if word[0] != 1:
             continue
-        letters = [pres.letter_matrix(lt) for lt in word.letters]
+        letters = [pres.letter_matrix(lt) for lt in word]
         m = np.eye(4)
         minv = np.eye(4)
-        for lt, g in zip(word.letters, letters):
+        for lt, g in zip(word, letters):
             m = m @ g
             minv = pres.letter_matrix(-lt) @ minv
         frame = _two_sided_svd(np.linalg.svd(m), np.linalg.svd(minv))

@@ -12,13 +12,11 @@ from anosovcheck.errors import (
     TransversalityTooSmall,
     VanishingGap,
 )
-from anosovcheck.flags import Flag
+from anosovcheck.flags import Flag, expansion_factor
 from anosovcheck.subgroup import (
     GAP_TOL,
     FreeGroupPresentation,
-    ReducedWord,
     anosov_check,
-    enumerate_geodesics,
     limit_report,
     morse_check,
     sample_rays,
@@ -31,43 +29,41 @@ from anosovcheck.subgroup import (
 )
 from anosovcheck.symmspace import diamond_query, make_diamond, segment_deficits
 from conftest import SL2_G, SL2_H
-from oracles import exact_centered_logs, random_sl
+from oracles import exact_centered_logs, random_sl, reduced_words, word_product
 
 FACE2 = FaceType.make(2, [1])
 FACE3 = FaceType.full(3)
 
 
 class TestWords:
-    def test_reduced_validation(self):
-        ReducedWord((1, 2, -1))
-        with pytest.raises(ValueError):
-            ReducedWord((1, -1))
-        with pytest.raises(ValueError):
-            ReducedWord((0,))
-
-    def test_inverse(self):
-        w = ReducedWord((1, 2, -1))
-        assert w.inverse().letters == (1, -2, -1)
-
     def test_counts(self, sl2_pres):
-        words_1 = list(enumerate_geodesics(sl2_pres, 1))
-        assert len(words_1) == 4
-        words_2 = list(enumerate_geodesics(sl2_pres, 2))
-        assert len(words_2) == 4 + 12
-        assert word_count(2, 2) == 16
+        for length, total in ((1, 4), (2, 4 + 12)):
+            assert sum(len(chain[-1].letters) for chain in word_levels(sl2_pres, length)) == total
+            assert word_count(2, length) == total
 
     def test_all_reduced(self, sl2_pres):
-        for w in enumerate_geodesics(sl2_pres, 4):
-            assert all(a != -b for a, b in zip(w.letters, w.letters[1:]))
+        for chain in word_levels(sl2_pres, 4):
+            letters = chain[-1].letters
+            assert (letters != 0).all() and (letters[:, 1:] != -letters[:, :-1]).all()
 
     def test_budget_guard(self, sl2_pres):
+        # rank 2 has 9,565,936 reduced words of length 1..14; the walk refuses
+        # them before it builds its first block
+        assert word_count(2, 14) > subgroup.MAX_WORDS
         with pytest.raises(BudgetExceeded):
-            list(enumerate_geodesics(sl2_pres, 20, max_words=1000))
+            next(word_levels(sl2_pres, 14))
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_length_below_one_rejected(self, sl2_pres, length):
+        with pytest.raises(ValueError, match="length >= 1"):
+            next(word_levels(sl2_pres, length))
 
     def test_word_matrix(self, sl2_pres):
-        w = ReducedWord((1, -2))
-        expected = SL2_G @ np.linalg.inv(SL2_H)
-        assert np.allclose(sl2_pres.word_matrix(w), expected)
+        # word (1, -2): its product and its exactly accumulated inverse
+        (level,) = [chain[-1] for chain in word_levels(sl2_pres, 2) if len(chain) == 2]
+        row = level.letters.tolist().index([1, -2])
+        assert np.allclose(level.mats[row], SL2_G @ np.linalg.inv(SL2_H))
+        assert np.allclose(level.invs[row], SL2_H @ np.linalg.inv(SL2_G))
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_word_levels(self, rank, rng):
@@ -83,17 +79,7 @@ class TestWords:
     def _check_word_levels(rank, block, rng):
         pres = FreeGroupPresentation(tuple(random_sl(rng, 3) for _ in range(rank)))
         length = 4
-
-        def depth_first(prefix):
-            # reference order: a word, then the subtrees of its extensions
-            if prefix:
-                yield tuple(prefix)
-            if len(prefix) < length:
-                for lt in [x for i in range(1, rank + 1) for x in (i, -i)]:
-                    if not prefix or lt != -prefix[-1]:
-                        yield from depth_first(prefix + [lt])
-
-        reference = list(depth_first([]))
+        reference = reduced_words(rank, length)
         chains = list(word_levels(pres, length))
         levels = [chain[-1] for chain in chains]
         for chain in chains:
@@ -111,10 +97,9 @@ class TestWords:
         dfs = np.concatenate([lv.dfs for lv in levels])
         assert sorted(dfs.tolist()) == list(range(len(reference)))
         assert [words[k] for k in np.argsort(dfs)] == reference
-        assert [w.letters for w in enumerate_geodesics(pres, length)] == reference
         for lv in levels:
             for letters, m, mi in zip(lv.letters.tolist(), lv.mats, lv.invs):
-                assert np.array_equal(m, pres.word_matrix(ReducedWord(letters)))
+                assert np.array_equal(m, word_product(pres, letters))
                 inv = np.eye(3)
                 for lt in letters:
                     inv = pres.letter_matrix(-lt) @ inv
@@ -136,7 +121,7 @@ class TestUru:
         # per_length_min publishes that word's own distance
         pres = request.getfixturevalue(pres_name)
         rep = uru_check(pres, FaceType.full(pres.n), length)
-        words = [w.letters for w in enumerate_geodesics(pres, length)]
+        words = reduced_words(pres.rank, length)
         dist = {w: np.linalg.norm(exact_centered_logs([pres.letter_matrix(lt) for lt in w], 40))
                 for w in words}
         for el, witness in rep.witnesses["slowest_words"].items():
@@ -398,6 +383,24 @@ class TestAnosov:
         assert rep.details["cea"]
         for rec in rep.details["cea_records"]:
             assert rec["best_eps"] > 1.05
+
+    @pytest.mark.parametrize("pres_name", ["sl2_pres", "sl3_pres"])
+    def test_cea_records_are_first_maxima(self, request, pres_name):
+        # each ray's stratum-expansion witness is the first word, depth first,
+        # of greatest expansion at the ray's limit flag among the reduced
+        # words of length <= CEA_DEPTH
+        pres = request.getfixturevalue(pres_name)
+        face = FaceType.full(pres.n)
+        rep = anosov_check(pres, face, 20, 10, seed=3)
+        words = reduced_words(pres.rank, subgroup.CEA_DEPTH)
+        mats = [word_product(pres, w) for w in words]
+        rays, records = rep.details["rays"], rep.details["cea_records"]
+        assert len(records) == len(rays) == 20
+        for ray, rec in zip(rays, records):
+            eps = [expansion_factor(m, Flag(face, ray["beta_frame"])) for m in mats]
+            k = eps.index(max(eps))
+            assert rec["letters"] == ray["letters"]
+            assert rec["best_word"] == list(words[k]) and rec["best_eps"] == eps[k]
 
 
 class TestSchottky:
