@@ -25,6 +25,7 @@ import numpy as np
 
 from .chamber import FaceType
 from .errors import BudgetExceeded, IllConditioned, PingPongFailed, VanishingGap
+from .reports import dumps
 from .subgroup import (
     BETA_PAD,
     DET_TOL,
@@ -187,7 +188,7 @@ def bundled_config_path(name: str) -> Path:
 
 def _dump_json(payload: dict, path: Path):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(dumps(payload))
 
 
 def run_config(path, seed: int | None = None, out_dir: str | None = None) -> int:

@@ -2,35 +2,47 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 
-# Exact types that JSON takes as they are; a subclass such as np.float64 is not one.
-_ATOMS = frozenset({float, int, str, bool, type(None)})
-
-
 def jsonable(obj):
-    """Recursively convert numpy/tuple/set payloads into JSON-safe values."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) <= _ATOMS:
-            return list(obj)
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(jsonable(v) for v in obj)
+    """JSON value of a numpy array, a numpy scalar or a set: the ``default`` hook of ``dumps``."""
     if isinstance(obj, np.ndarray):
-        # tolist() gives plain Python scalars unless the elements are objects.
-        return jsonable(obj.tolist()) if obj.dtype == object else obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def dumps(payload) -> str:
+    """Text of a report: strict JSON with sorted keys, ending in a newline.
+
+    A non-empty dict is written one key per line with a 2-space indent, and
+    a list or tuple that holds a dict one element per line; every other
+    value goes on one line through the C encoder.  A non-finite float
+    raises ``ValueError``, a value of no JSON type ``TypeError``.
+    """
+    # built per call, so that ``default`` is the module's current ``jsonable``
+    encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": "),
+                              default=jsonable, allow_nan=False).encode
+
+    def text(obj, pad: str) -> str:
+        inner = pad + "  "
+        if isinstance(obj, dict) and obj:
+            rows = [encode_basestring_ascii(k) + ": " + text(v, inner)
+                    for k, v in sorted(obj.items())]
+            return "{\n" + inner + f",\n{inner}".join(rows) + "\n" + pad + "}"
+        if isinstance(obj, (list, tuple)) and any(isinstance(v, dict) for v in obj):
+            return "[\n" + inner + f",\n{inner}".join(map(encode, obj)) + "\n" + pad + "]"
+        return encode(obj)
+
+    return text(payload, "") + "\n"
 
 
 @dataclass
@@ -51,15 +63,13 @@ class PropertyReport:
     seed: int | None = None
 
     def as_dict(self) -> dict:
-        return jsonable(
-            {
-                "property": self.name,
-                "verdict": self.verdict,
-                "constants": self.constants,
-                "thresholds": self.thresholds,
-                "witnesses": self.witnesses,
-                "details": self.details,
-                "seed": self.seed,
-            }
-        )
+        return {
+            "property": self.name,
+            "verdict": self.verdict,
+            "constants": self.constants,
+            "thresholds": self.thresholds,
+            "witnesses": self.witnesses,
+            "details": self.details,
+            "seed": self.seed,
+        }
 

@@ -440,7 +440,7 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
         verdict=verdict,
         constants={
             "rho": rho_star,
-            "theta_gap": float(theta_gap),
+            "theta_gap": None if math.isinf(theta_gap) else theta_gap,
             "rho_by_length": rho_cumulative[1:],
         },
         thresholds={

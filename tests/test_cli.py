@@ -185,6 +185,20 @@ class TestRun:
         assert code == 1
         assert (out / "error.json").exists()
 
+    def test_rotation_morse_report_is_strict_json(self, tmp_path):
+        # every word of the rotation pair has a vanishing gap, so no type gap exists
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(generators=ROTATIONS, checkers=["morse"])))
+        out = tmp_path / "out"
+        assert run_config(p, out_dir=str(out)) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads((out / "morse.json").read_text(), parse_constant=reject)
+        assert report["constants"]["theta_gap"] is None
+        assert report["verdict"] is False
+
     def test_no_report_of_an_earlier_run_outlives_it(self, tmp_path):
         # good, failing (morse false, then limit raises), good again, all into one directory
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"

@@ -1,0 +1,99 @@
+import json
+
+import numpy as np
+import pytest
+
+from anosovcheck import reports
+from anosovcheck.reports import dumps
+
+# Everything the checkers publish: numpy arrays and scalars, tuples, sets,
+# empty containers, per-ray records and nested scalar lists.
+PAYLOAD = {
+    "vector": np.array([1.5, -2.0, 3.25]),
+    "matrix": np.arange(6, dtype=float).reshape(2, 3) / 7,
+    "float64": np.float64(0.1),
+    "int64": np.int64(-7),
+    "bool_": np.bool_(True),
+    "tuple": (1, 2.5, "x"),
+    "set": {3, 1, 2},
+    "empty_dict": {},
+    "empty_list": [],
+    "none": None,
+    "records": [{"ray": 0, "log_eps": np.array([0.5, 1.0]), "ok": np.bool_(False)},
+                {"ray": np.int64(1), "word": [1, -2, 2], "tags": {"b", "a"}}],
+    "nested": [[1, [2.0, [3]]], [], [[np.float64(4.5)]]],
+    "inner": {"deep": {"z": 1, "a": (np.int64(2), np.float64(3.0))}},
+}
+
+
+def recursive_jsonable(obj):
+    """The per-node conversion reports were written with before ``dumps``: the reference."""
+    if isinstance(obj, dict):
+        return {str(k): recursive_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [recursive_jsonable(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(recursive_jsonable(v) for v in obj)
+    if isinstance(obj, np.ndarray):
+        return recursive_jsonable(obj.tolist())
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+def test_dumps_matches_the_recursive_conversion():
+    expected = json.loads(json.dumps(recursive_jsonable(PAYLOAD), sort_keys=True))
+    assert json.loads(dumps(PAYLOAD)) == expected
+
+
+def test_dumps_is_deterministic_and_ends_in_newline():
+    text = dumps(PAYLOAD)
+    assert text.endswith("}\n")
+    assert dumps(PAYLOAD) == text
+
+
+def test_layout():
+    # a dict one key per line, a list of dicts one element per line, the rest inline
+    payload = {"b": [{"y": np.array([2.0, 3.0]), "x": 1}, [4]], "a": np.eye(2, dtype=int),
+               "c": {}, "d": []}
+    assert dumps(payload) == (
+        '{\n'
+        '  "a": [[1, 0], [0, 1]],\n'
+        '  "b": [\n'
+        '    {"x": 1, "y": [2.0, 3.0]},\n'
+        '    [4]\n'
+        '  ],\n'
+        '  "c": {},\n'
+        '  "d": []\n'
+        '}\n'
+    )
+
+
+def test_unknown_type_raises_type_error():
+    with pytest.raises(TypeError):
+        dumps({"x": object()})
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), np.array([1.0, -np.inf])],
+                         ids=["inf", "nan", "array"])
+def test_non_finite_raises_value_error(value):
+    with pytest.raises(ValueError):
+        dumps({"x": value})
+
+
+def test_hook_is_looked_up_per_call(monkeypatch):
+    # a tracer that wraps reports.jsonable must see the writer's calls to it
+    seen = []
+    hook = reports.jsonable
+
+    def counting(obj):
+        seen.append(type(obj))
+        return hook(obj)
+
+    monkeypatch.setattr(reports, "jsonable", counting)
+    dumps({"v": np.zeros(2), "n": np.int64(1)})
+    assert sorted(t.__name__ for t in seen) == ["int64", "ndarray"]

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from anosovcheck.errors import (
     VanishingGap,
 )
 from anosovcheck.flags import Flag, expansion_factor
+from anosovcheck.reports import dumps
 from anosovcheck.subgroup import (
     GAP_TOL,
     FreeGroupPresentation,
@@ -273,7 +272,7 @@ def test_reports_do_not_depend_on_the_word_block(name, monkeypatch):
     pres, face = cfg.presentation(), cfg.face_type()
 
     def reports():
-        return [json.dumps(rep.as_dict(), sort_keys=True)
+        return [dumps(rep.as_dict())
                 for rep in (uru_check(pres, face, 6), morse_check(pres, face, 5))]
 
     expected = reports()
