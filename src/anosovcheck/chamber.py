@@ -130,13 +130,17 @@ def pav_nonincreasing(values, weights=None) -> np.ndarray:
 
     Pool-adjacent-violators along the last axis, for every row of a
     stack at once; each row makes the same merges in the same order as a
-    sequential pass over it, so results do not depend on the batch.
+    sequential pass over it, so results do not depend on the batch.  A
+    row with no ascent makes no merge and passes through as it is; only
+    the others enter the merge loop.
     """
     y = np.asarray(values, dtype=float)
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     n = y.shape[-1]
-    ys = y.reshape(-1, n)
-    ws = np.broadcast_to(w, y.shape).reshape(-1, n)
+    out = y.reshape(-1, n).copy()
+    ascent = (out[:, 1:] > out[:, :-1]).any(axis=1)
+    ys = out[ascent]
+    ws = np.broadcast_to(w, y.shape).reshape(-1, n)[ascent]
     rows = np.arange(ys.shape[0])
     # Per row a stack of blocks (mean, weight, count); top is its height.
     means = np.zeros_like(ys)
@@ -160,7 +164,8 @@ def pav_nonincreasing(values, weights=None) -> np.ndarray:
             top[r] -= 1
     ends = np.cumsum(counts, axis=1)
     block_of = (ends[:, :, None] <= np.arange(n)).sum(axis=1)
-    return np.take_along_axis(means, block_of, axis=1).reshape(y.shape)
+    out[ascent] = np.take_along_axis(means, block_of, axis=1)
+    return out.reshape(y.shape)
 
 
 def project_to_face_sector(delta, face: FaceType) -> np.ndarray:

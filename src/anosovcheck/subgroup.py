@@ -42,7 +42,14 @@ from .flags import (
     transversality_margin,
 )
 from .reports import PropertyReport
-from .symmspace import DET_TOL, log_top_singular, make_parallel_set, normalize_det, segment_deficits
+from .symmspace import (
+    DET_TOL,
+    _two_sided_frame,
+    log_top_singular,
+    make_parallel_set,
+    normalize_det,
+    segment_deficits,
+)
 
 RESIDUAL_TOL = 1e-3   # limit: Cauchy residual tail below which a ray's flags converge
 SEPARATION = 1e-3     # limit: flag distance between separated limit-set representatives
@@ -51,7 +58,7 @@ PAIR_BLOCK = 1 << 16  # limit: pairs of limit flags per broadcast call of the pa
 BETA_PAD = 8          # anosov: letters sampled past the tested prefixes for the limit flag
 DIVERGENCE_LOGEPS = float(np.log(100.0))  # anosov: log expansion counted as divergent
 CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansion
-TIE_RTOL = 1e-12      # uru: relative distance within which witnesses tie
+TIE_RTOL = 1e-12      # uru, morse: relative distance within which witnesses tie
 WORD_BLOCK = 1458     # uru, morse: words per block of the depth-first word walk
 MAX_WORDS = 2_000_000  # word walk: most words of lengths 1..length it may visit
 
@@ -174,7 +181,7 @@ def _resolved_logs(s: np.ndarray, si: np.ndarray) -> np.ndarray:
 
     A direct SVD loses values below eps times the top one; with an exactly accumulated
     inverse, the small values are the reciprocals of the inverse's large ones.  Each log
-    comes from the side with the larger resolution ratio, as ``_two_sided_svd`` picks
+    comes from the side with the larger resolution ratio, as ``symmspace._two_sided_svd`` picks
     columns.  Leading axes are batch axes.
     """
     direct = s / s[..., :1] >= si[..., ::-1] / si[..., :1]
@@ -205,33 +212,6 @@ def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray) -> np.n
 def _least_gaps(logs: np.ndarray, face: FaceType) -> np.ndarray:
     """Least gap of descending logs at the face type's walls; leading axes are batch axes."""
     return np.min([logs[..., d - 1] - logs[..., d] for d in face.dims], axis=0)
-
-
-def _two_sided_svd(svd: tuple, svd_inv: tuple) -> np.ndarray:
-    """Left singular frame of m, from the SVDs (u, s, vt) of m and of minv.
-
-    A direct SVD resolves left singular vector j only while sigma_j is
-    not lost below eps * sigma_1; past that its trailing columns are
-    noise.  Since minv = V diag(1/s) U^T, right singular vector n-1-j of
-    the exactly accumulated inverse is left singular vector j of m, and
-    it is resolved while 1/sigma_j is not lost below eps / sigma_n.
-    Each column is taken from the side whose ratio is larger, and the
-    frame is orthonormalized by QR (Gram-Schmidt) in order of decreasing
-    ratio, so the noise a column carries along better-resolved columns
-    is projected out and never spread into them.  Swapping the arguments
-    gives the left singular frame of minv.  Leading axes are batch axes.
-    """
-    (u, s, _), (_, si, vti) = svd, svd_inv
-    direct = s / s[..., :1]
-    inverse = si[..., ::-1] / si[..., :1]
-    order = np.argsort(-np.maximum(direct, inverse), axis=-1, kind="stable")
-    picked = np.where((direct < inverse)[..., None, :],
-                      np.swapaxes(vti[..., ::-1, :], -1, -2), u)
-    cols = np.broadcast_to(order[..., None, :], u.shape)
-    frame = np.empty_like(u)
-    np.put_along_axis(frame, cols, np.linalg.qr(np.take_along_axis(picked, cols, axis=-1))[0],
-                      axis=-1)
-    return frame
 
 
 def power_probe(pres: FreeGroupPresentation, max_power: int = 256, norm_cap: float = 1e6):
@@ -392,7 +372,7 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     scanned: dict[int, list[tuple[np.ndarray, ...]]] = {}
     for chain in word_levels(pres, length):
         level, el = chain[-1], len(chain)
-        u = _two_sided_svd(np.linalg.svd(level.mats), np.linalg.svd(level.invs))
+        u = _two_sided_frame(level.mats, level.invs)
         logs = _two_sided_logs(level.mats, level.invs, level.logdets)
         gaps = _least_gaps(logs, face)
         ok = ~(gaps < GAP_TOL)
@@ -414,22 +394,26 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     # blocks of one length, in walk order, list every word of that length
     # depth first, so a word's mirror sits at the mirror's level index.
     rho_per_len = np.zeros(length + 1)
-    worst = (None, None, -1.0)
-    worst_dfs = -1
+    lengths = []  # per length: the regular words' deficits, depth-first ranks and letters
     for el, parts in scanned.items():
         letters, dfs, ok, d = (np.concatenate(col) for col in zip(*parts))
         mirror = _level_index(-letters[:, ::-1], pres.rank)
         md = d[mirror][:, ::-1]
         val = np.where(ok[mirror][:, None] & (md < d), md, d)[ok]
-        if not val.size:
-            continue
-        rho_per_len[el] = max(rho_per_len[el], val.max())
-        # the first maximum, depth first, then by interior index
-        w, t = np.unravel_index(np.argmax(val), val.shape)
-        w_dfs = dfs[ok][w]
-        if val[w, t] > worst[2] or (val[w, t] == worst[2] and w_dfs < worst_dfs):
-            worst = (letters[ok][w].tolist(), int(t) + 1, float(val[w, t]))
-            worst_dfs = w_dfs
+        if val.size:
+            rho_per_len[el] = val.max()
+            lengths.append((val, dfs[ok], letters[ok]))
+    # the witness by uru's rule: the first word depth first, then by interior
+    # index, within TIE_RTOL of the worst deficit, with its own deficit
+    worst = (None, None, -1.0)
+    hi = max((val.max() for val, _, _ in lengths), default=np.nan)
+    tied = []
+    for val, dfs, letters in lengths:
+        w, t = np.nonzero(val >= hi - TIE_RTOL * abs(hi))  # rows list the words depth first
+        if w.size:
+            tied.append((dfs[w[0]], letters[w[0]].tolist(), int(t[0]) + 1, float(val[w[0], t[0]])))
+    if tied:
+        worst = min(tied, key=lambda c: c[0])[1:]
     vanishing = [w for _, w in sorted(vanishing)]
 
     rho_cumulative = np.maximum.accumulate(rho_per_len)
@@ -551,19 +535,24 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
     face = sample.tails.face
     total = sample.letters.shape[1]
     steps, inv_steps = _letter_stacks(pres, sample.letters)
-    stacks = []  # per window: its start to the point, and the whole window, with inverses
+    # per window: its start to the point, the point to its end, and the whole window,
+    # each with its inverse, all accumulated exactly letter by letter
+    stacks = []
     for n in range(1, total):  # every window spans lo < n < hi
         lo, hi = max(0, n - CONICAL_LOOKAHEAD), min(total, n + CONICAL_LOOKAHEAD)
-        window = window_inv = np.eye(pres.n)
+        window = window_inv = last = last_inv = np.eye(pres.n)
         for k in range(lo, hi):
             window, window_inv = window @ steps[:, k], inv_steps[:, k] @ window_inv
             if k == n - 1:
                 first, first_inv = window, window_inv
-        stacks.append((first, first_inv, window, window_inv))
-    f, fi, w, wi = (np.stack(x, axis=1) for x in zip(*stacks))
+            elif k >= n:
+                last, last_inv = last @ steps[:, k], inv_steps[:, k] @ last_inv
+        stacks.append((first, first_inv, last, last_inv, window, window_inv))
+    f, fi, s, si, w, wi = (np.stack(x, axis=1) for x in zip(*stacks))
+    # the mirror side: tip w^-1, and the point w^-1 f = s^-1 seen from it
     m, minv = np.concatenate([w, wi], axis=1), np.concatenate([wi, w], axis=1)
-    points = [(np.concatenate([f, wi @ f], axis=1), np.concatenate([fi, fi @ w], axis=1))]
-    both = segment_deficits(np.linalg.svd(m)[0], m, minv, points, face)[..., 0]
+    points = [(np.concatenate([f, si], axis=1), np.concatenate([fi, s], axis=1))]
+    both = segment_deficits(_two_sided_frame(m, minv), m, minv, points, face)[..., 0]
     sups = np.minimum(both[:, :len(stacks)], both[:, len(stacks):]).max(axis=1)
 
     margins = transversality_margin(sample.tails[:, 1:max(2, total - CONICAL_LOOKAHEAD + 1)],
@@ -632,10 +621,11 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     if not regular.any():
         raise VanishingGap("no sampled ray has a regular prefix")
     sample, deltas = RaySample(*(field[regular] for field in sample)), deltas[regular]
-    # the inverse prefixes' logs are the prefixes', negated and reversed: regular rows stay so
-    svd, svd_inv = np.linalg.svd(sample.prefixes), np.linalg.svd(sample.inverses)
-    flags = Flag(face, _two_sided_svd(svd, svd_inv))
-    back = Flag(iota_face(face), _two_sided_svd(svd_inv, svd))
+    # the inverse prefixes' logs are the prefixes', negated and reversed: regular rows stay so;
+    # one kernel call reads the frames of both stacks
+    pair = np.stack([sample.prefixes, sample.inverses])
+    frames = _two_sided_frame(pair, pair[::-1])
+    flags, back = Flag(face, frames[0]), Flag(iota_face(face), frames[1])
     residuals = flag_distance(flags[:, :-1], flags[:, 1:]).tolist()
     conical, sups = _conical_rays(pres, sample, back, conical_rho)
     samples = [{
@@ -667,7 +657,7 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     words = np.array(list(pairs.values()), dtype=int).reshape(-1, 2, depth)
     _, m, minv, logdet = (x[:, :, -1] for x in _prefix_products(pres, words))
     keep = ~(_least_gaps(_two_sided_logs(m, minv, logdet), face) < GAP_TOL).any(axis=-1)
-    ends = Flag(face, _two_sided_svd(np.linalg.svd(m[keep]), np.linalg.svd(minv[keep])))
+    ends = Flag(face, _two_sided_frame(m[keep], minv[keep]))
     probe = zip(np.array(list(pairs))[keep].tolist(), flag_distance(ends[:, 0], ends[:, 1]))
 
     all_conical = all(s["conical"] for s in samples)

@@ -297,6 +297,21 @@ def _cross(x, y):
     return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
 
 
+def _adjugate_column(a):
+    """(column with the largest diagonal entry, trace) of the adjugate of symmetric 3 x 3 matrices.
+
+    ``a`` is given by rows.  Where A has a simple zero eigenvalue, adj A = p v v^T with v its
+    null vector and p = trace adj A the product of the other two eigenvalues, so that column
+    is a multiple of v; it is resolved while p stays well above the rounding of A's entries.
+    """
+    cols = [_cross(a[1], a[2]), _cross(a[2], a[0]), _cross(a[0], a[1])]
+    v, big = cols[0], cols[0][0]
+    for k in (1, 2):
+        take = cols[k][k] > big
+        v, big = [np.where(take, c, e) for c, e in zip(cols[k], v)], np.where(take, cols[k][k], big)
+    return v, cols[0][0] + cols[1][1] + cols[2][2]
+
+
 def _gram_top(g00, g11, g22, g01, g02, g12):
     """Square root of the top eigenvalue of symmetric 3 x 3 matrices, by entries.
 
@@ -322,12 +337,7 @@ def _gram_top(g00, g11, g22, g01, g02, g12):
     g00, g11, g22, g01, g02, g12, q, p, phi = (
         np.asarray(e)[near] for e in (g00, g11, g22, g01, g02, g12, q, p, phi))
     mu = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    a = [[g00 - mu, g01, g02], [g01, g11 - mu, g12], [g02, g12, g22 - mu]]
-    cols = [_cross(a[1], a[2]), _cross(a[2], a[0]), _cross(a[0], a[1])]  # the adjugate's columns
-    v, big = cols[0], cols[0][0]
-    for k in (1, 2):  # the column with the largest diagonal entry
-        take = cols[k][k] > big
-        v, big = [np.where(take, c, e) for c, e in zip(cols[k], v)], np.where(take, cols[k][k], big)
+    v, _ = _adjugate_column([[g00 - mu, g01, g02], [g01, g11 - mu, g12], [g02, g12, g22 - mu]])
     norm = np.maximum(np.sqrt(_dot(v, v)), 1e-300)
     v = [e / norm for e in v]
     t = 1.5 * q - 0.5 * mu
@@ -340,16 +350,107 @@ def _gram_top(g00, g11, g22, g01, g02, g12):
     return np.sqrt(top)
 
 
+def _scaled_gram(mat: np.ndarray):
+    """(scale, entries g00, g11, g22, g01, g02, g12 of R R^T) for R = mat / scale, stacked 3 x 3.
+
+    The scale is the largest entry, so no cube in ``_gram_top`` overflows.
+    """
+    scale = np.maximum(np.abs(mat).max(axis=(-2, -1)), 1e-300)
+    r0, r1, r2 = ([mat[..., i, k] / scale for k in range(3)] for i in range(3))
+    return scale, (_dot(r0, r0), _dot(r1, r1), _dot(r2, r2), _dot(r0, r1), _dot(r0, r2), _dot(r1, r2))
+
+
 def log_top_singular(mat: np.ndarray) -> np.ndarray:
     """Log of the top singular value of stacked 2 x 2 or 3 x 3 matrices, in closed form."""
     if mat.shape[-1] == 2:
         a, b, c, d = mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 0], mat[..., 1, 1]
         return np.log(np.maximum(0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)), 1e-300))
-    # scaled by the largest entry, so no cube in _gram_top overflows
-    scale = np.maximum(np.abs(mat).max(axis=(-2, -1)), 1e-300)
-    r0, r1, r2 = ([mat[..., i, k] / scale for k in range(3)] for i in range(3))
-    return np.log(scale) + np.log(_gram_top(_dot(r0, r0), _dot(r1, r1), _dot(r2, r2),
-                                            _dot(r0, r1), _dot(r0, r2), _dot(r1, r2)))
+    scale, gram = _scaled_gram(mat)
+    return np.log(scale) + np.log(_gram_top(*gram))
+
+
+def _top_left_vector(mat: np.ndarray) -> tuple[list, np.ndarray]:
+    """Unit top left singular vectors of stacked 3 x 3 matrices, and how well each is resolved.
+
+    The vector, as three coordinate arrays, is the top eigenvector of the scaled Gram
+    matrix G of the rows: the null vector of G - lambda I, read from its adjugate, or the
+    first axis where none is (G a multiple of I).  The second value, the adjugate's trace
+    over lambda^2, is (1 - s_2^2 / s_1^2)(1 - s_3^2 / s_1^2); it falls to rounding level as
+    s_2 nears s_1, where the vector is noise.
+    """
+    _, (g00, g11, g22, g01, g02, g12) = _scaled_gram(mat)
+    lam = _gram_top(g00, g11, g22, g01, g02, g12) ** 2
+    v, trace = _adjugate_column([[g00 - lam, g01, g02], [g01, g11 - lam, g12], [g02, g12, g22 - lam]])
+    v[0] = np.where(_dot(v, v) > 0.0, v[0], 1.0)
+    norm = np.sqrt(_dot(v, v))
+    return [e / norm for e in v], trace / (lam * lam)
+
+
+def _two_sided_svd(svd: tuple, svd_inv: tuple) -> np.ndarray:
+    """Left singular frame of m, from the SVDs (u, s, vt) of m and of minv.
+
+    A direct SVD resolves left singular vector j only while sigma_j is
+    not lost below eps * sigma_1; past that its trailing columns are
+    noise.  Since minv = V diag(1/s) U^T, right singular vector n-1-j of
+    the exactly accumulated inverse is left singular vector j of m, and
+    it is resolved while 1/sigma_j is not lost below eps / sigma_n.
+    Each column is taken from the side whose ratio is larger, and the
+    frame is orthonormalized by QR (Gram-Schmidt) in order of decreasing
+    ratio, so the noise a column carries along better-resolved columns
+    is projected out and never spread into them.  Swapping the arguments
+    gives the left singular frame of minv.  Leading axes are batch axes.
+    """
+    (u, s, _), (_, si, vti) = svd, svd_inv
+    direct = s / s[..., :1]
+    inverse = si[..., ::-1] / si[..., :1]
+    order = np.argsort(-np.maximum(direct, inverse), axis=-1, kind="stable")
+    picked = np.where((direct < inverse)[..., None, :],
+                      np.swapaxes(vti[..., ::-1, :], -1, -2), u)
+    cols = np.broadcast_to(order[..., None, :], u.shape)
+    frame = np.empty_like(u)
+    np.put_along_axis(frame, cols, np.linalg.qr(np.take_along_axis(picked, cols, axis=-1))[0],
+                      axis=-1)
+    return frame
+
+
+def _two_sided_frame(m: np.ndarray, minv: np.ndarray) -> np.ndarray:
+    """Left singular frame of stacked m, from m and its exactly accumulated inverse minv.
+
+    After Bochi-Potrie-Sambarino, a top singular vector stays resolved however far the
+    singular values spread, so at n <= 3 the frame comes in closed form from top vectors.
+    At n = 2, m's top vector fixes it: u1 = (cos t, sin t) with
+    2t = atan2(b + c, a - d) + atan2(c - b, a + d), and u2 is u1 turned by 90 degrees.  At
+    n = 3, u1 is m's top vector and u3 that of minv^T (the left singular vector of m's least
+    value); u2 = u3 x u1, normalized, and u3 = u1 x u2.  Where s_1 / s_2 is the narrower wall
+    gap, as at a doubled top value, where u1 is noise, u3 is kept instead and u1 = u2 x u3.
+    Where the other vector is not near normal to the kept one (|u3 x u1|^2 < 1/2, which only
+    noise gives), any unit normal of the kept vector is u2.  Larger n take
+    ``_two_sided_svd`` of LAPACK's SVDs.  Leading axes are batch axes.
+    """
+    n = m.shape[-1]
+    if n > 3:
+        return _two_sided_svd(np.linalg.svd(m), np.linalg.svd(minv))
+    if n == 2:
+        a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        t = 0.5 * (np.arctan2(b + c, a - d) + np.arctan2(c - b, a + d))
+        cos, sin = np.cos(t), np.sin(t)
+        return np.stack([cos, -sin, sin, cos], axis=-1).reshape(m.shape)
+    (u1, top), (u3, bottom) = _top_left_vector(m), _top_left_vector(np.swapaxes(minv, -1, -2))
+    first = top >= bottom  # u1 is kept, else u3
+    kept = [np.where(first, x, y) for x, y in zip(u1, u3)]
+    # a unit normal of the kept vector: its cross with the first axis, or with the second
+    far = np.abs(kept[0]) < 0.9
+    normal = [np.where(far, 0.0, kept[2]), np.where(far, -kept[2], 0.0),
+              np.where(far, kept[1], -kept[0])]
+    u2 = _cross(u3, u1)
+    short = _dot(u2, u2) < 0.5
+    u2 = [np.where(short, x, y) for x, y in zip(normal, u2)]
+    norm = np.sqrt(_dot(u2, u2))
+    u2 = [e / norm for e in u2]
+    rest = _cross(kept, u2)  # u1 x u2 = u3, or u3 x u2 = -u1
+    u1 = [np.where(first, x, -y) for x, y in zip(u1, rest)]
+    u3 = [np.where(first, y, x) for x, y in zip(u3, rest)]
+    return np.stack([np.stack(u, axis=-1) for u in (u1, u2, u3)], axis=-1)
 
 
 def _whitened_off(mat: np.ndarray) -> np.ndarray:

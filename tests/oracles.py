@@ -5,8 +5,9 @@ finite differences for expansion factors, tied-pair projections for wall
 distances, permutation search for the opposition involution, KKT
 certificates for sector projections, extended-precision mpmath
 arithmetic for singular frames and centered log singular values of deep
-products, for the spread of log singular values and for flag distances
-and transversality margins, a per-ray loop for limit's antipodality
+products, for the spread of log singular values, for the deficits of
+orbit points in diamonds and for flag distances and transversality
+margins, a per-ray loop for limit's antipodality
 pair scan, one draw per letter for the ray sample's random words, a
 recursive depth-first list of reduced words with their left-to-right
 products, and greedy clustering of one sequence's flags for flag limits.
@@ -241,6 +242,73 @@ def off_mp(mat, digits: int = 50) -> float:
         logs = [mpmath.log(x) for x in s]
         mean = mpmath.fsum(logs) / len(logs)
         return float(mpmath.sqrt(mpmath.fsum((x - mean) ** 2 for x in logs)))
+
+
+def _spread_mp(mat) -> mpmath.mpf:
+    """Spread of the centered log singular values of an mpmath matrix."""
+    logs = [mpmath.log(x) for x in mpmath.svd_r(mat, compute_uv=False)]
+    mean = mpmath.fsum(logs) / len(logs)
+    return mpmath.sqrt(mpmath.fsum((x - mean) ** 2 for x in logs))
+
+
+def _flat_cone_deficit_mp(v: list, face: FaceType) -> mpmath.mpf:
+    """``flat_cone_deficit`` of one vector of mpf: block sort, then unweighted PAV."""
+    w = [x for lo, hi in face.blocks for x in sorted(v[lo:hi], reverse=True)]
+    blocks: list[list] = []  # [mean, count]
+    for x in w:
+        blocks.append([x, 1])
+        while len(blocks) > 1 and blocks[-2][0] < blocks[-1][0]:
+            m2, c2 = blocks.pop()
+            m1, c1 = blocks.pop()
+            blocks.append([(m1 * c1 + m2 * c2) / (c1 + c2), c1 + c2])
+    fit = [m for m, c in blocks for _ in range(c)]
+    return mpmath.sqrt(mpmath.fsum((x - y) ** 2 for x, y in zip(w, fit)))
+
+
+def _coords_pair_mp(w, winv, face: FaceType) -> tuple[list, mpmath.mpf]:
+    """``factored_coords_pair`` of one pair of mpmath matrices, formula by formula."""
+    n = face.n
+    norm_w = max(abs(x) for x in w)
+    norm_wi = max(abs(x) for x in winv)
+    v, rows, cols = [], [], []
+    for lo, hi in face.blocks:
+        ud, sd, vd = mpmath.svd_r(w[lo:hi, 0:n], full_matrices=False)
+        ui, si, vi = mpmath.svd_r(winv[0:n, lo:hi], full_matrices=False)
+        sd, si = sorted(sd, reverse=True), sorted(si, reverse=True)
+        if sd[-1] / norm_w >= si[-1] / norm_wi:
+            v += [mpmath.log(x) for x in sd]
+        else:
+            v += [-mpmath.log(x) for x in reversed(si)]
+        rows += (ud * vd).tolist()  # the polar factors: orthonormal rows, and columns
+        cols.append((ui * vi).T.tolist())
+    mean = mpmath.fsum(v) / n
+    cols = mpmath.matrix([c for block in cols for c in block]).T
+    return [x - mean for x in v], min(_spread_mp(mpmath.matrix(rows)), _spread_mp(cols))
+
+
+def segment_deficit_mp(tip_letters, point_letters, face: FaceType, digits: int = 80) -> float:
+    """``segment_deficits`` of one point in one diamond, in ``digits``-digit arithmetic.
+
+    The tip and the point are products of float letter matrices, converted
+    exactly and multiplied and inverted in mpmath.  Formula by formula as
+    ``segment_deficits``: coordinates in the tip's exact left singular frame
+    u, read from u^T p and p^-1 u as ``factored_coords_pair`` reads them, and
+    the largest of the off distance and the flat deficits toward both tips.
+    """
+    n = face.n
+    with mpmath.workdps(digits):
+        tip, point = mpmath.eye(n), mpmath.eye(n)
+        for g in tip_letters:
+            tip = tip * mpmath.matrix(g.tolist())
+        for g in point_letters:
+            point = point * mpmath.matrix(g.tolist())
+        uu, s, _ = mpmath.svd_r(tip)
+        order = sorted(range(n), key=lambda i: s[i], reverse=True)
+        u = mpmath.matrix([[uu[r, c] for c in order] for r in range(n)])
+        a_plus, _ = _coords_pair_mp(u.T * tip, tip ** -1 * u, face)
+        v, off = _coords_pair_mp(u.T * point, point ** -1 * u, face)
+        return float(max(off, _flat_cone_deficit_mp(v, face),
+                         _flat_cone_deficit_mp([a - b for a, b in zip(a_plus, v)], face)))
 
 
 def _span_mp(frame: np.ndarray, d: int):

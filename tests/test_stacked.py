@@ -35,11 +35,15 @@ from anosovcheck.subgroup import (
     _pair_scan,
     _resolved_logs,
     _two_sided_logs,
-    _two_sided_svd,
     limit_report,
     sample_rays,
 )
-from anosovcheck.symmspace import factored_coords_pair, segment_deficits
+from anosovcheck.symmspace import (
+    _two_sided_frame,
+    _two_sided_svd,
+    factored_coords_pair,
+    segment_deficits,
+)
 from oracles import (
     exact_centered_logs,
     exact_left_singular_frame,
@@ -50,6 +54,7 @@ from oracles import (
     random_sl,
     random_word,
     ray_letters_loop,
+    segment_deficit_mp,
     word_product,
 )
 
@@ -87,6 +92,13 @@ def test_two_sided_svd_and_logs(rng, n):
         assert_rows_equal(_two_sided_svd(*args),
                           [_two_sided_svd(*(tuple(x[k] for x in side) for side in args))
                            for k in range(len(mats))])
+    for m, mi in ((mats, invs), (invs, mats)):
+        assert_rows_equal(_two_sided_frame(m, mi), [_two_sided_frame(*x) for x in zip(m, mi)])
+        # as limit reads both sides of a ray sample: one call over a stack of stacks
+        both = _two_sided_frame(np.stack([m, mi]), np.stack([mi, m]))
+        assert np.array_equal(both[0], _two_sided_frame(m, mi))
+    if n > 3:  # LAPACK's two-sided frame, bit for bit
+        assert np.array_equal(_two_sided_frame(mats, invs), _two_sided_svd(svd, svd_inv))
     logdets = np.linalg.slogdet(mats)[1]
     assert_rows_equal(_two_sided_logs(mats, invs, logdets),
                       [_two_sided_logs(m, mi, d) for m, mi, d in zip(mats, invs, logdets)])
@@ -117,16 +129,16 @@ def test_two_sided_logs_match_oracle(request, n):
 
 
 def test_limit_flags_match_oracle(sl3_pres, monkeypatch):
-    # limit reads the prefixes' and the inverse prefixes' flags from one SVD of
-    # each stack; a one-sided read of these rays errs by 1.7e-2 at depth 12
+    # limit reads the prefixes' and the inverse prefixes' flags in one two-sided
+    # frame call; a one-sided read of these rays errs by 1.7e-2 at depth 12
     # and by about 1 from depth 16 on
     frames = []
-    kernel = subgroup._two_sided_svd
-    monkeypatch.setattr(subgroup, "_two_sided_svd",
+    kernel = subgroup._two_sided_frame
+    monkeypatch.setattr(subgroup, "_two_sided_frame",
                         lambda *args: frames.append(kernel(*args)) or frames[-1])
     face = FaceType.full(3)
     rep = limit_report(sl3_pres, face, 24, 40, seed=1)
-    forward, backward = frames[:2]
+    forward, backward = frames[0]
 
     def error(frame, letters):
         exact = exact_left_singular_frame([sl3_pres.letter_matrix(lt) for lt in letters])
@@ -151,6 +163,70 @@ def test_two_sided_logs_at_a_doubled_top_value():
     invs = np.swapaxes(q2, -1, -2) @ np.diag([0.5, 0.5, 4.0]) @ np.swapaxes(q1, -1, -2)
     logs = _two_sided_logs(mats, invs, np.zeros(len(mats)))
     assert np.abs(logs[:, 0] - logs[:, 1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_two_sided_frame_matches_oracle(request, n):
+    # 200 digits: at depth 64 the sl3 power rays spread their singular values by 1e154,
+    # past what a 90-digit SVD resolves in the bottom column
+    pres = request.getfixturevalue(f"sl{n}_pres")
+    sample = sample_rays(pres, 8, ORACLE_DEPTHS[-1], seed=1, face=FACES[n][0])
+    frame = _two_sided_frame(sample.prefixes, sample.inverses)
+    for r, word in enumerate(sample.letters.tolist()):
+        for depth in ORACLE_DEPTHS:
+            got = frame[r, depth - 1]
+            exact = exact_left_singular_frame([pres.letter_matrix(lt) for lt in word[:depth]],
+                                              digits=200)
+            # each column against the exact one's line, cancellation free
+            err = np.linalg.norm(got - exact * (exact * got).sum(axis=0), axis=0)
+            assert err.max() <= 1e-14, (r, depth, err)
+            assert np.abs(got.T @ got - np.eye(n)).max() <= 2e-15, (r, depth)
+
+
+def test_two_sided_frame_at_doubled_values():
+    # rotated diag(2, 2, 1/4) resolves only its bottom vector, diag(4, 1/2, 1/2) only its
+    # top one, and an orthogonal matrix none: the frame stays finite and orthonormal, and
+    # keeps the vector that is resolved
+    rng = np.random.default_rng(0)
+    q1, q2 = (np.stack([qr_pos(rng.standard_normal((3, 3)))[0] for _ in range(200)])
+              for _ in range(2))
+    for spectrum, col in (([2.0, 2.0, 0.25], 2), ([4.0, 0.5, 0.5], 0), ([1.0, 1.0, 1.0], None)):
+        mats = q1 @ np.diag(spectrum) @ q2
+        invs = np.swapaxes(q2, -1, -2) @ np.diag(1.0 / np.array(spectrum)) @ np.swapaxes(q1, -1, -2)
+        for m, mi in ((mats, invs), (np.diag(spectrum), np.diag(1.0 / np.array(spectrum)))):
+            frame = _two_sided_frame(m, mi)
+            assert np.isfinite(frame).all(), spectrum
+            gram = np.swapaxes(frame, -1, -2) @ frame
+            assert np.abs(gram - np.eye(3)).max() <= 2e-15, spectrum
+            if col is not None:
+                exact = (q1 if m is mats else np.eye(3))[..., col]
+                assert (1.0 - np.abs((frame[..., col] * exact).sum(axis=-1))).max() <= 1e-14
+
+
+def test_deficits_match_oracle(pipeline_runs):
+    # the sl3 witnesses of morse's rho and limit's conical sup, against 80-digit
+    # segment_deficits: ray 16's window (-1, -2, 1, 2, -1, -1, -2) at t = 3 is the
+    # conical witness
+    reports = pipeline_runs["sl3-symsq-schottky"]["reports"]
+    cfg = load_config(bundled_config_path("sl3-symsq-schottky"))
+    pres, face = cfg.presentation(), cfg.face_type()
+
+    def exact(word, t):
+        letters = [pres.letter_matrix(lt) for lt in word]
+        return segment_deficit_mp(letters, letters[:t], face)
+
+    morse = reports["morse"]
+    witness = morse["witnesses"]
+    rho = exact(witness["worst_word"], witness["worst_interior_index"])
+    assert rho == pytest.approx(1.58339322086160344, rel=1e-15)
+    assert morse["constants"]["rho"] == pytest.approx(rho, rel=5e-12, abs=0.0)
+    assert witness["worst_deficit"] == pytest.approx(rho, rel=5e-12, abs=0.0)
+
+    window = [-1, -2, 1, 2, -1, -1, -2]
+    assert reports["limit"]["details"]["rays"][16]["letters"][:7] == window
+    sup = exact(window, 3)
+    assert sup == pytest.approx(1.55882317140120254, rel=1e-15)
+    assert reports["limit"]["constants"]["conical_sup"] == pytest.approx(sup, rel=1e-12, abs=0.0)
 
 
 def test_resolved_outer_spread_matches_oracle(rng):
@@ -224,9 +300,8 @@ def test_whitened_off_matches_oracle(rng, n, monkeypatch):
 def test_segment_deficits(rng, n):
     tips, tip_invs = products(rng, n)
     pts, pt_invs = (x.reshape(len(tips), 3, n, n) for x in products(rng, n, count=3 * len(tips)))
-    # conical's direct window frame and morse's two-sided word frame
-    for u in (np.linalg.svd(tips)[0],
-              _two_sided_svd(np.linalg.svd(tips), np.linalg.svd(tip_invs))):
+    # any orthonormal frame, and the two-sided frame that morse and conical read
+    for u in (frames(rng, n, len(tips)), _two_sided_frame(tips, tip_invs)):
         for face in FACES[n]:
             single = [[segment_deficits(u[i], tips[i], tip_invs[i], [(pts[i, k], pt_invs[i, k])],
                                         face)[0] for k in range(3)] for i in range(len(tips))]
@@ -253,6 +328,23 @@ def test_flat_cone_deficit_and_pav(rng, n):
     for face in FACES[n]:
         assert_rows_equal(block_sort(vs, face), [block_sort(v, face) for v in vs])
         assert_rows_equal(flat_cone_deficit(vs, face), [flat_cone_deficit(v, face) for v in vs])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pav_passes_rows_without_ascent(rng, n):
+    # non-increasing rows (with ties), NaN rows, and rows with an ascent, in one stack
+    sorted_rows = -np.sort(np.round(rng.standard_normal((60, n)), 1), axis=1)
+    nan_rows = rng.standard_normal((20, n))
+    nan_rows[np.arange(20), rng.integers(n, size=20)] = np.nan
+    ascending = np.sort(rng.standard_normal((20, n)), axis=1)
+    for vs in (sorted_rows, nan_rows, np.concatenate([sorted_rows, nan_rows, ascending])[
+            rng.permutation(100)]):
+        weights = rng.uniform(0.5, 3.0, vs.shape)
+        for got, want in ((pav_nonincreasing(vs), [pav_sequential(v) for v in vs]),
+                          (pav_nonincreasing(vs, weights),
+                           [pav_sequential(v, w) for v, w in zip(vs, weights)])):
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+    assert same_bits(pav_nonincreasing(sorted_rows), sorted_rows)
 
 
 def frames(rng, n, count=40):

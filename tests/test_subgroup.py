@@ -24,9 +24,8 @@ from anosovcheck.subgroup import (
     word_count,
     word_levels,
     _two_sided_logs,
-    _two_sided_svd,
 )
-from anosovcheck.symmspace import diamond_query, make_diamond, segment_deficits
+from anosovcheck.symmspace import _two_sided_frame, diamond_query, make_diamond, segment_deficits
 from conftest import SL2_G, SL2_H
 from oracles import exact_centered_logs, random_sl, reduced_words, word_product
 
@@ -245,7 +244,7 @@ def test_deficit_agrees_with_diamond_queries(name):
         level, el = chain[-1], len(chain)
         if el < 2:
             continue
-        u = _two_sided_svd(np.linalg.svd(level.mats), np.linalg.svd(level.invs))
+        u = _two_sided_frame(level.mats, level.invs)
         top = np.linalg.svd(level.mats, compute_uv=False)[:, 0]
         for i in np.flatnonzero(np.isin(level.dfs, sampled) & (top < 1e6)):
             j = i
