@@ -16,7 +16,6 @@ import numpy as np
 
 from .chamber import (
     FaceType,
-    face_boundary_distance,
     iota_face,
     row_norms,
 )
@@ -176,32 +175,25 @@ def word_levels(pres: FreeGroupPresentation, length: int):
                                    np.zeros(len(d), dtype=np.intp), d * subtree[1])], d)
 
 
-def _resolved_logs(s: np.ndarray, si: np.ndarray) -> np.ndarray:
-    """Centered logs from the singular values of m and of its inverse.
-
-    A direct SVD loses values below eps times the top one; with an exactly accumulated
-    inverse, the small values are the reciprocals of the inverse's large ones.  Each log
-    comes from the side with the larger resolution ratio, as ``symmspace._two_sided_svd`` picks
-    columns.  Leading axes are batch axes.
-    """
-    direct = s / s[..., :1] >= si[..., ::-1] / si[..., :1]
-    # np.where evaluates both sides: keep the unused logs' arguments at 1
-    logs = np.where(direct, np.log(np.where(direct, s, 1.0)),
-                    -np.log(np.where(direct, 1.0, si[..., ::-1])))
-    return logs - logs.mean(axis=-1, keepdims=True)
-
-
 def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray) -> np.ndarray:
     """Centered log singular values of m, from m and its exactly accumulated inverse.
 
     After Bochi-Potrie-Sambarino: top singular values stay resolved, so at n <= 3 the logs
     come in closed form from s_1(m), s_1(minv) = 1 / s_n(m) and D = ``logdet`` = log|det m|;
-    the middle one at n = 3 is -d_1 - d_3.  Larger n take ``_resolved_logs`` of LAPACK's
-    values.  Leading axes are batch axes.
+    the middle one at n = 3 is -d_1 - d_3.  Larger n take LAPACK's values of both sides: a
+    direct SVD loses values below eps times the top one, and the small values are the
+    reciprocals of the inverse's large ones, so each log comes from the side with the larger
+    resolution ratio, as ``symmspace._two_sided_svd`` picks columns.  Leading axes are batch
+    axes.
     """
     n = m.shape[-1]
     if n > 3:
-        return _resolved_logs(*np.linalg.svd(np.stack([m, minv]), compute_uv=False))
+        s, si = np.linalg.svd(np.stack([m, minv]), compute_uv=False)
+        direct = s / s[..., :1] >= si[..., ::-1] / si[..., :1]
+        # np.where evaluates both sides: keep the unused logs' arguments at 1
+        logs = np.where(direct, np.log(np.where(direct, s, 1.0)),
+                        -np.log(np.where(direct, 1.0, si[..., ::-1])))
+        return logs - logs.mean(axis=-1, keepdims=True)
     top, bottom = log_top_singular(m), -log_top_singular(minv)
     if n == 2:
         return np.stack([0.5 * (top - bottom), 0.5 * (bottom - top)], axis=-1)
@@ -276,8 +268,8 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
 
     probe_pts = []
     for i, k, delta in power_probe(pres, max_power=power_depth):
-        dist = float(np.linalg.norm(delta))
-        ratio = face_boundary_distance(np.sort(delta)[::-1], face) / max(dist, 1e-300)
+        dist = float(row_norms(delta))
+        ratio = float(_least_gaps(delta, face)) / math.sqrt(2.0) / max(dist, 1e-300)
         probe_pts.append((i, k, dist, ratio))
 
     lengths = np.arange(1, length + 1, dtype=float)
@@ -327,11 +319,14 @@ def _prefix_points(chain: list[WordLevel], rows: np.ndarray):
 
     Word w of length L spans the diamond from o to w.o; its interior
     points are the orbit points of its prefixes, read through the chain's
-    ``parent`` rows and yielded for prefix lengths t = L-1, ..., 1.
+    ``parent`` rows.  Only the points nearer the base point are yielded,
+    for prefix lengths t = floor(L/2), ..., 1: the point at t > L/2 is the
+    one of w^-1 at L - t, read from that word's nearer tip.
     """
     for t in range(len(chain) - 1, 0, -1):
         rows = chain[t].parent[rows]  # row of each word's prefix of length t
-        yield chain[t - 1].mats[rows], chain[t - 1].invs[rows]
+        if 2 * t <= len(chain):
+            yield chain[t - 1].mats[rows], chain[t - 1].invs[rows]
 
 
 def _level_index(letters: np.ndarray, rank: int) -> np.ndarray:
@@ -353,10 +348,12 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     endpoint as tips covers every sub-segment of every longer geodesic.
     The deficit of an interior orbit point (``segment_deficits``, read in
     the word's two-sided singular frame) combines its off-parallel-set
-    distance with the in-flat chamber deficits toward both tips; a word
-    and its inverse describe one segment seen from either tip, so each
-    configuration takes the better-resolved of the two evaluations.  The
-    fitted rho is the worst deficit, the fitted type gap the worst
+    distance with the in-flat chamber deficits toward both tips.  Word w
+    of length L at prefix length t is the same configuration as w^-1 at
+    L - t, so each is read once, from its nearer tip: only t <= L/2 is
+    evaluated, and a midpoint t = L/2, read from both tips, keeps the
+    smaller read.  The fitted rho is the worst deficit, the witness the
+    worst configuration read with t <= L/2, the fitted type gap the worst
     normalized wall gap.  Irregular words are Morse failures.  Words need
     length >= 2 to have interior points.  The words come one block of
     ``word_levels`` at a time, and their interior points through the block's
@@ -382,24 +379,24 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
             theta_gap = min(theta_gap, float((gaps[rows] / row_norms(logs[rows])).min()))
         if el < 2:
             continue
-        d = np.full((len(ok), el - 1), np.nan)
+        d = np.full((len(ok), el // 2), np.nan)
         if rows.size:
             # columns come longest prefix first; column t-1 is prefix length t
-            d[rows] = segment_deficits(u[rows], level.mats[rows], level.invs[rows],
-                                       _prefix_points(chain, rows), face)[:, ::-1]
+            d[rows] = segment_deficits(u[rows], logs[rows], _prefix_points(chain, rows),
+                                       face)[:, ::-1]
         scanned.setdefault(el, []).append((level.letters, level.dfs, ok, d))
 
-    # Aggregate each configuration with its mirror: word w at interior
-    # index t is the same segment as w^{-1} at index len(w) - t.  The
-    # blocks of one length, in walk order, list every word of that length
-    # depth first, so a word's mirror sits at the mirror's level index.
+    # A midpoint t = L/2 is the same configuration as the mirror word's
+    # midpoint.  The blocks of one length, in walk order, list every word of
+    # that length depth first, so a word's mirror sits at its level index.
     rho_per_len = np.zeros(length + 1)
     lengths = []  # per length: the regular words' deficits, depth-first ranks and letters
     for el, parts in scanned.items():
         letters, dfs, ok, d = (np.concatenate(col) for col in zip(*parts))
-        mirror = _level_index(-letters[:, ::-1], pres.rank)
-        md = d[mirror][:, ::-1]
-        val = np.where(ok[mirror][:, None] & (md < d), md, d)[ok]
+        if el % 2 == 0:
+            mirror = _level_index(-letters[:, ::-1], pres.rank)
+            d[:, -1] = np.where(ok[mirror] & (d[mirror, -1] < d[:, -1]), d[mirror, -1], d[:, -1])
+        val = d[ok]
         if val.size:
             rho_per_len[el] = val.max()
             lengths.append((val, dfs[ok], letters[ok]))
@@ -537,6 +534,7 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
     steps, inv_steps = _letter_stacks(pres, sample.letters)
     # per window: its start to the point, the point to its end, and the whole window,
     # each with its inverse, all accumulated exactly letter by letter
+    logdets = np.pad(sample.logdets, ((0, 0), (1, 0)))  # log|det| of the first k letters
     stacks = []
     for n in range(1, total):  # every window spans lo < n < hi
         lo, hi = max(0, n - CONICAL_LOOKAHEAD), min(total, n + CONICAL_LOOKAHEAD)
@@ -547,12 +545,14 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
                 first, first_inv = window, window_inv
             elif k >= n:
                 last, last_inv = last @ steps[:, k], inv_steps[:, k] @ last_inv
-        stacks.append((first, first_inv, last, last_inv, window, window_inv))
-    f, fi, s, si, w, wi = (np.stack(x, axis=1) for x in zip(*stacks))
+        stacks.append((first, first_inv, last, last_inv, window, window_inv,
+                       logdets[:, hi] - logdets[:, lo]))
+    f, fi, s, si, w, wi, logdet = (np.stack(x, axis=1) for x in zip(*stacks))
     # the mirror side: tip w^-1, and the point w^-1 f = s^-1 seen from it
     m, minv = np.concatenate([w, wi], axis=1), np.concatenate([wi, w], axis=1)
+    a_plus = _two_sided_logs(m, minv, np.concatenate([logdet, -logdet], axis=1))
     points = [(np.concatenate([f, si], axis=1), np.concatenate([fi, s], axis=1))]
-    both = segment_deficits(_two_sided_frame(m, minv), m, minv, points, face)[..., 0]
+    both = segment_deficits(_two_sided_frame(m, minv), a_plus, points, face)[..., 0]
     sups = np.minimum(both[:, :len(stacks)], both[:, len(stacks):]).max(axis=1)
 
     margins = transversality_margin(sample.tails[:, 1:max(2, total - CONICAL_LOOKAHEAD + 1)],

@@ -535,22 +535,21 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType) -> tup
                          _whitened_off(np.concatenate(cols, axis=-1)))
 
 
-def segment_deficits(u: np.ndarray, tip: np.ndarray, tip_inv: np.ndarray, points,
-                     face: FaceType) -> np.ndarray:
+def segment_deficits(u: np.ndarray, a_plus: np.ndarray, points, face: FaceType) -> np.ndarray:
     """Deficits of orbit points p.o inside the diamond spanned by (o, tip.o).
 
     The diamond is read in the orthonormal frame u of the tip's left
     singular vectors, where o is the origin of the block-diagonal model
-    and tip.o sits at the tip's flat coordinates.  A point's deficit is
+    and tip.o sits at ``a_plus``, the tip's centered log singular values
+    (descending), which the caller already holds.  A point's deficit is
     the largest of its off-parallel-set distance and its flat chamber
-    deficits toward both tips; all three vanish for members.  Factors and
-    inverses must be exactly accumulated products.  ``points`` yields
-    (p, pinv) stacks whose batch axes broadcast against those of the tip;
-    the tip's coordinates are read once and each stack takes one
-    ``factored_coords_pair`` call.  Returns one trailing column per stack.
+    deficits toward both tips; all three vanish for members.  Points and
+    their inverses must be exactly accumulated products.  ``points`` yields
+    (p, pinv) stacks whose batch axes broadcast against those of u and
+    ``a_plus``; each stack takes one ``factored_coords_pair`` call.
+    Returns one trailing column per stack.
     """
     ut = np.swapaxes(u, -1, -2)
-    a_plus, _ = factored_coords_pair(ut @ tip, tip_inv @ u, face)
     cols = []
     for p, pinv in points:
         v, off = factored_coords_pair(ut @ p, pinv @ u, face)

@@ -25,6 +25,7 @@ from anosovcheck.symmspace import (
     cartan_vector,
     cone_query,
     diamond_query,
+    factored_coords_pair,
     make_diamond,
     relative_flag,
     segment_deficits,
@@ -105,8 +106,9 @@ def test_cone_and_diamond_mid_face(rng):
     mid = np.diag(np.exp([0.5, 0.25, -0.25, -0.5]))  # a factor: mid @ mid.T is the point
     assert diamond_query(mid @ mid.T, dia)[0]
     tip = np.diag(np.exp([1.0, 0.5, -0.5, -1.0]))
+    a_plus = factored_coords_pair(tip, np.linalg.inv(tip), FACE_SPLIT)[0]
     pts = [(mid, np.linalg.inv(mid))]
-    assert segment_deficits(o4, tip, np.linalg.inv(tip), pts, FACE_SPLIT)[0] <= 1e-9
+    assert segment_deficits(o4, a_plus, pts, FACE_SPLIT)[0] <= 1e-9
 
 
 def test_small_pipeline_in_sl4(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anosovcheck import dynamics, subgroup
+from anosovcheck import dynamics, subgroup, symmspace
 from anosovcheck.chamber import FaceType, flat_cone_deficit
 from anosovcheck.cli import bundled_config_path, load_config
 from anosovcheck.errors import (
@@ -189,6 +189,28 @@ class TestMorse:
         moved_uru = uru_check(conj, FACE2, 6)
         assert base_uru.verdict == moved_uru.verdict
 
+    def test_each_configuration_read_once(self, sl3_pres, monkeypatch):
+        # a block of words of length L is read at its prefixes t <= L/2 only,
+        # each from the nearer tip: floor(L/2) point stacks, one
+        # factored_coords_pair call per stack and none for the tip
+        calls, blocks = [], []
+        coords, deficits = symmspace.factored_coords_pair, subgroup.segment_deficits
+        monkeypatch.setattr(symmspace, "factored_coords_pair",
+                            lambda *args: calls.append(1) or coords(*args))
+
+        def counted(*args):
+            *head, points, face = args
+            points, before = list(points), len(calls)
+            out = deficits(*head, points, face)
+            blocks.append((len(points), len(calls) - before))
+            return out
+
+        monkeypatch.setattr(subgroup, "segment_deficits", counted)
+        rep = morse_check(sl3_pres, FACE3, 7)
+        assert rep.details["vanishing_gap_count"] == 0
+        lengths = [len(chain) for chain in word_levels(sl3_pres, 7) if len(chain) >= 2]
+        assert blocks == [(el // 2, el // 2) for el in lengths]
+
     def test_flat_model_morse(self, sl2_pres):
         # the chamber path of a passing orbit ray passes the flat version
         # of the diamond test with comparable constants
@@ -245,6 +267,7 @@ def test_deficit_agrees_with_diamond_queries(name):
         if el < 2:
             continue
         u = _two_sided_frame(level.mats, level.invs)
+        logs = _two_sided_logs(level.mats, level.invs, level.logdets)
         top = np.linalg.svd(level.mats, compute_uv=False)[:, 0]
         for i in np.flatnonzero(np.isin(level.dfs, sampled) & (top < 1e6)):
             j = i
@@ -256,7 +279,7 @@ def test_deficit_agrees_with_diamond_queries(name):
                 member, _ = diamond_query(mid @ mid.T, dia, tol=0.25)
             except (IllConditioned, VanishingGap):
                 continue
-            deficit = segment_deficits(u[i], m, level.invs[i], [(mid, mid_inv)], face)[0]
+            deficit = segment_deficits(u[i], logs[i], [(mid, mid_inv)], face)[0]
             checked += 1
             failed += bool(deficit > 0.25 if member else deficit < 1e-8)
     assert (checked, failed) == (CROSS_CHECKED[name], 0)

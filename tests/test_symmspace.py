@@ -20,6 +20,7 @@ from anosovcheck.symmspace import (
     cone_query,
     delta_projection,
     diamond_query,
+    factored_coords_pair,
     make_diamond,
     make_parallel_set,
     normalize_det,
@@ -48,8 +49,9 @@ def diag_point(*logs):
 def factor_deficit(tip, point, face):
     """Deficit of point.o in the diamond spanned by (o, tip.o), from the factors."""
     u = np.linalg.svd(tip)[0]
+    a_plus = factored_coords_pair(u.T @ tip, np.linalg.inv(tip) @ u, face)[0]
     pts = [(point, np.linalg.inv(point))]
-    return float(segment_deficits(u, tip, np.linalg.inv(tip), pts, face)[0])
+    return float(segment_deficits(u, a_plus, pts, face)[0])
 
 
 class TestCartanVector:
