@@ -131,14 +131,17 @@ def pav_nonincreasing(values, weights=None) -> np.ndarray:
     Pool-adjacent-violators along the last axis, for every row of a
     stack at once; each row makes the same merges in the same order as a
     sequential pass over it, so results do not depend on the batch.  A
-    row with no ascent makes no merge and passes through as it is; only
-    the others enter the merge loop.
+    row with no ascent passes through as it is, and a stack without one
+    returns at once; only the others enter the merge loop.
     """
     y = np.asarray(values, dtype=float)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     n = y.shape[-1]
     out = y.reshape(-1, n).copy()
-    ascent = (out[:, 1:] > out[:, :-1]).any(axis=1)
+    ascent = out[:, 1:] > out[:, :-1]
+    if not ascent.any():
+        return out.reshape(y.shape)
+    ascent = ascent.any(axis=1)
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     ys = out[ascent]
     ws = np.broadcast_to(w, y.shape).reshape(-1, n)[ascent]
     rows = np.arange(ys.shape[0])
@@ -223,7 +226,8 @@ def block_sort(v, face: FaceType) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     out = v.copy()
     for lo, hi in face.blocks:
-        out[..., lo:hi] = np.sort(v[..., lo:hi], axis=-1)[..., ::-1]
+        if hi - lo > 1:
+            out[..., lo:hi] = np.sort(v[..., lo:hi], axis=-1)[..., ::-1]
     return out
 
 

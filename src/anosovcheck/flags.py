@@ -57,24 +57,29 @@ class Flag:
     """A partial flag, as a face type plus an adapted orthonormal frame.
 
     A frame of shape (..., n, n) is a stack of flags; indexing a flag
-    selects along the leading axes.
+    selects along the leading axes.  The frame is a read-only copy of the
+    one checked at construction, so a selection of it needs no new check.
     """
 
     face: FaceType
     frame: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.frame, dtype=float)
+        q = np.array(self.frame, dtype=float)
         n = self.face.n
         if q.shape[-2:] != (n, n):
             raise ValueError(f"frame must be {n}x{n}, got {q.shape}")
         gram = np.swapaxes(q, -1, -2) @ q - np.eye(n)
         if np.any(np.linalg.norm(gram, axis=(-2, -1)) > FRAME_TOL * n):
             raise ValueError("frame is not orthonormal")
+        q.flags.writeable = False
         object.__setattr__(self, "frame", q)
 
     def __getitem__(self, index) -> "Flag":
-        return Flag(self.face, self.frame[index])
+        flag, frame = object.__new__(Flag), self.frame[index]
+        frame.flags.writeable = False  # a fancy index copies
+        flag.__dict__.update(face=self.face, frame=frame)
+        return flag
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -518,7 +518,8 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
 
     Geometric side: each prefix point is measured inside the diamond
     spanned by the orbit CONICAL_LOOKAHEAD letters behind and ahead, seen
-    from both tips.  Translating the window start to the base point, the
+    from its nearer tip, or from both where it is centred, keeping the
+    smaller read.  Translating the window start to the base point, the
     evaluation involves only short exact products, so it is
     well-conditioned at any depth; bounded window deficits together with
     the flag Cauchy residuals are the conicality surrogate.  Dynamical
@@ -535,7 +536,7 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
     # per window: its start to the point, the point to its end, and the whole window,
     # each with its inverse, all accumulated exactly letter by letter
     logdets = np.pad(sample.logdets, ((0, 0), (1, 0)))  # log|det| of the first k letters
-    stacks = []
+    reads = []  # per read: its window's point n, the tip and its inverse, log|det|, the point
     for n in range(1, total):  # every window spans lo < n < hi
         lo, hi = max(0, n - CONICAL_LOOKAHEAD), min(total, n + CONICAL_LOOKAHEAD)
         window = window_inv = last = last_inv = np.eye(pres.n)
@@ -545,15 +546,18 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
                 first, first_inv = window, window_inv
             elif k >= n:
                 last, last_inv = last @ steps[:, k], inv_steps[:, k] @ last_inv
-        stacks.append((first, first_inv, last, last_inv, window, window_inv,
-                       logdets[:, hi] - logdets[:, lo]))
-    f, fi, s, si, w, wi, logdet = (np.stack(x, axis=1) for x in zip(*stacks))
-    # the mirror side: tip w^-1, and the point w^-1 f = s^-1 seen from it
-    m, minv = np.concatenate([w, wi], axis=1), np.concatenate([wi, w], axis=1)
-    a_plus = _two_sided_logs(m, minv, np.concatenate([logdet, -logdet], axis=1))
-    points = [(np.concatenate([f, si], axis=1), np.concatenate([fi, s], axis=1))]
-    both = segment_deficits(_two_sided_frame(m, minv), a_plus, points, face)[..., 0]
-    sups = np.minimum(both[:, :len(stacks)], both[:, len(stacks):]).max(axis=1)
+        logdet = logdets[:, hi] - logdets[:, lo]
+        # the nearer tip: w, seeing the point f, or w^-1, seeing w^-1 f = s^-1
+        if 2 * (n - lo) <= hi - lo:
+            reads.append((n, window, window_inv, logdet, first, first_inv))
+        if 2 * (n - lo) >= hi - lo:
+            reads.append((n, window_inv, window, -logdet, last_inv, last))
+    windows, *stacks = zip(*reads)
+    m, minv, logdet, p, pinv = (np.stack(x, axis=1) for x in stacks)
+    a_plus = _two_sided_logs(m, minv, logdet)
+    d = segment_deficits(_two_sided_frame(m, minv), a_plus, [(p, pinv)], face)[..., 0]
+    starts = np.flatnonzero(np.diff(windows, prepend=0))
+    sups = np.minimum.reduceat(d, starts, axis=1).max(axis=1)
 
     margins = transversality_margin(sample.tails[:, 1:max(2, total - CONICAL_LOOKAHEAD + 1)],
                                     back[:, -1, None])
@@ -727,24 +731,21 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
     for k in range(depth):
         dtotal = steps[:, k] @ dtotal
         chain.append(dtotal)
-    log_eps = np.log(np.linalg.svd(np.stack(chain, axis=1), compute_uv=False)[..., -1]).tolist()
+    log_eps = np.log(np.linalg.svd(np.stack(chain, axis=1), compute_uv=False)[..., -1])
     ns = np.arange(1, depth + 1, dtype=float)
     lo = max(1, depth // 3)
-    ray_data = []
-    for i, le in enumerate(log_eps):
-        slope, intercept = np.polyfit(ns[lo:], np.array(le)[lo:], 1)
-        ray_data.append({
-            "letters": sample.letters[i].tolist(),
-            "scheme": str(sample.schemes[i]),
-            "log_eps": le,
-            "slope": float(slope),
-            "intercept": float(intercept),
-            "max_log_eps": float(max(le)),
-            "beta_frame": sample.tails.frame[i, 0].copy(),
-        })
+    slopes, intercepts = np.polyfit(ns[lo:], log_eps[:, lo:].T, 1)  # one fit per ray
+    ray_data = [{
+        "letters": sample.letters[i].tolist(),
+        "scheme": str(sample.schemes[i]),
+        "log_eps": le,
+        "slope": float(slopes[i]),
+        "intercept": float(intercepts[i]),
+        "max_log_eps": float(max(le)),
+        "beta_frame": sample.tails.frame[i, 0].copy(),
+    } for i, le in enumerate(log_eps.tolist())]
 
     irregular = rays - len(ray_data)
-    slopes = np.array([r["slope"] for r in ray_data])
     mean_slope = float(slopes.mean()) if len(slopes) else 0.0
     max_dev = (float(np.max(np.abs(slopes - mean_slope)) / abs(mean_slope))
                if mean_slope > 0 else math.inf)

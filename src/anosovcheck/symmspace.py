@@ -482,7 +482,8 @@ def _whitened_off(mat: np.ndarray) -> np.ndarray:
                 l[i, j] = _dot(e, x)
                 x = [xk - l[i, j] * ek for xk, ek in zip(x, e)]
             l[i, i] = np.maximum(np.sqrt(_dot(x, x)), 1e-300)
-            basis.append([xk / l[i, i] for xk in x])
+            if i < 2:  # the last vector is not read
+                basis.append([xk / l[i, i] for xk in x])
         l00, l10, l11, l20, l21, l22 = l[0, 0], l[1, 0], l[1, 1], l[2, 0], l[2, 1], l[2, 2]
         c00, c01, c02 = l11 * l22, -l10 * l22, l10 * l21 - l11 * l20
         c11, c12, c22 = l00 * l22, -l00 * l21, l00 * l11
@@ -504,35 +505,28 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType) -> tup
     Per block the log singular values are taken from whichever factor
     resolves them (the direct factor loses values below its noise floor,
     the inverse factor the reciprocal ones); the off distance is the
-    smaller of the two complete estimates.  Leading axes are batch axes.
+    smaller of the two complete estimates.  Every row of w and column of
+    winv is read in one pass, from its norm: that is the whole read of a
+    width-1 block, and only wider blocks are read again, by an SVD each.
+    Leading axes are batch axes.
     """
-    v = np.empty(w.shape[:-1])
-    norm_w = np.maximum(np.abs(w).max(axis=(-2, -1)), 1e-300)
-    norm_wi = np.maximum(np.abs(winv).max(axis=(-2, -1)), 1e-300)
-    rows = []
-    cols = []
-    for lo, hi in face.blocks:
-        if hi - lo == 1:
-            row = w[..., lo:lo + 1, :]
-            col = winv[..., :, lo:lo + 1]
-            s1 = np.maximum(row_norms(row[..., 0, :]), 1e-300)
-            # a contiguous copy, as np.linalg.norm takes of a column
-            s1i = np.maximum(row_norms(np.ascontiguousarray(col[..., 0])), 1e-300)
-            v[..., lo] = np.where(s1 / norm_w >= s1i / norm_wi, np.log(s1), -np.log(s1i))
-            rows.append(row / s1[..., None, None])
-            cols.append(col / s1i[..., None, None])
-            continue
+    norm_w = np.maximum(np.abs(w).max(axis=(-2, -1)), 1e-300)[..., None]
+    norm_wi = np.maximum(np.abs(winv).max(axis=(-2, -1)), 1e-300)[..., None]
+    s1 = np.maximum(row_norms(w), 1e-300)
+    # a contiguous copy of the columns, as np.linalg.norm takes of a column
+    s1i = np.maximum(row_norms(np.swapaxes(winv, -1, -2).copy()), 1e-300)
+    v = np.where(s1 / norm_w >= s1i / norm_wi, np.log(s1), -np.log(s1i))
+    rows, cols = w / s1[..., :, None], winv / s1i[..., None, :]
+    for lo, hi in (b for b in face.blocks if b[1] - b[0] > 1):
         ud, sd, vtd = np.linalg.svd(w[..., lo:hi, :], full_matrices=False)
         ui, si, vti = np.linalg.svd(winv[..., :, lo:hi], full_matrices=False)
-        sd = np.maximum(sd, 1e-300)
-        si = np.maximum(si, 1e-300)
-        direct = sd[..., -1] / norm_w >= si[..., -1] / norm_wi
-        v[..., lo:hi] = np.where(direct[..., None], np.log(sd), -np.log(si)[..., ::-1])
-        rows.append(ud @ vtd)
-        cols.append(ui @ vti)
+        sd, si = np.maximum(sd, 1e-300), np.maximum(si, 1e-300)
+        direct = sd[..., -1:] / norm_w >= si[..., -1:] / norm_wi
+        v[..., lo:hi] = np.where(direct, np.log(sd), -np.log(si)[..., ::-1])
+        rows[..., lo:hi, :] = ud @ vtd
+        cols[..., :, lo:hi] = ui @ vti
     v -= v.mean(axis=-1, keepdims=True)
-    return v, np.minimum(_whitened_off(np.concatenate(rows, axis=-2)),
-                         _whitened_off(np.concatenate(cols, axis=-1)))
+    return v, np.minimum(*_whitened_off(np.stack([rows, cols])))  # one kernel call for both
 
 
 def segment_deficits(u: np.ndarray, a_plus: np.ndarray, points, face: FaceType) -> np.ndarray:

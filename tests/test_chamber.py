@@ -206,6 +206,14 @@ class TestFlatModel:
             # projection propery: residual orthogonal to the fit
             assert abs((y - fit) @ fit) <= 1e-9
 
+    def test_pav_returns_a_copy_of_a_stack_without_ascent(self, rng):
+        y = -np.sort(-rng.standard_normal((10000, 4)), axis=1)
+        y[::7, 2] = y[::7, 1]  # ties are no ascent
+        fit = pav_nonincreasing(y)
+        assert not np.shares_memory(fit, y) and np.array_equal(fit, y)
+        fit[0, 0] = np.inf
+        assert np.isfinite(y).all()
+
 
 class TestThetaBoundaryAngle:
     def test_full_face_angle(self):

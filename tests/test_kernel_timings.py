@@ -1,0 +1,60 @@
+"""Timings of morse's deficit kernels on one block of the word walk.
+
+    PYTHONPATH=src python -m pytest tests/test_kernel_timings.py --benchmark-only
+
+prints one table row per kernel and n.  Each block holds WORD_BLOCK words
+of 8 random letters, read at prefix length 4 in the words' two-sided
+frames, as morse reads them; the n = 4 face mixes block widths, so its
+blocks of width 2 take the SVD route.  Each test also checks that the
+timed call returns what an untimed call does.
+"""
+
+import numpy as np
+import pytest
+
+from anosovcheck.chamber import FaceType, flat_cone_deficit
+from anosovcheck.subgroup import WORD_BLOCK, _two_sided_logs
+from anosovcheck.symmspace import _two_sided_frame, factored_coords_pair, segment_deficits
+from oracles import random_sl
+
+FACES = {2: FaceType.full(2), 3: FaceType.full(3), 4: FaceType.make(4, [1, 3])}
+ROUNDS = 5
+
+
+def block(n):
+    """(frame, centered logs, points, inverses) of one block, read at prefix length 4."""
+    rng = np.random.default_rng(n)
+    letters = np.stack([random_sl(rng, n, scale=1.2) for _ in range(4)])
+    inverses = np.linalg.inv(letters)
+    words = rng.integers(len(letters), size=(WORD_BLOCK, 8))
+    m, mi = np.eye(n), np.eye(n)
+    for k in range(words.shape[1]):
+        m, mi = m @ letters[words[:, k]], inverses[words[:, k]] @ mi
+        if k == 3:
+            p, pinv = m, mi
+    logs = _two_sided_logs(m, mi, np.zeros(WORD_BLOCK))
+    return _two_sided_frame(m, mi), logs, p, pinv
+
+
+@pytest.mark.parametrize("n", sorted(FACES))
+def test_segment_deficits_timing(benchmark, n):
+    u, logs, p, pinv = block(n)
+    call = lambda: segment_deficits(u, logs, [(p, pinv)], FACES[n])  # noqa: E731
+    assert np.array_equal(benchmark.pedantic(call, rounds=ROUNDS), call())
+
+
+@pytest.mark.parametrize("n", sorted(FACES))
+def test_factored_coords_pair_timing(benchmark, n):
+    u, _, p, pinv = block(n)
+    w, winv = np.swapaxes(u, -1, -2) @ p, pinv @ u
+    v, off = benchmark.pedantic(factored_coords_pair, (w, winv, FACES[n]), rounds=ROUNDS)
+    v1, off1 = factored_coords_pair(w, winv, FACES[n])
+    assert np.array_equal(v, v1) and np.array_equal(off, off1)
+
+
+@pytest.mark.parametrize("n", sorted(FACES))
+def test_flat_cone_deficit_timing(benchmark, n):
+    u, _, p, pinv = block(n)
+    v = factored_coords_pair(np.swapaxes(u, -1, -2) @ p, pinv @ u, FACES[n])[0]
+    deficit = benchmark.pedantic(flat_cone_deficit, (v, FACES[n]), rounds=ROUNDS)
+    assert np.array_equal(deficit, flat_cone_deficit(v, FACES[n]))

@@ -255,6 +255,35 @@ def test_nearer_tip_deficits_match_oracle(name, bound):
             assert abs(read[k] - exact) <= bound, (word, t[k], read[k], exact)
 
 
+@pytest.mark.parametrize("name, bound", [("sl3-symsq-schottky", 1e-6), ("sl2-schottky", 1e-11)])
+def test_nearer_tip_windows_match_oracle(name, bound, monkeypatch):
+    # limit's conical test reads a window's point from the window's start where 2t < L,
+    # from its far tip where 2t > L, and from both at 2t = L, keeping the smaller read:
+    # 16 reads for the 11 windows of a depth-12 ray, 5 of them centred
+    cfg = load_config(bundled_config_path(name))
+    pres, face = cfg.presentation(), cfg.face_type()
+    reads = []
+    kernel = subgroup.segment_deficits
+    monkeypatch.setattr(subgroup, "segment_deficits",
+                        lambda *args: reads.append(kernel(*args)) or reads[-1])
+    rays = limit_report(pres, face, 12, 8, seed=7).details["rays"]
+    (read,) = reads
+    read = read[..., 0]
+    assert read.shape == (len(rays), 16)
+    for r, ray in enumerate(rays):
+        letters = [pres.letter_matrix(lt) for lt in ray["letters"]]
+        col, sup = 0, 0.0
+        for n in range(1, 12):
+            lo, hi = max(0, n - subgroup.CONICAL_LOOKAHEAD), min(12, n + subgroup.CONICAL_LOOKAHEAD)
+            width = 2 if 2 * (n - lo) == hi - lo else 1
+            got = read[r, col:col + width].min()
+            col += width
+            exact = segment_deficit_mp(letters[lo:hi], letters[lo:n], face)
+            assert abs(got - exact) <= bound, (ray["letters"], n, got, exact)
+            sup = max(sup, got)
+        assert ray["conical_geometric_sup"] == sup
+
+
 def test_resolved_outer_spread_matches_oracle(rng):
     # once s_1 passes 1/eps the direct SVD's bottom value is noise above 1;
     # the outer spread d_1 - d_n must still come from the resolving sides
@@ -276,6 +305,26 @@ def test_factored_coords_pair(rng, n):
         for idx in np.ndindex(w.shape[:2]):
             v1, off1 = factored_coords_pair(w[idx], wi[idx], face)
             assert np.array_equal(v[idx], v1) and off[idx] == off1, (face, idx)
+
+
+@pytest.mark.parametrize("face", [FaceType.make(3, [1]), FaceType.make(3, [2]),
+                                  FaceType.make(4, [1, 3]), FaceType.make(4, [2]),
+                                  FaceType.full(4)], ids=lambda f: f"{f.n}-{sorted(f.kept)}")
+def test_factored_coords_pair_mixed_blocks(rng, face, monkeypatch):
+    # the width-1 blocks are read in one pass, beside the SVDs of the wider blocks
+    mats, invs = products(rng, face.n)
+    whitened = []
+    kernel = symmspace._whitened_off
+    monkeypatch.setattr(symmspace, "_whitened_off", lambda m: whitened.append(m) or kernel(m))
+    v, off = factored_coords_pair(mats, invs, face)
+    ((rows, cols),) = whitened
+    for k in range(len(mats)):
+        v1, off1 = factored_coords_pair(mats[k], invs[k], face)
+        assert np.array_equal(v[k], v1) and off[k] == off1, k
+    # the better-resolved side of the whitened factors, against their 50-digit spreads
+    sig = [np.linalg.svd(side, compute_uv=False) for side in (rows, cols)]
+    exact = np.minimum(*([off_mp(m) for m in side] for side in (rows, cols)))
+    assert_off_matches_oracle(off, exact, np.maximum(*(s[:, 0] / s[:, -1] for s in sig)))
 
 
 def assert_off_matches_oracle(off, exact, cond):
@@ -303,7 +352,7 @@ def test_whitened_off_matches_oracle(rng, n, monkeypatch):
     monkeypatch.setattr(symmspace, "_whitened_off", lambda m: whitened.append(m) or kernel(m))
     for face in FACES[n]:
         off = factored_coords_pair(mats, invs, face)[1]
-        rows, cols = whitened[-2:]
+        rows, cols = whitened[-1]  # both sides, stacked
         exact = [[off_mp(m) for m in side] for side in (rows, cols)]
         for side, ex in zip((rows, cols), exact):
             assert_off_matches_oracle(kernel(side), ex, cond(side))
@@ -497,6 +546,24 @@ def test_flag_checks_every_frame_of_a_stack(rng):
     q[13] *= 1.001
     with pytest.raises(ValueError, match="not orthonormal"):
         Flag(FaceType.full(3), q)
+
+
+def test_flag_slices_are_not_rechecked(rng, monkeypatch):
+    q = frames(rng, 3)
+    flag = Flag(FaceType.full(3), q)
+    assert q.flags.writeable  # the flag keeps its own copy
+    checks = []
+    check = Flag.__post_init__
+    monkeypatch.setattr(Flag, "__post_init__", lambda self: checks.append(1) or check(self))
+    for part in (flag[5], flag[3:7], flag[[1, 2]], flag[:, None]):
+        assert checks == []
+        with pytest.raises(ValueError, match="read-only"):
+            part.frame[..., 0, 0] = 1.0
+    assert np.array_equal(flag[[1, 2]].frame, q[[1, 2]])
+    with pytest.raises(ValueError, match="read-only"):
+        flag.frame[0, 0, 0] = 1.0
+    Flag(FaceType.full(3), flag[5].frame)  # a new flag is checked
+    assert checks == [1]
 
 
 def triangular(rng, d, count=20000):
