@@ -499,7 +499,31 @@ def _whitened_off(mat: np.ndarray) -> np.ndarray:
     return np.sqrt(sum(x * x for x in devs))  # x * x: a scalar's x ** 2 calls pow
 
 
-def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType) -> tuple[np.ndarray, np.ndarray]:
+def _off_bound(mat: np.ndarray) -> np.ndarray:
+    """Upper bound on ``_whitened_off`` of stacked 3 x 3 factors whose rows have unit norm.
+
+    In closed form from D = |det mat| <= 1 alone.  Unit rows make
+    s_1^2 + s_2^2 + s_3^2 = 3, and s_1 s_2 s_3 = D.  On that curve the spread of the log
+    singular values is a sum of squares of logs, so by Lagrange it is largest where two
+    singular values are equal: s^2 = (x, x, 3 - 2x) with 2x^3 - 3x^2 + D^2 = 0.  With
+    phi = arccos(1 - 2 D^2) the roots are A = 1/2 + cos(phi / 3) in [1, 3/2], B =
+    1/2 + cos((phi - 2 pi) / 3) in [0, 1] and C = 1/2 + cos((phi + 2 pi) / 3) in [-1/2, 0],
+    and the spreads at A and B are sqrt(2/3) (3/2 log A - log D) and
+    sqrt(2/3) (log D - 3/2 log B).  The first is never the smaller: D^2 = -2ABC and
+    AB = |C| (3/2 + |C|), so their difference is log(AB) / 2 - log(2|C|) >= 0 while
+    |C| <= 1/2.  The read is widened by 1e-6, relative and absolute, for rounding: near
+    D = 1 the arccos turns an error of eps in D into one of sqrt(eps).  Transposing
+    changes no spread, so unit columns serve as well.  Leading axes are batch axes.
+    """
+    a = [[mat[..., i, k] for k in range(3)] for i in range(3)]
+    det = _dot(a[0], _cross(a[1], a[2]))
+    d = np.clip(np.abs(det), 1e-300, 1.0)
+    root = 0.5 + np.cos(np.arccos(1.0 - 2.0 * d * d) / 3.0)
+    return np.sqrt(2.0 / 3.0) * (1.5 * np.log(root) - np.log(d)) * (1.0 + 1e-6) + 1e-6
+
+
+def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
+                         floor: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided flat coordinates and off-set distance.
 
     Per block the log singular values are taken from whichever factor
@@ -508,6 +532,9 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType) -> tup
     smaller of the two complete estimates.  Every row of w and column of
     winv is read in one pass, from its norm: that is the whole read of a
     width-1 block, and only wider blocks are read again, by an SVD each.
+    At n = 3 the off distance is read exactly only where ``_off_bound``
+    of the better side reaches ``floor``; elsewhere the bound, which lies
+    below ``floor``, stands for it.  The default floor reads every row.
     Leading axes are batch axes.
     """
     norm_w = np.maximum(np.abs(w).max(axis=(-2, -1)), 1e-300)[..., None]
@@ -526,10 +553,17 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType) -> tup
         rows[..., lo:hi, :] = ud @ vtd
         cols[..., :, lo:hi] = ui @ vti
     v -= v.mean(axis=-1, keepdims=True)
-    return v, np.minimum(*_whitened_off(np.stack([rows, cols])))  # one kernel call for both
+    whitened = np.stack([rows, cols])  # one kernel call for both sides
+    if face.n != 3 or floor == -np.inf:
+        return v, np.minimum(*_whitened_off(whitened))
+    off = np.minimum(*_off_bound(whitened))
+    exact = off >= floor
+    off[exact] = np.minimum(*_whitened_off(whitened[:, exact]))
+    return v, off
 
 
-def segment_deficits(u: np.ndarray, a_plus: np.ndarray, points, face: FaceType) -> np.ndarray:
+def segment_deficits(u: np.ndarray, a_plus: np.ndarray, points, face: FaceType,
+                     floor: float = -np.inf) -> np.ndarray:
     """Deficits of orbit points p.o inside the diamond spanned by (o, tip.o).
 
     The diamond is read in the orthonormal frame u of the tip's left
@@ -541,12 +575,14 @@ def segment_deficits(u: np.ndarray, a_plus: np.ndarray, points, face: FaceType) 
     their inverses must be exactly accumulated products.  ``points`` yields
     (p, pinv) stacks whose batch axes broadcast against those of u and
     ``a_plus``; each stack takes one ``factored_coords_pair`` call.
-    Returns one trailing column per stack.
+    A deficit below ``floor`` may be read as an upper bound below
+    ``floor`` (``factored_coords_pair``); every deficit at or above it is
+    exact.  Returns one trailing column per stack.
     """
     ut = np.swapaxes(u, -1, -2)
     cols = []
     for p, pinv in points:
-        v, off = factored_coords_pair(ut @ p, pinv @ u, face)
+        v, off = factored_coords_pair(ut @ p, pinv @ u, face, floor)
         cols.append(np.maximum(np.maximum(off, flat_cone_deficit(v, face)),
                                flat_cone_deficit(a_plus - v, face)))
     return np.stack(cols, axis=-1)

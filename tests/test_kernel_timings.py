@@ -5,8 +5,11 @@
 prints one table row per kernel and n.  Each block holds WORD_BLOCK words
 of 8 random letters, read at prefix length 4 in the words' two-sided
 frames, as morse reads them; the n = 4 face mixes block widths, so its
-blocks of width 2 take the SVD route.  Each test also checks that the
-timed call returns what an untimed call does.
+blocks of width 2 take the SVD route.  The floored n = 3 row reads the
+off distance exactly only where its bound reaches the block's upper
+quartile deficit, as morse does below its running worst deficit.  The
+two-sided logs and frame of the words themselves are timed too.  Each
+test also checks that the timed call returns what an untimed call does.
 """
 
 import numpy as np
@@ -21,19 +24,38 @@ FACES = {2: FaceType.full(2), 3: FaceType.full(3), 4: FaceType.make(4, [1, 3])}
 ROUNDS = 5
 
 
-def block(n):
-    """(frame, centered logs, points, inverses) of one block, read at prefix length 4."""
+def words(n):
+    """(products, inverses) of one block of words of 8 random letters, then of their prefixes of 4."""
     rng = np.random.default_rng(n)
     letters = np.stack([random_sl(rng, n, scale=1.2) for _ in range(4)])
     inverses = np.linalg.inv(letters)
-    words = rng.integers(len(letters), size=(WORD_BLOCK, 8))
+    draws = rng.integers(len(letters), size=(WORD_BLOCK, 8))
     m, mi = np.eye(n), np.eye(n)
-    for k in range(words.shape[1]):
-        m, mi = m @ letters[words[:, k]], inverses[words[:, k]] @ mi
+    for k in range(draws.shape[1]):
+        m, mi = m @ letters[draws[:, k]], inverses[draws[:, k]] @ mi
         if k == 3:
             p, pinv = m, mi
-    logs = _two_sided_logs(m, mi, np.zeros(WORD_BLOCK))
-    return _two_sided_frame(m, mi), logs, p, pinv
+    return m, mi, p, pinv
+
+
+def block(n):
+    """(frame, centered logs, points, inverses) of one block, read at prefix length 4."""
+    m, mi, p, pinv = words(n)
+    return _two_sided_frame(m, mi), _two_sided_logs(m, mi, np.zeros(WORD_BLOCK)), p, pinv
+
+
+@pytest.mark.parametrize("n", sorted(FACES))
+def test_two_sided_logs_timing(benchmark, n):
+    args = (*words(n)[:2], np.zeros(WORD_BLOCK))
+    assert np.array_equal(benchmark.pedantic(_two_sided_logs, args, rounds=ROUNDS),
+                          _two_sided_logs(*args))
+
+
+@pytest.mark.parametrize("n", sorted(FACES))
+def test_two_sided_frame_timing(benchmark, n):
+    m, mi, _, _ = words(n)
+    assert np.array_equal(benchmark.pedantic(_two_sided_frame, (m, mi), rounds=ROUNDS),
+                          _two_sided_frame(m, mi))
 
 
 @pytest.mark.parametrize("n", sorted(FACES))
@@ -41,6 +63,15 @@ def test_segment_deficits_timing(benchmark, n):
     u, logs, p, pinv = block(n)
     call = lambda: segment_deficits(u, logs, [(p, pinv)], FACES[n])  # noqa: E731
     assert np.array_equal(benchmark.pedantic(call, rounds=ROUNDS), call())
+
+
+def test_segment_deficits_floored_timing(benchmark):
+    u, logs, p, pinv = block(3)
+    full = segment_deficits(u, logs, [(p, pinv)], FACES[3])[:, 0]
+    call = lambda: segment_deficits(u, logs, [(p, pinv)], FACES[3], np.quantile(full, 0.75))[:, 0]  # noqa: E731
+    floored = benchmark.pedantic(call, rounds=ROUNDS)
+    assert np.array_equal(floored, call())
+    assert floored.max() == full.max() and floored.argmax() == full.argmax()
 
 
 @pytest.mark.parametrize("n", sorted(FACES))

@@ -371,6 +371,65 @@ def test_whitened_off_matches_oracle(rng, n, monkeypatch):
     assert_off_matches_oracle(off, [off_mp(m) for m in special], cond(special))
 
 
+def unit_rows(m):
+    return m / np.linalg.norm(m, axis=-1, keepdims=True)
+
+
+def assert_off_bound_holds(mats):
+    """``_off_bound`` at or above the kernel's read and the 50-digit spread of each factor."""
+    bound = symmspace._off_bound(mats)
+    assert (bound >= symmspace._whitened_off(mats)).all()
+    for k, m in enumerate(mats):
+        assert bound[k] >= off_mp(m), (k, bound[k], off_mp(m))
+    return bound
+
+
+def test_off_bound_holds(rng):
+    # orthogonal factors perturbed at scales 1e-8 to 3
+    scales = np.geomspace(1e-8, 3.0, 60)
+    mats = [unit_rows(q + s * rng.standard_normal((3, 3)))
+            for q, s in zip(frames(rng, 3, len(scales)), scales)]
+    # near-singular: the third row off the plane of the first two by 1e-14 to 1e-2
+    for eps in np.geomspace(1e-14, 1e-2, 13):
+        a, b = rng.standard_normal((2, 3))
+        mats.append(unit_rows(np.stack([a, b, a - 2.0 * b + eps * rng.standard_normal(3)])))
+    # the extremal factors: s^2 = (x, x, 3 - 2x) has unit rows where U's third
+    # column is (1, 1, 1) / sqrt(3); at x >= 1 the bound is tight up to its margin
+    xs = np.concatenate([np.linspace(0.02, 1.48, 30), 1.0 - np.geomspace(1e-12, 1e-2, 6),
+                         1.0 + np.geomspace(1e-12, 1e-2, 6), [1.0, 1.5]])
+    for x in xs:
+        u = np.linalg.qr(np.column_stack([np.ones(3), rng.standard_normal((3, 2))]))[0][:, [1, 2, 0]]
+        mats.append((u * np.sqrt([x, x, 3.0 - 2.0 * x])) @ frames(rng, 3, 1)[0])
+    mats = np.stack(mats)
+    assert np.allclose(np.linalg.norm(mats, axis=-1), 1.0)
+    bound = assert_off_bound_holds(mats)
+    tight = (xs >= 1.0) & (xs < 1.5)  # x = 1.5 is singular
+    gap = bound[-len(xs):][tight] - symmspace._whitened_off(mats[-len(xs):][tight])
+    assert (gap <= 3e-6).all()
+
+
+@pytest.mark.parametrize("kept", [[1], [2]])
+def test_off_bound_on_faces(rng, kept, monkeypatch):
+    # both whitened sides of face [1] (a width-2 block, read by its SVD) and
+    # face [2]; with a floor, the off distance is exact where the better
+    # side's bound reaches it, and elsewhere that bound, below the floor
+    face = FaceType.make(3, kept)
+    mats, invs = products(rng, 3)
+    whitened = []
+    kernel = symmspace._whitened_off
+    monkeypatch.setattr(symmspace, "_whitened_off", lambda m: whitened.append(m) or kernel(m))
+    v, off = factored_coords_pair(mats, invs, face)
+    ((rows, cols),) = whitened
+    bound = np.minimum(*(assert_off_bound_holds(side) for side in (rows, cols)))
+    floor = np.median(bound)
+    whitened.clear()
+    v1, off1 = factored_coords_pair(mats, invs, face, floor)
+    read = bound >= floor
+    assert np.array_equal(v1, v) and np.array_equal(off1[read], off[read])
+    assert np.array_equal(off1[~read], bound[~read]) and (off1[~read] < floor).all()
+    assert [m.shape[1] for m in whitened] == [read.sum()]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_segment_deficits(rng, n):
     tips, tip_invs = products(rng, n)

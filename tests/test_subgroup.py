@@ -193,15 +193,18 @@ class TestMorse:
         # a block of words of length L is read at its prefixes t <= L/2 only,
         # each from the nearer tip: floor(L/2) point stacks, one
         # factored_coords_pair call per stack and none for the tip
-        calls, blocks = [], []
+        calls, blocks, exact = [], [], []
         coords, deficits = symmspace.factored_coords_pair, subgroup.segment_deficits
+        kernel = symmspace._whitened_off
         monkeypatch.setattr(symmspace, "factored_coords_pair",
                             lambda *args: calls.append(1) or coords(*args))
+        monkeypatch.setattr(symmspace, "_whitened_off",
+                            lambda m: exact.append(m.shape[1]) or kernel(m))
 
         def counted(*args):
-            *head, points, face = args
+            *head, points, face, floor = args
             points, before = list(points), len(calls)
-            out = deficits(*head, points, face)
+            out = deficits(*head, points, face, floor)
             blocks.append((len(points), len(calls) - before))
             return out
 
@@ -210,6 +213,10 @@ class TestMorse:
         assert rep.details["vanishing_gap_count"] == 0
         lengths = [len(chain) for chain in word_levels(sl3_pres, 7) if len(chain) >= 2]
         assert blocks == [(el // 2, el // 2) for el in lengths]
+        # the off distance is read exactly only where its bound reaches the
+        # floor: 3,024 of the 12,576 configurations (the walk is deterministic)
+        assert sum(el // 2 * 4 * 3 ** (el - 1) for el in range(2, 8)) == 12576
+        assert sum(exact) == 3024
 
     def test_flat_model_morse(self, sl2_pres):
         # the chamber path of a passing orbit ray passes the flat version
@@ -301,6 +308,32 @@ def test_reports_do_not_depend_on_the_word_block(name, monkeypatch):
     for block in (3, 5, word_count(pres.rank, 6) + 1):
         monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
         assert reports() == expected, block
+
+
+@pytest.mark.parametrize("name, kept, length", [
+    ("sl2-schottky", None, 8), ("sl3-symsq-schottky", None, 8), ("sanov-unipotent", None, 8),
+    ("sl3-symsq-schottky", None, 9), ("sl3-symsq-schottky", [1], 7)],
+    ids=["sl2-8", "sl3-8", "sanov-8", "sl3-9", "sl3-face1-7"])
+def test_morse_reports_do_not_depend_on_the_floor(name, kept, length, monkeypatch):
+    # an off distance read as its bound lies below the floor, so it can neither
+    # be the worst deficit at any length nor tie with it: morse publishes the
+    # same report byte for byte with the floor forced to -inf, the full read,
+    # which depends on no block size, and with the floor in blocks of 7 words,
+    # where floors rise block by block across interleaved lengths, or 1,458
+    cfg = load_config(bundled_config_path(name))
+    pres = cfg.presentation()
+    face = cfg.face_type() if kept is None else FaceType.make(3, kept)
+    kernel = subgroup.segment_deficits
+
+    def report():
+        return dumps(morse_check(pres, face, length).as_dict())
+
+    with monkeypatch.context() as m:
+        m.setattr(subgroup, "segment_deficits", lambda *args: kernel(*args[:-1]))
+        expected = report()
+    for block in (7, 1458):
+        monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
+        assert report() == expected, block
 
 
 # The rays of the rotation pair (depth 8, 12 rays, seed 3) that have an
