@@ -16,6 +16,11 @@ only the middle dimensions at n >= 4 take an SVD.  The hyperplane normal
 to column n-1 and the span of the leading n-1 columns agree to the
 frame's orthonormality, about 1e-15 for frames from QR or SVD.
 
+``qr_pos`` and ``least_singular`` read 2 x 2 and 3 x 3 matrices in
+closed form, with no LAPACK call.  Their 3 x 3 helpers take a vector as a
+list of coordinate arrays, so they are elementwise numpy over the batch
+axes; ``symmspace`` shares them.
+
 A frame of shape (..., n, n) holds a stack of flags of one type.  Every
 primitive here takes stacks: leading axes are batch axes, stacks
 broadcast against each other, and each row comes out bit for bit as the
@@ -44,12 +49,237 @@ def _scalar(x):
 def qr_pos(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """QR with positive diagonal of R, so nested column spans are preserved.
 
+    Square 2 x 2 and 3 x 3 matrices take ``qr_closed``; others LAPACK's QR.
     Leading axes are batch axes.
     """
+    a = np.asarray(a, dtype=float)
+    if 2 <= a.shape[-1] == a.shape[-2] <= 3:
+        return qr_closed(a)
     q, r = np.linalg.qr(a)
     s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     s[s == 0.0] = 1.0
     return q * s[..., None, :], r * s[..., :, None]
+
+
+def _dot3(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _cross3(x, y):
+    return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+
+
+def _norm3(x):
+    """Euclidean norm of 2- or 3-vectors by hypot, which forms no square of an entry."""
+    out = np.hypot(x[0], x[1])
+    return np.hypot(out, x[2]) if len(x) == 3 else out
+
+
+def _axis_normal(v):
+    """A normal of unit 3-vectors v, of norm at least 0.43: e1 x v, or e2 x v where |v0| >= 0.9."""
+    far = np.abs(v[0]) < 0.9
+    return [np.where(far, 0.0, v[2]), np.where(far, -v[2], 0.0), np.where(far, v[1], -v[0])]
+
+
+def _adjugate_column(a):
+    """(column with the largest diagonal entry, trace) of the adjugate of symmetric 3 x 3 matrices.
+
+    ``a`` is given by rows.  Where A has a simple zero eigenvalue, adj A = p v v^T with v its
+    null vector and p = trace adj A the product of the other two eigenvalues, so that column
+    is a multiple of v; it is resolved while p stays well above the rounding of A's entries.
+    """
+    cols = [_cross3(a[1], a[2]), _cross3(a[2], a[0]), _cross3(a[0], a[1])]
+    v, big = cols[0], cols[0][0]
+    for k in (1, 2):
+        take = cols[k][k] > big
+        v, big = [np.where(take, c, e) for c, e in zip(cols[k], v)], np.where(take, cols[k][k], big)
+    return v, cols[0][0] + cols[1][1] + cols[2][2]
+
+
+def _gram_top(g00, g11, g22, g01, g02, g12):
+    """Square root of the top eigenvalue of symmetric 3 x 3 matrices, by entries.
+
+    Trigonometric, except near a doubled top eigenvalue (r < -0.99), where the error of
+    that form grows as 1/sqrt(1 + r), up to half the digits.  There the bottom eigenvalue
+    mu stays isolated, and so does its eigenvector v, the largest column of the adjugate
+    of A - mu I.  With t the mean of the top two, the compression Y of A - t I to the
+    complement of v has eigenvalues +-h, so the top one is t + h = t + |Y|_F / sqrt(2),
+    every term of which is small where h is.
+    """
+    q = (g00 + g11 + g22) / 3.0
+    d0, d1, d2 = g00 - q, g11 - q, g22 - q
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+    # s**3 stays normal; a p below the floor is negligible against q
+    s = np.maximum(p, 1e-90 * q + 1e-100)
+    r = (d0 * d1 * d2 + 2.0 * g01 * g02 * g12
+         - d0 * g12 * g12 - d1 * g02 * g02 - d2 * g01 * g01) / (2.0 * s * s * s)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    top = np.asarray(q + 2.0 * p * np.cos(phi))
+    near = r < -0.99
+    if not near.any():
+        return np.sqrt(top)
+    g00, g11, g22, g01, g02, g12, q, p, phi = (
+        np.asarray(e)[near] for e in (g00, g11, g22, g01, g02, g12, q, p, phi))
+    mu = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    v, _ = _adjugate_column([[g00 - mu, g01, g02], [g01, g11 - mu, g12], [g02, g12, g22 - mu]])
+    norm = np.maximum(np.sqrt(_dot3(v, v)), 1e-300)
+    v = [e / norm for e in v]
+    t = 1.5 * q - 0.5 * mu
+    x = [[g00 - t, g01, g02], [g01, g11 - t, g12], [g02, g12, g22 - t]]
+    w = [_dot3(row, v) for row in x]
+    vxv = _dot3(v, w)
+    y = [[x[i][j] - v[i] * w[j] - w[i] * v[j] + vxv * v[i] * v[j] for j in range(3)]
+         for i in range(3)]
+    top[near] = t + np.sqrt(0.5 * sum(y[i][j] * y[i][j] for i in range(3) for j in range(3)))
+    return np.sqrt(top)
+
+
+def _lower_factor(mat: np.ndarray) -> tuple:
+    """Entries l00, l10, l11, l20, l21, l22 of L in mat = L Q, for stacked 3 x 3 matrices.
+
+    By modified Gram-Schmidt on the rows, which is backward stable for L
+    row by row.  Each diagonal entry is floored at 1e-300.
+    """
+    l, basis = {}, []
+    for i in range(3):
+        x = [mat[..., i, k] for k in range(3)]
+        for j, e in enumerate(basis):
+            l[i, j] = _dot3(e, x)
+            x = [xk - l[i, j] * ek for xk, ek in zip(x, e)]
+        l[i, i] = np.maximum(np.sqrt(_dot3(x, x)), 1e-300)
+        if i < 2:  # the last vector is not read
+            basis.append([xk / l[i, i] for xk in x])
+    return l[0, 0], l[1, 0], l[1, 1], l[2, 0], l[2, 1], l[2, 2]
+
+
+def _cofactor_top(l00, l10, l11, l20, l21, l22, scaled=False):
+    """(Top singular value, c22) of the cofactor matrix C of lower triangular 3 x 3 L.
+
+    C is the second exterior power of L up to signs and order, and c22 =
+    l00 l11.  ``scaled`` divides C by the power of two of its largest entry
+    first, exactly, so that its Gram matrix has entries of order 1.
+    """
+    c = [l11 * l22, -l10 * l22, l10 * l21 - l11 * l20, l00 * l22, -l00 * l21, l00 * l11]
+    if scaled:
+        _, e = np.frexp(np.max(np.abs(c), axis=0))
+        c = [np.ldexp(x, -e) for x in c]
+    c00, c01, c02, c11, c12, c22 = c
+    return _gram_top(c00 * c00 + c01 * c01 + c02 * c02, c11 * c11 + c12 * c12, c22 * c22,
+                     c01 * c11 + c02 * c12, c02 * c22, c12 * c22), c22
+
+
+def exterior_tops(mat: np.ndarray) -> list:
+    """Top singular values of the exterior powers of stacked 2 x 2 or 3 x 3 matrices.
+
+    Entry k - 1 is s_1...s_k = |^k mat|_2, the last up to sign (at n = 2 it is det mat).
+    After Bochi-Potrie-Sambarino, a top singular value keeps its relative accuracy however
+    small the later ones are, so no eigenvalue below the top of a Gram matrix is taken.
+    At n = 2 the top value is the hypot form.  At n = 3 the top values are those of
+    ``_lower_factor``'s L and of its cofactor matrix, read by ``_gram_top``, and l00 l11 l22.
+    The Gram floors are set for entries of order 1, as in whitened factors.
+    """
+    if mat.shape[-1] == 2:
+        a, b, c, d = mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 0], mat[..., 1, 1]
+        return [0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)), a * d - b * c]
+    l00, l10, l11, l20, l21, l22 = l = _lower_factor(mat)
+    top, c22 = _cofactor_top(*l)
+    return [_gram_top(l00 * l00, l10 * l10 + l11 * l11, l20 * l20 + l21 * l21 + l22 * l22,
+                      l00 * l10, l00 * l20, l10 * l20 + l11 * l21),
+            top, c22 * l22]
+
+
+# least_singular reads a matrix scaled to its largest entry in closed form where its
+# determinant (m = 2) or every diagonal entry of its L (m = 3) is at least this: then
+# every square formed is a normal float, and so is the determinant
+LOWER_FLOOR = 2.0 ** -300
+
+
+def least_singular(mat: np.ndarray) -> np.ndarray:
+    """Least singular value of stacked m x m matrices.
+
+    At m <= 3 in closed form, on mat scaled by the power of two of its largest
+    entry, which is exact: |mat| at m = 1, and s_1...s_m / s_1...s_{m-1} =
+    |det| / s_1(cofactor matrix) at m = 2 and 3.  At m = 2 that is
+    ``exterior_tops``'s pair.  At m = 3 the cofactor matrix of
+    ``_lower_factor``'s L is scaled by the power of two of its own largest
+    entry before its Gram matrix is formed, so that ``_gram_top``'s floors,
+    set for entries of order 1, hold however widely the singular values
+    spread.  Rows below ``LOWER_FLOOR``, the zero matrix and m >= 4 take
+    LAPACK's value.  A matrix that is not finite raises ``LinAlgError``,
+    as LAPACK does.
+    """
+    m = mat.shape[-1]
+    if not np.isfinite(mat).all():
+        raise np.linalg.LinAlgError("least singular value of a matrix that is not finite")
+    if m > 3:
+        return np.linalg.svd(mat, compute_uv=False)[..., -1]
+    if m == 1:
+        return np.abs(mat[..., 0, 0])
+    _, e = np.frexp(np.abs(mat).max(axis=(-2, -1)))
+    scaled = np.ldexp(mat, -e[..., None, None])
+    with np.errstate(all="ignore"):  # only rows below the floor can overflow or divide 0 by 0
+        if m == 2:
+            top, det = exterior_tops(scaled)
+            out = np.ldexp(np.abs(det) / top, e)
+            low = np.abs(det) < LOWER_FLOOR
+        else:
+            l = _lower_factor(scaled)
+            top, c22 = _cofactor_top(*l, scaled=True)
+            out = np.ldexp(np.abs(c22 * l[5]) / top, e)
+            low = ~(np.minimum(np.minimum(l[0], l[2]), l[5]) >= LOWER_FLOOR)
+    out = np.asarray(out)
+    if low.any():
+        out[low] = np.linalg.svd(mat[low], compute_uv=False)[..., -1]
+    return out
+
+
+def qr_closed(a: np.ndarray):
+    """QR of stacked 2 x 2 or 3 x 3 matrices with a nonnegative diagonal of R.
+
+    q1 = a1 / |a1|; at n = 2, q2 is q1 turned by a quarter, signed so that r22 >= 0.  At
+    n = 3, q2 comes by Gram-Schmidt with one reorthogonalization, and q3 = +-q1 x q2,
+    signed so that r33 >= 0.  Norms are hypot forms and every other entry of R is a
+    product with a unit vector, so no square of an entry of ``a`` is formed.  A zero
+    a1 gives q1 the first axis, as LAPACK does.  Where the second pass more than
+    halves what the first left, that rest is rounding and a2 lies in the span of q1
+    (Kahan-Parlett); q2 is then a unit normal of q1, and r22 the rest's norm.
+    """
+    n = a.shape[-1]
+    a1, a2 = ([a[..., i, k] for i in range(n)] for k in range(2))
+    r11 = _norm3(a1)
+    zero = r11 == 0.0
+    den = np.where(zero, 1.0, r11)
+    q1 = [e / den for e in a1]
+    q1[0] = np.where(zero, 1.0, q1[0])
+    if n == 2:
+        r12 = q1[0] * a2[0] + q1[1] * a2[1]
+        r22 = q1[0] * a2[1] - q1[1] * a2[0]  # a2 against the quarter turn (-q1[1], q1[0])
+        sign = np.where(r22 < 0.0, -1.0, 1.0)
+        q = [q1[0], -sign * q1[1], q1[1], sign * q1[0]]
+        r = [r11, r12, np.zeros_like(r11), sign * r22]
+        return np.stack(q, axis=-1).reshape(a.shape), np.stack(r, axis=-1).reshape(a.shape)
+    r12 = _dot3(q1, a2)
+    v = [x - r12 * e for x, e in zip(a2, q1)]
+    c = _dot3(q1, v)
+    once = _norm3(v)
+    v = [x - c * e for x, e in zip(v, q1)]
+    r12 = r12 + c
+    r22 = _norm3(v)
+    short = r22 <= 0.5 * once  # the rest of the first pass was rounding: a2 is on q1's line
+    den = np.where(short, 1.0, r22)
+    q2 = [e / den for e in v]
+    if short.any():
+        normal = _axis_normal(q1)
+        norm = _norm3(normal)
+        q2 = [np.where(short, e / norm, x) for e, x in zip(normal, q2)]
+    a3 = [a[..., i, 2] for i in range(3)]
+    q3 = _cross3(q1, q2)
+    r33 = _dot3(q3, a3)
+    sign = np.where(r33 < 0.0, -1.0, 1.0)
+    q = [x for i in range(3) for x in (q1[i], q2[i], sign * q3[i])]
+    zeros = np.zeros_like(r11)
+    r = [r11, r12, _dot3(q1, a3), zeros, r22, _dot3(q2, a3), zeros, zeros, np.abs(r33)]
+    return np.stack(q, axis=-1).reshape(a.shape), np.stack(r, axis=-1).reshape(a.shape)
 
 
 @dataclass(frozen=True)
@@ -222,7 +452,7 @@ def suffix_flags(matrices, face: FaceType) -> Flag:
     without ever forming the ill-conditioned product.  For contracting
     products this converges to the attracting flag at the intrinsic rate.
     ``matrices`` has shape (..., N, n, n), leading axes being batch axes,
-    and each letter position takes one stacked QR.  Row k along the
+    and each letter position takes one ``qr_pos`` call.  Row k along the
     returned stack's last batch axis is the flag of matrices[..., k:, :, :],
     for k = 0, ..., N.
     """
@@ -344,7 +574,10 @@ def action_differential(g: np.ndarray, f: Flag) -> np.ndarray:
 
 
 def expansion_factor(g: np.ndarray, f: Flag):
-    """Reciprocal operator norm of the inverse differential at the flag."""
-    d = action_differential(g, f)
-    return _scalar(np.linalg.svd(d, compute_uv=False)[..., -1])
+    """Reciprocal operator norm of the inverse differential at the flag.
+
+    That is the differential's least singular value, in closed form where
+    the tangent dimension is at most 3 (``least_singular``).
+    """
+    return _scalar(least_singular(action_differential(g, f)))
 

@@ -35,6 +35,7 @@ from .flags import (
     attractive_flag,
     expansion_factor,
     flag_distance,
+    least_singular,
     qr_pos,
     suffix_flags,
     tangent_dim,
@@ -747,7 +748,7 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
     for k in range(depth):
         dtotal = steps[:, k] @ dtotal
         chain.append(dtotal)
-    log_eps = np.log(np.linalg.svd(np.stack(chain, axis=1), compute_uv=False)[..., -1])
+    log_eps = np.log(least_singular(np.stack(chain, axis=1)))
     ns = np.arange(1, depth + 1, dtype=float)
     lo = max(1, depth // 3)
     slopes, intercepts = np.polyfit(ns[lo:], log_eps[:, lo:].T, 1)  # one fit per ray

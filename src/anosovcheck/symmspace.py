@@ -24,7 +24,19 @@ from .chamber import (
     theta_membership,
 )
 from .errors import IllConditioned, VanishingGap
-from .flags import Flag, GAP_TOL, flag_distance, qr_pos, transversality_margin
+from .flags import (
+    Flag,
+    GAP_TOL,
+    _adjugate_column,
+    _axis_normal,
+    _cross3,
+    _dot3,
+    _gram_top,
+    exterior_tops,
+    flag_distance,
+    qr_pos,
+    transversality_margin,
+)
 
 DET_TOL = 1e-8
 
@@ -289,67 +301,6 @@ def make_parallel_set(flag_minus: Flag, flag_plus: Flag, margin_floor: float = 1
     return basis / det ** (1.0 / n)
 
 
-def _dot(x, y):
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
-
-def _cross(x, y):
-    return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
-
-
-def _adjugate_column(a):
-    """(column with the largest diagonal entry, trace) of the adjugate of symmetric 3 x 3 matrices.
-
-    ``a`` is given by rows.  Where A has a simple zero eigenvalue, adj A = p v v^T with v its
-    null vector and p = trace adj A the product of the other two eigenvalues, so that column
-    is a multiple of v; it is resolved while p stays well above the rounding of A's entries.
-    """
-    cols = [_cross(a[1], a[2]), _cross(a[2], a[0]), _cross(a[0], a[1])]
-    v, big = cols[0], cols[0][0]
-    for k in (1, 2):
-        take = cols[k][k] > big
-        v, big = [np.where(take, c, e) for c, e in zip(cols[k], v)], np.where(take, cols[k][k], big)
-    return v, cols[0][0] + cols[1][1] + cols[2][2]
-
-
-def _gram_top(g00, g11, g22, g01, g02, g12):
-    """Square root of the top eigenvalue of symmetric 3 x 3 matrices, by entries.
-
-    Trigonometric, except near a doubled top eigenvalue (r < -0.99), where the error of
-    that form grows as 1/sqrt(1 + r), up to half the digits.  There the bottom eigenvalue
-    mu stays isolated, and so does its eigenvector v, the largest column of the adjugate
-    of A - mu I.  With t the mean of the top two, the compression Y of A - t I to the
-    complement of v has eigenvalues +-h, so the top one is t + h = t + |Y|_F / sqrt(2),
-    every term of which is small where h is.
-    """
-    q = (g00 + g11 + g22) / 3.0
-    d0, d1, d2 = g00 - q, g11 - q, g22 - q
-    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
-    # s**3 stays normal; a p below the floor is negligible against q
-    s = np.maximum(p, 1e-90 * q + 1e-100)
-    r = (d0 * d1 * d2 + 2.0 * g01 * g02 * g12
-         - d0 * g12 * g12 - d1 * g02 * g02 - d2 * g01 * g01) / (2.0 * s * s * s)
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    top = np.asarray(q + 2.0 * p * np.cos(phi))
-    near = r < -0.99
-    if not near.any():
-        return np.sqrt(top)
-    g00, g11, g22, g01, g02, g12, q, p, phi = (
-        np.asarray(e)[near] for e in (g00, g11, g22, g01, g02, g12, q, p, phi))
-    mu = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    v, _ = _adjugate_column([[g00 - mu, g01, g02], [g01, g11 - mu, g12], [g02, g12, g22 - mu]])
-    norm = np.maximum(np.sqrt(_dot(v, v)), 1e-300)
-    v = [e / norm for e in v]
-    t = 1.5 * q - 0.5 * mu
-    x = [[g00 - t, g01, g02], [g01, g11 - t, g12], [g02, g12, g22 - t]]
-    w = [_dot(row, v) for row in x]
-    vxv = _dot(v, w)
-    y = [[x[i][j] - v[i] * w[j] - w[i] * v[j] + vxv * v[i] * v[j] for j in range(3)]
-         for i in range(3)]
-    top[near] = t + np.sqrt(0.5 * sum(y[i][j] * y[i][j] for i in range(3) for j in range(3)))
-    return np.sqrt(top)
-
-
 def _scaled_gram(mat: np.ndarray):
     """(scale, entries g00, g11, g22, g01, g02, g12 of R R^T) for R = mat / scale, stacked 3 x 3.
 
@@ -357,7 +308,7 @@ def _scaled_gram(mat: np.ndarray):
     """
     scale = np.maximum(np.abs(mat).max(axis=(-2, -1)), 1e-300)
     r0, r1, r2 = ([mat[..., i, k] / scale for k in range(3)] for i in range(3))
-    return scale, (_dot(r0, r0), _dot(r1, r1), _dot(r2, r2), _dot(r0, r1), _dot(r0, r2), _dot(r1, r2))
+    return scale, (_dot3(r0, r0), _dot3(r1, r1), _dot3(r2, r2), _dot3(r0, r1), _dot3(r0, r2), _dot3(r1, r2))
 
 
 def log_top_singular(mat: np.ndarray) -> np.ndarray:
@@ -381,8 +332,8 @@ def _top_left_vector(mat: np.ndarray) -> tuple[list, np.ndarray]:
     _, (g00, g11, g22, g01, g02, g12) = _scaled_gram(mat)
     lam = _gram_top(g00, g11, g22, g01, g02, g12) ** 2
     v, trace = _adjugate_column([[g00 - lam, g01, g02], [g01, g11 - lam, g12], [g02, g12, g22 - lam]])
-    v[0] = np.where(_dot(v, v) > 0.0, v[0], 1.0)
-    norm = np.sqrt(_dot(v, v))
+    v[0] = np.where(_dot3(v, v) > 0.0, v[0], 1.0)
+    norm = np.sqrt(_dot3(v, v))
     return [e / norm for e in v], trace / (lam * lam)
 
 
@@ -438,16 +389,13 @@ def _two_sided_frame(m: np.ndarray, minv: np.ndarray) -> np.ndarray:
     (u1, top), (u3, bottom) = _top_left_vector(m), _top_left_vector(np.swapaxes(minv, -1, -2))
     first = top >= bottom  # u1 is kept, else u3
     kept = [np.where(first, x, y) for x, y in zip(u1, u3)]
-    # a unit normal of the kept vector: its cross with the first axis, or with the second
-    far = np.abs(kept[0]) < 0.9
-    normal = [np.where(far, 0.0, kept[2]), np.where(far, -kept[2], 0.0),
-              np.where(far, kept[1], -kept[0])]
-    u2 = _cross(u3, u1)
-    short = _dot(u2, u2) < 0.5
+    normal = _axis_normal(kept)
+    u2 = _cross3(u3, u1)
+    short = _dot3(u2, u2) < 0.5
     u2 = [np.where(short, x, y) for x, y in zip(normal, u2)]
-    norm = np.sqrt(_dot(u2, u2))
+    norm = np.sqrt(_dot3(u2, u2))
     u2 = [e / norm for e in u2]
-    rest = _cross(kept, u2)  # u1 x u2 = u3, or u3 x u2 = -u1
+    rest = _cross3(kept, u2)  # u1 x u2 = u3, or u3 x u2 = -u1
     u1 = [np.where(first, x, -y) for x, y in zip(u1, rest)]
     u3 = [np.where(first, y, x) for x, y in zip(u3, rest)]
     return np.stack([np.stack(u, axis=-1) for u in (u1, u2, u3)], axis=-1)
@@ -456,42 +404,16 @@ def _two_sided_frame(m: np.ndarray, minv: np.ndarray) -> np.ndarray:
 def _whitened_off(mat: np.ndarray) -> np.ndarray:
     """Spread of the centered log singular values of whitened n x n factors.
 
-    For n <= 3 the partial sums log s_1...s_k are read as log|^k mat|_2,
-    after Bochi-Potrie-Sambarino: the top singular values of mat and of its
-    cofactor matrix (the second exterior power up to signs and order) in
-    closed form, and |det mat|.  A top singular value keeps its relative
-    accuracy however small the later ones are, so no eigenvalue below the
-    top of a Gram matrix is taken.  Larger n take LAPACK's values.  Leading
-    axes are batch axes.
+    For n <= 3 the partial sums log s_1...s_k are read as log|^k mat|_2 in
+    closed form, by ``exterior_tops``.  Larger n take LAPACK's values.
+    Leading axes are batch axes.
     """
     n = mat.shape[-1]
     if n > 3:
         logs = np.log(np.maximum(np.linalg.svd(mat, compute_uv=False), 1e-300))
         logs -= logs.mean(axis=-1, keepdims=True)
         return row_norms(logs)
-    if n == 2:
-        a, b, c, d = mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 0], mat[..., 1, 1]
-        tops = [0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)), a * d - b * c]
-    else:
-        # mat = L Q by modified Gram-Schmidt, which is backward stable for L;
-        # the cofactor matrix of mat is that of L times an orthogonal matrix
-        l, basis = {}, []
-        for i in range(3):
-            x = [mat[..., i, k] for k in range(3)]
-            for j, e in enumerate(basis):
-                l[i, j] = _dot(e, x)
-                x = [xk - l[i, j] * ek for xk, ek in zip(x, e)]
-            l[i, i] = np.maximum(np.sqrt(_dot(x, x)), 1e-300)
-            if i < 2:  # the last vector is not read
-                basis.append([xk / l[i, i] for xk in x])
-        l00, l10, l11, l20, l21, l22 = l[0, 0], l[1, 0], l[1, 1], l[2, 0], l[2, 1], l[2, 2]
-        c00, c01, c02 = l11 * l22, -l10 * l22, l10 * l21 - l11 * l20
-        c11, c12, c22 = l00 * l22, -l00 * l21, l00 * l11
-        tops = [_gram_top(l00 * l00, l10 * l10 + l11 * l11, l20 * l20 + l21 * l21 + l22 * l22,
-                          l00 * l10, l00 * l20, l10 * l20 + l11 * l21),
-                _gram_top(c00 * c00 + c01 * c01 + c02 * c02, c11 * c11 + c12 * c12, c22 * c22,
-                          c01 * c11 + c02 * c12, c02 * c22, c12 * c22),
-                c22 * l22]
+    tops = exterior_tops(mat)
     # partial sums log s_1...s_k, then the log singular values about their mean
     sums = [np.log(np.maximum(np.abs(t), 1e-300)) for t in tops]
     mean = sums[-1] / n
@@ -516,7 +438,7 @@ def _off_bound(mat: np.ndarray) -> np.ndarray:
     changes no spread, so unit columns serve as well.  Leading axes are batch axes.
     """
     a = [[mat[..., i, k] for k in range(3)] for i in range(3)]
-    det = _dot(a[0], _cross(a[1], a[2]))
+    det = _dot3(a[0], _cross3(a[1], a[2]))
     d = np.clip(np.abs(det), 1e-300, 1.0)
     root = 0.5 + np.cos(np.arccos(1.0 - 2.0 * d * d) / 3.0)
     return np.sqrt(2.0 / 3.0) * (1.5 * np.log(root) - np.log(d)) * (1.0 + 1e-6) + 1e-6

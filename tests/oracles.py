@@ -6,8 +6,9 @@ distances, permutation search for the opposition involution, KKT
 certificates for sector projections, extended-precision mpmath
 arithmetic for singular frames and centered log singular values of deep
 products, for the spread of log singular values, for the deficits of
-orbit points in diamonds and for flag distances and transversality
-margins, a per-ray loop for limit's antipodality
+orbit points in diamonds, for flag distances and transversality
+margins, for QR factors and least singular values of single matrices and
+for the flags of suffix products, a per-ray loop for limit's antipodality
 pair scan, one draw per letter for the ray sample's random words, a
 recursive depth-first list of reduced words with their left-to-right
 products, and greedy clustering of one sequence's flags for flag limits.
@@ -347,6 +348,52 @@ def transversality_margin_mp(f: Flag, fop: Flag, digits: int = 50) -> float:
             m = mpmath.matrix([r1 + r2 for r1, r2 in zip(b1.tolist(), b2.tolist())])
             best = min(best, min(mpmath.svd_r(m, compute_uv=False)))
         return float(best)
+
+
+def qr_mp(a, digits: int = 50) -> tuple[np.ndarray, np.ndarray]:
+    """QR of one square float matrix with a nonnegative diagonal of R, in ``digits``-digit arithmetic.
+
+    The entries are converted exactly; mpmath's Householder QR is signed
+    column by column so that R's diagonal is nonnegative.
+    """
+    n = len(a)
+    with mpmath.workdps(digits):
+        q, r = mpmath.qr(mpmath.matrix(np.asarray(a).tolist()))
+        signs = [-1 if r[k, k] < 0 else 1 for k in range(n)]
+        return (np.array([[float(q[i, k] * signs[k]) for k in range(n)] for i in range(n)]),
+                np.array([[float(r[i, k] * signs[i]) for k in range(n)] for i in range(n)]))
+
+
+def least_singular_mp(mat, digits: int = 50) -> float:
+    """Least singular value of one float matrix, in ``digits``-digit arithmetic."""
+    with mpmath.workdps(digits):
+        return float(min(mpmath.svd_r(mpmath.matrix(np.asarray(mat).tolist()), compute_uv=False)))
+
+
+def suffix_flag_errors_mp(matrices, start: np.ndarray, frames: np.ndarray, dims,
+                          digits: int = 50) -> np.ndarray:
+    """Projector distances from float flags to the flags of suffix products applied to a frame.
+
+    ``frames[k]`` is taken as the flag of matrices[k:] applied to ``start``, for k = 0, ...,
+    len(matrices).  The float letters and start frame are converted exactly and the products
+    accumulated from the right in ``digits``-digit arithmetic; each exact d-span is read by
+    QR of the leading d columns of its product.  Products whose singular values spread by
+    10^s need about s digits more than the float flags resolve.
+    """
+    errors = []
+    with mpmath.workdps(digits):
+        product = mpmath.matrix(np.asarray(start).tolist())
+        for k in range(len(matrices), -1, -1):
+            if k < len(matrices):
+                product = mpmath.matrix(matrices[k].tolist()) * product
+            worst = mpmath.mpf(0)
+            for d in dims:
+                exact = mpmath.qr(product[:, :d], mode="skinny")[0]
+                read = _span_mp(frames[k], d)
+                diff = exact * exact.T - read * read.T
+                worst = max(worst, max(mpmath.svd_r(diff, compute_uv=False)))
+            errors.append(float(worst))
+    return np.array(errors[::-1])
 
 
 def random_word(rng: np.random.Generator, rank: int, length: int, start=()) -> list[int]:

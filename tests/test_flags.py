@@ -1,7 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from anosovcheck import flags as flags_module
+from anosovcheck import subgroup
 from anosovcheck.chamber import FaceType, iota_face
+from anosovcheck.cli import bundled_config_path, load_config
 from anosovcheck.errors import VanishingGap
 from anosovcheck.flags import (
     Flag,
@@ -11,6 +17,7 @@ from anosovcheck.flags import (
     attractive_flag,
     expansion_factor,
     flag_distance,
+    least_singular,
     qr_pos,
     random_flag,
     stable_product_flag,
@@ -19,7 +26,10 @@ from anosovcheck.flags import (
 from oracles import (
     expansion_factor_fd,
     flag_distance_mp,
+    least_singular_mp,
+    qr_mp,
     random_sl,
+    suffix_flag_errors_mp,
     transversality_margin_mp,
 )
 
@@ -275,3 +285,195 @@ def test_flag_metrics_match_oracle(rng, n):
                 for fast, exact, other in pairs:
                     err = abs(fast(f, other) - exact(f, other))
                     assert err <= 1e-14, (face.dims, axis, angle, fast.__name__, err)
+
+
+QR_KAPPAS = [1.0, 1e2, 1e4, 1e6, 1e8]
+
+
+def conditioned(rng, n, kappa):
+    """A matrix with singular values spread from 1 to 1/kappa, in random orthogonal frames."""
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return u @ np.diag(np.logspace(0, -np.log10(kappa), n)) @ v.T
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_qr_pos_matches_oracle(rng, n):
+    # condition numbers 1 to 1e8, each with both signs of the determinant (a matrix and
+    # its first column negated); Q and R are resolved to about eps * kappa, as by any
+    # backward stable QR
+    mats, kappas = [], []
+    for kappa in QR_KAPPAS:
+        for _ in range(8):
+            a = conditioned(rng, n, kappa)
+            mats += [a, a * np.r_[-1.0, np.ones(n - 1)]]
+            kappas += [kappa, kappa]
+    mats = np.array(mats)
+    assert (np.linalg.det(mats) < 0).sum() == len(mats) // 2
+    q, r = qr_pos(mats)
+    eps = np.finfo(float).eps
+    for k, (a, kappa) in enumerate(zip(mats, kappas)):
+        q_mp, r_mp = qr_mp(a)
+        assert np.abs(q[k] - q_mp).max() <= 4 * eps * kappa, (k, kappa)
+        assert np.abs(r[k] - r_mp).max() <= 4 * eps * kappa * np.abs(a).max(), (k, kappa)
+        assert np.abs(q[k].T @ q[k] - np.eye(n)).max() <= 4 * eps
+        assert np.all(np.diagonal(r[k]) > 0.0) and not np.tril(r[k], -1).any()
+        single = qr_pos(a)
+        assert same_bits(q[k], single[0]) and same_bits(r[k], single[1]), k
+    # a stack of more than one batch axis
+    grid = qr_pos(mats[:12].reshape(3, 4, n, n))
+    assert same_bits(grid[0], q[:12].reshape(3, 4, n, n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_qr_pos_rank_deficient_columns(rng, n):
+    # a zero column, or a second column on the line of the first, is well defined: an
+    # orthonormal Q with Q R = A, R upper triangular with a nonnegative diagonal, no warning
+    base = rng.standard_normal((6, n, n))
+    cases = []
+    for col in range(n):
+        a = base.copy()
+        a[:, :, col] = 0.0
+        cases.append(a)
+    a = base.copy()
+    a[:, :, 1] = 3.0 * a[:, :, 0]
+    cases.append(a)
+    eps = np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in cases:
+            q, r = qr_pos(a)
+            assert np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(n)).max() <= 4 * eps
+            assert np.abs(q @ r - a).max() <= 8 * eps * np.abs(a).max()
+            assert np.all(np.diagonal(r, axis1=-2, axis2=-1) >= 0.0)
+            assert not np.tril(r, -1).any()
+    q, r = qr_pos(cases[0])
+    assert np.array_equal(q[:, :, 0], np.broadcast_to(np.eye(n)[0], (6, n)))  # as LAPACK
+    assert not r[:, 0, 0].any()
+
+
+@pytest.mark.parametrize("face", [FaceType.full(2), FaceType.full(3), FACE1, FaceType.make(3, [2])],
+                         ids=lambda f: f"{f.n}-{f.dims}")
+def test_expansion_factor_matches_oracle(rng, face):
+    # tangent dimensions 1, 3, 2 and 2: the closed-form least singular value of the
+    # same float differential, against 50 digits, on elements spread up to e^8
+    n = face.n
+    mats, flags = [], []
+    for t in (0.0, 1.0, 2.0, 4.0, 8.0):
+        for _ in range(6):
+            k1, k2 = (qr_pos(rng.standard_normal((n, n)))[0] for _ in range(2))
+            logs = rng.standard_normal(n) * t
+            mats.append(k1 @ np.diag(np.exp(logs - logs.mean())) @ k2)
+            flags.append(random_flag(face, rng).frame)
+    f = Flag(face, np.array(flags))
+    eps = expansion_factor(np.array(mats), f)
+    diffs = action_differential(np.array(mats), f)
+    for k, d in enumerate(diffs):
+        exact = least_singular_mp(d)
+        assert abs(eps[k] - exact) <= 1e-13 * exact, (k, eps[k], exact)
+
+
+BUNDLED = ["sl2-schottky", "sl3-symsq-schottky", "sanov-unipotent"]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_anosov_reads_match_oracle(monkeypatch, name):
+    # every published log_eps, and every expansion factor of the stratum scan, against the
+    # 50-digit least singular value of the same float chain or differential
+    seen = []
+
+    def recorded(mat):
+        seen.append(mat)
+        return least_singular(mat)
+
+    monkeypatch.setattr(subgroup, "least_singular", recorded)
+    monkeypatch.setattr(flags_module, "least_singular", recorded)
+    cfg = load_config(bundled_config_path(name))
+    report = subgroup.anosov_check(cfg.presentation(), cfg.face_type(), cfg.ray_count,
+                                   cfg.ray_depth, cfg.seed)
+    chains, diffs = seen
+    log_eps = np.array([r["log_eps"] for r in report.details["rays"]])
+    assert log_eps.shape == chains.shape[:2]
+    for index in np.ndindex(log_eps.shape):
+        assert abs(log_eps[index] - math.log(least_singular_mp(chains[index]))) <= 5e-14, index
+    eps = least_singular(diffs)
+    for index in np.ndindex(eps.shape):
+        exact = least_singular_mp(diffs[index])
+        assert abs(eps[index] - exact) <= 1e-13 * exact, index
+    best = [r["best_eps"] for r in report.details["cea_records"]]
+    assert best == eps.max(axis=1).tolist()
+
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_least_singular_spread_matrices(rng, m):
+    # graded rows, as in deep chains: singular values spread to s2 / s1 = 1e-20 ... 1e-120,
+    # which the float entries keep, at scales up to 2^600 either way; against 200 digits.
+    # Past the floor (about 5e-91 on a diagonal entry of L, or a determinant, scaled to the
+    # largest entry) rows take LAPACK's value, bit for bit; at the spreads between, the
+    # closed form holds, with no warning
+    mats = []
+    for spread in (1e-20, 1e-40, 1e-60, 1e-80, 1e-120):
+        for _ in range(4):
+            rows = np.array([1.0, spread, 0.1 * spread][:m]) * 2.0 ** rng.integers(-600, 600)
+            mats.append(rows[:, None] * conditioned(rng, m, 10.0))
+    mats = np.array(mats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = least_singular(mats)
+    lapack = np.linalg.svd(mats, compute_uv=False)[..., -1]
+    for k, mat in enumerate(mats):
+        exact = least_singular_mp(mat, digits=200)
+        assert abs(got[k] - exact) <= 1e-14 * exact, (k, got[k], exact)
+        assert same_bits(got[k], least_singular(mat)), k
+    assert same_bits(got[-4:], lapack[-4:])
+    assert not same_bits(got[:-4], lapack[:-4])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_least_singular_rejects_non_finite(m):
+    for bad in (np.nan, np.inf):
+        mat = np.eye(m)
+        mat[-1, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            least_singular(np.stack([np.eye(m), mat]))
+    assert least_singular(np.zeros((m, m))) == 0.0
+
+
+def test_deep_anosov_chains_match_oracle(monkeypatch):
+    # sl3 rays of depth 60: the chains' singular values spread to s2 / s1 = 1e-72, and every
+    # log_eps stays within 5e-14 of the 150-digit least singular value of its float chain
+    seen = []
+
+    def recorded(mat):
+        seen.append(mat)
+        return least_singular(mat)
+
+    monkeypatch.setattr(subgroup, "least_singular", recorded)
+    cfg = load_config(bundled_config_path("sl3-symsq-schottky"))
+    report = subgroup.anosov_check(cfg.presentation(), cfg.face_type(), 4, 60, cfg.seed)
+    chains = seen[0]
+    spreads = np.linalg.svd(chains, compute_uv=False)
+    assert (spreads[..., 1] / spreads[..., 0]).min() < 1e-70
+    log_eps = np.array([r["log_eps"] for r in report.details["rays"]])
+    for index in np.ndindex(log_eps.shape):
+        exact = math.log(least_singular_mp(chains[index], digits=150))
+        assert abs(log_eps[index] - exact) <= 5e-14, index
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_ray_tails_match_suffix_products(name):
+    # anosov's sample: 12 rays of depth 20, each tail flag against the exact suffix
+    # product applied to the sweep's start frame; the sl3 products spread by up to
+    # 256^20 (about 1e48), so the oracle takes 50 digits more
+    cfg = load_config(bundled_config_path(name))
+    face = cfg.face_type()
+    sample = subgroup.sample_rays(cfg.presentation(), 12, cfg.ray_depth + subgroup.BETA_PAD,
+                                  cfg.seed, face)
+    steps, _ = subgroup._letter_stacks(cfg.presentation(), sample.letters)
+    for r in range(len(steps)):
+        frames = sample.tails.frame[r]
+        errors = suffix_flag_errors_mp(steps[r], frames[-1], frames, face.dims, digits=100)
+        assert errors.max() <= 1e-14, (r, errors.argmax(), errors.max())

@@ -1,4 +1,4 @@
-"""Timings of morse's deficit kernels on one block of the word walk.
+"""Timings of morse's deficit kernels on one block of the word walk, and of the ray primitives.
 
     PYTHONPATH=src python -m pytest tests/test_kernel_timings.py --benchmark-only
 
@@ -8,20 +8,26 @@ frames, as morse reads them; the n = 4 face mixes block widths, so its
 blocks of width 2 take the SVD route.  The floored n = 3 row reads the
 off distance exactly only where its bound reaches the block's upper
 quartile deficit, as morse does below its running worst deficit.  The
-two-sided logs and frame of the words themselves are timed too.  Each
-test also checks that the timed call returns what an untimed call does.
+two-sided logs and frame of the words themselves are timed too.  The ray
+primitives are timed on stacks of RAY_ROWS: ``qr_pos`` as the tails'
+sweep takes it (one row per ray, 200 as in the rays benchmark) and on
+2,400 rows, and ``action_differential`` and ``expansion_factor`` of
+letters at random flags of the full face.  Each test also checks that
+the timed call returns what an untimed call does.
 """
 
 import numpy as np
 import pytest
 
 from anosovcheck.chamber import FaceType, flat_cone_deficit
+from anosovcheck.flags import Flag, action_differential, expansion_factor, qr_pos
 from anosovcheck.subgroup import WORD_BLOCK, _two_sided_logs
 from anosovcheck.symmspace import _two_sided_frame, factored_coords_pair, segment_deficits
 from oracles import random_sl
 
 FACES = {2: FaceType.full(2), 3: FaceType.full(3), 4: FaceType.make(4, [1, 3])}
 ROUNDS = 5
+RAY_ROWS = (200, 2400)
 
 
 def words(n):
@@ -89,3 +95,28 @@ def test_flat_cone_deficit_timing(benchmark, n):
     v = factored_coords_pair(np.swapaxes(u, -1, -2) @ p, pinv @ u, FACES[n])[0]
     deficit = benchmark.pedantic(flat_cone_deficit, (v, FACES[n]), rounds=ROUNDS)
     assert np.array_equal(deficit, flat_cone_deficit(v, FACES[n]))
+
+
+def ray_stack(n, rows):
+    """(letters, flags of the full face) of one stack of ray rows."""
+    rng = np.random.default_rng(n)
+    letters = np.stack([random_sl(rng, n, scale=1.2) for _ in range(rows)])
+    return letters, Flag(FaceType.full(n), qr_pos(rng.standard_normal((rows, n, n)))[0])
+
+
+@pytest.mark.parametrize("rows", RAY_ROWS)
+@pytest.mark.parametrize("n", sorted(FACES))
+def test_qr_pos_timing(benchmark, n, rows):
+    mats = ray_stack(n, rows)[0]
+    q, r = benchmark.pedantic(qr_pos, (mats,), rounds=ROUNDS)
+    q1, r1 = qr_pos(mats)
+    assert np.array_equal(q, q1) and np.array_equal(r, r1)
+
+
+@pytest.mark.parametrize("primitive", [action_differential, expansion_factor],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", sorted(FACES))
+def test_ray_differential_timing(benchmark, n, primitive):
+    letters, flags = ray_stack(n, RAY_ROWS[0])
+    assert np.array_equal(benchmark.pedantic(primitive, (letters, flags), rounds=ROUNDS),
+                          primitive(letters, flags))
