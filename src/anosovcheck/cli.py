@@ -29,11 +29,13 @@ from .reports import dumps
 from .subgroup import (
     BETA_PAD,
     DET_TOL,
+    MAX_WORDS,
     FreeGroupPresentation,
     anosov_check,
     limit_report,
     morse_check,
     uru_check,
+    word_count,
 )
 
 # Each checker's keyword options, in pipeline order; their defaults live in
@@ -157,6 +159,11 @@ class ExperimentConfig:
             ("anosov" in self.checkers and self.ray_count > anosov_rays,
              f"'ray_count' exceeds the {anosov_rays} distinct rays of length "
              f"'ray_depth' + {BETA_PAD}"),
+            # the word walk refuses them, but only after the earlier checkers' reports
+            ("uru" in self.checkers and word_count(rank, self.depth) > MAX_WORDS,
+             f"'depth' takes over {MAX_WORDS} words for uru, the word walk's budget"),
+            ("morse" in self.checkers and word_count(rank, self.morse_depth) > MAX_WORDS,
+             f"'options.morse_depth' takes over {MAX_WORDS} words for morse, the word walk's budget"),
             ("limit" in self.checkers and not self.face_type().is_iota_invariant,
              f"'face' {self.face} must be invariant under the opposition involution for limit"),
         )

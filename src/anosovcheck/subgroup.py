@@ -134,10 +134,13 @@ def word_levels(pres: FreeGroupPresentation, length: int):
     caller reads its last block.  A block's children, the one-letter
     extensions of its rows in letter order (1, -1, 2, -2, ...), are cut into
     blocks of WORD_BLOCK words, so the blocks of one length come depth first,
-    a short length is one block, and one block per length is held.  A word's
-    product is its prefix's product times the last letter, and its inverse
-    the last letter's inverse times the prefix's, so both are exact products
-    of letters.
+    a short length is one block, and one block per length is held.  Child c
+    of a block extends row c // (2 rank - 1) by the successor table's letter
+    c % (2 rank - 1).  A word's product is its prefix's times its last letter
+    g, and its inverse, carried transposed, m^-T g^-T: per letter, one GEMM
+    over a cut's parents stacked as rows, each entry one word's own dot
+    product in the same order, so both are exact products of letters, bit
+    for bit.  ``invs`` is a transposed view.
     """
     if length < 1:
         raise ValueError("need length >= 1")
@@ -145,10 +148,12 @@ def word_levels(pres: FreeGroupPresentation, length: int):
     if total > MAX_WORDS:
         raise BudgetExceeded(f"{total} words exceed budget {MAX_WORDS}")
     order = np.array(_letter_order(pres.rank), dtype=np.int8)
+    n, kids = pres.n, 2 * pres.rank - 1
     gens = np.stack([pres.letter_matrix(lt) for lt in order])
-    inv_gens = np.stack([pres.letter_matrix(-lt) for lt in order])
+    inv_gens_t = np.stack([pres.letter_matrix(-lt).T for lt in order])
     logdets = np.linalg.slogdet(gens)[1]
-    kids = 2 * pres.rank - 1
+    # successor[e]: the letters, in letter order, that may follow letter e (not its inverse e ^ 1)
+    successor = np.array([[e for e in range(len(order)) if e != d ^ 1] for d in range(len(order))])
     # subtree[el]: words in the subtree of a word of length el, itself included
     subtree = [0] * (length + 2)
     for el in range(length, 0, -1):
@@ -159,21 +164,24 @@ def word_levels(pres: FreeGroupPresentation, length: int):
         yield chain
         if len(chain) == length:
             return
-        level = chain[-1]
-        parent, digit = np.nonzero(np.arange(len(order)) != (digit[:, None] ^ 1))  # no cancellation
-        child = np.arange(len(parent)) % kids  # rank among its siblings
-        dfs = level.dfs[parent] + 1 + child * subtree[len(chain) + 1]
-        for cut in range(0, len(parent), WORD_BLOCK):
-            p, d = parent[cut:cut + WORD_BLOCK], digit[cut:cut + WORD_BLOCK]
+        level, size = chain[-1], len(digit) * kids
+        stacks = ((level.mats, gens), (level.invs.swapaxes(1, 2), inv_gens_t))
+        for cut in range(0, size, WORD_BLOCK):
+            p, child = np.divmod(np.arange(cut, min(cut + WORD_BLOCK, size)), kids)
+            d, lo, hi = successor[digit[p], child], p[0], p[-1] + 1
+            # the cut's parents times each letter, letter-major: child (d, p) is row d (hi - lo) + p - lo;
+            # they are dropped before the walk descends
+            mats, invs_t = (np.take((m[lo:hi].reshape(-1, n) @ g).reshape(-1, n, n),
+                                    d * (hi - lo) + p - lo, axis=0) for m, g in stacks)
             yield from walk(chain + [WordLevel(
-                np.concatenate([level.letters[p], order[d][:, None]], axis=1),
-                level.mats[p] @ gens[d], inv_gens[d] @ level.invs[p],
-                level.logdets[p] + logdets[d], p, dfs[cut:cut + WORD_BLOCK])], d)
+                np.concatenate([np.take(level.letters, p, axis=0), order[d][:, None]], axis=1),
+                mats, invs_t.swapaxes(1, 2), level.logdets[p] + logdets[d], p,
+                level.dfs[p] + 1 + child * subtree[len(chain) + 1])], d)
 
     for cut in range(0, len(order), WORD_BLOCK):
         d = np.arange(len(order))[cut:cut + WORD_BLOCK]
-        yield from walk([WordLevel(order[d][:, None], gens[d], inv_gens[d], logdets[d],
-                                   np.zeros(len(d), dtype=np.intp), d * subtree[1])], d)
+        yield from walk([WordLevel(order[d][:, None], gens[d], inv_gens_t[d].swapaxes(1, 2),
+                                   logdets[d], np.zeros(len(d), dtype=np.intp), d * subtree[1])], d)
 
 
 def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray) -> np.ndarray:

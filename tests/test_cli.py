@@ -141,6 +141,23 @@ class TestConfigValidation:
         assert run_config(p) == 2
         assert "'options.rho-cap'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("checkers, overrides, key", [
+        (["uru"], {"depth": 14}, "'depth'"),
+        (["uru", "morse"], {"options": {"morse_depth": 14}}, "'options.morse_depth'"),
+    ], ids=["uru_depth", "morse_depth"])
+    def test_over_budget_depth_rejected(self, tmp_path, capsys, checkers, overrides, key):
+        # rank 2 has 9,565,936 reduced words of length 1..14, over the word walk's
+        # budget: the config is refused before uru runs, so no report is written
+        raw = json.loads(bundled_config_path("sl2-schottky").read_text())
+        raw["options"].update(overrides.pop("options", {}))
+        raw.update(overrides, checkers=checkers)
+        p = tmp_path / "deep.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_config(p, out_dir=str(out)) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_exit_codes_and_reports(self, tmp_path):

@@ -11,17 +11,22 @@ quartile deficit, as morse does below its running worst deficit.  The
 two-sided logs and frame of the words themselves are timed too.  The ray
 primitives are timed on stacks of RAY_ROWS: ``qr_pos`` as the tails'
 sweep takes it (one row per ray, 200 as in the rays benchmark) and on
-2,400 rows, and ``action_differential`` and ``expansion_factor`` of
-letters at random flags of the full face.  Each test also checks that
-the timed call returns what an untimed call does.
+2,400 rows, ``action_differential`` and ``expansion_factor`` of letters
+at random flags of the full face, and ``attractive_flag`` of the letters.
+The word walk is timed on the step from one full block to its children:
+a rank-2 walk to length 8 yields its first full block at length 7, then
+that block's three child blocks.  Each test also checks that the timed
+call returns what an untimed call does.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from anosovcheck.chamber import FaceType, flat_cone_deficit
-from anosovcheck.flags import Flag, action_differential, expansion_factor, qr_pos
-from anosovcheck.subgroup import WORD_BLOCK, _two_sided_logs
+from anosovcheck.flags import Flag, action_differential, attractive_flag, expansion_factor, qr_pos
+from anosovcheck.subgroup import WORD_BLOCK, FreeGroupPresentation, _two_sided_logs, word_levels
 from anosovcheck.symmspace import _two_sided_frame, factored_coords_pair, segment_deficits
 from oracles import random_sl
 
@@ -120,3 +125,31 @@ def test_ray_differential_timing(benchmark, n, primitive):
     letters, flags = ray_stack(n, RAY_ROWS[0])
     assert np.array_equal(benchmark.pedantic(primitive, (letters, flags), rounds=ROUNDS),
                           primitive(letters, flags))
+
+
+@pytest.mark.parametrize("n", sorted(FACES))
+def test_attractive_flag_timing(benchmark, n):
+    letters = ray_stack(n, RAY_ROWS[0])[0]
+    timed = benchmark.pedantic(attractive_flag, (letters, FACES[n]), rounds=ROUNDS)
+    plus, minus, gaps = attractive_flag(letters, FACES[n])
+    assert all(np.array_equal(x, y) for x, y in zip(
+        (timed[0].frame, timed[1].frame, timed[2]), (plus.frame, minus.frame, gaps)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_word_levels_timing(benchmark, n):
+    rng = np.random.default_rng(n)
+    pres = FreeGroupPresentation(tuple(random_sl(rng, n, scale=1.2) for _ in range(2)))
+
+    def full_block():
+        walk = word_levels(pres, 8)
+        next(chain for chain in walk if len(chain[-1].letters) == WORD_BLOCK)
+        return (walk,), {}
+
+    def children(walk):
+        return [chain[-1] for chain in itertools.islice(walk, 2 * pres.rank - 1)]
+
+    timed = benchmark.pedantic(children, setup=full_block, rounds=ROUNDS)
+    untimed = children(*full_block()[0])
+    assert [lv.letters.shape for lv in timed] == [(WORD_BLOCK, 8)] * 3
+    assert all(np.array_equal(x, y) for lv, lv1 in zip(timed, untimed) for x, y in zip(lv, lv1))

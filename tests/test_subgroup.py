@@ -65,18 +65,24 @@ class TestWords:
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_word_levels(self, rank, rng):
-        self._check_word_levels(rank, subgroup.WORD_BLOCK, rng)
+        self._check_word_levels(rank, rank + 1, 4, subgroup.WORD_BLOCK, rng)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_word_levels_small_block(self, rank, rng, monkeypatch):
         # a block far below a level's size splits every level into many blocks
         monkeypatch.setattr(subgroup, "WORD_BLOCK", 7)
-        self._check_word_levels(rank, 7, rng)
+        self._check_word_levels(rank, rank + 1, 4, 7, rng)
+
+    def test_word_levels_children_straddle_a_cut(self, rng):
+        # rank 3 has 3,750 words of length 5, five children per word of length 4,
+        # and 1,458 = 5 * 291 + 3: word 291's children fall into two blocks
+        levels = self._check_word_levels(3, 3, 5, subgroup.WORD_BLOCK, rng)
+        cuts = [lv.parent for lv in levels if lv.letters.shape[1] == 5]
+        assert len(cuts) == 3 and cuts[0][-1] == cuts[1][0] == 291
 
     @staticmethod
-    def _check_word_levels(rank, block, rng):
-        pres = FreeGroupPresentation(tuple(random_sl(rng, 3) for _ in range(rank)))
-        length = 4
+    def _check_word_levels(rank, n, length, block, rng):
+        pres = FreeGroupPresentation(tuple(random_sl(rng, n) for _ in range(rank)))
         reference = reduced_words(rank, length)
         chains = list(word_levels(pres, length))
         levels = [chain[-1] for chain in chains]
@@ -85,6 +91,13 @@ class TestWords:
             for el, (prev, lv) in enumerate(zip(chain, chain[1:]), start=2):
                 assert lv.letters.shape[1] == el
                 assert np.array_equal(prev.letters[lv.parent], lv.letters[:, :-1])
+            # one block per length is held: no array views a buffer larger than its block's
+            for lv in chain:
+                for a in lv:
+                    base = a
+                    while base.base is not None:
+                        base = base.base
+                    assert base.nbytes <= a.nbytes
         for el in range(1, length + 1):
             same = [lv for lv in levels if lv.letters.shape[1] == el]
             assert sum(len(lv.letters) for lv in same) == (word_count(rank, el)
@@ -98,10 +111,11 @@ class TestWords:
         for lv in levels:
             for letters, m, mi in zip(lv.letters.tolist(), lv.mats, lv.invs):
                 assert np.array_equal(m, word_product(pres, letters))
-                inv = np.eye(3)
+                inv = np.eye(n)
                 for lt in letters:
                     inv = pres.letter_matrix(-lt) @ inv
                 assert np.array_equal(mi, inv)
+        return levels
 
 
 class TestUru:
