@@ -13,6 +13,7 @@ hard failure, 2 on a config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -198,6 +199,12 @@ def _dump_json(payload: dict, path: Path):
     path.write_text(dumps(payload))
 
 
+def _clear_reports(out: Path):
+    """Remove every report a run may write into ``out``: none of an earlier run outlives it."""
+    for name in (*CHECKER_ORDER, "summary", "error"):
+        (out / f"{name}.json").unlink(missing_ok=True)
+
+
 def run_config(path, seed: int | None = None, out_dir: str | None = None) -> int:
     """Execute the pipeline of a config; returns the process exit code."""
     try:
@@ -207,14 +214,18 @@ def run_config(path, seed: int | None = None, out_dir: str | None = None) -> int
             cfg.validate(str(path))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        if out_dir is None:  # the config's own, where the file is a JSON object
+            with contextlib.suppress(OSError, ValueError, AttributeError):
+                out_dir = json.loads(Path(path).read_text()).get("out_dir", "reports")
+        if isinstance(out_dir, (str, Path)):
+            _clear_reports(Path(out_dir))
         return 2
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     pres = cfg.presentation()
     face = cfg.face_type()
     reports: dict[str, dict] = {}
     ordered = [c for c in CHECKER_ORDER if c in cfg.checkers]
-    for name in (*CHECKER_ORDER, "summary", "error"):  # no report of an earlier run outlives it
-        (out / f"{name}.json").unlink(missing_ok=True)
+    _clear_reports(out)
     try:
         for checker in ordered:
             # only the options the config sets; the rest take the checker's defaults

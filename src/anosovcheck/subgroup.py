@@ -2,8 +2,8 @@
 
 Only free groups with reduced-word geodesics are supported: reduced
 words over the generators and their inverses are taken as the intrinsic
-geodesics of the word metric.  Boundary points are represented by
-prefix schemes whose flag values carry recorded Cauchy residuals.
+geodesics of the word metric.  A boundary point is a ray, a reduced
+word whose deepest prefix's flag stands in for its limit flag.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .symmspace import (
     segment_deficits,
 )
 
-RESIDUAL_TOL = 1e-3   # limit: Cauchy residual tail below which a ray's flags converge
 SEPARATION = 1e-3     # limit: flag distance between separated limit-set representatives
 CONICAL_LOOKAHEAD = 4  # limit: letters behind and ahead of a point in its conical window
 PAIR_BLOCK = 1 << 16  # limit: pairs of limit flags per broadcast call of the pair scan
@@ -478,18 +477,16 @@ class RaySample(NamedTuple):
     tails: Flag           # (R, N + 1) flags of the suffixes letters[:, k:]
 
 
-def _random_words(rng: np.random.Generator, rank: int, count: int, length: int,
-                  start=()) -> np.ndarray:
-    """``count`` random reduced words (count, length) that extend ``start``.
+def _random_words(rng: np.random.Generator, rank: int, count: int, length: int) -> np.ndarray:
+    """``count`` random reduced words (count, length).
 
-    Each added letter is uniform among those that do not cancel its predecessor; one
+    Each letter is uniform among those that do not cancel its predecessor; one
     vectorized call draws them all, word by word, as one draw per letter would.
     """
     order = np.array(_letter_order(rank))
-    highs = [2 * rank - bool(j or start) for j in range(length - len(start))]
-    cols = [np.full(count, lt) for lt in start]
-    digit = _letter_order(rank).index(start[-1]) if start else None  # letter order index
-    for draw in rng.integers(highs, size=(count, len(highs))).T:
+    highs = [2 * rank - bool(j) for j in range(length)]
+    cols, digit = [], None  # digit: letter order index of the previous letter
+    for draw in rng.integers(highs, size=(count, length)).T:
         digit = draw if digit is None else draw + (draw >= (digit ^ 1))  # skip the cancelling one
         cols.append(order[digit])
     return np.stack(cols, axis=1)
@@ -546,14 +543,14 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
     from its nearer tip, or from both where it is centred, keeping the
     smaller read.  Translating the window start to the base point, the
     evaluation involves only short exact products, so it is
-    well-conditioned at any depth; bounded window deficits together with
-    the flag Cauchy residuals are the conicality surrogate.  Dynamical
-    side: the pulled-back limit flags must keep a transversality floor
-    from the last of the inverse prefixes' flags ``back`` (R, N), where
-    those have a limit.  The pulled-back flag is the boundary flag of the
-    shifted ray, read from the sample's tails because it is a repelling
-    fixed point of the inverse flow and cannot be iterated forward; the
-    deepest tails are too short to resolve and are skipped.
+    well-conditioned at any depth; bounded window deficits are the
+    conicality surrogate.  Dynamical side: the pulled-back limit flags
+    must keep a transversality floor from the last of the inverse
+    prefixes' flags ``back`` (R, N), where those have a limit.  The
+    pulled-back flag is the boundary flag of the shifted ray, read from
+    the sample's tails because it is a repelling fixed point of the
+    inverse flow and cannot be iterated forward; the deepest tails are
+    too short to resolve and are skipped.
     """
     face = sample.tails.face
     total = sample.letters.shape[1]
@@ -626,13 +623,11 @@ def _pair_scan(limits: Flag, letters: np.ndarray):
 def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
                  ray_count: int, seed: int, antipodal_floor: float = 0.01,
                  conical_rho: float = 2.0) -> PropertyReport:
-    """Sampled boundary map: antipodality, conicality, continuity probes.
+    """Sampled boundary map: antipodality and conicality.
 
-    Boundary points are prefix schemes; their flag values are prefix
-    limits with recorded Cauchy residuals.  Antipodality is the least
-    pairwise transversality margin over distinct samples, conicality is
-    checked along each ray, and the continuity probe tracks how limit
-    flags of rays sharing prefixes of depth k approach each other.
+    Each ray's limit flag is its deepest prefix's flag.  Antipodality is
+    the least pairwise transversality margin over distinct samples, and
+    conicality is checked along each ray (``_conical_rays``).
     """
     if ray_count < 2:
         raise ValueError("need ray_count >= 2")
@@ -650,44 +645,24 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     if not regular.any():
         raise VanishingGap("no sampled ray has a regular prefix")
     sample, deltas = RaySample(*(field[regular] for field in sample)), deltas[regular]
-    # the inverse prefixes' logs are the prefixes', negated and reversed: regular rows stay so;
-    # one kernel call reads the frames of both stacks
-    pair = np.stack([sample.prefixes, sample.inverses])
-    frames = _two_sided_frame(pair, pair[::-1])
-    flags, back = Flag(face, frames[0]), Flag(iota_face(face), frames[1])
-    residuals = flag_distance(flags[:, :-1], flags[:, 1:]).tolist()
+    # limit flags are the last prefixes', backward flags every inverse prefix's, which the
+    # conical check reads; their logs are the prefixes', negated and reversed: regular rows stay so
+    limits = Flag(face, _two_sided_frame(sample.prefixes[:, -1], sample.inverses[:, -1]))
+    back = Flag(iota_face(face), _two_sided_frame(sample.inverses, sample.prefixes))
     conical, sups = _conical_rays(pres, sample, back, conical_rho)
     samples = [{
         "letters": sample.letters[i].tolist(),
         "scheme": str(sample.schemes[i]),
-        "limit_flag_frame": flags.frame[i, -1].copy(),  # not a view that keeps the prefix stack
-        "residuals": res,
-        "converged": bool(res and max(res[-max(1, len(res) // 4):]) < RESIDUAL_TOL),
+        "limit_flag_frame": limits.frame[i],
         "conical": bool(conical[i]),
         "conical_geometric_sup": float(sups[i]),
-    } for i, res in enumerate(residuals)]
+    } for i in range(len(sample.letters))]
 
     # Rays are pairwise distinct reduced words, hence distinct boundary
     # points; their transversality margin shrinks with the depth at which the
     # words diverge, so the verdict takes pairs that differ in the first letter,
     # and all_pairs_margin_min records the rest.
-    min_margin, all_pairs_min, closest_pair, sep_count = _pair_scan(flags[:, -1], sample.letters)
-
-    # Continuity probe: pairs of rays sharing prefixes of increasing depth.
-    rng = np.random.default_rng(seed + 1)
-    pairs = {}  # k -> two rays that share exactly their first k letters
-    for k in range(1, max(2, depth - 1)):
-        first = _random_words(rng, pres.rank, 1, depth)[0]
-        draws = (_random_words(rng, pres.rank, 1, depth, first[:k].tolist())[0] for _ in range(99))
-        second = next((w for w in draws if w[k] != first[k]), None)
-        if second is not None:
-            pairs[k] = (first, second)
-    # all probe words read two-sided at once; a pair with an irregular word is left out
-    words = np.array(list(pairs.values()), dtype=int).reshape(-1, 2, depth)
-    _, m, minv, logdet = (x[:, :, -1] for x in _prefix_products(pres, words))
-    keep = ~(_least_gaps(_two_sided_logs(m, minv, logdet), face) < GAP_TOL).any(axis=-1)
-    ends = Flag(face, _two_sided_frame(m[keep], minv[keep]))
-    probe = zip(np.array(list(pairs))[keep].tolist(), flag_distance(ends[:, 0], ends[:, 1]))
+    min_margin, all_pairs_min, closest_pair, sep_count = _pair_scan(limits, sample.letters)
 
     all_conical = all(s["conical"] for s in samples)
     antipodal = bool(not math.isinf(min_margin) and min_margin >= antipodal_floor)
@@ -704,7 +679,6 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
         thresholds={
             "antipodal_floor": antipodal_floor,
             "conical_rho": conical_rho,
-            "residual_tol": RESIDUAL_TOL,
             "separation": SEPARATION,
             "depth": depth,
             "ray_count": ray_count,
@@ -713,7 +687,6 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
         details={
             "all_conical": all_conical,
             "antipodal": antipodal,
-            "continuity_probe": [[k, float(d)] for k, d in probe],
             "rays": samples,
             "deltas": {str(i): list(d) for i, d in enumerate(deltas)},
         },
@@ -767,7 +740,6 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
         "slope": float(slopes[i]),
         "intercept": float(intercepts[i]),
         "max_log_eps": float(max(le)),
-        "beta_frame": sample.tails.frame[i, 0].copy(),
     } for i, le in enumerate(log_eps.tolist())]
 
     irregular = rays - len(ray_data)

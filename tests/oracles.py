@@ -396,14 +396,14 @@ def suffix_flag_errors_mp(matrices, start: np.ndarray, frames: np.ndarray, dims,
     return np.array(errors[::-1])
 
 
-def random_word(rng: np.random.Generator, rank: int, length: int, start=()) -> list[int]:
-    """Extend ``start`` to a random reduced word, one draw per added letter.
+def random_word(rng: np.random.Generator, rank: int, length: int) -> list[int]:
+    """A random reduced word, one draw per letter.
 
     Each letter is drawn from the letters 1, -1, 2, -2, ... that do not
     cancel its predecessor, in that order.
     """
     order = [x for i in range(1, rank + 1) for x in (i, -i)]
-    letters = list(start)
+    letters = []
     while len(letters) < length:
         choices = [lt for lt in order if not letters or lt != -letters[-1]]
         letters.append(int(choices[rng.integers(len(choices))]))

@@ -202,6 +202,30 @@ class TestRun:
         assert code == 1
         assert (out / "error.json").exists()
 
+    def test_refused_config_leaves_no_report(self, tmp_path, monkeypatch, capsys):
+        # a refused config writes nothing and removes the reports of an earlier run from
+        # the directory it would have written: the out_dir argument, else the config's own
+        out = tmp_path / "out"
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(minimal_config(out_dir=str(out))))
+        bad.write_text(json.dumps(minimal_config(out_dir=str(out), depth=3)))
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        listing = lambda: sorted(p.name for p in out.iterdir())
+        for args in ({"out_dir": str(out)}, {}):
+            assert run_config(good) == 0
+            assert listing() == ["notes.txt", "summary.json", "uru.json"]
+            assert run_config(bad, **args) == 2
+            assert "depth must be >= 4" in capsys.readouterr().err
+            assert listing() == ["notes.txt"]
+        # a file that does not parse names no directory: the default one is left alone
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "reports").mkdir()
+        (tmp_path / "reports" / "uru.json").write_text("{}")
+        (tmp_path / "broken.json").write_text("{not json")
+        assert run_config(tmp_path / "broken.json") == 2
+        assert (tmp_path / "reports" / "uru.json").exists()
+
     def test_rotation_morse_report_is_strict_json(self, tmp_path):
         # every word of the rotation pair has a vanishing gap, so no type gap exists
         p = tmp_path / "cfg.json"

@@ -51,7 +51,6 @@ from oracles import (
     pair_scan_loop,
     pav_sequential,
     random_sl,
-    random_word,
     ray_letters_loop,
     segment_deficit_mp,
     word_product,
@@ -125,16 +124,20 @@ def test_two_sided_logs_match_oracle(request, n):
 
 
 def test_limit_flags_match_oracle(sl3_pres, monkeypatch):
-    # limit reads the prefixes' and the inverse prefixes' flags in one two-sided
-    # frame call; a one-sided read of these rays errs by 1.7e-2 at depth 12
-    # and by about 1 from depth 16 on
+    # limit reads the last prefixes' flags in one two-sided frame call and every
+    # inverse prefix's in a second; a one-sided read of these rays errs by 1.7e-2
+    # at depth 12 and by about 1 from depth 16 on.  The prefixes' flags at
+    # shallower depths come from the same kernel on the sample's whole stack
     frames = []
     kernel = subgroup._two_sided_frame
     monkeypatch.setattr(subgroup, "_two_sided_frame",
                         lambda *args: frames.append(kernel(*args)) or frames[-1])
     face = FaceType.full(3)
     rep = limit_report(sl3_pres, face, 24, 40, seed=1)
-    forward, backward = frames[0]
+    sample = sample_rays(sl3_pres, 40, 24, 1, face)
+    assert [ray["letters"] for ray in rep.details["rays"]] == sample.letters.tolist()
+    forward, backward = kernel(sample.prefixes, sample.inverses), frames[1]
+    assert backward.shape == forward.shape
 
     def error(frame, letters):
         exact = exact_left_singular_frame([sl3_pres.letter_matrix(lt) for lt in letters])
@@ -142,6 +145,7 @@ def test_limit_flags_match_oracle(sl3_pres, monkeypatch):
 
     for r, ray in enumerate(rep.details["rays"]):
         word = ray["letters"]
+        assert np.array_equal(ray["limit_flag_frame"], forward[r, -1]), r
         assert error(ray["limit_flag_frame"], word) <= 1e-12, r
         for depth in (8, 12, 16, 24):
             assert error(forward[r, depth - 1], word[:depth]) <= 1e-12, (r, depth)
@@ -556,13 +560,6 @@ def test_ray_letters_match_one_draw_per_letter(config):
         for count, depth in ((200, 12), (200, 20), (12, 2), (36, 3)):
             sample = sample_rays(pres, count, depth, seed, face)
             assert sample.letters.tolist() == ray_letters_loop(pres.rank, count, depth, seed)
-        # the continuity probe's words, extending a shared start
-        batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
-        for k in range(1, 11):
-            start = subgroup._random_words(batched, pres.rank, 1, k)[0].tolist()
-            assert start == random_word(single, pres.rank, k)
-            assert (subgroup._random_words(batched, pres.rank, 3, 12, start).tolist()
-                    == [random_word(single, pres.rank, 12, start) for _ in range(3)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -376,19 +376,12 @@ class TestLimitReport:
         assert rep.constants["antipodality_margin"] > 0.01
         assert rep.details["all_conical"]
         assert rep.constants["limit_set_cardinality_lower_bound"] >= 3
-        probe = rep.details["continuity_probe"]
-        deep = [d for k, d in probe if k >= 10]
-        shallow_margin = rep.constants["antipodality_margin"]
-        assert deep and max(deep) < 1e-3 < shallow_margin
 
     def test_sl3(self, sl3_pres):
         rep = limit_report(sl3_pres, FACE3, 12, 50, seed=7)
         assert rep.verdict
         assert rep.constants["antipodality_margin"] > 0.01
         assert rep.details["all_conical"]
-        # two-sided reads of the extension words: deep probes close to rounding
-        deep = [d for k, d in rep.details["continuity_probe"] if k >= 9]
-        assert deep and max(deep) < 1e-8
 
     def test_needs_iota_invariant_face(self, sl3_pres):
         with pytest.raises(ValueError):
@@ -456,19 +449,35 @@ class TestAnosov:
     def test_cea_records_are_first_maxima(self, request, pres_name):
         # each ray's stratum-expansion witness is the first word, depth first,
         # of greatest expansion at the ray's limit flag among the reduced
-        # words of length <= CEA_DEPTH
+        # words of length <= CEA_DEPTH; the limit flag is the tail flag of the
+        # sample anosov draws, BETA_PAD letters past the tested prefixes
         pres = request.getfixturevalue(pres_name)
         face = FaceType.full(pres.n)
         rep = anosov_check(pres, face, 20, 10, seed=3)
+        sample = sample_rays(pres, 20, 10 + subgroup.BETA_PAD, 3, face)
         words = reduced_words(pres.rank, subgroup.CEA_DEPTH)
         mats = [word_product(pres, w) for w in words]
         rays, records = rep.details["rays"], rep.details["cea_records"]
         assert len(records) == len(rays) == 20
-        for ray, rec in zip(rays, records):
-            eps = [expansion_factor(m, Flag(face, ray["beta_frame"])) for m in mats]
+        for ray, rec, letters, frame in zip(rays, records, sample.letters.tolist(),
+                                            sample.tails.frame[:, 0]):
+            assert ray["letters"] == letters
+            eps = [expansion_factor(m, Flag(face, frame)) for m in mats]
             k = eps.index(max(eps))
             assert rec["letters"] == ray["letters"]
             assert rec["best_word"] == list(words[k]) and rec["best_eps"] == eps[k]
+
+
+def test_ray_record_keys(sl2_pres):
+    # the report keeps only what a verdict, a witness, the oracle or a plot reads
+    limit = limit_report(sl2_pres, FACE2, 8, 10, seed=1)
+    assert set(limit.thresholds) == {"antipodal_floor", "conical_rho", "separation",
+                                     "depth", "ray_count"}
+    assert {frozenset(r) for r in limit.details["rays"]} == {frozenset(
+        {"letters", "scheme", "limit_flag_frame", "conical", "conical_geometric_sup"})}
+    anosov = anosov_check(sl2_pres, FACE2, 10, 6, seed=1)
+    assert {frozenset(r) for r in anosov.details["rays"]} == {frozenset(
+        {"letters", "scheme", "log_eps", "slope", "intercept", "max_log_eps"})}
 
 
 class TestSchottky:
