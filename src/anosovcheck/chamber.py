@@ -237,7 +237,13 @@ def flat_cone_deficit(v, face: FaceType):
     Zero iff member; otherwise the distance from the block-sorted vector
     to the monotone cone (an upper bound for the distance to the union
     of chambers, exact within the flat spanned by the sorted form).
-    Leading axes are batch axes.
+    Only rows with an ascent (or a NaN) are projected; every other row is
+    its own projection, with deficit exactly 0.  Leading axes are batch axes.
     """
     w = block_sort(v, face)
-    return row_norms(w - pav_nonincreasing(w))
+    out = np.zeros(w.shape[:-1])
+    descent = w[..., 1:] <= w[..., :-1]  # False at an ascent or a NaN
+    if not descent.all():
+        read = ~descent.all(axis=-1)
+        out[read] = row_norms(w[read] - pav_nonincreasing(w[read]))
+    return out[()]  # a scalar for one vector, as row_norms gives

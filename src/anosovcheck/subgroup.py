@@ -58,7 +58,7 @@ BETA_PAD = 8          # anosov: letters sampled past the tested prefixes for the
 DIVERGENCE_LOGEPS = float(np.log(100.0))  # anosov: log expansion counted as divergent
 CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansion
 TIE_RTOL = 1e-12      # uru, morse: relative distance within which witnesses tie
-WORD_BLOCK = 1458     # uru, morse: words per block of the depth-first word walk
+WORD_BLOCK = 2916     # uru, morse: words per block of the depth-first word walk
 MAX_WORDS = 2_000_000  # word walk: most words of lengths 1..length it may visit
 
 
@@ -365,14 +365,15 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     normalized wall gap.  Every published deficit is a maximum over
     lengths <= L, or a witness within TIE_RTOL of one, so a block of length
     L passes a floor: the largest final read so far at lengths <= L,
-    lowered by 1e-9 relative, well clear of TIE_RTOL.  At n = 3 an off
+    lowered by 1e-9 relative, well clear of TIE_RTOL.  At n <= 3 an off
     distance whose closed-form bound (``symmspace._off_bound``) stays below
     it is not read exactly, and the bound, still below the floor, stands in;
     such a configuration can neither be the maximum at any length >= L nor
     tie with it.  A midpoint read is final only after the min with its
-    mirror's, so it raises no floor, and a midpoint min taken with a bound stays below the
-    floor.  On sl3-symsq-schottky 10,800 of the 47,568 configurations at
-    L = 8 are read exactly, and 34,128 of 152,544 at L = 9.  Irregular
+    mirror's, so it raises no floor, and a midpoint min taken with a bound
+    stays below the floor.  Of the 47,568 configurations at L = 8, 10,800
+    are read exactly on sl3-symsq-schottky, 248 on sl2-schottky and 256 on
+    sanov-unipotent; at L = 9, 34,128 of 152,544 on sl3.  Irregular
     words are Morse failures.  Words need length >= 2 to have interior
     points.  The words come one block of
     ``word_levels`` at a time, and their interior points through the block's
@@ -590,10 +591,11 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
 def _pair_scan(limits: Flag, letters: np.ndarray):
     """(cross margin, all-pairs margin, closest cross pair, separated count) of limit flags.
 
-    Pairs (i, j < i) go i ascending, then j.  Each block of `step` rows i is one broadcast
-    call of each primitive, rows against all earlier flags, at most PAIR_BLOCK pairs; it gives
-    the margins and the separation mask that the greedy count reads in sample order.  Cross
-    pairs have different first letters (disjoint cylinders).
+    Pairs (i, j < i) go i ascending, then j.  Each block of `step` rows i gathers the flags of
+    its pairs, every row against all earlier flags, at most PAIR_BLOCK pairs, and takes one
+    call of each primitive on them; it gives the margins and the separation mask that the
+    greedy count reads in sample order.  Cross pairs have different first letters (disjoint
+    cylinders).
     """
     count = len(letters)
     min_margin, all_pairs_min, closest = math.inf, math.inf, None
@@ -601,22 +603,22 @@ def _pair_scan(limits: Flag, letters: np.ndarray):
     reps = np.zeros(count, dtype=bool)  # greedy separated representatives
     reps[0] = True
     step = max(1, PAIR_BLOCK // count)
-    for lo in range(1, count, step):  # row r of the block is i = lo + r, column j < hi - 1
-        hi = min(lo + step, count)
-        rows, cols = limits[lo:hi, None], limits[None, :hi - 1]
-        earlier = np.tri(hi - lo, hi - 1, lo - 1, dtype=bool)
+    for lo in range(1, count, step):
+        sizes = np.arange(lo, min(lo + step, count))  # row i has the i pairs (i, j < i)
+        starts = np.cumsum(sizes) - sizes
+        i = np.repeat(sizes, sizes)
+        j = np.arange(len(i)) - np.repeat(starts, sizes)
+        rows, cols = limits[i], limits[j]
         margins = antipodality_margin(rows, cols)
-        all_pairs_min = min(all_pairs_min, float(margins[earlier].min()))
-        cross = np.where(earlier & (firsts[lo:hi, None] != firsts[None, :hi - 1]),
-                         margins, math.inf)
+        all_pairs_min = min(all_pairs_min, float(margins.min()))
+        cross = np.where(firsts[i] != firsts[j], margins, math.inf)
         k = int(np.argmin(cross))  # the first of equal minima, in pair order
-        if cross.flat[k] < min_margin:
-            min_margin = float(cross.flat[k])
-            r, j = divmod(k, hi - 1)
-            closest = (letters[lo + r].tolist(), letters[j].tolist())
+        if cross[k] < min_margin:
+            min_margin = float(cross[k])
+            closest = (letters[i[k]].tolist(), letters[j[k]].tolist())
         apart = flag_distance(rows, cols) > SEPARATION
-        for i in range(lo, hi):
-            reps[i] = apart[i - lo, :i][reps[:i]].all()
+        for row, start in zip(sizes.tolist(), starts.tolist()):
+            reps[row] = apart[start:start + row][reps[:row]].all()
     return min_margin, all_pairs_min, closest, int(reps.sum())
 
 
@@ -653,10 +655,10 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     samples = [{
         "letters": sample.letters[i].tolist(),
         "scheme": str(sample.schemes[i]),
-        "limit_flag_frame": limits.frame[i],
+        "limit_flag_frame": frame,
         "conical": bool(conical[i]),
         "conical_geometric_sup": float(sups[i]),
-    } for i in range(len(sample.letters))]
+    } for i, frame in enumerate(limits.frame.tolist())]
 
     # Rays are pairwise distinct reduced words, hence distinct boundary
     # points; their transversality margin shrinks with the depth at which the
@@ -688,7 +690,7 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
             "all_conical": all_conical,
             "antipodal": antipodal,
             "rays": samples,
-            "deltas": {str(i): list(d) for i, d in enumerate(deltas)},
+            "deltas": {str(i): d for i, d in enumerate(deltas.tolist())},
         },
         seed=seed,
     )

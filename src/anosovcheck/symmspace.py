@@ -9,6 +9,7 @@ model chamber; a group element g acts on points by g x g^T.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -421,10 +422,20 @@ def _whitened_off(mat: np.ndarray) -> np.ndarray:
     return np.sqrt(sum(x * x for x in devs))  # x * x: a scalar's x ** 2 calls pow
 
 
-def _off_bound(mat: np.ndarray) -> np.ndarray:
-    """Upper bound on ``_whitened_off`` of stacked 3 x 3 factors whose rows have unit norm.
+def _det(mat: np.ndarray) -> np.ndarray:
+    """Determinants of stacked 2 x 2 or 3 x 3 matrices, in closed form."""
+    a = [[mat[..., i, k] for k in range(mat.shape[-1])] for i in range(mat.shape[-1])]
+    if len(a) == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return _dot3(a[0], _cross3(a[1], a[2]))
 
-    In closed form from D = |det mat| <= 1 alone.  Unit rows make
+
+def _off_bound(d: np.ndarray, n: int) -> np.ndarray:
+    """Upper bound on ``_whitened_off`` of stacked n x n factors, n = 2 or 3, with unit rows.
+
+    In closed form from D = |det| <= 1 alone.  At n = 2 unit rows make s_1^2 + s_2^2 = 2,
+    and s_1 s_2 = D, so s_1 / s_2 = (1 + sqrt(1 - D^2)) / D and the spread is exactly
+    log(s_1 / s_2) / sqrt(2) = arccosh(1 / D) / sqrt(2).  At n = 3 unit rows make
     s_1^2 + s_2^2 + s_3^2 = 3, and s_1 s_2 s_3 = D.  On that curve the spread of the log
     singular values is a sum of squares of logs, so by Lagrange it is largest where two
     singular values are equal: s^2 = (x, x, 3 - 2x) with 2x^3 - 3x^2 + D^2 = 0.  With
@@ -434,14 +445,22 @@ def _off_bound(mat: np.ndarray) -> np.ndarray:
     sqrt(2/3) (log D - 3/2 log B).  The first is never the smaller: D^2 = -2ABC and
     AB = |C| (3/2 + |C|), so their difference is log(AB) / 2 - log(2|C|) >= 0 while
     |C| <= 1/2.  The read is widened by 1e-6, relative and absolute, for rounding: near
-    D = 1 the arccos turns an error of eps in D into one of sqrt(eps).  Transposing
-    changes no spread, so unit columns serve as well.  Leading axes are batch axes.
+    D = 1 the arccosh and arccos turn an error of eps in D into one of sqrt(eps).
+    Transposing changes no spread, so unit columns serve as well.
     """
-    a = [[mat[..., i, k] for k in range(3)] for i in range(3)]
-    det = _dot3(a[0], _cross3(a[1], a[2]))
-    d = np.clip(np.abs(det), 1e-300, 1.0)
-    root = 0.5 + np.cos(np.arccos(1.0 - 2.0 * d * d) / 3.0)
-    return np.sqrt(2.0 / 3.0) * (1.5 * np.log(root) - np.log(d)) * (1.0 + 1e-6) + 1e-6
+    d = np.clip(d, 1e-300, 1.0)
+    if n == 2:
+        off = np.arccosh(1.0 / d) / np.sqrt(2.0)
+    else:
+        root = 0.5 + np.cos(np.arccos(1.0 - 2.0 * d * d) / 3.0)
+        off = np.sqrt(2.0 / 3.0) * (1.5 * np.log(root) - np.log(d))
+    return off * (1.0 + 1e-6) + 1e-6
+
+
+def _abs_max(mat: np.ndarray) -> np.ndarray:
+    """Largest |entry| of stacked square matrices, one np.maximum per entry."""
+    a, n = np.abs(mat), mat.shape[-1]
+    return functools.reduce(np.maximum, (a[..., i, k] for i in range(n) for k in range(n)))
 
 
 def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
@@ -454,19 +473,37 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
     smaller of the two complete estimates.  Every row of w and column of
     winv is read in one pass, from its norm: that is the whole read of a
     width-1 block, and only wider blocks are read again, by an SVD each.
-    At n = 3 the off distance is read exactly only where ``_off_bound``
+    At n <= 3 the off distance is read exactly only where ``_off_bound``
     of the better side reaches ``floor``; elsewhere the bound, which lies
-    below ``floor``, stands for it.  The default floor reads every row.
-    Leading axes are batch axes.
+    below ``floor``, stands for it.  Where every block has width 1 the
+    bound takes D from the unscaled factors, as |det| over the product of
+    the row norms of w or the column norms of winv, and only the rows read
+    exactly are whitened.  The default floor reads every row.  Leading axes
+    are batch axes.
     """
-    norm_w = np.maximum(np.abs(w).max(axis=(-2, -1)), 1e-300)[..., None]
-    norm_wi = np.maximum(np.abs(winv).max(axis=(-2, -1)), 1e-300)[..., None]
+    n = face.n
+    norm_w = np.maximum(_abs_max(w), 1e-300)[..., None]
+    norm_wi = np.maximum(_abs_max(winv), 1e-300)[..., None]
     s1 = np.maximum(row_norms(w), 1e-300)
     # a contiguous copy of the columns, as np.linalg.norm takes of a column
     s1i = np.maximum(row_norms(np.swapaxes(winv, -1, -2).copy()), 1e-300)
     v = np.where(s1 / norm_w >= s1i / norm_wi, np.log(s1), -np.log(s1i))
+    wide = [b for b in face.blocks if b[1] - b[0] > 1]
+    if n <= 3 and floor > -np.inf and not wide:
+        v -= v.mean(axis=-1, keepdims=True)
+        # each side's D from its unscaled factor: |det| over the product of its row or column norms
+        d = np.stack([np.abs(_det(m)) / functools.reduce(np.multiply,
+                                                         (s[..., k] for k in range(n)))
+                      for m, s in ((w, s1), (winv, s1i))])
+        off = np.minimum(*_off_bound(d, n))
+        exact = ~(off < floor)  # a NaN bound is read too
+        if exact.any():
+            s1, s1i = s1[exact], s1i[exact]
+            off[exact] = np.minimum(*_whitened_off(np.stack(
+                [w[exact] / s1[..., :, None], winv[exact] / s1i[..., None, :]])))
+        return v, off
     rows, cols = w / s1[..., :, None], winv / s1i[..., None, :]
-    for lo, hi in (b for b in face.blocks if b[1] - b[0] > 1):
+    for lo, hi in wide:
         ud, sd, vtd = np.linalg.svd(w[..., lo:hi, :], full_matrices=False)
         ui, si, vti = np.linalg.svd(winv[..., :, lo:hi], full_matrices=False)
         sd, si = np.maximum(sd, 1e-300), np.maximum(si, 1e-300)
@@ -476,10 +513,10 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
         cols[..., :, lo:hi] = ui @ vti
     v -= v.mean(axis=-1, keepdims=True)
     whitened = np.stack([rows, cols])  # one kernel call for both sides
-    if face.n != 3 or floor == -np.inf:
+    if n > 3 or floor == -np.inf:
         return v, np.minimum(*_whitened_off(whitened))
-    off = np.minimum(*_off_bound(whitened))
-    exact = off >= floor
+    off = np.minimum(*_off_bound(np.abs(_det(whitened)), n))
+    exact = ~(off < floor)
     off[exact] = np.minimum(*_whitened_off(whitened[:, exact]))
     return v, off
 

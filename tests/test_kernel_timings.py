@@ -2,14 +2,14 @@
 
     PYTHONPATH=src python -m pytest tests/test_kernel_timings.py --benchmark-only
 
-prints one table row per kernel and n.  Each block holds WORD_BLOCK words
-of 8 random letters, read at prefix length 4 in the words' two-sided
-frames, as morse reads them; the n = 4 face mixes block widths, so its
-blocks of width 2 take the SVD route.  The floored n = 3 row reads the
-off distance exactly only where its bound reaches the block's upper
-quartile deficit, as morse does below its running worst deficit.  The
-two-sided logs and frame of the words themselves are timed too.  The ray
-primitives are timed on stacks of RAY_ROWS: ``qr_pos`` as the tails'
+prints one table row per kernel and n.  Each block holds WORD_BLOCK
+(2,916) words of 8 random letters, read at prefix length 4 in the words'
+two-sided frames, as morse reads them; the n = 4 face mixes block widths,
+so its blocks of width 2 take the SVD route.  The floored rows, at n = 2
+and 3, read the off distance exactly only where its bound reaches the
+block's upper quartile deficit, as morse does below its running worst
+deficit.  The two-sided logs and frame of the words themselves are timed
+too.  The ray primitives are timed on stacks of RAY_ROWS: ``qr_pos`` as the tails'
 sweep takes it (one row per ray, 200 as in the rays benchmark) and on
 2,400 rows, ``action_differential`` and ``expansion_factor`` of letters
 at random flags of the full face, and ``attractive_flag`` of the letters.
@@ -76,10 +76,11 @@ def test_segment_deficits_timing(benchmark, n):
     assert np.array_equal(benchmark.pedantic(call, rounds=ROUNDS), call())
 
 
-def test_segment_deficits_floored_timing(benchmark):
-    u, logs, p, pinv = block(3)
-    full = segment_deficits(u, logs, [(p, pinv)], FACES[3])[:, 0]
-    call = lambda: segment_deficits(u, logs, [(p, pinv)], FACES[3], np.quantile(full, 0.75))[:, 0]  # noqa: E731
+@pytest.mark.parametrize("n", [2, 3])
+def test_segment_deficits_floored_timing(benchmark, n):
+    u, logs, p, pinv = block(n)
+    full = segment_deficits(u, logs, [(p, pinv)], FACES[n])[:, 0]
+    call = lambda: segment_deficits(u, logs, [(p, pinv)], FACES[n], np.quantile(full, 0.75))[:, 0]  # noqa: E731
     floored = benchmark.pedantic(call, rounds=ROUNDS)
     assert np.array_equal(floored, call())
     assert floored.max() == full.max() and floored.argmax() == full.argmax()

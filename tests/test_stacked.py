@@ -381,7 +381,7 @@ def unit_rows(m):
 
 def assert_off_bound_holds(mats):
     """``_off_bound`` at or above the kernel's read and the 50-digit spread of each factor."""
-    bound = symmspace._off_bound(mats)
+    bound = symmspace._off_bound(np.abs(symmspace._det(mats)), mats.shape[-1])
     assert (bound >= symmspace._whitened_off(mats)).all()
     for k, m in enumerate(mats):
         assert bound[k] >= off_mp(m), (k, bound[k], off_mp(m))
@@ -410,6 +410,29 @@ def test_off_bound_holds(rng):
     tight = (xs >= 1.0) & (xs < 1.5)  # x = 1.5 is singular
     gap = bound[-len(xs):][tight] - symmspace._whitened_off(mats[-len(xs):][tight])
     assert (gap <= 3e-6).all()
+
+
+def test_off_bound_holds_at_n2(rng):
+    # at n = 2 the bound is the spread itself, arccosh(1 / D) / sqrt(2), widened
+    # orthogonal factors perturbed at scales 1e-8 to 3
+    scales = np.geomspace(1e-8, 3.0, 60)
+    mats = [unit_rows(q + s * rng.standard_normal((2, 2)))
+            for q, s in zip(frames(rng, 2, len(scales)), scales)]
+    # rows at angle pi/2 - eps (D -> 1) and at pi/2, and at angle eps (D -> 0,
+    # near-singular) down to 1e-10, where the float determinant still has about
+    # six digits
+    eps = np.geomspace(1e-12, 1e-1, 23)
+    for angle in np.concatenate([np.pi / 2 - eps, [np.pi / 2], eps[eps >= 1e-10]]):
+        a = rng.uniform(0.0, 2.0 * np.pi)
+        mats.append(np.array([[np.cos(a), np.sin(a)], [np.cos(a + angle), np.sin(a + angle)]]))
+    mats = np.stack(mats)
+    assert np.allclose(np.linalg.norm(mats, axis=-1), 1.0)
+    bound = assert_off_bound_holds(mats)
+    # D = 0 gives a finite bound, and no RuntimeWarning (the suite makes one an error)
+    assert np.isfinite(symmspace._off_bound(np.zeros(1), 2)).all()
+    # the bound is tight: only the widening separates it from the kernel's read
+    off = symmspace._whitened_off(mats)
+    assert (bound - off <= 1e-6 * (1.0 + off) + 1e-7).all()
 
 
 @pytest.mark.parametrize("kept", [[1], [2]])
@@ -482,6 +505,10 @@ def test_pav_passes_rows_without_ascent(rng, n):
                           (pav_nonincreasing(vs, weights),
                            [pav_sequential(v, w) for v, w in zip(vs, weights)])):
             assert all(same_bits(a, b) for a, b in zip(got, want))
+        # the deficit projects only rows with an ascent or a NaN; the others read exactly 0
+        for face in FACES[n]:
+            w = block_sort(vs, face)
+            assert same_bits(flat_cone_deficit(vs, face), row_norms(w - pav_nonincreasing(w)))
     assert same_bits(pav_nonincreasing(sorted_rows), sorted_rows)
 
 

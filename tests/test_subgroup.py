@@ -75,10 +75,10 @@ class TestWords:
 
     def test_word_levels_children_straddle_a_cut(self, rng):
         # rank 3 has 3,750 words of length 5, five children per word of length 4,
-        # and 1,458 = 5 * 291 + 3: word 291's children fall into two blocks
+        # and 2,916 = 5 * 583 + 1: word 583's children fall into two blocks
         levels = self._check_word_levels(3, 3, 5, subgroup.WORD_BLOCK, rng)
         cuts = [lv.parent for lv in levels if lv.letters.shape[1] == 5]
-        assert len(cuts) == 3 and cuts[0][-1] == cuts[1][0] == 291
+        assert len(cuts) == 2 and cuts[0][-1] == cuts[1][0] == 583
 
     @staticmethod
     def _check_word_levels(rank, n, length, block, rng):
@@ -203,7 +203,7 @@ class TestMorse:
         moved_uru = uru_check(conj, FACE2, 6)
         assert base_uru.verdict == moved_uru.verdict
 
-    def test_each_configuration_read_once(self, sl3_pres, monkeypatch):
+    def test_each_configuration_read_once(self, sl2_pres, sl3_pres, monkeypatch):
         # a block of words of length L is read at its prefixes t <= L/2 only,
         # each from the nearer tip: floor(L/2) point stacks, one
         # factored_coords_pair call per stack and none for the tip
@@ -223,14 +223,18 @@ class TestMorse:
             return out
 
         monkeypatch.setattr(subgroup, "segment_deficits", counted)
-        rep = morse_check(sl3_pres, FACE3, 7)
-        assert rep.details["vanishing_gap_count"] == 0
-        lengths = [len(chain) for chain in word_levels(sl3_pres, 7) if len(chain) >= 2]
-        assert blocks == [(el // 2, el // 2) for el in lengths]
         # the off distance is read exactly only where its bound reaches the
-        # floor: 3,024 of the 12,576 configurations (the walk is deterministic)
+        # floor: 3,024 of the 12,576 configurations at n = 3 and 224 at n = 2
+        # (the walk is deterministic)
         assert sum(el // 2 * 4 * 3 ** (el - 1) for el in range(2, 8)) == 12576
-        assert sum(exact) == 3024
+        for pres, face, read in ((sl3_pres, FACE3, 3024), (sl2_pres, FACE2, 224)):
+            for seen in (calls, blocks, exact):
+                seen.clear()
+            rep = morse_check(pres, face, 7)
+            assert rep.details["vanishing_gap_count"] == 0
+            lengths = [len(chain) for chain in word_levels(pres, 7) if len(chain) >= 2]
+            assert blocks == [(el // 2, el // 2) for el in lengths]
+            assert sum(exact) == read
 
     def test_flat_model_morse(self, sl2_pres):
         # the chamber path of a passing orbit ray passes the flat version
@@ -333,7 +337,8 @@ def test_morse_reports_do_not_depend_on_the_floor(name, kept, length, monkeypatc
     # be the worst deficit at any length nor tie with it: morse publishes the
     # same report byte for byte with the floor forced to -inf, the full read,
     # which depends on no block size, and with the floor in blocks of 7 words,
-    # where floors rise block by block across interleaved lengths, or 1,458
+    # where floors rise block by block across interleaved lengths, of 1,458
+    # or of WORD_BLOCK
     cfg = load_config(bundled_config_path(name))
     pres = cfg.presentation()
     face = cfg.face_type() if kept is None else FaceType.make(3, kept)
@@ -345,7 +350,7 @@ def test_morse_reports_do_not_depend_on_the_floor(name, kept, length, monkeypatc
     with monkeypatch.context() as m:
         m.setattr(subgroup, "segment_deficits", lambda *args: kernel(*args[:-1]))
         expected = report()
-    for block in (7, 1458):
+    for block in (7, 1458, subgroup.WORD_BLOCK):
         monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
         assert report() == expected, block
 
