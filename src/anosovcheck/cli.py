@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import inspect
 import json
 import math
 import sys
@@ -32,10 +33,13 @@ from .subgroup import (
     DET_TOL,
     MAX_WORDS,
     FreeGroupPresentation,
+    _morse_scan,
+    _uru_scan,
     anosov_check,
     limit_report,
     morse_check,
     uru_check,
+    word_checks,
     word_count,
 )
 
@@ -47,6 +51,9 @@ CHECKER_OPTIONS = {
     "limit": ("antipodal_floor", "conical_rho"),
     "anosov": ("uniform_dev", "expansion_floor"),
 }
+CHECKS = {"uru": uru_check, "morse": morse_check, "limit": limit_report, "anosov": anosov_check}
+OPTION_DEFAULTS = {c: {k: inspect.signature(fn).parameters[k].default for k in CHECKER_OPTIONS[c]}
+                   for c, fn in CHECKS.items()}
 CHECKER_ORDER = tuple(CHECKER_OPTIONS)
 RANDOMIZED_CHECKERS = {"limit", "anosov"}
 PLOT_KINDS = ("limit-set-rp2", "expansion-growth", "margin-histogram", "delta-projection")
@@ -225,19 +232,20 @@ def run_config(path, seed: int | None = None, out_dir: str | None = None) -> int
     face = cfg.face_type()
     reports: dict[str, dict] = {}
     ordered = [c for c in CHECKER_ORDER if c in cfg.checkers]
+    # the options the config sets; the rest take the checker's defaults
+    opts = {c: {k: cfg.options.get(k, v) for k, v in OPTION_DEFAULTS[c].items()} for c in ordered}
     _clear_reports(out)
     try:
+        # uru and morse read one walk of the word tree, as uru_check and morse_check do alone
+        scans = {c: scan(pres, face, length, **opts[c]) for c, scan, length in (
+            ("uru", _uru_scan, cfg.depth), ("morse", _morse_scan, cfg.morse_depth)) if c in opts}
+        reps = dict(zip(scans, word_checks(pres, face, list(scans.values())) if scans else ()))
         for checker in ordered:
-            # only the options the config sets; the rest take the checker's defaults
-            opts = {k: cfg.options[k] for k in CHECKER_OPTIONS[checker] if k in cfg.options}
-            if checker == "uru":
-                rep = uru_check(pres, face, cfg.depth, **opts)
-            elif checker == "morse":
-                rep = morse_check(pres, face, cfg.morse_depth, **opts)
-            elif checker == "limit":
-                rep = limit_report(pres, face, cfg.ray_depth, cfg.ray_count, cfg.seed, **opts)
-            else:
-                rep = anosov_check(pres, face, cfg.ray_count, cfg.ray_depth, cfg.seed, **opts)
+            rep, o = reps.get(checker), opts[checker]
+            if checker == "limit":
+                rep = limit_report(pres, face, cfg.ray_depth, cfg.ray_count, cfg.seed, **o)
+            elif checker == "anosov":
+                rep = anosov_check(pres, face, cfg.ray_count, cfg.ray_depth, cfg.seed, **o)
             payload = rep.as_dict()
             payload["config"] = {"name": cfg.name, "n": cfg.n, "face": cfg.face,
                                  "seed": cfg.seed, "depth": cfg.depth,

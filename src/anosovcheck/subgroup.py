@@ -245,6 +245,25 @@ def _first_tied(candidates: list[tuple]) -> tuple:
     return min((c for c in candidates if c[0] <= lo + TIE_RTOL * abs(lo)), key=lambda c: c[1])
 
 
+def word_checks(pres: FreeGroupPresentation, face: FaceType, scans: list) -> list[PropertyReport]:
+    """Reports of scans, such as uru's and morse's, from one depth-first walk of the word tree.
+
+    A scan is a generator that yields its word length whenever it waits: it
+    is sent (chain, logs, their norms, least wall gaps) of each block up to
+    that length, then None, and yields its report.  The walk goes to the
+    longest length, and takes each block's logs, norms and gaps once.
+    """
+    lengths = [next(scan) for scan in scans]
+    for chain in word_levels(pres, max(lengths)):
+        level = chain[-1]
+        logs = _two_sided_logs(level.mats, level.invs, level.logdets)
+        shared = (chain, logs, row_norms(logs), _least_gaps(logs, face))
+        for length, scan in zip(lengths, scans):
+            if len(chain) <= length:
+                scan.send(shared)
+    return [scan.send(None) for scan in scans]
+
+
 def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
               c_floor: float = 0.05, ratio_floor: float = 0.02,
               power_depth: int = 256) -> PropertyReport:
@@ -253,8 +272,15 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     Fits the best linear lower bound on orbit distance versus word
     length; the certificate slope is the worst distance/length ratio on
     tail lengths and along deep generator-power probes.  Uniform
-    regularity takes the worst wall-margin/norm ratio on the tail.
+    regularity takes the worst wall-margin/norm ratio on the tail.  The
+    words come from ``word_checks``' walk, which also serves morse.
     """
+    return word_checks(pres, face, [_uru_scan(pres, face, length, c_floor, ratio_floor,
+                                              power_depth)])[0]
+
+
+def _uru_scan(pres, face, length, c_floor, ratio_floor, power_depth):
+    """uru's scan for ``word_checks``."""
     if length < 4:
         raise ValueError("need length >= 4")
     tail_start = max(2, length // 2 + 1)
@@ -262,13 +288,12 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     by_length: dict[int, list[tuple]] = {}
     flattest: list[tuple] = []
 
-    for chain in word_levels(pres, length):
+    while (block := (yield length)) is not None:
+        chain, delta, dist, gaps = block
         level, el = chain[-1], len(chain)
-        delta = _two_sided_logs(level.mats, level.invs, level.logdets)
-        dist = row_norms(delta)
         by_length.setdefault(el, []).extend(_records(dist, level))
         if el >= tail_start:
-            margin = _least_gaps(delta, face) / math.sqrt(2.0)
+            margin = gaps / math.sqrt(2.0)
             ratio = np.divide(margin, dist, out=np.full_like(dist, np.inf), where=dist > 0)
             flattest.extend(_records(ratio, level))
     slowest = {el: _first_tied(candidates) for el, candidates in by_length.items()}
@@ -292,7 +317,7 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
 
     undistorted = bool(c_certificate >= c_floor)
     uniformly_regular = bool(ratio_all >= ratio_floor)
-    return PropertyReport(
+    yield PropertyReport(
         name="uru",
         verdict=undistorted and uniformly_regular,
         constants={
@@ -375,12 +400,17 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     are read exactly on sl3-symsq-schottky, 248 on sl2-schottky and 256 on
     sanov-unipotent; at L = 9, 34,128 of 152,544 on sl3.  Irregular
     words are Morse failures.  Words need length >= 2 to have interior
-    points.  The words come one block of
-    ``word_levels`` at a time, and their interior points through the block's
+    points.  The words come one block of ``word_checks``' walk, which also
+    serves uru, at a time, and their interior points through the block's
     chain (``_prefix_points``).  The test suite cross-checks the
     deficit against diamond membership by ``make_diamond`` and
     ``diamond_query`` on a sample of the bundled configs' words.
     """
+    return word_checks(pres, face, [_morse_scan(pres, face, length, rho_cap, theta_floor)])[0]
+
+
+def _morse_scan(pres, face, length, rho_cap, theta_floor):
+    """morse's scan for ``word_checks``."""
     if length < 2:
         raise ValueError("need length >= 2")
     theta_gap = np.inf
@@ -388,16 +418,14 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     # per length and block: letters, depth-first ranks, regular mask, deficits
     scanned: dict[int, list[tuple[np.ndarray, ...]]] = {}
     best = np.full(length + 1, -np.inf)  # per length: the largest final read so far
-    for chain in word_levels(pres, length):
+    while (block := (yield length)) is not None:
+        chain, logs, norms, gaps = block
         level, el = chain[-1], len(chain)
-        u = _two_sided_frame(level.mats, level.invs)
-        logs = _two_sided_logs(level.mats, level.invs, level.logdets)
-        gaps = _least_gaps(logs, face)
         ok = ~(gaps < GAP_TOL)
         vanishing += zip(level.dfs[~ok].tolist(), level.letters[~ok].tolist())
         rows = np.flatnonzero(ok)
         if rows.size:
-            theta_gap = min(theta_gap, float((gaps[rows] / row_norms(logs[rows])).min()))
+            theta_gap = min(theta_gap, float((gaps[rows] / norms[rows]).min()))
         if el < 2:
             continue
         d = np.full((len(ok), el // 2), np.nan)
@@ -405,6 +433,7 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
             # columns come longest prefix first; column t-1 is prefix length t; a read
             # below the floor, well clear of TIE_RTOL, may be a bound below it
             floor = best[:el + 1].max() * (1.0 - 1e-9)
+            u = _two_sided_frame(level.mats, level.invs)
             d[rows] = reads = segment_deficits(u[rows], logs[rows], _prefix_points(chain, rows),
                                                face, floor)[:, ::-1]
             if el > 2:  # a midpoint read t = L/2 is final only after the mirror's min
@@ -441,7 +470,7 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     rho_cumulative = np.maximum.accumulate(rho_per_len)
     rho_star = float(rho_cumulative[length])
     verdict = bool(not vanishing and rho_star <= rho_cap and theta_gap >= theta_floor)
-    return PropertyReport(
+    yield PropertyReport(
         name="morse",
         verdict=verdict,
         constants={

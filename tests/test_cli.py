@@ -19,6 +19,8 @@ from anosovcheck.cli import (
     main,
     run_config,
 )
+from anosovcheck import subgroup
+from anosovcheck.reports import dumps
 from anosovcheck.subgroup import anosov_check, limit_report, morse_check, uru_check
 
 
@@ -267,6 +269,52 @@ class TestRun:
         p.write_text(json.dumps(minimal_config()))
         code = main(["run", str(p), "--out-dir", str(tmp_path / "o"), "--seed", "3"])
         assert code == 0
+
+
+class TestOneWordWalk:
+    # run_config takes uru's and morse's reports from one walk of the word
+    # tree; each must equal, byte for byte, the report that uru_check or
+    # morse_check writes from a walk of its own
+    @pytest.mark.parametrize("name, changes, morse_depth, block", [
+        ("sl2-schottky", {}, None, None),
+        ("sl3-symsq-schottky", {}, None, None),
+        ("sanov-unipotent", {}, None, None),
+        ("sl2-schottky", {"depth": 5}, None, None),  # uru's is the shorter walk
+        # morse's width-2 frame path; limit needs an iota-invariant face
+        ("sl3-symsq-schottky", {"face": [1], "checkers": ["uru", "morse"]}, None, None),
+        ("sl2-schottky", {"depth": 6}, 5, 7),
+    ], ids=["sl2", "sl3", "sanov", "sl2-uru-shorter", "sl3-face1", "sl2-block7"])
+    def test_reports_equal_separate_checkers(self, tmp_path, monkeypatch, name, changes,
+                                             morse_depth, block):
+        raw = {**json.loads(bundled_config_path(name).read_text()), **changes}
+        if morse_depth is not None:
+            raw["options"]["morse_depth"] = morse_depth
+        if block is not None:
+            monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        assert run_config(p, out_dir=str(tmp_path / "out")) == 0
+        cfg = load_config(p)
+        pres, face = cfg.presentation(), cfg.face_type()
+        opts = {c: {k: cfg.options[k] for k in CHECKER_OPTIONS[c] if k in cfg.options}
+                for c in ("uru", "morse")}
+        alone = {"uru": uru_check(pres, face, cfg.depth, **opts["uru"]),
+                 "morse": morse_check(pres, face, cfg.morse_depth, **opts["morse"])}
+        for checker, rep in alone.items():
+            written = (tmp_path / "out" / f"{checker}.json").read_text()
+            payload = {**rep.as_dict(), "config": json.loads(written)["config"]}
+            assert dumps(payload) == written, checker
+
+    def test_one_walk_for_uru_and_morse(self, tmp_path, monkeypatch):
+        walks = []
+        walk = subgroup.word_levels
+        monkeypatch.setattr(subgroup, "word_levels",
+                            lambda pres, length: walks.append(length) or walk(pres, length))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(checkers=["uru", "morse"], depth=6,
+                                               options={"morse_depth": 7})))
+        assert run_config(p, out_dir=str(tmp_path / "out")) == 0
+        assert walks == [7]
 
 
 class TestDeterminism:

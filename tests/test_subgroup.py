@@ -80,6 +80,24 @@ class TestWords:
         cuts = [lv.parent for lv in levels if lv.letters.shape[1] == 5]
         assert len(cuts) == 2 and cuts[0][-1] == cuts[1][0] == 583
 
+    @pytest.mark.parametrize("rank, n, short, deep", [(2, 2, 8, 10), (2, 3, 8, 10), (3, 3, 5, 7)])
+    def test_deeper_walk_holds_the_shorter_walk(self, rank, n, short, deep, rng):
+        # word_checks walks once to the longest length its scans ask for: the
+        # blocks of lengths <= short in the deeper walk are the shorter walk's,
+        # in order and bit for bit; their depth-first ranks also count the
+        # deeper words, so they differ in value but keep their order
+        pres = FreeGroupPresentation(tuple(random_sl(rng, n) for _ in range(rank)))
+        walked = [chain[-1] for chain in word_levels(pres, short)]
+        held = [chain[-1] for chain in word_levels(pres, deep) if len(chain) <= short]
+        assert len(held) == len(walked) > short  # some length comes in several blocks
+        for a, b in zip(walked, held):
+            for name in ("letters", "mats", "invs", "logdets", "parent"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.shape == y.shape, name
+                assert np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes(), name
+        order = [np.argsort(np.concatenate([lv.dfs for lv in levels])) for levels in (walked, held)]
+        assert np.array_equal(*order)
+
     @staticmethod
     def _check_word_levels(rank, n, length, block, rng):
         pres = FreeGroupPresentation(tuple(random_sl(rng, n) for _ in range(rank)))
