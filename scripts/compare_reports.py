@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Compare the reports of this checkout with those of another, byte for byte.
+
+    python3 scripts/compare_reports.py OTHER_ROOT [--seeds 1,2]
+
+Runs the bundled configs (as ``scripts/run_all.py`` does) and the
+benchmark's workload configs, from ``perfbench/run.py``'s ``make_config``
+at each seed, in both trees.  Each tree runs in its own process, which
+imports ``anosovcheck`` from that tree's ``src`` with BLAS pinned to one
+thread.  Prints every report file that differs or exists on one side
+only, and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BUNDLED = ("sl2-schottky", "sl3-symsq-schottky", "sanov-unipotent")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Runs (config path, out dir) jobs with the tree's anosovcheck, whose src is argv[1].
+RUNNER = """\
+import contextlib, io, json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import anosovcheck
+from anosovcheck.cli import run_config
+if not Path(anosovcheck.__file__).resolve().is_relative_to(Path(sys.argv[1]).resolve()):
+    sys.exit(f"anosovcheck imported from {anosovcheck.__file__}, not {sys.argv[1]}")
+for cfg, out in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_config(cfg, out_dir=out)
+"""
+
+
+def workload_configs(seeds: list[int]) -> dict[str, dict]:
+    """Config of each benchmark workload at each seed, by ``perfbench/run.py``'s ``make_config``."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return {f"{w}-seed{s}": bench.make_config(w, s) for w in bench.WORKLOADS for s in seeds}
+
+
+def run_tree(tree: Path, jobs: list[tuple[str, str]]):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **{v: "1" for v in BLAS_THREAD_VARS})
+    subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src"), json.dumps(jobs)],
+                   env=env, check=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", type=Path, help="root of the other checkout")
+    parser.add_argument("--seeds", default="1,2", help="workload seeds, comma separated")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        configs = []
+        for name, cfg in workload_configs(seeds).items():
+            path = out / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            configs.append((name, str(path)))
+        sides = {"this": ROOT, "other": args.other.resolve()}
+        for side, tree in sides.items():
+            bundled = [(b, str(tree / "src" / "anosovcheck" / "configs" / f"{b}.json")) for b in BUNDLED]
+            run_tree(tree, [(cfg, str(out / side / name)) for name, cfg in bundled + configs])
+        files = sorted({p.relative_to(out / side) for side in sides
+                        for p in (out / side).rglob("*") if p.is_file()})
+        differ = []
+        for rel in files:
+            a, b = (out / side / rel for side in sides)
+            if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+                differ.append(rel)
+                print(f"differs: {rel}" if a.is_file() and b.is_file() else
+                      f"only in {'this' if a.is_file() else 'other'}: {rel}")
+        print(f"{len(files)} report files, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

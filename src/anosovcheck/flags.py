@@ -61,6 +61,12 @@ def qr_pos(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * s[..., None, :], r * s[..., :, None]
 
 
+def _abs_max(mat: np.ndarray) -> np.ndarray:
+    """Largest |entry| of stacked square matrices, one np.maximum per entry."""
+    a, n = np.abs(mat), mat.shape[-1]
+    return functools.reduce(np.maximum, (a[..., i, k] for i in range(n) for k in range(n)))
+
+
 def _dot3(x, y):
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
@@ -215,7 +221,7 @@ def least_singular(mat: np.ndarray) -> np.ndarray:
         return np.linalg.svd(mat, compute_uv=False)[..., -1]
     if m == 1:
         return np.abs(mat[..., 0, 0])
-    _, e = np.frexp(np.abs(mat).max(axis=(-2, -1)))
+    _, e = np.frexp(_abs_max(mat))
     scaled = np.ldexp(mat, -e[..., None, None])
     with np.errstate(all="ignore"):  # only rows below the floor can overflow or divide 0 by 0
         if m == 2:
@@ -233,17 +239,8 @@ def least_singular(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def qr_closed(a: np.ndarray):
-    """QR of stacked 2 x 2 or 3 x 3 matrices with a nonnegative diagonal of R.
-
-    q1 = a1 / |a1|; at n = 2, q2 is q1 turned by a quarter, signed so that r22 >= 0.  At
-    n = 3, q2 comes by Gram-Schmidt with one reorthogonalization, and q3 = +-q1 x q2,
-    signed so that r33 >= 0.  Norms are hypot forms and every other entry of R is a
-    product with a unit vector, so no square of an entry of ``a`` is formed.  A zero
-    a1 gives q1 the first axis, as LAPACK does.  Where the second pass more than
-    halves what the first left, that rest is rounding and a2 lies in the span of q1
-    (Kahan-Parlett); q2 is then a unit normal of q1, and r22 the rest's norm.
-    """
+def q_closed(a: np.ndarray):
+    """(Q of ``qr_closed``, and R's r11, r12 and later diagonal entries), without the rest of R."""
     n = a.shape[-1]
     a1, a2 = ([a[..., i, k] for i in range(n)] for k in range(2))
     r11 = _norm3(a1)
@@ -256,8 +253,7 @@ def qr_closed(a: np.ndarray):
         r22 = q1[0] * a2[1] - q1[1] * a2[0]  # a2 against the quarter turn (-q1[1], q1[0])
         sign = np.where(r22 < 0.0, -1.0, 1.0)
         q = [q1[0], -sign * q1[1], q1[1], sign * q1[0]]
-        r = [r11, r12, np.zeros_like(r11), sign * r22]
-        return np.stack(q, axis=-1).reshape(a.shape), np.stack(r, axis=-1).reshape(a.shape)
+        return np.stack(q, axis=-1).reshape(a.shape), [r11, r12, sign * r22]
     r12 = _dot3(q1, a2)
     v = [x - r12 * e for x, e in zip(a2, q1)]
     c = _dot3(q1, v)
@@ -272,14 +268,31 @@ def qr_closed(a: np.ndarray):
         normal = _axis_normal(q1)
         norm = _norm3(normal)
         q2 = [np.where(short, e / norm, x) for e, x in zip(normal, q2)]
-    a3 = [a[..., i, 2] for i in range(3)]
     q3 = _cross3(q1, q2)
-    r33 = _dot3(q3, a3)
+    r33 = _dot3(q3, [a[..., i, 2] for i in range(3)])
     sign = np.where(r33 < 0.0, -1.0, 1.0)
     q = [x for i in range(3) for x in (q1[i], q2[i], sign * q3[i])]
+    return np.stack(q, axis=-1).reshape(a.shape), [r11, r12, r22, np.abs(r33)]
+
+
+def qr_closed(a: np.ndarray):
+    """QR of stacked 2 x 2 or 3 x 3 matrices with a nonnegative diagonal of R.
+
+    q1 = a1 / |a1|; at n = 2, q2 is q1 turned by a quarter, signed so that r22 >= 0.  At
+    n = 3, q2 comes by Gram-Schmidt with one reorthogonalization, and q3 = +-q1 x q2,
+    signed so that r33 >= 0.  Norms are hypot forms and every other entry of R is a
+    product with a unit vector, so no square of an entry of ``a`` is formed.  A zero
+    a1 gives q1 the first axis, as LAPACK does.  Where the second pass more than
+    halves what the first left, that rest is rounding and a2 lies in the span of q1
+    (Kahan-Parlett); q2 is then a unit normal of q1, and r22 the rest's norm.
+    """
+    q, (r11, r12, *diag) = q_closed(a)
     zeros = np.zeros_like(r11)
-    r = [r11, r12, _dot3(q1, a3), zeros, r22, _dot3(q2, a3), zeros, zeros, np.abs(r33)]
-    return np.stack(q, axis=-1).reshape(a.shape), np.stack(r, axis=-1).reshape(a.shape)
+    if a.shape[-1] == 2:
+        return q, np.stack([r11, r12, zeros, diag[0]], axis=-1).reshape(a.shape)
+    q1, q2, a3 = ([x[..., i, k] for i in range(3)] for x, k in ((q, 0), (q, 1), (a, 2)))
+    r = [r11, r12, _dot3(q1, a3), zeros, diag[0], _dot3(q2, a3), zeros, zeros, diag[1]]
+    return q, np.stack(r, axis=-1).reshape(a.shape)
 
 
 @dataclass(frozen=True)
@@ -299,8 +312,9 @@ class Flag:
         n = self.face.n
         if q.shape[-2:] != (n, n):
             raise ValueError(f"frame must be {n}x{n}, got {q.shape}")
-        gram = np.swapaxes(q, -1, -2) @ q - np.eye(n)
-        if np.any(np.linalg.norm(gram, axis=(-2, -1)) > FRAME_TOL * n):
+        with np.errstate(invalid="ignore"):  # an inf entry gives NaN, which fails too
+            gram = np.ascontiguousarray(np.swapaxes(q, -1, -2)) @ q - np.eye(n)  # fast: contiguous
+        if not (np.einsum("...ij,...ij->...", gram, gram) <= (FRAME_TOL * n) ** 2).all():
             raise ValueError("frame is not orthonormal")
         q.flags.writeable = False
         object.__setattr__(self, "frame", q)
@@ -452,16 +466,17 @@ def suffix_flags(matrices, face: FaceType) -> Flag:
     without ever forming the ill-conditioned product.  For contracting
     products this converges to the attracting flag at the intrinsic rate.
     ``matrices`` has shape (..., N, n, n), leading axes being batch axes,
-    and each letter position takes one ``qr_pos`` call.  Row k along the
-    returned stack's last batch axis is the flag of matrices[..., k:, :, :],
-    for k = 0, ..., N.
+    and each letter position takes the Q of one ``qr_pos`` call, from
+    ``q_closed`` at n <= 3.  Row k along the returned stack's last batch
+    axis is the flag of matrices[..., k:, :, :], for k = 0, ..., N.
     """
     matrices = np.asarray(matrices, dtype=float)
     rng = np.random.default_rng(321)
     q, _ = qr_pos(rng.standard_normal((face.n, face.n)))
     out = [np.broadcast_to(q, matrices.shape[:-3] + q.shape)]
     for k in reversed(range(matrices.shape[-3])):
-        out.append(qr_pos(matrices[..., k, :, :] @ out[-1])[0])
+        a = matrices[..., k, :, :] @ out[-1]
+        out.append((q_closed(a) if face.n <= 3 else qr_pos(a))[0])
     return Flag(face, np.stack(out[::-1], axis=-3))
 
 

@@ -25,12 +25,15 @@ def dumps(payload) -> str:
 
     A non-empty dict is written one key per line with a 2-space indent, and
     a list or tuple that holds a dict one element per line; every other
-    value goes on one line through the C encoder.  A non-finite float
-    raises ``ValueError``, a value of no JSON type ``TypeError``.
+    value goes on one line, through one C encoder per report where json has
+    one.  A non-finite float raises ``ValueError``, a value of no JSON type ``TypeError``.
     """
     # built per call, so that ``default`` is the module's current ``jsonable``
-    encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": "),
-                              default=jsonable, allow_nan=False).encode
+    enc = json.JSONEncoder(sort_keys=True, separators=(", ", ": "), default=jsonable, allow_nan=False)
+    make = json.encoder.c_make_encoder  # enc.encode makes one per value, with these arguments
+    chunks = make and make({}, enc.default, encode_basestring_ascii, enc.indent, enc.key_separator,
+                           enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan)
+    encode = (lambda obj: "".join(chunks(obj, 0))) if chunks else enc.encode
 
     def text(obj, pad: str) -> str:
         inner = pad + "  "

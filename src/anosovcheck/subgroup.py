@@ -545,9 +545,8 @@ def _prefix_products(pres: FreeGroupPresentation, letters: np.ndarray):
     return steps, prefixes, inverses, np.cumsum(np.linalg.slogdet(steps)[1], axis=-1)
 
 
-def sample_rays(pres: FreeGroupPresentation, count: int, depth: int, seed: int,
-                face: FaceType) -> RaySample:
-    """Deterministic ray sample: all generator-power rays, then random ones."""
+def _draw_rays(pres: FreeGroupPresentation, count: int, depth: int, seed: int):
+    """(letters (count, depth), schemes) of ``sample_rays``' rays."""
     schemes = {(lt,) * depth: "power" for lt in _letter_order(pres.rank)[:count]}
     rng = np.random.default_rng(seed)
     tries = 0
@@ -558,10 +557,15 @@ def sample_rays(pres: FreeGroupPresentation, count: int, depth: int, seed: int,
             schemes.setdefault(tuple(word), "random")
     if len(schemes) < count:
         raise ValueError("not enough distinct rays at this depth")
-    letters = np.array(list(schemes), dtype=int).reshape(count, depth)
+    return np.array(list(schemes), dtype=int).reshape(count, depth), np.array(list(schemes.values()))
+
+
+def sample_rays(pres: FreeGroupPresentation, count: int, depth: int, seed: int,
+                face: FaceType) -> RaySample:
+    """Deterministic ray sample: all generator-power rays, then random ones."""
+    letters, schemes = _draw_rays(pres, count, depth, seed)
     steps, *products = _prefix_products(pres, letters)
-    return RaySample(letters, np.array(list(schemes.values())), *products,
-                     suffix_flags(steps, face))
+    return RaySample(letters, schemes, *products, suffix_flags(steps, face))
 
 
 def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
@@ -675,7 +679,8 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
                            f"below {GAP_TOL:.1e}"} for r in np.flatnonzero(~regular)]
     if not regular.any():
         raise VanishingGap("no sampled ray has a regular prefix")
-    sample, deltas = RaySample(*(field[regular] for field in sample)), deltas[regular]
+    if not regular.all():
+        sample, deltas = RaySample(*(field[regular] for field in sample)), deltas[regular]
     # limit flags are the last prefixes', backward flags every inverse prefix's, which the
     # conical check reads; their logs are the prefixes', negated and reversed: regular rows stay so
     limits = Flag(face, _two_sided_frame(sample.prefixes[:, -1], sample.inverses[:, -1]))
@@ -741,12 +746,16 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
     """
     if depth < 3:
         raise ValueError("need depth >= 3: slopes are fitted on prefixes depth // 3 .. depth")
-    sample = sample_rays(pres, rays, depth + BETA_PAD, seed, face)
+    # sample_rays' rays, with prefixes only as deep as tested; the tails' sweep reads every letter
+    letters, schemes = _draw_rays(pres, rays, depth + BETA_PAD, seed)
+    tails = suffix_flags(_letter_stacks(pres, letters)[0], face)
+    sample = RaySample(letters, schemes, *_prefix_products(pres, letters[:, :depth])[1:], tails)
     tested = (x[:, depth - 1] for x in (sample.prefixes, sample.inverses, sample.logdets))
     regular = ~(_least_gaps(_two_sided_logs(*tested), face) < GAP_TOL)
     if not regular.any():
         raise VanishingGap("no sampled ray has a regular prefix")
-    sample = RaySample(*(field[regular] for field in sample))
+    if not regular.all():
+        sample = RaySample(*(field[regular] for field in sample))
     # Chain rule: the differential of the inverse prefix at the flag is
     # the ordered product of single-letter differentials along the
     # pulled-back flag orbit.  The orbit flags are the boundary flags of
@@ -780,27 +789,21 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
     uniform = bool(len(ray_data) > 0 and irregular == 0 and slopes.min() > 0.0
                    and max_dev <= uniform_dev)
     c_const = float(slopes.min()) if len(slopes) else 0.0
-    log_a = float(min(
-        (min(le - c_const * (i + 1) for i, le in enumerate(r["log_eps"])) for r in ray_data),
-        default=0.0,
-    ))
+    log_a = float((log_eps - c_const * ns).min())
     nonuniform = bool(len(ray_data) > 0 and irregular == 0 and
                       all(r["max_log_eps"] >= DIVERGENCE_LOGEPS for r in ray_data))
 
     # Stratum expansion: some short word expands at every sampled limit flag.
-    cea_ok = True
-    cea_records = []
     blocks = [chain[-1] for chain in word_levels(pres, CEA_DEPTH)]
     dfs = np.argsort(np.concatenate([lv.dfs for lv in blocks]))  # walk order, depth first
     words = [w for lv in blocks for w in lv.letters.tolist()]
     eps = expansion_factor(np.concatenate([lv.mats for lv in blocks])[dfs],
                            sample.tails[:, 0, None])
-    for r, row in zip(ray_data, eps):
-        k = int(np.argmax(row))  # the first maximum, in depth-first word order
-        cea_records.append({"letters": r["letters"], "best_eps": float(row[k]),
-                            "best_word": words[dfs[k]]})
-        if row[k] < 1.0 + expansion_floor:
-            cea_ok = False
+    best = eps.argmax(axis=1)  # the first maximum, in depth-first word order
+    best_eps = eps[np.arange(len(eps)), best]
+    cea_ok = not (best_eps < 1.0 + expansion_floor).any()
+    cea_records = [{"letters": r["letters"], "best_eps": e, "best_word": words[dfs[k]]}
+                   for r, e, k in zip(ray_data, best_eps.tolist(), best.tolist())]
     return PropertyReport(
         name="anosov",
         verdict=uniform,

@@ -28,6 +28,7 @@ from .errors import IllConditioned, VanishingGap
 from .flags import (
     Flag,
     GAP_TOL,
+    _abs_max,
     _adjugate_column,
     _axis_normal,
     _cross3,
@@ -307,7 +308,7 @@ def _scaled_gram(mat: np.ndarray):
 
     The scale is the largest entry, so no cube in ``_gram_top`` overflows.
     """
-    scale = np.maximum(np.abs(mat).max(axis=(-2, -1)), 1e-300)
+    scale = np.maximum(_abs_max(mat), 1e-300)
     r0, r1, r2 = ([mat[..., i, k] / scale for k in range(3)] for i in range(3))
     return scale, (_dot3(r0, r0), _dot3(r1, r1), _dot3(r2, r2), _dot3(r0, r1), _dot3(r0, r2), _dot3(r1, r2))
 
@@ -444,23 +445,18 @@ def _off_bound(d: np.ndarray, n: int) -> np.ndarray:
     and the spreads at A and B are sqrt(2/3) (3/2 log A - log D) and
     sqrt(2/3) (log D - 3/2 log B).  The first is never the smaller: D^2 = -2ABC and
     AB = |C| (3/2 + |C|), so their difference is log(AB) / 2 - log(2|C|) >= 0 while
-    |C| <= 1/2.  The read is widened by 1e-6, relative and absolute, for rounding: near
-    D = 1 the arccosh and arccos turn an error of eps in D into one of sqrt(eps).
-    Transposing changes no spread, so unit columns serve as well.
+    |C| <= 1/2.  D is first lowered by 8 eps, which bounds the rounding of a determinant of
+    unit rows, eps / D relative where D is small.  The read is widened by 1e-6 for the rest
+    of the rounding: near D = 1 the arccosh and arccos turn an error of eps in D into one
+    of sqrt(eps).  Transposing changes no spread, so unit columns serve as well.
     """
-    d = np.clip(d, 1e-300, 1.0)
+    d = np.clip(d - 8.0 * np.finfo(float).eps, 1e-300, 1.0)
     if n == 2:
         off = np.arccosh(1.0 / d) / np.sqrt(2.0)
     else:
         root = 0.5 + np.cos(np.arccos(1.0 - 2.0 * d * d) / 3.0)
         off = np.sqrt(2.0 / 3.0) * (1.5 * np.log(root) - np.log(d))
-    return off * (1.0 + 1e-6) + 1e-6
-
-
-def _abs_max(mat: np.ndarray) -> np.ndarray:
-    """Largest |entry| of stacked square matrices, one np.maximum per entry."""
-    a, n = np.abs(mat), mat.shape[-1]
-    return functools.reduce(np.maximum, (a[..., i, k] for i in range(n) for k in range(n)))
+    return off + 1e-6
 
 
 def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
@@ -485,8 +481,8 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
     norm_w = np.maximum(_abs_max(w), 1e-300)[..., None]
     norm_wi = np.maximum(_abs_max(winv), 1e-300)[..., None]
     s1 = np.maximum(row_norms(w), 1e-300)
-    # a contiguous copy of the columns, as np.linalg.norm takes of a column
-    s1i = np.maximum(row_norms(np.swapaxes(winv, -1, -2).copy()), 1e-300)
+    # the columns as contiguous rows, as np.linalg.norm takes a column
+    s1i = np.maximum(row_norms(np.ascontiguousarray(np.swapaxes(winv, -1, -2))), 1e-300)
     v = np.where(s1 / norm_w >= s1i / norm_wi, np.log(s1), -np.log(s1i))
     wide = [b for b in face.blocks if b[1] - b[0] > 1]
     if n <= 3 and floor > -np.inf and not wide:
@@ -538,10 +534,13 @@ def segment_deficits(u: np.ndarray, a_plus: np.ndarray, points, face: FaceType,
     ``floor`` (``factored_coords_pair``); every deficit at or above it is
     exact.  Returns one trailing column per stack.
     """
-    ut = np.swapaxes(u, -1, -2)
+    # numpy's stacked matmul is slow on a transposed view: pinv u is formed as (u^T pinv^T)^T,
+    # the same sums bit for bit, from contiguous u^T and the pinv^T that the word walk carries
+    ut = np.ascontiguousarray(np.swapaxes(u, -1, -2))
     cols = []
     for p, pinv in points:
-        v, off = factored_coords_pair(ut @ p, pinv @ u, face, floor)
+        winv = np.swapaxes(ut @ np.ascontiguousarray(np.swapaxes(pinv, -1, -2)), -1, -2)
+        v, off = factored_coords_pair(ut @ p, winv, face, floor)
         cols.append(np.maximum(np.maximum(off, flat_cone_deficit(v, face)),
                                flat_cone_deficit(a_plus - v, face)))
     return np.stack(cols, axis=-1)

@@ -15,8 +15,11 @@ sweep takes it (one row per ray, 200 as in the rays benchmark) and on
 at random flags of the full face, and ``attractive_flag`` of the letters.
 The word walk is timed on the step from one full block to its children:
 a rank-2 walk to length 8 yields its first full block at length 7, then
-that block's three child blocks.  Each test also checks that the timed
-call returns what an untimed call does.
+that block's three child blocks.  The rays benchmark's other steps are
+timed on its shapes: the orthonormality check of a ``Flag`` of 200 x 21
+frames, ``suffix_flags`` over 200 rays of 20 letters, and the writing of a
+200-ray limit report of sl3-symsq-schottky.  Each test also checks that
+the timed call returns what an untimed call does.
 """
 
 import itertools
@@ -25,8 +28,12 @@ import numpy as np
 import pytest
 
 from anosovcheck.chamber import FaceType, flat_cone_deficit
-from anosovcheck.flags import Flag, action_differential, attractive_flag, expansion_factor, qr_pos
-from anosovcheck.subgroup import WORD_BLOCK, FreeGroupPresentation, _two_sided_logs, word_levels
+from anosovcheck.cli import bundled_config_path, load_config
+from anosovcheck.flags import (Flag, action_differential, attractive_flag, expansion_factor, qr_pos,
+                               suffix_flags)
+from anosovcheck.reports import dumps
+from anosovcheck.subgroup import (WORD_BLOCK, FreeGroupPresentation, _two_sided_logs, limit_report,
+                                  word_levels)
 from anosovcheck.symmspace import _two_sided_frame, factored_coords_pair, segment_deficits
 from oracles import random_sl
 
@@ -154,3 +161,26 @@ def test_word_levels_timing(benchmark, n):
     untimed = children(*full_block()[0])
     assert [lv.letters.shape for lv in timed] == [(WORD_BLOCK, 8)] * 3
     assert all(np.array_equal(x, y) for lv, lv1 in zip(timed, untimed) for x, y in zip(lv, lv1))
+
+
+def test_flag_timing(benchmark):
+    # a stack of 200 x 21 frames, as limit's backward flags of 200 rays at depth 20
+    frames = qr_pos(np.random.default_rng(3).standard_normal((RAY_ROWS[0], 21, 3, 3)))[0]
+    timed = benchmark.pedantic(Flag, (FACES[3], frames), rounds=ROUNDS)
+    assert np.array_equal(timed.frame, frames)
+
+
+@pytest.mark.parametrize("n", sorted(FACES))
+def test_suffix_flags_timing(benchmark, n):
+    rng = np.random.default_rng(n)
+    letters = np.stack([random_sl(rng, n, scale=1.2) for _ in range(4)])
+    mats = letters[rng.integers(len(letters), size=(RAY_ROWS[0], 20))]
+    timed = benchmark.pedantic(suffix_flags, (mats, FACES[n]), rounds=ROUNDS)
+    assert np.array_equal(timed.frame, suffix_flags(mats, FACES[n]).frame)
+
+
+def test_dumps_timing(benchmark):
+    cfg = load_config(bundled_config_path("sl3-symsq-schottky"))
+    payload = limit_report(cfg.presentation(), cfg.face_type(), cfg.ray_depth, RAY_ROWS[0],
+                           cfg.seed).as_dict()
+    assert benchmark.pedantic(dumps, (payload,), rounds=ROUNDS) == dumps(payload)

@@ -97,3 +97,56 @@ def test_hook_is_looked_up_per_call(monkeypatch):
     monkeypatch.setattr(reports, "jsonable", counting)
     dumps({"v": np.zeros(2), "n": np.int64(1)})
     assert sorted(t.__name__ for t in seen) == ["int64", "ndarray"]
+
+
+def per_value_dumps(payload) -> str:
+    """``dumps`` as it was written with a new ``JSONEncoder`` per value: the reference."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": "),
+                              default=reports.jsonable, allow_nan=False).encode
+
+    def text(obj, pad: str) -> str:
+        inner = pad + "  "
+        if isinstance(obj, dict) and obj:
+            rows = [json.encoder.encode_basestring_ascii(k) + ": " + text(v, inner)
+                    for k, v in sorted(obj.items())]
+            return "{\n" + inner + f",\n{inner}".join(rows) + "\n" + pad + "}"
+        if isinstance(obj, (list, tuple)) and any(isinstance(v, dict) for v in obj):
+            return "[\n" + inner + f",\n{inner}".join(map(encode, obj)) + "\n" + pad + "]"
+        return encode(obj)
+
+    return text(payload, "") + "\n"
+
+
+PAYLOADS = [
+    PAYLOAD,
+    [{"a": [{"b": np.arange(3), "c": [{"d": {2, 1}}]}]}, [], {}, (), set()],
+    {"scalars": [np.float64(-0.0), np.float32(0.5), np.int8(-3), np.uint64(7), np.bool_(False)],
+     "arrays": [np.zeros((0, 2)), np.array([[True]]), np.array(2.5)], "text": "é\n\"q\""},
+    [np.float64(1e-300), 1e300, -1.5e-7, [[[]]], {"": None}],
+    {},
+]
+
+
+@pytest.mark.parametrize("payload", PAYLOADS, ids=range(len(PAYLOADS)))
+def test_dumps_equals_the_per_value_encoder(payload, monkeypatch):
+    text = dumps(payload)
+    assert text == per_value_dumps(payload)
+    # without the C encoder, JSONEncoder.encode writes each value in pure Python
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert dumps(payload) == text
+
+
+def test_dumps_equals_the_per_value_encoder_on_reports(pipeline_runs):
+    # every report of the bundled configs, read back: the writer gives its bytes again
+    for run in pipeline_runs.values():
+        for path in sorted(run["dir"].glob("*.json")):
+            payload = json.loads(path.read_text())
+            assert dumps(payload) == per_value_dumps(payload) == path.read_text(), path.name
+
+
+def test_fallback_raises_as_the_c_encoder_does(monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    with pytest.raises(ValueError):
+        dumps({"x": [1.0, float("nan")]})
+    with pytest.raises(TypeError):
+        dumps({"x": [object()]})

@@ -24,6 +24,7 @@ from anosovcheck.flags import (
     attractive_flag,
     expansion_factor,
     flag_distance,
+    q_closed,
     qr_pos,
     suffix_flags,
     transversality_margin,
@@ -36,6 +37,7 @@ from anosovcheck.subgroup import (
     _two_sided_logs,
     limit_report,
     sample_rays,
+    word_levels,
 )
 from anosovcheck.symmspace import (
     _two_sided_frame,
@@ -394,7 +396,8 @@ def test_off_bound_holds(rng):
     mats = [unit_rows(q + s * rng.standard_normal((3, 3)))
             for q, s in zip(frames(rng, 3, len(scales)), scales)]
     # near-singular: the third row off the plane of the first two by 1e-14 to 1e-2
-    for eps in np.geomspace(1e-14, 1e-2, 13):
+    # and 100 draws at 1e-14, where the float determinant's rounding is most of D
+    for eps in [*np.geomspace(1e-14, 1e-2, 13), *[1e-14] * 100]:
         a, b = rng.standard_normal((2, 3))
         mats.append(unit_rows(np.stack([a, b, a - 2.0 * b + eps * rng.standard_normal(3)])))
     # the extremal factors: s^2 = (x, x, 3 - 2x) has unit rows where U's third
@@ -428,6 +431,12 @@ def test_off_bound_holds_at_n2(rng):
     mats = np.stack(mats)
     assert np.allclose(np.linalg.norm(mats, axis=-1), 1.0)
     bound = assert_off_bound_holds(mats)
+    # unit rows 1e-14 and 1e-12 apart, 100 draws each: D is about the float
+    # determinant's rounding, which the bound must cover
+    for apart in (1e-14, 1e-12):
+        a = rng.standard_normal((100, 1, 2))
+        assert_off_bound_holds(unit_rows(np.concatenate(
+            [a, a + apart * rng.standard_normal((100, 1, 2))], axis=1)))
     # D = 0 gives a finite bound, and no RuntimeWarning (the suite makes one an error)
     assert np.isfinite(symmspace._off_bound(np.zeros(1), 2)).all()
     # the bound is tight: only the widening separates it from the kernel's read
@@ -752,3 +761,65 @@ def test_pair_scan_ties_go_to_the_first_pair_in_order(monkeypatch):
     assert _pair_scan(limits, letters) == expected
     monkeypatch.setattr(subgroup, "PAIR_BLOCK", 4)  # (2, 1) and (3, 0) in separate blocks
     assert _pair_scan(limits, letters) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_transposed_inverse_product_is_bit_identical(rng, n):
+    # segment_deficits forms pinv u as (u^T pinv^T)^T from contiguous operands, pinv^T
+    # as the word walk carries it: the same products, summed in the same order
+    pres = FreeGroupPresentation(tuple(random_sl(rng, n, scale=1.2) for _ in range(2)))
+    face = FaceType.full(n)
+    for chain in word_levels(pres, 8 if n < 4 else 6):
+        level = chain[-1]
+        u = _two_sided_frame(level.mats, level.invs)
+        ut = np.ascontiguousarray(np.swapaxes(u, -1, -2))
+        for p, pinv in subgroup._prefix_points(chain, np.arange(len(level.mats))):
+            winv = np.swapaxes(ut @ np.ascontiguousarray(np.swapaxes(pinv, -1, -2)), -1, -2)
+            assert same_bits(winv, pinv @ u)
+            # factored_coords_pair reads a transposed view as it reads a contiguous copy
+            for got, want in zip(factored_coords_pair(ut @ p, winv, face),
+                                 factored_coords_pair(ut @ p, np.ascontiguousarray(winv), face)):
+                assert same_bits(got, want)
+
+
+def test_anosov_prefixes_lead_sample_rays(sl3_pres):
+    # anosov draws sample_rays' rays but forms the prefixes of the tested depth only
+    depth, face = 12, FaceType.full(3)
+    full = sample_rays(sl3_pres, 40, depth + subgroup.BETA_PAD, 1, face)
+    letters, schemes = subgroup._draw_rays(sl3_pres, 40, depth + subgroup.BETA_PAD, 1)
+    assert np.array_equal(letters, full.letters) and np.array_equal(schemes, full.schemes)
+    _, *products = subgroup._prefix_products(sl3_pres, letters[:, :depth])
+    for got, want in zip(products, (full.prefixes, full.inverses, full.logdets)):
+        assert same_bits(got, want[:, :depth])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_q_only_sweep_is_qr_pos(rng, n):
+    # suffix_flags takes q_closed, not qr_pos: the same Q, bit for bit, on 200 rays x 20
+    # letters, with rows of a zero first column and of a second column on its line
+    letters = np.stack([random_sl(rng, n, scale=1.2) for _ in range(4)])
+    mats = letters[rng.integers(len(letters), size=(200, 20))]
+    a = mats @ qr_pos(rng.standard_normal((200, 20, n, n)))[0]
+    a[0, :, :, 0] = 0.0
+    a[1, :, :, 1] = 3.0 * a[1, :, :, 0]
+    assert same_bits(q_closed(a)[0], qr_pos(a)[0])
+    start, _ = qr_pos(np.random.default_rng(321).standard_normal((n, n)))
+    sweep = [np.broadcast_to(start, (200, n, n))]
+    for k in reversed(range(20)):
+        sweep.append(qr_pos(mats[:, k] @ sweep[-1])[0])
+    assert same_bits(suffix_flags(mats, FaceType.full(n)).frame, np.stack(sweep[::-1], axis=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_flag_rejects_non_finite_frames(rng, bad):
+    # a NaN or inf row inside a stack is no orthonormal frame
+    frames = qr_pos(rng.standard_normal((4, 5, 3, 3)))[0]
+    Flag(FaceType.full(3), frames)
+    frames[2, 3, 1] = bad
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Flag(FaceType.full(3), frames)
+    # beside zeros an inf entry makes inf * 0 = NaN in q^T q, and a NaN fails no comparison
+    frames = np.stack([np.eye(3)] * 4)
+    frames[2, 0, 1] = bad
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Flag(FaceType.full(3), frames)
