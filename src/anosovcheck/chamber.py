@@ -118,11 +118,11 @@ def wall_gaps(delta, face: FaceType) -> np.ndarray:
 def row_norms(x) -> np.ndarray:
     """Euclidean norms along the last axis, equal bit for bit to np.linalg.norm.
 
-    ``norm(axis=-1)`` sums the squares in another order; a 1 x 1 matmul
-    takes the same dot product as the norm of a single vector.
+    ``norm(axis=-1)`` sums the squares in another order; ``vecdot`` takes
+    the same BLAS dot product per row as the norm of a single vector.
     """
     x = np.asarray(x, dtype=float)
-    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+    return np.sqrt(np.vecdot(x, x))
 
 
 def pav_nonincreasing(values, weights=None) -> np.ndarray:

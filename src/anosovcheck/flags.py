@@ -320,8 +320,12 @@ class Flag:
         object.__setattr__(self, "frame", q)
 
     def __getitem__(self, index) -> "Flag":
-        flag, frame = object.__new__(Flag), self.frame[index]
-        frame.flags.writeable = False  # a fancy index copies
+        if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu":
+            frame = np.take(self.frame, index, axis=0)  # a gather, faster than a fancy index
+        else:
+            frame = self.frame[index]
+        flag = object.__new__(Flag)
+        frame.flags.writeable = False  # a gather or fancy index copies
         flag.__dict__.update(face=self.face, frame=frame)
         return flag
 

@@ -8,6 +8,7 @@ word whose deepest prefix's flag stands in for its limit flag.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -44,6 +45,7 @@ from .flags import (
 from .reports import PropertyReport
 from .symmspace import (
     DET_TOL,
+    _frame_deficits,
     _two_sided_frame,
     log_top_singular,
     make_parallel_set,
@@ -139,7 +141,8 @@ def word_levels(pres: FreeGroupPresentation, length: int):
     g, and its inverse, carried transposed, m^-T g^-T: per letter, one GEMM
     over a cut's parents stacked as rows, each entry one word's own dot
     product in the same order, so both are exact products of letters, bit
-    for bit.  ``invs`` is a transposed view.
+    for bit.  Every block's ``invs`` is a transposed view of a C-contiguous
+    array.
     """
     if length < 1:
         raise ValueError("need length >= 1")
@@ -149,7 +152,8 @@ def word_levels(pres: FreeGroupPresentation, length: int):
     order = np.array(_letter_order(pres.rank), dtype=np.int8)
     n, kids = pres.n, 2 * pres.rank - 1
     gens = np.stack([pres.letter_matrix(lt) for lt in order])
-    inv_gens_t = np.stack([pres.letter_matrix(-lt).T for lt in order])
+    # C order, so that length 1's invs is a transposed view like every later block's
+    inv_gens_t = np.ascontiguousarray(np.stack([pres.letter_matrix(-lt).T for lt in order]))
     logdets = np.linalg.slogdet(gens)[1]
     # successor[e]: the letters, in letter order, that may follow letter e (not its inverse e ^ 1)
     successor = np.array([[e for e in range(len(order)) if e != d ^ 1] for d in range(len(order))])
@@ -211,7 +215,7 @@ def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray) -> np.n
 
 def _least_gaps(logs: np.ndarray, face: FaceType) -> np.ndarray:
     """Least gap of descending logs at the face type's walls; leading axes are batch axes."""
-    return np.min([logs[..., d - 1] - logs[..., d] for d in face.dims], axis=0)
+    return functools.reduce(np.minimum, (logs[..., d - 1] - logs[..., d] for d in face.dims))
 
 
 def power_probe(pres: FreeGroupPresentation, max_power: int = 256, norm_cap: float = 1e6):
@@ -347,19 +351,35 @@ def _uru_scan(pres, face, length, c_floor, ratio_floor, power_depth):
     )
 
 
-def _prefix_points(chain: list[WordLevel], rows: np.ndarray):
-    """(products, inverses) of the prefixes of the words ``rows`` of a chain's last block.
+def _prefix_coords(chain: list[WordLevel], rows: np.ndarray, ut: np.ndarray):
+    """Coordinates (u^T p, pinv u) of the prefixes p of the words ``rows`` of a chain's last block.
 
-    Word w of length L spans the diamond from o to w.o; its interior
-    points are the orbit points of its prefixes, read through the chain's
-    ``parent`` rows.  Only the points nearer the base point are yielded,
-    for prefix lengths t = floor(L/2), ..., 1: the point at t > L/2 is the
-    one of w^-1 at L - t, read from that word's nearer tip.
+    ``ut`` stacks the words' frames u, transposed and C-contiguous.  Word w
+    of length L spans the diamond from o to w.o; its interior points are
+    the orbit points of its prefixes, read through the chain's ``parent``
+    rows.  Only the points nearer the base point are yielded, for prefix
+    lengths t = floor(L/2), ..., 1: the point at t > L/2 is the one of w^-1
+    at L - t, read from that word's nearer tip.  A block lists its words
+    depth first, so rows that share their prefix of length t come in runs:
+    a run takes one GEMM per coordinate, its frames stacked as rows times
+    the prefix's p and pinv^T, read straight from the chain's blocks.  Each
+    entry is its row's own dot product in the same order as a stacked
+    product's, so the coordinates are those of ``ut @ p`` and
+    ``(ut @ pinv^T)^T`` bit for bit.
     """
+    n = ut.shape[-1]
+    frames = ut.reshape(-1, n)
     for t in range(len(chain) - 1, 0, -1):
         rows = chain[t].parent[rows]  # row of each word's prefix of length t
         if 2 * t <= len(chain):
-            yield chain[t - 1].mats[rows], chain[t - 1].invs[rows]
+            mats, invs_t = chain[t - 1].mats, chain[t - 1].invs.swapaxes(1, 2)
+            w, winv_t = np.empty_like(ut), np.empty_like(ut)
+            bounds = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(), len(rows)]
+            for a, b in zip(bounds, bounds[1:]):
+                run, q = slice(a * n, b * n), rows[a]
+                np.matmul(frames[run], mats[q], out=w.reshape(-1, n)[run])
+                np.matmul(frames[run], invs_t[q], out=winv_t.reshape(-1, n)[run])
+            yield w, winv_t.swapaxes(1, 2)
 
 
 def _level_index(letters: np.ndarray, rank: int) -> np.ndarray:
@@ -379,8 +399,8 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     Every reduced word is the canonical representative of all its
     translates, so scanning each word once with the base point and its
     endpoint as tips covers every sub-segment of every longer geodesic.
-    The deficit of an interior orbit point (``segment_deficits``, read in
-    the word's two-sided singular frame) combines its off-parallel-set
+    The deficit of an interior orbit point (``symmspace._frame_deficits``,
+    read in the word's two-sided singular frame) combines its off-parallel-set
     distance with the in-flat chamber deficits toward both tips.  Word w
     of length L at prefix length t is the same configuration as w^-1 at
     L - t, so each is read once, from its nearer tip: only t <= L/2 is
@@ -402,7 +422,7 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     words are Morse failures.  Words need length >= 2 to have interior
     points.  The words come one block of ``word_checks``' walk, which also
     serves uru, at a time, and their interior points through the block's
-    chain (``_prefix_points``).  The test suite cross-checks the
+    chain (``_prefix_coords``).  The test suite cross-checks the
     deficit against diamond membership by ``make_diamond`` and
     ``diamond_query`` on a sample of the bundled configs' words.
     """
@@ -433,9 +453,10 @@ def _morse_scan(pres, face, length, rho_cap, theta_floor):
             # columns come longest prefix first; column t-1 is prefix length t; a read
             # below the floor, well clear of TIE_RTOL, may be a bound below it
             floor = best[:el + 1].max() * (1.0 - 1e-9)
-            u = _two_sided_frame(level.mats, level.invs)
-            d[rows] = reads = segment_deficits(u[rows], logs[rows], _prefix_points(chain, rows),
-                                               face, floor)[:, ::-1]
+            ut = np.take(np.swapaxes(_two_sided_frame(level.mats, level.invs), 1, 2), rows, axis=0)
+            a_plus = logs[rows]
+            d[rows] = reads = np.stack([_frame_deficits(w, winv, a_plus, face, floor) for w, winv
+                                        in _prefix_coords(chain, rows, ut)], axis=-1)[:, ::-1]
             if el > 2:  # a midpoint read t = L/2 is final only after the mirror's min
                 best[el] = max(best[el], reads[:, :(el - 1) // 2].max())
         scanned.setdefault(el, []).append((level.letters, level.dfs, ok, d))
@@ -522,10 +543,15 @@ def _random_words(rng: np.random.Generator, rank: int, count: int, length: int) 
     return np.stack(cols, axis=1)
 
 
+def _letter_table(pres: FreeGroupPresentation) -> np.ndarray:
+    """Matrices of the letters -rank, ..., rank, the identity at 0: letter l is row l + rank."""
+    return np.stack([pres.letter_matrix(lt) if lt else np.eye(pres.n)
+                     for lt in range(-pres.rank, pres.rank + 1)])
+
+
 def _letter_stacks(pres: FreeGroupPresentation, letters: np.ndarray):
     """Matrices of the letters and of their inverses, as stacks (..., n, n)."""
-    table = np.stack([pres.letter_matrix(lt) if lt else np.eye(pres.n)
-                      for lt in range(-pres.rank, pres.rank + 1)])
+    table = _letter_table(pres)
     return table[letters + pres.rank], table[pres.rank - letters]
 
 
@@ -534,7 +560,8 @@ def _prefix_products(pres: FreeGroupPresentation, letters: np.ndarray):
 
     For all words at once, prefix products are accumulated from the
     identity one letter at a time on the right, and their inverses one
-    inverse letter at a time on the left.
+    inverse letter at a time on the left.  log|det| is taken once per
+    letter of the table: a matrix's slogdet does not depend on its batch.
     """
     steps, inv_steps = _letter_stacks(pres, letters)
     prefixes, inverses = np.empty_like(steps), np.empty_like(steps)
@@ -542,7 +569,8 @@ def _prefix_products(pres: FreeGroupPresentation, letters: np.ndarray):
     for k in range(letters.shape[-1]):
         prefixes[..., k, :, :] = m = m @ steps[..., k, :, :]
         inverses[..., k, :, :] = mi = inv_steps[..., k, :, :] @ mi
-    return steps, prefixes, inverses, np.cumsum(np.linalg.slogdet(steps)[1], axis=-1)
+    logdets = np.linalg.slogdet(_letter_table(pres))[1][letters + pres.rank]
+    return steps, prefixes, inverses, np.cumsum(logdets, axis=-1)
 
 
 def _draw_rays(pres: FreeGroupPresentation, count: int, depth: int, seed: int):
@@ -595,23 +623,31 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
     reads = []  # per read: its window's point n, the tip and its inverse, log|det|, the point
     for n in range(1, total):  # every window spans lo < n < hi
         lo, hi = max(0, n - CONICAL_LOOKAHEAD), min(total, n + CONICAL_LOOKAHEAD)
-        window = window_inv = last = last_inv = np.eye(pres.n)
-        for k in range(lo, hi):
-            window, window_inv = window @ steps[:, k], inv_steps[:, k] @ window_inv
-            if k == n - 1:
-                first, first_inv = window, window_inv
-            elif k >= n:
-                last, last_inv = last @ steps[:, k], inv_steps[:, k] @ last_inv
+        if lo == 0:  # the window and its first half are prefixes, accumulated alike
+            window, window_inv = sample.prefixes[:, hi - 1], sample.inverses[:, hi - 1]
+            first, first_inv = sample.prefixes[:, n - 1], sample.inverses[:, n - 1]
+        else:
+            window = window_inv = np.eye(pres.n)
+            for k in range(lo, hi):
+                window, window_inv = window @ steps[:, k], inv_steps[:, k] @ window_inv
+                if k == n - 1:
+                    first, first_inv = window, window_inv
+        last = last_inv = np.eye(pres.n)
+        for k in range(n, hi):
+            last, last_inv = last @ steps[:, k], inv_steps[:, k] @ last_inv
         logdet = logdets[:, hi] - logdets[:, lo]
         # the nearer tip: w, seeing the point f, or w^-1, seeing w^-1 f = s^-1
         if 2 * (n - lo) <= hi - lo:
             reads.append((n, window, window_inv, logdet, first, first_inv))
         if 2 * (n - lo) >= hi - lo:
             reads.append((n, window_inv, window, -logdet, last_inv, last))
-    windows, *stacks = zip(*reads)
-    m, minv, logdet, p, pinv = (np.stack(x, axis=1) for x in stacks)
+    windows, *stacks, pinvs = zip(*reads)
+    m, minv, logdet, p = (np.stack(x, axis=1) for x in stacks)
+    # the points' inverses transposed into C order, as segment_deficits reads them
+    pinv_t = np.stack([np.swapaxes(x, -1, -2) for x in pinvs], axis=1, out=np.empty(p.shape))
     a_plus = _two_sided_logs(m, minv, logdet)
-    d = segment_deficits(_two_sided_frame(m, minv), a_plus, [(p, pinv)], face)[..., 0]
+    d = segment_deficits(_two_sided_frame(m, minv), a_plus, [(p, np.swapaxes(pinv_t, -1, -2))],
+                         face)[..., 0]
     starts = np.flatnonzero(np.diff(windows, prepend=0))
     sups = np.minimum.reduceat(d, starts, axis=1).max(axis=1)
 

@@ -459,6 +459,15 @@ def _off_bound(d: np.ndarray, n: int) -> np.ndarray:
     return off + 1e-6
 
 
+def _centre(v: np.ndarray) -> None:
+    """Subtract each row's mean in place, bit for bit as ``v -= v.mean(axis=-1, keepdims=True)``.
+
+    numpy sums a short axis in order from +0 (so a row of -0.0 sums to +0) and divides by its
+    length; the explicit column sum takes the same steps without a short-axis reduction.
+    """
+    v -= (sum(v[..., k] for k in range(v.shape[-1])) / v.shape[-1])[..., None]
+
+
 def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
                          floor: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided flat coordinates and off-set distance.
@@ -486,7 +495,7 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
     v = np.where(s1 / norm_w >= s1i / norm_wi, np.log(s1), -np.log(s1i))
     wide = [b for b in face.blocks if b[1] - b[0] > 1]
     if n <= 3 and floor > -np.inf and not wide:
-        v -= v.mean(axis=-1, keepdims=True)
+        _centre(v)
         # each side's D from its unscaled factor: |det| over the product of its row or column norms
         d = np.stack([np.abs(_det(m)) / functools.reduce(np.multiply,
                                                          (s[..., k] for k in range(n)))
@@ -507,7 +516,7 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
         v[..., lo:hi] = np.where(direct, np.log(sd), -np.log(si)[..., ::-1])
         rows[..., lo:hi, :] = ud @ vtd
         cols[..., :, lo:hi] = ui @ vti
-    v -= v.mean(axis=-1, keepdims=True)
+    _centre(v)
     whitened = np.stack([rows, cols])  # one kernel call for both sides
     if n > 3 or floor == -np.inf:
         return v, np.minimum(*_whitened_off(whitened))
@@ -529,21 +538,30 @@ def segment_deficits(u: np.ndarray, a_plus: np.ndarray, points, face: FaceType,
     deficits toward both tips; all three vanish for members.  Points and
     their inverses must be exactly accumulated products.  ``points`` yields
     (p, pinv) stacks whose batch axes broadcast against those of u and
-    ``a_plus``; each stack takes one ``factored_coords_pair`` call.
-    A deficit below ``floor`` may be read as an upper bound below
-    ``floor`` (``factored_coords_pair``); every deficit at or above it is
-    exact.  Returns one trailing column per stack.
+    ``a_plus``; each stack takes one ``_frame_deficits`` call on its
+    coordinates u^T p and pinv u.  A deficit below ``floor`` may be read
+    as an upper bound below ``floor`` (``factored_coords_pair``); every
+    deficit at or above it is exact.  Returns one trailing column per stack.
     """
     # numpy's stacked matmul is slow on a transposed view: pinv u is formed as (u^T pinv^T)^T,
-    # the same sums bit for bit, from contiguous u^T and the pinv^T that the word walk carries
+    # the same sums bit for bit, from contiguous u^T and the pinv^T that the callers carry
     ut = np.ascontiguousarray(np.swapaxes(u, -1, -2))
     cols = []
     for p, pinv in points:
         winv = np.swapaxes(ut @ np.ascontiguousarray(np.swapaxes(pinv, -1, -2)), -1, -2)
-        v, off = factored_coords_pair(ut @ p, winv, face, floor)
-        cols.append(np.maximum(np.maximum(off, flat_cone_deficit(v, face)),
-                               flat_cone_deficit(a_plus - v, face)))
+        cols.append(_frame_deficits(ut @ p, winv, a_plus, face, floor))
     return np.stack(cols, axis=-1)
+
+
+def _frame_deficits(w: np.ndarray, winv: np.ndarray, a_plus: np.ndarray, face: FaceType,
+                    floor: float) -> np.ndarray:
+    """Deficits of points with coordinates w = u^T p and winv = pinv u in a tip's frame u.
+
+    The kernel of ``segment_deficits``, which morse calls on coordinates it forms itself.
+    """
+    v, off = factored_coords_pair(w, winv, face, floor)
+    return np.maximum(np.maximum(off, flat_cone_deficit(v, face)),
+                      flat_cone_deficit(a_plus - v, face))
 
 
 def adapted_coordinates(x, flag_plus: Flag):

@@ -9,7 +9,10 @@ so its blocks of width 2 take the SVD route.  The floored rows, at n = 2
 and 3, read the off distance exactly only where its bound reaches the
 block's upper quartile deficit, as morse does below its running worst
 deficit.  The two-sided logs and frame of the words themselves are timed
-too.  The ray primitives are timed on stacks of RAY_ROWS: ``qr_pos`` as the tails'
+too, and so is morse's coordinate read of one full block of a rank-2 walk
+to length 8, u^T p and pinv u at prefix lengths 4, ..., 1, formed by
+``_prefix_coords`` with one GEMM per run of words that share a prefix.
+The ray primitives are timed on stacks of RAY_ROWS: ``qr_pos`` as the tails'
 sweep takes it (one row per ray, 200 as in the rays benchmark) and on
 2,400 rows, ``action_differential`` and ``expansion_factor`` of letters
 at random flags of the full face, and ``attractive_flag`` of the letters.
@@ -32,8 +35,8 @@ from anosovcheck.cli import bundled_config_path, load_config
 from anosovcheck.flags import (Flag, action_differential, attractive_flag, expansion_factor, qr_pos,
                                suffix_flags)
 from anosovcheck.reports import dumps
-from anosovcheck.subgroup import (WORD_BLOCK, FreeGroupPresentation, _two_sided_logs, limit_report,
-                                  word_levels)
+from anosovcheck.subgroup import (WORD_BLOCK, FreeGroupPresentation, _prefix_coords,
+                                  _two_sided_logs, limit_report, word_levels)
 from anosovcheck.symmspace import _two_sided_frame, factored_coords_pair, segment_deficits
 from oracles import random_sl
 
@@ -81,6 +84,20 @@ def test_segment_deficits_timing(benchmark, n):
     u, logs, p, pinv = block(n)
     call = lambda: segment_deficits(u, logs, [(p, pinv)], FACES[n])  # noqa: E731
     assert np.array_equal(benchmark.pedantic(call, rounds=ROUNDS), call())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_prefix_coords_timing(benchmark, n):
+    rng = np.random.default_rng(n)
+    pres = FreeGroupPresentation(tuple(random_sl(rng, n, scale=1.2) for _ in range(2)))
+    chain = next(chain for chain in word_levels(pres, 8) if len(chain) == 8)
+    level = chain[-1]
+    rows = np.arange(WORD_BLOCK)
+    ut = np.ascontiguousarray(np.swapaxes(_two_sided_frame(level.mats, level.invs), 1, 2))
+    call = lambda: list(_prefix_coords(chain, rows, ut))  # noqa: E731
+    timed = benchmark.pedantic(call, rounds=ROUNDS)
+    assert len(timed) == 4 and len(level.letters) == WORD_BLOCK
+    assert all(np.array_equal(x, y) for a, b in zip(timed, call()) for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("n", [2, 3])

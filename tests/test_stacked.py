@@ -495,9 +495,34 @@ def test_flat_cone_deficit_and_pav(rng, n):
     assert_rows_equal(pav_nonincreasing(vs, weights),
                       [pav_sequential(v, w) for v, w in zip(vs, weights)])
     assert_rows_equal(row_norms(vs), [np.linalg.norm(v) for v in vs])
+    # row_norms takes vecdot's dot product per row, np.linalg.norm's, also on rows scaled
+    # from 1e-150 to 1e150 (no square overflows) and on rows of +0, -0, NaN and inf
+    wide = rng.standard_normal((400, n)) * 10.0 ** rng.uniform(-150, 150, (400, 1))
+    wide[:4], wide[4:8] = 0.0, -0.0
+    wide[8, 0], wide[9, -1], wide[10, :] = np.nan, np.inf, -np.inf
+    wide[11, 0], wide[11, -1] = np.inf, np.nan
+    norms = row_norms(wide)
+    assert all(same_bits(x, np.linalg.norm(v)) for x, v in zip(norms, wide))
+    assert same_bits(norms[1:7], row_norms(wide[1:7]))  # no bit depends on the stack
     for face in FACES[n]:
         assert_rows_equal(block_sort(vs, face), [block_sort(v, face) for v in vs])
         assert_rows_equal(flat_cone_deficit(vs, face), [flat_cone_deficit(v, face) for v in vs])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_centre_is_the_mean_form(rng, n):
+    # factored_coords_pair centres by the explicit column sum from +0: a row of -0.0
+    # sums to +0 there, as in numpy's mean, and stays -0.0 (a sum from its first entry
+    # would give -0.0 and centre the row to +0)
+    vs = rng.standard_normal((400, n)) * 10.0 ** rng.uniform(-150, 150, (400, 1))
+    vs[:4], vs[4:8, 0], vs[8] = -0.0, -0.0, 0.0
+    vs[9, 0], vs[10, -1] = np.nan, np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf
+        want = vs - vs.mean(axis=-1, keepdims=True)
+        got = vs.copy()
+        symmspace._centre(got)
+    assert same_bits(got, want)
+    assert same_bits(got[:4], np.full((4, n), -0.0))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -647,11 +672,13 @@ def test_flag_slices_are_not_rechecked(rng, monkeypatch):
     checks = []
     check = Flag.__post_init__
     monkeypatch.setattr(Flag, "__post_init__", lambda self: checks.append(1) or check(self))
-    for part in (flag[5], flag[3:7], flag[[1, 2]], flag[:, None]):
+    gather = np.array([3, -1, 0, 3])  # a 1-D integer index is gathered by np.take
+    for part in (flag[5], flag[3:7], flag[[1, 2]], flag[:, None], flag[gather]):
         assert checks == []
         with pytest.raises(ValueError, match="read-only"):
             part.frame[..., 0, 0] = 1.0
     assert np.array_equal(flag[[1, 2]].frame, q[[1, 2]])
+    assert same_bits(flag[gather].frame, q[gather])
     with pytest.raises(ValueError, match="read-only"):
         flag.frame[0, 0, 0] = 1.0
     Flag(FaceType.full(3), flag[5].frame)  # a new flag is checked
@@ -763,23 +790,43 @@ def test_pair_scan_ties_go_to_the_first_pair_in_order(monkeypatch):
     assert _pair_scan(limits, letters) == expected
 
 
+def stacked_prefix_points(chain, rows):
+    """(p, pinv) of the prefixes t = floor(L/2), ..., 1 of a chain's last block's words ``rows``,
+    gathered into stacks."""
+    for t in range(len(chain) - 1, 0, -1):
+        rows = chain[t].parent[rows]
+        if 2 * t <= len(chain):
+            yield chain[t - 1].mats[rows], chain[t - 1].invs[rows]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_transposed_inverse_product_is_bit_identical(rng, n):
-    # segment_deficits forms pinv u as (u^T pinv^T)^T from contiguous operands, pinv^T
-    # as the word walk carries it: the same products, summed in the same order
+def test_transposed_inverse_product_is_bit_identical(rng, n, monkeypatch):
+    # morse forms u^T p and pinv u as (u^T pinv^T)^T with one GEMM per run of rows that share
+    # a prefix: the stacked products bit for bit, on all rows, on a row subset with gaps (as
+    # irregular words leave), and in blocks of 7 words, whose cuts split runs
     pres = FreeGroupPresentation(tuple(random_sl(rng, n, scale=1.2) for _ in range(2)))
     face = FaceType.full(n)
-    for chain in word_levels(pres, 8 if n < 4 else 6):
-        level = chain[-1]
-        u = _two_sided_frame(level.mats, level.invs)
-        ut = np.ascontiguousarray(np.swapaxes(u, -1, -2))
-        for p, pinv in subgroup._prefix_points(chain, np.arange(len(level.mats))):
-            winv = np.swapaxes(ut @ np.ascontiguousarray(np.swapaxes(pinv, -1, -2)), -1, -2)
-            assert same_bits(winv, pinv @ u)
-            # factored_coords_pair reads a transposed view as it reads a contiguous copy
-            for got, want in zip(factored_coords_pair(ut @ p, winv, face),
-                                 factored_coords_pair(ut @ p, np.ascontiguousarray(winv), face)):
-                assert same_bits(got, want)
+    deep = 8 if n < 4 else 6
+    for block, length in ((subgroup.WORD_BLOCK, deep), (7, deep - 2)):
+        monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
+        for chain in word_levels(pres, length):
+            u = _two_sided_frame(chain[-1].mats, chain[-1].invs)
+            keep = rng.random(len(u)) < 0.6
+            keep[-1] = True
+            for rows in (np.arange(len(u)), np.flatnonzero(keep)):
+                ut = np.ascontiguousarray(np.swapaxes(u[rows], -1, -2))
+                coords = list(subgroup._prefix_coords(chain, rows, ut))
+                points = list(stacked_prefix_points(chain, rows))
+                assert len(coords) == len(points) == len(chain) // 2
+                for (w, winv), (p, pinv) in zip(coords, points):
+                    pinv_t = np.ascontiguousarray(np.swapaxes(pinv, -1, -2))
+                    assert same_bits(w, ut @ p)
+                    assert same_bits(winv, np.swapaxes(ut @ pinv_t, -1, -2))
+                    assert same_bits(winv, pinv @ u[rows])
+                    # factored_coords_pair reads a transposed view as a contiguous copy
+                    for got, want in zip(factored_coords_pair(w, winv, face),
+                                         factored_coords_pair(w, np.ascontiguousarray(winv), face)):
+                        assert same_bits(got, want)
 
 
 def test_anosov_prefixes_lead_sample_rays(sl3_pres):
@@ -788,9 +835,11 @@ def test_anosov_prefixes_lead_sample_rays(sl3_pres):
     full = sample_rays(sl3_pres, 40, depth + subgroup.BETA_PAD, 1, face)
     letters, schemes = subgroup._draw_rays(sl3_pres, 40, depth + subgroup.BETA_PAD, 1)
     assert np.array_equal(letters, full.letters) and np.array_equal(schemes, full.schemes)
-    _, *products = subgroup._prefix_products(sl3_pres, letters[:, :depth])
+    steps, *products = subgroup._prefix_products(sl3_pres, letters[:, :depth])
     for got, want in zip(products, (full.prefixes, full.inverses, full.logdets)):
         assert same_bits(got, want[:, :depth])
+    # log|det| is taken once per letter of the table, with the bits of one LU per position
+    assert same_bits(products[2], np.cumsum(np.linalg.slogdet(steps)[1], axis=-1))
 
 
 @pytest.mark.parametrize("n", [2, 3])

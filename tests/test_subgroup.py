@@ -109,8 +109,10 @@ class TestWords:
             for el, (prev, lv) in enumerate(zip(chain, chain[1:]), start=2):
                 assert lv.letters.shape[1] == el
                 assert np.array_equal(prev.letters[lv.parent], lv.letters[:, :-1])
-            # one block per length is held: no array views a buffer larger than its block's
+            # one block per length is held: no array views a buffer larger than its block's;
+            # every block carries its inverses transposed in C order, as morse's GEMMs read them
             for lv in chain:
+                assert lv.invs.swapaxes(1, 2).flags.c_contiguous
                 for a in lv:
                     base = a
                     while base.base is not None:
@@ -223,35 +225,36 @@ class TestMorse:
 
     def test_each_configuration_read_once(self, sl2_pres, sl3_pres, monkeypatch):
         # a block of words of length L is read at its prefixes t <= L/2 only,
-        # each from the nearer tip: floor(L/2) point stacks, one
-        # factored_coords_pair call per stack and none for the tip
-        calls, blocks, exact = [], [], []
-        coords, deficits = symmspace.factored_coords_pair, subgroup.segment_deficits
+        # each from the nearer tip: floor(L/2) point stacks of the block's rows,
+        # one _frame_deficits call per stack, one factored_coords_pair call per
+        # kernel call and none for the tip
+        calls, stacks, exact = [], [], []
+        coords, deficits = symmspace.factored_coords_pair, subgroup._frame_deficits
         kernel = symmspace._whitened_off
         monkeypatch.setattr(symmspace, "factored_coords_pair",
                             lambda *args: calls.append(1) or coords(*args))
         monkeypatch.setattr(symmspace, "_whitened_off",
                             lambda m: exact.append(m.shape[1]) or kernel(m))
 
-        def counted(*args):
-            *head, points, face, floor = args
-            points, before = list(points), len(calls)
-            out = deficits(*head, points, face, floor)
-            blocks.append((len(points), len(calls) - before))
+        def counted(w, *args):
+            before = len(calls)
+            out = deficits(w, *args)
+            stacks.append((len(w), len(calls) - before))
             return out
 
-        monkeypatch.setattr(subgroup, "segment_deficits", counted)
+        monkeypatch.setattr(subgroup, "_frame_deficits", counted)
         # the off distance is read exactly only where its bound reaches the
         # floor: 3,024 of the 12,576 configurations at n = 3 and 224 at n = 2
         # (the walk is deterministic)
         assert sum(el // 2 * 4 * 3 ** (el - 1) for el in range(2, 8)) == 12576
         for pres, face, read in ((sl3_pres, FACE3, 3024), (sl2_pres, FACE2, 224)):
-            for seen in (calls, blocks, exact):
+            for seen in (calls, stacks, exact):
                 seen.clear()
             rep = morse_check(pres, face, 7)
             assert rep.details["vanishing_gap_count"] == 0
-            lengths = [len(chain) for chain in word_levels(pres, 7) if len(chain) >= 2]
-            assert blocks == [(el // 2, el // 2) for el in lengths]
+            blocks = [chain[-1] for chain in word_levels(pres, 7) if len(chain) >= 2]
+            assert stacks == [(len(lv.letters), 1) for lv in blocks
+                              for _ in range(lv.letters.shape[1] // 2)]
             assert sum(exact) == read
 
     def test_flat_model_morse(self, sl2_pres):
@@ -360,13 +363,13 @@ def test_morse_reports_do_not_depend_on_the_floor(name, kept, length, monkeypatc
     cfg = load_config(bundled_config_path(name))
     pres = cfg.presentation()
     face = cfg.face_type() if kept is None else FaceType.make(3, kept)
-    kernel = subgroup.segment_deficits
+    kernel = subgroup._frame_deficits
 
     def report():
         return dumps(morse_check(pres, face, length).as_dict())
 
     with monkeypatch.context() as m:
-        m.setattr(subgroup, "segment_deficits", lambda *args: kernel(*args[:-1]))
+        m.setattr(subgroup, "_frame_deficits", lambda *args: kernel(*args[:-1], -np.inf))
         expected = report()
     for block in (7, 1458, subgroup.WORD_BLOCK):
         monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
