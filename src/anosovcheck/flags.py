@@ -522,10 +522,11 @@ def triu_inverse(r: np.ndarray) -> np.ndarray:
     Back-substitution on the identity with a reciprocal multiply, in
     OpenBLAS ``dtrsm``'s order: for k = d-1, ..., 0, row k is scaled by
     1/r[k, k] and then subtracted, times r[:k, k], from the rows above.
-    At width d <= 2 this is LAPACK's (``scipy.linalg.solve_triangular``)
-    inverse bit for bit; wider, LAPACK fuses the updates into FMAs and
-    the two differ by rounding.  Like LAPACK, raises ValueError on a
-    non-finite entry and LinAlgError on a zero diagonal.
+    At width d <= 2 this is LAPACK's inverse bit for bit, against which
+    the tests compare through ``scipy.linalg.solve_triangular``; wider,
+    LAPACK fuses the updates into FMAs and the two differ by rounding.
+    Like LAPACK, raises ValueError on a non-finite entry and LinAlgError
+    on a zero diagonal.
     """
     r = np.asarray(r, dtype=float)
     if not np.isfinite(r).all():

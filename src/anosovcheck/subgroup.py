@@ -30,14 +30,12 @@ from .errors import (
 from .flags import (
     GAP_TOL,
     Flag,
-    act_on_flag,
     action_differential,
     antipodality_margin,
     attractive_flag,
     expansion_factor,
     flag_distance,
     least_singular,
-    qr_pos,
     suffix_flags,
     tangent_dim,
     transversality_margin,
@@ -890,8 +888,7 @@ def _repelling_transversality(flag: Flag, vt_rows: np.ndarray, d: int) -> float:
 
 
 def schottky_build(elements, face: FaceType, margin_floor: float = 0.05,
-                   max_power: int = 256, ball_samples: int = 24,
-                   seed: int = 0) -> tuple[FreeGroupPresentation, PropertyReport]:
+                   max_power: int = 256) -> tuple[FreeGroupPresentation, PropertyReport]:
     """Certify a ping-pong system on the flag manifold by a doubling search.
 
     Inputs are hyperbolic matrices (or (flag_plus, flag_minus, strength)
@@ -901,11 +898,9 @@ def schottky_build(elements, face: FaceType, margin_floor: float = 0.05,
     criterion moves every other ball of the table into the attracting
     ball, certified by a singular-value contraction bound (the ball's
     transversality to the repelling stratum is lower-bounded through the
-    CS decomposition) plus sampling.  Raises TransversalityTooSmall for
-    non-transverse axes and PingPongFailed past the power budget.
+    CS decomposition).  Raises TransversalityTooSmall for non-transverse
+    axes and PingPongFailed past the power budget.
     """
-    from scipy.linalg import expm
-
     if not face.is_iota_invariant:
         raise ValueError("ping-pong on a single flag manifold needs an iota-invariant type")
     mats = []
@@ -945,7 +940,6 @@ def schottky_build(elements, face: FaceType, margin_floor: float = 0.05,
                 raise TransversalityTooSmall(
                     f"axis flags {i} and {j} below transversality floor {margin_floor}")
 
-    rng = np.random.default_rng(seed)
     power = 1
     history = []
     norm_cap = 1e8
@@ -972,9 +966,7 @@ def schottky_build(elements, face: FaceType, margin_floor: float = 0.05,
         rad = pairwise / 2.0
         ok = rad > 0.0
         worst_bound = 0.0
-        worst_sample = 0.0
         for idx, h in enumerate(signed):
-            att = flags[idx]
             rep_idx = idx + 1 if idx % 2 == 0 else idx - 1
             u, s, vt = np.linalg.svd(h)
             kappa = max(s[d] / s[d - 1] for d in face.dims)
@@ -994,36 +986,18 @@ def schottky_build(elements, face: FaceType, margin_floor: float = 0.05,
                 if bound > rad:
                     ok = False
                     break
-                for _ in range(ball_samples):
-                    skew = rng.standard_normal((face.n, face.n))
-                    skew = (skew - skew.T) * (rad / (2.0 * face.n))
-                    pert, _ = qr_pos(center.frame @ expm(skew))
-                    sample = Flag(face, pert)
-                    if flag_distance(sample, center) > rad:
-                        continue
-                    dist = flag_distance(act_on_flag(h, sample), att)
-                    worst_sample = max(worst_sample, dist)
-                    if dist > rad:
-                        ok = False
-                        break
-                if not ok:
-                    break
             if not ok:
                 break
-        history.append({"power": power, "radius": rad, "ok": ok,
-                        "worst_bound": worst_bound, "worst_sample": worst_sample})
+        history.append({"power": power, "radius": rad, "ok": ok, "worst_bound": worst_bound})
         if ok:
             pres = FreeGroupPresentation(tuple(gens))
             report = PropertyReport(
                 name="schottky-ping-pong",
                 verdict=True,
-                constants={"power": power, "radius": rad,
-                           "worst_bound": worst_bound, "worst_sample": worst_sample,
+                constants={"power": power, "radius": rad, "worst_bound": worst_bound,
                            "pairwise_separation": pairwise},
-                thresholds={"margin_floor": margin_floor, "max_power": max_power,
-                            "ball_samples": ball_samples},
+                thresholds={"margin_floor": margin_floor, "max_power": max_power},
                 details={"history": history},
-                seed=seed,
             )
             return pres, report
         power *= 2

@@ -19,6 +19,18 @@ _R = np.array([[np.cos(np.pi / 4), -np.sin(np.pi / 4)],
 SL2_H = _R @ SL2_G @ _R.T
 
 
+def sl4_pair(planes):
+    """diag(e^2.2, e^1.1, e^-1.1, e^-2.2) and its conjugate by plane rotations."""
+    a = np.diag(np.exp([2.2, 1.1, -1.1, -2.2]))
+    q = np.eye(4)
+    for (i, j, th) in planes:
+        r = np.eye(4)
+        r[i, i] = r[j, j] = np.cos(th)
+        r[i, j], r[j, i] = -np.sin(th), np.sin(th)
+        q = q @ r
+    return a, q @ a @ np.linalg.inv(q)
+
+
 @pytest.fixture()
 def rng(request):
     # stable per-test stream, independent of execution order

@@ -11,7 +11,9 @@ margins, for QR factors and least singular values of single matrices and
 for the flags of suffix products, a per-ray loop for limit's antipodality
 pair scan, one draw per letter for the ray sample's random words, a
 recursive depth-first list of reduced words with their left-to-right
-products, and greedy clustering of one sequence's flags for flag limits.
+products, greedy clustering of one sequence's flags for flag limits,
+and flags drawn out to the edge of a ping-pong ball, with the ping-pong
+contraction bound in extended precision.
 The flat-cone membership test and
 the type-set boundary angle are tools of the acceptance checks.
 """
@@ -394,6 +396,67 @@ def suffix_flag_errors_mp(matrices, start: np.ndarray, frames: np.ndarray, dims,
                 worst = max(worst, max(mpmath.svd_r(diff, compute_uv=False)))
             errors.append(float(worst))
     return np.array(errors[::-1])
+
+
+def _span_distances(frames: np.ndarray, other: np.ndarray, dims) -> np.ndarray:
+    # Largest sine of a principal angle between the leading d-spans of two stacks of
+    # (not necessarily orthonormal) frames, maximized over dims: projector differences
+    # from numpy's QR of each span, with no shortcut for lines or hyperplanes.
+    best = 0.0
+    for d in dims:
+        q1, q2 = np.linalg.qr(frames[..., :d])[0], np.linalg.qr(other[..., :d])[0]
+        diff = q1 @ np.swapaxes(q1, -1, -2) - q2 @ np.swapaxes(q2, -1, -2)
+        best = np.maximum(best, np.linalg.norm(diff, 2, axis=(-2, -1)))
+    return best
+
+
+def ball_flags(center: Flag, rad: float, count: int, rng: np.random.Generator):
+    """Frames of ``count`` flags in the ball of radius ``rad`` around ``center``, out to its edge.
+
+    Each draw walks from the centre along exp(tX), X a random unit skew
+    matrix, to a distance drawn uniformly from the k-th of ``count`` equal
+    slices of (0, rad], so that the draws reach the edge: the step t is
+    bisected on the projector distance of ``_span_distances``, keeping the
+    end that is inside the ball.  Returns (frames, distances to the centre).
+    """
+    n = center.face.n
+    x = rng.standard_normal((count, n, n))
+    x -= np.swapaxes(x, -1, -2)
+    x /= np.linalg.norm(x, axis=(-2, -1), keepdims=True)
+    target = rad * (np.arange(1, count + 1) - rng.uniform(size=count)) / count
+    walk = lambda t: center.frame @ expm(t[:, None, None] * x)  # noqa: E731
+    dist = lambda t: _span_distances(walk(t), center.frame, center.dims)  # noqa: E731
+    lo, hi = np.zeros(count), np.full(count, rad)
+    while (short := dist(hi) < target).any():
+        hi[short] *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = dist(mid) <= target
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return walk(lo), dist(lo)
+
+
+def mapped_distances(h: np.ndarray, frames: np.ndarray, att: Flag) -> np.ndarray:
+    """Distances from h applied to each flag of a stack of frames to the flag ``att``."""
+    return _span_distances(h @ frames, att.frame, att.dims)
+
+
+def pingpong_bound_mp(h: np.ndarray, center: Flag, rad: float, digits: int = 50) -> tuple:
+    """(kappa, s_raw, kappa / s_lb) of one ping-pong pair in ``digits``-digit arithmetic.
+
+    kappa is the largest ratio sigma_{d+1} / sigma_d of h over the type's
+    dimensions d, s_raw the least singular value of V_d^T Y_d (V_d the top
+    d right singular vectors of h, Y the centre's frame) over them, and
+    s_lb = s_raw sqrt(1 - rad^2) - rad, with every float input converted exactly.
+    """
+    with mpmath.workdps(digits):
+        _, s, vt = mpmath.svd_r(mpmath.matrix(np.asarray(h).tolist()))
+        y = mpmath.matrix(center.frame.tolist())
+        kappa = max(s[d] / s[d - 1] for d in center.dims)
+        s_raw = min(min(mpmath.svd_r(vt[:d, :] * y[:, :d], compute_uv=False)) for d in center.dims)
+        rad = mpmath.mpf(rad)
+        bound = kappa / (s_raw * mpmath.sqrt(1 - rad * rad) - rad)
+        return float(kappa), float(s_raw), float(bound)
 
 
 def random_word(rng: np.random.Generator, rank: int, length: int) -> list[int]:

@@ -22,6 +22,7 @@ from anosovcheck.cli import (
 from anosovcheck import subgroup
 from anosovcheck.reports import dumps
 from anosovcheck.subgroup import anosov_check, limit_report, morse_check, uru_check
+from conftest import SL2_G, SL2_H
 
 
 ROTATIONS = [[[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]] for th in (0.5, 1.1)]
@@ -332,17 +333,22 @@ class TestDeterminism:
             assert rp.read_bytes() == other.read_bytes(), rp.name
 
 
-# Imports the package and runs a config in a fresh interpreter; prints the
-# scipy modules loaded after each step.
+# Imports the package, runs a config and builds a Schottky pair in a fresh
+# interpreter; prints the scipy modules loaded after each step.
 SCIPY_PROBE = """\
 import json, sys
 sys.path.insert(0, sys.argv[1])
+import numpy as np
 import anosovcheck
+from anosovcheck.chamber import FaceType
 from anosovcheck.cli import run_config
+from anosovcheck.subgroup import schottky_build
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
 after_import = loaded()
 code = run_config(sys.argv[2], out_dir=sys.argv[3])
-print(json.dumps([code, after_import, loaded()]))
+after_run = loaded()
+pres, rep = schottky_build([np.array(m) for m in json.loads(sys.argv[4])], FaceType.make(2, [1]))
+print(json.dumps([code, rep.verdict, after_import, after_run, loaded()]))
 """
 
 
@@ -350,11 +356,12 @@ def test_checkers_load_no_scipy(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(minimal_config(checkers=["uru", "morse", "limit", "anosov"])))
     src = Path(anosovcheck.__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(src), str(p), str(tmp_path / "o")],
+    pair = json.dumps([SL2_G.tolist(), SL2_H.tolist()])
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(src), str(p), str(tmp_path / "o"), pair],
                          check=True, capture_output=True, text=True).stdout
-    code, after_import, after_run = json.loads(out.splitlines()[-1])
-    assert code == 0
-    assert after_import == [] and after_run == []
+    code, certified, after_import, after_run, after_build = json.loads(out.splitlines()[-1])
+    assert code == 0 and certified
+    assert after_import == [] and after_run == [] and after_build == []
 
 
 class TestPlots:

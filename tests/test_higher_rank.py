@@ -30,6 +30,7 @@ from anosovcheck.symmspace import (
     relative_flag,
     segment_deficits,
 )
+from conftest import sl4_pair
 from oracles import (
     exact_left_singular_frame,
     expansion_factor_fd,
@@ -41,18 +42,6 @@ from oracles import (
 FACE_MID = FaceType.make(4, [2])          # blocks (2, 2)
 FACE_SPLIT = FaceType.make(4, [1, 3])     # blocks (1, 2, 1), iota-invariant
 FACE_FULL4 = FaceType.full(4)
-
-
-def _sl4_pair(planes):
-    """diag(e^2.2, e^1.1, e^-1.1, e^-2.2) and its conjugate by plane rotations."""
-    a = np.diag(np.exp([2.2, 1.1, -1.1, -2.2]))
-    q = np.eye(4)
-    for (i, j, th) in planes:
-        r = np.eye(4)
-        r[i, i] = r[j, j] = np.cos(th)
-        r[i, j], r[j, i] = -np.sin(th), np.sin(th)
-        q = q @ r
-    return a, q @ a @ np.linalg.inv(q)
 
 
 def test_face_bookkeeping():
@@ -113,21 +102,11 @@ def test_cone_and_diamond_mid_face(rng):
 
 def test_small_pipeline_in_sl4(rng):
     # certify a pair by ping-pong first, then run the coarse checkers on
-    # the certified presentation
-    from anosovcheck.subgroup import schottky_build
-
-    a = np.diag(np.exp([2.2, 1.1, -1.1, -2.2]))
-    # rotations in the (1,4) and (2,3) planes move every axis flag of a
-    # to a transverse position (the (1,3) and (2,4) planes do not: there
-    # e1 lies in q<e1,e2,e3>, see test_sl4_pair_sharing_axis_lines_rejected)
-    q = np.eye(4)
-    for (i, j, th) in ((0, 3, 0.9), (1, 2, 0.7)):
-        r = np.eye(4)
-        r[i, i] = r[j, j] = np.cos(th)
-        r[i, j], r[j, i] = -np.sin(th), np.sin(th)
-        q = q @ r
-    b = q @ a @ np.linalg.inv(q)
-    pres, pp = schottky_build([a, b], FACE_SPLIT, seed=5, max_power=16)
+    # the certified presentation; rotations in the (1,4) and (2,3) planes
+    # move every axis flag of a to a transverse position (the (1,3) and
+    # (2,4) planes do not: there e1 lies in q<e1,e2,e3>, see
+    # test_sl4_pair_sharing_axis_lines_rejected)
+    pres, pp = schottky_build(list(sl4_pair(((0, 3, 0.9), (1, 2, 0.7)))), FACE_SPLIT, max_power=16)
     assert pp.verdict
     uru = uru_check(pres, FACE_SPLIT, 5, power_depth=16)
     assert uru.verdict
@@ -139,17 +118,16 @@ def test_sl4_pair_sharing_axis_lines_rejected():
     # with rotations in the (1,3) and (2,4) planes, q e4 is orthogonal to
     # e1, so the attracting line of a lies in the attracting 3-plane of b:
     # the axis flags are not antipodal and ping-pong must not be attempted
-    pair = _sl4_pair(((0, 2, 0.9), (1, 3, 0.7)))
+    pair = sl4_pair(((0, 2, 0.9), (1, 3, 0.7)))
     with pytest.raises(TransversalityTooSmall, match="axis flags 0 and 2"):
-        schottky_build(list(pair), FACE_SPLIT, seed=5, max_power=16)
+        schottky_build(list(pair), FACE_SPLIT, max_power=16)
 
 
 def test_morse_endpoint_frame_matches_exact_flag():
     # past depth 2 the smallest singular value of a word falls below eps
     # times the largest, so a direct SVD's trailing columns are noise; the
     # two-sided frame must still match the exact singular flag
-    pres, _ = schottky_build(list(_sl4_pair(((0, 3, 0.9), (1, 2, 0.7)))),
-                             FACE_SPLIT, seed=5, max_power=16)
+    pres, _ = schottky_build(list(sl4_pair(((0, 3, 0.9), (1, 2, 0.7)))), FACE_SPLIT, max_power=16)
     worst = 0.0
     for word in reduced_words(pres.rank, 5):
         if word[0] != 1:

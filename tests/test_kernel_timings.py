@@ -60,8 +60,13 @@ def words(n):
 
 
 def block(n):
-    """(frame, centered logs, points, inverses) of one block, read at prefix length 4."""
+    """(frame, centered logs, points, inverses) of one block, read at prefix length 4.
+
+    The inverses are a transposed view of C-ordered transposes, the layout in
+    which morse and limit hold them, so ``segment_deficits`` copies none of them.
+    """
     m, mi, p, pinv = words(n)
+    pinv = np.swapaxes(np.ascontiguousarray(np.swapaxes(pinv, 1, 2)), 1, 2)
     return _two_sided_frame(m, mi), _two_sided_logs(m, mi, np.zeros(WORD_BLOCK)), p, pinv
 
 

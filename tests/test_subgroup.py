@@ -10,7 +10,7 @@ from anosovcheck.errors import (
     TransversalityTooSmall,
     VanishingGap,
 )
-from anosovcheck.flags import Flag, expansion_factor
+from anosovcheck.flags import Flag, attractive_flag, expansion_factor
 from anosovcheck.reports import dumps
 from anosovcheck.subgroup import (
     GAP_TOL,
@@ -26,8 +26,16 @@ from anosovcheck.subgroup import (
     _two_sided_logs,
 )
 from anosovcheck.symmspace import _two_sided_frame, diamond_query, make_diamond, segment_deficits
-from conftest import SL2_G, SL2_H
-from oracles import exact_centered_logs, random_sl, reduced_words, word_product
+from conftest import SL2_G, SL2_H, sl4_pair
+from oracles import (
+    ball_flags,
+    exact_centered_logs,
+    mapped_distances,
+    pingpong_bound_mp,
+    random_sl,
+    reduced_words,
+    word_product,
+)
 
 FACE2 = FaceType.make(2, [1])
 FACE3 = FaceType.full(3)
@@ -506,9 +514,25 @@ def test_ray_record_keys(sl2_pres):
         {"letters", "scheme", "log_eps", "slope", "intercept", "max_log_eps"})}
 
 
+def axis_triples():
+    th = 1.1
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    fp, fm = Flag(FACE2, np.eye(2)), Flag(FACE2, np.eye(2)[:, ::-1])
+    fp2, fm2 = Flag(FACE2, rot), Flag(FACE2, rot[:, ::-1])
+    return [(fp, fm, 2.0), (fp2, fm2, 2.0)]
+
+
+# (elements, face, options) of the ping-pong fixtures that certify
+SCHOTTKY_FIXTURES = {
+    "sl2-pair": ([SL2_G, SL2_H], FACE2, {}),
+    "axis-triples": (axis_triples(), FACE2, {}),
+    "sl4-pair": (list(sl4_pair(((0, 3, 0.9), (1, 2, 0.7)))), FaceType.make(4, [1, 3]), {"max_power": 16}),
+}
+
+
 class TestSchottky:
     def test_two_hyperbolics(self):
-        pres, rep = schottky_build([SL2_G, SL2_H], FACE2, seed=3)
+        pres, rep = schottky_build([SL2_G, SL2_H], FACE2)
         assert rep.verdict
         assert rep.constants["power"] <= 8
         assert rep.constants["worst_bound"] <= rep.constants["radius"]
@@ -519,19 +543,46 @@ class TestSchottky:
             schottky_build([SL2_G, u @ SL2_G @ np.linalg.inv(u)], FACE2)
 
     def test_downstream_pipeline(self):
-        pres, rep = schottky_build([SL2_G, SL2_H], FACE2, seed=3)
+        pres, rep = schottky_build([SL2_G, SL2_H], FACE2)
         assert uru_check(pres, FACE2, 6).verdict
         assert morse_check(pres, FACE2, 6, rho_cap=1.0, theta_floor=0.1).verdict
         assert anosov_check(pres, FACE2, 12, 10, seed=5).verdict
 
     def test_axis_triples(self):
-        th = 1.1
-        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        fp, fm = Flag(FACE2, np.eye(2)), Flag(FACE2, np.eye(2)[:, ::-1])
-        fp2, fm2 = Flag(FACE2, rot), Flag(FACE2, rot[:, ::-1])
-        pres, rep = schottky_build([(fp, fm, 2.0), (fp2, fm2, 2.0)], FACE2, seed=3)
+        pres, rep = schottky_build(axis_triples(), FACE2)
         assert rep.verdict
         assert abs(np.linalg.det(pres.generators[0]) - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("fixture", sorted(SCHOTTKY_FIXTURES))
+    def test_bound_holds_on_ball_samples(self, fixture):
+        # the certified bound caps the tangent of the angle to the attracting
+        # flag, so no flag of a ball, out to its edge, may map farther than it;
+        # and each pair's kappa, s_raw and bound are those of 50-digit arithmetic,
+        # kappa to the eps * sigma_1 / sigma_n that LAPACK resolves a small
+        # singular value to (9.1e-10 relative on the SL(4) pair, 4.3e-15 at n = 2)
+        elements, face, options = SCHOTTKY_FIXTURES[fixture]
+        pres, rep = schottky_build(elements, face, **options)
+        rad, worst = rep.constants["radius"], rep.constants["worst_bound"]
+        signed = [m for g in pres.generators for m in (g, np.linalg.inv(g))]
+        flags = [attractive_flag(h, face)[0] for h in signed]
+        rng = np.random.default_rng(0)
+        balls = [ball_flags(f, rad, 200, rng) for f in flags]
+        assert all(0.99 * rad < dist.max() <= rad for _, dist in balls)
+        bounds = []
+        for idx, h in enumerate(signed):
+            _, s, vt = np.linalg.svd(h)
+            rel = max(1e-12, np.finfo(float).eps * s[0] / s[-1])
+            for sidx, (frames, _) in enumerate(balls):
+                if sidx == idx ^ 1:  # the repelling ball of h
+                    continue
+                assert mapped_distances(h, frames, flags[idx]).max() <= worst
+                kappa, s_raw, bound = pingpong_bound_mp(h, flags[sidx], rad)
+                assert max(s[d] / s[d - 1] for d in face.dims) == pytest.approx(kappa, rel=rel)
+                assert min(subgroup._repelling_transversality(flags[sidx], vt, d)
+                           for d in face.dims) == pytest.approx(s_raw, rel=1e-12)
+                bounds.append((bound, rel))
+        top, rel = max(bounds)
+        assert worst == pytest.approx(top, rel=rel)
 
 
 class TestEquivalenceCrossChecks:
