@@ -5,7 +5,9 @@
 
 Runs the bundled configs (as ``scripts/run_all.py`` does) and the
 benchmark's workload configs, from ``perfbench/run.py``'s ``make_config``
-at each seed, in both trees.  Each tree runs in its own process, which
+at each seed, in both trees; each tree runs its own configs, as the
+benchmark does, so a config format that changes between them compares
+the reports of the same experiments.  Each tree runs in its own process, which
 imports ``anosovcheck`` from that tree's ``src`` with BLAS pinned to one
 thread.  Prints every report file that differs or exists on one side
 only, and exits 1 if there is any.
@@ -41,9 +43,9 @@ for cfg, out in json.loads(sys.argv[2]):
 """
 
 
-def workload_configs(seeds: list[int]) -> dict[str, dict]:
-    """Config of each benchmark workload at each seed, by ``perfbench/run.py``'s ``make_config``."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+def workload_configs(tree: Path, seeds: list[int]) -> dict[str, dict]:
+    """Config of each workload at each seed, by the tree's ``perfbench/run.py`` ``make_config``."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", tree / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     return {f"{w}-seed{s}": bench.make_config(w, s) for w in bench.WORKLOADS for s in seeds}
@@ -64,15 +66,15 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        configs = []
-        for name, cfg in workload_configs(seeds).items():
-            path = out / f"{name}.json"
-            path.write_text(json.dumps(cfg))
-            configs.append((name, str(path)))
         sides = {"this": ROOT, "other": args.other.resolve()}
         for side, tree in sides.items():
-            bundled = [(b, str(tree / "src" / "anosovcheck" / "configs" / f"{b}.json")) for b in BUNDLED]
-            run_tree(tree, [(cfg, str(out / side / name)) for name, cfg in bundled + configs])
+            configs = [(b, str(tree / "src" / "anosovcheck" / "configs" / f"{b}.json")) for b in BUNDLED]
+            for name, cfg in workload_configs(tree, seeds).items():
+                path = out / f"{side}-configs" / f"{name}.json"
+                path.parent.mkdir(exist_ok=True)
+                path.write_text(json.dumps(cfg))
+                configs.append((name, str(path)))
+            run_tree(tree, [(cfg, str(out / side / name)) for name, cfg in configs])
         files = sorted({p.relative_to(out / side) for side in sides
                         for p in (out / side).rglob("*") if p.is_file()})
         differ = []

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import inspect
 import json
 import math
 import sys
@@ -37,28 +36,13 @@ from .subgroup import (
     _uru_scan,
     anosov_check,
     limit_report,
-    morse_check,
-    uru_check,
     word_checks,
     word_count,
 )
 
-# Each checker's keyword options, in pipeline order; their defaults live in
-# the checker's signature.  morse_depth is morse's word length.
-CHECKER_OPTIONS = {
-    "uru": ("c_floor", "ratio_floor", "power_depth"),
-    "morse": ("rho_cap", "theta_floor"),
-    "limit": ("antipodal_floor", "conical_rho"),
-    "anosov": ("uniform_dev", "expansion_floor"),
-}
-CHECKS = {"uru": uru_check, "morse": morse_check, "limit": limit_report, "anosov": anosov_check}
-OPTION_DEFAULTS = {c: {k: inspect.signature(fn).parameters[k].default for k in CHECKER_OPTIONS[c]}
-                   for c, fn in CHECKS.items()}
-CHECKER_ORDER = tuple(CHECKER_OPTIONS)
+CHECKER_ORDER = ("uru", "morse", "limit", "anosov")
 RANDOMIZED_CHECKERS = {"limit", "anosov"}
 PLOT_KINDS = ("limit-set-rp2", "expansion-growth", "margin-histogram", "delta-projection")
-INT_OPTIONS = {"power_depth", "morse_depth"}
-OPTION_KEYS = INT_OPTIONS.union(*CHECKER_OPTIONS.values())
 
 
 class ConfigError(ValueError):
@@ -73,6 +57,9 @@ def _has_kind(value, kind) -> bool:
 
 
 NUMBER = (int, float)  # a JSON number; bool is not one
+# morse_depth is morse's word length; rho_cap is morse's keyword, its default the checker's.
+# The verdict thresholds every config set alike are constants of subgroup.
+OPTION_KINDS = {"morse_depth": int, "rho_cap": NUMBER}
 FIELD_KINDS = {"name": str, "n": int, "generators": [[[NUMBER]]], "face": [int], "depth": int,
                "ray_count": int, "ray_depth": int, "seed": (int, type(None)), "checkers": [str],
                "out_dir": str, "options": dict}
@@ -101,7 +88,7 @@ class ExperimentConfig:
         # a misspelt key would otherwise run silently on its default
         opts = raw["options"] if isinstance(raw.get("options"), dict) else {}
         unknown = sorted(set(raw) - {f.name for f in fields(cls)}) + sorted(
-            f"options.{k}" for k in set(opts) - OPTION_KEYS)
+            f"options.{k}" for k in set(opts) - set(OPTION_KINDS))
         if unknown:
             raise ConfigError(f"{path}: unknown keys {unknown}")
         try:
@@ -109,7 +96,7 @@ class ExperimentConfig:
         except TypeError as exc:  # a required field is missing
             raise ConfigError(f"{path}: {exc}") from exc
         cfg.validate(path)
-        cfg.options = {k: v if k in INT_OPTIONS else float(v) for k, v in cfg.options.items()}
+        cfg.options = {k: v if OPTION_KINDS[k] is int else float(v) for k, v in cfg.options.items()}
         return cfg
 
     @property
@@ -117,11 +104,11 @@ class ExperimentConfig:
         return self.options.get("morse_depth", min(self.depth, 8))
 
     def validate(self, path: str = "<config>"):
-        # integer fields, morse_depth and power_depth take JSON integers, other knobs numbers;
-        # knobs are finite and positive, as a floor or cap at or below 0 decides on no data
+        # integer fields and morse_depth take JSON integers, rho_cap a number; both are finite
+        # and positive, as a cap at or below 0 decides on no data
         typed = {k: _has_kind(getattr(self, k), kind) for k, kind in FIELD_KINDS.items()}
         opts = self.options if typed["options"] else {}
-        typed.update((f"options.{k}", _has_kind(v, int if k in INT_OPTIONS else NUMBER)
+        typed.update((f"options.{k}", _has_kind(v, OPTION_KINDS[k])
                       and 0 < v < math.inf) for k, v in opts.items())
         mistyped = sorted(k for k, ok in typed.items() if not ok)
         if mistyped:
@@ -153,6 +140,7 @@ class ExperimentConfig:
         # ranges a checker would fail on with a traceback, or certify on no data
         checks = (
             (not self.generators, "'generators' must hold at least one matrix"),
+            (self.seed is not None and self.seed < 0, "'seed' must be >= 0"),
             ("morse" in self.checkers and self.morse_depth < 2,
              "'options.morse_depth' must be >= 2 for morse"),
             ("limit" in self.checkers and self.ray_count < 2, "'ray_count' must be >= 2 for limit"),
@@ -232,20 +220,20 @@ def run_config(path, seed: int | None = None, out_dir: str | None = None) -> int
     face = cfg.face_type()
     reports: dict[str, dict] = {}
     ordered = [c for c in CHECKER_ORDER if c in cfg.checkers]
-    # the options the config sets; the rest take the checker's defaults
-    opts = {c: {k: cfg.options.get(k, v) for k, v in OPTION_DEFAULTS[c].items()} for c in ordered}
+    # rho_cap where the config sets it, else morse's default
+    rho_cap = {k: v for k, v in cfg.options.items() if k == "rho_cap"}
     _clear_reports(out)
     try:
         # uru and morse read one walk of the word tree, as uru_check and morse_check do alone
-        scans = {c: scan(pres, face, length, **opts[c]) for c, scan, length in (
-            ("uru", _uru_scan, cfg.depth), ("morse", _morse_scan, cfg.morse_depth)) if c in opts}
+        scans = {c: scan for c, scan in (("uru", _uru_scan(pres, face, cfg.depth)), (
+            "morse", _morse_scan(pres, face, cfg.morse_depth, **rho_cap))) if c in ordered}
         reps = dict(zip(scans, word_checks(pres, face, list(scans.values())) if scans else ()))
         for checker in ordered:
-            rep, o = reps.get(checker), opts[checker]
+            rep = reps.get(checker)
             if checker == "limit":
-                rep = limit_report(pres, face, cfg.ray_depth, cfg.ray_count, cfg.seed, **o)
+                rep = limit_report(pres, face, cfg.ray_depth, cfg.ray_count, cfg.seed)
             elif checker == "anosov":
-                rep = anosov_check(pres, face, cfg.ray_count, cfg.ray_depth, cfg.seed, **o)
+                rep = anosov_check(pres, face, cfg.ray_count, cfg.ray_depth, cfg.seed)
             payload = rep.as_dict()
             payload["config"] = {"name": cfg.name, "n": cfg.n, "face": cfg.face,
                                  "seed": cfg.seed, "depth": cfg.depth,
@@ -339,6 +327,8 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
         raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
     rp = Path(report_path)
     report = json.loads(rp.read_text())
+    if not isinstance(report, dict) or not isinstance(report.get("details", {}), dict):
+        raise ValueError(f"{report_path}: a report and its 'details' are JSON objects")
     out = Path(out_dir) if out_dir is not None else rp.parent
     stem = f"{rp.stem}-{kind}"
     csv_path = out / f"{stem}.csv"

@@ -60,6 +60,16 @@ CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansio
 TIE_RTOL = 1e-12      # uru, morse: relative distance within which witnesses tie
 WORD_BLOCK = 2916     # uru, morse: words per block of the depth-first word walk
 MAX_WORDS = 2_000_000  # word walk: most words of lengths 1..length it may visit
+# Verdict thresholds, fixed by the method rather than set per experiment; each report's
+# ``thresholds`` records the ones its verdict reads.
+C_FLOOR = 0.05         # uru: least certified slope of orbit distance over word length
+RATIO_FLOOR = 0.05     # uru: least wall-margin/norm ratio on the tail
+POWER_DEPTH = 256      # uru: deepest generator power of the orbit-growth probe
+THETA_FLOOR = 0.1      # morse: least normalized wall gap
+ANTIPODAL_FLOOR = 0.01  # limit: least transversality margin of limit flags in disjoint cylinders
+CONICAL_RHO = 2.0      # limit: largest window deficit along a conical ray
+UNIFORM_DEV = 0.2      # anosov: largest relative deviation of a ray's slope from the mean
+EXPANSION_FLOOR = 0.05  # anosov: least excess over 1 of the best short word's expansion
 
 
 @dataclass(frozen=True)
@@ -216,7 +226,7 @@ def _least_gaps(logs: np.ndarray, face: FaceType) -> np.ndarray:
     return functools.reduce(np.minimum, (logs[..., d - 1] - logs[..., d] for d in face.dims))
 
 
-def power_probe(pres: FreeGroupPresentation, max_power: int = 256, norm_cap: float = 1e6):
+def power_probe(pres: FreeGroupPresentation, max_power: int = POWER_DEPTH, norm_cap: float = 1e6):
     """Orbit growth along generator powers, stopped once s_1 passes norm_cap.
 
     Yields (generator index, power, chamber vector).  Distorted cyclic
@@ -266,9 +276,7 @@ def word_checks(pres: FreeGroupPresentation, face: FaceType, scans: list) -> lis
     return [scan.send(None) for scan in scans]
 
 
-def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
-              c_floor: float = 0.05, ratio_floor: float = 0.02,
-              power_depth: int = 256) -> PropertyReport:
+def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int) -> PropertyReport:
     """Undistortion and uniform regularity over all geodesic words.
 
     Fits the best linear lower bound on orbit distance versus word
@@ -277,11 +285,10 @@ def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     regularity takes the worst wall-margin/norm ratio on the tail.  The
     words come from ``word_checks``' walk, which also serves morse.
     """
-    return word_checks(pres, face, [_uru_scan(pres, face, length, c_floor, ratio_floor,
-                                              power_depth)])[0]
+    return word_checks(pres, face, [_uru_scan(pres, face, length)])[0]
 
 
-def _uru_scan(pres, face, length, c_floor, ratio_floor, power_depth):
+def _uru_scan(pres, face, length):
     """uru's scan for ``word_checks``."""
     if length < 4:
         raise ValueError("need length >= 4")
@@ -302,7 +309,7 @@ def _uru_scan(pres, face, length, c_floor, ratio_floor, power_depth):
     ratio_min, _, ratio_witness = _first_tied(flattest)
 
     probe_pts = []
-    for i, k, delta in power_probe(pres, max_power=power_depth):
+    for i, k, delta in power_probe(pres):
         dist = float(row_norms(delta))
         ratio = float(_least_gaps(delta, face)) / math.sqrt(2.0) / max(dist, 1e-300)
         probe_pts.append((i, k, dist, ratio))
@@ -317,8 +324,8 @@ def _uru_scan(pres, face, length, c_floor, ratio_floor, power_depth):
     probe_ratio_min = min((r for _, k, _, r in probe_pts if k >= tail_start), default=np.inf)
     ratio_all = float(min(ratio_min, probe_ratio_min))
 
-    undistorted = bool(c_certificate >= c_floor)
-    uniformly_regular = bool(ratio_all >= ratio_floor)
+    undistorted = bool(c_certificate >= C_FLOOR)
+    uniformly_regular = bool(ratio_all >= RATIO_FLOOR)
     yield PropertyReport(
         name="uru",
         verdict=undistorted and uniformly_regular,
@@ -330,11 +337,11 @@ def _uru_scan(pres, face, length, c_floor, ratio_floor, power_depth):
             "per_length_min": mins,
         },
         thresholds={
-            "c_floor": c_floor,
-            "ratio_floor": ratio_floor,
+            "c_floor": C_FLOOR,
+            "ratio_floor": RATIO_FLOOR,
             "length": length,
             "tail_start": tail_start,
-            "power_depth": power_depth,
+            "power_depth": POWER_DEPTH,
         },
         witnesses={
             "ratio_word": ratio_witness,
@@ -391,7 +398,7 @@ def _level_index(letters: np.ndarray, rank: int) -> np.ndarray:
 
 
 def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
-                rho_cap: float = 1.0, theta_floor: float = 0.05) -> PropertyReport:
+                rho_cap: float = 1.0) -> PropertyReport:
     """Closeness of orbit segments to diamonds, quantified by a deficit.
 
     Every reduced word is the canonical representative of all its
@@ -424,10 +431,10 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     deficit against diamond membership by ``make_diamond`` and
     ``diamond_query`` on a sample of the bundled configs' words.
     """
-    return word_checks(pres, face, [_morse_scan(pres, face, length, rho_cap, theta_floor)])[0]
+    return word_checks(pres, face, [_morse_scan(pres, face, length, rho_cap)])[0]
 
 
-def _morse_scan(pres, face, length, rho_cap, theta_floor):
+def _morse_scan(pres, face, length, rho_cap=1.0):
     """morse's scan for ``word_checks``."""
     if length < 2:
         raise ValueError("need length >= 2")
@@ -488,7 +495,7 @@ def _morse_scan(pres, face, length, rho_cap, theta_floor):
 
     rho_cumulative = np.maximum.accumulate(rho_per_len)
     rho_star = float(rho_cumulative[length])
-    verdict = bool(not vanishing and rho_star <= rho_cap and theta_gap >= theta_floor)
+    verdict = bool(not vanishing and rho_star <= rho_cap and theta_gap >= THETA_FLOOR)
     yield PropertyReport(
         name="morse",
         verdict=verdict,
@@ -499,7 +506,7 @@ def _morse_scan(pres, face, length, rho_cap, theta_floor):
         },
         thresholds={
             "rho_cap": rho_cap,
-            "theta_floor": theta_floor,
+            "theta_floor": THETA_FLOOR,
             "length": length,
             "gap_tol": GAP_TOL,
         },
@@ -690,8 +697,7 @@ def _pair_scan(limits: Flag, letters: np.ndarray):
 
 
 def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
-                 ray_count: int, seed: int, antipodal_floor: float = 0.01,
-                 conical_rho: float = 2.0) -> PropertyReport:
+                 ray_count: int, seed: int) -> PropertyReport:
     """Sampled boundary map: antipodality and conicality.
 
     Each ray's limit flag is its deepest prefix's flag.  Antipodality is
@@ -719,7 +725,7 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     # conical check reads; their logs are the prefixes', negated and reversed: regular rows stay so
     limits = Flag(face, _two_sided_frame(sample.prefixes[:, -1], sample.inverses[:, -1]))
     back = Flag(iota_face(face), _two_sided_frame(sample.inverses, sample.prefixes))
-    conical, sups = _conical_rays(pres, sample, back, conical_rho)
+    conical, sups = _conical_rays(pres, sample, back, CONICAL_RHO)
     samples = [{
         "letters": sample.letters[i].tolist(),
         "scheme": str(sample.schemes[i]),
@@ -735,7 +741,7 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     min_margin, all_pairs_min, closest_pair, sep_count = _pair_scan(limits, sample.letters)
 
     all_conical = all(s["conical"] for s in samples)
-    antipodal = bool(not math.isinf(min_margin) and min_margin >= antipodal_floor)
+    antipodal = bool(not math.isinf(min_margin) and min_margin >= ANTIPODAL_FLOOR)
     verdict = bool(not failures and antipodal and all_conical)
     return PropertyReport(
         name="limit-set",
@@ -747,8 +753,8 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
             "limit_set_cardinality_lower_bound": sep_count,
         },
         thresholds={
-            "antipodal_floor": antipodal_floor,
-            "conical_rho": conical_rho,
+            "antipodal_floor": ANTIPODAL_FLOOR,
+            "conical_rho": CONICAL_RHO,
             "separation": SEPARATION,
             "depth": depth,
             "ray_count": ray_count,
@@ -765,8 +771,7 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
 
 
 def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
-                 depth: int, seed: int, uniform_dev: float = 0.2,
-                 expansion_floor: float = 0.05) -> PropertyReport:
+                 depth: int, seed: int) -> PropertyReport:
     """Expansion growth along boundary rays.
 
     For each sampled ray the inverse prefixes must expand at the ray's
@@ -821,7 +826,7 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
     max_dev = (float(np.max(np.abs(slopes - mean_slope)) / abs(mean_slope))
                if mean_slope > 0 else math.inf)
     uniform = bool(len(ray_data) > 0 and irregular == 0 and slopes.min() > 0.0
-                   and max_dev <= uniform_dev)
+                   and max_dev <= UNIFORM_DEV)
     c_const = float(slopes.min()) if len(slopes) else 0.0
     log_a = float((log_eps - c_const * ns).min())
     nonuniform = bool(len(ray_data) > 0 and irregular == 0 and
@@ -835,7 +840,7 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
                            sample.tails[:, 0, None])
     best = eps.argmax(axis=1)  # the first maximum, in depth-first word order
     best_eps = eps[np.arange(len(eps)), best]
-    cea_ok = not (best_eps < 1.0 + expansion_floor).any()
+    cea_ok = not (best_eps < 1.0 + EXPANSION_FLOOR).any()
     cea_records = [{"letters": r["letters"], "best_eps": e, "best_word": words[dfs[k]]}
                    for r, e, k in zip(ray_data, best_eps.tolist(), best.tolist())]
     return PropertyReport(
@@ -849,9 +854,9 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
             "irregular_rays": irregular,
         },
         thresholds={
-            "uniform_dev": uniform_dev,
+            "uniform_dev": UNIFORM_DEV,
             "divergence_logeps": DIVERGENCE_LOGEPS,
-            "expansion_floor": expansion_floor,
+            "expansion_floor": EXPANSION_FLOOR,
             "cea_depth": CEA_DEPTH,
             "rays": rays,
             "depth": depth,
@@ -969,7 +974,10 @@ def schottky_build(elements, face: FaceType, margin_floor: float = 0.05,
         for idx, h in enumerate(signed):
             rep_idx = idx + 1 if idx % 2 == 0 else idx - 1
             u, s, vt = np.linalg.svd(h)
-            kappa = max(s[d] / s[d - 1] for d in face.dims)
+            # widened by LAPACK's error bound on each singular value, EPSMCH * s_1 with
+            # EPSMCH the unit roundoff eps / 2 (LAPACK Users' Guide, section 4.9.1)
+            err = 0.5 * np.finfo(float).eps * s[0]
+            kappa = max((s[d] + err) / (s[d - 1] - err) for d in face.dims)
             for sidx in range(npairs):
                 if sidx == rep_idx:
                     continue

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import subprocess
 import sys
@@ -9,8 +10,8 @@ import pytest
 
 import anosovcheck
 from anosovcheck.cli import (
-    CHECKER_OPTIONS,
     CHECKER_ORDER,
+    OPTION_KINDS,
     ConfigError,
     ExperimentConfig,
     bundled_config_path,
@@ -96,39 +97,69 @@ class TestConfigValidation:
         ({"checkers": ["uru"], "generators": []}, "'generators'"),
         # a NaN determinant passes a tolerance test on |det - 1|
         ({"generators": [[[float("nan"), 0.0], [0.0, 1.0]], np.eye(2).tolist()]}, "generator 0"),
-        # integer fields, morse_depth and power_depth take JSON integers, other knobs numbers
+        # integer fields and morse_depth take JSON integers, rho_cap a number
         ({"depth": 5.9}, "'depth'"),
         ({"depth": "5"}, "'depth'"),
         ({"seed": "7"}, "'seed'"),
+        ({"seed": -1}, "'seed'"),
         ({"name": ["a"]}, "'name'"),
         ({"face": [True]}, "'face'"),
         ({"options": [["rho_cap", 1.0]]}, "'options'"),
         ({"options": None}, "'options'"),
         ({"options": {"rho_cap": "big"}}, "'options.rho_cap'"),
         ({"options": {"rho_cap": None}}, "'options.rho_cap'"),
-        ({"options": {"c_floor": True}}, "'options.c_floor'"),
+        ({"options": {"rho_cap": True}}, "'options.rho_cap'"),
         ({"checkers": ["morse"], "options": {"morse_depth": "4"}}, "'options.morse_depth'"),
-        ({"options": {"power_depth": 256.0}}, "'options.power_depth'"),
+        ({"options": {"morse_depth": 8.0}}, "'options.morse_depth'"),
         ({"generators": 5}, "'generators'"),
         ({"generators": [[["1", 0.0], [0.0, 1.0]]]}, "'generators'"),
-        # knobs are finite and positive; the determinant tolerance is the library's
-        ({"options": {"c_floor": float("nan")}}, "'options.c_floor'"),
+        # options are finite and positive; the determinant tolerance is the library's
+        ({"options": {"rho_cap": float("nan")}}, "'options.rho_cap'"),
         ({"checkers": ["morse"], "options": {"rho_cap": float("inf")}}, "'options.rho_cap'"),
-        ({"options": {"power_depth": 0}}, "'options.power_depth'"),
-        ({"checkers": ["limit"], "options": {"conical_rho": -1.0}}, "'options.conical_rho'"),
+        ({"options": {"morse_depth": 0}}, "'options.morse_depth'"),
+        ({"checkers": ["morse"], "options": {"rho_cap": -1.0}}, "'options.rho_cap'"),
         ({"generators": [[[1.0 + 1e-7, 0.0], [0.0, 1.0]], np.eye(2).tolist()]}, "generator 0"),
     ], ids=["morse_depth", "ray_count", "ray_depth", "face", "limit_distinct_rays",
             "anosov_distinct_rays", "anosov_ray_depth", "generators", "nan_generator",
-            "float_depth", "string_depth", "string_seed", "list_name", "bool_face",
+            "float_depth", "string_depth", "string_seed", "negative_seed", "list_name", "bool_face",
             "list_options", "null_options", "string_knob", "null_knob", "bool_knob",
-            "string_morse_depth", "float_power_depth", "number_generators",
-            "string_generator_entry", "nan_knob", "infinite_knob", "zero_power_depth",
+            "string_morse_depth", "float_morse_depth", "number_generators",
+            "string_generator_entry", "nan_knob", "infinite_knob", "zero_morse_depth",
             "negative_knob", "loose_determinant"])
     def test_out_of_range_rejected(self, tmp_path, capsys, overrides, key):
         p = tmp_path / "range.json"
         p.write_text(json.dumps(minimal_config(**overrides)))
         assert run_config(p) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["c_floor", "ratio_floor", "power_depth", "theta_floor",
+                                     "antipodal_floor", "conical_rho", "uniform_dev",
+                                     "expansion_floor"])
+    def test_removed_option_rejected(self, tmp_path, capsys, key):
+        # the verdict thresholds are subgroup's constants: a config that sets one exits 2
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps(minimal_config(options={key: 0.05})))
+        out = tmp_path / "out"
+        assert run_config(p, out_dir=str(out)) == 2
+        assert f"'options.{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(checkers=["limit"])))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out-dir", str(out), "--seed", "-1"]) == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_option_table_lists_the_accepted_options(self):
+        # the README's option table, the one whose header starts "| option", names exactly
+        # the options a config may set
+        lines = iter((Path(__file__).parents[1] / "README.md").read_text().splitlines())
+        next(line for line in lines if line.startswith("| option "))
+        next(lines)  # the header's rule
+        rows = itertools.takewhile(lambda line: line.startswith("|"), lines)
+        assert {row.split("`")[1] for row in rows} == set(OPTION_KINDS)
 
     def test_every_distinct_ray_sampled(self, tmp_path):
         # 12 rays of length 2 are all the reduced words of that length
@@ -174,18 +205,28 @@ class TestRun:
         assert "thresholds" in uru and uru["thresholds"]["c_floor"] == 0.05
 
     def test_defaults_are_the_checkers_own(self, tmp_path):
+        # a config that sets no option runs morse on its keyword default rho_cap, the one
+        # keyword a checker has, and every verdict on subgroup's threshold constants
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(minimal_config(checkers=list(CHECKER_ORDER))))
         out = tmp_path / "out"
         assert run_config(p, out_dir=str(out)) == 0
+        expected = {
+            "uru": {"c_floor": subgroup.C_FLOOR, "ratio_floor": subgroup.RATIO_FLOOR,
+                    "power_depth": subgroup.POWER_DEPTH},
+            "morse": {"rho_cap": 1.0, "theta_floor": subgroup.THETA_FLOOR},
+            "limit": {"antipodal_floor": subgroup.ANTIPODAL_FLOOR,
+                      "conical_rho": subgroup.CONICAL_RHO},
+            "anosov": {"uniform_dev": subgroup.UNIFORM_DEV,
+                       "expansion_floor": subgroup.EXPANSION_FLOOR},
+        }
         checkers = zip(CHECKER_ORDER, (uru_check, morse_check, limit_report, anosov_check))
         for name, checker in checkers:
             defaults = {k: par.default for k, par in inspect.signature(checker).parameters.items()
                         if par.default is not inspect.Parameter.empty}
-            # a checker's keyword parameters are exactly its config options
-            assert set(defaults) == set(CHECKER_OPTIONS[name])
+            assert defaults == ({"rho_cap": 1.0} if name == "morse" else {}), name
             thresholds = json.loads((out / f"{name}.json").read_text())["thresholds"]
-            assert {k: thresholds[k] for k in defaults} == defaults, name
+            assert {k: thresholds[k] for k in expected[name]} == expected[name], name
 
     def test_integer_knob_value_reported_as_float(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -297,10 +338,8 @@ class TestOneWordWalk:
         assert run_config(p, out_dir=str(tmp_path / "out")) == 0
         cfg = load_config(p)
         pres, face = cfg.presentation(), cfg.face_type()
-        opts = {c: {k: cfg.options[k] for k in CHECKER_OPTIONS[c] if k in cfg.options}
-                for c in ("uru", "morse")}
-        alone = {"uru": uru_check(pres, face, cfg.depth, **opts["uru"]),
-                 "morse": morse_check(pres, face, cfg.morse_depth, **opts["morse"])}
+        alone = {"uru": uru_check(pres, face, cfg.depth),
+                 "morse": morse_check(pres, face, cfg.morse_depth, rho_cap=cfg.options["rho_cap"])}
         for checker, rep in alone.items():
             written = (tmp_path / "out" / f"{checker}.json").read_text()
             payload = {**rep.as_dict(), "config": json.loads(written)["config"]}
@@ -370,6 +409,13 @@ class TestPlots:
         p.write_text("{}")
         with pytest.raises(ValueError):
             emit_plot(p, "no-such-kind")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"details": [1, 2]}'], ids=["list", "list_details"])
+    def test_non_object_report_rejected(self, tmp_path, capsys, text):
+        p = tmp_path / "r.json"
+        p.write_text(text)
+        assert main(["plot", str(p), "--kind", "limit-set-rp2"]) == 2
+        assert "plot error:" in capsys.readouterr().err
 
     def test_empty_report_gives_empty_csv(self, tmp_path):
         p = tmp_path / "r.json"

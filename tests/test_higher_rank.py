@@ -108,9 +108,9 @@ def test_small_pipeline_in_sl4(rng):
     # test_sl4_pair_sharing_axis_lines_rejected)
     pres, pp = schottky_build(list(sl4_pair(((0, 3, 0.9), (1, 2, 0.7)))), FACE_SPLIT, max_power=16)
     assert pp.verdict
-    uru = uru_check(pres, FACE_SPLIT, 5, power_depth=16)
+    uru = uru_check(pres, FACE_SPLIT, 5)
     assert uru.verdict
-    morse = morse_check(pres, FACE_SPLIT, 5, rho_cap=6.0, theta_floor=0.01)
+    morse = morse_check(pres, FACE_SPLIT, 5, rho_cap=6.0)
     assert morse.verdict
 
 

@@ -23,6 +23,11 @@ timed on its shapes: the orthonormality check of a ``Flag`` of 200 x 21
 frames, ``suffix_flags`` over 200 rays of 20 letters, and the writing of a
 200-ray limit report of sl3-symsq-schottky.  Each test also checks that
 the timed call returns what an untimed call does.
+
+Each kernel is timed over ROUNDS rounds, and a BENCH file cites each row's
+``min`` column, the least round: background load on a shared host only
+lengthens a round, and with 5 rounds the medians of unchanged kernels moved
+by up to 1.9x between runs on a 2-core host.
 """
 
 import itertools
@@ -41,7 +46,7 @@ from anosovcheck.symmspace import _two_sided_frame, factored_coords_pair, segmen
 from oracles import random_sl
 
 FACES = {2: FaceType.full(2), 3: FaceType.full(3), 4: FaceType.make(4, [1, 3])}
-ROUNDS = 5
+ROUNDS = 15
 RAY_ROWS = (200, 2400)
 
 

@@ -20,6 +20,7 @@ from anosovcheck.subgroup import (
     morse_check,
     sample_rays,
     schottky_build,
+    symmetric_square,
     uru_check,
     word_count,
     word_levels,
@@ -197,7 +198,7 @@ class TestMorse:
         assert rep.constants["rho"] <= 1e-9
 
     def test_sl3_stability(self, sl3_pres):
-        rep = morse_check(sl3_pres, FACE3, 8, rho_cap=2.0, theta_floor=0.1)
+        rep = morse_check(sl3_pres, FACE3, 8, rho_cap=2.0)
         assert rep.verdict
         curve = np.asarray(rep.constants["rho_by_length"])
         assert abs(curve[7] - curve[5]) <= 0.25
@@ -223,8 +224,8 @@ class TestMorse:
         shift = riemannian_distance(np.eye(2), act_point(q, np.eye(2)))
         conj = FreeGroupPresentation(tuple(q @ g @ np.linalg.inv(q)
                                            for g in sl2_pres.generators))
-        base = morse_check(sl2_pres, FACE2, 6, rho_cap=1.6, theta_floor=0.1)
-        moved = morse_check(conj, FACE2, 6, rho_cap=1.6, theta_floor=0.1)
+        base = morse_check(sl2_pres, FACE2, 6, rho_cap=1.6)
+        moved = morse_check(conj, FACE2, 6, rho_cap=1.6)
         assert base.verdict == moved.verdict
         assert abs(moved.constants["rho"] - base.constants["rho"]) <= 2 * shift + 0.1
         base_uru = uru_check(sl2_pres, FACE2, 6)
@@ -268,7 +269,7 @@ class TestMorse:
     def test_flat_model_morse(self, sl2_pres):
         # the chamber path of a passing orbit ray passes the flat version
         # of the diamond test with comparable constants
-        rep = morse_check(sl2_pres, FACE2, 8, rho_cap=1.0, theta_floor=0.1)
+        rep = morse_check(sl2_pres, FACE2, 8, rho_cap=1.0)
         rho = rep.constants["rho"]
         mats = sample_rays(sl2_pres, 1, 10, seed=3, face=FACE2).prefixes[0]
         deltas = []
@@ -545,7 +546,7 @@ class TestSchottky:
     def test_downstream_pipeline(self):
         pres, rep = schottky_build([SL2_G, SL2_H], FACE2)
         assert uru_check(pres, FACE2, 6).verdict
-        assert morse_check(pres, FACE2, 6, rho_cap=1.0, theta_floor=0.1).verdict
+        assert morse_check(pres, FACE2, 6, rho_cap=1.0).verdict
         assert anosov_check(pres, FACE2, 12, 10, seed=5).verdict
 
     def test_axis_triples(self):
@@ -559,7 +560,8 @@ class TestSchottky:
         # flag, so no flag of a ball, out to its edge, may map farther than it;
         # and each pair's kappa, s_raw and bound are those of 50-digit arithmetic,
         # kappa to the eps * sigma_1 / sigma_n that LAPACK resolves a small
-        # singular value to (9.1e-10 relative on the SL(4) pair, 4.3e-15 at n = 2)
+        # singular value to (9.1e-10 relative on the SL(4) pair, 4.3e-15 at n = 2);
+        # worst_bound, its kappa widened by that error, is never below the exact bound
         elements, face, options = SCHOTTKY_FIXTURES[fixture]
         pres, rep = schottky_build(elements, face, **options)
         rad, worst = rep.constants["radius"], rep.constants["worst_bound"]
@@ -582,6 +584,7 @@ class TestSchottky:
                            for d in face.dims) == pytest.approx(s_raw, rel=1e-12)
                 bounds.append((bound, rel))
         top, rel = max(bounds)
+        assert worst >= top
         assert worst == pytest.approx(top, rel=rel)
 
 
@@ -597,3 +600,18 @@ class TestEquivalenceCrossChecks:
                 assert verdicts["anosov"], name
             if not verdicts["uru"]:
                 assert not verdicts["morse"], name
+
+    def test_positive_controls_are_one_group(self, pipeline_runs):
+        # sl3-symsq-schottky is the symmetric square of sl2-schottky: the image doubles
+        # every centered log singular value, so uru's distances double, every verdict
+        # agrees, and morse's deficits scale by about 2.03, the one reason rho_cap differs
+        sl2, sl3 = (load_config(bundled_config_path(name))
+                    for name in ("sl2-schottky", "sl3-symsq-schottky"))
+        for g, g3 in zip(sl2.generators, sl3.generators, strict=True):
+            assert np.abs(symmetric_square(np.asarray(g)) - np.asarray(g3)).max() <= 3e-14
+        reports = [pipeline_runs[name]["reports"] for name in (sl2.name, sl3.name)]
+        low, high = (np.asarray(r["uru"]["constants"]["per_length_min"][:8]) for r in reports)
+        np.testing.assert_allclose(high, 2.0 * low, rtol=1e-14, atol=0.0)
+        assert reports[0]["summary"]["verdicts"] == reports[1]["summary"]["verdicts"]
+        low, high = (np.asarray(r["morse"]["constants"]["rho_by_length"][1:8]) for r in reports)
+        assert np.all((2.0 <= high / low) & (high / low <= 2.05))
