@@ -10,7 +10,8 @@ benchmark does, so a config format that changes between them compares
 the reports of the same experiments.  Each tree runs in its own process, which
 imports ``anosovcheck`` from that tree's ``src`` with BLAS pinned to one
 thread.  Prints every report file that differs or exists on one side
-only, and exits 1 if there is any.
+only, with up to 5 JSON paths at which a differing ``.json`` file's values
+differ, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -51,6 +52,25 @@ def workload_configs(tree: Path, seeds: list[int]) -> dict[str, dict]:
     return {f"{w}-seed{s}": bench.make_config(w, s) for w in bench.WORKLOADS for s in seeds}
 
 
+def json_diffs(this, other, path: str = "") -> list[str]:
+    """JSON paths, in document order, whose values differ or exist on one side only."""
+    if isinstance(this, dict) and isinstance(other, dict):
+        keys = list(this) + [k for k in other if k not in this]
+        steps = [(f"{path}.{k}" if path else str(k), k in this, k in other, k) for k in keys]
+    elif isinstance(this, list) and isinstance(other, list):
+        steps = [(f"{path}[{i}]", i < len(this), i < len(other), i)
+                 for i in range(max(len(this), len(other)))]
+    else:
+        return [] if type(this) is type(other) and this == other else [f"{path}: differs"]
+    diffs = []
+    for sub, here, there, k in steps:
+        if here and there:
+            diffs += json_diffs(this[k], other[k], sub)
+        else:
+            diffs.append(f"{sub}: only in {'this' if here else 'other'}")
+    return diffs
+
+
 def run_tree(tree: Path, jobs: list[tuple[str, str]]):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **{v: "1" for v in BLAS_THREAD_VARS})
     subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src"), json.dumps(jobs)],
@@ -84,6 +104,9 @@ def main(argv=None) -> int:
                 differ.append(rel)
                 print(f"differs: {rel}" if a.is_file() and b.is_file() else
                       f"only in {'this' if a.is_file() else 'other'}: {rel}")
+                if rel.suffix == ".json" and a.is_file() and b.is_file():
+                    for line in json_diffs(json.loads(a.read_text()), json.loads(b.read_text()))[:5]:
+                        print(f"  {line}")
         print(f"{len(files)} report files, {len(differ)} differ")
     return 1 if differ else 0
 

@@ -327,8 +327,15 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
         raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
     rp = Path(report_path)
     report = json.loads(rp.read_text())
-    if not isinstance(report, dict) or not isinstance(report.get("details", {}), dict):
+    det = report.get("details", {}) if isinstance(report, dict) else None
+    if not isinstance(det, dict):
         raise ValueError(f"{report_path}: a report and its 'details' are JSON objects")
+    rays, points, deltas = det.get("rays", []), det.get("probe_points", []), det.get("deltas", {})
+    if not (isinstance(rays, list) and all(isinstance(r, dict) for r in rays)
+            and isinstance(points, list) and all(isinstance(p, list) for p in points)
+            and isinstance(deltas, dict) and all(isinstance(d, list) for d in deltas.values())):
+        raise ValueError(f"{report_path}: 'rays' is a list of objects, 'probe_points' a list "
+                         "of lists and 'deltas' an object of lists")
     out = Path(out_dir) if out_dir is not None else rp.parent
     stem = f"{rp.stem}-{kind}"
     csv_path = out / f"{stem}.csv"
@@ -337,7 +344,6 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
     if kind == "limit-set-rp2":
         rows = []
         pts = []
-        rays = report.get("details", {}).get("rays", [])
         for i, ray in enumerate(rays):
             frame = np.asarray(ray.get("limit_flag_frame", []), dtype=float)
             if frame.size == 0 or frame.shape[0] != 3:
@@ -355,7 +361,7 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
         rows = []
         lines = []
         pts = []
-        for i, ray in enumerate(report.get("details", {}).get("rays", [])):
+        for i, ray in enumerate(rays):
             les = ray.get("log_eps", [])
             slope = ray.get("slope", 0.0)
             intercept = ray.get("intercept", 0.0)
@@ -370,11 +376,10 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
         _svg_scatter(svg_path, pts, "log expansion factor vs prefix length", lines)
     elif kind == "margin-histogram":
         vals = []
-        det = report.get("details", {})
-        for p in det.get("probe_points", []):
+        for p in points:
             vals.append(float(p[3]))
         if not vals:
-            for ray in det.get("rays", []):
+            for ray in rays:
                 if "conical_geometric_sup" in ray:
                     vals.append(float(ray["conical_geometric_sup"]))
         rows, counts, title = [], [], "margin histogram (empty)"
@@ -394,7 +399,6 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
         pts = []
         b1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
         b2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
-        deltas = report.get("details", {}).get("deltas", {})
         for key in sorted(deltas, key=lambda s: int(s)):
             line = []
             for step, d in enumerate(deltas[key]):

@@ -51,7 +51,6 @@ from .symmspace import (
     segment_deficits,
 )
 
-SEPARATION = 1e-3     # limit: flag distance between separated limit-set representatives
 CONICAL_LOOKAHEAD = 4  # limit: letters behind and ahead of a point in its conical window
 PAIR_BLOCK = 1 << 16  # limit: pairs of limit flags per broadcast call of the pair scan
 BETA_PAD = 8          # anosov: letters sampled past the tested prefixes for the limit flag
@@ -663,37 +662,30 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
 
 
 def _pair_scan(limits: Flag, letters: np.ndarray):
-    """(cross margin, all-pairs margin, closest cross pair, separated count) of limit flags.
+    """(cross margin, all-pairs margin, closest cross pair) of limit flags.
 
     Pairs (i, j < i) go i ascending, then j.  Each block of `step` rows i gathers the flags of
     its pairs, every row against all earlier flags, at most PAIR_BLOCK pairs, and takes one
-    call of each primitive on them; it gives the margins and the separation mask that the
-    greedy count reads in sample order.  Cross pairs have different first letters (disjoint
+    ``antipodality_margin`` call on them.  Cross pairs have different first letters (disjoint
     cylinders).
     """
     count = len(letters)
     min_margin, all_pairs_min, closest = math.inf, math.inf, None
     firsts = letters[:, 0]
-    reps = np.zeros(count, dtype=bool)  # greedy separated representatives
-    reps[0] = True
     step = max(1, PAIR_BLOCK // count)
     for lo in range(1, count, step):
         sizes = np.arange(lo, min(lo + step, count))  # row i has the i pairs (i, j < i)
         starts = np.cumsum(sizes) - sizes
         i = np.repeat(sizes, sizes)
         j = np.arange(len(i)) - np.repeat(starts, sizes)
-        rows, cols = limits[i], limits[j]
-        margins = antipodality_margin(rows, cols)
+        margins = antipodality_margin(limits[i], limits[j])
         all_pairs_min = min(all_pairs_min, float(margins.min()))
         cross = np.where(firsts[i] != firsts[j], margins, math.inf)
         k = int(np.argmin(cross))  # the first of equal minima, in pair order
         if cross[k] < min_margin:
             min_margin = float(cross[k])
             closest = (letters[i[k]].tolist(), letters[j[k]].tolist())
-        apart = flag_distance(rows, cols) > SEPARATION
-        for row, start in zip(sizes.tolist(), starts.tolist()):
-            reps[row] = apart[start:start + row][reps[:row]].all()
-    return min_margin, all_pairs_min, closest, int(reps.sum())
+    return min_margin, all_pairs_min, closest
 
 
 def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
@@ -738,7 +730,7 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     # points; their transversality margin shrinks with the depth at which the
     # words diverge, so the verdict takes pairs that differ in the first letter,
     # and all_pairs_margin_min records the rest.
-    min_margin, all_pairs_min, closest_pair, sep_count = _pair_scan(limits, sample.letters)
+    min_margin, all_pairs_min, closest_pair = _pair_scan(limits, sample.letters)
 
     all_conical = all(s["conical"] for s in samples)
     antipodal = bool(not math.isinf(min_margin) and min_margin >= ANTIPODAL_FLOOR)
@@ -750,12 +742,10 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
             "antipodality_margin": None if math.isinf(min_margin) else float(min_margin),
             "all_pairs_margin_min": None if math.isinf(all_pairs_min) else float(all_pairs_min),
             "conical_sup": max((s["conical_geometric_sup"] for s in samples), default=None),
-            "limit_set_cardinality_lower_bound": sep_count,
         },
         thresholds={
             "antipodal_floor": ANTIPODAL_FLOOR,
             "conical_rho": CONICAL_RHO,
-            "separation": SEPARATION,
             "depth": depth,
             "ray_count": ray_count,
         },

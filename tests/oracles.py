@@ -11,7 +11,8 @@ margins, for QR factors and least singular values of single matrices and
 for the flags of suffix products, a per-ray loop for limit's antipodality
 pair scan, one draw per letter for the ray sample's random words, a
 recursive depth-first list of reduced words with their left-to-right
-products, greedy clustering of one sequence's flags for flag limits,
+products, the symmetric square of SL(2) products' SVDs for the SL(3)
+kernels' logs and frames, greedy clustering of one sequence's flags for flag limits,
 and flags drawn out to the edge of a ping-pong ball, with the ping-pong
 contraction bound in extended precision.
 The flat-cone membership test and
@@ -38,7 +39,6 @@ from anosovcheck.flags import (
     attractive_flag,
     flag_distance,
 )
-from anosovcheck.subgroup import SEPARATION
 
 
 def iota_bruteforce(v: np.ndarray) -> np.ndarray:
@@ -516,6 +516,26 @@ def word_product(pres, letters) -> np.ndarray:
     return m
 
 
+def sym2_lift(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centered log singular values and left singular frame of Sym^2 of stacked SL(2) products.
+
+    LAPACK's SVD of a 2 x 2 product resolves its top value e^s and its orthogonal U at any
+    depth.  Sym^2 takes diag(e^s, e^-s) to diag(e^2s, 1, e^-2s), so the logs are
+    (2s, 0, -2s), and U = (u1 u2) to the frame with columns Sym^2(u1), sqrt(2) times the
+    symmetric product of u1 and u2, and Sym^2(u2), in ``symmetric_square``'s basis
+    (x^2, sqrt(2) x y, y^2).
+    """
+    u, sv, _ = np.linalg.svd(mats)
+    s = np.log(sv[..., 0])
+    logs = np.stack([2.0 * s, np.zeros_like(s), -2.0 * s], axis=-1)
+    a, b, c, d = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    r2 = math.sqrt(2.0)
+    frame = np.stack([a * a, r2 * a * b, b * b,
+                      r2 * a * c, a * d + b * c, r2 * b * d,
+                      c * c, r2 * c * d, d * d], axis=-1).reshape(u.shape[:-2] + (3, 3))
+    return logs, frame
+
+
 def flag_limit_loop(gs, face: FaceType) -> tuple:
     """(limit flag or None, converged, cluster count) of one sequence, one flag at a time.
 
@@ -543,28 +563,24 @@ def flag_limit_loop(gs, face: FaceType) -> tuple:
 def pair_scan_loop(limits: Flag, letters: np.ndarray) -> tuple:
     """limit's pair scan as a loop comparing each ray with all earlier ones.
 
-    Returns (cross margin, all-pairs margin, closest cross pair, separated
-    count).  The closest pair is the first strict minimum in the order i
-    ascending, then j < i; the separated count is greedy in sample order.
+    Returns (cross margin, all-pairs margin, closest cross pair).  The
+    closest pair is the first strict minimum in the order i ascending,
+    then j < i.
     """
     words = letters.tolist()
     min_margin = math.inf
     all_pairs_min = math.inf
     closest_pair = None
     firsts = letters[:, 0]
-    reps = [0]  # greedy separated representatives, in sample order
     for i in range(1, len(words)):
-        here, earlier = limits[i], limits[:i]
-        margins = antipodality_margin(here, earlier)
+        margins = antipodality_margin(limits[i], limits[:i])
         all_pairs_min = min(all_pairs_min, float(margins.min()))
         cross = np.where(firsts[:i] != firsts[i], margins, math.inf)
         j = int(np.argmin(cross))  # the first of equal minima, as in pair order
         if cross[j] < min_margin:
             min_margin = float(cross[j])
             closest_pair = (words[i], words[j])
-        if np.all(flag_distance(here, earlier)[reps] > SEPARATION):
-            reps.append(i)
-    return min_margin, all_pairs_min, closest_pair, len(reps)
+    return min_margin, all_pairs_min, closest_pair
 
 
 def flat_cone_margin(v, face: FaceType) -> float:

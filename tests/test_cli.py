@@ -410,11 +410,20 @@ class TestPlots:
         with pytest.raises(ValueError):
             emit_plot(p, "no-such-kind")
 
-    @pytest.mark.parametrize("text", ["[1, 2]", '{"details": [1, 2]}'], ids=["list", "list_details"])
-    def test_non_object_report_rejected(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, kind", [
+        ("[1, 2]", "limit-set-rp2"),
+        ('{"details": [1, 2]}', "limit-set-rp2"),
+        ('{"details": {"rays": [1]}}', "limit-set-rp2"),
+        ('{"details": {"rays": [1]}}', "expansion-growth"),
+        ('{"details": {"rays": "abc"}}', "limit-set-rp2"),
+        ('{"details": {"probe_points": [1]}}', "margin-histogram"),
+        ('{"details": {"deltas": [1, 2]}}', "delta-projection"),
+    ], ids=["list", "list_details", "int_rays", "int_rays_growth", "string_rays",
+            "int_probe_points", "list_deltas"])
+    def test_non_object_report_rejected(self, tmp_path, capsys, text, kind):
         p = tmp_path / "r.json"
         p.write_text(text)
-        assert main(["plot", str(p), "--kind", "limit-set-rp2"]) == 2
+        assert main(["plot", str(p), "--kind", kind]) == 2
         assert "plot error:" in capsys.readouterr().err
 
     def test_empty_report_gives_empty_csv(self, tmp_path):

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,3 +152,22 @@ def test_fallback_raises_as_the_c_encoder_does(monkeypatch):
         dumps({"x": [1.0, float("nan")]})
     with pytest.raises(TypeError):
         dumps({"x": [object()]})
+
+
+def test_compare_reports_names_the_differing_paths():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "compare_reports.py"
+    spec = importlib.util.spec_from_file_location("compare_reports", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    this = {"constants": {"c": 1.0, "n": 3}, "rays": [{"ok": True}, {"ok": False}],
+            "verdict": True, "seed": 1}
+    other = {"constants": {"c": 1.0, "n": 3.0, "bound": 28}, "rays": [{"ok": False}],
+             "verdict": True, "seed": 1, "extra": [1]}
+    assert script.json_diffs(this, this) == []
+    assert script.json_diffs(this, other) == [
+        "constants.n: differs",  # 3 and 3.0 are equal numbers of different JSON types
+        "constants.bound: only in other",
+        "rays[0].ok: differs",
+        "rays[1]: only in this",
+        "extra: only in other",
+    ]

@@ -767,12 +767,11 @@ def test_pair_scan_matches_loop(request, monkeypatch, group, seed, block):
     rays = rep.details["rays"]
     limits = Flag(face, np.stack([r["limit_flag_frame"] for r in rays]))
     letters = np.array([r["letters"] for r in rays])
-    margin, all_pairs, closest, count = pair_scan_loop(limits, letters)
+    margin, all_pairs, closest = pair_scan_loop(limits, letters)
     assert same_bits(rep.constants["antipodality_margin"], margin)
     assert same_bits(rep.constants["all_pairs_margin_min"], all_pairs)
     assert rep.witnesses["closest_pair"] == closest
-    assert rep.constants["limit_set_cardinality_lower_bound"] == count
-    assert _pair_scan(limits, letters) == (margin, all_pairs, closest, count)
+    assert _pair_scan(limits, letters) == (margin, all_pairs, closest)
 
 
 def test_pair_scan_ties_go_to_the_first_pair_in_order(monkeypatch):
@@ -783,7 +782,7 @@ def test_pair_scan_ties_go_to_the_first_pair_in_order(monkeypatch):
     e1, e2 = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
     limits = Flag(face, np.stack([e1, e2, e2, e1]))
     letters = np.array([[1, 2], [1, -2], [2, 1], [2, -1]])
-    expected = (0.0, 0.0, ([2, 1], [1, -2]), 2)
+    expected = (0.0, 0.0, ([2, 1], [1, -2]))
     assert pair_scan_loop(limits, letters) == expected
     assert _pair_scan(limits, letters) == expected
     monkeypatch.setattr(subgroup, "PAIR_BLOCK", 4)  # (2, 1) and (3, 0) in separate blocks

@@ -10,7 +10,7 @@ from anosovcheck.errors import (
     TransversalityTooSmall,
     VanishingGap,
 )
-from anosovcheck.flags import Flag, attractive_flag, expansion_factor
+from anosovcheck.flags import Flag, attractive_flag, expansion_factor, flag_distance
 from anosovcheck.reports import dumps
 from anosovcheck.subgroup import (
     GAP_TOL,
@@ -34,7 +34,9 @@ from oracles import (
     mapped_distances,
     pingpong_bound_mp,
     random_sl,
+    random_word,
     reduced_words,
+    sym2_lift,
     word_product,
 )
 
@@ -410,7 +412,6 @@ class TestLimitReport:
         assert rep.verdict
         assert rep.constants["antipodality_margin"] > 0.01
         assert rep.details["all_conical"]
-        assert rep.constants["limit_set_cardinality_lower_bound"] >= 3
 
     def test_sl3(self, sl3_pres):
         rep = limit_report(sl3_pres, FACE3, 12, 50, seed=7)
@@ -506,8 +507,8 @@ class TestAnosov:
 def test_ray_record_keys(sl2_pres):
     # the report keeps only what a verdict, a witness, the oracle or a plot reads
     limit = limit_report(sl2_pres, FACE2, 8, 10, seed=1)
-    assert set(limit.thresholds) == {"antipodal_floor", "conical_rho", "separation",
-                                     "depth", "ray_count"}
+    assert set(limit.constants) == {"antipodality_margin", "all_pairs_margin_min", "conical_sup"}
+    assert set(limit.thresholds) == {"antipodal_floor", "conical_rho", "depth", "ray_count"}
     assert {frozenset(r) for r in limit.details["rays"]} == {frozenset(
         {"letters", "scheme", "limit_flag_frame", "conical", "conical_geometric_sup"})}
     anosov = anosov_check(sl2_pres, FACE2, 10, 6, seed=1)
@@ -615,3 +616,32 @@ class TestEquivalenceCrossChecks:
         assert reports[0]["summary"]["verdicts"] == reports[1]["summary"]["verdicts"]
         low, high = (np.asarray(r["morse"]["constants"]["rho_by_length"][1:8]) for r in reports)
         assert np.all((2.0 <= high / low) & (high / low <= 2.05))
+
+    def test_two_sided_kernels_lift_from_sl2(self):
+        # the sl3 kernels' logs and frames on sl3-symsq-schottky's words are the symmetric
+        # square of sl2-schottky's 2 x 2 products, read by LAPACK's SVD at any depth: every
+        # word of length <= 10, then 64 random words at each longer length
+        pres2, pres3 = (load_config(bundled_config_path(name)).presentation()
+                        for name in ("sl2-schottky", "sl3-symsq-schottky"))
+
+        def worst(m2, m3, minv3, logdet3):
+            logs, frame = sym2_lift(m2)
+            rel = np.abs(_two_sided_logs(m3, minv3, logdet3) - logs).max(axis=-1)
+            dist = flag_distance(Flag(FACE3, _two_sided_frame(m3, minv3)), Flag(FACE3, frame))
+            return (rel / np.abs(logs).max(axis=-1)).max(), dist.max()
+
+        errors = []
+        for chain2, chain3 in zip(word_levels(pres2, 10), word_levels(pres3, 10), strict=True):
+            level2, level3 = chain2[-1], chain3[-1]
+            assert np.array_equal(level2.letters, level3.letters)
+            errors.append(worst(level2.mats, level3.mats, level3.invs, level3.logdets))
+        rng = np.random.default_rng(1)
+        for length in (12, 16, 24, 32):
+            words = [random_word(rng, 2, length) for _ in range(64)]
+            m2, m3 = (np.stack([word_product(pres, w) for w in words]) for pres in (pres2, pres3))
+            minv3 = np.stack([word_product(pres3, [-lt for lt in reversed(w)]) for w in words])
+            logdet3 = np.array([sum(np.linalg.slogdet(pres3.letter_matrix(lt))[1] for lt in w)
+                                for w in words])
+            errors.append(worst(m2, m3, minv3, logdet3))
+        log_err, flag_err = np.max(errors, axis=0)
+        assert log_err <= 1e-14 and flag_err <= 1e-14, (log_err, flag_err)
