@@ -321,6 +321,15 @@ def _svg_bars(path: Path, counts: list[int], title: str):
     _write_svg(path, w, h, pad, title, parts)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_number_rows(x) -> bool:
+    """Whether x is a list of lists of numbers, as a frame, a delta path or the probe points."""
+    return isinstance(x, list) and all(isinstance(r, list) and all(map(_is_number, r)) for r in x)
+
+
 def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
     """Emit a CSV + SVG rendering of one report aspect."""
     if kind not in PLOT_KINDS:
@@ -345,7 +354,10 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
         rows = []
         pts = []
         for i, ray in enumerate(rays):
-            frame = np.asarray(ray.get("limit_flag_frame", []), dtype=float)
+            frame = ray.get("limit_flag_frame", [])
+            if not _is_number_rows(frame):
+                raise ValueError(f"{report_path}: ray {i}'s 'limit_flag_frame' is rows of numbers")
+            frame = np.asarray(frame, dtype=float)
             if frame.size == 0 or frame.shape[0] != 3:
                 continue
             v = frame[:, 0]
@@ -365,6 +377,9 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
             les = ray.get("log_eps", [])
             slope = ray.get("slope", 0.0)
             intercept = ray.get("intercept", 0.0)
+            if not (isinstance(les, list) and all(map(_is_number, [*les, slope, intercept]))):
+                raise ValueError(f"{report_path}: ray {i}'s 'log_eps' is a list of numbers, "
+                                 "its 'slope' and 'intercept' numbers")
             line = []
             for n, le in enumerate(les, start=1):
                 rows.append([i, n, float(le), float(slope * n + intercept)])
@@ -375,12 +390,15 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
         _write_csv(csv_path, ["ray", "n", "log_expansion", "fit"], rows)
         _svg_scatter(svg_path, pts, "log expansion factor vs prefix length", lines)
     elif kind == "margin-histogram":
-        vals = []
-        for p in points:
-            vals.append(float(p[3]))
+        if not (_is_number_rows(points) and all(len(p) == 4 for p in points)):
+            raise ValueError(f"{report_path}: each of 'probe_points' is 4 numbers")
+        vals = [float(p[3]) for p in points]
         if not vals:
-            for ray in rays:
+            for i, ray in enumerate(rays):
                 if "conical_geometric_sup" in ray:
+                    if not _is_number(ray["conical_geometric_sup"]):
+                        raise ValueError(f"{report_path}: ray {i}'s 'conical_geometric_sup' "
+                                         "is a number")
                     vals.append(float(ray["conical_geometric_sup"]))
         rows, counts, title = [], [], "margin histogram (empty)"
         if vals:
@@ -400,6 +418,8 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
         b1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
         b2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
         for key in sorted(deltas, key=lambda s: int(s)):
+            if not _is_number_rows(deltas[key]):
+                raise ValueError(f"{report_path}: delta path {key} is rows of numbers")
             line = []
             for step, d in enumerate(deltas[key]):
                 d = np.asarray(d, dtype=float)

@@ -43,8 +43,11 @@ from .flags import (
 from .reports import PropertyReport
 from .symmspace import (
     DET_TOL,
-    _frame_deficits,
+    _deficits,
+    _read_pending,
+    _top_read,
     _two_sided_frame,
+    factored_coords_pair,
     log_top_singular,
     make_parallel_set,
     normalize_det,
@@ -194,7 +197,8 @@ def word_levels(pres: FreeGroupPresentation, length: int):
                                    logdets[d], np.zeros(len(d), dtype=np.intp), d * subtree[1])], d)
 
 
-def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray) -> np.ndarray:
+def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray,
+                    top: tuple = ()) -> np.ndarray:
     """Centered log singular values of m, from m and its exactly accumulated inverse.
 
     After Bochi-Potrie-Sambarino: top singular values stay resolved, so at n <= 3 the logs
@@ -202,8 +206,8 @@ def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray) -> np.n
     the middle one at n = 3 is -d_1 - d_3.  Larger n take LAPACK's values of both sides: a
     direct SVD loses values below eps times the top one, and the small values are the
     reciprocals of the inverse's large ones, so each log comes from the side with the larger
-    resolution ratio, as ``symmspace._two_sided_svd`` picks columns.  Leading axes are batch
-    axes.
+    resolution ratio, as ``symmspace._two_sided_svd`` picks columns.  ``top`` is m's
+    ``symmspace._top_read`` where the caller holds it.  Leading axes are batch axes.
     """
     n = m.shape[-1]
     if n > 3:
@@ -213,7 +217,7 @@ def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray) -> np.n
         logs = np.where(direct, np.log(np.where(direct, s, 1.0)),
                         -np.log(np.where(direct, 1.0, si[..., ::-1])))
         return logs - logs.mean(axis=-1, keepdims=True)
-    top, bottom = log_top_singular(m), -log_top_singular(minv)
+    top, bottom = log_top_singular(m, top), -log_top_singular(minv)
     if n == 2:
         return np.stack([0.5 * (top - bottom), 0.5 * (bottom - top)], axis=-1)
     top, bottom = top - logdet / 3.0, bottom - logdet / 3.0
@@ -260,15 +264,17 @@ def word_checks(pres: FreeGroupPresentation, face: FaceType, scans: list) -> lis
     """Reports of scans, such as uru's and morse's, from one depth-first walk of the word tree.
 
     A scan is a generator that yields its word length whenever it waits: it
-    is sent (chain, logs, their norms, least wall gaps) of each block up to
-    that length, then None, and yields its report.  The walk goes to the
-    longest length, and takes each block's logs, norms and gaps once.
+    is sent (chain, logs, their norms, least wall gaps, the products'
+    ``symmspace._top_read``) of each block up to that length, then None,
+    and yields its report.  The walk goes to the longest length, and takes
+    each block's logs, norms, gaps and top read once.
     """
     lengths = [next(scan) for scan in scans]
     for chain in word_levels(pres, max(lengths)):
         level = chain[-1]
-        logs = _two_sided_logs(level.mats, level.invs, level.logdets)
-        shared = (chain, logs, row_norms(logs), _least_gaps(logs, face))
+        top = _top_read(level.mats)
+        logs = _two_sided_logs(level.mats, level.invs, level.logdets, top)
+        shared = (chain, logs, row_norms(logs), _least_gaps(logs, face), top)
         for length, scan in zip(lengths, scans):
             if len(chain) <= length:
                 scan.send(shared)
@@ -297,7 +303,7 @@ def _uru_scan(pres, face, length):
     flattest: list[tuple] = []
 
     while (block := (yield length)) is not None:
-        chain, delta, dist, gaps = block
+        chain, delta, dist, gaps, _ = block
         level, el = chain[-1], len(chain)
         by_length.setdefault(el, []).extend(_records(dist, level))
         if el >= tail_start:
@@ -386,6 +392,24 @@ def _prefix_coords(chain: list[WordLevel], rows: np.ndarray, ut: np.ndarray):
             yield w, winv_t.swapaxes(1, 2)
 
 
+def _block_deficits(chain: list[WordLevel], rows: np.ndarray, ut: np.ndarray,
+                    a_plus: np.ndarray, face: FaceType, floor: float) -> np.ndarray:
+    """Deficits of the interior points of the words ``rows`` of a chain's last block.
+
+    Column t - 1 holds prefix length t, for t = 1, ..., floor(L/2).  Each
+    prefix length takes one ``factored_coords_pair`` bound pass on its
+    ``_prefix_coords``; the exact off reads those passes leave are made for
+    the whole block at once (``symmspace._read_pending``), and only then
+    are the deficits taken.  A deficit below ``floor`` may be an upper
+    bound below it.
+    """
+    pending = []
+    coords = [factored_coords_pair(w, winv, face, floor, pending)
+              for w, winv in _prefix_coords(chain, rows, ut)]
+    _read_pending(pending, floor)
+    return np.stack([_deficits(v, off, a_plus, face) for v, off in coords], axis=-1)[:, ::-1]
+
+
 def _level_index(letters: np.ndarray, rank: int) -> np.ndarray:
     """Row of each word among all reduced words of its length, depth first."""
     digits = 2 * (np.abs(letters).astype(np.int64) - 1) + (letters < 0)
@@ -403,7 +427,7 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     Every reduced word is the canonical representative of all its
     translates, so scanning each word once with the base point and its
     endpoint as tips covers every sub-segment of every longer geodesic.
-    The deficit of an interior orbit point (``symmspace._frame_deficits``,
+    The deficit of an interior orbit point (``symmspace.segment_deficits``,
     read in the word's two-sided singular frame) combines its off-parallel-set
     distance with the in-flat chamber deficits toward both tips.  Word w
     of length L at prefix length t is the same configuration as w^-1 at
@@ -418,11 +442,17 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     distance whose closed-form bound (``symmspace._off_bound``) stays below
     it is not read exactly, and the bound, still below the floor, stands in;
     such a configuration can neither be the maximum at any length >= L nor
-    tie with it.  A midpoint read is final only after the min with its
-    mirror's, so it raises no floor, and a midpoint min taken with a bound
-    stays below the floor.  Of the 47,568 configurations at L = 8, 10,800
-    are read exactly on sl3-symsq-schottky, 248 on sl2-schottky and 256 on
-    sanov-unipotent; at L = 9, 34,128 of 152,544 on sl3.  Irregular
+    tie with it.  The bound pass runs per prefix length; the configurations
+    it leaves are read exactly once per block, over all its prefix lengths
+    (``symmspace._read_pending``).  At n = 3 one kernel call reads the side
+    whose bound is the smaller, and a second call the other side only where
+    the first read reaches the floor: the first read, also an upper bound,
+    stands in below it.  At n = 2 one call reads both sides.  A midpoint
+    read is final only after the min with its mirror's, so it raises no
+    floor, and a midpoint min taken with a bound stays below the floor.  Of
+    the 47,568 configurations at L = 8, 10,800 are read exactly on
+    sl3-symsq-schottky, 248 of them on both sides, 248 on sl2-schottky and
+    256 on sanov-unipotent; at L = 9, 34,128 of 152,544 on sl3.  Irregular
     words are Morse failures.  Words need length >= 2 to have interior
     points.  The words come one block of ``word_checks``' walk, which also
     serves uru, at a time, and their interior points through the block's
@@ -443,7 +473,7 @@ def _morse_scan(pres, face, length, rho_cap=1.0):
     scanned: dict[int, list[tuple[np.ndarray, ...]]] = {}
     best = np.full(length + 1, -np.inf)  # per length: the largest final read so far
     while (block := (yield length)) is not None:
-        chain, logs, norms, gaps = block
+        chain, logs, norms, gaps, top = block
         level, el = chain[-1], len(chain)
         ok = ~(gaps < GAP_TOL)
         vanishing += zip(level.dfs[~ok].tolist(), level.letters[~ok].tolist())
@@ -457,10 +487,9 @@ def _morse_scan(pres, face, length, rho_cap=1.0):
             # columns come longest prefix first; column t-1 is prefix length t; a read
             # below the floor, well clear of TIE_RTOL, may be a bound below it
             floor = best[:el + 1].max() * (1.0 - 1e-9)
-            ut = np.take(np.swapaxes(_two_sided_frame(level.mats, level.invs), 1, 2), rows, axis=0)
-            a_plus = logs[rows]
-            d[rows] = reads = np.stack([_frame_deficits(w, winv, a_plus, face, floor) for w, winv
-                                        in _prefix_coords(chain, rows, ut)], axis=-1)[:, ::-1]
+            ut = np.take(np.swapaxes(_two_sided_frame(level.mats, level.invs, top), 1, 2), rows,
+                         axis=0)
+            d[rows] = reads = _block_deficits(chain, rows, ut, logs[rows], face, floor)
             if el > 2:  # a midpoint read t = L/2 is final only after the mirror's min
                 best[el] = max(best[el], reads[:, :(el - 1) // 2].max())
         scanned.setdefault(el, []).append((level.letters, level.dfs, ok, d))
@@ -649,9 +678,10 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
     m, minv, logdet, p = (np.stack(x, axis=1) for x in stacks)
     # the points' inverses transposed into C order, as segment_deficits reads them
     pinv_t = np.stack([np.swapaxes(x, -1, -2) for x in pinvs], axis=1, out=np.empty(p.shape))
-    a_plus = _two_sided_logs(m, minv, logdet)
-    d = segment_deficits(_two_sided_frame(m, minv), a_plus, [(p, np.swapaxes(pinv_t, -1, -2))],
-                         face)[..., 0]
+    top = _top_read(m)
+    a_plus = _two_sided_logs(m, minv, logdet, top)
+    d = segment_deficits(_two_sided_frame(m, minv, top), a_plus,
+                         [(p, np.swapaxes(pinv_t, -1, -2))], face)[..., 0]
     starts = np.flatnonzero(np.diff(windows, prepend=0))
     sups = np.minimum.reduceat(d, starts, axis=1).max(axis=1)
 
@@ -703,7 +733,8 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     if not face.is_iota_invariant:
         raise ValueError("antipodality needs an iota-invariant face type")
     sample = sample_rays(pres, ray_count, depth, seed, face)
-    deltas = _two_sided_logs(sample.prefixes, sample.inverses, sample.logdets)
+    top = _top_read(sample.prefixes)
+    deltas = _two_sided_logs(sample.prefixes, sample.inverses, sample.logdets, top)
     gaps = _least_gaps(deltas, face)
     regular = ~(gaps < GAP_TOL).any(axis=-1)
     failures = [{"letters": sample.letters[r].tolist(),  # named by the ray's first irregular prefix
@@ -713,9 +744,11 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
         raise VanishingGap("no sampled ray has a regular prefix")
     if not regular.all():
         sample, deltas = RaySample(*(field[regular] for field in sample)), deltas[regular]
+        top = tuple(x[regular] for x in top)
     # limit flags are the last prefixes', backward flags every inverse prefix's, which the
     # conical check reads; their logs are the prefixes', negated and reversed: regular rows stay so
-    limits = Flag(face, _two_sided_frame(sample.prefixes[:, -1], sample.inverses[:, -1]))
+    limits = Flag(face, _two_sided_frame(sample.prefixes[:, -1], sample.inverses[:, -1],
+                                         tuple(x[:, -1] for x in top)))
     back = Flag(iota_face(face), _two_sided_frame(sample.inverses, sample.prefixes))
     conical, sups = _conical_rays(pres, sample, back, CONICAL_RHO)
     samples = [{

@@ -313,26 +313,44 @@ def _scaled_gram(mat: np.ndarray):
     return scale, (_dot3(r0, r0), _dot3(r1, r1), _dot3(r2, r2), _dot3(r0, r1), _dot3(r0, r2), _dot3(r1, r2))
 
 
-def log_top_singular(mat: np.ndarray) -> np.ndarray:
-    """Log of the top singular value of stacked 2 x 2 or 3 x 3 matrices, in closed form."""
+def _top_read(mat: np.ndarray) -> tuple:
+    """(scale, g00, g11, g22, g01, g02, g12, root) of stacked 3 x 3 matrices; () for other n.
+
+    ``_scaled_gram``'s scale and entries, and the square root of the Gram matrix's top
+    eigenvalue, so that s_1 = scale * root.  ``log_top_singular`` reads s_1 from it and
+    ``_two_sided_frame`` m's top vector: a caller that needs both of one stack reads it once
+    and passes it to each, sliced along the batch axes as the stack is.
+    """
+    if mat.shape[-1] != 3:
+        return ()
+    scale, gram = _scaled_gram(mat)
+    return (scale, *gram, _gram_top(*gram))
+
+
+def log_top_singular(mat: np.ndarray, top: tuple = ()) -> np.ndarray:
+    """Log of the top singular value of stacked 2 x 2 or 3 x 3 matrices, in closed form.
+
+    ``top`` is mat's ``_top_read`` where the caller holds it.
+    """
     if mat.shape[-1] == 2:
         a, b, c, d = mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 0], mat[..., 1, 1]
         return np.log(np.maximum(0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)), 1e-300))
-    scale, gram = _scaled_gram(mat)
-    return np.log(scale) + np.log(_gram_top(*gram))
+    scale, *_, root = top or _top_read(mat)
+    return np.log(scale) + np.log(root)
 
 
-def _top_left_vector(mat: np.ndarray) -> tuple[list, np.ndarray]:
+def _top_left_vector(mat: np.ndarray, top: tuple = ()) -> tuple[list, np.ndarray]:
     """Unit top left singular vectors of stacked 3 x 3 matrices, and how well each is resolved.
 
     The vector, as three coordinate arrays, is the top eigenvector of the scaled Gram
     matrix G of the rows: the null vector of G - lambda I, read from its adjugate, or the
     first axis where none is (G a multiple of I).  The second value, the adjugate's trace
     over lambda^2, is (1 - s_2^2 / s_1^2)(1 - s_3^2 / s_1^2); it falls to rounding level as
-    s_2 nears s_1, where the vector is noise.
+    s_2 nears s_1, where the vector is noise.  ``top`` is mat's ``_top_read`` where the
+    caller holds it.
     """
-    _, (g00, g11, g22, g01, g02, g12) = _scaled_gram(mat)
-    lam = _gram_top(g00, g11, g22, g01, g02, g12) ** 2
+    _, g00, g11, g22, g01, g02, g12, root = top or _top_read(mat)
+    lam = root ** 2
     v, trace = _adjugate_column([[g00 - lam, g01, g02], [g01, g11 - lam, g12], [g02, g12, g22 - lam]])
     v[0] = np.where(_dot3(v, v) > 0.0, v[0], 1.0)
     norm = np.sqrt(_dot3(v, v))
@@ -366,7 +384,7 @@ def _two_sided_svd(svd: tuple, svd_inv: tuple) -> np.ndarray:
     return frame
 
 
-def _two_sided_frame(m: np.ndarray, minv: np.ndarray) -> np.ndarray:
+def _two_sided_frame(m: np.ndarray, minv: np.ndarray, top: tuple = ()) -> np.ndarray:
     """Left singular frame of stacked m, from m and its exactly accumulated inverse minv.
 
     After Bochi-Potrie-Sambarino, a top singular vector stays resolved however far the
@@ -378,7 +396,8 @@ def _two_sided_frame(m: np.ndarray, minv: np.ndarray) -> np.ndarray:
     gap, as at a doubled top value, where u1 is noise, u3 is kept instead and u1 = u2 x u3.
     Where the other vector is not near normal to the kept one (|u3 x u1|^2 < 1/2, which only
     noise gives), any unit normal of the kept vector is u2.  Larger n take
-    ``_two_sided_svd`` of LAPACK's SVDs.  Leading axes are batch axes.
+    ``_two_sided_svd`` of LAPACK's SVDs.  ``top`` is m's ``_top_read`` where the caller
+    holds it, as from ``_two_sided_logs`` of the same stack.  Leading axes are batch axes.
     """
     n = m.shape[-1]
     if n > 3:
@@ -388,13 +407,13 @@ def _two_sided_frame(m: np.ndarray, minv: np.ndarray) -> np.ndarray:
         t = 0.5 * (np.arctan2(b + c, a - d) + np.arctan2(c - b, a + d))
         cos, sin = np.cos(t), np.sin(t)
         return np.stack([cos, -sin, sin, cos], axis=-1).reshape(m.shape)
-    (u1, top), (u3, bottom) = _top_left_vector(m), _top_left_vector(np.swapaxes(minv, -1, -2))
-    first = top >= bottom  # u1 is kept, else u3
+    (u1, res1), (u3, res3) = _top_left_vector(m, top), _top_left_vector(np.swapaxes(minv, -1, -2))
+    first = res1 >= res3  # u1 is kept, else u3
     kept = [np.where(first, x, y) for x, y in zip(u1, u3)]
-    normal = _axis_normal(kept)
     u2 = _cross3(u3, u1)
     short = _dot3(u2, u2) < 0.5
-    u2 = [np.where(short, x, y) for x, y in zip(normal, u2)]
+    if short.any():
+        u2 = [np.where(short, x, y) for x, y in zip(_axis_normal(kept), u2)]
     norm = np.sqrt(_dot3(u2, u2))
     u2 = [e / norm for e in u2]
     rest = _cross3(kept, u2)  # u1 x u2 = u3, or u3 x u2 = -u1
@@ -448,7 +467,8 @@ def _off_bound(d: np.ndarray, n: int) -> np.ndarray:
     |C| <= 1/2.  D is first lowered by 8 eps, which bounds the rounding of a determinant of
     unit rows, eps / D relative where D is small.  The read is widened by 1e-6 for the rest
     of the rounding: near D = 1 the arccosh and arccos turn an error of eps in D into one
-    of sqrt(eps).  Transposing changes no spread, so unit columns serve as well.
+    of sqrt(eps).  Transposing changes no spread, so unit columns serve as well.  The bound
+    falls as D grows, so of two factors' bounds the one of the larger D is the smaller.
     """
     d = np.clip(d - 8.0 * np.finfo(float).eps, 1e-300, 1.0)
     if n == 2:
@@ -468,8 +488,46 @@ def _centre(v: np.ndarray) -> None:
     v -= (sum(v[..., k] for k in range(v.shape[-1])) / v.shape[-1])[..., None]
 
 
+def _exact_off(sides: np.ndarray, d: np.ndarray, floor: float) -> np.ndarray:
+    """Off distances of whitened factors, both sides stacked (2, k, n, n), each side's D (2, k).
+
+    The off distance is the smaller of the two sides' ``_whitened_off``.  At n = 3 the side
+    with the larger D, whose ``_off_bound`` is the smaller, is read first, and the other
+    side only where that read reaches ``floor`` or either D is NaN; elsewhere the first
+    read, an upper bound below ``floor``, stands in.  At n = 2 D's bound is the exact spread
+    up to its slack, so every row that reached the floor by it needs both sides, and both
+    are read in one call.
+    """
+    if sides.shape[-1] == 2:
+        return np.minimum(*_whitened_off(sides))
+    larger = (d[0] >= d[1])[:, None, None]
+    off = _whitened_off(np.where(larger, sides[0], sides[1]))
+    again = ~(off < floor) | np.isnan(d).any(axis=0)
+    if again.any():
+        off[again] = np.minimum(off[again], _whitened_off(
+            np.where(larger[again], sides[1, again], sides[0, again])))
+    return off
+
+
+def _read_pending(pending: list, floor: float) -> None:
+    """Make the exact off reads that ``factored_coords_pair`` calls left in ``pending``.
+
+    Each entry is (off, rows, sides, d) of one stack: ``_exact_off`` reads the rows of all
+    entries at once, one kernel call per side, and writes each stack's reads into its off.
+    """
+    if not pending:
+        return
+    offs, rows, sides, d = zip(*pending)
+    sides, d = np.concatenate(sides, axis=1), np.concatenate(d, axis=1)
+    pending.clear()  # frees each stack's own factors before the kernel calls
+    off = _exact_off(sides, d, floor)
+    for o, r, part in zip(offs, rows, np.split(off, np.cumsum([len(r) for r in rows])[:-1])):
+        o[r] = part
+
+
 def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
-                         floor: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
+                         floor: float = -np.inf, pending: list | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided flat coordinates and off-set distance.
 
     Per block the log singular values are taken from whichever factor
@@ -479,12 +537,15 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
     winv is read in one pass, from its norm: that is the whole read of a
     width-1 block, and only wider blocks are read again, by an SVD each.
     At n <= 3 the off distance is read exactly only where ``_off_bound``
-    of the better side reaches ``floor``; elsewhere the bound, which lies
-    below ``floor``, stands for it.  Where every block has width 1 the
-    bound takes D from the unscaled factors, as |det| over the product of
-    the row norms of w or the column norms of winv, and only the rows read
-    exactly are whitened.  The default floor reads every row.  Leading axes
-    are batch axes.
+    of the larger D of the two sides, the smaller bound, reaches ``floor``
+    (``_exact_off``); elsewhere the bound, which lies below ``floor``,
+    stands for it.  Where every block has width 1 the bound takes D from
+    the unscaled factors, as |det| over the product of the row norms of w
+    or the column norms of winv, and only the rows read exactly are
+    whitened.  The default floor reads every row, both sides in one call.
+    Where ``pending`` is a list the exact reads are left in it for
+    ``_read_pending``, which reads those of many stacks at once, and the
+    returned off holds the bounds until then.  Leading axes are batch axes.
     """
     n = face.n
     norm_w = np.maximum(_abs_max(w), 1e-300)[..., None]
@@ -500,29 +561,35 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
         d = np.stack([np.abs(_det(m)) / functools.reduce(np.multiply,
                                                          (s[..., k] for k in range(n)))
                       for m, s in ((w, s1), (winv, s1i))])
-        off = np.minimum(*_off_bound(d, n))
-        exact = ~(off < floor)  # a NaN bound is read too
-        if exact.any():
+        whitened = None  # only the rows read exactly are whitened, below
+    else:
+        rows, cols = w / s1[..., :, None], winv / s1i[..., None, :]
+        for lo, hi in wide:
+            ud, sd, vtd = np.linalg.svd(w[..., lo:hi, :], full_matrices=False)
+            ui, si, vti = np.linalg.svd(winv[..., :, lo:hi], full_matrices=False)
+            sd, si = np.maximum(sd, 1e-300), np.maximum(si, 1e-300)
+            direct = sd[..., -1:] / norm_w >= si[..., -1:] / norm_wi
+            v[..., lo:hi] = np.where(direct, np.log(sd), -np.log(si)[..., ::-1])
+            rows[..., lo:hi, :] = ud @ vtd
+            cols[..., :, lo:hi] = ui @ vti
+        _centre(v)
+        whitened = np.stack([rows, cols])
+        if n > 3 or floor == -np.inf:  # one kernel call for both sides
+            return v, np.minimum(*_whitened_off(whitened))
+        d = np.abs(_det(whitened))
+    off = _off_bound(np.maximum(*d), n)  # the bound falls as D grows; a NaN D gives a NaN bound
+    exact = np.flatnonzero(~(off < floor))  # a NaN bound is read too
+    if exact.size:
+        if whitened is None:
             s1, s1i = s1[exact], s1i[exact]
-            off[exact] = np.minimum(*_whitened_off(np.stack(
-                [w[exact] / s1[..., :, None], winv[exact] / s1i[..., None, :]])))
-        return v, off
-    rows, cols = w / s1[..., :, None], winv / s1i[..., None, :]
-    for lo, hi in wide:
-        ud, sd, vtd = np.linalg.svd(w[..., lo:hi, :], full_matrices=False)
-        ui, si, vti = np.linalg.svd(winv[..., :, lo:hi], full_matrices=False)
-        sd, si = np.maximum(sd, 1e-300), np.maximum(si, 1e-300)
-        direct = sd[..., -1:] / norm_w >= si[..., -1:] / norm_wi
-        v[..., lo:hi] = np.where(direct, np.log(sd), -np.log(si)[..., ::-1])
-        rows[..., lo:hi, :] = ud @ vtd
-        cols[..., :, lo:hi] = ui @ vti
-    _centre(v)
-    whitened = np.stack([rows, cols])  # one kernel call for both sides
-    if n > 3 or floor == -np.inf:
-        return v, np.minimum(*_whitened_off(whitened))
-    off = np.minimum(*_off_bound(np.abs(_det(whitened)), n))
-    exact = ~(off < floor)
-    off[exact] = np.minimum(*_whitened_off(whitened[:, exact]))
+            sides = np.stack([w[exact] / s1[..., :, None], winv[exact] / s1i[..., None, :]])
+        else:
+            sides = whitened[:, exact]
+        entry = (off, exact, sides, d[:, exact])
+        if pending is None:
+            _read_pending([entry], floor)
+        else:
+            pending.append(entry)
     return v, off
 
 
@@ -535,13 +602,14 @@ def segment_deficits(u: np.ndarray, a_plus: np.ndarray, points, face: FaceType,
     and tip.o sits at ``a_plus``, the tip's centered log singular values
     (descending), which the caller already holds.  A point's deficit is
     the largest of its off-parallel-set distance and its flat chamber
-    deficits toward both tips; all three vanish for members.  Points and
-    their inverses must be exactly accumulated products.  ``points`` yields
-    (p, pinv) stacks whose batch axes broadcast against those of u and
-    ``a_plus``; each stack takes one ``_frame_deficits`` call on its
-    coordinates u^T p and pinv u.  A deficit below ``floor`` may be read
-    as an upper bound below ``floor`` (``factored_coords_pair``); every
-    deficit at or above it is exact.  Returns one trailing column per stack.
+    deficits toward both tips (``_deficits``); all three vanish for
+    members.  Points and their inverses must be exactly accumulated
+    products.  ``points`` yields (p, pinv) stacks whose batch axes
+    broadcast against those of u and ``a_plus``; each stack takes one
+    ``factored_coords_pair`` call on its coordinates u^T p and pinv u.  A
+    deficit below ``floor`` may be read as an upper bound below ``floor``;
+    every deficit at or above it is exact.  Returns one trailing column
+    per stack.
     """
     # numpy's stacked matmul is slow on a transposed view: pinv u is formed as (u^T pinv^T)^T,
     # the same sums bit for bit, from contiguous u^T and the pinv^T that the callers carry
@@ -549,17 +617,16 @@ def segment_deficits(u: np.ndarray, a_plus: np.ndarray, points, face: FaceType,
     cols = []
     for p, pinv in points:
         winv = np.swapaxes(ut @ np.ascontiguousarray(np.swapaxes(pinv, -1, -2)), -1, -2)
-        cols.append(_frame_deficits(ut @ p, winv, a_plus, face, floor))
+        cols.append(_deficits(*factored_coords_pair(ut @ p, winv, face, floor), a_plus, face))
     return np.stack(cols, axis=-1)
 
 
-def _frame_deficits(w: np.ndarray, winv: np.ndarray, a_plus: np.ndarray, face: FaceType,
-                    floor: float) -> np.ndarray:
-    """Deficits of points with coordinates w = u^T p and winv = pinv u in a tip's frame u.
+def _deficits(v: np.ndarray, off: np.ndarray, a_plus: np.ndarray, face: FaceType) -> np.ndarray:
+    """Deficits of points with flat coordinates v and off distances off in a tip's frame.
 
-    The kernel of ``segment_deficits``, which morse calls on coordinates it forms itself.
+    The kernel of ``segment_deficits``; morse calls it on the reads of
+    ``factored_coords_pair`` once its block's exact off reads are made.
     """
-    v, off = factored_coords_pair(w, winv, face, floor)
     return np.maximum(np.maximum(off, flat_cone_deficit(v, face)),
                       flat_cone_deficit(a_plus - v, face))
 

@@ -418,8 +418,13 @@ class TestPlots:
         ('{"details": {"rays": "abc"}}', "limit-set-rp2"),
         ('{"details": {"probe_points": [1]}}', "margin-histogram"),
         ('{"details": {"deltas": [1, 2]}}', "delta-projection"),
+        ('{"details": {"probe_points": [[1]]}}', "margin-histogram"),
+        ('{"details": {"rays": [{"log_eps": [1], "slope": "x"}]}}', "expansion-growth"),
+        ('{"details": {"rays": [{"limit_flag_frame": [[{}]]}]}}', "limit-set-rp2"),
+        ('{"details": {"deltas": {"0": [[{}]]}}}', "delta-projection"),
     ], ids=["list", "list_details", "int_rays", "int_rays_growth", "string_rays",
-            "int_probe_points", "list_deltas"])
+            "int_probe_points", "list_deltas", "short_probe_point", "string_slope",
+            "object_in_frame", "object_in_delta"])
     def test_non_object_report_rejected(self, tmp_path, capsys, text, kind):
         p = tmp_path / "r.json"
         p.write_text(text)

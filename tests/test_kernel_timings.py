@@ -11,7 +11,10 @@ block's upper quartile deficit, as morse does below its running worst
 deficit.  The two-sided logs and frame of the words themselves are timed
 too, and so is morse's coordinate read of one full block of a rank-2 walk
 to length 8, u^T p and pinv u at prefix lengths 4, ..., 1, formed by
-``_prefix_coords`` with one GEMM per run of words that share a prefix.
+``_prefix_coords`` with one GEMM per run of words that share a prefix, and
+the whole deficit read of that block, ``_block_deficits`` over its four
+prefix lengths with the block's upper quartile deficit as the floor: one
+bound pass per prefix length, then the block's exact off reads at once.
 The ray primitives are timed on stacks of RAY_ROWS: ``qr_pos`` as the tails'
 sweep takes it (one row per ray, 200 as in the rays benchmark) and on
 2,400 rows, ``action_differential`` and ``expansion_factor`` of letters
@@ -40,9 +43,10 @@ from anosovcheck.cli import bundled_config_path, load_config
 from anosovcheck.flags import (Flag, action_differential, attractive_flag, expansion_factor, qr_pos,
                                suffix_flags)
 from anosovcheck.reports import dumps
-from anosovcheck.subgroup import (WORD_BLOCK, FreeGroupPresentation, _prefix_coords,
-                                  _two_sided_logs, limit_report, word_levels)
-from anosovcheck.symmspace import _two_sided_frame, factored_coords_pair, segment_deficits
+from anosovcheck.subgroup import (WORD_BLOCK, FreeGroupPresentation, _block_deficits,
+                                  _prefix_coords, _two_sided_logs, limit_report, word_levels)
+from anosovcheck.symmspace import (_top_read, _two_sided_frame, factored_coords_pair,
+                                   segment_deficits)
 from oracles import random_sl
 
 FACES = {2: FaceType.full(2), 3: FaceType.full(3), 4: FaceType.make(4, [1, 3])}
@@ -108,6 +112,26 @@ def test_prefix_coords_timing(benchmark, n):
     timed = benchmark.pedantic(call, rounds=ROUNDS)
     assert len(timed) == 4 and len(level.letters) == WORD_BLOCK
     assert all(np.array_equal(x, y) for a, b in zip(timed, call()) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_deficits_timing(benchmark, n):
+    rng = np.random.default_rng(n)
+    pres = FreeGroupPresentation(tuple(random_sl(rng, n, scale=1.2) for _ in range(2)))
+    chain = next(chain for chain in word_levels(pres, 8) if len(chain) == 8)
+    level = chain[-1]
+    rows = np.arange(WORD_BLOCK)
+    top = _top_read(level.mats)
+    ut = np.ascontiguousarray(np.swapaxes(_two_sided_frame(level.mats, level.invs, top), 1, 2))
+    a_plus = _two_sided_logs(level.mats, level.invs, level.logdets, top)
+    full = _block_deficits(chain, rows, ut, a_plus, FACES[n], -np.inf)
+    floor = np.quantile(full, 0.75)
+    call = lambda: _block_deficits(chain, rows, ut, a_plus, FACES[n], floor)  # noqa: E731
+    floored = benchmark.pedantic(call, rounds=ROUNDS)
+    assert floored.shape == (WORD_BLOCK, 4) and np.array_equal(floored, call())
+    # every deficit at or above the floor is exact, and every other one stays below it
+    above = full >= floor
+    assert np.array_equal(floored[above], full[above]) and (floored[~above] < floor).all()
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -185,6 +185,36 @@ def test_two_sided_frame_matches_oracle(request, n):
             assert np.abs(got.T @ got - np.eye(n)).max() <= 2e-15, (r, depth)
 
 
+def test_two_sided_frame_shares_the_top_read(rng):
+    # the frame and logs from m's top read, as word_checks, the conical windows and limit
+    # pass it, are those that read their own, bit for bit: on products, on rows whose top
+    # vector is noise and u3 is kept (first False) and on short rows, where u2 is an axis
+    # normal; and on the last prefixes of a stack of stacks, with the read sliced as limit
+    # slices it
+    q1, q2 = (np.stack([qr_pos(rng.standard_normal((3, 3)))[0] for _ in range(50)])
+              for _ in range(2))
+    mats, invs = products(rng, 3)
+    for spectrum in ([2.0, 2.0, 0.25], [1.0, 1.0, 1.0]):
+        mats = np.concatenate([mats, q1 @ np.diag(spectrum) @ q2])
+        invs = np.concatenate([invs, np.swapaxes(q2, -1, -2) @ np.diag(1.0 / np.array(spectrum))
+                               @ np.swapaxes(q1, -1, -2)])
+    (u1, res1), (u3, res3) = (symmspace._top_left_vector(x)
+                              for x in (mats, np.swapaxes(invs, -1, -2)))
+    u2 = symmspace._cross3(u3, u1)
+    first, short = res1 >= res3, symmspace._dot3(u2, u2) < 0.5
+    assert (first & ~short).any() and (~first).any() and short.any()
+    top = symmspace._top_read(mats)
+    assert np.array_equal(_two_sided_frame(mats, invs, top), _two_sided_frame(mats, invs))
+    logdets = np.linalg.slogdet(mats)[1]
+    assert np.array_equal(_two_sided_logs(mats, invs, logdets, top),
+                          _two_sided_logs(mats, invs, logdets))
+    m, mi = (x.reshape(10, -1, 3, 3) for x in (mats, invs))
+    assert np.array_equal(_two_sided_frame(m[:, -1], mi[:, -1],
+                                           tuple(x[:, -1] for x in symmspace._top_read(m))),
+                          _two_sided_frame(m[:, -1], mi[:, -1]))
+    assert symmspace._top_read(mats[:, :2, :2]) == ()
+
+
 def test_two_sided_frame_at_doubled_values():
     # rotated diag(2, 2, 1/4) resolves only its bottom vector, diag(4, 1/2, 1/2) only its
     # top one, and an orthogonal matrix none: the frame stays finite and orthonormal, and
@@ -461,9 +491,68 @@ def test_off_bound_on_faces(rng, kept, monkeypatch):
     whitened.clear()
     v1, off1 = factored_coords_pair(mats, invs, face, floor)
     read = bound >= floor
-    assert np.array_equal(v1, v) and np.array_equal(off1[read], off[read])
+    assert np.array_equal(v1, v)
     assert np.array_equal(off1[~read], bound[~read]) and (off1[~read] < floor).all()
-    assert [m.shape[1] for m in whitened] == [read.sum()]
+    # the read rows: one call on the side of the larger D, then one on the other side
+    # where that first read reaches the floor, which then gives the both-sides read
+    first, second = whitened
+    larger = np.abs(symmspace._det(rows)) >= np.abs(symmspace._det(cols))
+    assert np.array_equal(first, np.where(larger[:, None, None], rows, cols)[read])
+    again = read.copy()
+    again[read] = ~(kernel(first) < floor)
+    assert np.array_equal(second, np.where(larger[:, None, None], cols, rows)[again])
+    assert np.array_equal(off1[again], off[again])
+    assert (off1[read] >= off[read]).all() and (off1[read & ~again] < floor).all()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_off_reads_the_tighter_side_first(rng, n, monkeypatch):
+    # at n = 3 the side of the larger D is read first and the other side only where that
+    # read reaches the floor, or where either D is NaN; there the read is the both-sides
+    # min bit for bit, and elsewhere at least that min and below the floor.  At n = 2 both
+    # sides are read in one call
+    mats, invs = products(rng, n, count=60)
+    # both sides' whitened factors: unit rows of the products, unit columns of their inverses
+    sides = np.stack([unit_rows(mats), np.swapaxes(unit_rows(np.swapaxes(invs, -1, -2)), -1, -2)])
+    d = np.abs(symmspace._det(sides))
+    both = np.minimum(*symmspace._whitened_off(sides))
+    floor = np.median(both)
+    d[0, :3], d[1, 3:6] = np.nan, np.nan
+    calls = []
+    kernel = symmspace._whitened_off
+    monkeypatch.setattr(symmspace, "_whitened_off", lambda m: calls.append(m) or kernel(m))
+    off = symmspace._exact_off(sides, d, floor)
+    if n == 2:
+        assert [m.shape for m in calls] == [sides.shape] and np.array_equal(off, both)
+        return
+    first, second = calls
+    larger = (d[0] >= d[1])[:, None, None]
+    assert np.array_equal(first, np.where(larger, sides[0], sides[1]))
+    again = ~(kernel(first) < floor)
+    again[:6] = True  # a NaN D on either side
+    assert np.array_equal(second, np.where(larger, sides[1], sides[0])[again])
+    assert np.array_equal(off[again], both[again])
+    assert not again.all() and (off[~again] >= both[~again]).all() and (off[~again] < floor).all()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pending_reads_are_the_immediate_reads(rng, n, monkeypatch):
+    # morse leaves the exact reads of a block's stacks in one list and reads them at once:
+    # each stack's off distances are those of its own floored call, bit for bit, and the
+    # whole list takes one kernel call per side at n = 3 and one call at n = 2
+    face = FaceType.full(n)
+    stacks = [products(rng, n, count=count) for count in (30, 8, 45)]
+    floor = np.median(factored_coords_pair(*stacks[0], face)[1])
+    alone = [factored_coords_pair(w, winv, face, floor) for w, winv in stacks]
+    calls, pending = [], []
+    kernel = symmspace._whitened_off
+    monkeypatch.setattr(symmspace, "_whitened_off", lambda m: calls.append(m) or kernel(m))
+    gathered = [factored_coords_pair(w, winv, face, floor, pending) for w, winv in stacks]
+    assert not calls and len(pending) == 3
+    symmspace._read_pending(pending, floor)
+    assert not pending and len(calls) == (2 if n == 3 else 1)
+    for (v, off), (v1, off1) in zip(alone, gathered):
+        assert np.array_equal(v, v1) and np.array_equal(off, off1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -236,37 +236,52 @@ class TestMorse:
 
     def test_each_configuration_read_once(self, sl2_pres, sl3_pres, monkeypatch):
         # a block of words of length L is read at its prefixes t <= L/2 only,
-        # each from the nearer tip: floor(L/2) point stacks of the block's rows,
-        # one _frame_deficits call per stack, one factored_coords_pair call per
-        # kernel call and none for the tip
-        calls, stacks, exact = [], [], []
-        coords, deficits = symmspace.factored_coords_pair, subgroup._frame_deficits
-        kernel = symmspace._whitened_off
-        monkeypatch.setattr(symmspace, "factored_coords_pair",
-                            lambda *args: calls.append(1) or coords(*args))
+        # each from the nearer tip: floor(L/2) factored_coords_pair bound passes,
+        # each on all of the block's words, and none for the tip.  The blocks of
+        # L = 2 and 3 come before any floor is set, so each pass reads both sides
+        # of every row in one kernel call.  Every later block makes its exact off
+        # reads after its last pass, at most one kernel call per side: at n = 3 one
+        # on the side of the smaller bound, then one on the other side, at n = 2
+        # one on both sides
+        events = []
+        coords, kernel = subgroup.factored_coords_pair, symmspace._whitened_off
+        monkeypatch.setattr(subgroup, "factored_coords_pair",
+                            lambda w, *args: events.append(len(w)) or coords(w, *args))
         monkeypatch.setattr(symmspace, "_whitened_off",
-                            lambda m: exact.append(m.shape[1]) or kernel(m))
-
-        def counted(w, *args):
-            before = len(calls)
-            out = deficits(w, *args)
-            stacks.append((len(w), len(calls) - before))
-            return out
-
-        monkeypatch.setattr(subgroup, "_frame_deficits", counted)
+                            lambda m: events.append(m.shape[:-2]) or kernel(m))
         # the off distance is read exactly only where its bound reaches the
-        # floor: 3,024 of the 12,576 configurations at n = 3 and 224 at n = 2
-        # (the walk is deterministic)
+        # floor: 3,024 of the 12,576 configurations at n = 3, 224 of them on both
+        # sides, and 224 at n = 2 (the walk is deterministic)
         assert sum(el // 2 * 4 * 3 ** (el - 1) for el in range(2, 8)) == 12576
-        for pres, face, read in ((sl3_pres, FACE3, 3024), (sl2_pres, FACE2, 224)):
-            for seen in (calls, stacks, exact):
-                seen.clear()
+        for pres, face, read in ((sl3_pres, FACE3, (3024, 224)), (sl2_pres, FACE2, (224, 224))):
+            events.clear()
             rep = morse_check(pres, face, 7)
             assert rep.details["vanishing_gap_count"] == 0
-            blocks = [chain[-1] for chain in word_levels(pres, 7) if len(chain) >= 2]
-            assert stacks == [(len(lv.letters), 1) for lv in blocks
-                              for _ in range(lv.letters.shape[1] // 2)]
-            assert sum(exact) == read
+            sides = [0, 0]  # rows read on their first side, and on their second
+            pos = 0
+            for level in (chain[-1] for chain in word_levels(pres, 7) if len(chain) >= 2):
+                size, el = level.letters.shape
+                reads = []  # the kernel calls after each pass
+                for _ in range(el // 2):
+                    assert events[pos] == size
+                    pos += 1
+                    reads.append([])
+                    while pos < len(events) and isinstance(events[pos], tuple):
+                        reads[-1].append(events[pos])
+                        pos += 1
+                if el <= 3:
+                    assert reads == [[(2, size)]]
+                    sides = [x + size for x in sides]
+                    continue
+                assert not any(reads[:-1])
+                if face.n == 2:
+                    assert len(reads[-1]) <= 1 and all(r[0] == 2 for r in reads[-1])
+                    sides = [x + sum(r[1] for r in reads[-1]) for x in sides]
+                else:
+                    assert len(reads[-1]) <= 2 and all(len(r) == 1 for r in reads[-1])
+                    for k, r in enumerate(reads[-1]):
+                        sides[k] += r[0]
+            assert pos == len(events) and tuple(sides) == read
 
     def test_flat_model_morse(self, sl2_pres):
         # the chamber path of a passing orbit ray passes the flat version
@@ -365,22 +380,23 @@ def test_reports_do_not_depend_on_the_word_block(name, monkeypatch):
     ("sl3-symsq-schottky", None, 9), ("sl3-symsq-schottky", [1], 7)],
     ids=["sl2-8", "sl3-8", "sanov-8", "sl3-9", "sl3-face1-7"])
 def test_morse_reports_do_not_depend_on_the_floor(name, kept, length, monkeypatch):
-    # an off distance read as its bound lies below the floor, so it can neither
-    # be the worst deficit at any length nor tie with it: morse publishes the
-    # same report byte for byte with the floor forced to -inf, the full read,
-    # which depends on no block size, and with the floor in blocks of 7 words,
-    # where floors rise block by block across interleaved lengths, of 1,458
-    # or of WORD_BLOCK
+    # an off distance read as its bound, or as one side's read, lies below the
+    # floor, so it can neither be the worst deficit at any length nor tie with
+    # it: morse publishes the same report byte for byte with the floor forced
+    # to -inf, the full read, which depends on no block size, and with the
+    # floor in blocks of 7 words, where floors rise block by block across
+    # interleaved lengths, of 1,458 or of WORD_BLOCK
     cfg = load_config(bundled_config_path(name))
     pres = cfg.presentation()
     face = cfg.face_type() if kept is None else FaceType.make(3, kept)
-    kernel = subgroup._frame_deficits
+    coords = subgroup.factored_coords_pair
 
     def report():
         return dumps(morse_check(pres, face, length).as_dict())
 
     with monkeypatch.context() as m:
-        m.setattr(subgroup, "_frame_deficits", lambda *args: kernel(*args[:-1], -np.inf))
+        m.setattr(subgroup, "factored_coords_pair",
+                  lambda w, winv, face, floor, pending: coords(w, winv, face))
         expected = report()
     for block in (7, 1458, subgroup.WORD_BLOCK):
         monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
