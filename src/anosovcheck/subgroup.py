@@ -55,7 +55,7 @@ from .symmspace import (
 )
 
 CONICAL_LOOKAHEAD = 4  # limit: letters behind and ahead of a point in its conical window
-PAIR_BLOCK = 1 << 16  # limit: pairs of limit flags per broadcast call of the pair scan
+PAIR_BLOCK = 1 << 16  # limit: most screen entries, pairs or not, per block of the pair scan
 BETA_PAD = 8          # anosov: letters sampled past the tested prefixes for the limit flag
 DIVERGENCE_LOGEPS = float(np.log(100.0))  # anosov: log expansion counted as divergent
 CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansion
@@ -264,17 +264,20 @@ def word_checks(pres: FreeGroupPresentation, face: FaceType, scans: list) -> lis
     """Reports of scans, such as uru's and morse's, from one depth-first walk of the word tree.
 
     A scan is a generator that yields its word length whenever it waits: it
-    is sent (chain, logs, their norms, least wall gaps, the products'
-    ``symmspace._top_read``) of each block up to that length, then None,
-    and yields its report.  The walk goes to the longest length, and takes
-    each block's logs, norms, gaps and top read once.
+    is sent the list [chain, logs, their norms, least wall gaps, the
+    products' ``symmspace._top_read``] of each block up to that length,
+    then None, and yields its report.  The walk goes to the longest length,
+    and takes each block's logs, norms, gaps and top read once.  A scan that
+    takes the block's frame pops the top read, so that it is freed before
+    the scan's own reads.
     """
     lengths = [next(scan) for scan in scans]
     for chain in word_levels(pres, max(lengths)):
         level = chain[-1]
         top = _top_read(level.mats)
         logs = _two_sided_logs(level.mats, level.invs, level.logdets, top)
-        shared = (chain, logs, row_norms(logs), _least_gaps(logs, face), top)
+        shared = [chain, logs, row_norms(logs), _least_gaps(logs, face), top]
+        del top  # held by the list alone, which the frame's reader pops it from
         for length, scan in zip(lengths, scans):
             if len(chain) <= length:
                 scan.send(shared)
@@ -303,7 +306,7 @@ def _uru_scan(pres, face, length):
     flattest: list[tuple] = []
 
     while (block := (yield length)) is not None:
-        chain, delta, dist, gaps, _ = block
+        chain, delta, dist, gaps = block[:4]
         level, el = chain[-1], len(chain)
         by_length.setdefault(el, []).extend(_records(dist, level))
         if el >= tail_start:
@@ -473,7 +476,7 @@ def _morse_scan(pres, face, length, rho_cap=1.0):
     scanned: dict[int, list[tuple[np.ndarray, ...]]] = {}
     best = np.full(length + 1, -np.inf)  # per length: the largest final read so far
     while (block := (yield length)) is not None:
-        chain, logs, norms, gaps, top = block
+        chain, logs, norms, gaps = block[:4]
         level, el = chain[-1], len(chain)
         ok = ~(gaps < GAP_TOL)
         vanishing += zip(level.dfs[~ok].tolist(), level.letters[~ok].tolist())
@@ -487,8 +490,8 @@ def _morse_scan(pres, face, length, rho_cap=1.0):
             # columns come longest prefix first; column t-1 is prefix length t; a read
             # below the floor, well clear of TIE_RTOL, may be a bound below it
             floor = best[:el + 1].max() * (1.0 - 1e-9)
-            ut = np.take(np.swapaxes(_two_sided_frame(level.mats, level.invs, top), 1, 2), rows,
-                         axis=0)
+            ut = np.take(np.swapaxes(_two_sided_frame(level.mats, level.invs, block.pop()), 1, 2),
+                         rows, axis=0)
             d[rows] = reads = _block_deficits(chain, rows, ut, logs[rows], face, floor)
             if el > 2:  # a midpoint read t = L/2 is final only after the mirror's min
                 best[el] = max(best[el], reads[:, :(el - 1) // 2].max())
@@ -680,8 +683,9 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
     pinv_t = np.stack([np.swapaxes(x, -1, -2) for x in pinvs], axis=1, out=np.empty(p.shape))
     top = _top_read(m)
     a_plus = _two_sided_logs(m, minv, logdet, top)
-    d = segment_deficits(_two_sided_frame(m, minv, top), a_plus,
-                         [(p, np.swapaxes(pinv_t, -1, -2))], face)[..., 0]
+    u = _two_sided_frame(m, minv, top)
+    del top, m, minv, reads, stacks, pinvs  # read by their last readers
+    d = segment_deficits(u, a_plus, [(p, np.swapaxes(pinv_t, -1, -2))], face)[..., 0]
     starts = np.flatnonzero(np.diff(windows, prepend=0))
     sups = np.minimum.reduceat(d, starts, axis=1).max(axis=1)
 
@@ -691,29 +695,116 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
     return (sups <= rho) & (transverse | ~flag_limits(back)), sups
 
 
+_EPS = 0.5 * np.finfo(float).eps  # unit roundoff
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k eps / (1 - k eps), the relative error of k roundings."""
+    return k * _EPS / (1.0 - k * _EPS)
+
+
+def _screen_threshold(c0: float, known: float, n: int, eta: float) -> float:
+    """The least screen value above which no pair can set a minimum of ``_pair_scan``.
+
+    ``c0`` is the least screen value among the pairs, ``known`` the least
+    exact margin read so far; ``_pair_scan`` derives the band.  The largest
+    float stands for "every pair", so that the masked entries, set to inf,
+    stay out.
+    """
+    delta = _gamma(n) * (1.0 + eta)
+    tau = 3.0 * (eta + delta) + 2.0 * _EPS
+    slack = 2.0 * delta + _gamma(8) + _gamma(n + 6) * (1.0 + eta)
+
+    def band(c):  # E(c), nondecreasing in c; E(inf) is the uniform band
+        s = math.sqrt(max(0.0, 1.0 - c * c))
+        return slack + min(math.sqrt(tau), tau / s if s else math.inf)
+
+    bound = min(known, c0 / math.sqrt(1.0 + math.sqrt(max(0.0, 1.0 - c0 * c0))) + band(c0))
+    thr = math.inf
+    for _ in range(2):  # the uniform band, then the band at that threshold
+        m = bound + band(thr)
+        if not m < 1.0:
+            return float(np.finfo(float).max)
+        thr = m * math.sqrt(2.0 - m * m) * (1.0 + 16.0 * _EPS)
+    return thr
+
+
 def _pair_scan(limits: Flag, letters: np.ndarray):
     """(cross margin, all-pairs margin, closest cross pair) of limit flags.
 
-    Pairs (i, j < i) go i ascending, then j.  Each block of `step` rows i gathers the flags of
-    its pairs, every row against all earlier flags, at most PAIR_BLOCK pairs, and takes one
-    ``antipodality_margin`` call on them.  Cross pairs have different first letters (disjoint
-    cylinders).
+    Pairs (i, j < i) go i ascending, then j; cross pairs have different
+    first letters (disjoint cylinders).  Each block of ``step`` rows i takes
+    a screen of its pairs against all earlier flags, rows times all flags
+    up to the block's end, at most PAIR_BLOCK entries: with u a flag's line
+    (frame column 0) and v its hyperplane's normal (column n - 1), one
+    BLAS product gives c = |u_i . v_j|, and at n >= 3 the min with
+    |u_j . v_i| from the transposed product, the two closed-form dimensions
+    1 and n - 1 of ``transversality_margin``.  Its margin is
+    G(c) = c / sqrt(1 + sqrt(1 - c^2)) = sqrt(1 - s), increasing in c, with
+    inverse m sqrt(2 - m^2).  Only the pairs whose c can give a margin at
+    most the least upper bound of the block go to ``antipodality_margin``,
+    once for both minima: those with c at most a threshold from the cross
+    pairs' least c, or from all pairs' least c.  The minima are those
+    exact reads, and the closest pair the first exact minimum in pair
+    order, so they are the all-pairs loop's bit for bit.
+
+    The threshold bounds the exact route's margin m_e of a pair against
+    G(c) of its screen value.  With eps the unit roundoff, gamma_k =
+    k eps / (1 - k eps), and eta >= | |x|^2 - 1 | over the rows' u and v,
+    measured (their computed squared norms' distance from 1, plus 2
+    gamma_n):
+    - c: ``_dot`` and the BLAS product each give u.v within
+      delta = gamma_n (1 + eta) in any order of summation, so they differ
+      by at most 2 delta.
+    - s: ``_sine`` gives s_e = sigma (1 + theta), |theta| <= gamma_{n+4}
+      (the squared differences and sums carry n + 2 roundings each, their
+      product one more, its root one), where
+      sigma = |u - v| |u + v| / 2 = sqrt(nu^2 - c*^2), nu = (|u|^2 + |v|^2) / 2.
+      The screen's s^ = sqrt(1 - c^2) has a radicand within
+      tau = 3 (eta + delta) + 2 eps of sigma^2 (2 eps for its own two
+      roundings), so |sigma - s^| <= min(sqrt(tau), tau / s^): the error
+      of c is amplified as eps / s where c -> 1.
+    - the formula: c / sqrt(1 + s) takes three roundings on the exact route
+      and on the screen, and its partial derivatives are at most 1 in c
+      and in s.
+    So |m_e - G(c)| <= E(c) = 2 delta + gamma_8 + gamma_{n+6} (1 + eta)
+    + min(sqrt(tau), tau / s^), each gamma taken two roundings larger than
+    its count to cover the screen's own scalar arithmetic.  E grows with c.
+    The least upper bound is U = min(known exact minimum, G(c0) + E(c0))
+    at the least c0.  A pair is a candidate if G(c) - E(c) <= U; the first
+    threshold c1 = G^-1(U + E(inf)) holds for every c, and
+    c2 = G^-1(U + E(c1)) for c <= c1, since E grows; c2, raised by 16 eps
+    relative for the rounding of G^-1, is the threshold.  A dimension with
+    no closed form (the middle ones at n >= 4) gives no lower bound: eta is
+    inf, so every pair of the block is a candidate.  Memory is a few
+    arrays of PAIR_BLOCK entries per block, linear in the ray count.
     """
-    count = len(letters)
-    min_margin, all_pairs_min, closest = math.inf, math.inf, None
+    count, n = len(letters), limits.face.n
+    lines, normals = (np.ascontiguousarray(limits.frame[..., k]) for k in (0, n - 1))
+    norms = np.concatenate([np.einsum("ij,ij->i", x, x) for x in (lines, normals)])
+    eta = (float(np.abs(norms - 1.0).max()) + 2.0 * _gamma(n)
+           if set(limits.dims) <= {1, n - 1} else math.inf)
     firsts = letters[:, 0]
+    min_margin, all_pairs_min, closest = math.inf, math.inf, None
     step = max(1, PAIR_BLOCK // count)
     for lo in range(1, count, step):
-        sizes = np.arange(lo, min(lo + step, count))  # row i has the i pairs (i, j < i)
-        starts = np.cumsum(sizes) - sizes
-        i = np.repeat(sizes, sizes)
-        j = np.arange(len(i)) - np.repeat(starts, sizes)
+        hi = min(lo + step, count)
+        c = np.abs(lines[lo:hi] @ normals[:hi].T)  # row r holds i = lo + r against j < hi
+        if n > 2:
+            np.minimum(c, np.abs(normals[lo:hi] @ lines[:hi].T), out=c)
+        c[:, lo:][~np.tri(hi - lo, k=-1, dtype=bool)] = np.inf  # j >= i is no pair
+        cross = np.where(firsts[lo:hi, None] != firsts[:hi], c, np.inf)
+        r, j = np.nonzero((c <= _screen_threshold(float(c.min()), all_pairs_min, n, eta))
+                          | (cross <= _screen_threshold(float(cross.min()), min_margin, n, eta)))
+        if not r.size:
+            continue
+        i = r + lo
         margins = antipodality_margin(limits[i], limits[j])
         all_pairs_min = min(all_pairs_min, float(margins.min()))
-        cross = np.where(firsts[i] != firsts[j], margins, math.inf)
-        k = int(np.argmin(cross))  # the first of equal minima, in pair order
-        if cross[k] < min_margin:
-            min_margin = float(cross[k])
+        margins[firsts[i] == firsts[j]] = np.inf
+        k = int(np.argmin(margins))  # the first of equal minima, in pair order
+        if margins[k] < min_margin:
+            min_margin = float(margins[k])
             closest = (letters[i[k]].tolist(), letters[j[k]].tolist())
     return min_margin, all_pairs_min, closest
 
@@ -749,6 +840,7 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     # conical check reads; their logs are the prefixes', negated and reversed: regular rows stay so
     limits = Flag(face, _two_sided_frame(sample.prefixes[:, -1], sample.inverses[:, -1],
                                          tuple(x[:, -1] for x in top)))
+    del top  # read by its last reader
     back = Flag(iota_face(face), _two_sided_frame(sample.inverses, sample.prefixes))
     conical, sups = _conical_rays(pres, sample, back, CONICAL_RHO)
     samples = [{

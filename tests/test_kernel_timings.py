@@ -13,8 +13,13 @@ too, and so is morse's coordinate read of one full block of a rank-2 walk
 to length 8, u^T p and pinv u at prefix lengths 4, ..., 1, formed by
 ``_prefix_coords`` with one GEMM per run of words that share a prefix, and
 the whole deficit read of that block, ``_block_deficits`` over its four
-prefix lengths with the block's upper quartile deficit as the floor: one
-bound pass per prefix length, then the block's exact off reads at once.
+prefix lengths with morse's floor there: the largest final deficit at
+lengths 3 to 7, each one block of that walk, lowered by 1e-9 relative.
+That is one bound pass per prefix length, then the block's exact off reads
+at once, on few of its 11,664 configurations, as in morse (on
+sl3-symsq-schottky, 10,800 of 47,568 at L = 8 on their first side and 248
+on their second): 2 read on both sides in one call at n = 2, and at n = 3
+50 on their first side and 14 on their second.
 The ray primitives are timed on stacks of RAY_ROWS: ``qr_pos`` as the tails'
 sweep takes it (one row per ray, 200 as in the rays benchmark) and on
 2,400 rows, ``action_differential`` and ``expansion_factor`` of letters
@@ -22,7 +27,9 @@ at random flags of the full face, and ``attractive_flag`` of the letters.
 The word walk is timed on the step from one full block to its children:
 a rank-2 walk to length 8 yields its first full block at length 7, then
 that block's three child blocks.  The rays benchmark's other steps are
-timed on its shapes: the orthonormality check of a ``Flag`` of 200 x 21
+timed on its shapes: limit's pair scan ``_pair_scan`` over the limit flags
+of 200 and of 1,000 rays of depth 12 of sl2-schottky and
+sl3-symsq-schottky at seed 1, the orthonormality check of a ``Flag`` of 200 x 21
 frames, ``suffix_flags`` over 200 rays of 20 letters, and the writing of a
 200-ray limit report of sl3-symsq-schottky.  Each test also checks that
 the timed call returns what an untimed call does.
@@ -44,7 +51,8 @@ from anosovcheck.flags import (Flag, action_differential, attractive_flag, expan
                                suffix_flags)
 from anosovcheck.reports import dumps
 from anosovcheck.subgroup import (WORD_BLOCK, FreeGroupPresentation, _block_deficits,
-                                  _prefix_coords, _two_sided_logs, limit_report, word_levels)
+                                  _pair_scan, _prefix_coords, _two_sided_logs, limit_report,
+                                  sample_rays, word_levels)
 from anosovcheck.symmspace import (_top_read, _two_sided_frame, factored_coords_pair,
                                    segment_deficits)
 from oracles import random_sl
@@ -114,6 +122,21 @@ def test_prefix_coords_timing(benchmark, n):
     assert all(np.array_equal(x, y) for a, b in zip(timed, call()) for x, y in zip(a, b))
 
 
+def morse_floor(pres, face):
+    """morse's floor at the first block of length 8 of a rank-2 walk: the largest final
+    deficit at lengths 3 to 7, lowered by 1e-9 relative.  A final read at length L leaves out
+    the midpoint t = L/2, which waits for its mirror's."""
+    best = -np.inf
+    for chain in word_levels(pres, 7):
+        level, el = chain[-1], len(chain)
+        if el > 2:
+            ut = np.ascontiguousarray(np.swapaxes(_two_sided_frame(level.mats, level.invs), 1, 2))
+            a_plus = _two_sided_logs(level.mats, level.invs, level.logdets)
+            reads = _block_deficits(chain, np.arange(len(ut)), ut, a_plus, face, -np.inf)
+            best = max(best, reads[:, :(el - 1) // 2].max())
+    return best * (1.0 - 1e-9)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_block_deficits_timing(benchmark, n):
     rng = np.random.default_rng(n)
@@ -125,7 +148,7 @@ def test_block_deficits_timing(benchmark, n):
     ut = np.ascontiguousarray(np.swapaxes(_two_sided_frame(level.mats, level.invs, top), 1, 2))
     a_plus = _two_sided_logs(level.mats, level.invs, level.logdets, top)
     full = _block_deficits(chain, rows, ut, a_plus, FACES[n], -np.inf)
-    floor = np.quantile(full, 0.75)
+    floor = morse_floor(pres, FACES[n])
     call = lambda: _block_deficits(chain, rows, ut, a_plus, FACES[n], floor)  # noqa: E731
     floored = benchmark.pedantic(call, rounds=ROUNDS)
     assert floored.shape == (WORD_BLOCK, 4) and np.array_equal(floored, call())
@@ -228,6 +251,35 @@ def test_suffix_flags_timing(benchmark, n):
     mats = letters[rng.integers(len(letters), size=(RAY_ROWS[0], 20))]
     timed = benchmark.pedantic(suffix_flags, (mats, FACES[n]), rounds=ROUNDS)
     assert np.array_equal(timed.frame, suffix_flags(mats, FACES[n]).frame)
+
+
+RAY_CONFIGS = {2: "sl2-schottky", 3: "sl3-symsq-schottky"}
+# _pair_scan's (cross margin, all-pairs margin, closest pair) as the all-pairs scan gave them
+PAIR_SCANS = {
+    (2, 200): (0.44580225079863606, 2.1899528559592733e-08,
+               ([-1, -2, 1, 2, -1, -2, 1, -2, -1, -1, -2, -1],
+                [-2, -1, 2, 1, 1, 2, 2, 2, -1, -2, -2, 1])),
+    (2, 1000): (0.4456605648830442, 8.362945378472193e-12,
+                ([-2, -1, 2, 1, -2, -1, 2, 2, 1, -2, -1, 2],
+                 [-1, -2, 1, 2, -1, -2, 1, -2, -1, -1, -2, -1])),
+    (3, 200): (0.25743242606375094, 5.29906204805774e-16,
+               ([-1, -2, 1, 2, -1, -2, 1, -2, -1, -1, -2, -1],
+                [-2, -1, 2, 1, 1, 2, 2, 2, -1, -2, -2, 1])),
+    (3, 1000): (0.2572816955334141, 0.0,
+                ([-2, -1, 2, 1, -2, -1, 2, 2, 1, -2, -1, 2],
+                 [-1, -2, 1, 2, -1, -2, 1, -2, -1, -1, -2, -1])),
+}
+
+
+@pytest.mark.parametrize("rays", [RAY_ROWS[0], 1000])
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_scan_timing(benchmark, n, rays):
+    cfg = load_config(bundled_config_path(RAY_CONFIGS[n]))
+    face = cfg.face_type()
+    sample = sample_rays(cfg.presentation(), rays, 12, 1, face)
+    limits = Flag(face, _two_sided_frame(sample.prefixes[:, -1], sample.inverses[:, -1]))
+    timed = benchmark.pedantic(_pair_scan, (limits, sample.letters), rounds=ROUNDS)
+    assert timed == PAIR_SCANS[n, rays]
 
 
 def test_dumps_timing(benchmark):

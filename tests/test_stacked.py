@@ -1,6 +1,8 @@
 """Stacked primitives: leading axes are batch axes, and every row of a
 stack comes out bit for bit as the same primitive gives it alone."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -876,6 +878,147 @@ def test_pair_scan_ties_go_to_the_first_pair_in_order(monkeypatch):
     assert _pair_scan(limits, letters) == expected
     monkeypatch.setattr(subgroup, "PAIR_BLOCK", 4)  # (2, 1) and (3, 0) in separate blocks
     assert _pair_scan(limits, letters) == expected
+
+
+def scan_matches_loop(monkeypatch, limits, letters, block):
+    """_pair_scan against the loop bit for bit at PAIR_BLOCK ``block``; the loop's result and
+    the number of pairs read exactly."""
+    monkeypatch.setattr(subgroup, "PAIR_BLOCK", block)
+    read = []
+
+    def counted(f1, f2):
+        read.append(len(f1.frame))
+        return antipodality_margin(f1, f2)
+
+    monkeypatch.setattr(subgroup, "antipodality_margin", counted)
+    expected = pair_scan_loop(limits, letters)
+    margin, all_pairs, closest = _pair_scan(limits, letters)
+    assert same_bits(margin, expected[0]) and same_bits(all_pairs, expected[1])
+    assert closest == expected[2]
+    return expected, sum(read)
+
+
+def turned(frame, t):
+    """frame with its columns 0 and 1 turned by the angle t."""
+    rot = np.eye(len(frame))
+    rot[:2, :2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+    return frame @ rot
+
+
+def two_cluster_rays(n, count, seed):
+    """(frames, letters) of ``count`` flags of R^n in two clusters, by first letters 1 and 2
+    alternating, each word distinct: cross margins near 0.47, so that an ulp of an entry is
+    about an ulp of a margin."""
+    rng = np.random.default_rng(seed)
+    q = qr_pos(rng.standard_normal((n, n)))[0]
+    bases = np.stack([q, turned(q[:, ::-1], 0.9)])
+    first = 1 + np.arange(count) % 2
+    frames = qr_pos(bases[first - 1] @ (np.eye(n) + 0.05 * rng.standard_normal((count, n, n))))[0]
+    return frames, np.stack([first, np.arange(1, count + 1)], axis=1)
+
+
+def closest_cross_pair(frames, letters, face):
+    """(i, j < i) of the loop's closest cross pair, and its margin."""
+    margin, _, (wi, wj) = pair_scan_loop(Flag(face, frames), letters)
+    words = letters.tolist()
+    return words.index(wi), words.index(wj), margin
+
+
+def with_rays(frames, letters, extra):
+    """The sample with rays (frame, first letter) appended, each with a new distinct word."""
+    count = len(frames)
+    return (np.concatenate([frames, np.stack([f for f, _ in extra])]),
+            np.concatenate([letters, [[a, count + k + 1] for k, (_, a) in enumerate(extra)]]))
+
+
+@pytest.mark.parametrize("block", [1, 1 << 16])  # every row its own block; one block
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_scan_exact_ties(monkeypatch, n, block):
+    # copies of the closest cross pair's flags, appended after it, tie with it exactly
+    face = FaceType.full(n)
+    frames, letters = two_cluster_rays(n, 24, seed=n)
+    i0, j0, margin = closest_cross_pair(frames, letters, face)
+    count = len(frames)
+    frames, letters = with_rays(frames, letters, [(frames[j0], letters[j0, 0]),
+                                                  (frames[i0], letters[i0, 0])])
+    limits = Flag(face, frames)
+    # the pairs (count + 1, j0) and (count + 1, count) read the same flags as (i0, j0)
+    ties = antipodality_margin(limits[[i0, count + 1, count + 1]], limits[[j0, j0, count]])
+    assert all(same_bits(t, margin) for t in ties)
+    expected, read = scan_matches_loop(monkeypatch, limits, letters, block)
+    assert expected[2] == (letters[i0].tolist(), letters[j0].tolist())
+    assert read < len(frames) * (len(frames) - 1) // 4  # the screen leaves most pairs unread
+
+
+def nudged(f_i, f_j, face, ulps):
+    """f_i with one or two entries of its columns 0 and n - 1 moved by a few ulps, so that its
+    margin against f_j is ``ulps`` ulps from f_i's."""
+    n = face.n
+    margin = float(antipodality_margin(Flag(face, f_i), Flag(face, f_j)))
+    target = margin + ulps * np.spacing(margin)
+    entries = [(r, c) for c in (0, n - 1) for r in range(n)]
+    steps = range(-3, 4)
+    for (e1, s1), (e2, s2) in itertools.product(itertools.product(entries, steps), repeat=2):
+        f = f_i.copy()
+        f[e1] += s1 * np.spacing(f[e1])
+        f[e2] += s2 * np.spacing(f[e2])
+        if float(antipodality_margin(Flag(face, f), Flag(face, f_j))) == target:
+            return f
+    raise AssertionError(f"no nudge of {ulps} ulps")
+
+
+@pytest.mark.parametrize("block", [1, 1 << 16])
+@pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_scan_margins_ulps_apart(monkeypatch, n, ulps, block):
+    # a later cross pair 1 or 2 ulps below or above the closest one, beyond any screen's reach
+    face = FaceType.full(n)
+    frames, letters = two_cluster_rays(n, 24, seed=n)
+    i0, j0, margin = closest_cross_pair(frames, letters, face)
+    near = nudged(frames[i0], frames[j0], face, ulps)
+    frames, letters = with_rays(frames, letters, [(frames[j0], letters[j0, 0]),
+                                                  (near, letters[i0, 0])])
+    expected, _ = scan_matches_loop(monkeypatch, Flag(face, frames), letters, block)
+    assert expected[0] == min(margin, margin + ulps * np.spacing(margin))
+    assert (expected[2][0] == letters[-1].tolist()) == (ulps < 0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_scan_near_orthogonal_pairs(monkeypatch, n):
+    # every cross pair has c -> 1: a line almost along the other flag's hyperplane normal,
+    # margins within 1e-6 of 1; same-letter pairs are almost equal flags, margins near 0
+    face = FaceType.full(n)
+    q = qr_pos(np.random.default_rng(n).standard_normal((n, n)))[0]
+    frames = np.stack([turned(q, t) for t in (0.0, 1e-17, 1e-12, 1e-8)]
+                      + [turned(q[:, ::-1], t) for t in (0.0, 1e-16, 1e-10, 1e-6)])
+    letters = np.array([[1 if k < 4 else 2, k + 1] for k in range(8)])
+    limits = Flag(face, frames)
+    for block in (1, 1 << 16):
+        expected, _ = scan_matches_loop(monkeypatch, limits, letters, block)
+        assert abs(expected[0] - 1.0) < 1e-6 and expected[1] < 1e-6
+    for i, j in itertools.product(range(4), range(4, 8)):  # two-ray samples
+        expected, _ = scan_matches_loop(monkeypatch, limits[[i, j]], letters[[i, j]], 1 << 16)
+        assert abs(expected[0] - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_scan_of_one_ray(n):
+    # one regular ray has no pair
+    frames, letters = two_cluster_rays(n, 1, seed=n)
+    limits = Flag(FaceType.full(n), frames)
+    assert pair_scan_loop(limits, letters) == (np.inf, np.inf, None)
+    assert _pair_scan(limits, letters) == (np.inf, np.inf, None)
+
+
+@pytest.mark.parametrize("block", [1, 200, 1 << 16])  # 40 rays: blocks of 1 and 5 rows, one block
+@pytest.mark.parametrize("walls", [(1, 2, 3), (2,), (1, 3)], ids=["123", "2", "13"])
+def test_pair_scan_with_a_middle_dimension(monkeypatch, walls, block):
+    # at n = 4 a middle dimension has no closed form, so every pair is read exactly; the
+    # face (1, 3) has none, and its screen leaves most pairs unread
+    face = FaceType.make(4, walls)
+    frames, letters = two_cluster_rays(4, 40, seed=4)
+    _, read = scan_matches_loop(monkeypatch, Flag(face, frames), letters, block)
+    assert (read == 40 * 39 // 2) == (2 in walls)
 
 
 def stacked_prefix_points(chain, rows):
