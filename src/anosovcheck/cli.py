@@ -28,7 +28,6 @@ from .chamber import FaceType
 from .errors import BudgetExceeded, IllConditioned, PingPongFailed, VanishingGap
 from .reports import dumps
 from .subgroup import (
-    BETA_PAD,
     DET_TOL,
     MAX_WORDS,
     FreeGroupPresentation,
@@ -36,6 +35,7 @@ from .subgroup import (
     _uru_scan,
     anosov_check,
     limit_report,
+    sample_rays,
     word_checks,
     word_count,
 )
@@ -133,10 +133,9 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: a seed is mandatory for randomized checkers")
         if self.depth < 4:
             raise ConfigError(f"{path}: depth must be >= 4")
-        # distinct rays: the reduced words of length ray_depth, BETA_PAD longer for anosov
+        # distinct rays: the reduced words of length ray_depth, which name the rays
         rank = len(self.generators)
-        limit_rays = 2 * rank * (2 * rank - 1) ** (self.ray_depth - 1)
-        anosov_rays = limit_rays * (2 * rank - 1) ** BETA_PAD
+        rays = 2 * rank * (2 * rank - 1) ** (self.ray_depth - 1)
         # ranges a checker would fail on with a traceback, or certify on no data
         checks = (
             (not self.generators, "'generators' must hold at least one matrix"),
@@ -150,11 +149,8 @@ class ExperimentConfig:
              "'ray_depth' must be >= 2 for limit and anosov"),
             ("anosov" in self.checkers and self.ray_depth < 3,
              "'ray_depth' must be >= 3 for anosov, which fits slopes on prefixes"),
-            ("limit" in self.checkers and self.ray_count > limit_rays,
-             f"'ray_count' exceeds the {limit_rays} distinct rays of length 'ray_depth'"),
-            ("anosov" in self.checkers and self.ray_count > anosov_rays,
-             f"'ray_count' exceeds the {anosov_rays} distinct rays of length "
-             f"'ray_depth' + {BETA_PAD}"),
+            (RANDOMIZED_CHECKERS.intersection(self.checkers) and self.ray_count > rays,
+             f"'ray_count' exceeds the {rays} distinct rays of length 'ray_depth'"),
             # the word walk refuses them, but only after the earlier checkers' reports
             ("uru" in self.checkers and word_count(rank, self.depth) > MAX_WORDS,
              f"'depth' takes over {MAX_WORDS} words for uru, the word walk's budget"),
@@ -228,12 +224,14 @@ def run_config(path, seed: int | None = None, out_dir: str | None = None) -> int
         scans = {c: scan for c, scan in (("uru", _uru_scan(pres, face, cfg.depth)), (
             "morse", _morse_scan(pres, face, cfg.morse_depth, **rho_cap))) if c in ordered}
         reps = dict(zip(scans, word_checks(pres, face, list(scans.values())) if scans else ()))
+        if RANDOMIZED_CHECKERS.intersection(ordered):  # one ray sample, which both read
+            sample = sample_rays(pres, cfg.ray_count, cfg.ray_depth, cfg.seed, face)
         for checker in ordered:
             rep = reps.get(checker)
             if checker == "limit":
-                rep = limit_report(pres, face, cfg.ray_depth, cfg.ray_count, cfg.seed)
+                rep = limit_report(pres, face, sample)
             elif checker == "anosov":
-                rep = anosov_check(pres, face, cfg.ray_count, cfg.ray_depth, cfg.seed)
+                rep = anosov_check(pres, face, sample)
             payload = rep.as_dict()
             payload["config"] = {"name": cfg.name, "n": cfg.n, "face": cfg.face,
                                  "seed": cfg.seed, "depth": cfg.depth,

@@ -56,7 +56,7 @@ from .symmspace import (
 
 CONICAL_LOOKAHEAD = 4  # limit: letters behind and ahead of a point in its conical window
 PAIR_BLOCK = 1 << 16  # limit: most screen entries, pairs or not, per block of the pair scan
-BETA_PAD = 8          # anosov: letters sampled past the tested prefixes for the limit flag
+BETA_PAD = 8          # limit, anosov: letters a ray runs past its name, for its tail flags
 DIVERGENCE_LOGEPS = float(np.log(100.0))  # anosov: log expansion counted as divergent
 CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansion
 TIE_RTOL = 1e-12      # uru, morse: relative distance within which witnesses tie
@@ -263,24 +263,26 @@ def _first_tied(candidates: list[tuple]) -> tuple:
 def word_checks(pres: FreeGroupPresentation, face: FaceType, scans: list) -> list[PropertyReport]:
     """Reports of scans, such as uru's and morse's, from one depth-first walk of the word tree.
 
-    A scan is a generator that yields its word length whenever it waits: it
-    is sent the list [chain, logs, their norms, least wall gaps, the
-    products' ``symmspace._top_read``] of each block up to that length,
-    then None, and yields its report.  The walk goes to the longest length,
-    and takes each block's logs, norms, gaps and top read once.  A scan that
-    takes the block's frame pops the top read, so that it is freed before
-    the scan's own reads.
+    A scan is a generator that yields its word length, and whether it takes
+    the blocks' frames, whenever it waits: it is sent the list [chain, logs,
+    their norms, least wall gaps] of each block up to that length, then
+    None, and yields its report.  The walk goes to the longest length, and
+    takes each block's logs, norms, gaps and ``symmspace._top_read`` once.
+    The list ends with the top read only where a scan sent it takes the
+    frame, which pops the read before its own reads.
     """
-    lengths = [next(scan) for scan in scans]
+    lengths, frames = zip(*(next(scan) for scan in scans))
     for chain in word_levels(pres, max(lengths)):
         level = chain[-1]
         top = _top_read(level.mats)
         logs = _two_sided_logs(level.mats, level.invs, level.logdets, top)
-        shared = [chain, logs, row_norms(logs), _least_gaps(logs, face), top]
-        del top  # held by the list alone, which the frame's reader pops it from
-        for length, scan in zip(lengths, scans):
-            if len(chain) <= length:
-                scan.send(shared)
+        readers = [k for k, length in enumerate(lengths) if len(chain) <= length]
+        shared = [chain, logs, row_norms(logs), _least_gaps(logs, face)]
+        if any(frames[k] for k in readers):
+            shared.append(top)
+        del top  # held, if at all, by the list alone, which the frame's reader pops it from
+        for k in readers:
+            scans[k].send(shared)
     return [scan.send(None) for scan in scans]
 
 
@@ -305,7 +307,7 @@ def _uru_scan(pres, face, length):
     by_length: dict[int, list[tuple]] = {}
     flattest: list[tuple] = []
 
-    while (block := (yield length)) is not None:
+    while (block := (yield length, False)) is not None:
         chain, delta, dist, gaps = block[:4]
         level, el = chain[-1], len(chain)
         by_length.setdefault(el, []).extend(_records(dist, level))
@@ -475,7 +477,7 @@ def _morse_scan(pres, face, length, rho_cap=1.0):
     # per length and block: letters, depth-first ranks, regular mask, deficits
     scanned: dict[int, list[tuple[np.ndarray, ...]]] = {}
     best = np.full(length + 1, -np.inf)  # per length: the largest final read so far
-    while (block := (yield length)) is not None:
+    while (block := (yield length, True)) is not None:
         chain, logs, norms, gaps = block[:4]
         level, el = chain[-1], len(chain)
         ok = ~(gaps < GAP_TOL)
@@ -554,14 +556,15 @@ def _morse_scan(pres, face, length, rho_cap=1.0):
 
 
 class RaySample(NamedTuple):
-    """Boundary rays of one length, held as stacks over the whole sample."""
+    """Boundary rays of N + BETA_PAD letters, named by their first N, held as stacks."""
 
-    letters: np.ndarray   # (R, N) signed letters, each row a reduced word
+    letters: np.ndarray   # (R, N + BETA_PAD) signed letters, each row a reduced word
     schemes: np.ndarray   # (R,) "power" | "random"
     prefixes: np.ndarray  # (R, N, n, n) products of the first k + 1 letters
     inverses: np.ndarray  # (R, N, n, n) their exactly accumulated inverses
     logdets: np.ndarray   # (R, N) log|det| of the prefixes, summed letter by letter
-    tails: Flag           # (R, N + 1) flags of the suffixes letters[:, k:]
+    tails: Flag           # (R, N + BETA_PAD + 1) flags of the suffixes letters[:, k:]
+    seed: int             # the seed of the random rays' draw
 
 
 def _random_words(rng: np.random.Generator, rank: int, count: int, length: int) -> np.ndarray:
@@ -609,27 +612,29 @@ def _prefix_products(pres: FreeGroupPresentation, letters: np.ndarray):
     return steps, prefixes, inverses, np.cumsum(logdets, axis=-1)
 
 
-def _draw_rays(pres: FreeGroupPresentation, count: int, depth: int, seed: int):
-    """(letters (count, depth), schemes) of ``sample_rays``' rays."""
-    schemes = {(lt,) * depth: "power" for lt in _letter_order(pres.rank)[:count]}
-    rng = np.random.default_rng(seed)
-    tries = 0
-    while len(schemes) < count and tries < 100 * count:
-        batch = min(count - len(schemes), 100 * count - tries)  # draws as one word at a time
-        tries += batch
-        for word in _random_words(rng, pres.rank, batch, depth).tolist():
-            schemes.setdefault(tuple(word), "random")
-    if len(schemes) < count:
-        raise ValueError("not enough distinct rays at this depth")
-    return np.array(list(schemes), dtype=int).reshape(count, depth), np.array(list(schemes.values()))
-
-
 def sample_rays(pres: FreeGroupPresentation, count: int, depth: int, seed: int,
                 face: FaceType) -> RaySample:
-    """Deterministic ray sample: all generator-power rays, then random ones."""
-    letters, schemes = _draw_rays(pres, count, depth, seed)
-    steps, *products = _prefix_products(pres, letters)
-    return RaySample(letters, schemes, *products, suffix_flags(steps, face))
+    """The ray sample that limit and anosov read: ``count`` rays of depth + BETA_PAD letters.
+
+    The rays are distinct on their first ``depth`` letters, their names: all
+    generator-power rays, then random ones.  Prefix products are formed of
+    the names, and one sweep takes the flags of every suffix of the rays.
+    """
+    length = depth + BETA_PAD
+    rays = {(lt,) * depth: ((lt,) * length, "power") for lt in _letter_order(pres.rank)[:count]}
+    rng = np.random.default_rng(seed)
+    tries = 0
+    while len(rays) < count and tries < 100 * count:
+        batch = min(count - len(rays), 100 * count - tries)  # draws as one word at a time
+        tries += batch
+        for word in _random_words(rng, pres.rank, batch, length).tolist():
+            rays.setdefault(tuple(word[:depth]), (word, "random"))
+    if len(rays) < count:
+        raise ValueError("not enough distinct rays at this depth")
+    words, schemes = zip(*rays.values())
+    letters = np.array(words, dtype=int)
+    return RaySample(letters, np.array(schemes), *_prefix_products(pres, letters[:, :depth])[1:],
+                     suffix_flags(_letter_stacks(pres, letters)[0], face), seed)
 
 
 def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
@@ -639,24 +644,27 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
     Geometric side: each prefix point is measured inside the diamond
     spanned by the orbit CONICAL_LOOKAHEAD letters behind and ahead, seen
     from its nearer tip, or from both where it is centred, keeping the
-    smaller read.  Translating the window start to the base point, the
-    evaluation involves only short exact products, so it is
+    larger read, which errs less on the bundled configs and can only turn
+    a pass into a fail: a ray's sup is the largest of its reads.
+    Translating the window start to the base point, the evaluation
+    involves only short exact products, so it is
     well-conditioned at any depth; bounded window deficits are the
     conicality surrogate.  Dynamical side: the pulled-back limit flags
     must keep a transversality floor from the last of the inverse
     prefixes' flags ``back`` (R, N), where those have a limit.  The
     pulled-back flag is the boundary flag of the shifted ray, read from
     the sample's tails because it is a repelling fixed point of the
-    inverse flow and cannot be iterated forward; the deepest tails are
-    too short to resolve and are skipped.
+    inverse flow and cannot be iterated forward.  The shifts read are
+    k = 1, ..., N - CONICAL_LOOKAHEAD, each tail CONICAL_LOOKAHEAD + BETA_PAD
+    letters long or longer, and the floor is taken on their later half.
     """
     face = sample.tails.face
-    total = sample.letters.shape[1]
-    steps, inv_steps = _letter_stacks(pres, sample.letters)
+    total = sample.prefixes.shape[1]
+    steps, inv_steps = _letter_stacks(pres, sample.letters[:, :total])
     # per window: its start to the point, the point to its end, and the whole window,
     # each with its inverse, all accumulated exactly letter by letter
     logdets = np.pad(sample.logdets, ((0, 0), (1, 0)))  # log|det| of the first k letters
-    reads = []  # per read: its window's point n, the tip and its inverse, log|det|, the point
+    reads = []  # per read: the tip and its inverse, log|det|, the point
     for n in range(1, total):  # every window spans lo < n < hi
         lo, hi = max(0, n - CONICAL_LOOKAHEAD), min(total, n + CONICAL_LOOKAHEAD)
         if lo == 0:  # the window and its first half are prefixes, accumulated alike
@@ -674,10 +682,10 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
         logdet = logdets[:, hi] - logdets[:, lo]
         # the nearer tip: w, seeing the point f, or w^-1, seeing w^-1 f = s^-1
         if 2 * (n - lo) <= hi - lo:
-            reads.append((n, window, window_inv, logdet, first, first_inv))
+            reads.append((window, window_inv, logdet, first, first_inv))
         if 2 * (n - lo) >= hi - lo:
-            reads.append((n, window_inv, window, -logdet, last_inv, last))
-    windows, *stacks, pinvs = zip(*reads)
+            reads.append((window_inv, window, -logdet, last_inv, last))
+    *stacks, pinvs = zip(*reads)
     m, minv, logdet, p = (np.stack(x, axis=1) for x in stacks)
     # the points' inverses transposed into C order, as segment_deficits reads them
     pinv_t = np.stack([np.swapaxes(x, -1, -2) for x in pinvs], axis=1, out=np.empty(p.shape))
@@ -685,9 +693,7 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
     a_plus = _two_sided_logs(m, minv, logdet, top)
     u = _two_sided_frame(m, minv, top)
     del top, m, minv, reads, stacks, pinvs  # read by their last readers
-    d = segment_deficits(u, a_plus, [(p, np.swapaxes(pinv_t, -1, -2))], face)[..., 0]
-    starts = np.flatnonzero(np.diff(windows, prepend=0))
-    sups = np.minimum.reduceat(d, starts, axis=1).max(axis=1)
+    sups = segment_deficits(u, a_plus, [(p, np.swapaxes(pinv_t, -1, -2))], face).max(axis=(1, 2))
 
     margins = transversality_margin(sample.tails[:, 1:max(2, total - CONICAL_LOOKAHEAD + 1)],
                                     back[:, -1, None])
@@ -809,32 +815,31 @@ def _pair_scan(limits: Flag, letters: np.ndarray):
     return min_margin, all_pairs_min, closest
 
 
-def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
-                 ray_count: int, seed: int) -> PropertyReport:
+def limit_report(pres: FreeGroupPresentation, face: FaceType, sample: RaySample) -> PropertyReport:
     """Sampled boundary map: antipodality and conicality.
 
-    Each ray's limit flag is its deepest prefix's flag.  Antipodality is
-    the least pairwise transversality margin over distinct samples, and
-    conicality is checked along each ray (``_conical_rays``).
+    Each ray of ``sample_rays``' sample is named by its first N letters,
+    those of its prefixes; its limit flag is its deepest prefix's flag.
+    Antipodality is the least pairwise transversality margin over distinct
+    samples, and conicality is checked along each ray (``_conical_rays``).
     """
-    if ray_count < 2:
-        raise ValueError("need ray_count >= 2")
-    if depth < 2:
-        raise ValueError("need depth >= 2")
+    ray_count, depth = sample.prefixes.shape[:2]
+    if ray_count < 2 or depth < 2:
+        raise ValueError("need ray_count >= 2 and depth >= 2")
     if not face.is_iota_invariant:
         raise ValueError("antipodality needs an iota-invariant face type")
-    sample = sample_rays(pres, ray_count, depth, seed, face)
     top = _top_read(sample.prefixes)
     deltas = _two_sided_logs(sample.prefixes, sample.inverses, sample.logdets, top)
     gaps = _least_gaps(deltas, face)
     regular = ~(gaps < GAP_TOL).any(axis=-1)
-    failures = [{"letters": sample.letters[r].tolist(),  # named by the ray's first irregular prefix
+    # a failure's reason names the ray's first irregular prefix
+    failures = [{"letters": sample.letters[r, :depth].tolist(),
                  "reason": f"log singular-value gap {gaps[r][gaps[r] < GAP_TOL][0]:.3e} "
                            f"below {GAP_TOL:.1e}"} for r in np.flatnonzero(~regular)]
     if not regular.any():
         raise VanishingGap("no sampled ray has a regular prefix")
     if not regular.all():
-        sample, deltas = RaySample(*(field[regular] for field in sample)), deltas[regular]
+        sample, deltas = RaySample(*(x[regular] for x in sample[:-1]), sample.seed), deltas[regular]
         top = tuple(x[regular] for x in top)
     # limit flags are the last prefixes', backward flags every inverse prefix's, which the
     # conical check reads; their logs are the prefixes', negated and reversed: regular rows stay so
@@ -844,7 +849,7 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     back = Flag(iota_face(face), _two_sided_frame(sample.inverses, sample.prefixes))
     conical, sups = _conical_rays(pres, sample, back, CONICAL_RHO)
     samples = [{
-        "letters": sample.letters[i].tolist(),
+        "letters": sample.letters[i, :depth].tolist(),
         "scheme": str(sample.schemes[i]),
         "limit_flag_frame": frame,
         "conical": bool(conical[i]),
@@ -855,7 +860,7 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
     # points; their transversality margin shrinks with the depth at which the
     # words diverge, so the verdict takes pairs that differ in the first letter,
     # and all_pairs_margin_min records the rest.
-    min_margin, all_pairs_min, closest_pair = _pair_scan(limits, sample.letters)
+    min_margin, all_pairs_min, closest_pair = _pair_scan(limits, sample.letters[:, :depth])
 
     all_conical = all(s["conical"] for s in samples)
     antipodal = bool(not math.isinf(min_margin) and min_margin >= ANTIPODAL_FLOOR)
@@ -881,35 +886,31 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, depth: int,
             "rays": samples,
             "deltas": {str(i): d for i, d in enumerate(deltas.tolist())},
         },
-        seed=seed,
+        seed=sample.seed,
     )
 
 
-def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
-                 depth: int, seed: int) -> PropertyReport:
-    """Expansion growth along boundary rays.
+def anosov_check(pres: FreeGroupPresentation, face: FaceType, sample: RaySample) -> PropertyReport:
+    """Expansion growth along the boundary rays of ``sample_rays``' sample.
 
     For each sampled ray the inverse prefixes must expand at the ray's
     limit flag; the uniform verdict requires positive fitted slopes that
     agree across rays within the stated deviation, the non-uniform
     verdict only divergence beyond a threshold, and the stratum-expansion
     verdict asks for a short word expanding at every sampled limit flag.
-    The limit flag is evaluated BETA_PAD letters deeper than the tested
-    prefixes, since the expansion factor at the flag resolves it to the
-    scale of the deepest prefix.
+    The limit flag is the tail flag of the whole ray, BETA_PAD letters
+    deeper than the tested prefixes, since the expansion factor at the
+    flag resolves it to the scale of the deepest prefix.
     """
+    rays, depth = sample.prefixes.shape[:2]
     if depth < 3:
         raise ValueError("need depth >= 3: slopes are fitted on prefixes depth // 3 .. depth")
-    # sample_rays' rays, with prefixes only as deep as tested; the tails' sweep reads every letter
-    letters, schemes = _draw_rays(pres, rays, depth + BETA_PAD, seed)
-    tails = suffix_flags(_letter_stacks(pres, letters)[0], face)
-    sample = RaySample(letters, schemes, *_prefix_products(pres, letters[:, :depth])[1:], tails)
-    tested = (x[:, depth - 1] for x in (sample.prefixes, sample.inverses, sample.logdets))
+    tested = (x[:, -1] for x in (sample.prefixes, sample.inverses, sample.logdets))
     regular = ~(_least_gaps(_two_sided_logs(*tested), face) < GAP_TOL)
     if not regular.any():
         raise VanishingGap("no sampled ray has a regular prefix")
     if not regular.all():
-        sample = RaySample(*(field[regular] for field in sample))
+        sample = RaySample(*(x[regular] for x in sample[:-1]), sample.seed)
     # Chain rule: the differential of the inverse prefix at the flag is
     # the ordered product of single-letter differentials along the
     # pulled-back flag orbit.  The orbit flags are the boundary flags of
@@ -986,7 +987,7 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, rays: int,
             "cea_records": cea_records,
             "rays": ray_data,
         },
-        seed=seed,
+        seed=sample.seed,
     )
 
 

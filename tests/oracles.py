@@ -39,6 +39,7 @@ from anosovcheck.flags import (
     attractive_flag,
     flag_distance,
 )
+from anosovcheck.subgroup import BETA_PAD
 
 
 def iota_bruteforce(v: np.ndarray) -> np.ndarray:
@@ -476,17 +477,19 @@ def random_word(rng: np.random.Generator, rank: int, length: int) -> list[int]:
 def ray_letters_loop(rank: int, count: int, depth: int, seed: int) -> list[list[int]]:
     """``sample_rays``' letters, drawing one random word at a time by ``random_word``.
 
-    The generator-power rays come first, then distinct random words, with
-    at most 100 * count draws.
+    The generator-power rays come first, then random words of
+    depth + BETA_PAD letters, each kept if its first ``depth`` letters
+    name no ray yet, with at most 100 * count draws.
     """
     order = [x for i in range(1, rank + 1) for x in (i, -i)]
-    words = {(lt,) * depth: None for lt in order[:count]}
+    rays = {(lt,) * depth: [lt] * (depth + BETA_PAD) for lt in order[:count]}
     rng = np.random.default_rng(seed)
     tries = 0
-    while len(words) < count and tries < 100 * count:
+    while len(rays) < count and tries < 100 * count:
         tries += 1
-        words.setdefault(tuple(random_word(rng, rank, depth)), None)
-    return [list(w) for w in words]
+        word = random_word(rng, rank, depth + BETA_PAD)
+        rays.setdefault(tuple(word[:depth]), word)
+    return list(rays.values())
 
 
 def reduced_words(rank: int, length: int) -> list[tuple[int, ...]]:

@@ -90,9 +90,9 @@ class TestConfigValidation:
         ({"checkers": ["limit"], "ray_depth": 0}, "'ray_depth'"),
         ({"checkers": ["limit"], "n": 3, "face": [1],
           "generators": [np.diag([16.0, 1.0, 0.0625]).tolist(), np.eye(3).tolist()]}, "'face'"),
-        # rank 2: 4 * 3**(N - 1) reduced words of length N
+        # rank 2: 4 * 3**(N - 1) reduced words of length N, which name both checkers' rays
         ({"checkers": ["limit"], "ray_depth": 2, "ray_count": 13}, "'ray_count'"),
-        ({"checkers": ["anosov"], "ray_depth": 3, "ray_count": 4 * 3**10 + 1}, "'ray_count'"),
+        ({"checkers": ["anosov"], "ray_depth": 3, "ray_count": 4 * 3**2 + 1}, "'ray_count'"),
         ({"checkers": ["anosov"], "ray_depth": 2}, "'ray_depth'"),
         ({"checkers": ["uru"], "generators": []}, "'generators'"),
         # a NaN determinant passes a tolerance test on |det - 1|
@@ -355,6 +355,35 @@ class TestOneWordWalk:
                                                options={"morse_depth": 7})))
         assert run_config(p, out_dir=str(tmp_path / "out")) == 0
         assert walks == [7]
+
+
+class TestOneRaySample:
+    # run_config draws one ray sample whenever limit or anosov runs, and both read it
+    @pytest.mark.parametrize("checkers, draws", [
+        (["limit", "anosov"], 1), (["limit"], 1), (["anosov"], 1), (["uru"], 0), (["morse"], 0),
+        (list(CHECKER_ORDER), 1)])
+    def test_sample_drawn_once(self, tmp_path, monkeypatch, checkers, draws):
+        calls = []
+        draw = anosovcheck.cli.sample_rays
+        monkeypatch.setattr(anosovcheck.cli, "sample_rays",
+                            lambda *args: calls.append(args) or draw(*args))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(checkers=checkers)))
+        assert run_config(p, out_dir=str(tmp_path / "out")) == 0
+        assert len(calls) == draws
+
+    @pytest.mark.parametrize("name", ["sl2-schottky", "sl3-symsq-schottky", "sanov-unipotent"])
+    def test_checkers_read_the_same_rays(self, pipeline_runs, name):
+        # limit publishes each ray's name, its first ray_depth letters, and anosov the whole
+        # ray: the rays both keep come in the same order, with the same scheme
+        reports = pipeline_runs[name]["reports"]
+        depth = reports["limit"]["config"]["ray_depth"]
+        limit = [(r["letters"], r["scheme"]) for r in reports["limit"]["details"]["rays"]]
+        anosov = [(r["letters"][:depth], r["scheme"]) for r in reports["anosov"]["details"]["rays"]]
+        names = {tuple(w) for w, _ in limit} & {tuple(w) for w, _ in anosov}
+        shared = [ray for ray in limit if tuple(ray[0]) in names]
+        assert shared == [ray for ray in anosov if tuple(ray[0]) in names]
+        assert len(shared) == reports["limit"]["config"]["ray_count"]  # no bundled ray is dropped
 
 
 class TestDeterminism:

@@ -392,8 +392,9 @@ def test_anosov_reads_match_oracle(monkeypatch, name):
     monkeypatch.setattr(subgroup, "least_singular", recorded)
     monkeypatch.setattr(flags_module, "least_singular", recorded)
     cfg = load_config(bundled_config_path(name))
-    report = subgroup.anosov_check(cfg.presentation(), cfg.face_type(), cfg.ray_count,
-                                   cfg.ray_depth, cfg.seed)
+    pres, face = cfg.presentation(), cfg.face_type()
+    report = subgroup.anosov_check(
+        pres, face, subgroup.sample_rays(pres, cfg.ray_count, cfg.ray_depth, cfg.seed, face))
     chains, diffs = seen
     log_eps = np.array([r["log_eps"] for r in report.details["rays"]])
     assert log_eps.shape == chains.shape[:2]
@@ -454,7 +455,8 @@ def test_deep_anosov_chains_match_oracle(monkeypatch):
 
     monkeypatch.setattr(subgroup, "least_singular", recorded)
     cfg = load_config(bundled_config_path("sl3-symsq-schottky"))
-    report = subgroup.anosov_check(cfg.presentation(), cfg.face_type(), 4, 60, cfg.seed)
+    pres, face = cfg.presentation(), cfg.face_type()
+    report = subgroup.anosov_check(pres, face, subgroup.sample_rays(pres, 4, 60, cfg.seed, face))
     chains = seen[0]
     spreads = np.linalg.svd(chains, compute_uv=False)
     assert (spreads[..., 1] / spreads[..., 0]).min() < 1e-70
@@ -470,8 +472,7 @@ def test_ray_tails_match_suffix_products(name):
     # 256^20 (about 1e48), so the oracle takes 50 digits more
     cfg = load_config(bundled_config_path(name))
     face = cfg.face_type()
-    sample = subgroup.sample_rays(cfg.presentation(), 12, cfg.ray_depth + subgroup.BETA_PAD,
-                                  cfg.seed, face)
+    sample = subgroup.sample_rays(cfg.presentation(), 12, cfg.ray_depth, cfg.seed, face)
     steps, _ = subgroup._letter_stacks(cfg.presentation(), sample.letters)
     for r in range(len(steps)):
         frames = sample.tails.frame[r]

@@ -37,6 +37,7 @@ from anosovcheck.subgroup import (
     FreeGroupPresentation,
     _pair_scan,
     _two_sided_logs,
+    anosov_check,
     limit_report,
     sample_rays,
     word_levels,
@@ -137,9 +138,10 @@ def test_limit_flags_match_oracle(sl3_pres, monkeypatch):
     monkeypatch.setattr(subgroup, "_two_sided_frame",
                         lambda *args: frames.append(kernel(*args)) or frames[-1])
     face = FaceType.full(3)
-    rep = limit_report(sl3_pres, face, 24, 40, seed=1)
     sample = sample_rays(sl3_pres, 40, 24, 1, face)
-    assert [ray["letters"] for ray in rep.details["rays"]] == sample.letters.tolist()
+    rep = limit_report(sl3_pres, face, sample)
+    # a ray is named, and read, by its first 24 letters
+    assert [ray["letters"] for ray in rep.details["rays"]] == sample.letters[:, :24].tolist()
     forward, backward = kernel(sample.prefixes, sample.inverses), frames[1]
     assert backward.shape == forward.shape
 
@@ -239,8 +241,8 @@ def test_two_sided_frame_at_doubled_values():
 
 def test_deficits_match_oracle(pipeline_runs):
     # the sl3 witnesses of morse's rho and limit's conical sup, against 80-digit
-    # segment_deficits: ray 16's window (-1, -2, 1, 2, -1, -1, -2) at t = 3 is the
-    # conical witness
+    # segment_deficits: ray 33's centred window (1, 1, -2, -1, 2, 1, -2, -1), letters
+    # 4 to 11, at t = 4 is the conical witness
     reports = pipeline_runs["sl3-symsq-schottky"]["reports"]
     cfg = load_config(bundled_config_path("sl3-symsq-schottky"))
     pres, face = cfg.presentation(), cfg.face_type()
@@ -256,10 +258,10 @@ def test_deficits_match_oracle(pipeline_runs):
     assert morse["constants"]["rho"] == pytest.approx(rho, rel=5e-12, abs=0.0)
     assert witness["worst_deficit"] == pytest.approx(rho, rel=5e-12, abs=0.0)
 
-    window = [-1, -2, 1, 2, -1, -1, -2]
-    assert reports["limit"]["details"]["rays"][16]["letters"][:7] == window
-    sup = exact(window, 3)
-    assert sup == pytest.approx(1.55882317140120254, rel=1e-15)
+    window = [1, 1, -2, -1, 2, 1, -2, -1]
+    assert reports["limit"]["details"]["rays"][33]["letters"][3:11] == window
+    sup = exact(window, 4)
+    assert sup == pytest.approx(1.5805509316720638, rel=1e-15)
     assert reports["limit"]["constants"]["conical_sup"] == pytest.approx(sup, rel=1e-12, abs=0.0)
 
 
@@ -296,7 +298,7 @@ def test_nearer_tip_deficits_match_oracle(name, bound):
 @pytest.mark.parametrize("name, bound", [("sl3-symsq-schottky", 1e-6), ("sl2-schottky", 1e-11)])
 def test_nearer_tip_windows_match_oracle(name, bound, monkeypatch):
     # limit's conical test reads a window's point from the window's start where 2t < L,
-    # from its far tip where 2t > L, and from both at 2t = L, keeping the smaller read:
+    # from its far tip where 2t > L, and from both at 2t = L, keeping the larger read:
     # 16 reads for the 11 windows of a depth-12 ray, 5 of them centred
     cfg = load_config(bundled_config_path(name))
     pres, face = cfg.presentation(), cfg.face_type()
@@ -304,7 +306,7 @@ def test_nearer_tip_windows_match_oracle(name, bound, monkeypatch):
     kernel = subgroup.segment_deficits
     monkeypatch.setattr(subgroup, "segment_deficits",
                         lambda *args: reads.append(kernel(*args)) or reads[-1])
-    rays = limit_report(pres, face, 12, 8, seed=7).details["rays"]
+    rays = limit_report(pres, face, sample_rays(pres, 8, 12, 7, face)).details["rays"]
     (read,) = reads
     read = read[..., 0]
     assert read.shape == (len(rays), 16)
@@ -314,7 +316,7 @@ def test_nearer_tip_windows_match_oracle(name, bound, monkeypatch):
         for n in range(1, 12):
             lo, hi = max(0, n - subgroup.CONICAL_LOOKAHEAD), min(12, n + subgroup.CONICAL_LOOKAHEAD)
             width = 2 if 2 * (n - lo) == hi - lo else 1
-            got = read[r, col:col + width].min()
+            got = read[r, col:col + width].max()
             col += width
             exact = segment_deficit_mp(letters[lo:hi], letters[lo:n], face)
             assert abs(got - exact) <= bound, (ray["letters"], n, got, exact)
@@ -705,13 +707,36 @@ def test_suffix_flags(rng, n):
 
 @pytest.mark.parametrize("config", ["sl2-schottky", "sl3-symsq-schottky", "sanov-unipotent"])
 def test_ray_letters_match_one_draw_per_letter(config):
-    # the batched draw takes the stream that one draw per letter takes
+    # the batched draw takes the stream that one draw per letter takes; at depths 2 and 3
+    # random words repeat their first letters, and a ray is kept only for a new name
     cfg = load_config(bundled_config_path(config))
     pres, face = cfg.presentation(), cfg.face_type()
     for seed in (1, 2, 7):
         for count, depth in ((200, 12), (200, 20), (12, 2), (36, 3)):
             sample = sample_rays(pres, count, depth, seed, face)
             assert sample.letters.tolist() == ray_letters_loop(pres.rank, count, depth, seed)
+            assert sample.letters.shape == (count, depth + subgroup.BETA_PAD)
+            assert len({tuple(w) for w in sample.letters[:, :depth].tolist()}) == count
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_prefix_collisions_name_every_short_word(sl2_pres, depth):
+    # as many rays as reduced words of length depth (12 and 36 in rank 2): the random
+    # words repeat their names, and every name is kept once, as the ray first drawn
+    # with it; limit lists the names and anosov (which fits slopes from depth 3) the
+    # whole rays of depth + BETA_PAD letters, in the same order
+    count = 4 * 3 ** (depth - 1)
+    face = FaceType.full(2)
+    sample = sample_rays(sl2_pres, count, depth, 7, face)
+    names = sample.letters[:, :depth].tolist()
+    words = [list(w) for w in itertools.product((1, -1, 2, -2), repeat=depth)
+             if all(x != -y for x, y in zip(w, w[1:]))]
+    assert sample.letters.shape == (count, depth + subgroup.BETA_PAD)
+    assert sorted(names) == sorted(words)
+    assert [r["letters"] for r in limit_report(sl2_pres, face, sample).details["rays"]] == names
+    if depth >= 3:
+        rays = anosov_check(sl2_pres, face, sample).details["rays"]
+        assert [r["letters"] for r in rays] == sample.letters.tolist()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -720,9 +745,10 @@ def test_ray_sample_products(rng, n):
     face = FACES[n][0]
     sample = sample_rays(pres, 10, 9, seed=1, face=face)
     assert sample.schemes.tolist() == ["power"] * 4 + ["random"] * 6
+    assert sample.prefixes.shape[:2] == sample.logdets.shape == (10, 9)
     for r, word in enumerate(sample.letters.tolist()):
         inv = np.eye(n)
-        for k, lt in enumerate(word):
+        for k, lt in enumerate(word[:9]):  # prefixes of the ray's name
             prefix = word[:k + 1]
             assert same_bits(sample.prefixes[r, k], word_product(pres, prefix)), (r, k)
             # word_product multiplies left to right; the exact inverse
@@ -730,7 +756,9 @@ def test_ray_sample_products(rng, n):
             inv = pres.letter_matrix(-lt) @ inv
             assert same_bits(sample.inverses[r, k], inv), (r, k)
             assert np.allclose(inv, word_product(pres, [-x for x in reversed(prefix)]))
+        # tails of the whole ray, BETA_PAD letters past its name
         steps = np.stack([pres.letter_matrix(lt) for lt in word])
+        assert len(word) == 9 + subgroup.BETA_PAD
         assert same_bits(sample.tails.frame[r], suffix_flags(steps, face).frame), r
 
 
@@ -854,7 +882,7 @@ def test_pair_scan_matches_loop(request, monkeypatch, group, seed, block):
     monkeypatch.setattr(subgroup, "PAIR_BLOCK", block)
     pres = request.getfixturevalue(f"{group}_pres")
     face = FaceType.full(pres.n)
-    rep = limit_report(pres, face, 12, 60, seed=seed)
+    rep = limit_report(pres, face, sample_rays(pres, 60, 12, seed, face))
     rays = rep.details["rays"]
     limits = Flag(face, np.stack([r["limit_flag_frame"] for r in rays]))
     letters = np.array([r["letters"] for r in rays])
@@ -1061,14 +1089,13 @@ def test_transposed_inverse_product_is_bit_identical(rng, n, monkeypatch):
 
 
 def test_anosov_prefixes_lead_sample_rays(sl3_pres):
-    # anosov draws sample_rays' rays but forms the prefixes of the tested depth only
+    # the sample's prefixes, which limit and anosov read, are those of the rays' names,
+    # the first depth letters, bit for bit as the prefixes of the whole rays begin
     depth, face = 12, FaceType.full(3)
-    full = sample_rays(sl3_pres, 40, depth + subgroup.BETA_PAD, 1, face)
-    letters, schemes = subgroup._draw_rays(sl3_pres, 40, depth + subgroup.BETA_PAD, 1)
-    assert np.array_equal(letters, full.letters) and np.array_equal(schemes, full.schemes)
-    steps, *products = subgroup._prefix_products(sl3_pres, letters[:, :depth])
-    for got, want in zip(products, (full.prefixes, full.inverses, full.logdets)):
-        assert same_bits(got, want[:, :depth])
+    sample = sample_rays(sl3_pres, 40, depth, 1, face)
+    steps, *products = subgroup._prefix_products(sl3_pres, sample.letters)
+    for got, want in zip(products, (sample.prefixes, sample.inverses, sample.logdets)):
+        assert same_bits(got[:, :depth], want)
     # log|det| is taken once per letter of the table, with the bits of one LU per position
     assert same_bits(products[2], np.cumsum(np.linalg.slogdet(steps)[1], axis=-1))
 

@@ -109,6 +109,22 @@ class TestWords:
         order = [np.argsort(np.concatenate([lv.dfs for lv in levels])) for levels in (walked, held)]
         assert np.array_equal(*order)
 
+    def test_top_read_goes_only_to_frame_readers(self, sl2_pres):
+        # a block's list holds its top read only where a scan it is sent to takes the
+        # frame: a frame reader to length 3 beside a scan to length 4 that takes none
+        seen = []
+
+        def scan(length, frames):
+            while (block := (yield length, frames)) is not None:
+                seen.append((frames, len(block[0]), len(block)))
+            yield frames
+
+        subgroup.word_checks(sl2_pres, FACE2, [scan(4, False), scan(3, True)])
+        assert {(el, size) for _, el, size in seen} == {(1, 5), (2, 5), (3, 5), (4, 4)}
+        seen.clear()
+        subgroup.word_checks(sl2_pres, FACE2, [scan(4, False)])
+        assert {size for _, _, size in seen} == {4}
+
     @staticmethod
     def _check_word_levels(rank, n, length, block, rng):
         pres = FreeGroupPresentation(tuple(random_sl(rng, n) for _ in range(rank)))
@@ -404,14 +420,16 @@ def test_morse_reports_do_not_depend_on_the_floor(name, kept, length, monkeypatc
 
 
 # The rays of the rotation pair (depth 8, 12 rays, seed 3) that have an
-# irregular prefix, in sample order.
+# irregular prefix, in sample order, named by their first 8 letters.
 IRREGULAR_LIMIT_RAYS = [
     [2, 2, 2, 2, 2, 2, 2, 2],
     [-2, -2, -2, -2, -2, -2, -2, -2],
     [-2, 1, 1, 1, 1, -2, -2, -1],
     [2, 2, 1, 1, 2, -1, -2, -1],
     [-2, 1, 1, 2, -1, -2, -2, 1],
-    [-2, 1, 1, -2, -2, 1, 1, 1],
+    [2, -1, 2, 2, 2, 1, 2, -1],
+    [2, 2, -1, 2, 2, -1, 2, 1],
+    [2, -1, 2, -1, -1, 2, 2, 1],
 ]
 
 
@@ -424,25 +442,26 @@ def rotation_pres():
 
 class TestLimitReport:
     def test_sl2(self, sl2_pres):
-        rep = limit_report(sl2_pres, FACE2, 12, 50, seed=7)
+        rep = limit_report(sl2_pres, FACE2, sample_rays(sl2_pres, 50, 12, 7, FACE2))
         assert rep.verdict
         assert rep.constants["antipodality_margin"] > 0.01
         assert rep.details["all_conical"]
 
     def test_sl3(self, sl3_pres):
-        rep = limit_report(sl3_pres, FACE3, 12, 50, seed=7)
+        rep = limit_report(sl3_pres, FACE3, sample_rays(sl3_pres, 50, 12, 7, FACE3))
         assert rep.verdict
         assert rep.constants["antipodality_margin"] > 0.01
         assert rep.details["all_conical"]
 
     def test_needs_iota_invariant_face(self, sl3_pres):
-        with pytest.raises(ValueError):
-            limit_report(sl3_pres, FaceType.make(3, [1]), 8, 10, seed=0)
+        face = FaceType.make(3, [1])
+        with pytest.raises(ValueError, match="iota-invariant"):
+            limit_report(sl3_pres, face, sample_rays(sl3_pres, 10, 8, 0, face))
 
     def test_irregular_rays_fail(self, rotation_pres):
         # every ray with a prefix of singular-value gap 0 is a failure,
         # named in sample order: the rotation's two power rays first
-        rep = limit_report(rotation_pres, FACE2, 8, 12, seed=3)
+        rep = limit_report(rotation_pres, FACE2, sample_rays(rotation_pres, 12, 8, 3, FACE2))
         assert not rep.verdict
         assert [f["letters"] for f in rep.witnesses["failures"]] == IRREGULAR_LIMIT_RAYS
         assert {f["reason"] for f in rep.witnesses["failures"]} == {
@@ -460,13 +479,14 @@ def test_deep_products_read_no_one_sided_flag(monkeypatch):
         monkeypatch.setattr(module, "attractive_flag", one_sided)
     cfg = load_config(bundled_config_path("sl3-symsq-schottky"))
     pres, face = cfg.presentation(), cfg.face_type()
-    assert limit_report(pres, face, cfg.ray_depth, cfg.ray_count, cfg.seed).verdict
-    assert anosov_check(pres, face, cfg.ray_count, cfg.ray_depth, cfg.seed).verdict
+    sample = sample_rays(pres, cfg.ray_count, cfg.ray_depth, cfg.seed, face)
+    assert limit_report(pres, face, sample).verdict
+    assert anosov_check(pres, face, sample).verdict
 
 
 class TestAnosov:
     def test_sl2_uniform(self, sl2_pres):
-        rep = anosov_check(sl2_pres, FACE2, 50, 12, seed=7)
+        rep = anosov_check(sl2_pres, FACE2, sample_rays(sl2_pres, 50, 12, 7, FACE2))
         assert rep.verdict
         assert rep.constants["C"] > 0
         assert rep.constants["max_slope_deviation"] <= 0.2
@@ -474,7 +494,7 @@ class TestAnosov:
         assert power["slope"] == pytest.approx(2 * np.log(4.0), rel=1e-2)
 
     def test_sanov_not_uniform(self, sanov_pres):
-        rep = anosov_check(sanov_pres, FACE2, 50, 12, seed=7)
+        rep = anosov_check(sanov_pres, FACE2, sample_rays(sanov_pres, 50, 12, 7, FACE2))
         assert not rep.verdict
         power = [r for r in rep.details["rays"] if r["scheme"] == "power"][0]
         assert power["slope"] < 0.5  # sublinear growth flattens the fit
@@ -482,17 +502,17 @@ class TestAnosov:
     def test_needs_depth_three(self, sl2_pres):
         # at depth 2 the slope would be fitted on a single prefix
         with pytest.raises(ValueError, match="depth >= 3"):
-            anosov_check(sl2_pres, FACE2, 4, 2, seed=0)
+            anosov_check(sl2_pres, FACE2, sample_rays(sl2_pres, 4, 2, 0, FACE2))
 
     def test_irregular_rays_skipped(self, rotation_pres):
         # rays irregular at the deepest tested prefix are counted, not fitted
-        rep = anosov_check(rotation_pres, FACE2, 12, 8, seed=3)
+        rep = anosov_check(rotation_pres, FACE2, sample_rays(rotation_pres, 12, 8, 3, FACE2))
         assert rep.constants["irregular_rays"] == 2
         assert len(rep.details["rays"]) == 10
         assert not rep.verdict
 
     def test_cea_expansion(self, sl2_pres):
-        rep = anosov_check(sl2_pres, FACE2, 20, 10, seed=3)
+        rep = anosov_check(sl2_pres, FACE2, sample_rays(sl2_pres, 20, 10, 3, FACE2))
         assert rep.details["cea"]
         for rec in rep.details["cea_records"]:
             assert rec["best_eps"] > 1.05
@@ -502,11 +522,11 @@ class TestAnosov:
         # each ray's stratum-expansion witness is the first word, depth first,
         # of greatest expansion at the ray's limit flag among the reduced
         # words of length <= CEA_DEPTH; the limit flag is the tail flag of the
-        # sample anosov draws, BETA_PAD letters past the tested prefixes
+        # whole ray, BETA_PAD letters past the tested prefixes
         pres = request.getfixturevalue(pres_name)
         face = FaceType.full(pres.n)
-        rep = anosov_check(pres, face, 20, 10, seed=3)
-        sample = sample_rays(pres, 20, 10 + subgroup.BETA_PAD, 3, face)
+        sample = sample_rays(pres, 20, 10, 3, face)
+        rep = anosov_check(pres, face, sample)
         words = reduced_words(pres.rank, subgroup.CEA_DEPTH)
         mats = [word_product(pres, w) for w in words]
         rays, records = rep.details["rays"], rep.details["cea_records"]
@@ -522,12 +542,12 @@ class TestAnosov:
 
 def test_ray_record_keys(sl2_pres):
     # the report keeps only what a verdict, a witness, the oracle or a plot reads
-    limit = limit_report(sl2_pres, FACE2, 8, 10, seed=1)
+    limit = limit_report(sl2_pres, FACE2, sample_rays(sl2_pres, 10, 8, 1, FACE2))
     assert set(limit.constants) == {"antipodality_margin", "all_pairs_margin_min", "conical_sup"}
     assert set(limit.thresholds) == {"antipodal_floor", "conical_rho", "depth", "ray_count"}
     assert {frozenset(r) for r in limit.details["rays"]} == {frozenset(
         {"letters", "scheme", "limit_flag_frame", "conical", "conical_geometric_sup"})}
-    anosov = anosov_check(sl2_pres, FACE2, 10, 6, seed=1)
+    anosov = anosov_check(sl2_pres, FACE2, sample_rays(sl2_pres, 10, 6, 1, FACE2))
     assert {frozenset(r) for r in anosov.details["rays"]} == {frozenset(
         {"letters", "scheme", "log_eps", "slope", "intercept", "max_log_eps"})}
 
@@ -564,7 +584,7 @@ class TestSchottky:
         pres, rep = schottky_build([SL2_G, SL2_H], FACE2)
         assert uru_check(pres, FACE2, 6).verdict
         assert morse_check(pres, FACE2, 6, rho_cap=1.0).verdict
-        assert anosov_check(pres, FACE2, 12, 10, seed=5).verdict
+        assert anosov_check(pres, FACE2, sample_rays(pres, 12, 10, 5, FACE2)).verdict
 
     def test_axis_triples(self):
         pres, rep = schottky_build(axis_triples(), FACE2)
