@@ -11,7 +11,9 @@ the reports of the same experiments.  Each tree runs in its own process, which
 imports ``anosovcheck`` from that tree's ``src`` with BLAS pinned to one
 thread.  Prints every report file that differs or exists on one side
 only, with up to 5 JSON paths at which a differing ``.json`` file's values
-differ, and exits 1 if there is any.
+differ and a line that counts them, gives the largest relative difference
+among the differing floats and says whether any other value differs, and
+exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -52,8 +54,14 @@ def workload_configs(tree: Path, seeds: list[int]) -> dict[str, dict]:
     return {f"{w}-seed{s}": bench.make_config(w, s) for w in bench.WORKLOADS for s in seeds}
 
 
-def json_diffs(this, other, path: str = "") -> list[str]:
-    """JSON paths, in document order, whose values differ or exist on one side only."""
+MISSING = object()  # the side of a value_diffs entry without the path
+
+
+def value_diffs(this, other, path: str = "") -> list[tuple]:
+    """(JSON path, this value, other value), in document order, where the values differ.
+
+    A path that exists on one side only has MISSING on the other.
+    """
     if isinstance(this, dict) and isinstance(other, dict):
         keys = list(this) + [k for k in other if k not in this]
         steps = [(f"{path}.{k}" if path else str(k), k in this, k in other, k) for k in keys]
@@ -61,14 +69,32 @@ def json_diffs(this, other, path: str = "") -> list[str]:
         steps = [(f"{path}[{i}]", i < len(this), i < len(other), i)
                  for i in range(max(len(this), len(other)))]
     else:
-        return [] if type(this) is type(other) and this == other else [f"{path}: differs"]
+        return [] if type(this) is type(other) and this == other else [(path, this, other)]
     diffs = []
     for sub, here, there, k in steps:
         if here and there:
-            diffs += json_diffs(this[k], other[k], sub)
+            diffs += value_diffs(this[k], other[k], sub)
         else:
-            diffs.append(f"{sub}: only in {'this' if here else 'other'}")
+            diffs.append((sub, this[k] if here else MISSING, other[k] if there else MISSING))
     return diffs
+
+
+def json_diffs(this, other) -> list[str]:
+    """JSON paths, in document order, whose values differ or exist on one side only."""
+    return [f"{path}: " + ("only in other" if a is MISSING else "only in this" if b is MISSING
+                           else "differs") for path, a, b in value_diffs(this, other)]
+
+
+def diff_summary(this, other) -> str:
+    """How many values differ, the largest relative difference of the floats among them, and
+    whether any other value (a verdict, a word, a key on one side only) differs."""
+    diffs = value_diffs(this, other)
+    floats = [abs(a - b) / max(abs(a), abs(b)) for _, a, b in diffs
+              if type(a) is float and type(b) is float]
+    rest = len(diffs) - len(floats)
+    return (f"{len(diffs)} values differ, largest relative float difference "
+            f"{max(floats, default=0.0):.3g}, " +
+            (f"{rest} non-float values differ" if rest else "no non-float value differs"))
 
 
 def run_tree(tree: Path, jobs: list[tuple[str, str]]):
@@ -105,8 +131,10 @@ def main(argv=None) -> int:
                 print(f"differs: {rel}" if a.is_file() and b.is_file() else
                       f"only in {'this' if a.is_file() else 'other'}: {rel}")
                 if rel.suffix == ".json" and a.is_file() and b.is_file():
-                    for line in json_diffs(json.loads(a.read_text()), json.loads(b.read_text()))[:5]:
+                    this, other = json.loads(a.read_text()), json.loads(b.read_text())
+                    for line in json_diffs(this, other)[:5]:
                         print(f"  {line}")
+                    print(f"  {diff_summary(this, other)}")
         print(f"{len(files)} report files, {len(differ)} differ")
     return 1 if differ else 0
 

@@ -202,12 +202,14 @@ def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray,
     """Centered log singular values of m, from m and its exactly accumulated inverse.
 
     After Bochi-Potrie-Sambarino: top singular values stay resolved, so at n <= 3 the logs
-    come in closed form from s_1(m), s_1(minv) = 1 / s_n(m) and D = ``logdet`` = log|det m|;
-    the middle one at n = 3 is -d_1 - d_3.  Larger n take LAPACK's values of both sides: a
-    direct SVD loses values below eps times the top one, and the small values are the
-    reciprocals of the inverse's large ones, so each log comes from the side with the larger
-    resolution ratio, as ``symmspace._two_sided_svd`` picks columns.  ``top`` is m's
-    ``symmspace._top_read`` where the caller holds it.  Leading axes are batch axes.
+    come in closed form from s_1(m), s_1(minv) = 1 / s_n(m) and D = ``logdet`` = log|det m|.
+    At n = 2 minv goes unread: s_1 s_2 = |det m| <= s_1^2, so d_1 = max(log s_1 - D / 2, 0)
+    = -d_2, clamped so that an exact rotation's gap is 0; at n = 3 d_2 = -d_1 - d_3.  Larger
+    n take LAPACK's values of both sides: a direct SVD loses values below eps times the top
+    one, and the small values are the reciprocals of the inverse's large ones, so each log
+    comes from the side with the larger resolution ratio, as ``symmspace._two_sided_svd``
+    picks columns.  ``top`` is m's ``symmspace._top_read`` where the caller holds it.
+    Leading axes are batch axes.
     """
     n = m.shape[-1]
     if n > 3:
@@ -217,10 +219,10 @@ def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray,
         logs = np.where(direct, np.log(np.where(direct, s, 1.0)),
                         -np.log(np.where(direct, 1.0, si[..., ::-1])))
         return logs - logs.mean(axis=-1, keepdims=True)
-    top, bottom = log_top_singular(m, top), -log_top_singular(minv)
     if n == 2:
-        return np.stack([0.5 * (top - bottom), 0.5 * (bottom - top)], axis=-1)
-    top, bottom = top - logdet / 3.0, bottom - logdet / 3.0
+        top = np.maximum(log_top_singular(m) - 0.5 * logdet, 0.0)
+        return np.stack([top, -top], axis=-1)
+    top, bottom = log_top_singular(m, top) - logdet / 3.0, -log_top_singular(minv) - logdet / 3.0
     return np.stack([top, -top - bottom, bottom], axis=-1)
 
 
@@ -247,11 +249,15 @@ def power_probe(pres: FreeGroupPresentation, max_power: int = POWER_DEPTH, norm_
             yield i, k, delta
 
 
-def _records(values: np.ndarray, level: WordLevel) -> list[tuple]:
-    """(value, depth-first rank, letters) of a block's words below all earlier ones in it."""
+def _records(candidates: list[tuple], values: np.ndarray, level: WordLevel) -> None:
+    """Add (value, depth-first rank, letters) of a block's words below all earlier ones in it."""
+    # _first_tied's window, at most lo + TIE_RTOL |lo|, only shrinks: a block above it holds none
+    if candidates and values.min() > (lo := min(c[0] for c in candidates)) + TIE_RTOL * abs(lo):
+        return
     # a block lists its words depth first, so no other word can be a _first_tied witness
     record = np.concatenate(([True], values[1:] < np.minimum.accumulate(values)[:-1]))
-    return [(values[i], level.dfs[i], level.letters[i].tolist()) for i in np.flatnonzero(record)]
+    candidates.extend((values[i], level.dfs[i], level.letters[i].tolist())
+                      for i in np.flatnonzero(record))
 
 
 def _first_tied(candidates: list[tuple]) -> tuple:
@@ -310,11 +316,11 @@ def _uru_scan(pres, face, length):
     while (block := (yield length, False)) is not None:
         chain, delta, dist, gaps = block[:4]
         level, el = chain[-1], len(chain)
-        by_length.setdefault(el, []).extend(_records(dist, level))
+        _records(by_length.setdefault(el, []), dist, level)
         if el >= tail_start:
             margin = gaps / math.sqrt(2.0)
             ratio = np.divide(margin, dist, out=np.full_like(dist, np.inf), where=dist > 0)
-            flattest.extend(_records(ratio, level))
+            _records(flattest, ratio, level)
     slowest = {el: _first_tied(candidates) for el, candidates in by_length.items()}
     ratio_min, _, ratio_witness = _first_tied(flattest)
 

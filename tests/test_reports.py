@@ -171,3 +171,12 @@ def test_compare_reports_names_the_differing_paths():
         "rays[1]: only in this",
         "extra: only in other",
     ]
+    # the line under the paths: the largest relative float move, and whether a verdict,
+    # a word or a key moved too
+    floats = {"c": [1.0, 4.0], "d": [2.0]}
+    assert script.diff_summary(floats, floats) == (
+        "0 values differ, largest relative float difference 0, no non-float value differs")
+    assert script.diff_summary(floats, {"c": [1.0 + 2.0 ** -52, 2.0], "d": [2.0]}) == (
+        "2 values differ, largest relative float difference 0.5, no non-float value differs")
+    assert script.diff_summary(this, other) == (
+        "5 values differ, largest relative float difference 0, 5 non-float values differ")

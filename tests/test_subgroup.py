@@ -440,6 +440,19 @@ def rotation_pres():
     return FreeGroupPresentation((np.diag([2.0, 0.5]), rot))
 
 
+def test_two_sided_logs_descend_on_rotations(rotation_pres):
+    # at n = 2 d_1 = log s_1 - log|det| / 2 reads down to -4.2e-17 on the rotation's first
+    # powers, whose s_1 and |det| round to either side of 1: clamped, no log pair ascends,
+    # and the rotation letters read a gap of exactly 0
+    for chain in word_levels(rotation_pres, 8):
+        level = chain[-1]
+        logs = _two_sided_logs(level.mats, level.invs, level.logdets)
+        assert (logs[:, 0] >= logs[:, 1]).all(), len(chain)
+        if len(chain) == 1:
+            rotation = np.abs(level.letters[:, 0]) == 2
+            assert (logs[rotation, 0] - logs[rotation, 1] == 0.0).all()
+
+
 class TestLimitReport:
     def test_sl2(self, sl2_pres):
         rep = limit_report(sl2_pres, FACE2, sample_rays(sl2_pres, 50, 12, 7, FACE2))
