@@ -131,13 +131,13 @@ class WordLevel(NamedTuple):
 
     letters: np.ndarray  # (N, L) signed letters
     mats: np.ndarray     # (N, n, n) word products
-    invs: np.ndarray     # (N, n, n) their exactly accumulated inverses
+    invs: np.ndarray | None  # (N, n, n) their exactly accumulated inverses, if formed
     logdets: np.ndarray  # (N,) log|det| of the products, summed letter by letter
     parent: np.ndarray   # (N,) row of each word's prefix in the previous block of its chain
     dfs: np.ndarray      # (N,) rank of each word among all words in depth-first order
 
 
-def word_levels(pres: FreeGroupPresentation, length: int):
+def word_levels(pres: FreeGroupPresentation, length: int, inverse_length: int | None = None):
     """All reduced words of length 1..length, as chains of blocks of at most WORD_BLOCK words.
 
     A depth-first walk: each chain it yields is a list whose block k holds
@@ -151,14 +151,18 @@ def word_levels(pres: FreeGroupPresentation, length: int):
     g, and its inverse, carried transposed, m^-T g^-T: per letter, one GEMM
     over a cut's parents stacked as rows, each entry one word's own dot
     product in the same order, so both are exact products of letters, bit
-    for bit.  Every block's ``invs`` is a transposed view of a C-contiguous
-    array.
+    for bit.  Only the blocks of length <= ``inverse_length`` (default
+    ``length``) carry ``invs``, each a transposed view of a C-contiguous
+    array; the others carry None, and their products are the same bit for
+    bit, since a product never reads an inverse.
     """
     if length < 1:
         raise ValueError("need length >= 1")
     total = word_count(pres.rank, length)
     if total > MAX_WORDS:
         raise BudgetExceeded(f"{total} words exceed budget {MAX_WORDS}")
+    if inverse_length is None:
+        inverse_length = length
     order = np.array(_letter_order(pres.rank), dtype=np.int8)
     n, kids = pres.n, 2 * pres.rank - 1
     gens = np.stack([pres.letter_matrix(lt) for lt in order])
@@ -178,23 +182,29 @@ def word_levels(pres: FreeGroupPresentation, length: int):
         if len(chain) == length:
             return
         level, size = chain[-1], len(digit) * kids
-        stacks = ((level.mats, gens), (level.invs.swapaxes(1, 2), inv_gens_t))
         for cut in range(0, size, WORD_BLOCK):
             p, child = np.divmod(np.arange(cut, min(cut + WORD_BLOCK, size)), kids)
             d, lo, hi = successor[digit[p], child], p[0], p[-1] + 1
-            # the cut's parents times each letter, letter-major: child (d, p) is row d (hi - lo) + p - lo;
-            # they are dropped before the walk descends
-            mats, invs_t = (np.take((m[lo:hi].reshape(-1, n) @ g).reshape(-1, n, n),
-                                    d * (hi - lo) + p - lo, axis=0) for m, g in stacks)
+
+            def times(m, g):
+                # the cut's parents times each letter, letter-major: child (d, p) is row
+                # d (hi - lo) + p - lo; they are dropped before the walk descends
+                return np.take((m[lo:hi].reshape(-1, n) @ g).reshape(-1, n, n),
+                               d * (hi - lo) + p - lo, axis=0)
+
+            mats = times(level.mats, gens)
+            invs = (times(level.invs.swapaxes(1, 2), inv_gens_t).swapaxes(1, 2)
+                    if len(chain) < inverse_length else None)
             yield from walk(chain + [WordLevel(
                 np.concatenate([np.take(level.letters, p, axis=0), order[d][:, None]], axis=1),
-                mats, invs_t.swapaxes(1, 2), level.logdets[p] + logdets[d], p,
+                mats, invs, level.logdets[p] + logdets[d], p,
                 level.dfs[p] + 1 + child * subtree[len(chain) + 1])], d)
 
     for cut in range(0, len(order), WORD_BLOCK):
         d = np.arange(len(order))[cut:cut + WORD_BLOCK]
-        yield from walk([WordLevel(order[d][:, None], gens[d], inv_gens_t[d].swapaxes(1, 2),
-                                   logdets[d], np.zeros(len(d), dtype=np.intp), d * subtree[1])], d)
+        invs = inv_gens_t[d].swapaxes(1, 2) if inverse_length >= 1 else None
+        yield from walk([WordLevel(order[d][:, None], gens[d], invs, logdets[d],
+                                   np.zeros(len(d), dtype=np.intp), d * subtree[1])], d)
 
 
 def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray,
@@ -226,6 +236,19 @@ def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray,
     return np.stack([top, -top - bottom, bottom], axis=-1)
 
 
+def _log_norms(logs: np.ndarray) -> np.ndarray:
+    """Norms of ``_two_sided_logs``' vectors, equal bit for bit to ``row_norms``.
+
+    At n = 2 a pair (x, -x) has norm sqrt(2 (x x)): doubling the rounded square is exact, and
+    the dot product's sum x x + x x rounds to the same value with or without a fused
+    multiply-add.  Leading axes are batch axes.
+    """
+    if logs.shape[-1] == 2:
+        x = logs[..., 0]
+        return np.sqrt(2.0 * (x * x))
+    return row_norms(logs)
+
+
 def _least_gaps(logs: np.ndarray, face: FaceType) -> np.ndarray:
     """Least gap of descending logs at the face type's walls; leading axes are batch axes."""
     return functools.reduce(np.minimum, (logs[..., d - 1] - logs[..., d] for d in face.dims))
@@ -242,7 +265,9 @@ def power_probe(pres: FreeGroupPresentation, max_power: int = POWER_DEPTH, norm_
     for i, (g, gi) in enumerate(zip(pres.generators, pres.inverses), start=1):
         m, minv, logdet = np.eye(pres.n), np.eye(pres.n), np.linalg.slogdet(g)[1]
         for k in range(1, max_power + 1):
-            m, minv = m @ g, gi @ minv
+            m = m @ g
+            if pres.n > 2:  # the n = 2 logs read m and log|det| alone
+                minv = gi @ minv
             delta = _two_sided_logs(m, minv, k * logdet)
             if delta[0] + k * logdet / pres.n > math.log(norm_cap):  # log s_1(m)
                 break
@@ -250,13 +275,28 @@ def power_probe(pres: FreeGroupPresentation, max_power: int = POWER_DEPTH, norm_
 
 
 def _records(candidates: list[tuple], values: np.ndarray, level: WordLevel) -> None:
-    """Add (value, depth-first rank, letters) of a block's words below all earlier ones in it."""
-    # _first_tied's window, at most lo + TIE_RTOL |lo|, only shrinks: a block above it holds none
-    if candidates and values.min() > (lo := min(c[0] for c in candidates)) + TIE_RTOL * abs(lo):
+    """Add (value, depth-first rank, letters) of a block's record lows that can tie its least.
+
+    A record low is a word below all earlier ones in its block: a block lists its words
+    depth first, so no other word can be a ``_first_tied`` witness.  Of those, only the ones
+    within the block's own tie window, least + TIE_RTOL |least|, are kept: the least over all
+    blocks is at most the block's, and x + TIE_RTOL |x| grows with x, so ``_first_tied``'s
+    final window ends no higher.  A block holding a NaN has no window, and keeps every
+    record low, those before its first NaN.
+    """
+    if not values.size:
         return
-    # a block lists its words depth first, so no other word can be a _first_tied witness
-    record = np.concatenate(([True], values[1:] < np.minimum.accumulate(values)[:-1]))
-    candidates.extend((values[i], level.dfs[i], level.letters[i].tolist())
+    least = values.min()
+    # _first_tied's window, at most lo + TIE_RTOL |lo|, only shrinks: a block above it holds none
+    if candidates and least > (lo := min(c[0] for c in candidates)) + TIE_RTOL * abs(lo):
+        return
+    # the rows outside the window lie above every row in it, so they set no record in it
+    rows = (np.arange(values.size) if np.isnan(least)
+            else np.flatnonzero(values <= least + TIE_RTOL * abs(least)))
+    window = values[rows]
+    record = np.ones(window.size, dtype=bool)
+    record[1:] = window[1:] < np.minimum.accumulate(window)[:-1]
+    candidates.extend((window[i], level.dfs[rows[i]], level.letters[rows[i]].tolist())
                       for i in np.flatnonzero(record))
 
 
@@ -275,15 +315,24 @@ def word_checks(pres: FreeGroupPresentation, face: FaceType, scans: list) -> lis
     None, and yields its report.  The walk goes to the longest length, and
     takes each block's logs, norms, gaps and ``symmspace._top_read`` once.
     The list ends with the top read only where a scan sent it takes the
-    frame, which pops the read before its own reads.
+    frame, which pops the read before its own reads.  A scan that takes the
+    frames also reads the inverses of its words' prefixes of at most half
+    its length (morse's ``_prefix_coords``).  The walk forms inverses only
+    up to the longest length read: at n >= 3 the logs read every block's,
+    and at n = 2, where the logs and frames read m and log|det| alone, only
+    those prefixes are read.
     """
     lengths, frames = zip(*(next(scan) for scan in scans))
-    for chain in word_levels(pres, max(lengths)):
+    if pres.n > 2:
+        inverse_length = max(lengths)
+    else:
+        inverse_length = max((el // 2 for el, frame in zip(lengths, frames) if frame), default=0)
+    for chain in word_levels(pres, max(lengths), inverse_length):
         level = chain[-1]
         top = _top_read(level.mats)
         logs = _two_sided_logs(level.mats, level.invs, level.logdets, top)
         readers = [k for k, length in enumerate(lengths) if len(chain) <= length]
-        shared = [chain, logs, row_norms(logs), _least_gaps(logs, face)]
+        shared = [chain, logs, _log_norms(logs), _least_gaps(logs, face)]
         if any(frames[k] for k in readers):
             shared.append(top)
         del top  # held, if at all, by the list alone, which the frame's reader pops it from
@@ -955,7 +1004,7 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, sample: RaySample)
                       all(r["max_log_eps"] >= DIVERGENCE_LOGEPS for r in ray_data))
 
     # Stratum expansion: some short word expands at every sampled limit flag.
-    blocks = [chain[-1] for chain in word_levels(pres, CEA_DEPTH)]
+    blocks = [chain[-1] for chain in word_levels(pres, CEA_DEPTH, 0)]  # products alone
     dfs = np.argsort(np.concatenate([lv.dfs for lv in blocks]))  # walk order, depth first
     words = [w for lv in blocks for w in lv.letters.tolist()]
     eps = expansion_factor(np.concatenate([lv.mats for lv in blocks])[dfs],

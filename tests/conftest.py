@@ -31,6 +31,36 @@ def sl4_pair(planes):
     return a, q @ a @ np.linalg.inv(q)
 
 
+def same_group(gens):
+    """(move, generators) pairs generating a conjugate of the group of the pair ``gens``.
+
+    Conjugation by the rotation k of 0.5 rad in the plane of the first two
+    axes, the swap (b, a) and the inversion (a^-1, b): moves that keep every
+    verdict of an Anosov subgroup, being properties of the subgroup up to
+    conjugacy in SL(n, R).
+    """
+    a, b = (np.asarray(g, dtype=float) for g in gens)
+    k = np.eye(a.shape[0])
+    k[:2, :2] = [[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]]
+    return [("rotation", (k @ a @ k.T, k @ b @ k.T)), ("swap", (b, a)),
+            ("inversion", (np.linalg.inv(a), b))]
+
+
+def torus_pres(x):
+    """A one-holed torus pair in SL(2, R) with tr a = tr b = tr ab = x.
+
+    a = diag(l, x - l) with l + 1/l = x, and b symmetric with b11 = x / (l + 1),
+    b22 = x - b11 and b12 = sqrt(b11 b22 - 1).  By Fricke's identity
+    tr[a, b] = 3x^2 - x^3 - 2: at x = 3 the commutator is parabolic (the
+    modular torus, with a cusp), and for x > 3 the group is Schottky.
+    """
+    lam = (x + np.sqrt(x * x - 4.0)) / 2.0
+    b11 = x / (lam + 1.0)
+    b22 = x - b11
+    b12 = np.sqrt(b11 * b22 - 1.0)
+    return FreeGroupPresentation((np.diag([lam, x - lam]), np.array([[b11, b12], [b12, b22]])))
+
+
 @pytest.fixture()
 def rng(request):
     # stable per-test stream, independent of execution order

@@ -26,7 +26,8 @@ sweep takes it (one row per ray, 200 as in the rays benchmark) and on
 at random flags of the full face, and ``attractive_flag`` of the letters.
 The word walk is timed on the step from one full block to its children:
 a rank-2 walk to length 8 yields its first full block at length 7, then
-that block's three child blocks.  The rays benchmark's other steps are
+that block's three child blocks, with the inverses that ``word_checks``
+forms for morse at length 8: none at n = 2, all at n = 3.  The rays benchmark's other steps are
 timed on its shapes: limit's pair scan ``_pair_scan`` over the limit flags
 of 200 and of 1,000 rays of depth 12 of sl2-schottky and
 sl3-symsq-schottky at seed 1, the orthonormality check of a ``Flag`` of 200 x 21
@@ -224,7 +225,8 @@ def test_word_levels_timing(benchmark, n):
     pres = FreeGroupPresentation(tuple(random_sl(rng, n, scale=1.2) for _ in range(2)))
 
     def full_block():
-        walk = word_levels(pres, 8)
+        # the inverses word_checks forms with morse at 8: its prefixes' at n = 2, all at n = 3
+        walk = word_levels(pres, 8, 4 if n == 2 else 8)
         next(chain for chain in walk if len(chain[-1].letters) == WORD_BLOCK)
         return (walk,), {}
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anosovcheck import dynamics, subgroup, symmspace
-from anosovcheck.chamber import FaceType, flat_cone_deficit
+from anosovcheck.chamber import FaceType, flat_cone_deficit, row_norms
 from anosovcheck.cli import bundled_config_path, load_config
 from anosovcheck.errors import (
     BudgetExceeded,
@@ -14,6 +14,7 @@ from anosovcheck.flags import Flag, attractive_flag, expansion_factor, flag_dist
 from anosovcheck.reports import dumps
 from anosovcheck.subgroup import (
     GAP_TOL,
+    TIE_RTOL,
     FreeGroupPresentation,
     anosov_check,
     limit_report,
@@ -125,6 +126,40 @@ class TestWords:
         subgroup.word_checks(sl2_pres, FACE2, [scan(4, False)])
         assert {size for _, _, size in seen} == {4}
 
+    @pytest.mark.parametrize("name, inverse_lengths", [
+        ("sl2-schottky", {1, 2, 3, 4}), ("sanov-unipotent", {1, 2, 3, 4}),
+        ("sl3-symsq-schottky", set(range(1, 9)))])
+    def test_inverses_formed_only_where_read(self, name, inverse_lengths, monkeypatch):
+        # at n = 2 only morse's prefixes, of length <= morse_depth // 2 = 4, read an inverse;
+        # at n = 3 the logs read every block's.  The products, log|det|s, parents, ranks
+        # and letters are the full walk's bit for bit, and so is every inverse formed
+        cfg = load_config(bundled_config_path(name))
+        pres, face = cfg.presentation(), cfg.face_type()
+        walked, walk = [], word_levels
+
+        def recorded(*args):
+            for chain in walk(*args):
+                walked.append(chain[-1])
+                yield chain
+
+        monkeypatch.setattr(subgroup, "word_levels", recorded)
+        subgroup.word_checks(pres, face, [subgroup._uru_scan(pres, face, cfg.depth),
+                                          subgroup._morse_scan(pres, face, cfg.morse_depth)])
+        full = [chain[-1] for chain in walk(pres, max(cfg.depth, cfg.morse_depth))]
+        assert len(walked) == len(full)
+        for a, b in zip(walked, full):
+            assert (a.invs is None) == (a.letters.shape[1] not in inverse_lengths)
+            for field in ("letters", "mats", "invs", "logdets", "parent", "dfs"):
+                x, y = getattr(a, field), getattr(b, field)
+                if x is None:
+                    continue
+                assert x.dtype == y.dtype and x.shape == y.shape, field
+                assert np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes(), field
+
+    def test_walk_without_inverses(self, sl2_pres):
+        # inverse_length 0, as anosov's stratum scan walks: no block carries one
+        assert all(chain[-1].invs is None for chain in word_levels(sl2_pres, 3, 0))
+
     @staticmethod
     def _check_word_levels(rank, n, length, block, rng):
         pres = FreeGroupPresentation(tuple(random_sl(rng, n) for _ in range(rank)))
@@ -206,6 +241,71 @@ class TestUru:
         rep = uru_check(sl3_pres, FACE3, 8)
         assert rep.verdict
         assert rep.constants["uniform_ratio_min"] >= 0.05
+
+
+def all_record_lows(candidates, values, level):
+    """uru's record rule before its tie window: every record low of a block."""
+    if candidates and values.min() > (lo := min(c[0] for c in candidates)) + TIE_RTOL * abs(lo):
+        return
+    record = np.concatenate(([True], values[1:] < np.minimum.accumulate(values)[:-1]))
+    candidates.extend((values[i], level.dfs[i], level.letters[i].tolist())
+                      for i in np.flatnonzero(record))
+
+
+class TestUruRecords:
+    # _records keeps only the record lows within a block's own tie window; the
+    # witness _first_tied takes from them is the one all record lows give
+
+    @staticmethod
+    def first_tied(rule, blocks):
+        candidates, start = [], 0
+        for values in blocks:
+            values = np.asarray(values, dtype=float)
+            rows = np.arange(start, start + len(values))
+            level = subgroup.WordLevel(rows[:, None], None, None, None, None, rows)
+            rule(candidates, values, level)
+            start += len(values)
+        try:
+            return repr(subgroup._first_tied(candidates))
+        except ValueError as exc:  # no candidate in the window
+            return type(exc)
+
+    @pytest.mark.parametrize("blocks", [
+        [[3.0, 1.0, 2.0, 1.0], [1.0, 0.5, 0.5], [0.5, 0.7]],  # exact ties, within and across
+        [[2.0, 1.0 + TIE_RTOL, 1.0, 1.0 + TIE_RTOL]],  # a tie at the window's edge
+        [[1.0, 1.0 + TIE_RTOL], [np.nextafter(1.0 + TIE_RTOL, 2.0), 1.0]],  # and just past it
+        [[0.0, 0.0], [0.0]],
+        [[np.inf, np.inf], [5.0, np.inf]],
+        [[2.0, np.nan, 1.0], [3.0, 1.5]],  # a NaN ends a block's running minimum
+        [[np.nan, 2.0], [1.0]],
+        [[3.0, 2.0], [np.nan, 1.0]],
+        [[np.nan], [np.nan, 1.0]],
+        [[-2.0, -2.0 + 2 * TIE_RTOL, -2.0 * (1 - TIE_RTOL)], [-1.0]],  # negative values
+    ])
+    def test_window_keeps_the_witness(self, blocks):
+        assert self.first_tied(subgroup._records, blocks) == self.first_tied(all_record_lows, blocks)
+
+    def test_window_keeps_the_witness_on_random_blocks(self, rng):
+        for _ in range(200):
+            # values on a coarse grid, scaled near 1, so that ties and near-ties are common
+            sizes = rng.integers(1, 8, size=rng.integers(1, 5))
+            blocks = [1.0 + TIE_RTOL * rng.integers(0, 4, size=k) * rng.choice([0.5, 1.0])
+                      for k in sizes]
+            got = self.first_tied(subgroup._records, blocks)
+            assert got == self.first_tied(all_record_lows, blocks), blocks
+
+    def test_only_the_tie_window_is_kept(self):
+        candidates = []
+        self.first_tied(lambda c, v, lv: subgroup._records(candidates, v, lv),
+                        [[5.0, 4.0, 3.0, 1.0 + TIE_RTOL, 1.0]])
+        assert [c[1] for c in candidates] == [3, 4]
+
+    def test_empty_block(self):
+        candidates = []
+        level = subgroup.WordLevel(np.zeros((0, 1), dtype=np.int8), None, None, None, None,
+                                   np.zeros(0, dtype=np.intp))
+        subgroup._records(candidates, np.zeros(0), level)
+        assert candidates == []
 
 
 class TestMorse:
@@ -451,6 +551,21 @@ def test_two_sided_logs_descend_on_rotations(rotation_pres):
         if len(chain) == 1:
             rotation = np.abs(level.letters[:, 0]) == 2
             assert (logs[rotation, 0] - logs[rotation, 1] == 0.0).all()
+
+
+@pytest.mark.parametrize("name, length", [("sl2-schottky", 10), ("sanov-unipotent", 10),
+                                          ("rotation", 8)])
+def test_log_norms_are_row_norms(name, length, rotation_pres):
+    # the n = 2 closed form sqrt(2 (x x)) of a log pair (x, -x) is row_norms' dot product,
+    # bit for bit, down to the rotation words' gap of exactly 0
+    pres = rotation_pres if name == "rotation" else load_config(bundled_config_path(name)).presentation()
+    zeros = 0
+    for chain in word_levels(pres, length, 0):
+        level = chain[-1]
+        logs = _two_sided_logs(level.mats, None, level.logdets)
+        assert subgroup._log_norms(logs).tobytes() == row_norms(logs).tobytes(), len(chain)
+        zeros += int((logs[:, 0] == 0.0).sum())
+    assert (zeros > 0) == (name == "rotation")
 
 
 class TestLimitReport:
