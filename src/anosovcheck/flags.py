@@ -313,7 +313,8 @@ class Flag:
         if q.shape[-2:] != (n, n):
             raise ValueError(f"frame must be {n}x{n}, got {q.shape}")
         with np.errstate(invalid="ignore"):  # an inf entry gives NaN, which fails too
-            gram = np.ascontiguousarray(np.swapaxes(q, -1, -2)) @ q - np.eye(n)  # fast: contiguous
+            gram = np.ascontiguousarray(np.swapaxes(q, -1, -2)) @ q  # fast: contiguous
+            gram -= np.eye(n)
         if not (np.einsum("...ij,...ij->...", gram, gram) <= (FRAME_TOL * n) ** 2).all():
             raise ValueError("frame is not orthonormal")
         q.flags.writeable = False
@@ -477,11 +478,13 @@ def suffix_flags(matrices, face: FaceType) -> Flag:
     matrices = np.asarray(matrices, dtype=float)
     rng = np.random.default_rng(321)
     q, _ = qr_pos(rng.standard_normal((face.n, face.n)))
-    out = [np.broadcast_to(q, matrices.shape[:-3] + q.shape)]
-    for k in reversed(range(matrices.shape[-3])):
-        a = matrices[..., k, :, :] @ out[-1]
-        out.append((q_closed(a) if face.n <= 3 else qr_pos(a))[0])
-    return Flag(face, np.stack(out[::-1], axis=-3))
+    count = matrices.shape[-3]
+    out = np.empty(matrices.shape[:-3] + (count + 1, *q.shape))
+    out[..., count, :, :] = q
+    for k in reversed(range(count)):
+        a = matrices[..., k, :, :] @ out[..., k + 1, :, :]
+        out[..., k, :, :] = (q_closed(a) if face.n <= 3 else qr_pos(a))[0]
+    return Flag(face, out)
 
 
 def stable_product_flag(matrices, face: FaceType) -> Flag:

@@ -9,6 +9,7 @@ word whose deepest prefix's flag stands in for its limit flag.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -56,6 +57,7 @@ from .symmspace import (
 
 CONICAL_LOOKAHEAD = 4  # limit: letters behind and ahead of a point in its conical window
 PAIR_BLOCK = 1 << 16  # limit: most screen entries, pairs or not, per block of the pair scan
+CONICAL_BLOCK = 1600  # limit: most configurations, rays times reads, per block of the conical read
 BETA_PAD = 8          # limit, anosov: letters a ray runs past its name, for its tail flags
 DIVERGENCE_LOGEPS = float(np.log(100.0))  # anosov: log expansion counted as divergent
 CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansion
@@ -692,6 +694,52 @@ def sample_rays(pres: FreeGroupPresentation, count: int, depth: int, seed: int,
                      suffix_flags(_letter_stacks(pres, letters)[0], face), seed)
 
 
+def _window_sups(pres: FreeGroupPresentation, sample: RaySample, factors: tuple,
+                 reads: list[tuple[int, bool]]) -> np.ndarray:
+    """Each ray's largest window deficit over ``reads``, one block of ``_conical_rays``.
+
+    A read (n, far) measures prefix point n inside its window from the
+    window's start, or from its end where ``far``; ``factors`` holds the
+    rays' letter matrices, their inverses and the log|det| of their first
+    k letters.  The block's stacks are formed here and freed on return.
+    """
+    face, total = sample.tails.face, sample.prefixes.shape[1]
+    steps, inv_steps, logdets = factors
+    # per window: its start to the point, the point to its end, and the whole window,
+    # each with its inverse, all accumulated exactly letter by letter
+    windows = []  # per read: the tip and its inverse, log|det|, the point and its inverse
+    for n, group in itertools.groupby(reads, key=lambda read: read[0]):
+        lo, hi = max(0, n - CONICAL_LOOKAHEAD), min(total, n + CONICAL_LOOKAHEAD)
+        if lo == 0:  # the window and its first half are prefixes, accumulated alike
+            window, window_inv = sample.prefixes[:, hi - 1], sample.inverses[:, hi - 1]
+            first, first_inv = sample.prefixes[:, n - 1], sample.inverses[:, n - 1]
+        else:
+            window = window_inv = np.eye(pres.n)
+            for k in range(lo, hi):
+                window, window_inv = window @ steps[:, k], inv_steps[:, k] @ window_inv
+                if k == n - 1:
+                    first, first_inv = window, window_inv
+        logdet = logdets[:, hi] - logdets[:, lo]
+        for _, far in group:  # the tip w sees the point f, and w^-1 sees w^-1 f = s^-1
+            if far:
+                last = last_inv = np.eye(pres.n)
+                for k in range(n, hi):
+                    last, last_inv = last @ steps[:, k], inv_steps[:, k] @ last_inv
+                windows.append((window_inv, window, -logdet, last_inv, last))
+            else:
+                windows.append((window, window_inv, logdet, first, first_inv))
+    *stacks, pinvs = zip(*windows)
+    m, minv, logdet, p = (np.stack(x, axis=1) for x in stacks)
+    # the points' inverses transposed into C order, as segment_deficits reads them
+    pinv_t = np.stack([np.swapaxes(x, -1, -2) for x in pinvs], axis=1, out=np.empty(p.shape))
+    del windows, stacks, pinvs
+    top = _top_read(m)
+    a_plus = _two_sided_logs(m, minv, logdet, top)
+    u = _two_sided_frame(m, minv, top)
+    del top, m, minv  # read by their last readers
+    return segment_deficits(u, a_plus, [(p, np.swapaxes(pinv_t, -1, -2))], face).max(axis=(1, 2))
+
+
 def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
                   rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Conical approach along every ray of a sample: (verdicts, geometric sups).
@@ -704,7 +752,12 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
     Translating the window start to the base point, the evaluation
     involves only short exact products, so it is
     well-conditioned at any depth; bounded window deficits are the
-    conicality surrogate.  Dynamical side: the pulled-back limit flags
+    conicality surrogate.  The reads go in blocks of whole read
+    positions, at most CONICAL_BLOCK configurations (rays times reads)
+    each, one ``_window_sups`` call per block: every read takes the same
+    arithmetic in any block, and a ray's sup is the running maximum over
+    the blocks, so it is the largest read exactly, and memory stays
+    bounded at any depth.  Dynamical side: the pulled-back limit flags
     must keep a transversality floor from the last of the inverse
     prefixes' flags ``back`` (R, N), where those have a limit.  The
     pulled-back flag is the boundary flag of the shifted ray, read from
@@ -713,42 +766,20 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
     k = 1, ..., N - CONICAL_LOOKAHEAD, each tail CONICAL_LOOKAHEAD + BETA_PAD
     letters long or longer, and the floor is taken on their later half.
     """
-    face = sample.tails.face
-    total = sample.prefixes.shape[1]
-    steps, inv_steps = _letter_stacks(pres, sample.letters[:, :total])
-    # per window: its start to the point, the point to its end, and the whole window,
-    # each with its inverse, all accumulated exactly letter by letter
-    logdets = np.pad(sample.logdets, ((0, 0), (1, 0)))  # log|det| of the first k letters
-    reads = []  # per read: the tip and its inverse, log|det|, the point
+    count, total = sample.prefixes.shape[:2]
+    factors = (*_letter_stacks(pres, sample.letters[:, :total]),
+               np.pad(sample.logdets, ((0, 0), (1, 0))))  # log|det| of the first k letters
+    reads = []  # (n, far): point n read from its window's start, or from its end where far
     for n in range(1, total):  # every window spans lo < n < hi
         lo, hi = max(0, n - CONICAL_LOOKAHEAD), min(total, n + CONICAL_LOOKAHEAD)
-        if lo == 0:  # the window and its first half are prefixes, accumulated alike
-            window, window_inv = sample.prefixes[:, hi - 1], sample.inverses[:, hi - 1]
-            first, first_inv = sample.prefixes[:, n - 1], sample.inverses[:, n - 1]
-        else:
-            window = window_inv = np.eye(pres.n)
-            for k in range(lo, hi):
-                window, window_inv = window @ steps[:, k], inv_steps[:, k] @ window_inv
-                if k == n - 1:
-                    first, first_inv = window, window_inv
-        last = last_inv = np.eye(pres.n)
-        for k in range(n, hi):
-            last, last_inv = last @ steps[:, k], inv_steps[:, k] @ last_inv
-        logdet = logdets[:, hi] - logdets[:, lo]
-        # the nearer tip: w, seeing the point f, or w^-1, seeing w^-1 f = s^-1
         if 2 * (n - lo) <= hi - lo:
-            reads.append((window, window_inv, logdet, first, first_inv))
+            reads.append((n, False))
         if 2 * (n - lo) >= hi - lo:
-            reads.append((window_inv, window, -logdet, last_inv, last))
-    *stacks, pinvs = zip(*reads)
-    m, minv, logdet, p = (np.stack(x, axis=1) for x in stacks)
-    # the points' inverses transposed into C order, as segment_deficits reads them
-    pinv_t = np.stack([np.swapaxes(x, -1, -2) for x in pinvs], axis=1, out=np.empty(p.shape))
-    top = _top_read(m)
-    a_plus = _two_sided_logs(m, minv, logdet, top)
-    u = _two_sided_frame(m, minv, top)
-    del top, m, minv, reads, stacks, pinvs  # read by their last readers
-    sups = segment_deficits(u, a_plus, [(p, np.swapaxes(pinv_t, -1, -2))], face).max(axis=(1, 2))
+            reads.append((n, True))
+    sups = np.full(count, -np.inf)
+    step = max(1, CONICAL_BLOCK // count)
+    for cut in range(0, len(reads), step):
+        np.maximum(sups, _window_sups(pres, sample, factors, reads[cut:cut + step]), out=sups)
 
     margins = transversality_margin(sample.tails[:, 1:max(2, total - CONICAL_LOOKAHEAD + 1)],
                                     back[:, -1, None])

@@ -563,7 +563,10 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
                       for m, s in ((w, s1), (winv, s1i))])
         whitened = None  # only the rows read exactly are whitened, below
     else:
-        rows, cols = w / s1[..., :, None], winv / s1i[..., None, :]
+        whitened = np.empty((2, *w.shape))  # both sides, for one kernel call
+        rows, cols = whitened
+        np.divide(w, s1[..., :, None], out=rows)
+        np.divide(winv, s1i[..., None, :], out=cols)
         for lo, hi in wide:
             ud, sd, vtd = np.linalg.svd(w[..., lo:hi, :], full_matrices=False)
             ui, si, vti = np.linalg.svd(winv[..., :, lo:hi], full_matrices=False)
@@ -573,7 +576,6 @@ def factored_coords_pair(w: np.ndarray, winv: np.ndarray, face: FaceType,
             rows[..., lo:hi, :] = ud @ vtd
             cols[..., :, lo:hi] = ui @ vti
         _centre(v)
-        whitened = np.stack([rows, cols])
         if n > 3 or floor == -np.inf:  # one kernel call for both sides
             return v, np.minimum(*_whitened_off(whitened))
         d = np.abs(_det(whitened))

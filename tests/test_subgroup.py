@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -489,6 +492,42 @@ def test_reports_do_not_depend_on_the_word_block(name, monkeypatch):
     for block in (3, 5, word_count(pres.rank, 6) + 1):
         monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
         assert reports() == expected, block
+
+
+@pytest.mark.parametrize("depth", [12, 48])
+@pytest.mark.parametrize("name", ["sl2-schottky", "sl3-symsq-schottky", "sanov-unipotent"])
+def test_limit_reports_do_not_depend_on_the_conical_block(name, depth, monkeypatch):
+    # every conical read takes the same arithmetic in any block, and a ray's
+    # sup is the running maximum over the blocks: one read position per block
+    # (a cap of the ray count), the default cap and one block for all reads
+    # publish the same report byte for byte
+    cfg = load_config(bundled_config_path(name))
+    pres, face = cfg.presentation(), cfg.face_type()
+    sample = sample_rays(pres, 200, depth, 1, face)
+
+    def report():
+        return dumps(limit_report(pres, face, sample).as_dict())
+
+    expected = report()
+    for block in (200, sys.maxsize):
+        monkeypatch.setattr(subgroup, "CONICAL_BLOCK", block)
+        assert report() == expected, block
+
+
+def test_limit_working_set_is_bounded_at_depth():
+    # the conical read forms one block of at most CONICAL_BLOCK configurations
+    # at a time: at 200 rays of depth 96 limit's traced peak stays below 10 MB,
+    # where all 36,800 reads at once took 52 MB
+    cfg = load_config(bundled_config_path("sl3-symsq-schottky"))
+    pres, face = cfg.presentation(), cfg.face_type()
+    sample = sample_rays(pres, 200, 96, 1, face)
+    tracemalloc.start()
+    try:
+        limit_report(pres, face, sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
 
 
 @pytest.mark.parametrize("name, kept, length", [
