@@ -128,10 +128,21 @@ def word_count(rank: int, length: int) -> int:
     return total
 
 
-class WordLevel(NamedTuple):
-    """A block of reduced words of one length, listed depth first."""
+def _subtree_sizes(rank: int, length: int) -> list[int]:
+    """Entry el: words in the subtree of a word of length el, itself included, to ``length``."""
+    subtree = [0] * (length + 2)
+    for el in range(length, 0, -1):
+        subtree[el] = 1 + (2 * rank - 1) * subtree[el + 1]
+    return subtree
 
-    letters: np.ndarray  # (N, L) signed letters
+
+class WordLevel(NamedTuple):
+    """A block of reduced words of one length, listed depth first.
+
+    ``letters`` and ``invs`` are None past ``word_levels``' bounds; the other fields never are.
+    """
+
+    letters: np.ndarray | None  # (N, L) signed letters, if formed
     mats: np.ndarray     # (N, n, n) word products
     invs: np.ndarray | None  # (N, n, n) their exactly accumulated inverses, if formed
     logdets: np.ndarray  # (N,) log|det| of the products, summed letter by letter
@@ -139,7 +150,8 @@ class WordLevel(NamedTuple):
     dfs: np.ndarray      # (N,) rank of each word among all words in depth-first order
 
 
-def word_levels(pres: FreeGroupPresentation, length: int, inverse_length: int | None = None):
+def word_levels(pres: FreeGroupPresentation, length: int, inverse_length: int | None = None,
+                letter_length: int | None = None):
     """All reduced words of length 1..length, as chains of blocks of at most WORD_BLOCK words.
 
     A depth-first walk: each chain it yields is a list whose block k holds
@@ -149,14 +161,19 @@ def word_levels(pres: FreeGroupPresentation, length: int, inverse_length: int | 
     blocks of WORD_BLOCK words, so the blocks of one length come depth first,
     a short length is one block, and one block per length is held.  Child c
     of a block extends row c // (2 rank - 1) by the successor table's letter
-    c % (2 rank - 1).  A word's product is its prefix's times its last letter
-    g, and its inverse, carried transposed, m^-T g^-T: per letter, one GEMM
-    over a cut's parents stacked as rows, each entry one word's own dot
-    product in the same order, so both are exact products of letters, bit
-    for bit.  Only the blocks of length <= ``inverse_length`` (default
-    ``length``) carry ``invs``, each a transposed view of a C-contiguous
-    array; the others carry None, and their products are the same bit for
-    bit, since a product never reads an inverse.
+    c % (2 rank - 1); every cut reads these (row, letter) pairs from one
+    pattern, formed once per walk.  A word's
+    product is its prefix's times its last letter g, and its inverse,
+    carried transposed, m^-T g^-T: per letter, one GEMM over a cut's parents
+    stacked as rows, each entry one word's own dot product in the same
+    order, so both are exact products of letters, bit for bit.  Only the
+    blocks of length <= ``inverse_length`` (default ``length``) carry
+    ``invs``, each a transposed view of a C-contiguous array, and only those
+    of length <= ``letter_length`` (default ``length``) carry ``letters``;
+    the others carry None.  Their products, log|det|s, parents and ranks are
+    the same bit for bit, since none of them reads an inverse or a letter
+    row: a word's rank is its parent's plus 1 + c S, with S the subtree
+    size of a word of its length (``_word_at`` inverts it).
     """
     if length < 1:
         raise ValueError("need length >= 1")
@@ -165,6 +182,8 @@ def word_levels(pres: FreeGroupPresentation, length: int, inverse_length: int | 
         raise BudgetExceeded(f"{total} words exceed budget {MAX_WORDS}")
     if inverse_length is None:
         inverse_length = length
+    if letter_length is None:
+        letter_length = length
     order = np.array(_letter_order(pres.rank), dtype=np.int8)
     n, kids = pres.n, 2 * pres.rank - 1
     gens = np.stack([pres.letter_matrix(lt) for lt in order])
@@ -173,10 +192,9 @@ def word_levels(pres: FreeGroupPresentation, length: int, inverse_length: int | 
     logdets = np.linalg.slogdet(gens)[1]
     # successor[e]: the letters, in letter order, that may follow letter e (not its inverse e ^ 1)
     successor = np.array([[e for e in range(len(order)) if e != d ^ 1] for d in range(len(order))])
-    # subtree[el]: words in the subtree of a word of length el, itself included
-    subtree = [0] * (length + 2)
-    for el in range(length, 0, -1):
-        subtree[el] = 1 + kids * subtree[el + 1]
+    subtree = _subtree_sizes(pres.rank, length)
+    # (row, child) of the words from 0 on: a cut from q kids + r reads them from r, rows q up
+    pattern = np.divmod(np.arange(WORD_BLOCK + kids - 1), kids)
 
     def walk(chain, digit):
         # digit: index in letter order of the last letter of each word of chain[-1]
@@ -185,7 +203,8 @@ def word_levels(pres: FreeGroupPresentation, length: int, inverse_length: int | 
             return
         level, size = chain[-1], len(digit) * kids
         for cut in range(0, size, WORD_BLOCK):
-            p, child = np.divmod(np.arange(cut, min(cut + WORD_BLOCK, size)), kids)
+            (q, r), end = divmod(cut, kids), min(WORD_BLOCK, size - cut)
+            p, child = pattern[0][r:r + end] + q, pattern[1][r:r + end]
             d, lo, hi = successor[digit[p], child], p[0], p[-1] + 1
 
             def times(m, g):
@@ -197,16 +216,37 @@ def word_levels(pres: FreeGroupPresentation, length: int, inverse_length: int | 
             mats = times(level.mats, gens)
             invs = (times(level.invs.swapaxes(1, 2), inv_gens_t).swapaxes(1, 2)
                     if len(chain) < inverse_length else None)
+            letters = (np.concatenate([np.take(level.letters, p, axis=0), order[d][:, None]],
+                                      axis=1) if len(chain) < letter_length else None)
             yield from walk(chain + [WordLevel(
-                np.concatenate([np.take(level.letters, p, axis=0), order[d][:, None]], axis=1),
-                mats, invs, level.logdets[p] + logdets[d], p,
+                letters, mats, invs, level.logdets[p] + logdets[d], p,
                 level.dfs[p] + 1 + child * subtree[len(chain) + 1])], d)
 
     for cut in range(0, len(order), WORD_BLOCK):
         d = np.arange(len(order))[cut:cut + WORD_BLOCK]
         invs = inv_gens_t[d].swapaxes(1, 2) if inverse_length >= 1 else None
-        yield from walk([WordLevel(order[d][:, None], gens[d], invs, logdets[d],
+        letters = order[d][:, None] if letter_length >= 1 else None
+        yield from walk([WordLevel(letters, gens[d], invs, logdets[d],
                                    np.zeros(len(d), dtype=np.intp), d * subtree[1])], d)
+
+
+def _word_at(dfs: int, rank: int, length: int) -> list[int]:
+    """The reduced word of depth-first rank ``dfs`` in ``word_levels``' walk to ``length``.
+
+    Inverts the walk's ranks: the word of length 1 at place d of the letter
+    order ranks d S_1, and child c of a word of length k ranks 1 + c S_(k+1)
+    past it, with S_k the subtree size of a word of length k in that walk.
+    So the remainder past a word names its child, and none names the word;
+    child c of a word with last letter at place e is the successor table's
+    letter c + (c >= e ^ 1).
+    """
+    subtree, order = _subtree_sizes(rank, length), _letter_order(rank)
+    digit, rest = divmod(int(dfs), subtree[1])
+    digits = [digit]
+    while rest:
+        child, rest = divmod(rest - 1, subtree[len(digits) + 1])
+        digits.append(child + (child >= (digits[-1] ^ 1)))
+    return [order[d] for d in digits]
 
 
 def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray,
@@ -277,14 +317,15 @@ def power_probe(pres: FreeGroupPresentation, max_power: int = POWER_DEPTH, norm_
 
 
 def _records(candidates: list[tuple], values: np.ndarray, level: WordLevel) -> None:
-    """Add (value, depth-first rank, letters) of a block's record lows that can tie its least.
+    """Add (value, depth-first rank) of a block's record lows that can tie its least.
 
     A record low is a word below all earlier ones in its block: a block lists its words
     depth first, so no other word can be a ``_first_tied`` witness.  Of those, only the ones
     within the block's own tie window, least + TIE_RTOL |least|, are kept: the least over all
     blocks is at most the block's, and x + TIE_RTOL |x| grows with x, so ``_first_tied``'s
     final window ends no higher.  A block holding a NaN has no window, and keeps every
-    record low, those before its first NaN.
+    record low, those before its first NaN.  No letter is read: near-tied values keep rows
+    in most blocks, and the caller decodes only its witnesses' letters from their ranks.
     """
     if not values.size:
         return
@@ -298,12 +339,14 @@ def _records(candidates: list[tuple], values: np.ndarray, level: WordLevel) -> N
     window = values[rows]
     record = np.ones(window.size, dtype=bool)
     record[1:] = window[1:] < np.minimum.accumulate(window)[:-1]
-    candidates.extend((window[i], level.dfs[rows[i]], level.letters[rows[i]].tolist())
-                      for i in np.flatnonzero(record))
+    candidates.extend((window[i], level.dfs[rows[i]]) for i in np.flatnonzero(record))
 
 
 def _first_tied(candidates: list[tuple]) -> tuple:
-    """The first candidate depth first within TIE_RTOL of the least value, which uru publishes."""
+    """The (value, depth-first rank) first depth first within TIE_RTOL of the least value.
+
+    uru publishes that value, and the word it decodes from that rank (``_word_at``).
+    """
     lo = min(c[0] for c in candidates)
     return min((c for c in candidates if c[0] <= lo + TIE_RTOL * abs(lo)), key=lambda c: c[1])
 
@@ -313,23 +356,28 @@ def word_checks(pres: FreeGroupPresentation, face: FaceType, scans: list) -> lis
 
     A scan is a generator that yields its word length, and whether it takes
     the blocks' frames, whenever it waits: it is sent the list [chain, logs,
-    their norms, least wall gaps] of each block up to that length, then
-    None, and yields its report.  The walk goes to the longest length, and
-    takes each block's logs, norms, gaps and ``symmspace._top_read`` once.
-    The list ends with the top read only where a scan sent it takes the
-    frame, which pops the read before its own reads.  A scan that takes the
-    frames also reads the inverses of its words' prefixes of at most half
-    its length (morse's ``_prefix_coords``).  The walk forms inverses only
-    up to the longest length read: at n >= 3 the logs read every block's,
-    and at n = 2, where the logs and frames read m and log|det| alone, only
-    those prefixes are read.
+    their norms, least wall gaps] of each block up to that length, then the
+    walk's length, and yields its report.  The walk goes to the longest
+    length, and takes each block's logs, norms, gaps and
+    ``symmspace._top_read`` once.  The list ends with the top read only
+    where a scan sent it takes the frame, which pops the read before its own
+    reads.  A scan that takes the frames also reads its words' letters and
+    the inverses of their prefixes of at most half its length (morse's
+    ``_prefix_coords``); a scan that takes none reads no letters, and names
+    a word by its depth-first rank in the walk (uru, by ``_word_at``).  So
+    the walk forms letters only up to the longest length a frame reader
+    reads, and inverses only up to the longest length read: at n >= 3 the
+    logs read every block's, and at n = 2, where the logs and frames read m
+    and log|det| alone, only those prefixes are read.
     """
     lengths, frames = zip(*(next(scan) for scan in scans))
+    walk = max(lengths)
+    letter_length = max((el for el, frame in zip(lengths, frames) if frame), default=0)
     if pres.n > 2:
-        inverse_length = max(lengths)
+        inverse_length = walk
     else:
         inverse_length = max((el // 2 for el, frame in zip(lengths, frames) if frame), default=0)
-    for chain in word_levels(pres, max(lengths), inverse_length):
+    for chain in word_levels(pres, walk, inverse_length, letter_length):
         level = chain[-1]
         top = _top_read(level.mats)
         logs = _two_sided_logs(level.mats, level.invs, level.logdets, top)
@@ -340,7 +388,7 @@ def word_checks(pres: FreeGroupPresentation, face: FaceType, scans: list) -> lis
         del top  # held, if at all, by the list alone, which the frame's reader pops it from
         for k in readers:
             scans[k].send(shared)
-    return [scan.send(None) for scan in scans]
+    return [scan.send(walk) for scan in scans]
 
 
 def uru_check(pres: FreeGroupPresentation, face: FaceType, length: int) -> PropertyReport:
@@ -364,7 +412,7 @@ def _uru_scan(pres, face, length):
     by_length: dict[int, list[tuple]] = {}
     flattest: list[tuple] = []
 
-    while (block := (yield length, False)) is not None:
+    while isinstance(block := (yield length, False), list):
         chain, delta, dist, gaps = block[:4]
         level, el = chain[-1], len(chain)
         _records(by_length.setdefault(el, []), dist, level)
@@ -372,8 +420,9 @@ def _uru_scan(pres, face, length):
             margin = gaps / math.sqrt(2.0)
             ratio = np.divide(margin, dist, out=np.full_like(dist, np.inf), where=dist > 0)
             _records(flattest, ratio, level)
+    walk = block  # the walk's length, which its ranks count
     slowest = {el: _first_tied(candidates) for el, candidates in by_length.items()}
-    ratio_min, _, ratio_witness = _first_tied(flattest)
+    ratio_min, ratio_rank = _first_tied(flattest)
 
     probe_pts = []
     for i, k, delta in power_probe(pres):
@@ -411,8 +460,9 @@ def _uru_scan(pres, face, length):
             "power_depth": POWER_DEPTH,
         },
         witnesses={
-            "ratio_word": ratio_witness,
-            "slowest_words": {str(el): w for el, (_, _, w) in sorted(slowest.items())},
+            "ratio_word": _word_at(ratio_rank, pres.rank, walk),
+            "slowest_words": {str(el): _word_at(rank, pres.rank, walk)
+                              for el, (_, rank) in sorted(slowest.items())},
             "probe_tail": [list(p) for p in probe_pts[-4:]],
         },
         details={
@@ -534,7 +584,7 @@ def _morse_scan(pres, face, length, rho_cap=1.0):
     # per length and block: letters, depth-first ranks, regular mask, deficits
     scanned: dict[int, list[tuple[np.ndarray, ...]]] = {}
     best = np.full(length + 1, -np.inf)  # per length: the largest final read so far
-    while (block := (yield length, True)) is not None:
+    while isinstance(block := (yield length, True), list):
         chain, logs, norms, gaps = block[:4]
         level, el = chain[-1], len(chain)
         ok = ~(gaps < GAP_TOL)
@@ -648,7 +698,13 @@ def _letter_table(pres: FreeGroupPresentation) -> np.ndarray:
 def _letter_stacks(pres: FreeGroupPresentation, letters: np.ndarray):
     """Matrices of the letters and of their inverses, as stacks (..., n, n)."""
     table = _letter_table(pres)
-    return table[letters + pres.rank], table[pres.rank - letters]
+    return table[letters + pres.rank], _inverse_letter_stack(pres, letters, table)
+
+
+def _inverse_letter_stack(pres: FreeGroupPresentation, letters: np.ndarray, table=None):
+    """Matrices of the letters' inverses, as a stack (..., n, n), from ``_letter_table``."""
+    table = _letter_table(pres) if table is None else table
+    return table[pres.rank - letters]
 
 
 def _prefix_products(pres: FreeGroupPresentation, letters: np.ndarray):
@@ -1002,15 +1058,17 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, sample: RaySample)
     # pulled-back flag orbit.  The orbit flags are the boundary flags of
     # the shifted rays; iterating them forward would be dynamically
     # unstable (the flag is repelling for the inverse flow), so each is
-    # the sample's tail flag of its own tail letters.
-    _, inverse_letters = _letter_stacks(pres, sample.letters[:, :depth])
-    steps = action_differential(inverse_letters, sample.tails[:, :depth])
+    # the sample's tail flag of its own tail letters.  Only the inverse
+    # letters' matrices are formed; the chain's products overwrite the
+    # single-letter differentials in place, and are freed before the
+    # stratum scan.
+    steps = action_differential(_inverse_letter_stack(pres, sample.letters[:, :depth]),
+                                sample.tails[:, :depth])
     dtotal = np.eye(tangent_dim(face))
-    chain = []
     for k in range(depth):
-        dtotal = steps[:, k] @ dtotal
-        chain.append(dtotal)
-    log_eps = np.log(least_singular(np.stack(chain, axis=1)))
+        steps[:, k] = dtotal = steps[:, k] @ dtotal
+    log_eps = np.log(least_singular(steps))
+    del steps, dtotal
     ns = np.arange(1, depth + 1, dtype=float)
     lo = max(1, depth // 3)
     slopes, intercepts = np.polyfit(ns[lo:], log_eps[:, lo:].T, 1)  # one fit per ray

@@ -349,15 +349,16 @@ class TestOneWordWalk:
         walks = []
         walk = subgroup.word_levels
         monkeypatch.setattr(subgroup, "word_levels",
-                            lambda pres, length, inverse_length=None:
-                            walks.append((length, inverse_length))
-                            or walk(pres, length, inverse_length))
+                            lambda pres, length, inverse_length=None, letter_length=None:
+                            walks.append((length, inverse_length, letter_length))
+                            or walk(pres, length, inverse_length, letter_length))
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(minimal_config(checkers=["uru", "morse"], depth=6,
                                                options={"morse_depth": 7})))
         assert run_config(p, out_dir=str(tmp_path / "out")) == 0
-        # at n = 2 only morse's prefixes, of length <= 7 // 2, take inverses
-        assert walks == [(7, 3)]
+        # at n = 2 only morse's prefixes, of length <= 7 // 2, take inverses, and only
+        # morse reads letters, at every length of its walk to 7
+        assert walks == [(7, 3, 7)]
 
 
 class TestOneRaySample:

@@ -31,7 +31,7 @@ from anosovcheck.subgroup import (
     _two_sided_logs,
 )
 from anosovcheck.symmspace import _two_sided_frame, diamond_query, make_diamond, segment_deficits
-from conftest import SL2_G, SL2_H, sl4_pair
+from conftest import SL2_G, SL2_H, same_group, sl4_pair, torus_pres
 from oracles import (
     ball_flags,
     exact_centered_logs,
@@ -119,7 +119,7 @@ class TestWords:
         seen = []
 
         def scan(length, frames):
-            while (block := (yield length, frames)) is not None:
+            while isinstance(block := (yield length, frames), list):
                 seen.append((frames, len(block[0]), len(block)))
             yield frames
 
@@ -134,15 +134,17 @@ class TestWords:
         ("sl3-symsq-schottky", set(range(1, 9)))])
     def test_inverses_formed_only_where_read(self, name, inverse_lengths, monkeypatch):
         # at n = 2 only morse's prefixes, of length <= morse_depth // 2 = 4, read an inverse;
-        # at n = 3 the logs read every block's.  The products, log|det|s, parents, ranks
-        # and letters are the full walk's bit for bit, and so is every inverse formed
+        # at n = 3 the logs read every block's.  Only morse reads letters, to morse_depth = 8;
+        # uru, to depth 10 on sl2-schottky and sanov-unipotent, names its witnesses by rank.
+        # The products, log|det|s, parents and ranks are the full walk's bit for bit, and so
+        # is every inverse and letter row formed
         cfg = load_config(bundled_config_path(name))
         pres, face = cfg.presentation(), cfg.face_type()
         walked, walk = [], word_levels
 
         def recorded(*args):
             for chain in walk(*args):
-                walked.append(chain[-1])
+                walked.append((len(chain), chain[-1]))
                 yield chain
 
         monkeypatch.setattr(subgroup, "word_levels", recorded)
@@ -150,14 +152,61 @@ class TestWords:
                                           subgroup._morse_scan(pres, face, cfg.morse_depth)])
         full = [chain[-1] for chain in walk(pres, max(cfg.depth, cfg.morse_depth))]
         assert len(walked) == len(full)
-        for a, b in zip(walked, full):
-            assert (a.invs is None) == (a.letters.shape[1] not in inverse_lengths)
-            for field in ("letters", "mats", "invs", "logdets", "parent", "dfs"):
-                x, y = getattr(a, field), getattr(b, field)
-                if x is None:
+        assert {el for el, a in walked if a.letters is None} == set(
+            range(cfg.morse_depth + 1, cfg.depth + 1))
+        for (el, a), b in zip(walked, full):
+            assert (a.invs is None) == (el not in inverse_lengths)
+            assert (a.letters is None) == (el > cfg.morse_depth)
+            self._assert_same_block(a, b)
+
+    @pytest.mark.parametrize("inverse_length, letter_length", [
+        (None, 0), (None, 3), (2, 5), (0, 7), (6, None)])
+    @pytest.mark.parametrize("block", [7, subgroup.WORD_BLOCK])
+    def test_letters_formed_only_to_the_bound(self, inverse_length, letter_length, block, rng,
+                                              monkeypatch):
+        # a rank-2 walk to 6 and a rank-3 walk to 5: the blocks past letter_length carry no
+        # letters, and every other array is the full walk's bit for bit, in blocks that
+        # split every length and in blocks that hold whole short lengths
+        monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
+        for rank, length in ((2, 6), (3, 5)):
+            pres = FreeGroupPresentation(tuple(random_sl(rng, 3) for _ in range(rank)))
+            bounded = list(word_levels(pres, length, inverse_length, letter_length))
+            full = list(word_levels(pres, length))
+            assert len(bounded) == len(full)
+            bound = length if letter_length is None else letter_length
+            for chain, other in zip(bounded, full):
+                a, b = chain[-1], other[-1]
+                assert (a.letters is None) == (len(chain) > bound)
+                if inverse_length is not None:
+                    assert (a.invs is None) == (len(chain) > inverse_length)
+                self._assert_same_block(a, b)
+
+    @staticmethod
+    def _assert_same_block(a, b):
+        """Every array ``a`` carries is ``b``'s, bit for bit."""
+        for field in subgroup.WordLevel._fields:
+            x, y = getattr(a, field), getattr(b, field)
+            if x is None:
+                continue
+            assert x.dtype == y.dtype and x.shape == y.shape, field
+            assert np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes(), field
+
+    @pytest.mark.parametrize("rank, deepest, walks", [(1, 7, (7, 9)), (2, 7, (7, 10)),
+                                                       (3, 5, (5, 8))])
+    def test_word_at_inverts_the_walk_ranks(self, rank, deepest, walks, rng):
+        # every word to length ``deepest`` decodes from its depth-first rank in walks to two
+        # lengths, whose ranks differ; a walk at its default bounds lists the letters
+        pres = FreeGroupPresentation(tuple(random_sl(rng, 2) for _ in range(rank)))
+        for length in walks:
+            seen = 0
+            for chain in word_levels(pres, length, 0):
+                level = chain[-1]
+                if len(chain) > deepest:
                     continue
-                assert x.dtype == y.dtype and x.shape == y.shape, field
-                assert np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes(), field
+                for letters, dfs in zip(level.letters.tolist(), level.dfs.tolist()):
+                    assert subgroup._word_at(dfs, rank, length) == letters, (length, dfs)
+                seen += len(level.dfs)
+            assert seen == word_count(rank, deepest)
 
     def test_walk_without_inverses(self, sl2_pres):
         # inverse_length 0, as anosov's stratum scan walks: no block carries one
@@ -251,8 +300,7 @@ def all_record_lows(candidates, values, level):
     if candidates and values.min() > (lo := min(c[0] for c in candidates)) + TIE_RTOL * abs(lo):
         return
     record = np.concatenate(([True], values[1:] < np.minimum.accumulate(values)[:-1]))
-    candidates.extend((values[i], level.dfs[i], level.letters[i].tolist())
-                      for i in np.flatnonzero(record))
+    candidates.extend((values[i], level.dfs[i]) for i in np.flatnonzero(record))
 
 
 class TestUruRecords:
@@ -284,6 +332,11 @@ class TestUruRecords:
         [[3.0, 2.0], [np.nan, 1.0]],
         [[np.nan], [np.nan, 1.0]],
         [[-2.0, -2.0 + 2 * TIE_RTOL, -2.0 * (1 - TIE_RTOL)], [-1.0]],  # negative values
+        # near ties: a later block's least within the window of an earlier block's record
+        [[1.0 + 0.5 * TIE_RTOL, 3.0], [2.0, 1.0], [1.0 + TIE_RTOL, 1.0 - TIE_RTOL]],
+        [[np.nextafter(1.0 + TIE_RTOL, 0.0)], [1.0]],  # just inside the window's edge
+        [[1.0 + 2 * TIE_RTOL, 1.0 + TIE_RTOL], [1.0, 1.0 + 0.5 * TIE_RTOL]],
+        [[1.0, 1.0 - 0.5 * TIE_RTOL], [1.0 - TIE_RTOL], [1.0 - 1.5 * TIE_RTOL]],  # a falling chain
     ])
     def test_window_keeps_the_witness(self, blocks):
         assert self.first_tied(subgroup._records, blocks) == self.first_tied(all_record_lows, blocks)
@@ -309,6 +362,72 @@ class TestUruRecords:
                                    np.zeros(0, dtype=np.intp))
         subgroup._records(candidates, np.zeros(0), level)
         assert candidates == []
+
+    @pytest.mark.parametrize("block", [7, 40, subgroup.WORD_BLOCK])
+    def test_tail_ties_across_lengths(self, block, rng, monkeypatch):
+        # uru's tail records come from the blocks of several lengths in walk order, where a
+        # deeper block's ranks fall between those of two blocks of the length above it: the
+        # witness is the first word depth first within TIE_RTOL of the least over all the
+        # words, and its letters decode from its rank in the walk
+        monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
+        pres = FreeGroupPresentation((SL2_G, SL2_H))
+        levels = [chain[-1] for chain in word_levels(pres, 6, 0) if len(chain) >= 4]
+        for _ in range(50):
+            # values near 1 on a coarse grid of TIE_RTOL / 2, so that near-ties are common
+            values = [1.0 + 0.5 * TIE_RTOL * rng.integers(0, 6, size=len(lv.dfs))
+                      for lv in levels]
+            candidates = []
+            for lv, v in zip(levels, values):
+                subgroup._records(candidates, v, lv)
+            value, rank = subgroup._first_tied(candidates)
+            v, dfs = np.concatenate(values), np.concatenate([lv.dfs for lv in levels])
+            tied = v <= v.min() + TIE_RTOL * abs(v.min())
+            first = np.flatnonzero(tied)[np.argmin(dfs[tied])]
+            assert (value, rank) == (v[first], dfs[first])
+            words = [w for lv in levels for w in lv.letters.tolist()]
+            assert subgroup._word_at(rank, 2, 6) == words[first]
+
+
+URU_WALKS = [(name, move) for name in ("sl2-schottky", "sl3-symsq-schottky", "sanov-unipotent")
+             for move in (None, "rotation", "swap", "inversion")] + [("torus-3", None)]
+
+
+@pytest.mark.parametrize("name, move", URU_WALKS,
+                         ids=[f"{name}-{move}" if move else name for name, move in URU_WALKS])
+def test_uru_witnesses_decode_to_the_walk_letters(name, move, monkeypatch):
+    # beside morse the walk forms letters only to morse_depth, and uru decodes its
+    # witnesses from their ranks: uru's and morse's reports are byte for byte those of a
+    # walk that forms every letter, and each decoded witness is the letters that walk
+    # lists at its rank
+    if name == "torus-3":
+        pres, face, depth, morse_depth = torus_pres(3.0), FACE2, 10, 8
+    else:
+        cfg = load_config(bundled_config_path(name))
+        face, depth, morse_depth = cfg.face_type(), cfg.depth, cfg.morse_depth
+        gens = cfg.presentation().generators
+        pres = FreeGroupPresentation(tuple(gens if move is None else dict(same_group(gens))[move]))
+
+    def reports():
+        scans = [subgroup._uru_scan(pres, face, depth),
+                 subgroup._morse_scan(pres, face, morse_depth)]
+        return [dumps(rep.as_dict()) for rep in subgroup.word_checks(pres, face, scans)]
+
+    bounded = reports()
+    walk, decode, listed, decoded = word_levels, subgroup._word_at, {}, []
+
+    def every_letter(pres, length, inverse_length=None, letter_length=None):
+        for chain in walk(pres, length, inverse_length):
+            listed.update(zip(chain[-1].dfs.tolist(), chain[-1].letters.tolist()))
+            yield chain
+
+    def word_at(dfs, rank, length):
+        decoded.append((decode(dfs, rank, length), listed[dfs]))
+        return decoded[-1][0]
+
+    monkeypatch.setattr(subgroup, "word_levels", every_letter)
+    monkeypatch.setattr(subgroup, "_word_at", word_at)
+    assert reports() == bounded
+    assert len(decoded) == depth + 1 and all(a == b for a, b in decoded)
 
 
 class TestMorse:
@@ -524,6 +643,23 @@ def test_limit_working_set_is_bounded_at_depth():
     tracemalloc.start()
     try:
         limit_report(pres, face, sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+
+
+def test_anosov_working_set_is_bounded_at_depth():
+    # anosov forms only the inverse letters' matrices, folds its chain of differentials
+    # into the single-letter ones in place and frees them before the stratum scan: at
+    # 200 rays of depth 96 its traced peak stays below 10 MB, where the forward letters,
+    # the chain list and its stacked copy took 13.3 MB
+    cfg = load_config(bundled_config_path("sl3-symsq-schottky"))
+    pres, face = cfg.presentation(), cfg.face_type()
+    sample = sample_rays(pres, 200, 96, 1, face)
+    tracemalloc.start()
+    try:
+        anosov_check(pres, face, sample)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
