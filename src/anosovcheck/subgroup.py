@@ -351,24 +351,65 @@ def _first_tied(candidates: list[tuple]) -> tuple:
     return min((c for c in candidates if c[0] <= lo + TIE_RTOL * abs(lo)), key=lambda c: c[1])
 
 
+def _batches(chains, rank: int):
+    """The chains of ``word_levels``' walk in batches, the unit of ``word_checks``' kernel calls.
+
+    A batch is a run of whole lengths, each one block, whose words fit one
+    WORD_BLOCK (lengths 1-6 at rank 2), or any other block alone; its lengths
+    ascend.  It is yielded with its last chain: the next length's word count
+    tells whether that length fits, before the walk forms it.
+    """
+    def size(el):  # the words of length el
+        return 2 * rank * (2 * rank - 1) ** (el - 1)
+
+    batch, words = [], 0
+    for chain in chains:
+        batch.append(chain)
+        words += len(chain[-1].mats)
+        if len(chain[-1].mats) < size(len(chain)) or words + size(len(chain) + 1) > WORD_BLOCK:
+            yield batch
+            batch, words = [], 0
+    if batch:
+        yield batch
+
+
+def _level_rows(chains: list) -> list[slice]:
+    """The rows of each chain's last block among a batch's stacked rows."""
+    ends = list(itertools.accumulate(len(chain[-1].mats) for chain in chains))
+    return [slice(a, b) for a, b in zip([0, *ends], ends)]
+
+
+def _first_rows(x, rows: int):
+    """An array's first rows, or those of each array of a tuple; None stays None."""
+    if isinstance(x, tuple):
+        return tuple(_first_rows(y, rows) for y in x)
+    return None if x is None else x[:rows]
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """The arrays stacked along their first axis; a lone array is passed on, not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def word_checks(pres: FreeGroupPresentation, face: FaceType, scans: list) -> list[PropertyReport]:
     """Reports of scans, such as uru's and morse's, from one depth-first walk of the word tree.
 
     A scan is a generator that yields its word length, and whether it takes
-    the blocks' frames, whenever it waits: it is sent the list [chain, logs,
-    their norms, least wall gaps] of each block up to that length, then the
-    walk's length, and yields its report.  The walk goes to the longest
-    length, and takes each block's logs, norms, gaps and
-    ``symmspace._top_read`` once.  The list ends with the top read only
-    where a scan sent it takes the frame, which pops the read before its own
-    reads.  A scan that takes the frames also reads its words' letters and
-    the inverses of their prefixes of at most half its length (morse's
-    ``_prefix_coords``); a scan that takes none reads no letters, and names
-    a word by its depth-first rank in the walk (uru, by ``_word_at``).  So
-    the walk forms letters only up to the longest length a frame reader
-    reads, and inverses only up to the longest length read: at n >= 3 the
-    logs read every block's, and at n = 2, where the logs and frames read m
-    and log|det| alone, only those prefixes are read.
+    the frames, whenever it waits: it is sent the list [chains, logs, their
+    norms, least wall gaps] of each batch (``_batches``) up to that length,
+    then the walk's length, and yields its report.  The arrays stack the
+    chains' last blocks in order (``_level_rows``).  The walk goes to the
+    longest length, and takes each batch's logs, norms, gaps and
+    ``symmspace._top_read`` once.  The list ends with (products, inverses,
+    top read) only where a scan sent it takes the frame, which pops them
+    before its own reads.  A scan that takes the frames also reads its
+    words' letters and the inverses of their prefixes of at most half its
+    length (morse's ``_prefix_coords``); a scan that takes none reads no
+    letters, and names a word by its depth-first rank in the walk (uru, by
+    ``_word_at``).  So the walk forms letters only up to the longest length
+    a frame reader reads, and inverses only up to the longest length read:
+    at n >= 3 the logs read every block's, and at n = 2, where the logs and
+    frames read m and log|det| alone, only those prefixes are read.
     """
     lengths, frames = zip(*(next(scan) for scan in scans))
     walk = max(lengths)
@@ -377,17 +418,27 @@ def word_checks(pres: FreeGroupPresentation, face: FaceType, scans: list) -> lis
         inverse_length = walk
     else:
         inverse_length = max((el // 2 for el, frame in zip(lengths, frames) if frame), default=0)
-    for chain in word_levels(pres, walk, inverse_length, letter_length):
-        level = chain[-1]
-        top = _top_read(level.mats)
-        logs = _two_sided_logs(level.mats, level.invs, level.logdets, top)
-        readers = [k for k, length in enumerate(lengths) if len(chain) <= length]
-        shared = [chain, logs, _log_norms(logs), _least_gaps(logs, face)]
-        if any(frames[k] for k in readers):
-            shared.append(top)
-        del top  # held, if at all, by the list alone, which the frame's reader pops it from
-        for k in readers:
-            scans[k].send(shared)
+    for batch in _batches(word_levels(pres, walk, inverse_length, letter_length), pres.rank):
+        levels = [chain[-1] for chain in batch]
+        mats, invs, logdets = (None if any(getattr(lv, x) is None for lv in levels)
+                               else _stacked([getattr(lv, x) for lv in levels])
+                               for x in ("mats", "invs", "logdets"))
+        top = _top_read(mats)
+        logs = _two_sided_logs(mats, invs, logdets, top)
+        norms, gaps = _log_norms(logs), _least_gaps(logs, face)
+        sends = []
+        for k, length in enumerate(lengths):
+            part = sum(len(chain) <= length for chain in batch)  # the lengths ascend
+            if not part:
+                continue
+            shared = [batch, logs, norms, gaps, (mats, invs, top)][:5 if frames[k] else 4]
+            if part < len(batch):  # the scan's lengths, the batch's first rows
+                rows = _level_rows(batch)[part - 1].stop
+                shared = [batch[:part], *(_first_rows(x, rows) for x in shared[1:])]
+            sends.append((scans[k], shared))
+        del top  # held, if at all, by the lists alone, which the frame's reader pops it from
+        for scan, shared in sends:
+            scan.send(shared)
     return [scan.send(walk) for scan in scans]
 
 
@@ -412,15 +463,17 @@ def _uru_scan(pres, face, length):
     by_length: dict[int, list[tuple]] = {}
     flattest: list[tuple] = []
 
-    while isinstance(block := (yield length, False), list):
-        chain, delta, dist, gaps = block[:4]
-        level, el = chain[-1], len(chain)
-        _records(by_length.setdefault(el, []), dist, level)
-        if el >= tail_start:
-            margin = gaps / math.sqrt(2.0)
-            ratio = np.divide(margin, dist, out=np.full_like(dist, np.inf), where=dist > 0)
-            _records(flattest, ratio, level)
-    walk = block  # the walk's length, which its ranks count
+    while isinstance(batch := (yield length, False), list):
+        chains, delta, dist, gaps = batch[:4]
+        for chain, rows in zip(chains, _level_rows(chains)):
+            level, el = chain[-1], len(chain)
+            _records(by_length.setdefault(el, []), dist[rows], level)
+            if el >= tail_start:
+                margin = gaps[rows] / math.sqrt(2.0)
+                ratio = np.divide(margin, dist[rows], out=np.full_like(margin, np.inf),
+                                  where=dist[rows] > 0)
+                _records(flattest, ratio, level)
+    walk = batch  # the walk's length, which its ranks count
     slowest = {el: _first_tied(candidates) for el, candidates in by_length.items()}
     ratio_min, ratio_rank = _first_tied(flattest)
 
@@ -504,22 +557,32 @@ def _prefix_coords(chain: list[WordLevel], rows: np.ndarray, ut: np.ndarray):
             yield w, winv_t.swapaxes(1, 2)
 
 
-def _block_deficits(chain: list[WordLevel], rows: np.ndarray, ut: np.ndarray,
-                    a_plus: np.ndarray, face: FaceType, floor: float) -> np.ndarray:
-    """Deficits of the interior points of the words ``rows`` of a chain's last block.
+def _batch_deficits(parts: list[tuple], ut: np.ndarray, a_plus: np.ndarray, face: FaceType,
+                    floor: float) -> np.ndarray:
+    """Deficits of the interior points of the words ``rows`` of each (chain, rows) part.
 
-    Column t - 1 holds prefix length t, for t = 1, ..., floor(L/2).  Each
-    prefix length takes one ``factored_coords_pair`` bound pass on its
-    ``_prefix_coords``; the exact off reads those passes leave are made for
-    the whole block at once (``symmspace._read_pending``), and only then
-    are the deficits taken.  A deficit below ``floor`` may be an upper
-    bound below it.
+    The parts' lengths ascend; ``ut`` and ``a_plus`` stack the words' frames, as
+    ``_prefix_coords`` reads them, and logs.  Column t - 1 holds prefix length t,
+    NaN past a word's L/2.  Each prefix length takes one ``factored_coords_pair``
+    bound pass over the lengths that have it, the last rows; the exact off reads
+    left are made at once (``symmspace._read_pending``), and only then are the
+    deficits taken.  A deficit below ``floor`` may be an upper bound below it.
     """
-    pending = []
-    coords = [factored_coords_pair(w, winv, face, floor, pending)
-              for w, winv in _prefix_coords(chain, rows, ut)]
+    ends, longest = list(itertools.accumulate(len(rows) for _, rows in parts)), len(parts[-1][0])
+    coords = [_prefix_coords(chain, rows, ut[end - len(rows):end])
+              for (chain, rows), end in zip(parts, ends)]
+    pending, passes = [], []
+    for t in range(longest // 2, 0, -1):
+        first = next(k for k, part in enumerate(parts) if len(part[0]) >= 2 * t)
+        w, winv = zip(*(next(c) for c in coords[first:]))
+        passes.append((ends[first] - len(parts[first][1]), t, factored_coords_pair(
+            _stacked(w), _stacked(winv), face, floor, pending)))
+    del coords, w, winv  # the last pass's coordinates, held by its readers until here
     _read_pending(pending, floor)
-    return np.stack([_deficits(v, off, a_plus, face) for v, off in coords], axis=-1)[:, ::-1]
+    reads = np.full((ends[-1], longest // 2), np.nan)
+    for start, t, (v, off) in passes:
+        reads[start:, t - 1] = _deficits(v, off, a_plus[start:], face)
+    return reads
 
 
 def _level_index(letters: np.ndarray, rank: int) -> np.ndarray:
@@ -548,29 +611,31 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     smaller read.  The fitted rho is the worst deficit, the witness the
     worst configuration read with t <= L/2, the fitted type gap the worst
     normalized wall gap.  Every published deficit is a maximum over
-    lengths <= L, or a witness within TIE_RTOL of one, so a block of length
-    L passes a floor: the largest final read so far at lengths <= L,
+    lengths <= L, or a witness within TIE_RTOL of one, so the words of
+    length L are read at a floor: the largest final read so far at lengths <= L,
     lowered by 1e-9 relative, well clear of TIE_RTOL.  At n <= 3 an off
     distance whose closed-form bound (``symmspace._off_bound``) stays below
     it is not read exactly, and the bound, still below the floor, stands in;
     such a configuration can neither be the maximum at any length >= L nor
     tie with it.  The bound pass runs per prefix length; the configurations
-    it leaves are read exactly once per block, over all its prefix lengths
+    it leaves are read exactly once per batch, over all its prefix lengths
     (``symmspace._read_pending``).  At n = 3 one kernel call reads the side
     whose bound is the smaller, and a second call the other side only where
     the first read reaches the floor: the first read, also an upper bound,
     stands in below it.  At n = 2 one call reads both sides.  A midpoint
     read is final only after the min with its mirror's, so it raises no
     floor, and a midpoint min taken with a bound stays below the floor.  Of
-    the 47,568 configurations at L = 8, 10,800 are read exactly on
-    sl3-symsq-schottky, 248 of them on both sides, 248 on sl2-schottky and
-    256 on sanov-unipotent; at L = 9, 34,128 of 152,544 on sl3.  Irregular
-    words are Morse failures.  Words need length >= 2 to have interior
-    points.  The words come one block of ``word_checks``' walk, which also
-    serves uru, at a time, and their interior points through the block's
-    chain (``_prefix_coords``).  The test suite cross-checks the
-    deficit against diamond membership by ``make_diamond`` and
-    ``diamond_query`` on a sample of the bundled configs' words.
+    the 47,568 configurations at L = 8, 13,548 are read exactly on
+    sl3-symsq-schottky, 3,900 of them on both sides, and 3,900 on
+    sl2-schottky and on sanov-unipotent; at L = 9, 36,876 of 152,544 on
+    sl3.  3,828 of each are lengths 2-6, read before any floor is set.
+    Irregular words are Morse failures.  Words need length >= 2 to have
+    interior points.  The words come one batch of ``word_checks``' walk,
+    which also serves uru, at a time, read at the floor of its shortest
+    length, and their interior points through their chains
+    (``_prefix_coords``).  The test suite cross-checks the deficit against
+    diamond membership by ``make_diamond`` and ``diamond_query`` on a
+    sample of the bundled configs' words.
     """
     return word_checks(pres, face, [_morse_scan(pres, face, length, rho_cap)])[0]
 
@@ -581,30 +646,39 @@ def _morse_scan(pres, face, length, rho_cap=1.0):
         raise ValueError("need length >= 2")
     theta_gap = np.inf
     vanishing: list[tuple[int, list[int]]] = []
-    # per length and block: letters, depth-first ranks, regular mask, deficits
+    # per length and batch: letters, depth-first ranks, regular mask, deficits
     scanned: dict[int, list[tuple[np.ndarray, ...]]] = {}
     best = np.full(length + 1, -np.inf)  # per length: the largest final read so far
-    while isinstance(block := (yield length, True), list):
-        chain, logs, norms, gaps = block[:4]
-        level, el = chain[-1], len(chain)
+    while isinstance(batch := (yield length, True), list):
+        chains, logs, norms, gaps = batch[:4]
         ok = ~(gaps < GAP_TOL)
-        vanishing += zip(level.dfs[~ok].tolist(), level.letters[~ok].tolist())
-        rows = np.flatnonzero(ok)
-        if rows.size:
-            theta_gap = min(theta_gap, float((gaps[rows] / norms[rows]).min()))
-        if el < 2:
+        if ok.any():
+            theta_gap = min(theta_gap, float((gaps[ok] / norms[ok]).min()))
+        parts = []  # per length >= 2, whose words have interior points: its rows, its regular ones
+        for chain, span in zip(chains, _level_rows(chains)):
+            level = chain[-1]
+            vanishing += zip(level.dfs[~ok[span]].tolist(), level.letters[~ok[span]].tolist())
+            if len(chain) >= 2:
+                parts.append((chain, span, np.flatnonzero(ok[span])))
+        if not parts:
             continue
-        d = np.full((len(ok), el // 2), np.nan)
+        rows = _stacked([span.start + kept for _, span, kept in parts])
+        starts = list(itertools.accumulate((len(kept) for _, _, kept in parts), initial=0))
         if rows.size:
-            # columns come longest prefix first; column t-1 is prefix length t; a read
-            # below the floor, well clear of TIE_RTOL, may be a bound below it
-            floor = best[:el + 1].max() * (1.0 - 1e-9)
-            ut = np.take(np.swapaxes(_two_sided_frame(level.mats, level.invs, block.pop()), 1, 2),
-                         rows, axis=0)
-            d[rows] = reads = _block_deficits(chain, rows, ut, logs[rows], face, floor)
-            if el > 2:  # a midpoint read t = L/2 is final only after the mirror's min
-                best[el] = max(best[el], reads[:, :(el - 1) // 2].max())
-        scanned.setdefault(el, []).append((level.letters, level.dfs, ok, d))
+            # column t-1 is prefix length t; a read below the floor, well clear of TIE_RTOL,
+            # may be a bound below it; no length's own floor is lower than the shortest's
+            floor = best[:len(parts[0][0]) + 1].max() * (1.0 - 1e-9)
+            ut = np.take(np.swapaxes(_two_sided_frame(*batch.pop()), 1, 2), rows, axis=0)
+            reads = _batch_deficits([(chain, kept) for chain, _, kept in parts if len(kept)],
+                                    ut, logs[rows], face, floor)
+        for (chain, span, kept), a, b in zip(parts, starts, starts[1:]):
+            el = len(chain)
+            d = np.full((span.stop - span.start, el // 2), np.nan)
+            if b > a:
+                d[kept] = reads[a:b, :el // 2]
+                if el > 2:  # a midpoint read t = L/2 is final only after the mirror's min
+                    best[el] = max(best[el], reads[a:b, :(el - 1) // 2].max())
+            scanned.setdefault(el, []).append((chain[-1].letters, chain[-1].dfs, ok[span], d))
 
     # A midpoint t = L/2 is the same configuration as the mirror word's
     # midpoint.  The blocks of one length, in walk order, list every word of

@@ -12,14 +12,18 @@ deficit.  The two-sided logs and frame of the words themselves are timed
 too, and so is morse's coordinate read of one full block of a rank-2 walk
 to length 8, u^T p and pinv u at prefix lengths 4, ..., 1, formed by
 ``_prefix_coords`` with one GEMM per run of words that share a prefix, and
-the whole deficit read of that block, ``_block_deficits`` over its four
+the whole deficit read of that block, ``_batch_deficits`` over its four
 prefix lengths with morse's floor there: the largest final deficit at
 lengths 3 to 7, each one block of that walk, lowered by 1e-9 relative.
 That is one bound pass per prefix length, then the block's exact off reads
 at once, on few of its 11,664 configurations, as in morse (on
-sl3-symsq-schottky, 10,800 of 47,568 at L = 8 on their first side and 248
-on their second): 2 read on both sides in one call at n = 2, and at n = 3
-50 on their first side and 14 on their second.
+sl3-symsq-schottky, past the first batch, 9,720 of the 43,740 at L = 7
+and 8 on their first side and 72 on their second): 2 read on both sides
+in one call at n = 2, and at n = 3 50 on their first side and 14 on
+their second.  The first batch of that walk, lengths 1-6 (1,456 words),
+is timed as morse reads it before any floor is set, on its stacked words
+and one length at a time, as it was read when each length was a block
+of its own.
 The ray primitives are timed on stacks of RAY_ROWS: ``qr_pos`` as the tails'
 sweep takes it (one row per ray, 200 as in the rays benchmark) and on
 2,400 rows, ``action_differential`` and ``expansion_factor`` of letters
@@ -29,7 +33,10 @@ a rank-2 walk to length 8 yields its first full block at length 7, then
 that block's three child blocks, with the inverses and letters that
 ``word_checks`` forms for morse at length 8: at n = 2 no inverse, at n = 3
 all; and at n = 2 a walk to length 10, as uru's depth beside morse's 8,
-from length 9 to 10, where neither inverses nor letters are formed.  The
+from length 9 to 10, where neither inverses nor letters are formed.  Its
+[3] row lands in one of two modes, 0.51-0.53 or 0.84-0.86 ms least on
+either side of unchanged n = 3 code, so one run of it cannot show a
+change below about 60%.  The
 rays benchmark's other steps are timed on its shapes: limit's pair scan
 ``_pair_scan`` over the limit flags of 200 and of 1,000 rays of depth 12
 of sl2-schottky and sl3-symsq-schottky at seed 1, the orthonormality
@@ -54,9 +61,9 @@ from anosovcheck.cli import bundled_config_path, load_config
 from anosovcheck.flags import (Flag, action_differential, attractive_flag, expansion_factor, qr_pos,
                                suffix_flags)
 from anosovcheck.reports import dumps
-from anosovcheck.subgroup import (WORD_BLOCK, FreeGroupPresentation, _block_deficits,
-                                  _pair_scan, _prefix_coords, _two_sided_logs, limit_report,
-                                  sample_rays, word_levels)
+from anosovcheck.subgroup import (WORD_BLOCK, FreeGroupPresentation, _batch_deficits, _batches,
+                                  _level_rows, _pair_scan, _prefix_coords, _two_sided_logs,
+                                  limit_report, sample_rays, word_levels)
 from anosovcheck.symmspace import (_top_read, _two_sided_frame, factored_coords_pair,
                                    segment_deficits)
 from oracles import random_sl
@@ -136,7 +143,7 @@ def morse_floor(pres, face):
         if el > 2:
             ut = np.ascontiguousarray(np.swapaxes(_two_sided_frame(level.mats, level.invs), 1, 2))
             a_plus = _two_sided_logs(level.mats, level.invs, level.logdets)
-            reads = _block_deficits(chain, np.arange(len(ut)), ut, a_plus, face, -np.inf)
+            reads = _batch_deficits([(chain, np.arange(len(ut)))], ut, a_plus, face, -np.inf)
             best = max(best, reads[:, :(el - 1) // 2].max())
     return best * (1.0 - 1e-9)
 
@@ -151,14 +158,57 @@ def test_block_deficits_timing(benchmark, n):
     top = _top_read(level.mats)
     ut = np.ascontiguousarray(np.swapaxes(_two_sided_frame(level.mats, level.invs, top), 1, 2))
     a_plus = _two_sided_logs(level.mats, level.invs, level.logdets, top)
-    full = _block_deficits(chain, rows, ut, a_plus, FACES[n], -np.inf)
+    full = _batch_deficits([(chain, rows)], ut, a_plus, FACES[n], -np.inf)
     floor = morse_floor(pres, FACES[n])
-    call = lambda: _block_deficits(chain, rows, ut, a_plus, FACES[n], floor)  # noqa: E731
+    call = lambda: _batch_deficits([(chain, rows)], ut, a_plus, FACES[n], floor)  # noqa: E731
     floored = benchmark.pedantic(call, rounds=ROUNDS)
     assert floored.shape == (WORD_BLOCK, 4) and np.array_equal(floored, call())
     # every deficit at or above the floor is exact, and every other one stays below it
     above = full >= floor
     assert np.array_equal(floored[above], full[above]) and (floored[~above] < floor).all()
+
+
+def first_batch_read(batch, face, batched=True):
+    """morse's read of the first batch of a walk, before any floor is set: the top read,
+    two-sided logs and frame of its words, then the deficits of their interior points.
+    Where not ``batched`` each length is read alone, one block per length."""
+    if not batched:
+        return [first_batch_read([chain], face) for chain in batch if len(chain) >= 2]
+    levels = [chain[-1] for chain in batch]
+    mats = np.concatenate([lv.mats for lv in levels])
+    invs = None if levels[-1].invs is None else np.concatenate([lv.invs for lv in levels])
+    top = _top_read(mats)
+    logs = _two_sided_logs(mats, invs, np.concatenate([lv.logdets for lv in levels]), top)
+    ut = np.ascontiguousarray(np.swapaxes(_two_sided_frame(mats, invs, top), 1, 2))
+    deep = len(batch[0]) < 2  # the words of length 1 have no interior points
+    parts = [(chain, np.arange(rows.stop - rows.start))
+             for chain, rows in zip(batch[deep:], _level_rows(batch)[deep:])]
+    start = len(batch[0][-1].mats) if deep else 0
+    return _batch_deficits(parts, ut[start:], logs[start:], face, -np.inf)
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "lengths"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_first_batch_timing(benchmark, n, batched):
+    """The first batch of a rank-2 walk to 8, lengths 1-6 (1,456 words), read as morse reads it.
+
+    The walk forms what ``word_checks`` forms with morse at 8 (inverses to 4 at n = 2).  The
+    [batch] rows take one top read, logs and frame on the stacked words, one bound pass per
+    prefix length and one exact-read call over all 3,828 configurations; the [lengths] rows
+    read the same words one length at a time, as the walk read them in blocks of one length
+    each, at the same floor of -inf.  Both give the same deficits bit for bit.
+    """
+    rng = np.random.default_rng(n)
+    pres = FreeGroupPresentation(tuple(random_sl(rng, n, scale=1.2) for _ in range(2)))
+    batch = next(_batches(word_levels(pres, 8, 4 if n == 2 else 8, 8), pres.rank))
+    assert [len(chain) for chain in batch] == [1, 2, 3, 4, 5, 6]
+    timed = benchmark.pedantic(first_batch_read, (batch, FACES[n], batched), rounds=ROUNDS)
+    reads = first_batch_read(batch, FACES[n])
+    assert reads.shape == (1452, 3)
+    if not batched:  # each length's rows, its columns t <= L/2
+        timed = np.concatenate([np.pad(r, ((0, 0), (0, 3 - r.shape[1])), constant_values=np.nan)
+                                for r in timed])
+    assert np.array_equal(timed, reads, equal_nan=True)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -230,7 +280,8 @@ def test_word_levels_timing(benchmark, n, length):
     at n = 2 and to the walk's length at n = 3, letters to 8, so the [2-10]
     row, uru's length 10 beside morse's 8, forms none.  The [3] row is
     bimodal: its ``min`` read 0.51-0.53 or 0.84-0.86 ms on either side of
-    unchanged n = 3 code, so no BENCH file cites one run of it.
+    unchanged n = 3 code, so one run of it cannot show a change below about
+    60%, and no BENCH file cites one run of it.
     """
     rng = np.random.default_rng(n)
     pres = FreeGroupPresentation(tuple(random_sl(rng, n, scale=1.2) for _ in range(2)))

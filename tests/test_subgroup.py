@@ -114,20 +114,23 @@ class TestWords:
         assert np.array_equal(*order)
 
     def test_top_read_goes_only_to_frame_readers(self, sl2_pres):
-        # a block's list holds its top read only where a scan it is sent to takes the
-        # frame: a frame reader to length 3 beside a scan to length 4 that takes none
+        # a batch's list ends with its products, inverses and top read only where a scan
+        # it is sent to takes the frame: a frame reader to length 3 beside a scan to
+        # length 4 that takes none.  Lengths 1-4 of a rank-2 walk, 160 words, are one
+        # batch, sent to each scan up to its own length, with those lengths' rows
         seen = []
 
         def scan(length, frames):
-            while isinstance(block := (yield length, frames), list):
-                seen.append((frames, len(block[0]), len(block)))
+            while isinstance(batch := (yield length, frames), list):
+                seen.append((frames, [len(chain) for chain in batch[0]], len(batch[1]),
+                             len(batch)))
             yield frames
 
         subgroup.word_checks(sl2_pres, FACE2, [scan(4, False), scan(3, True)])
-        assert {(el, size) for _, el, size in seen} == {(1, 5), (2, 5), (3, 5), (4, 4)}
+        assert sorted(seen) == [(False, [1, 2, 3, 4], 160, 4), (True, [1, 2, 3], 52, 5)]
         seen.clear()
         subgroup.word_checks(sl2_pres, FACE2, [scan(4, False)])
-        assert {size for _, _, size in seen} == {4}
+        assert seen == [(False, [1, 2, 3, 4], 160, 4)]
 
     @pytest.mark.parametrize("name, inverse_lengths", [
         ("sl2-schottky", {1, 2, 3, 4}), ("sanov-unipotent", {1, 2, 3, 4}),
@@ -473,53 +476,66 @@ class TestMorse:
         assert base_uru.verdict == moved_uru.verdict
 
     def test_each_configuration_read_once(self, sl2_pres, sl3_pres, monkeypatch):
-        # a block of words of length L is read at its prefixes t <= L/2 only,
-        # each from the nearer tip: floor(L/2) factored_coords_pair bound passes,
-        # each on all of the block's words, and none for the tip.  The blocks of
-        # L = 2 and 3 come before any floor is set, so each pass reads both sides
-        # of every row in one kernel call.  Every later block makes its exact off
-        # reads after its last pass, at most one kernel call per side: at n = 3 one
-        # on the side of the smaller bound, then one on the other side, at n = 2
-        # one on both sides
+        # a word of length L is read at its prefixes t <= L/2 only, each from the
+        # nearer tip, and none for the tip.  The walk to 7 comes in two batches:
+        # lengths 1-6, 1,456 words, then the 2,916 of length 7.  A batch takes one
+        # frame call on its words, then one factored_coords_pair bound pass per
+        # prefix length t, longest first, on every word of length >= 2t.  The first
+        # batch comes before any floor is set, so each pass reads both sides of its
+        # rows in one kernel call, 3,828 configurations in all.  A later batch makes
+        # its exact off reads after its last pass, at most one kernel call per side:
+        # at n = 3 one on the side of the smaller bound, then one on the other side,
+        # at n = 2 one on both sides
         events = []
-        coords, kernel = subgroup.factored_coords_pair, symmspace._whitened_off
+        frame, coords = subgroup._two_sided_frame, subgroup.factored_coords_pair
+        kernel = symmspace._whitened_off
+        monkeypatch.setattr(subgroup, "_two_sided_frame",
+                            lambda m, *args: events.append(("frame", len(m))) or frame(m, *args))
         monkeypatch.setattr(subgroup, "factored_coords_pair",
-                            lambda w, *args: events.append(len(w)) or coords(w, *args))
+                            lambda w, *args: events.append(("pass", len(w))) or coords(w, *args))
         monkeypatch.setattr(symmspace, "_whitened_off",
-                            lambda m: events.append(m.shape[:-2]) or kernel(m))
-        # the off distance is read exactly only where its bound reaches the
-        # floor: 3,024 of the 12,576 configurations at n = 3, 224 of them on both
-        # sides, and 224 at n = 2 (the walk is deterministic)
-        assert sum(el // 2 * 4 * 3 ** (el - 1) for el in range(2, 8)) == 12576
-        for pres, face, read in ((sl3_pres, FACE3, (3024, 224)), (sl2_pres, FACE2, (224, 224))):
+                            lambda m: events.append(("read", m.shape[:-2])) or kernel(m))
+
+        def size(el):
+            return 4 * 3 ** (el - 1)
+
+        assert sum(el // 2 * size(el) for el in range(2, 7)) == 3828
+        assert sum(el // 2 * size(el) for el in range(2, 8)) == 12576
+        # the off distance is read exactly on every configuration of the first batch,
+        # and at length 7 only where its bound reaches the floor: at n = 3 1,944 of
+        # 8,748 on their first side and 48 on both, at n = 2 48 on both (the walk is
+        # deterministic)
+        for pres, face, read in ((sl3_pres, FACE3, (5772, 3876)), (sl2_pres, FACE2, (3876, 3876))):
             events.clear()
             rep = morse_check(pres, face, 7)
             assert rep.details["vanishing_gap_count"] == 0
-            sides = [0, 0]  # rows read on their first side, and on their second
-            pos = 0
-            for level in (chain[-1] for chain in word_levels(pres, 7) if len(chain) >= 2):
-                size, el = level.letters.shape
-                reads = []  # the kernel calls after each pass
-                for _ in range(el // 2):
-                    assert events[pos] == size
-                    pos += 1
-                    reads.append([])
-                    while pos < len(events) and isinstance(events[pos], tuple):
-                        reads[-1].append(events[pos])
-                        pos += 1
-                if el <= 3:
-                    assert reads == [[(2, size)]]
-                    sides = [x + size for x in sides]
+            batches = []  # per batch: its events, from its frame call on
+            for event in events:
+                if event[0] == "frame":
+                    batches.append([])
+                batches[-1].append(event)
+            assert len(batches) == 2
+            sides = [0, 0]  # configurations read on their first side, and on their second
+            for calls, lengths in zip(batches, (range(1, 7), range(7, 8))):
+                assert calls[0] == ("frame", sum(size(el) for el in lengths))
+                rows = [sum(size(el) for el in lengths if el >= 2 * t)
+                        for t in range(lengths[-1] // 2, 0, -1)]
+                if lengths[0] == 1:
+                    assert calls[1:] == [call for r in rows for call in (("pass", r),
+                                                                         ("read", (2, r)))]
+                    sides = [x + sum(rows) for x in sides]
                     continue
-                assert not any(reads[:-1])
+                assert calls[1:1 + len(rows)] == [("pass", r) for r in rows]
+                reads = [shape for _, shape in calls[1 + len(rows):]]
+                assert all(kind == "read" for kind, _ in calls[1 + len(rows):])
                 if face.n == 2:
-                    assert len(reads[-1]) <= 1 and all(r[0] == 2 for r in reads[-1])
-                    sides = [x + sum(r[1] for r in reads[-1]) for x in sides]
+                    assert len(reads) <= 1 and all(r[0] == 2 for r in reads)
+                    sides = [x + sum(r[1] for r in reads) for x in sides]
                 else:
-                    assert len(reads[-1]) <= 2 and all(len(r) == 1 for r in reads[-1])
-                    for k, r in enumerate(reads[-1]):
+                    assert len(reads) <= 2 and all(len(r) == 1 for r in reads)
+                    for k, r in enumerate(reads):
                         sides[k] += r[0]
-            assert pos == len(events) and tuple(sides) == read
+            assert tuple(sides) == read
 
     def test_flat_model_morse(self, sl2_pres):
         # the chamber path of a passing orbit ray passes the flat version
@@ -665,6 +681,61 @@ def test_anosov_working_set_is_bounded_at_depth():
         tracemalloc.stop()
     assert peak < 10e6, peak
 
+
+
+@pytest.mark.parametrize("name, peak_mib", [("sl2-schottky", 3.25), ("sl3-symsq-schottky", 4.0)])
+def test_word_checks_working_set_is_one_block(name, peak_mib):
+    # a batch of short lengths never holds more words than a block: word_checks' traced
+    # peak, uru at the config's depth beside morse at 8, stays within 3% of the one-block
+    # walk's, 3.15 MiB on sl2-schottky and 3.89 MiB on sl3-symsq-schottky; a first batch
+    # that also took length 7 (4,372 words) peaked at 6.55 MiB on sl3
+    cfg = load_config(bundled_config_path(name))
+    pres, face = cfg.presentation(), cfg.face_type()
+
+    def run():
+        subgroup.word_checks(pres, face, [subgroup._uru_scan(pres, face, cfg.depth),
+                                          subgroup._morse_scan(pres, face, 8)])
+
+    run()  # the kernels' cached tables are built once, outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_mib * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("name", ["sl2-schottky", "sl3-symsq-schottky", "sanov-unipotent",
+                                  "rank-3"])
+def test_word_reports_do_not_depend_on_the_batch(name, monkeypatch):
+    # word_checks reads runs of whole short lengths as one batch, and each later
+    # block alone: at WORD_BLOCK 2,916 and 1,458 lengths 1-6 at rank 2 and 1-4 at
+    # rank 3, at 40 lengths 1-2, at 7 length 1 alone.  uru's and morse's reports are
+    # byte for byte those of the walk read one block at a time, morse's first batch
+    # read at a floor of -inf and the lengths after it at the floors it sets
+    if name == "rank-3":  # three random generators of SL(3, R)
+        rng = np.random.default_rng(3)
+        pres = FreeGroupPresentation(tuple(random_sl(rng, 3) for _ in range(3)))
+        face, depth = FACE3, 5
+    else:
+        cfg = load_config(bundled_config_path(name))
+        pres, face, depth = cfg.presentation(), cfg.face_type(), 7
+
+    def reports():
+        scans = [subgroup._uru_scan(pres, face, depth), subgroup._morse_scan(pres, face, depth)]
+        return [dumps(rep.as_dict()) for rep in subgroup.word_checks(pres, face, scans)]
+
+    batches = subgroup._batches
+    with monkeypatch.context() as m:
+        m.setattr(subgroup, "_batches", lambda chains, rank: ([chain] for chain in chains))
+        expected = reports()
+    whole = [1, 2, 3, 4, 5, 6] if pres.rank == 2 else [1, 2, 3, 4]
+    for block, lengths in ((7, [1]), (40, [1, 2]), (1458, whole), (2916, whole)):
+        monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
+        first = next(batches(word_levels(pres, depth), pres.rank))
+        assert [len(chain) for chain in first] == lengths
+        assert reports() == expected, block
 
 @pytest.mark.parametrize("name, kept, length", [
     ("sl2-schottky", None, 8), ("sl3-symsq-schottky", None, 8), ("sanov-unipotent", None, 8),
