@@ -12,8 +12,6 @@ from .chamber import (
     ThetaSpec,
     face_boundary_distance,
     iota_face,
-    iota_vector,
-    project_to_face_sector,
     theta_membership,
 )
 from .dynamics import conical_check
@@ -48,13 +46,10 @@ from .symmspace import (
     WeylConeRef,
     cartan_vector,
     cone_query,
-    delta_projection,
     diamond_query,
     make_diamond,
     make_parallel_set,
     relative_flag,
-    riemannian_distance,
-    taumod_distance,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,12 +38,6 @@ def check_cartan_vector(v, tol: float = CHAMBER_TOL) -> np.ndarray:
     return v
 
 
-def iota_vector(v) -> np.ndarray:
-    """Opposition involution on the model flat: a -> (-a_n, ..., -a_1)."""
-    v = np.asarray(v, dtype=float)
-    return -v[::-1]
-
-
 @dataclass(frozen=True)
 class FaceType:
     """A face of the model chamber, encoded by its set of strict walls.
@@ -125,8 +119,8 @@ def row_norms(x) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-def pav_nonincreasing(values, weights=None) -> np.ndarray:
-    """Weighted least-squares projection onto non-increasing vectors.
+def pav_nonincreasing(values) -> np.ndarray:
+    """Least-squares projection onto non-increasing vectors.
 
     Pool-adjacent-violators along the last axis, for every row of a
     stack at once; each row makes the same merges in the same order as a
@@ -141,18 +135,14 @@ def pav_nonincreasing(values, weights=None) -> np.ndarray:
     if not ascent.any():
         return out.reshape(y.shape)
     ascent = ascent.any(axis=1)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     ys = out[ascent]
-    ws = np.broadcast_to(w, y.shape).reshape(-1, n)[ascent]
     rows = np.arange(ys.shape[0])
-    # Per row a stack of blocks (mean, weight, count); top is its height.
+    # Per row a stack of blocks (mean, count); top is its height.
     means = np.zeros_like(ys)
-    wts = np.zeros_like(ys)
     counts = np.zeros(ys.shape, dtype=int)
     top = np.zeros(ys.shape[0], dtype=int)
     for i in range(n):
         means[rows, top] = ys[:, i]
-        wts[rows, top] = ws[:, i]
         counts[rows, top] = 1
         top += 1
         while True:
@@ -160,34 +150,14 @@ def pav_nonincreasing(values, weights=None) -> np.ndarray:
             if not r.size:
                 break
             lo, hi = top[r] - 2, top[r] - 1
-            wt = wts[r, lo] + wts[r, hi]
-            means[r, lo] = (means[r, lo] * wts[r, lo] + means[r, hi] * wts[r, hi]) / wt
-            wts[r, lo] = wt
-            counts[r, lo] += counts[r, hi]
+            c_lo, c_hi = counts[r, lo], counts[r, hi]
+            means[r, lo] = (means[r, lo] * c_lo + means[r, hi] * c_hi) / (c_lo + c_hi)
+            counts[r, lo] = c_lo + c_hi
             top[r] -= 1
     ends = np.cumsum(counts, axis=1)
     block_of = (ends[:, :, None] <= np.arange(n)).sum(axis=1)
     out[ascent] = np.take_along_axis(means, block_of, axis=1)
     return out.reshape(y.shape)
-
-
-def project_to_face_sector(delta, face: FaceType) -> np.ndarray:
-    """Nearest point of a chamber vector in the face sector.
-
-    The sector consists of chamber vectors constant on the blocks of the
-    face type.  Block averaging projects onto the linear span; if the
-    averages violate the chamber order, pool-adjacent-violators finishes
-    the job.  1-Lipschitz and idempotent; fixes sector points.
-    """
-    delta = check_cartan_vector(delta)
-    sizes = np.array([hi - lo for lo, hi in face.blocks], dtype=float)
-    means = np.array([delta[lo:hi].mean() for lo, hi in face.blocks])
-    if np.any(np.diff(means) > 0.0):
-        means = pav_nonincreasing(means, sizes)
-    out = np.empty_like(delta)
-    for (lo, hi), m in zip(face.blocks, means):
-        out[lo:hi] = m
-    return out
 
 
 @dataclass(frozen=True)

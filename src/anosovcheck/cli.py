@@ -133,9 +133,9 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: a seed is mandatory for randomized checkers")
         if self.depth < 4:
             raise ConfigError(f"{path}: depth must be >= 4")
-        # distinct rays: the reduced words of length ray_depth, which name the rays
+        # distinct rays, the words of length ray_depth, or from rank 2 on a count past ray_count
         rank = len(self.generators)
-        rays = 2 * rank * (2 * rank - 1) ** (self.ray_depth - 1)
+        rays = 2 * rank * (2 * rank - 1) ** min(self.ray_depth - 1, self.ray_count.bit_length())
         # ranges a checker would fail on with a traceback, or certify on no data
         checks = (
             (not self.generators, "'generators' must hold at least one matrix"),
@@ -150,18 +150,18 @@ class ExperimentConfig:
             ("anosov" in self.checkers and self.ray_depth < 3,
              "'ray_depth' must be >= 3 for anosov, which fits slopes on prefixes"),
             (RANDOMIZED_CHECKERS.intersection(self.checkers) and self.ray_count > rays,
-             f"'ray_count' exceeds the {rays} distinct rays of length 'ray_depth'"),
+             "'ray_count' exceeds the {rays} distinct rays of length 'ray_depth'"),
             # the word walk refuses them, but only after the earlier checkers' reports
             ("uru" in self.checkers and word_count(rank, self.depth) > MAX_WORDS,
-             f"'depth' takes over {MAX_WORDS} words for uru, the word walk's budget"),
+             "'depth' takes over {budget} words for uru, the word walk's budget"),
             ("morse" in self.checkers and word_count(rank, self.morse_depth) > MAX_WORDS,
-             f"'options.morse_depth' takes over {MAX_WORDS} words for morse, the word walk's budget"),
+             "'options.morse_depth' takes over {budget} words for morse, the word walk's budget"),
             ("limit" in self.checkers and not self.face_type().is_iota_invariant,
-             f"'face' {self.face} must be invariant under the opposition involution for limit"),
+             "'face' {face} must be invariant under the opposition involution for limit"),
         )
         for failed, message in checks:
-            if failed:
-                raise ConfigError(f"{path}: {message}")
+            if failed:  # formatted here alone, so that no passing check pays for its message
+                raise ConfigError(f"{path}: " + message.format(rays=rays, budget=MAX_WORDS, face=self.face))
 
     def presentation(self) -> FreeGroupPresentation:
         return FreeGroupPresentation(tuple(np.asarray(g, dtype=float) for g in self.generators))

@@ -457,12 +457,6 @@ def attractive_flag(g: np.ndarray, face: FaceType, tol: float = GAP_TOL):
     return plus, minus, gaps
 
 
-def random_flag(face: FaceType, rng: np.random.Generator) -> Flag:
-    """Haar-ish random flag via QR of a Gaussian matrix."""
-    q, _ = qr_pos(rng.standard_normal((face.n, face.n)))
-    return Flag(face, q)
-
-
 def suffix_flags(matrices, face: FaceType) -> Flag:
     """Flags of every suffix product matrices[..., k:, :, :], from one backward sweep.
 

@@ -24,6 +24,7 @@ from .chamber import (
 from .dynamics import CONICAL_MARGIN_FLOOR, flag_limits
 from .errors import (
     BudgetExceeded,
+    IllConditioned,
     PingPongFailed,
     TransversalityTooSmall,
     VanishingGap,
@@ -117,14 +118,16 @@ def _letter_order(rank: int) -> list[int]:
 
 
 def word_count(rank: int, length: int) -> int:
-    """Number of reduced words of length 1..length."""
-    if rank == 0:
-        return 0
+    """Number of reduced words of length 1..length, or its first partial sum over MAX_WORDS."""
+    if rank < 2:
+        return 2 * rank * length
     total = 0
     per = 2 * rank
     for _ in range(length):
         total += per
         per *= 2 * rank - 1
+        if total > MAX_WORDS:  # from rank 2 on, within 14 lengths
+            break
     return total
 
 
@@ -177,9 +180,8 @@ def word_levels(pres: FreeGroupPresentation, length: int, inverse_length: int | 
     """
     if length < 1:
         raise ValueError("need length >= 1")
-    total = word_count(pres.rank, length)
-    if total > MAX_WORDS:
-        raise BudgetExceeded(f"{total} words exceed budget {MAX_WORDS}")
+    if word_count(pres.rank, length) > MAX_WORDS:
+        raise BudgetExceeded(f"the words of lengths 1..{length} exceed the budget {MAX_WORDS}")
     if inverse_length is None:
         inverse_length = length
     if letter_length is None:
@@ -792,9 +794,12 @@ def _prefix_products(pres: FreeGroupPresentation, letters: np.ndarray):
     steps, inv_steps = _letter_stacks(pres, letters)
     prefixes, inverses = np.empty_like(steps), np.empty_like(steps)
     m = mi = np.eye(pres.n)
-    for k in range(letters.shape[-1]):
-        prefixes[..., k, :, :] = m = m @ steps[..., k, :, :]
-        inverses[..., k, :, :] = mi = inv_steps[..., k, :, :] @ mi
+    with np.errstate(over="ignore", invalid="ignore"):  # a product that leaves double range
+        for k in range(letters.shape[-1]):
+            prefixes[..., k, :, :] = m = m @ steps[..., k, :, :]
+            inverses[..., k, :, :] = mi = inv_steps[..., k, :, :] @ mi
+    if not (np.isfinite(m).all() and np.isfinite(mi).all()):  # so is every later product
+        raise IllConditioned(f"products of {letters.shape[-1]} letters leave double range")
     logdets = np.linalg.slogdet(_letter_table(pres))[1][letters + pres.rank]
     return steps, prefixes, inverses, np.cumsum(logdets, axis=-1)
 

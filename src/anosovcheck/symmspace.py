@@ -20,7 +20,6 @@ from .chamber import (
     face_boundary_distance,
     flat_cone_deficit,
     iota_face,
-    project_to_face_sector,
     row_norms,
     theta_membership,
 )
@@ -41,12 +40,6 @@ from .flags import (
 )
 
 DET_TOL = 1e-8
-
-
-def act_point(g, x) -> np.ndarray:
-    """Isometric action of a group element on a point: g x g^T."""
-    g = np.asarray(g, dtype=float)
-    return g @ np.asarray(x, dtype=float) @ g.T
 
 
 def normalize_det(m: np.ndarray) -> np.ndarray:
@@ -97,15 +90,6 @@ def cartan_vector(x, y) -> np.ndarray:
     delta = 0.5 * np.log(evals[::-1])
     delta -= delta.mean()  # remove unit-determinant drift
     return delta
-
-
-def riemannian_distance(x, y) -> float:
-    return float(np.linalg.norm(cartan_vector(x, y)))
-
-
-def taumod_distance(x, y, face: FaceType) -> np.ndarray:
-    """Face-projected vector-valued distance (1-Lipschitz coarsification)."""
-    return project_to_face_sector(cartan_vector(x, y), face)
 
 
 def relative_flag(x, y, face: FaceType, tol: float = GAP_TOL) -> tuple[Flag, np.ndarray]:
@@ -647,13 +631,3 @@ def adapted_coordinates(x, flag_plus: Flag):
     basis = gx @ q0
     opp = Flag(iota_face(flag_plus.face), np.asarray(qr_pos(gx @ q0[:, ::-1])[0]))
     return basis, opp
-
-
-def delta_projection(path, face: FaceType) -> tuple[np.ndarray, np.ndarray]:
-    """Chamber-valued and face-projected paths seen from the first point."""
-    pts = [np.asarray(p, dtype=float) for p in path]
-    if not pts:
-        raise ValueError("need a path of length >= 1")
-    deltas = np.stack([cartan_vector(pts[0], p) for p in pts])
-    taus = np.stack([project_to_face_sector(d, face) for d in deltas])
-    return deltas, taus

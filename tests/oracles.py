@@ -16,7 +16,11 @@ kernels' logs and frames, greedy clustering of one sequence's flags for flag lim
 and flags drawn out to the edge of a ping-pong ball, with the ping-pong
 contraction bound in extended precision.
 The flat-cone membership test and
-the type-set boundary angle are tools of the acceptance checks.
+the type-set boundary angle are tools of the acceptance checks, and so is
+the scalar point geometry: the action on points, the Riemannian and
+face-projected distances, the opposition involution, sector projections
+and the delta-projection of a path, all read through
+``symmspace.cartan_vector``, and random flags.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import mpmath
 import numpy as np
 from scipy.linalg import expm
 
-from anosovcheck.chamber import FaceType, ThetaSpec, block_sort
+from anosovcheck.chamber import FaceType, ThetaSpec, block_sort, check_cartan_vector
 from anosovcheck.dynamics import CLUSTER_RADIUS, LIMIT_TOL
 from anosovcheck.errors import VanishingGap
 from anosovcheck.flags import (
@@ -38,8 +42,10 @@ from anosovcheck.flags import (
     antipodality_margin,
     attractive_flag,
     flag_distance,
+    qr_pos,
 )
 from anosovcheck.subgroup import BETA_PAD
+from anosovcheck.symmspace import cartan_vector
 
 
 def iota_bruteforce(v: np.ndarray) -> np.ndarray:
@@ -177,6 +183,64 @@ def random_sl(rng: np.random.Generator, n: int, scale: float = 0.6) -> np.ndarra
     m = expm(a)
     d = np.linalg.det(m)
     return m / abs(d) ** (1.0 / n)
+
+
+def random_flag(face: FaceType, rng: np.random.Generator) -> Flag:
+    """Haar-ish random flag via QR of a Gaussian matrix."""
+    q, _ = qr_pos(rng.standard_normal((face.n, face.n)))
+    return Flag(face, q)
+
+
+def act_point(g, x) -> np.ndarray:
+    """Isometric action of a group element on a point of the symmetric space: g x g^T."""
+    g = np.asarray(g, dtype=float)
+    return g @ np.asarray(x, dtype=float) @ g.T
+
+
+def riemannian_distance(x, y) -> float:
+    """Distance of two points: the norm of ``cartan_vector``."""
+    return float(np.linalg.norm(cartan_vector(x, y)))
+
+
+def iota_vector(v) -> np.ndarray:
+    """Opposition involution on the model flat: a -> (-a_n, ..., -a_1)."""
+    v = np.asarray(v, dtype=float)
+    return -v[::-1]
+
+
+def project_to_face_sector(delta, face: FaceType) -> np.ndarray:
+    """Nearest point of a chamber vector in the face sector.
+
+    The sector consists of chamber vectors constant on the blocks of the
+    face type.  Block averaging projects onto the linear span; if the
+    averages violate the chamber order, weighted pool-adjacent-violators
+    (``pav_sequential``) finishes the job.  1-Lipschitz and idempotent;
+    fixes sector points.
+    """
+    delta = check_cartan_vector(delta)
+    sizes = np.array([hi - lo for lo, hi in face.blocks], dtype=float)
+    means = np.array([delta[lo:hi].mean() for lo, hi in face.blocks])
+    if np.any(np.diff(means) > 0.0):
+        means = pav_sequential(means, sizes)
+    out = np.empty_like(delta)
+    for (lo, hi), m in zip(face.blocks, means):
+        out[lo:hi] = m
+    return out
+
+
+def taumod_distance(x, y, face: FaceType) -> np.ndarray:
+    """Face-projected vector-valued distance (1-Lipschitz coarsification)."""
+    return project_to_face_sector(cartan_vector(x, y), face)
+
+
+def delta_projection(path, face: FaceType) -> tuple[np.ndarray, np.ndarray]:
+    """Chamber-valued and face-projected paths seen from the first point."""
+    pts = [np.asarray(p, dtype=float) for p in path]
+    if not pts:
+        raise ValueError("need a path of length >= 1")
+    deltas = np.stack([cartan_vector(pts[0], p) for p in pts])
+    taus = np.stack([project_to_face_sector(d, face) for d in deltas])
+    return deltas, taus
 
 
 def random_chamber_vector(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Acceptance suite: one criterion per test, one printed verdict line each.
 
-Tolerances are pinned here; the pipeline criteria consume the shared
-bundled-config runs from the session fixture.
+Criteria 1-4 run the production kernels the checkers read, name them in
+their verdict lines, and compare them with an independent route: scipy's
+generalized eigenproblem, finite differences, or the scalar cone geometry
+that stays in ``symmspace`` as the tests' reference route.  Tolerances are
+pinned here; the pipeline criteria consume the shared bundled-config runs
+from the session fixture.
 """
 
 import time
@@ -9,30 +13,29 @@ import time
 import numpy as np
 from scipy.linalg import eigh
 
-from anosovcheck.chamber import (
-    FaceType,
-    ThetaSpec,
-    face_boundary_distance,
-    iota_vector,
-)
+from anosovcheck.chamber import FaceType, ThetaSpec, flat_cone_deficit
 from anosovcheck.cli import bundled_config_path, run_config
-from anosovcheck.flags import Flag, expansion_factor, random_flag
+from anosovcheck.flags import Flag, expansion_factor
+from anosovcheck.subgroup import _least_gaps, _two_sided_logs
 from anosovcheck.symmspace import (
     WeylConeRef,
-    act_point,
-    cartan_vector,
+    _two_sided_frame,
     cone_query,
-    delta_projection,
     normalize_det,
-    riemannian_distance,
-    taumod_distance,
+    segment_deficits,
 )
 from oracles import (
+    act_point,
+    delta_projection,
     expansion_factor_fd,
     flat_cone_member,
+    iota_vector,
+    random_flag,
     random_regular_cone_vector,
     random_sl,
     random_spd_unit_det,
+    riemannian_distance,
+    taumod_distance,
     theta_boundary_angle,
 )
 
@@ -50,43 +53,60 @@ def diag_point(*logs):
     return np.diag(np.exp(np.array(logs, dtype=float)))
 
 
+def kernel_distance(x, y):
+    """Vector-valued distances d(x, y) of stacked points, by ``_two_sided_logs``.
+
+    With Cholesky factors x = a a^T and y = b b^T, d(x, y) = d(o, m.o) for
+    m = a^-1 b, whose centered log singular values the kernel reads from m
+    and its inverse b^-1 a, as the word checks read a word's product.
+    """
+    a, b = np.linalg.cholesky(x), np.linalg.cholesky(y)
+    m = np.linalg.solve(a, b)
+    return _two_sided_logs(m, np.linalg.solve(b, a), np.linalg.slogdet(m)[1])
+
+
+def eigh_distance(x, y):
+    """d(x, y) of one pair along an independent route, descending.
+
+    The generalized symmetric eigenproblem y v = l x v has the spectrum of
+    x^-1 y, without a square root or a factor of x.
+    """
+    return 0.5 * np.log(eigh(y, x, eigvals_only=True))[::-1]
+
+
 def test_criterion_1_delta_distance_algebra():
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
-    worst_inv = 0.0
-    worst_dist = 0.0
-    for _ in range(1000):
-        x = random_spd_unit_det(rng, 3, scale=0.55)
-        y = random_spd_unit_det(rng, 3, scale=0.55)
-        d_xy = cartan_vector(x, y)
-        d_yx = cartan_vector(y, x)
-        worst_inv = max(worst_inv, float(np.max(np.abs(d_yx - iota_vector(d_xy)))))
-        # independent route: the generalized symmetric eigenproblem y v = l x v
-        # has the spectrum of x^{-1} y, without a square root of x
-        d_indep = 0.5 * np.linalg.norm(np.log(eigh(y, x, eigvals_only=True)))
-        worst_dist = max(worst_dist, abs(float(np.linalg.norm(d_xy)) - d_indep))
+    pairs = [(random_spd_unit_det(rng, 3, scale=0.55), random_spd_unit_det(rng, 3, scale=0.55))
+             for _ in range(1000)]
+    x, y = (np.stack(side) for side in zip(*pairs))
+    d_xy, d_yx = kernel_distance(x, y), kernel_distance(y, x)
+    worst_inv = max(float(np.max(np.abs(b - iota_vector(a)))) for a, b in zip(d_xy, d_yx))
+    worst_dist = max(float(np.max(np.abs(d - eigh_distance(x, y)))) for d, (x, y) in zip(d_xy, pairs))
     elapsed = time.perf_counter() - t0
     ok = worst_inv < 1e-9 and worst_dist < 1e-9 and elapsed < 5.0
-    _verdict(1, ok, f"swap residual {worst_inv:.2e}, distance residual "
-                    f"{worst_dist:.2e}, {elapsed:.1f}s on 1000 pairs")
+    _verdict(1, ok, f"subgroup._two_sided_logs: swap residual {worst_inv:.2e}, distance "
+                    f"residual {worst_dist:.2e} against scipy eigh, {elapsed:.1f}s on 1000 pairs")
 
 
 def test_criterion_2_projection_theorems():
     rng = np.random.default_rng(102)
     t0 = time.perf_counter()
     # 500 cone-nested triples: chamber side lengths stay in the shifted cone
-    triples_ok = 0
+    triples = []
     for _ in range(500):
         q = random_sl(rng, 3, scale=0.4)
         v1 = random_regular_cone_vector(rng, FACE1, min_gap=0.05, scale=1.2)
         v2 = random_regular_cone_vector(rng, FACE1, min_gap=0.05, scale=1.2)
-        x = act_point(q, O3)
-        y = act_point(q, diag_point(*v1))
-        z = act_point(q, diag_point(*(v1 + v2)))
-        step = cartan_vector(x, z) - cartan_vector(x, y)
-        if flat_cone_member(step, FACE1, slack=1e-7):
-            triples_ok += 1
-    # 100 synthesized type-bounded geodesics: additivity and comparability
+        triples.append((act_point(q, O3), act_point(q, diag_point(*v1)),
+                        act_point(q, diag_point(*(v1 + v2)))))
+    x, y, z = (np.stack(side) for side in zip(*triples))
+    deficits = flat_cone_deficit(kernel_distance(x, z) - kernel_distance(x, y), FACE1)
+    triples_ok = sum(bool(d <= 1e-7) and flat_cone_member(
+        eigh_distance(a, c) - eigh_distance(a, b), FACE1, slack=1e-7)
+        for d, (a, b, c) in zip(deficits, triples))
+    # 100 synthesized type-bounded geodesics: additivity and comparability of the
+    # delta-projection, which no checker reads, on the independent route alone
     theta = ThetaSpec(FACE_FULL, 0.2)
     eps_theta = np.sin(theta_boundary_angle(theta))
     additivity_worst = 0.0
@@ -112,7 +132,8 @@ def test_criterion_2_projection_theorems():
     elapsed = time.perf_counter() - t0
     ok = (triples_ok == 500 and additivity_worst <= 1e-7 and comparability_ok
           and elapsed < 30.0)
-    _verdict(2, ok, f"triples {triples_ok}/500, additivity {additivity_worst:.2e}, "
+    _verdict(2, ok, f"chamber.flat_cone_deficit of subgroup._two_sided_logs steps: triples "
+                    f"{triples_ok}/500, additivity {additivity_worst:.2e}, "
                     f"comparability factor {eps_theta:.3f}, {elapsed:.1f}s")
 
 
@@ -130,48 +151,73 @@ def test_criterion_3_expansion_exactness():
         exact = expansion_factor(g, f)
         fd = expansion_factor_fd(g, f)
         worst_rel = max(worst_rel, abs(exact - fd) / exact)
-    # diagonal transvections: the identity between the log expansion and
-    # the cone wall margin holds exactly
+    # diagonal transvections: the log expansion equals the least wall gap of the
+    # log singular values exactly
     worst_diag = 0.0
     flag = Flag(FACE1, np.eye(3))
     for t in (0.5, 1.0, 1.5, 2.0, 2.5):
         g = np.diag([np.exp(2 * t), np.exp(t), np.exp(-3 * t)])
-        log_eps = np.log(expansion_factor(np.linalg.inv(g), flag))
-        margin = face_boundary_distance(cartan_vector(O3, act_point(g, O3)), FACE1)
-        worst_diag = max(worst_diag, abs(log_eps - np.sqrt(2.0) * margin))
+        ginv = np.linalg.inv(g)
+        log_eps = np.log(expansion_factor(ginv, flag))
+        gap = _least_gaps(_two_sided_logs(g, ginv, np.linalg.slogdet(g)[1]), FACE1)
+        worst_diag = max(worst_diag, abs(log_eps - gap))
     # drifting out of the cone kills the expansion factor
     drift_eps = [expansion_factor(np.linalg.inv(np.diag([np.exp(-t), np.exp(2 * t), np.exp(-t)])), flag)
                  for t in (1.0, 2.0, 3.0, 4.0)]
     drift_ok = all(b < a for a, b in zip(drift_eps, drift_eps[1:])) and drift_eps[-1] < 1e-4
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-4 and worst_diag <= 1e-7 and drift_ok and elapsed < 20.0
-    _verdict(3, ok, f"fd relative {worst_rel:.2e}, diagonal identity {worst_diag:.2e}, "
-                    f"drift tail {drift_eps[-1]:.1e}, {elapsed:.1f}s")
+    _verdict(3, ok, f"flags.expansion_factor: fd relative {worst_rel:.2e}, diagonal identity "
+                    f"with subgroup._least_gaps {worst_diag:.2e}, drift tail {drift_eps[-1]:.1e}, "
+                    f"{elapsed:.1f}s")
+
+
+def tip_deficits(tips, points, face):
+    """``segment_deficits`` of points p.o in the diamonds from o to tip.o, read as morse reads.
+
+    Each tip's frame and logs come from ``_two_sided_frame`` and
+    ``_two_sided_logs`` of the tip and its inverse; ``points`` stacks the
+    points' group elements, broadcast against the tips.
+    """
+    inv = np.linalg.inv(tips)
+    u = _two_sided_frame(tips, inv)
+    a_plus = _two_sided_logs(tips, inv, np.linalg.slogdet(tips)[1])
+    return segment_deficits(u, a_plus, [(points, np.linalg.inv(points))], face)[..., 0]
 
 
 def test_criterion_4_separation_and_nestedness():
     rng = np.random.default_rng(104)
     t0 = time.perf_counter()
-    cone = WeylConeRef(O3, Flag(FACE1, np.eye(3)))
-    worst_sep = 0.0
+    # one random Weyl cone at o; its frame k turns the model flat into the cone's
+    flag = random_flag(FACE1, rng)
+    k = flag.frame
+    cone = WeylConeRef(O3, flag)
+    # separation: a point's margin in the cone, by the scalar cone_query, is the deficit
+    # of its mirror image across the wall, read in the diamond from o to the point's double
+    margins, tips, mirrors = [], [], []
     for _ in range(200):
         v = np.sort(random_regular_cone_vector(rng, FACE1, min_gap=0.05, scale=1.5))[::-1]
-        y = diag_point(*v)
-        verdict = cone_query(y, cone)
+        verdict = cone_query(act_point(k, diag_point(*v)), cone)
         assert verdict.kind == "interior"
-        worst_sep = max(worst_sep, abs(verdict.margin - face_boundary_distance(
-            cartan_vector(O3, y), FACE1)))
-    nested_ok = 0
-    tip_offset = diag_point(3.0, 0.5, -3.5)
+        margins.append(verdict.margin)
+        tips.append(k @ diag_point(*v))
+        mirrors.append(k @ diag_point(*(0.5 * v[[1, 0, 2]])))
+    worst_sep = float(np.max(np.abs(tip_deficits(np.stack(tips), np.stack(mirrors), FACE1)
+                                    - margins)))
+    # nestedness: the inner cone's tip lies in the diamond from o to each point of the
+    # inner cone, and cone_query finds each such point in the outer cone
+    inner_tip = k @ diag_point(1.5, 0.25, -1.75)
+    inside, tips = [], []
     for _ in range(500):
         v = np.sort(random_regular_cone_vector(rng, FACE1, min_gap=0.1, scale=1.5))[::-1]
-        inner_point = normalize_det(tip_offset @ diag_point(*v))
-        if cone_query(inner_point, cone).inside:
-            nested_ok += 1
+        tips.append(normalize_det(inner_tip @ diag_point(*(0.5 * v))))
+        inside.append(cone_query(act_point(tips[-1], O3), cone).inside)
+    deficits = tip_deficits(np.stack(tips), inner_tip, FACE1)
+    nested_ok = int(np.sum(np.array(inside) & (deficits <= 1e-9)))
     elapsed = time.perf_counter() - t0
     ok = worst_sep <= 1e-9 and nested_ok == 500 and elapsed < 10.0
-    _verdict(4, ok, f"separation residual {worst_sep:.2e}, nested points "
-                    f"{nested_ok}/500, {elapsed:.1f}s")
+    _verdict(4, ok, f"symmspace.segment_deficits: separation residual {worst_sep:.2e} "
+                    f"against cone_query, nested points {nested_ok}/500, {elapsed:.1f}s")
 
 
 def test_criterion_5_pipeline_positive_control(pipeline_runs):

@@ -12,15 +12,15 @@ from anosovcheck.chamber import (
     face_boundary_distance,
     flat_cone_deficit,
     iota_face,
-    iota_vector,
     pav_nonincreasing,
-    project_to_face_sector,
     theta_membership,
     wall_gaps,
 )
 from oracles import (
     flat_cone_member,
     iota_bruteforce,
+    iota_vector,
+    project_to_face_sector,
     random_chamber_vector,
     random_regular_cone_vector,
     sector_projection_kkt_gap,

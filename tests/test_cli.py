@@ -192,6 +192,39 @@ class TestConfigValidation:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("checkers, overrides, key", [
+        (["uru"], {"depth": 10 ** 6}, "'depth'"),
+        (["morse"], {"options": {"morse_depth": 10 ** 6}}, "'options.morse_depth'"),
+    ], ids=["uru_depth", "morse_depth"])
+    def test_huge_depth_rejected_at_once(self, tmp_path, checkers, overrides, key):
+        # the word count stops once it passes the budget; summing all 10^6 lengths'
+        # growing counts took about a minute
+        raw = json.loads(bundled_config_path("sl2-schottky").read_text())
+        raw["options"].update(overrides.pop("options", {}))
+        raw.update(overrides, checkers=checkers)
+        p = tmp_path / "deep.json"
+        p.write_text(json.dumps(raw))
+        src = Path(anosovcheck.__file__).resolve().parents[1]
+        run = ("import sys; sys.path.insert(0, sys.argv[1]); from anosovcheck.cli import main; "
+               "sys.exit(main(sys.argv[2:]))")
+        out = subprocess.run([sys.executable, "-c", run, str(src), "run", str(p), "--out-dir",
+                              str(tmp_path / "out")], capture_output=True, text=True, timeout=5)
+        assert out.returncode == 2
+        assert key in out.stderr
+
+    def test_ray_depth_past_double_range_is_a_hard_failure(self, tmp_path, capsys):
+        # sl2-schottky's products leave double range near 500 letters; at ray_depth 10^4
+        # validation formats no ray count of over 4,300 digits, past int's string
+        # conversion limit, and the ray sample refuses the overflowed products
+        raw = json.loads(bundled_config_path("sl2-schottky").read_text())
+        raw["ray_depth"] = 10_000
+        p = tmp_path / "rays.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_config(p, out_dir=str(out)) == 1
+        assert "double range" in capsys.readouterr().err
+        assert json.loads((out / "error.json").read_text())["error"] == "IllConditioned"
+
 
 class TestRun:
     def test_exit_codes_and_reports(self, tmp_path):
@@ -422,6 +455,21 @@ after_run = loaded()
 pres, rep = schottky_build([np.array(m) for m in json.loads(sys.argv[4])], FaceType.make(2, [1]))
 print(json.dumps([code, rep.verdict, after_import, after_run, loaded()]))
 """
+
+
+def test_package_exports():
+    # the package's names change only on purpose: a name added or removed here is added to
+    # the README, or to its "Removed public names"
+    assert set(anosovcheck.__all__) == {
+        "BudgetExceeded", "DiamondRef", "FaceType", "Flag", "FreeGroupPresentation",
+        "IllConditioned", "PingPongFailed", "PropertyReport", "ThetaSpec",
+        "TransversalityTooSmall", "VanishingGap", "WeylConeRef", "act_on_flag", "anosov_check",
+        "antipodality_margin", "attractive_flag", "cartan_vector", "chamber", "cone_query",
+        "conical_check", "diamond_query", "dynamics", "errors", "expansion_factor",
+        "face_boundary_distance", "flag_distance", "flags", "iota_face", "limit_report",
+        "make_diamond", "make_parallel_set", "morse_check", "relative_flag", "reports",
+        "schottky_build", "subgroup", "symmetric_square", "symmspace", "theta_membership",
+        "transversality_margin", "uru_check"}
 
 
 def test_checkers_load_no_scipy(tmp_path):

@@ -19,7 +19,6 @@ from anosovcheck.flags import (
     flag_distance,
     least_singular,
     qr_pos,
-    random_flag,
     stable_product_flag,
     transversality_margin,
 )
@@ -28,6 +27,7 @@ from oracles import (
     flag_distance_mp,
     least_singular_mp,
     qr_mp,
+    random_flag,
     random_sl,
     suffix_flag_errors_mp,
     transversality_margin_mp,

@@ -5,13 +5,12 @@ iota-invariant faces)."""
 import numpy as np
 import pytest
 
-from anosovcheck.chamber import FaceType, iota_face, iota_vector
+from anosovcheck.chamber import FaceType, iota_face
 from anosovcheck.errors import TransversalityTooSmall
 from anosovcheck.flags import (
     Flag,
     expansion_factor,
     flag_distance,
-    random_flag,
     tangent_dim,
 )
 from anosovcheck.subgroup import (
@@ -34,6 +33,8 @@ from conftest import sl4_pair
 from oracles import (
     exact_left_singular_frame,
     expansion_factor_fd,
+    iota_vector,
+    random_flag,
     random_sl,
     random_spd_unit_det,
     reduced_words,

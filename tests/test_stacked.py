@@ -594,10 +594,7 @@ def test_flat_cone_deficit_and_pav(rng, n):
     vs = rng.standard_normal((300, n))
     vs[::3] = np.round(vs[::3], 1)  # ties make PAV merge equal blocks
     vs -= vs.mean(axis=1, keepdims=True)
-    weights = rng.uniform(0.5, 3.0, (300, n))
     assert_rows_equal(pav_nonincreasing(vs), [pav_sequential(v) for v in vs])
-    assert_rows_equal(pav_nonincreasing(vs, weights),
-                      [pav_sequential(v, w) for v, w in zip(vs, weights)])
     assert_rows_equal(row_norms(vs), [np.linalg.norm(v) for v in vs])
     # row_norms takes vecdot's dot product per row, np.linalg.norm's, also on rows scaled
     # from 1e-150 to 1e150 (no square overflows) and on rows of +0, -0, NaN and inf
@@ -638,11 +635,8 @@ def test_pav_passes_rows_without_ascent(rng, n):
     ascending = np.sort(rng.standard_normal((20, n)), axis=1)
     for vs in (sorted_rows, nan_rows, np.concatenate([sorted_rows, nan_rows, ascending])[
             rng.permutation(100)]):
-        weights = rng.uniform(0.5, 3.0, vs.shape)
-        for got, want in ((pav_nonincreasing(vs), [pav_sequential(v) for v in vs]),
-                          (pav_nonincreasing(vs, weights),
-                           [pav_sequential(v, w) for v, w in zip(vs, weights)])):
-            assert all(same_bits(a, b) for a, b in zip(got, want))
+        assert all(same_bits(a, b) for a, b in zip(pav_nonincreasing(vs),
+                                                   [pav_sequential(v) for v in vs]))
         # the deficit projects only rows with an ascent or a NaN; the others read exactly 0
         for face in FACES[n]:
             w = block_sort(vs, face)

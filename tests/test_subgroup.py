@@ -461,7 +461,7 @@ class TestMorse:
         # the fitted constants are base-point quantities; conjugating the
         # group moves the base point by at most d(o, q.o), so verdicts
         # agree once the cap absorbs twice that displacement
-        from anosovcheck.symmspace import act_point, riemannian_distance
+        from oracles import act_point, riemannian_distance
 
         q = random_sl(rng, 2, scale=0.2)
         shift = riemannian_distance(np.eye(2), act_point(q, np.eye(2)))

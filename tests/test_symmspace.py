@@ -7,33 +7,34 @@ from anosovcheck.chamber import (
     ThetaSpec,
     face_boundary_distance,
     iota_face,
-    iota_vector,
 )
 from anosovcheck.errors import IllConditioned, VanishingGap
-from anosovcheck.flags import Flag, flag_distance, random_flag
+from anosovcheck.flags import Flag, flag_distance
 from anosovcheck.symmspace import (
     DiamondRef,
     WeylConeRef,
-    act_point,
     adapted_coordinates,
     cartan_vector,
     cone_query,
-    delta_projection,
     diamond_query,
     factored_coords_pair,
     make_diamond,
     make_parallel_set,
     normalize_det,
     relative_flag,
-    riemannian_distance,
     segment_deficits,
-    taumod_distance,
 )
 from oracles import (
+    act_point,
+    delta_projection,
     flat_cone_member,
+    iota_vector,
+    random_flag,
     random_regular_cone_vector,
     random_sl,
     random_spd_unit_det,
+    riemannian_distance,
+    taumod_distance,
     theta_boundary_angle,
 )
 
