@@ -2,13 +2,17 @@
 
 The asymptotic notions are replaced by finite-data verdicts with
 explicit thresholds: a flag limit by a Cauchy residual tail, conical
-convergence by a cone-distance bound and a transversality floor.
+convergence by a cone-distance bound and a transversality floor
+(``rules.conical``).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from . import rules
 from .chamber import flat_cone_deficit, iota_face
 from .flags import (
     GAP_TOL,
@@ -21,8 +25,6 @@ from .flags import (
 from .reports import PropertyReport
 from .symmspace import adapted_coordinates, factored_coords_pair, spd_sqrt
 
-# Every conical test's floor on pulled-back flags' transversality to the backward limit.
-CONICAL_MARGIN_FLOOR = 0.05
 LIMIT_TOL = 1e-6       # flag limits: Cauchy residual tail below which a sequence converges
 CLUSTER_RADIUS = 0.1   # flag limits: distance at which a tail flag starts a new cluster
 
@@ -40,7 +42,7 @@ def flag_limits(flags: Flag) -> np.ndarray:
     return converged | ~(flag_distance(tail, tail[..., :1, :, :]) > CLUSTER_RADIUS).any(axis=-1)
 
 
-def conical_check(gs, tau: Flag, x, rho: float = 2.0) -> PropertyReport:
+def conical_check(gs, tau: Flag, x, rho: float = rules.CONICAL_RHO) -> PropertyReport:
     """Test conical approach of an orbit sequence toward a limit flag.
 
     Geometric side: each orbit point must stay within rho of the nested
@@ -61,28 +63,25 @@ def conical_check(gs, tau: Flag, x, rho: float = 2.0) -> PropertyReport:
     v, off = factored_coords_pair(binv @ mats @ xroot, xroot_inv @ inv_mats @ basis, face)
     scores = np.maximum(off, flat_cone_deficit(v, face))
     geometric_sup = float(scores.max())
-    geometric_ok = bool(geometric_sup <= rho)
-    dyn_ok = None
-    dyn_margin = None
-    # the backward limit is the last of the inverses' flags, taken over their regular ones
+    # the backward limit is the last of the inverses' flags, taken over their regular ones;
+    # an irregular last element has none, so no margin: its dynamical side is read, and fails
     back, _, gaps = attractive_flag(inv_mats, iota_face(face), tol=-np.inf)
     regular = ~(gaps.min(axis=-1) < GAP_TOL)
-    if not regular[-1]:
-        dyn_ok = False
-    elif flag_limits(back[regular]):
+    limited = not regular[-1] or bool(flag_limits(back[regular]))
+    dyn_margin = math.nan
+    if regular[-1] and limited:
         margins = transversality_margin(act_on_flag(inv_mats, tau), back[-1])
-        tail = margins[len(margins) // 2:]
-        dyn_margin = float(tail.min())
-        dyn_ok = bool(dyn_margin >= CONICAL_MARGIN_FLOOR)
-    verdict = bool(geometric_ok and (dyn_ok is not False))
+        dyn_margin = float(margins[len(margins) // 2:].min())
+    verdict, parts, thresholds = rules.conical(geometric_sup, dyn_margin, limited, rho)
     return PropertyReport(
         name="conical-convergence",
-        verdict=verdict,
-        constants={"geometric_sup": geometric_sup, "dynamical_min_margin": dyn_margin},
-        thresholds={"rho": rho, "margin_floor": CONICAL_MARGIN_FLOOR},
+        verdict=bool(verdict),
+        constants={"geometric_sup": geometric_sup,
+                   "dynamical_min_margin": None if math.isnan(dyn_margin) else dyn_margin},
+        thresholds=thresholds,
         details={
             "scores": scores,
-            "geometric_ok": geometric_ok,
-            "dynamical_ok": dyn_ok,
+            "geometric_ok": bool(parts["geometric_ok"]),
+            "dynamical_ok": bool(parts["dynamical_ok"]) if limited else None,
         },
     )

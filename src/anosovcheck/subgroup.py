@@ -21,7 +21,8 @@ from .chamber import (
     iota_face,
     row_norms,
 )
-from .dynamics import CONICAL_MARGIN_FLOOR, flag_limits
+from . import rules
+from .dynamics import flag_limits
 from .errors import (
     BudgetExceeded,
     IllConditioned,
@@ -60,21 +61,11 @@ CONICAL_LOOKAHEAD = 4  # limit: letters behind and ahead of a point in its conic
 PAIR_BLOCK = 1 << 16  # limit: most screen entries, pairs or not, per block of the pair scan
 CONICAL_BLOCK = 1600  # limit: most configurations, rays times reads, per block of the conical read
 BETA_PAD = 8          # limit, anosov: letters a ray runs past its name, for its tail flags
-DIVERGENCE_LOGEPS = float(np.log(100.0))  # anosov: log expansion counted as divergent
 CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansion
 TIE_RTOL = 1e-12      # uru, morse: relative distance within which witnesses tie
 WORD_BLOCK = 2916     # uru, morse: words per block of the depth-first word walk
 MAX_WORDS = 2_000_000  # word walk: most words of lengths 1..length it may visit
-# Verdict thresholds, fixed by the method rather than set per experiment; each report's
-# ``thresholds`` records the ones its verdict reads.
-C_FLOOR = 0.05         # uru: least certified slope of orbit distance over word length
-RATIO_FLOOR = 0.05     # uru: least wall-margin/norm ratio on the tail
 POWER_DEPTH = 256      # uru: deepest generator power of the orbit-growth probe
-THETA_FLOOR = 0.1      # morse: least normalized wall gap
-ANTIPODAL_FLOOR = 0.01  # limit: least transversality margin of limit flags in disjoint cylinders
-CONICAL_RHO = 2.0      # limit: largest window deficit along a conical ray
-UNIFORM_DEV = 0.2      # anosov: largest relative deviation of a ray's slope from the mean
-EXPANSION_FLOOR = 0.05  # anosov: least excess over 1 of the best short word's expansion
 
 
 @dataclass(frozen=True)
@@ -211,9 +202,11 @@ def word_levels(pres: FreeGroupPresentation, length: int, inverse_length: int | 
 
             def times(m, g):
                 # the cut's parents times each letter, letter-major: child (d, p) is row
-                # d (hi - lo) + p - lo; they are dropped before the walk descends
-                return np.take((m[lo:hi].reshape(-1, n) @ g).reshape(-1, n, n),
-                               d * (hi - lo) + p - lo, axis=0)
+                # d (hi - lo) + p - lo; they are dropped before the walk descends.  A
+                # product that leaves double range is refused by word_checks
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return np.take((m[lo:hi].reshape(-1, n) @ g).reshape(-1, n, n),
+                                   d * (hi - lo) + p - lo, axis=0)
 
             mats = times(level.mats, gens)
             invs = (times(level.invs.swapaxes(1, 2), inv_gens_t).swapaxes(1, 2)
@@ -411,7 +404,9 @@ def word_checks(pres: FreeGroupPresentation, face: FaceType, scans: list) -> lis
     ``_word_at``).  So the walk forms letters only up to the longest length
     a frame reader reads, and inverses only up to the longest length read:
     at n >= 3 the logs read every block's, and at n = 2, where the logs and
-    frames read m and log|det| alone, only those prefixes are read.
+    frames read m and log|det| alone, only those prefixes are read.  A batch
+    whose products leave double range, read as a norm that is not finite,
+    raises ``IllConditioned`` before any scan sees it.
     """
     lengths, frames = zip(*(next(scan) for scan in scans))
     walk = max(lengths)
@@ -425,9 +420,12 @@ def word_checks(pres: FreeGroupPresentation, face: FaceType, scans: list) -> lis
         mats, invs, logdets = (None if any(getattr(lv, x) is None for lv in levels)
                                else _stacked([getattr(lv, x) for lv in levels])
                                for x in ("mats", "invs", "logdets"))
-        top = _top_read(mats)
-        logs = _two_sided_logs(mats, invs, logdets, top)
-        norms, gaps = _log_norms(logs), _least_gaps(logs, face)
+        with np.errstate(over="ignore", invalid="ignore"):  # products past double range
+            top = _top_read(mats)
+            logs = _two_sided_logs(mats, invs, logdets, top)
+            norms, gaps = _log_norms(logs), _least_gaps(logs, face)
+        if not np.isfinite(norms).all():  # nor are any longer word's
+            raise IllConditioned(f"products of {len(batch[-1])} letters leave double range")
         sends = []
         for k, length in enumerate(lengths):
             part = sum(len(chain) <= length for chain in batch)  # the lengths ascend
@@ -495,11 +493,10 @@ def _uru_scan(pres, face, length):
     probe_ratio_min = min((r for _, k, _, r in probe_pts if k >= tail_start), default=np.inf)
     ratio_all = float(min(ratio_min, probe_ratio_min))
 
-    undistorted = bool(c_certificate >= C_FLOOR)
-    uniformly_regular = bool(ratio_all >= RATIO_FLOOR)
+    verdict, parts, thresholds = rules.uru(float(c_certificate), ratio_all)
     yield PropertyReport(
         name="uru",
-        verdict=undistorted and uniformly_regular,
+        verdict=verdict,
         constants={
             "c": float(c_fit),
             "c_prime": c_prime,
@@ -508,8 +505,7 @@ def _uru_scan(pres, face, length):
             "per_length_min": mins,
         },
         thresholds={
-            "c_floor": C_FLOOR,
-            "ratio_floor": RATIO_FLOOR,
+            **thresholds,
             "length": length,
             "tail_start": tail_start,
             "power_depth": POWER_DEPTH,
@@ -521,8 +517,7 @@ def _uru_scan(pres, face, length):
             "probe_tail": [list(p) for p in probe_pts[-4:]],
         },
         details={
-            "undistorted": undistorted,
-            "uniformly_regular": uniformly_regular,
+            **parts,
             "probe_points": [list(p) for p in probe_pts],
         },
     )
@@ -598,7 +593,7 @@ def _level_index(letters: np.ndarray, rank: int) -> np.ndarray:
 
 
 def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
-                rho_cap: float = 1.0) -> PropertyReport:
+                rho_cap: float = rules.RHO_CAP) -> PropertyReport:
     """Closeness of orbit segments to diamonds, quantified by a deficit.
 
     Every reduced word is the canonical representative of all its
@@ -642,7 +637,7 @@ def morse_check(pres: FreeGroupPresentation, face: FaceType, length: int,
     return word_checks(pres, face, [_morse_scan(pres, face, length, rho_cap)])[0]
 
 
-def _morse_scan(pres, face, length, rho_cap=1.0):
+def _morse_scan(pres, face, length, rho_cap=rules.RHO_CAP):
     """morse's scan for ``word_checks``."""
     if length < 2:
         raise ValueError("need length >= 2")
@@ -711,18 +706,18 @@ def _morse_scan(pres, face, length, rho_cap=1.0):
 
     rho_cumulative = np.maximum.accumulate(rho_per_len)
     rho_star = float(rho_cumulative[length])
-    verdict = bool(not vanishing and rho_star <= rho_cap and theta_gap >= THETA_FLOOR)
+    theta_gap = None if math.isinf(theta_gap) else theta_gap
+    verdict, _, thresholds = rules.morse(rho_star, theta_gap, len(vanishing), rho_cap)
     yield PropertyReport(
         name="morse",
         verdict=verdict,
         constants={
             "rho": rho_star,
-            "theta_gap": None if math.isinf(theta_gap) else theta_gap,
+            "theta_gap": theta_gap,
             "rho_by_length": rho_cumulative[1:],
         },
         thresholds={
-            "rho_cap": rho_cap,
-            "theta_floor": THETA_FLOOR,
+            **thresholds,
             "length": length,
             "gap_tol": GAP_TOL,
         },
@@ -875,8 +870,8 @@ def _window_sups(pres: FreeGroupPresentation, sample: RaySample, factors: tuple,
     return segment_deficits(u, a_plus, [(p, np.swapaxes(pinv_t, -1, -2))], face).max(axis=(1, 2))
 
 
-def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
-                  rho: float) -> tuple[np.ndarray, np.ndarray]:
+def _conical_rays(pres: FreeGroupPresentation, sample: RaySample,
+                  back: Flag) -> tuple[np.ndarray, np.ndarray]:
     """Conical approach along every ray of a sample: (verdicts, geometric sups).
 
     Geometric side: each prefix point is measured inside the diamond
@@ -900,6 +895,7 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
     inverse flow and cannot be iterated forward.  The shifts read are
     k = 1, ..., N - CONICAL_LOOKAHEAD, each tail CONICAL_LOOKAHEAD + BETA_PAD
     letters long or longer, and the floor is taken on their later half.
+    Both sides are judged by ``rules.conical``.
     """
     count, total = sample.prefixes.shape[:2]
     factors = (*_letter_stacks(pres, sample.letters[:, :total]),
@@ -918,8 +914,8 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample, back: Flag,
 
     margins = transversality_margin(sample.tails[:, 1:max(2, total - CONICAL_LOOKAHEAD + 1)],
                                     back[:, -1, None])
-    transverse = margins[:, margins.shape[1] // 2:].min(axis=1) >= CONICAL_MARGIN_FLOOR
-    return (sups <= rho) & (transverse | ~flag_limits(back)), sups
+    tail = margins[:, margins.shape[1] // 2:].min(axis=1)
+    return rules.conical(sups, tail, flag_limits(back))[0], sups
 
 
 _EPS = 0.5 * np.finfo(float).eps  # unit roundoff
@@ -1068,7 +1064,7 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, sample: RaySample)
                                          tuple(x[:, -1] for x in top)))
     del top  # read by its last reader
     back = Flag(iota_face(face), _two_sided_frame(sample.inverses, sample.prefixes))
-    conical, sups = _conical_rays(pres, sample, back, CONICAL_RHO)
+    conical, sups = _conical_rays(pres, sample, back)
     samples = [{
         "letters": sample.letters[i, :depth].tolist(),
         "scheme": str(sample.schemes[i]),
@@ -1083,27 +1079,24 @@ def limit_report(pres: FreeGroupPresentation, face: FaceType, sample: RaySample)
     # and all_pairs_margin_min records the rest.
     min_margin, all_pairs_min, closest_pair = _pair_scan(limits, sample.letters[:, :depth])
 
-    all_conical = all(s["conical"] for s in samples)
-    antipodal = bool(not math.isinf(min_margin) and min_margin >= ANTIPODAL_FLOOR)
-    verdict = bool(not failures and antipodal and all_conical)
+    min_margin = None if math.isinf(min_margin) else float(min_margin)
+    verdict, parts, thresholds = rules.limit(min_margin, (s["conical"] for s in samples), failures)
     return PropertyReport(
         name="limit-set",
         verdict=verdict,
         constants={
-            "antipodality_margin": None if math.isinf(min_margin) else float(min_margin),
+            "antipodality_margin": min_margin,
             "all_pairs_margin_min": None if math.isinf(all_pairs_min) else float(all_pairs_min),
             "conical_sup": max((s["conical_geometric_sup"] for s in samples), default=None),
         },
         thresholds={
-            "antipodal_floor": ANTIPODAL_FLOOR,
-            "conical_rho": CONICAL_RHO,
+            **thresholds,
             "depth": depth,
             "ray_count": ray_count,
         },
         witnesses={"closest_pair": closest_pair, "failures": failures},
         details={
-            "all_conical": all_conical,
-            "antipodal": antipodal,
+            **parts,
             "rays": samples,
             "deltas": {str(i): d for i, d in enumerate(deltas.tolist())},
         },
@@ -1144,8 +1137,11 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, sample: RaySample)
     steps = action_differential(_inverse_letter_stack(pres, sample.letters[:, :depth]),
                                 sample.tails[:, :depth])
     dtotal = np.eye(tangent_dim(face))
-    for k in range(depth):
-        steps[:, k] = dtotal = steps[:, k] @ dtotal
+    with np.errstate(over="ignore", invalid="ignore"):  # a product that leaves double range
+        for k in range(depth):
+            steps[:, k] = dtotal = steps[:, k] @ dtotal
+    if not np.isfinite(dtotal).all():  # so is every later product
+        raise IllConditioned(f"products of {depth} letters' differentials leave double range")
     log_eps = np.log(least_singular(steps))
     del steps, dtotal
     ns = np.arange(1, depth + 1, dtype=float)
@@ -1164,12 +1160,9 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, sample: RaySample)
     mean_slope = float(slopes.mean()) if len(slopes) else 0.0
     max_dev = (float(np.max(np.abs(slopes - mean_slope)) / abs(mean_slope))
                if mean_slope > 0 else math.inf)
-    uniform = bool(len(ray_data) > 0 and irregular == 0 and slopes.min() > 0.0
-                   and max_dev <= UNIFORM_DEV)
+    max_dev = None if math.isinf(max_dev) else max_dev
     c_const = float(slopes.min()) if len(slopes) else 0.0
     log_a = float((log_eps - c_const * ns).min())
-    nonuniform = bool(len(ray_data) > 0 and irregular == 0 and
-                      all(r["max_log_eps"] >= DIVERGENCE_LOGEPS for r in ray_data))
 
     # Stratum expansion: some short word expands at every sampled limit flag.
     blocks = [chain[-1] for chain in word_levels(pres, CEA_DEPTH, 0)]  # products alone
@@ -1178,24 +1171,23 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, sample: RaySample)
     eps = expansion_factor(np.concatenate([lv.mats for lv in blocks])[dfs],
                            sample.tails[:, 0, None])
     best = eps.argmax(axis=1)  # the first maximum, in depth-first word order
-    best_eps = eps[np.arange(len(eps)), best]
-    cea_ok = not (best_eps < 1.0 + EXPANSION_FLOOR).any()
+    best_eps = eps[np.arange(len(eps)), best].tolist()
     cea_records = [{"letters": r["letters"], "best_eps": e, "best_word": words[dfs[k]]}
-                   for r, e, k in zip(ray_data, best_eps.tolist(), best.tolist())]
+                   for r, e, k in zip(ray_data, best_eps, best.tolist())]
+    verdict, parts, thresholds = rules.anosov(
+        c_const, max_dev, irregular, [r["max_log_eps"] for r in ray_data], best_eps)
     return PropertyReport(
         name="anosov",
-        verdict=uniform,
+        verdict=verdict,
         constants={
             "C": c_const,
             "log_A": log_a,
             "mean_slope": mean_slope,
-            "max_slope_deviation": None if math.isinf(max_dev) else max_dev,
+            "max_slope_deviation": max_dev,
             "irregular_rays": irregular,
         },
         thresholds={
-            "uniform_dev": UNIFORM_DEV,
-            "divergence_logeps": DIVERGENCE_LOGEPS,
-            "expansion_floor": EXPANSION_FLOOR,
+            **thresholds,
             "cea_depth": CEA_DEPTH,
             "rays": rays,
             "depth": depth,
@@ -1204,9 +1196,7 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, sample: RaySample)
             "slowest_ray": min(ray_data, key=lambda r: r["slope"])["letters"] if ray_data else None,
         },
         details={
-            "uniform": uniform,
-            "non_uniform": nonuniform,
-            "cea": cea_ok,
+            **parts,
             "cea_records": cea_records,
             "rays": ray_data,
         },

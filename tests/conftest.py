@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import sys
 import time
@@ -9,7 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from anosovcheck.chamber import FaceType
-from anosovcheck.cli import bundled_config_path, run_config
+from anosovcheck.cli import CHECKER_ORDER, bundled_config_path, run_config
 from anosovcheck.subgroup import FreeGroupPresentation, symmetric_square
 
 
@@ -111,3 +113,29 @@ def pipeline_runs(tmp_path_factory):
         out[name] = {"exit": code, "reports": reports, "elapsed": elapsed,
                      "dir": tmp}
     return out
+
+
+@pytest.fixture(scope="session")
+def atlas_reports(tmp_path_factory):
+    """Each atlas row's four reports, from one CLI run of the row, made when a test first asks.
+
+    The rows are ``test_atlas.ATLAS``'s; the atlas and rules tests share the runs.
+    """
+    from test_atlas import ATLAS  # imported here: test_atlas itself imports this module
+
+    runs = {}
+
+    def reports(row):
+        if row not in runs:
+            gens, options, _, _, _ = ATLAS[row]
+            raw = json.loads(bundled_config_path(options).read_text())
+            raw.update(name=row, generators=[g.tolist() for g in gens()])
+            tmp = tmp_path_factory.mktemp(row)
+            (tmp / "cfg.json").write_text(json.dumps(raw))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_config(tmp / "cfg.json", out_dir=str(tmp / "out")) == 0
+            runs[row] = {c: json.loads((tmp / "out" / f"{c}.json").read_text())
+                         for c in CHECKER_ORDER}
+        return runs[row]
+
+    return reports

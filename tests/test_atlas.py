@@ -26,14 +26,12 @@ digits measured: uru's ``c_certificate``, morse's ``rho``, limit's
 anosov's ``max_slope_deviation``.
 """
 
-import contextlib
-import io
 import json
 
 import numpy as np
 import pytest
 
-from anosovcheck.cli import CHECKER_ORDER, bundled_config_path, run_config
+from anosovcheck.cli import CHECKER_ORDER, bundled_config_path
 from anosovcheck.subgroup import symmetric_square
 from conftest import torus_pres
 
@@ -103,27 +101,6 @@ ATLAS = {
 }
 FIGURES = {"uru": "c_certificate", "morse": "rho", "limit": "antipodality_margin",
            "anosov": "max_slope_deviation"}
-
-
-@pytest.fixture(scope="module")
-def atlas_reports(tmp_path_factory):
-    """Each row's four reports, from one CLI run of the row, made when a test first asks."""
-    runs = {}
-
-    def reports(row):
-        if row not in runs:
-            gens, options, _, _, _ = ATLAS[row]
-            raw = json.loads(bundled_config_path(options).read_text())
-            raw.update(name=row, generators=[g.tolist() for g in gens()])
-            tmp = tmp_path_factory.mktemp(row)
-            (tmp / "cfg.json").write_text(json.dumps(raw))
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert run_config(tmp / "cfg.json", out_dir=str(tmp / "out")) == 0
-            runs[row] = {c: json.loads((tmp / "out" / f"{c}.json").read_text())
-                         for c in CHECKER_ORDER}
-        return runs[row]
-
-    return reports
 
 
 def cells():

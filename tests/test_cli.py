@@ -20,7 +20,7 @@ from anosovcheck.cli import (
     main,
     run_config,
 )
-from anosovcheck import subgroup
+from anosovcheck import rules, subgroup
 from anosovcheck.reports import dumps
 from anosovcheck.subgroup import anosov_check, limit_report, morse_check, uru_check
 from conftest import SL2_G, SL2_H
@@ -136,7 +136,7 @@ class TestConfigValidation:
                                      "antipodal_floor", "conical_rho", "uniform_dev",
                                      "expansion_floor"])
     def test_removed_option_rejected(self, tmp_path, capsys, key):
-        # the verdict thresholds are subgroup's constants: a config that sets one exits 2
+        # the verdict thresholds are constants of rules: a config that sets one exits 2
         p = tmp_path / "old.json"
         p.write_text(json.dumps(minimal_config(options={key: 0.05})))
         out = tmp_path / "out"
@@ -225,6 +225,38 @@ class TestConfigValidation:
         assert "double range" in capsys.readouterr().err
         assert json.loads((out / "error.json").read_text())["error"] == "IllConditioned"
 
+    @pytest.mark.parametrize("checker", ["uru", "morse"])
+    def test_word_products_past_double_range_are_a_hard_failure(self, tmp_path, capsys, checker):
+        # letters of norm 2^100 leave double range within 12: the word walk refuses the
+        # overflowed products before any report is written, rather than publish inf and NaN
+        big = [[[2.0 ** 100, 0.0], [0.0, 2.0 ** -100]], [[2.0 ** -100, 0.0], [1.0, 2.0 ** 100]]]
+        raw = minimal_config(generators=big, depth=12, checkers=[checker],
+                             options={"morse_depth": 12})
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_config(p, out_dir=str(out)) == 1
+        assert "double range" in capsys.readouterr().err
+        assert json.loads((out / "error.json").read_text())["error"] == "IllConditioned"
+        assert not (out / "uru.json").exists() and not (out / "morse.json").exists()
+
+    @pytest.mark.parametrize("ray_depth, code", [(250, 0), (300, 1)])
+    def test_differentials_past_double_range_are_a_hard_failure(self, tmp_path, capsys,
+                                                                ray_depth, code):
+        # sl2-schottky's chain of differentials leaves double range between 250 and 300
+        # letters, well before its prefix products do
+        raw = json.loads(bundled_config_path("sl2-schottky").read_text())
+        raw.update(checkers=["anosov"], ray_depth=ray_depth)
+        p = tmp_path / "rays.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_config(p, out_dir=str(out)) == code
+        if code:
+            assert "double range" in capsys.readouterr().err
+            assert json.loads((out / "error.json").read_text())["error"] == "IllConditioned"
+        else:
+            assert json.loads((out / "anosov.json").read_text())["verdict"] is True
+
 
 class TestRun:
     def test_exit_codes_and_reports(self, tmp_path):
@@ -239,19 +271,19 @@ class TestRun:
 
     def test_defaults_are_the_checkers_own(self, tmp_path):
         # a config that sets no option runs morse on its keyword default rho_cap, the one
-        # keyword a checker has, and every verdict on subgroup's threshold constants
+        # keyword a checker has, and every verdict on the threshold constants of rules
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(minimal_config(checkers=list(CHECKER_ORDER))))
         out = tmp_path / "out"
         assert run_config(p, out_dir=str(out)) == 0
         expected = {
-            "uru": {"c_floor": subgroup.C_FLOOR, "ratio_floor": subgroup.RATIO_FLOOR,
+            "uru": {"c_floor": rules.C_FLOOR, "ratio_floor": rules.RATIO_FLOOR,
                     "power_depth": subgroup.POWER_DEPTH},
-            "morse": {"rho_cap": 1.0, "theta_floor": subgroup.THETA_FLOOR},
-            "limit": {"antipodal_floor": subgroup.ANTIPODAL_FLOOR,
-                      "conical_rho": subgroup.CONICAL_RHO},
-            "anosov": {"uniform_dev": subgroup.UNIFORM_DEV,
-                       "expansion_floor": subgroup.EXPANSION_FLOOR},
+            "morse": {"rho_cap": rules.RHO_CAP, "theta_floor": rules.THETA_FLOOR},
+            "limit": {"antipodal_floor": rules.ANTIPODAL_FLOOR,
+                      "conical_rho": rules.CONICAL_RHO},
+            "anosov": {"uniform_dev": rules.UNIFORM_DEV,
+                       "expansion_floor": rules.EXPANSION_FLOOR},
         }
         checkers = zip(CHECKER_ORDER, (uru_check, morse_check, limit_report, anosov_check))
         for name, checker in checkers:
@@ -467,7 +499,7 @@ def test_package_exports():
         "antipodality_margin", "attractive_flag", "cartan_vector", "chamber", "cone_query",
         "conical_check", "diamond_query", "dynamics", "errors", "expansion_factor",
         "face_boundary_distance", "flag_distance", "flags", "iota_face", "limit_report",
-        "make_diamond", "make_parallel_set", "morse_check", "relative_flag", "reports",
+        "make_diamond", "make_parallel_set", "morse_check", "relative_flag", "reports", "rules",
         "schottky_build", "subgroup", "symmetric_square", "symmspace", "theta_membership",
         "transversality_margin", "uru_check"}
 
