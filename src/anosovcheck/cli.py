@@ -28,7 +28,6 @@ from .chamber import FaceType
 from .errors import BudgetExceeded, IllConditioned, PingPongFailed, VanishingGap
 from .reports import dumps
 from .subgroup import (
-    DET_TOL,
     MAX_WORDS,
     FreeGroupPresentation,
     _morse_scan,
@@ -115,15 +114,12 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: values of the wrong type or range for keys {mistyped}")
         if self.n < 2:
             raise ConfigError(f"{path}: n must be >= 2")
-        for k, rows in enumerate(self.generators):
-            m = np.asarray(rows, dtype=float)
-            if m.shape != (self.n, self.n):
-                raise ConfigError(f"{path}: generator {k} is not {self.n}x{self.n}")
-            if not np.isfinite(m).all():
-                raise ConfigError(f"{path}: generator {k} has a non-finite entry")
-            det = float(np.linalg.det(m))
-            if abs(det - 1.0) > DET_TOL:
-                raise ConfigError(f"{path}: generator {k} determinant {det:.8f} is not 1")
+        try:
+            n = self.presentation().n  # which checks each generator
+        except ValueError as exc:
+            raise ConfigError(f"{path}: 'generators': {exc}") from exc
+        if n != self.n:
+            raise ConfigError(f"{path}: 'n' is {self.n}, but the generators are {n}x{n}")
         if not self.face or not all(1 <= i <= self.n - 1 for i in self.face):
             raise ConfigError(f"{path}: face indices must lie in 1..{self.n - 1}")
         unknown = [c for c in self.checkers if c not in CHECKER_ORDER]
@@ -138,7 +134,6 @@ class ExperimentConfig:
         rays = 2 * rank * (2 * rank - 1) ** min(self.ray_depth - 1, self.ray_count.bit_length())
         # ranges a checker would fail on with a traceback, or certify on no data
         checks = (
-            (not self.generators, "'generators' must hold at least one matrix"),
             (self.seed is not None and self.seed < 0, "'seed' must be >= 0"),
             ("morse" in self.checkers and self.morse_depth < 2,
              "'options.morse_depth' must be >= 2 for morse"),
@@ -164,7 +159,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}: " + message.format(rays=rays, budget=MAX_WORDS, face=self.face))
 
     def presentation(self) -> FreeGroupPresentation:
-        return FreeGroupPresentation(tuple(np.asarray(g, dtype=float) for g in self.generators))
+        return FreeGroupPresentation(tuple(self.generators))
 
     def face_type(self) -> FaceType:
         return FaceType.make(self.n, self.face)
@@ -319,15 +314,6 @@ def _svg_bars(path: Path, counts: list[int], title: str):
     _write_svg(path, w, h, pad, title, parts)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_number_rows(x) -> bool:
-    """Whether x is a list of lists of numbers, as a frame, a delta path or the probe points."""
-    return isinstance(x, list) and all(isinstance(r, list) and all(map(_is_number, r)) for r in x)
-
-
 def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
     """Emit a CSV + SVG rendering of one report aspect."""
     if kind not in PLOT_KINDS:
@@ -338,9 +324,8 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
     if not isinstance(det, dict):
         raise ValueError(f"{report_path}: a report and its 'details' are JSON objects")
     rays, points, deltas = det.get("rays", []), det.get("probe_points", []), det.get("deltas", {})
-    if not (isinstance(rays, list) and all(isinstance(r, dict) for r in rays)
-            and isinstance(points, list) and all(isinstance(p, list) for p in points)
-            and isinstance(deltas, dict) and all(isinstance(d, list) for d in deltas.values())):
+    if not (_has_kind(rays, [dict]) and _has_kind(points, [list]) and _has_kind(deltas, dict)
+            and _has_kind([*deltas.values()], [list])):
         raise ValueError(f"{report_path}: 'rays' is a list of objects, 'probe_points' a list "
                          "of lists and 'deltas' an object of lists")
     out = Path(out_dir) if out_dir is not None else rp.parent
@@ -353,7 +338,7 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
         pts = []
         for i, ray in enumerate(rays):
             frame = ray.get("limit_flag_frame", [])
-            if not _is_number_rows(frame):
+            if not _has_kind(frame, [[NUMBER]]):
                 raise ValueError(f"{report_path}: ray {i}'s 'limit_flag_frame' is rows of numbers")
             frame = np.asarray(frame, dtype=float)
             if frame.size == 0 or frame.shape[0] != 3:
@@ -375,7 +360,7 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
             les = ray.get("log_eps", [])
             slope = ray.get("slope", 0.0)
             intercept = ray.get("intercept", 0.0)
-            if not (isinstance(les, list) and all(map(_is_number, [*les, slope, intercept]))):
+            if not (_has_kind(les, [NUMBER]) and _has_kind([slope, intercept], [NUMBER])):
                 raise ValueError(f"{report_path}: ray {i}'s 'log_eps' is a list of numbers, "
                                  "its 'slope' and 'intercept' numbers")
             line = []
@@ -388,13 +373,13 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
         _write_csv(csv_path, ["ray", "n", "log_expansion", "fit"], rows)
         _svg_scatter(svg_path, pts, "log expansion factor vs prefix length", lines)
     elif kind == "margin-histogram":
-        if not (_is_number_rows(points) and all(len(p) == 4 for p in points)):
+        if not (_has_kind(points, [[NUMBER]]) and all(len(p) == 4 for p in points)):
             raise ValueError(f"{report_path}: each of 'probe_points' is 4 numbers")
         vals = [float(p[3]) for p in points]
         if not vals:
             for i, ray in enumerate(rays):
                 if "conical_geometric_sup" in ray:
-                    if not _is_number(ray["conical_geometric_sup"]):
+                    if not _has_kind(ray["conical_geometric_sup"], NUMBER):
                         raise ValueError(f"{report_path}: ray {i}'s 'conical_geometric_sup' "
                                          "is a number")
                     vals.append(float(ray["conical_geometric_sup"]))
@@ -416,7 +401,7 @@ def emit_plot(report_path, kind: str, out_dir: str | None = None) -> list[Path]:
         b1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
         b2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
         for key in sorted(deltas, key=lambda s: int(s)):
-            if not _is_number_rows(deltas[key]):
+            if not _has_kind(deltas[key], [[NUMBER]]):
                 raise ValueError(f"{report_path}: delta path {key} is rows of numbers")
             line = []
             for step, d in enumerate(deltas[key]):

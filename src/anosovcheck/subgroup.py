@@ -65,28 +65,47 @@ CEA_DEPTH = 2         # anosov: length of the words scanned for stratum expansio
 TIE_RTOL = 1e-12      # uru, morse: relative distance within which witnesses tie
 WORD_BLOCK = 2916     # uru, morse: words per block of the depth-first word walk
 MAX_WORDS = 2_000_000  # word walk: most words of lengths 1..length it may visit
+HALF_RANGE = -0.5 * math.log(np.finfo(float).tiny)  # word walk: most |log s_i| frames may read
 POWER_DEPTH = 256      # uru: deepest generator power of the orbit-growth probe
 
 
 @dataclass(frozen=True)
 class FreeGroupPresentation:
-    """Matrix generators assumed (or certified) to generate freely."""
+    """Matrix generators assumed (or certified) to generate freely.
+
+    A ValueError names the first generator that is not a finite n x n matrix of determinant 1
+    within DET_TOL.  ``table`` holds the letters -rank, ..., rank, read-only, letter l at row
+    l + rank (the identity at row rank), and ``logdets`` each row's log|det|.
+    """
 
     generators: tuple[np.ndarray, ...]
-    inverses: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+    logdets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
-        if not gens:
+        mats = []
+        for k, g in enumerate(self.generators):
+            try:
+                m = np.array(g, dtype=float)
+            except (TypeError, ValueError) as exc:  # ragged rows, or an entry that is no number
+                raise ValueError(f"generator {k} is not a matrix of numbers") from exc
+            n = len(mats[0]) if mats else len(m) if m.ndim == 2 else 0
+            if not n or m.shape != (n, n):
+                raise ValueError(f"generator {k} is not {n}x{n}" if mats
+                                 else "generator 0 is not a nonempty square matrix")
+            if not np.isfinite(m).all():  # a NaN determinant passes a tolerance test
+                raise ValueError(f"generator {k} has a non-finite entry")
+            if abs((det := np.linalg.det(m)) - 1.0) > DET_TOL:
+                raise ValueError(f"generator {k} determinant {det:.8f} is not 1")
+            mats.append(m)
+        if not mats:
             raise ValueError("need at least one generator")
-        n = gens[0].shape[0]
-        for g in gens:
-            if g.shape != (n, n):
-                raise ValueError("generators must share a common size")
-            if abs(np.linalg.det(g) - 1.0) > DET_TOL:
-                raise ValueError(f"generator determinant {np.linalg.det(g):.8f} is not 1")
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "inverses", tuple(np.linalg.inv(g) for g in gens))
+        table = np.concatenate([np.linalg.inv(mats)[::-1], np.eye(len(mats[0]))[None], mats])
+        logdets = np.linalg.slogdet(table)[1]
+        table.flags.writeable = logdets.flags.writeable = False
+        object.__setattr__(self, "generators", tuple(table[len(mats) + 1:]))
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "logdets", logdets)
 
     @property
     def rank(self) -> int:
@@ -94,11 +113,11 @@ class FreeGroupPresentation:
 
     @property
     def n(self) -> int:
-        return self.generators[0].shape[0]
+        return self.table.shape[-1]
 
-    def letter_matrix(self, letter: int) -> np.ndarray:
-        i = abs(letter) - 1
-        return self.generators[i] if letter > 0 else self.inverses[i]
+    def letter_matrix(self, letters) -> np.ndarray:
+        """The matrix of a signed letter, or of each of an array of them, stacked (..., n, n)."""
+        return self.table[letters + self.rank]
 
 
 def _letter_order(rank: int) -> list[int]:
@@ -179,10 +198,9 @@ def word_levels(pres: FreeGroupPresentation, length: int, inverse_length: int | 
         letter_length = length
     order = np.array(_letter_order(pres.rank), dtype=np.int8)
     n, kids = pres.n, 2 * pres.rank - 1
-    gens = np.stack([pres.letter_matrix(lt) for lt in order])
+    gens, logdets = pres.letter_matrix(order), pres.logdets[order + pres.rank]
     # C order, so that length 1's invs is a transposed view like every later block's
-    inv_gens_t = np.ascontiguousarray(np.stack([pres.letter_matrix(-lt).T for lt in order]))
-    logdets = np.linalg.slogdet(gens)[1]
+    inv_gens_t = np.ascontiguousarray(pres.letter_matrix(-order).swapaxes(1, 2))
     # successor[e]: the letters, in letter order, that may follow letter e (not its inverse e ^ 1)
     successor = np.array([[e for e in range(len(order)) if e != d ^ 1] for d in range(len(order))])
     subtree = _subtree_sizes(pres.rank, length)
@@ -255,11 +273,13 @@ def _two_sided_logs(m: np.ndarray, minv: np.ndarray, logdet: np.ndarray,
     n take LAPACK's values of both sides: a direct SVD loses values below eps times the top
     one, and the small values are the reciprocals of the inverse's large ones, so each log
     comes from the side with the larger resolution ratio, as ``symmspace._two_sided_svd``
-    picks columns.  ``top`` is m's ``symmspace._top_read`` where the caller holds it.
-    Leading axes are batch axes.
+    picks columns; a stack that is not finite, which LAPACK refuses, reads NaN logs.  ``top``
+    is m's ``symmspace._top_read`` where the caller holds it.  Leading axes are batch axes.
     """
     n = m.shape[-1]
     if n > 3:
+        if not (np.isfinite(m).all() and np.isfinite(minv).all()):
+            return np.full(m.shape[:-1], np.nan)
         s, si = np.linalg.svd(np.stack([m, minv]), compute_uv=False)
         direct = s / s[..., :1] >= si[..., ::-1] / si[..., :1]
         # np.where evaluates both sides: keep the unused logs' arguments at 1
@@ -299,8 +319,9 @@ def power_probe(pres: FreeGroupPresentation, max_power: int = POWER_DEPTH, norm_
     proximal generators hit the cap after a few steps, where the
     enumerated words already witness linear growth.
     """
-    for i, (g, gi) in enumerate(zip(pres.generators, pres.inverses), start=1):
-        m, minv, logdet = np.eye(pres.n), np.eye(pres.n), np.linalg.slogdet(g)[1]
+    for i in range(1, pres.rank + 1):
+        g, gi, logdet = pres.letter_matrix(i), pres.letter_matrix(-i), pres.logdets[pres.rank + i]
+        m, minv = np.eye(pres.n), np.eye(pres.n)
         for k in range(1, max_power + 1):
             m = m @ g
             if pres.n > 2:  # the n = 2 logs read m and log|det| alone
@@ -346,13 +367,13 @@ def _first_tied(candidates: list[tuple]) -> tuple:
     return min((c for c in candidates if c[0] <= lo + TIE_RTOL * abs(lo)), key=lambda c: c[1])
 
 
-def _batches(chains, rank: int):
+def _batches(chains, rank: int, ends):
     """The chains of ``word_levels``' walk in batches, the unit of ``word_checks``' kernel calls.
 
-    A batch is a run of whole lengths, each one block, whose words fit one
-    WORD_BLOCK (lengths 1-6 at rank 2), or any other block alone; its lengths
-    ascend.  It is yielded with its last chain: the next length's word count
-    tells whether that length fits, before the walk forms it.
+    A batch is a run of whole lengths, each one block, whose words fit one WORD_BLOCK
+    (lengths 1-6 at rank 2) and that ends at each length of ``ends``, the walk's last among
+    them, or any other block alone.  It is yielded with its last chain: the next length's
+    word count tells whether that length fits, before the walk forms it.
     """
     def size(el):  # the words of length el
         return 2 * rank * (2 * rank - 1) ** (el - 1)
@@ -361,24 +382,16 @@ def _batches(chains, rank: int):
     for chain in chains:
         batch.append(chain)
         words += len(chain[-1].mats)
-        if len(chain[-1].mats) < size(len(chain)) or words + size(len(chain) + 1) > WORD_BLOCK:
+        el = len(chain)
+        if len(chain[-1].mats) < size(el) or words + size(el + 1) > WORD_BLOCK or el in ends:
             yield batch
             batch, words = [], 0
-    if batch:
-        yield batch
 
 
 def _level_rows(chains: list) -> list[slice]:
     """The rows of each chain's last block among a batch's stacked rows."""
     ends = list(itertools.accumulate(len(chain[-1].mats) for chain in chains))
     return [slice(a, b) for a, b in zip([0, *ends], ends)]
-
-
-def _first_rows(x, rows: int):
-    """An array's first rows, or those of each array of a tuple; None stays None."""
-    if isinstance(x, tuple):
-        return tuple(_first_rows(y, rows) for y in x)
-    return None if x is None else x[:rows]
 
 
 def _stacked(arrays: list) -> np.ndarray:
@@ -389,53 +402,45 @@ def _stacked(arrays: list) -> np.ndarray:
 def word_checks(pres: FreeGroupPresentation, face: FaceType, scans: list) -> list[PropertyReport]:
     """Reports of scans, such as uru's and morse's, from one depth-first walk of the word tree.
 
-    A scan is a generator that yields its word length, and whether it takes
-    the frames, whenever it waits: it is sent the list [chains, logs, their
-    norms, least wall gaps] of each batch (``_batches``) up to that length,
-    then the walk's length, and yields its report.  The arrays stack the
-    chains' last blocks in order (``_level_rows``).  The walk goes to the
-    longest length, and takes each batch's logs, norms, gaps and
-    ``symmspace._top_read`` once.  The list ends with (products, inverses,
-    top read) only where a scan sent it takes the frame, which pops them
-    before its own reads.  A scan that takes the frames also reads its
-    words' letters and the inverses of their prefixes of at most half its
-    length (morse's ``_prefix_coords``); a scan that takes none reads no
-    letters, and names a word by its depth-first rank in the walk (uru, by
-    ``_word_at``).  So the walk forms letters only up to the longest length
-    a frame reader reads, and inverses only up to the longest length read:
-    at n >= 3 the logs read every block's, and at n = 2, where the logs and
-    frames read m and log|det| alone, only those prefixes are read.  A batch
-    whose products leave double range, read as a norm that is not finite,
-    raises ``IllConditioned`` before any scan sees it.
+    A scan is a generator that yields its word length, and whether it takes the frames,
+    whenever it waits: it is sent the list [chains, logs, their norms, least wall gaps] of
+    each batch (``_batches``, cut at the scans' lengths) up to that length, then the walk's
+    length, and yields its report.  The arrays stack the chains' last blocks in order
+    (``_level_rows``).  The walk goes to the longest length, and takes each batch's logs,
+    norms, gaps and ``symmspace._top_read`` once.  The list ends with (products, inverses,
+    top read) only where a scan sent it takes the frame, which pops them before its own
+    reads.  A scan that takes the frames also reads its words' letters and the inverses of
+    their prefixes of at most half its length (morse's ``_prefix_coords``); a scan that
+    takes none reads no letters, and names a word by its depth-first rank in the walk (uru,
+    by ``_word_at``).  So the walk forms letters only up to the longest length a frame
+    reader reads, and inverses only up to the longest length read: at n >= 3 the logs read
+    every block's, and at n = 2, where the logs and frames read m and log|det| alone, only
+    those prefixes are read.  A batch whose products leave double range, read as a norm
+    that is not finite, raises ``IllConditioned`` before any scan sees it, as does one sent
+    to a frame reader whose products pass its square root: frame readers square entries.
     """
     lengths, frames = zip(*(next(scan) for scan in scans))
     walk = max(lengths)
     letter_length = max((el for el, frame in zip(lengths, frames) if frame), default=0)
-    if pres.n > 2:
-        inverse_length = walk
-    else:
-        inverse_length = max((el // 2 for el, frame in zip(lengths, frames) if frame), default=0)
-    for batch in _batches(word_levels(pres, walk, inverse_length, letter_length), pres.rank):
-        levels = [chain[-1] for chain in batch]
+    inverse_length = walk if pres.n > 2 else max(
+        (el // 2 for el, frame in zip(lengths, frames) if frame), default=0)
+    for batch in _batches(word_levels(pres, walk, inverse_length, letter_length), pres.rank,
+                          lengths):
+        levels, el = [chain[-1] for chain in batch], len(batch[-1])
         mats, invs, logdets = (None if any(getattr(lv, x) is None for lv in levels)
                                else _stacked([getattr(lv, x) for lv in levels])
                                for x in ("mats", "invs", "logdets"))
-        with np.errstate(over="ignore", invalid="ignore"):  # products past double range
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # past double range
             top = _top_read(mats)
             logs = _two_sided_logs(mats, invs, logdets, top)
             norms, gaps = _log_norms(logs), _least_gaps(logs, face)
         if not np.isfinite(norms).all():  # nor are any longer word's
-            raise IllConditioned(f"products of {len(batch[-1])} letters leave double range")
-        sends = []
-        for k, length in enumerate(lengths):
-            part = sum(len(chain) <= length for chain in batch)  # the lengths ascend
-            if not part:
-                continue
-            shared = [batch, logs, norms, gaps, (mats, invs, top)][:5 if frames[k] else 4]
-            if part < len(batch):  # the scan's lengths, the batch's first rows
-                rows = _level_rows(batch)[part - 1].stop
-                shared = [batch[:part], *(_first_rows(x, rows) for x in shared[1:])]
-            sends.append((scans[k], shared))
+            raise IllConditioned(f"products of {el} letters leave double range")
+        sends = [(scan, [batch, logs, norms, gaps, (mats, invs, top)][:5 if frame else 4])
+                 for scan, length, frame in zip(scans, lengths, frames) if el <= length]
+        if any(len(shared) == 5 for _, shared in sends) and (
+                np.abs(logs).max() + np.abs(logdets).max() / pres.n > HALF_RANGE):
+            raise IllConditioned(f"products of {el} letters pass the square root of double range")
         del top  # held, if at all, by the lists alone, which the frame's reader pops it from
         for scan, shared in sends:
             scan.send(shared)
@@ -760,33 +765,14 @@ def _random_words(rng: np.random.Generator, rank: int, count: int, length: int) 
     return np.stack(cols, axis=1)
 
 
-def _letter_table(pres: FreeGroupPresentation) -> np.ndarray:
-    """Matrices of the letters -rank, ..., rank, the identity at 0: letter l is row l + rank."""
-    return np.stack([pres.letter_matrix(lt) if lt else np.eye(pres.n)
-                     for lt in range(-pres.rank, pres.rank + 1)])
-
-
-def _letter_stacks(pres: FreeGroupPresentation, letters: np.ndarray):
-    """Matrices of the letters and of their inverses, as stacks (..., n, n)."""
-    table = _letter_table(pres)
-    return table[letters + pres.rank], _inverse_letter_stack(pres, letters, table)
-
-
-def _inverse_letter_stack(pres: FreeGroupPresentation, letters: np.ndarray, table=None):
-    """Matrices of the letters' inverses, as a stack (..., n, n), from ``_letter_table``."""
-    table = _letter_table(pres) if table is None else table
-    return table[pres.rank - letters]
-
-
 def _prefix_products(pres: FreeGroupPresentation, letters: np.ndarray):
     """(letter matrices, prefix products, their inverses, log|det|s) of words (..., N).
 
-    For all words at once, prefix products are accumulated from the
-    identity one letter at a time on the right, and their inverses one
-    inverse letter at a time on the left.  log|det| is taken once per
-    letter of the table: a matrix's slogdet does not depend on its batch.
+    For all words at once, prefix products are accumulated from the identity one letter at a
+    time on the right, their inverses one inverse letter at a time on the left, and log|det|s
+    from the presentation's, letter by letter.
     """
-    steps, inv_steps = _letter_stacks(pres, letters)
+    steps, inv_steps = pres.letter_matrix(letters), pres.letter_matrix(-letters)
     prefixes, inverses = np.empty_like(steps), np.empty_like(steps)
     m = mi = np.eye(pres.n)
     with np.errstate(over="ignore", invalid="ignore"):  # a product that leaves double range
@@ -795,7 +781,7 @@ def _prefix_products(pres: FreeGroupPresentation, letters: np.ndarray):
             inverses[..., k, :, :] = mi = inv_steps[..., k, :, :] @ mi
     if not (np.isfinite(m).all() and np.isfinite(mi).all()):  # so is every later product
         raise IllConditioned(f"products of {letters.shape[-1]} letters leave double range")
-    logdets = np.linalg.slogdet(_letter_table(pres))[1][letters + pres.rank]
+    logdets = pres.logdets[letters + pres.rank]
     return steps, prefixes, inverses, np.cumsum(logdets, axis=-1)
 
 
@@ -821,7 +807,7 @@ def sample_rays(pres: FreeGroupPresentation, count: int, depth: int, seed: int,
     words, schemes = zip(*rays.values())
     letters = np.array(words, dtype=int)
     return RaySample(letters, np.array(schemes), *_prefix_products(pres, letters[:, :depth])[1:],
-                     suffix_flags(_letter_stacks(pres, letters)[0], face), seed)
+                     suffix_flags(pres.letter_matrix(letters), face), seed)
 
 
 def _window_sups(pres: FreeGroupPresentation, sample: RaySample, factors: tuple,
@@ -898,7 +884,8 @@ def _conical_rays(pres: FreeGroupPresentation, sample: RaySample,
     Both sides are judged by ``rules.conical``.
     """
     count, total = sample.prefixes.shape[:2]
-    factors = (*_letter_stacks(pres, sample.letters[:, :total]),
+    letters = sample.letters[:, :total]
+    factors = (pres.letter_matrix(letters), pres.letter_matrix(-letters),
                np.pad(sample.logdets, ((0, 0), (1, 0))))  # log|det| of the first k letters
     reads = []  # (n, far): point n read from its window's start, or from its end where far
     for n in range(1, total):  # every window spans lo < n < hi
@@ -1134,7 +1121,7 @@ def anosov_check(pres: FreeGroupPresentation, face: FaceType, sample: RaySample)
     # letters' matrices are formed; the chain's products overwrite the
     # single-letter differentials in place, and are freed before the
     # stratum scan.
-    steps = action_differential(_inverse_letter_stack(pres, sample.letters[:, :depth]),
+    steps = action_differential(pres.letter_matrix(-sample.letters[:, :depth]),
                                 sample.tails[:, :depth])
     dtotal = np.eye(tangent_dim(face))
     with np.errstate(over="ignore", invalid="ignore"):  # a product that leaves double range

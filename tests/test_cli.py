@@ -119,13 +119,16 @@ class TestConfigValidation:
         ({"options": {"morse_depth": 0}}, "'options.morse_depth'"),
         ({"checkers": ["morse"], "options": {"rho_cap": -1.0}}, "'options.rho_cap'"),
         ({"generators": [[[1.0 + 1e-7, 0.0], [0.0, 1.0]], np.eye(2).tolist()]}, "generator 0"),
+        # a ragged matrix passes the type check; the presentation names it
+        ({"generators": [np.eye(2).tolist(), [[1.0, 0.0], [0.0]]]}, "generator 1"),
+        ({"generators": [np.eye(3).tolist(), np.eye(3).tolist()]}, "'n'"),
     ], ids=["morse_depth", "ray_count", "ray_depth", "face", "limit_distinct_rays",
             "anosov_distinct_rays", "anosov_ray_depth", "generators", "nan_generator",
             "float_depth", "string_depth", "string_seed", "negative_seed", "list_name", "bool_face",
             "list_options", "null_options", "string_knob", "null_knob", "bool_knob",
             "string_morse_depth", "float_morse_depth", "number_generators",
             "string_generator_entry", "nan_knob", "infinite_knob", "zero_morse_depth",
-            "negative_knob", "loose_determinant"])
+            "negative_knob", "loose_determinant", "ragged_generator", "generator_size"])
     def test_out_of_range_rejected(self, tmp_path, capsys, overrides, key):
         p = tmp_path / "range.json"
         p.write_text(json.dumps(minimal_config(**overrides)))
@@ -239,6 +242,41 @@ class TestConfigValidation:
         assert "double range" in capsys.readouterr().err
         assert json.loads((out / "error.json").read_text())["error"] == "IllConditioned"
         assert not (out / "uru.json").exists() and not (out / "morse.json").exists()
+
+    def test_frames_past_the_root_of_double_range_are_a_hard_failure(self, tmp_path, capsys):
+        # at n = 3 morse squares entries of factors formed of its words' products: the
+        # symmetric squares of letters of norm 2^60 pass 2^511 within 5 letters, and the
+        # walk refuses them before morse reads them, rather than publish NaN or warn
+        big = [[[2.0 ** 60, 0.0], [0.0, 2.0 ** -60]], [[2.0 ** -60, 0.0], [1.0, 2.0 ** 60]]]
+        raw = minimal_config(n=3, face=[1, 2], depth=8, checkers=["morse"],
+                             generators=[subgroup.symmetric_square(np.array(g)).tolist()
+                                         for g in big], options={"morse_depth": 8})
+        p = tmp_path / "big3.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_config(p, out_dir=str(out)) == 1
+        assert "square root of double range" in capsys.readouterr().err
+        assert json.loads((out / "error.json").read_text())["error"] == "IllConditioned"
+        assert not (out / "morse.json").exists()
+
+    def test_products_past_double_range_reach_no_lapack(self, tmp_path):
+        # at n = 4 the logs are LAPACK's: the walk refuses products that left double range
+        # before any SVD reads them, so LAPACK prints no argument error
+        d = np.diag([2.0 ** 200, 2.0 ** 60, 2.0 ** -60, 2.0 ** -200])
+        lower = np.eye(4) + np.diag(np.ones(3), -1)
+        raw = minimal_config(n=4, face=[1], depth=8, generators=[d.tolist(), (lower @ d).tolist()])
+        p = tmp_path / "big4.json"
+        p.write_text(json.dumps(raw))
+        src = Path(anosovcheck.__file__).resolve().parents[1]
+        run = ("import sys; sys.path.insert(0, sys.argv[1]); from anosovcheck.cli import main; "
+               "sys.exit(main(sys.argv[2:]))")
+        out = subprocess.run([sys.executable, "-c", run, str(src), "run", str(p), "--out-dir",
+                              str(tmp_path / "out")], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1
+        assert json.loads((tmp_path / "out" / "error.json").read_text())["error"] == "IllConditioned"
+        assert "double range" in out.stderr
+        for text in (out.stdout, out.stderr):
+            assert "DLASCL" not in text and "Traceback" not in text and "Warning" not in text
 
     @pytest.mark.parametrize("ray_depth, code", [(250, 0), (300, 1)])
     def test_differentials_past_double_range_are_a_hard_failure(self, tmp_path, capsys,

@@ -472,8 +472,9 @@ def test_ray_tails_match_suffix_products(name):
     # 256^20 (about 1e48), so the oracle takes 50 digits more
     cfg = load_config(bundled_config_path(name))
     face = cfg.face_type()
-    sample = subgroup.sample_rays(cfg.presentation(), 12, cfg.ray_depth, cfg.seed, face)
-    steps, _ = subgroup._letter_stacks(cfg.presentation(), sample.letters)
+    pres = cfg.presentation()
+    sample = subgroup.sample_rays(pres, 12, cfg.ray_depth, cfg.seed, face)
+    steps = pres.table[sample.letters + pres.rank]
     for r in range(len(steps)):
         frames = sample.tails.frame[r]
         errors = suffix_flag_errors_mp(steps[r], frames[-1], frames, face.dims, digits=100)

@@ -200,7 +200,7 @@ def test_first_batch_timing(benchmark, n, batched):
     """
     rng = np.random.default_rng(n)
     pres = FreeGroupPresentation(tuple(random_sl(rng, n, scale=1.2) for _ in range(2)))
-    batch = next(_batches(word_levels(pres, 8, 4 if n == 2 else 8, 8), pres.rank))
+    batch = next(_batches(word_levels(pres, 8, 4 if n == 2 else 8, 8), pres.rank, (8,)))
     assert [len(chain) for chain in batch] == [1, 2, 3, 4, 5, 6]
     timed = benchmark.pedantic(first_batch_read, (batch, FACES[n], batched), rounds=ROUNDS)
     reads = first_batch_read(batch, FACES[n])

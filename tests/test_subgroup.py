@@ -48,6 +48,44 @@ FACE2 = FaceType.make(2, [1])
 FACE3 = FaceType.full(3)
 
 
+class TestPresentation:
+    @pytest.mark.parametrize("n, rank", [(2, 1), (3, 2), (4, 3)])
+    def test_table_holds_each_letter_once(self, n, rank):
+        # letter l at row l + rank, the identity at row rank, each inverse LAPACK's, and
+        # each row's log|det| its own slogdet, bit for bit; the table is read-only
+        rng = np.random.default_rng(n)
+        gens = [random_sl(rng, n) for _ in range(rank)]
+        pres = FreeGroupPresentation(tuple(gens))
+        assert pres.table.shape == (2 * rank + 1, n, n)
+        assert np.array_equal(pres.table[rank], np.eye(n))
+        for i, g in enumerate(gens, start=1):
+            assert np.array_equal(pres.table[rank + i], g)
+            assert np.array_equal(pres.table[rank - i], np.linalg.inv(g))
+            assert np.array_equal(pres.generators[i - 1], g)
+        for row, logdet in zip(pres.table, pres.logdets):
+            assert logdet == np.linalg.slogdet(row)[1]
+        letters = np.array([[1, -rank], [rank, -1]])
+        assert np.array_equal(pres.letter_matrix(letters), pres.table[letters + rank])
+        for x in (pres.table, pres.logdets, pres.generators[0]):
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+
+    @pytest.mark.parametrize("generators, message", [
+        ([np.eye(2), [[float("nan"), 0.0], [0.0, 1.0]]], "generator 1 has a non-finite entry"),
+        ([[[float("inf"), 0.0], [0.0, 1.0]]], "generator 0 has a non-finite entry"),
+        ([np.eye(2), np.eye(3)], "generator 1 is not 2x2"),
+        ([np.eye(2), np.eye(2), [1.0, 1.0]], "generator 2 is not 2x2"),
+        ([np.ones((2, 3))], "generator 0 is not a nonempty square matrix"),
+        ([np.eye(2), [[1.0, 0.0], [0.0]]], "generator 1 is not a matrix of numbers"),
+        ([[[2.0, 0.0], [0.0, 1.0]]], "generator 0 determinant 2.00000000 is not 1"),
+        ([], "need at least one generator"),
+    ], ids=["nan", "inf", "size", "vector", "not_square", "ragged", "determinant", "empty"])
+    def test_bad_generators_are_named(self, generators, message):
+        # a warning fails the suite, so none is raised on the way to the message
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FreeGroupPresentation(tuple(generators))
+
+
 class TestWords:
     def test_counts(self, sl2_pres):
         for length, total in ((1, 4), (2, 4 + 12)):
@@ -116,8 +154,9 @@ class TestWords:
     def test_top_read_goes_only_to_frame_readers(self, sl2_pres):
         # a batch's list ends with its products, inverses and top read only where a scan
         # it is sent to takes the frame: a frame reader to length 3 beside a scan to
-        # length 4 that takes none.  Lengths 1-4 of a rank-2 walk, 160 words, are one
-        # batch, sent to each scan up to its own length, with those lengths' rows
+        # length 4 that takes none.  Lengths 1-4 of a rank-2 walk, 160 words, fit one
+        # batch, which ends at each scan's length: lengths 1-3 (52 words) go to both
+        # scans, length 4 (108 words) to the scan to 4 alone
         seen = []
 
         def scan(length, frames):
@@ -127,7 +166,8 @@ class TestWords:
             yield frames
 
         subgroup.word_checks(sl2_pres, FACE2, [scan(4, False), scan(3, True)])
-        assert sorted(seen) == [(False, [1, 2, 3, 4], 160, 4), (True, [1, 2, 3], 52, 5)]
+        assert sorted(seen) == [(False, [1, 2, 3], 52, 4), (False, [4], 108, 4),
+                                (True, [1, 2, 3], 52, 5)]
         seen.clear()
         subgroup.word_checks(sl2_pres, FACE2, [scan(4, False)])
         assert seen == [(False, [1, 2, 3, 4], 160, 4)]
@@ -728,12 +768,12 @@ def test_word_reports_do_not_depend_on_the_batch(name, monkeypatch):
 
     batches = subgroup._batches
     with monkeypatch.context() as m:
-        m.setattr(subgroup, "_batches", lambda chains, rank: ([chain] for chain in chains))
+        m.setattr(subgroup, "_batches", lambda chains, rank, ends: ([chain] for chain in chains))
         expected = reports()
     whole = [1, 2, 3, 4, 5, 6] if pres.rank == 2 else [1, 2, 3, 4]
     for block, lengths in ((7, [1]), (40, [1, 2]), (1458, whole), (2916, whole)):
         monkeypatch.setattr(subgroup, "WORD_BLOCK", block)
-        first = next(batches(word_levels(pres, depth), pres.rank))
+        first = next(batches(word_levels(pres, depth), pres.rank, (depth,)))
         assert [len(chain) for chain in first] == lengths
         assert reports() == expected, block
 
